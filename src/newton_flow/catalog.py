@@ -216,19 +216,40 @@ class RevolutionGeometry:
         return fd.trim_slice(self.boundary, width)
 
 
+def revolution_curvatures(f: np.ndarray, h: float, boundary: str,
+                          orientation: int):
+    """One derivative pass over the radial graph rho = f(z).
+
+    Returns (f', f'', w, k_mer, k_par) with w = sqrt(1 + f'^2) and the
+    oriented meridional and parallel principal curvatures.  This is the
+    single source of the revolution curvature formulas: the catalog's
+    geometry, the flow's speed and CFL bound, and its diagnostics all
+    come from here.
+    """
+    fp = fd.deriv1(f, h, boundary)
+    fpp = fd.deriv2(f, h, boundary)
+    w = np.sqrt(1.0 + fp * fp)
+    o = float(orientation)
+    k_mer = o * (-fpp) / w ** 3
+    k_par = o / (f * w)
+    return fp, fpp, w, k_mer, k_par
+
+
+def revolution_support(z: np.ndarray, f: np.ndarray, fp: np.ndarray,
+                       w: np.ndarray, orientation: int) -> np.ndarray:
+    """Support <X, N> = o (z f' - f) / w of the radial graph."""
+    return float(orientation) * (z * fp - f) / w
+
+
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
     """Differentiate the profile and assemble curvatures and support."""
     p = rev.profile
-    fp = fd.deriv1(p.f, p.h, p.boundary)
-    fpp = fd.deriv2(p.f, p.h, p.boundary)
-    w = np.sqrt(1.0 + fp * fp)
-    o = float(rev.orientation)
-    k_mer = o * (-fpp) / w ** 3
-    k_par = o / (p.f * w)
-    support = o * (p.z * fp - p.f) / w
+    fp, fpp, w, k_mer, k_par = revolution_curvatures(p.f, p.h, p.boundary,
+                                                     rev.orientation)
     return RevolutionGeometry(
         z=p.z, f=p.f, h=p.h, boundary=p.boundary, orientation=rev.orientation,
-        fp=fp, fpp=fpp, w=w, k_mer=k_mer, k_par=k_par, support=support,
+        fp=fp, fpp=fpp, w=w, k_mer=k_mer, k_par=k_par,
+        support=revolution_support(p.z, p.f, fp, w, rev.orientation),
     )
 
 

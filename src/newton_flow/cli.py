@@ -123,6 +123,25 @@ def _reject_unknown(d: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+_REQUIRED = object()
+
+
+def _field(body: dict, key: str, convert, where: str, default=_REQUIRED):
+    """body[key] passed through convert; a missing or ill-typed value is a ConfigError."""
+    if key not in body:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} needs {key!r}")
+        return default
+    try:
+        return convert(body[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: bad {key!r} value {body[key]!r}") from exc
+
+
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
 def parse_model(spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model must be an object with a 'kind' key")
@@ -130,39 +149,43 @@ def parse_model(spec: dict):
     if kind not in _MODEL_KEYS:
         raise ConfigError(f"unknown model kind {kind!r}")
     body = {k: v for k, v in spec.items() if k != "kind"}
-    _reject_unknown(body, _MODEL_KEYS[kind], f"model kind {kind!r}")
+    where = f"model kind {kind!r}"
+    _reject_unknown(body, _MODEL_KEYS[kind], where)
+
+    def get(key, convert, default=_REQUIRED):
+        return _field(body, key, convert, where, default)
+
     if kind == "hyperplane":
-        return catalog.Hyperplane(n=int(body["n"]))
+        return catalog.Hyperplane(n=get("n", int))
     if kind == "sphere":
-        return catalog.Sphere(n=int(body["n"]), radius=float(body["radius"]))
+        return catalog.Sphere(n=get("n", int), radius=get("radius", float))
     if kind == "cylinder":
         extent = body.get("axial_extent")
         return catalog.Cylinder(
-            n=int(body["n"]), m=int(body["m"]), radius=float(body["radius"]),
-            axial_extent=None if extent is None else float(extent))
+            n=get("n", int), m=get("m", int), radius=get("radius", float),
+            axial_extent=None if extent is None else get("axial_extent", float))
     if kind == "ellipsoid_rev":
-        kwargs = {"a": float(body["a"]), "b": float(body["b"])}
+        kwargs = {"a": get("a", float), "b": get("b", float)}
         if "band" in body:
-            kwargs["band"] = float(body["band"])
+            kwargs["band"] = get("band", float)
         if "resolution" in body:
-            kwargs["resolution"] = int(body["resolution"])
+            kwargs["resolution"] = get("resolution", int)
         return catalog.EllipsoidRev(**kwargs)
     if kind == "sphere_band":
         profile = catalog.sphere_band_profile(
-            float(body["radius"]), float(body["half_width"]),
-            int(body.get("samples", 128)))
+            get("radius", float), get("half_width", float),
+            get("samples", int, 128))
         return catalog.Revolution(profile=profile)
     if kind == "cylinder_band":
         profile = catalog.cylinder_profile(
-            float(body["radius"]), float(body["half_width"]),
-            int(body.get("samples", 128)))
+            get("radius", float), get("half_width", float),
+            get("samples", int, 128))
         return catalog.Revolution(profile=profile)
     profile = catalog.ProfileCurve(
-        z=np.asarray(body["z"], dtype=float),
-        f=np.asarray(body["f"], dtype=float),
+        z=get("z", _floats), f=get("f", _floats),
         boundary=body.get("boundary", "neumann"))
     return catalog.Revolution(profile=profile,
-                              orientation=int(body.get("orientation", 1)))
+                              orientation=get("orientation", int, 1))
 
 
 def load_scene(path: str) -> dict:
@@ -180,8 +203,8 @@ def load_scene(path: str) -> dict:
         raise ConfigError("scene config needs a 'model'")
     scene = {
         "model": parse_model(raw["model"]),
-        "r": int(raw.get("r", 1)),
-        "resolution": int(raw.get("resolution", 16)),
+        "r": _field(raw, "r", int, "scene", 1),
+        "resolution": _field(raw, "resolution", int, "scene", 16),
         "flow": raw.get("flow", {}),
         "output": raw.get("output", {}),
     }
@@ -318,17 +341,21 @@ def cmd_flow(args) -> int:
     boundary_values = None
     if flow_spec.get("pinned_boundary"):
         boundary_values = _sphere_band_pin_from_profile(scene["model"], r)
+
+    def get(key, convert, default=_REQUIRED):
+        return _field(flow_spec, key, convert, "flow", default)
+
     config = flow.FlowConfig(
         r=r,
         model=scene["model"],
-        t_end=float(flow_spec["t_end"]),
+        t_end=get("t_end", float),
         resolution=(args.resolution if args.resolution is not None
                     else scene["resolution"]),
-        cfl_safety=float(flow_spec.get("cfl_safety", 0.25)),
+        cfl_safety=get("cfl_safety", float, 0.25),
         rescaled=bool(flow_spec.get("rescaled", False)),
         scheme=str(flow_spec.get("scheme", "euler")),
-        output_stride=int(flow_spec.get("output_stride", 10)),
-        resample_every=int(flow_spec.get("resample_every", 0)),
+        output_stride=get("output_stride", int, 10),
+        resample_every=get("resample_every", int, 0),
         boundary_values=boundary_values,
     )
     result = flow.run(config)

@@ -10,8 +10,12 @@ Three discretizations, matched to the geometry:
   df/dt = -sigma_r * sqrt(1 + f_z^2).
 
 Time steps follow dt <= cfl_safety * h^2 / (1 + sup tr P_{r-1}), the
-coefficient of the principal part of the linearized speed.  Runs are
-deterministic for a fixed configuration.  The homothety monitor uses the
+coefficient of the principal part of the linearized speed.  On surfaces
+of revolution the speed, that bound and the diagnostics share one
+derivative pass per stage (``revolution_stage``): ``run`` evaluates the
+stage of each state once, takes dt from its bound and hands it to the
+step; rk2 adds one stage at the midpoint.  Runs are deterministic for a
+fixed configuration.  The homothety monitor uses the
 canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
 data; no uniqueness of that normalization is claimed.
 """
@@ -22,10 +26,10 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from . import fd
 from .catalog import (
     Cylinder,
     EllipsoidRev,
@@ -33,8 +37,10 @@ from .catalog import (
     HypersurfaceModel,
     Revolution,
     Sphere,
+    revolution_curvatures,
+    revolution_support,
 )
-from .errors import CflViolationError, DomainError, ExtinctionError
+from .errors import CflViolationError, DomainError, ExtinctionError, NumericalError
 from .symfun import elem_sym_all
 
 logger = logging.getLogger(__name__)
@@ -253,48 +259,78 @@ def resample_curve(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-def revolution_speed(geo: RevolutionGeometryState, r: int) -> np.ndarray:
-    """df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)."""
-    fp = fd.deriv1(geo.f, geo.h, geo.boundary)
-    fpp = fd.deriv2(geo.f, geo.h, geo.boundary)
-    w = np.sqrt(1.0 + fp * fp)
+class RevolutionStage(NamedTuple):
+    """One derivative pass over a radial graph, for one speed law r."""
+
+    geometry: RevolutionGeometryState   # the state it was computed from
+    r: int
+    fp: np.ndarray        # f'
+    w: np.ndarray         # sqrt(1 + f'^2)
+    k_mer: np.ndarray     # oriented meridional curvature
+    k_par: np.ndarray     # oriented parallel curvature
+    sigma: np.ndarray     # sigma_r(k_mer, k_par)
+    speed: np.ndarray     # df/dt
+    bound: float          # explicit stability bound on dt
+
+
+def revolution_stage(geo: RevolutionGeometryState, r: int) -> RevolutionStage:
+    """Curvatures, speed and CFL bound of the radial graph from one pass.
+
+    The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
+    and the bound dt <= h^2 / (1 + sup_j sum |sigma_{r-1}(A_j)|).
+    """
+    h = geo.h
+    fp, _, w, k_mer, k_par = revolution_curvatures(geo.f, h, geo.boundary,
+                                                   geo.orientation)
     o = float(geo.orientation)
-    k_mer = o * (-fpp) / w ** 3
-    k_par = o / (geo.f * w)
     if r == 1:
         sigma = k_mer + k_par
+        coeff = 2.0   # tr P_0 = n = 2, state independent
     elif r == 2:
         sigma = k_mer * k_par
+        # tr P_1 = |f''|/w^3 + 1/(f w): |o (-f'') / w^3| and o * (o / (f w))
+        # are exactly those numbers, since o = +-1 only flips signs
+        coeff = float((np.abs(k_mer) + o * k_par).max())
     else:
         raise DomainError("revolution flow supports r in {1, 2}")
-    return -o * sigma * w
+    return RevolutionStage(geo, r, fp, w, k_mer, k_par, sigma, -o * sigma * w,
+                           h ** 2 / (1.0 + coeff))
+
+
+def revolution_speed(geo: RevolutionGeometryState, r: int) -> np.ndarray:
+    """df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)."""
+    return revolution_stage(geo, r).speed
 
 
 def revolution_cfl_bound(geo: RevolutionGeometryState, r: int) -> float:
-    """dt <= h^2 / (1 + sup_j sum |sigma_{r-1}(A_j)|)."""
-    if r == 1:
-        coeff = 2.0   # tr P_0 = n = 2, state independent
-    else:
-        fp = fd.deriv1(geo.f, geo.h, geo.boundary)
-        fpp = fd.deriv2(geo.f, geo.h, geo.boundary)
-        w = np.sqrt(1.0 + fp * fp)
-        k_mer = np.abs(fpp) / w ** 3
-        k_par = 1.0 / (geo.f * w)
-        coeff = float((k_mer + k_par).max())
-    return geo.h ** 2 / (1.0 + coeff)
+    """dt <= h^2 / (1 + sup_j sum |sigma_{r-1}(A_j)|).
+
+    The bound of ``revolution_stage``, which derives it from the same
+    derivative pass as the speed and the diagnostics; the integrator uses
+    the stage directly.
+    """
+    return revolution_stage(geo, r).bound
 
 
 def step_revolution(state: FlowState, r: int, dt: float,
-                    scheme: str = "euler", boundary_values=None) -> FlowState:
+                    scheme: str = "euler", boundary_values=None,
+                    stage: RevolutionStage | None = None) -> FlowState:
     """Advance the radial graph one explicit step; detects pinching.
 
     Without boundary_values the end nodes evolve by the extrapolating
     stencils (the band then follows the closure's own boundary data, not
     any particular continuation).  With boundary_values(t) -> (left,
     right) the end nodes are pinned, giving a clean Dirichlet problem.
+
+    stage, when given, is the revolution_stage of state.geometry at this
+    r (run computes it to choose dt).  A stage computed for any other
+    geometry or r is ignored and recomputed.  Raises NumericalError when
+    the new profile holds a NaN.
     """
     geo = state.geometry
-    if dt > revolution_cfl_bound(geo, r) * (1.0 + 1e-9):
+    if stage is None or stage.geometry is not geo or stage.r != r:
+        stage = revolution_stage(geo, r)
+    if dt > stage.bound * (1.0 + 1e-9):
         raise CflViolationError(f"dt={dt:.3e} above the revolution stability bound")
 
     def pin(values, t):
@@ -305,14 +341,16 @@ def step_revolution(state: FlowState, r: int, dt: float,
         return values
 
     if scheme == "euler":
-        f_new = pin(geo.f + dt * revolution_speed(geo, r), state.t + dt)
+        f_new = pin(geo.f + dt * stage.speed, state.t + dt)
     else:
-        f_mid = pin(geo.f + 0.5 * dt * revolution_speed(geo, r),
-                    state.t + 0.5 * dt)
-        mid = replace_f(geo, f_mid)
-        f_new = pin(geo.f + dt * revolution_speed(mid, r), state.t + dt)
-    if f_new.min() <= 0.0:
+        f_mid = pin(geo.f + 0.5 * dt * stage.speed, state.t + 0.5 * dt)
+        mid = revolution_stage(replace_f(geo, f_mid), r)
+        f_new = pin(geo.f + dt * mid.speed, state.t + dt)
+    f_min = f_new.min()
+    if f_min <= 0.0:
         raise ExtinctionError(state.t + dt, reason="pinch")
+    if math.isnan(f_min):
+        raise NumericalError(f"non-finite profile at t={state.t + dt:.6g}")
     return FlowState(
         t=state.t + dt,
         geometry=replace_f(geo, f_new),
@@ -373,16 +411,10 @@ def _curve_diagnostics(state, config, dt, v0, resampled=False):
 
 def _revolution_diagnostics(state, config, dt, f0, z0):
     geo = state.geometry
-    fp = fd.deriv1(geo.f, geo.h, geo.boundary)
-    fpp = fd.deriv2(geo.f, geo.h, geo.boundary)
-    w = np.sqrt(1.0 + fp * fp)
-    o = float(geo.orientation)
-    k_mer = o * (-fpp) / w ** 3
-    k_par = o / (geo.f * w)
-    sigma = k_mer + k_par if config.r == 1 else k_mer * k_par
-    support = o * (geo.z * fp - geo.f) / w
+    stage = revolution_stage(geo, config.r)
+    support = revolution_support(geo.z, geo.f, stage.fp, stage.w, geo.orientation)
     phi = _residual_phi(config, state.t)
-    residual = float(np.abs(phi ** config.r * sigma + support / phi).max())
+    residual = float(np.abs(phi ** config.r * stage.sigma + support / phi).max())
     defect = math.nan
     if config.rescaled:
         phi_h = homothety_factor(config.r, state.t)
@@ -478,9 +510,9 @@ def run(config: FlowConfig) -> RunResult:
             return _sphere_diagnostics(s, config, dt, radius0)
 
         def cfl(s):
-            return _sphere_cfl_bound(s.geometry, config.r, config.resolution)
+            return _sphere_cfl_bound(s.geometry, config.r, config.resolution), None
 
-        def advance(s, dt):
+        def advance(s, dt, _):
             return _step_sphere(s, config, dt, config.r)
 
         def min_radius(s):
@@ -494,9 +526,9 @@ def run(config: FlowConfig) -> RunResult:
             return _curve_diagnostics(s, config, dt, v0, resampled)
 
         def cfl(s):
-            return curve_cfl_bound(s.geometry.vertices)
+            return curve_cfl_bound(s.geometry.vertices), None
 
-        def advance(s, dt):
+        def advance(s, dt, _):
             return step_curve(s, dt, config.scheme)
 
         def min_radius(s):
@@ -508,11 +540,12 @@ def run(config: FlowConfig) -> RunResult:
             return _revolution_diagnostics(s, config, dt, f0, z0)
 
         def cfl(s):
-            return revolution_cfl_bound(s.geometry, config.r)
+            stage = revolution_stage(s.geometry, config.r)
+            return stage.bound, stage
 
-        def advance(s, dt):
+        def advance(s, dt, stage):
             return step_revolution(s, config.r, dt, config.scheme,
-                                   config.boundary_values)
+                                   config.boundary_values, stage)
 
         def min_radius(s):
             return float(s.geometry.f.min())
@@ -523,9 +556,10 @@ def run(config: FlowConfig) -> RunResult:
     resampled_last = False
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
-        dt = min(config.cfl_safety * cfl(state), config.t_end - state.t)
+        bound, stage = cfl(state)
+        dt = min(config.cfl_safety * bound, config.t_end - state.t)
         try:
-            state = advance(state, dt)
+            state = advance(state, dt, stage)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"

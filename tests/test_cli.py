@@ -101,6 +101,30 @@ class TestGap:
         assert data["gauss"]["weaklyConvex"] is True
 
 
+# copied from perfbench/workloads.MALFORMED: (scene, expected exit code)
+MALFORMED_SCENES = [
+    ({"model": {"kind": "sphere", "n": 2}, "r": 1}, 2),
+    ({"model": {"kind": "sphere", "n": "two", "radius": 1.0}, "r": 1}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": "one"}, 2),
+    ({"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
+                "f": [1, 1, "x", 1, 1]}, "r": 1}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1,
+      "colour": "red"}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3}, 3),
+    ({"model": {"kind": "sphere", "n": 2, "radius": -1.0}, "r": 1}, 3),
+]
+
+
+@pytest.mark.parametrize("scene, expect", MALFORMED_SCENES)
+def test_malformed_gap_scene_exit_code(capsys, tmp_path, scene, expect):
+    cfg = scene_file(tmp_path, scene)
+    code, out, err = run_cli(capsys, "gap", "--config", cfg)
+    assert code == expect
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("config error" if expect == 2 else "domain error")
+
+
 class TestResidual:
     def test_sphere_residual(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
@@ -176,6 +200,26 @@ class TestFlow:
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
         assert code == 2
         assert "sphere band" in err
+
+    def test_bad_flow_field_is_config_error(self, capsys, tmp_path):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere_band", "radius": 2.0,
+                      "half_width": 0.6, "samples": 32},
+            "r": 1, "flow": {"t_end": "soon"}})
+        code, _, err = run_cli(capsys, "flow", "--config", cfg)
+        assert code == 2
+        assert "t_end" in err
+
+    def test_nan_profile_is_numerical_failure(self, capsys, tmp_path):
+        z = [0.1 * i for i in range(9)]
+        f = [1.0] * 9
+        f[4] = float("nan")
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "revolution", "z": z, "f": f},
+            "r": 1, "flow": {"t_end": 0.01}})
+        code, _, err = run_cli(capsys, "flow", "--config", cfg)
+        assert code == 4
+        assert "non-finite" in err
 
 
 class TestVerify:

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from newton_flow import fd
 from newton_flow.catalog import (
     Cylinder,
     Hyperplane,
+    ProfileCurve,
     Revolution,
     Sphere,
     cylinder_profile,
     shrinker_radius,
     sphere_band_profile,
 )
-from newton_flow.errors import CflViolationError, DomainError, ExtinctionError
+from newton_flow.errors import (
+    CflViolationError,
+    DomainError,
+    ExtinctionError,
+    NumericalError,
+)
 from newton_flow.flow import (
     CurveGeometry,
     FlowConfig,
@@ -21,6 +28,8 @@ from newton_flow.flow import (
     curve_cfl_bound,
     extinction_time,
     homothety_factor,
+    revolution_cfl_bound,
+    revolution_stage,
     run,
     sphere_band_pin,
     sphere_radius_exact,
@@ -243,3 +252,146 @@ class TestRun:
             errs[scheme] = abs(result.state.geometry.radius
                                - sphere_radius_exact(2, 1, 2.0, 0.5))
         assert errs["rk2"] <= errs["euler"] / 10.0
+
+
+# ---------------------------------------------------------------------------
+# the shared revolution stage against the separate-pass formulas
+
+def _reference_bound(f, h, boundary, r):
+    """CFL bound from its own derivative pass, as the integrator once had it."""
+    if r == 1:
+        return h ** 2 / (1.0 + 2.0)
+    fp = fd.deriv1(f, h, boundary)
+    fpp = fd.deriv2(f, h, boundary)
+    w = np.sqrt(1.0 + fp * fp)
+    coeff = float((np.abs(fpp) / w ** 3 + 1.0 / (f * w)).max())
+    return h ** 2 / (1.0 + coeff)
+
+
+def _reference_speed(f, h, boundary, orientation, r):
+    fp = fd.deriv1(f, h, boundary)
+    fpp = fd.deriv2(f, h, boundary)
+    w = np.sqrt(1.0 + fp * fp)
+    o = float(orientation)
+    k_mer = o * (-fpp) / w ** 3
+    k_par = o / (f * w)
+    sigma = k_mer + k_par if r == 1 else k_mer * k_par
+    return -o * sigma * w
+
+
+def _reference_run(f, z, r, scheme, pin, t_end, safety=0.25):
+    """run()'s time loop with a bound pass, a check pass and a speed pass."""
+    h, boundary, t, steps = float(z[1] - z[0]), "neumann", 0.0, 0
+
+    def pinned(values, at):
+        if pin is not None:
+            values[0], values[-1] = pin(at)
+        return values
+
+    while t < t_end * (1.0 - 1e-14):
+        dt = min(safety * _reference_bound(f, h, boundary, r), t_end - t)
+        assert dt <= _reference_bound(f, h, boundary, r) * (1.0 + 1e-9)
+        if scheme == "euler":
+            f = pinned(f + dt * _reference_speed(f, h, boundary, 1, r), t + dt)
+        else:
+            mid = pinned(f + 0.5 * dt * _reference_speed(f, h, boundary, 1, r),
+                         t + 0.5 * dt)
+            f = pinned(f + dt * _reference_speed(mid, h, boundary, 1, r), t + dt)
+        t += dt
+        steps += 1
+    return f, steps
+
+
+def _band_config(r, scheme, pinned, output_stride=10 ** 9):
+    prof = sphere_band_profile(2.0, 0.6, 32)
+    # about 50 steps
+    t_end = 50 * 0.25 * _reference_bound(prof.f, prof.h, "neumann", r)
+    pin = sphere_band_pin(2.0, r, 0.6) if pinned else None
+    return FlowConfig(r=r, model=Revolution(profile=prof), t_end=t_end,
+                      scheme=scheme, boundary_values=pin,
+                      output_stride=output_stride)
+
+
+def _band_state(m=32, f=None):
+    prof = sphere_band_profile(2.0, 0.6, m)
+    geo = RevolutionGeometryState(z=prof.z.copy(),
+                                  f=prof.f.copy() if f is None else f,
+                                  boundary="neumann", orientation=1)
+    return FlowState(t=0.0, geometry=geo)
+
+
+class TestRevolutionStage:
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_bitwise_identical_to_separate_passes(self, r, scheme, pinned):
+        config = _band_config(r, scheme, pinned)
+        result = run(config)
+        prof = config.model.profile
+        f_ref, steps = _reference_run(prof.f.copy(), prof.z, r, scheme,
+                                      config.boundary_values, config.t_end)
+        assert result.status == "completed"
+        assert result.state.step_count == steps >= 50
+        assert result.state.geometry.f.tobytes() == f_ref.tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_stage_matches_reference_formulas(self, r):
+        geo = _band_state(m=48).geometry
+        geo.orientation = -1
+        stage = revolution_stage(geo, r)
+        speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
+        assert stage.speed.tobytes() == speed.tobytes()
+        assert stage.bound == _reference_bound(geo.f, geo.h, geo.boundary, r)
+        assert revolution_cfl_bound(geo, r) == stage.bound
+
+    @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
+    def test_one_derivative_pass_per_stage(self, monkeypatch, scheme, passes):
+        calls = {"deriv1": 0, "deriv2": 0}
+
+        def counted(name):
+            inner = getattr(fd, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        config = _band_config(2, scheme, pinned=True, output_stride=10)
+        for name in calls:
+            monkeypatch.setattr(fd, name, counted(name))
+        result = run(config)
+        steps = result.state.step_count
+        expect = passes * steps + len(result.diagnostics)
+        assert calls == {"deriv1": expect, "deriv2": expect}
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_cfl_violation_with_own_or_foreign_stage(self, r):
+        state = _band_state(m=129)
+        bound = revolution_cfl_bound(state.geometry, r)
+        with pytest.raises(CflViolationError):
+            step_revolution(state, r, 10.0 * bound)
+        with pytest.raises(CflViolationError):
+            step_revolution(state, r, 10.0 * bound,
+                            stage=revolution_stage(state.geometry, r))
+        # a coarser grid's stage allows the step; it must not be trusted
+        coarse = revolution_stage(_band_state(m=33).geometry, r)
+        assert coarse.bound > 10.0 * bound
+        with pytest.raises(CflViolationError):
+            step_revolution(state, r, 10.0 * bound, stage=coarse)
+
+    def test_nan_profile_step_raises(self):
+        f = _band_state().geometry.f.copy()
+        f[7] = np.nan
+        state = _band_state(f=f)
+        for r in (1, 2):
+            with pytest.raises(NumericalError):
+                step_revolution(state, r, 1e-6)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_nan_profile_run_raises(self, r):
+        prof = sphere_band_profile(2.0, 0.6, 32)
+        f = prof.f.copy()
+        f[7] = np.nan
+        model = Revolution(profile=ProfileCurve(z=prof.z, f=f))
+        with pytest.raises(NumericalError):
+            run(FlowConfig(r=r, model=model, t_end=0.01))
