@@ -47,7 +47,6 @@ from .flow import (
 )
 from .gapcheck import GapReport, classify, evaluate, gauss_check, psd_sufficient
 from .operators import (
-    OperatorResult,
     ScalarField,
     drifted_apply,
     lr_apply,

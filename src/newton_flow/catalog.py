@@ -15,13 +15,13 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, inf, isfinite
 from typing import Union
 
 import numpy as np
 
 from . import fd
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .symfun import elem_sym
 
 ON_MODEL_TOL = 1e-9    # absolute tolerance for "point lies on the model"
@@ -51,8 +51,8 @@ class Sphere:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("dimension n must be >= 1")
-        if not self.radius > 0:
-            raise DomainError("radius must be positive")
+        if not 0 < self.radius < inf:
+            raise DomainError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,10 @@ class Cylinder:
     def __post_init__(self):
         if self.n < 2 or not 1 <= self.m <= self.n - 1:
             raise DomainError("cylinder needs 1 <= m <= n-1")
-        if not self.radius > 0:
-            raise DomainError("radius must be positive")
+        if not 0 < self.radius < inf:
+            raise DomainError("radius must be positive and finite")
+        if self.axial_extent is not None and not isfinite(self.axial_extent):
+            raise DomainError("axial_extent must be finite")
 
     @property
     def extent(self) -> float:
@@ -141,8 +143,8 @@ class EllipsoidRev:
     n: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError("semi-axes must be positive")
+        if not (0 < self.a < inf and 0 < self.b < inf):
+            raise DomainError("semi-axes must be positive and finite")
         if not 0 < self.band < 1:
             raise DomainError("band fraction must lie in (0, 1)")
         if self.resolution < 5:
@@ -150,6 +152,8 @@ class EllipsoidRev:
 
     def profile_curve(self, resolution: int | None = None) -> ProfileCurve:
         m = self.resolution if resolution is None else int(resolution)
+        if m < 5:
+            raise DomainError("resolution must be >= 5")
         z = np.linspace(-self.band * self.b, self.band * self.b, m)
         f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
         return ProfileCurve(z=z, f=f, boundary="neumann")
@@ -256,8 +260,8 @@ def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
 def sphere_band_profile(radius: float, half_width: float, samples: int,
                         boundary: str = "neumann") -> ProfileCurve:
     """Profile of the band |z| <= half_width of a round 2-sphere."""
-    if not 0 < half_width < radius:
-        raise DomainError("need 0 < half_width < radius")
+    if not 0 < half_width < radius < inf:
+        raise DomainError("need 0 < half_width < radius < inf")
     z = np.linspace(-half_width, half_width, samples)
     return ProfileCurve(z=z, f=np.sqrt(radius ** 2 - z ** 2), boundary=boundary)
 
@@ -265,18 +269,14 @@ def sphere_band_profile(radius: float, half_width: float, samples: int,
 def cylinder_profile(radius: float, half_width: float, samples: int,
                      boundary: str = "neumann") -> ProfileCurve:
     """Constant profile: the tube of the given radius."""
-    if not (radius > 0 and half_width > 0):
-        raise DomainError("radius and half_width must be positive")
+    if not (0 < radius < inf and 0 < half_width < inf):
+        raise DomainError("radius and half_width must be positive and finite")
     z = np.linspace(-half_width, half_width, samples)
     return ProfileCurve(z=z, f=np.full_like(z, radius), boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
 # pointwise queries
-
-def dimension(model: HypersurfaceModel) -> int:
-    return model.n
-
 
 def exact_curvatures(model) -> np.ndarray:
     """Curvature vector of a position-independent model."""
@@ -430,24 +430,24 @@ def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
     """Deterministic sample grid with per-sample curvatures and support."""
     if resolution < 8:
         raise DomainError("resolution must be >= 8")
+    if isinstance(model, EllipsoidRev):
+        model = model.as_revolution(resolution)
+    if isinstance(model, Revolution):
+        g = revolution_geometry(model)
+        curvatures = np.stack([g.k_mer, g.k_par], axis=1)
+        if not (np.isfinite(curvatures).all() and np.isfinite(g.support).all()):
+            raise NumericalError("non-finite curvature data on the revolution profile")
+        return SampleArrays(
+            positions=g.positions(),
+            curvatures=curvatures,
+            support=g.support.copy(),
+        )
     if isinstance(model, Sphere):
         pos = _sphere_positions(model.n, model.radius, resolution)
-        count = pos.shape[0]
-        return SampleArrays(
-            positions=pos,
-            curvatures=np.tile(exact_curvatures(model), (count, 1)),
-            support=np.full(count, exact_support(model)),
-        )
-    if isinstance(model, Hyperplane):
+    elif isinstance(model, Hyperplane):
         flat = _box_positions(model.n, 2.0, resolution)
         pos = np.concatenate([flat, np.zeros((flat.shape[0], 1))], axis=1)
-        count = pos.shape[0]
-        return SampleArrays(
-            positions=pos,
-            curvatures=np.zeros((count, model.n)),
-            support=np.zeros(count),
-        )
-    if isinstance(model, Cylinder):
+    elif isinstance(model, Cylinder):
         sph = _sphere_positions(model.m, model.radius, resolution)
         ax_dims = model.n - model.m
         sizes = _axis_sizes(model.n, resolution)[model.m:]
@@ -459,22 +459,15 @@ def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
              np.tile(ax, (sph.shape[0], 1))],
             axis=1,
         )
-        count = pos.shape[0]
-        return SampleArrays(
-            positions=pos,
-            curvatures=np.tile(exact_curvatures(model), (count, 1)),
-            support=np.full(count, exact_support(model)),
-        )
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(resolution)
-    if isinstance(model, Revolution):
-        g = revolution_geometry(model)
-        return SampleArrays(
-            positions=g.positions(),
-            curvatures=np.stack([g.k_mer, g.k_par], axis=1),
-            support=g.support.copy(),
-        )
-    raise DomainError(f"unsupported model {type(model).__name__}")
+    else:
+        raise DomainError(f"unsupported model {type(model).__name__}")
+    # position-independent models: the same curvatures and support everywhere
+    count = pos.shape[0]
+    return SampleArrays(
+        positions=pos,
+        curvatures=np.tile(exact_curvatures(model), (count, 1)),
+        support=np.full(count, exact_support(model)),
+    )
 
 
 def sample_points(model: HypersurfaceModel, resolution: int) -> list:

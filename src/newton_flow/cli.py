@@ -8,8 +8,7 @@ verify (identity convergence suites with a pass/fail table).
 Exit codes: 0 success, 2 parse/config error, 3 domain error, 4 numerical
 failure (unexpected extinction or stability violation), 5 verification
 failure.  Output is deterministic: JSON keys are sorted and numbers are
-rendered with 17 significant digits.  The --seed flag is accepted for
-forward compatibility; no subcommand currently randomizes.
+rendered with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -138,6 +137,19 @@ def _field(body: dict, key: str, convert, where: str, default=_REQUIRED):
         raise ConfigError(f"{where}: bad {key!r} value {body[key]!r}") from exc
 
 
+def _integer(value) -> int:
+    """Strict int: ints, integral floats and integer text pass; bools,
+    fractions and non-finite numbers raise ValueError (no truncation)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    if isinstance(value, (int, str)):
+        return int(value)
+    value = float(value)
+    if not value.is_integer():     # also false for nan and inf
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _floats(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
@@ -156,36 +168,36 @@ def parse_model(spec: dict):
         return _field(body, key, convert, where, default)
 
     if kind == "hyperplane":
-        return catalog.Hyperplane(n=get("n", int))
+        return catalog.Hyperplane(n=get("n", _integer))
     if kind == "sphere":
-        return catalog.Sphere(n=get("n", int), radius=get("radius", float))
+        return catalog.Sphere(n=get("n", _integer), radius=get("radius", float))
     if kind == "cylinder":
         extent = body.get("axial_extent")
         return catalog.Cylinder(
-            n=get("n", int), m=get("m", int), radius=get("radius", float),
+            n=get("n", _integer), m=get("m", _integer), radius=get("radius", float),
             axial_extent=None if extent is None else get("axial_extent", float))
     if kind == "ellipsoid_rev":
         kwargs = {"a": get("a", float), "b": get("b", float)}
         if "band" in body:
             kwargs["band"] = get("band", float)
         if "resolution" in body:
-            kwargs["resolution"] = get("resolution", int)
+            kwargs["resolution"] = get("resolution", _integer)
         return catalog.EllipsoidRev(**kwargs)
     if kind == "sphere_band":
         profile = catalog.sphere_band_profile(
             get("radius", float), get("half_width", float),
-            get("samples", int, 128))
+            get("samples", _integer, 128))
         return catalog.Revolution(profile=profile)
     if kind == "cylinder_band":
         profile = catalog.cylinder_profile(
             get("radius", float), get("half_width", float),
-            get("samples", int, 128))
+            get("samples", _integer, 128))
         return catalog.Revolution(profile=profile)
     profile = catalog.ProfileCurve(
         z=get("z", _floats), f=get("f", _floats),
         boundary=body.get("boundary", "neumann"))
     return catalog.Revolution(profile=profile,
-                              orientation=get("orientation", int, 1))
+                              orientation=get("orientation", _integer, 1))
 
 
 def load_scene(path: str) -> dict:
@@ -203,8 +215,8 @@ def load_scene(path: str) -> dict:
         raise ConfigError("scene config needs a 'model'")
     scene = {
         "model": parse_model(raw["model"]),
-        "r": _field(raw, "r", int, "scene", 1),
-        "resolution": _field(raw, "resolution", int, "scene", 16),
+        "r": _field(raw, "r", _integer, "scene", 1),
+        "resolution": _field(raw, "resolution", _integer, "scene", 16),
         "flow": raw.get("flow", {}),
         "output": raw.get("output", {}),
     }
@@ -238,7 +250,9 @@ def _parse_preset(text: str):
         raise ConfigError(f"unknown preset kind {kind!r}")
     if set(fields) != {"n", "m", "r"}:
         raise ConfigError("cyl preset needs n=, m=, r=")
-    n, m, r = int(fields["n"]), int(fields["m"]), int(fields["r"])
+    n, m, r = (_field(fields, key, _integer, "cyl preset") for key in "nmr")
+    if not 1 <= m <= n:
+        raise DomainError(f"cyl preset needs 1 <= m <= n, got m={m}, n={n}")
     radius = catalog.shrinker_radius(m, r)
     k = np.zeros(n)
     k[:m] = 1.0 / radius
@@ -354,8 +368,8 @@ def cmd_flow(args) -> int:
         cfl_safety=get("cfl_safety", float, 0.25),
         rescaled=bool(flow_spec.get("rescaled", False)),
         scheme=str(flow_spec.get("scheme", "euler")),
-        output_stride=get("output_stride", int, 10),
-        resample_every=get("resample_every", int, 0),
+        output_stride=get("output_stride", _integer, 10),
+        resample_every=get("resample_every", _integer, 0),
         boundary_values=boundary_values,
     )
     result = flow.run(config)
@@ -385,32 +399,27 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
+def _product_rule_residual(rev, r: int) -> float:
+    """Product-rule residual for two smooth trigonometric fields."""
+    z = rev.profile.z
+    fa = operators.ScalarField(values=np.sin(z), geometry=rev)
+    fb = operators.ScalarField(values=np.cos(0.5 * z) + 0.25 * z, geometry=rev)
+    return operators.verify_product_rule(fa, fb, r)
+
+
 def _verify_rows(resolutions):
     ellipsoid = catalog.EllipsoidRev(a=1.0, b=2.0)
-    rows = []
+    reports = []
     for r in (1, 2):
-        rep = operators.verify_support_identity(ellipsoid, r, resolutions)
-        rows.append(("support-identity", r, rep.residuals[-1],
-                     rep.observed_orders, rep.passes()))
-        rep = operators.verify_position_identity(ellipsoid, r, resolutions)
-        rows.append(("position-identity", r, rep.residuals[-1],
-                     rep.observed_orders, rep.passes()))
-    # product rule with smooth trigonometric fields, refined like the others
+        reports.append(("support-identity", operators.verify_support_identity(
+            ellipsoid, r, resolutions)))
+        reports.append(("position-identity", operators.verify_position_identity(
+            ellipsoid, r, resolutions)))
     for r in (1, 2):
-        residuals, spacings = [], []
-        for m in resolutions:
-            rev = ellipsoid.as_revolution(m)
-            z = rev.profile.z
-            fa = operators.ScalarField(values=np.sin(z), geometry=rev)
-            fb = operators.ScalarField(values=np.cos(0.5 * z) + 0.25 * z, geometry=rev)
-            residuals.append(operators.verify_product_rule(fa, fb, r))
-            spacings.append(rev.profile.h)
-        orders = tuple(
-            math.log(residuals[i] / residuals[i + 1])
-            / math.log(spacings[i] / spacings[i + 1])
-            for i in range(len(residuals) - 1))
-        ok = residuals[-1] <= 1e-3 and all(1.5 <= p <= 2.5 for p in orders)
-        rows.append(("product-rule", r, residuals[-1], orders, ok))
+        reports.append(("product-rule", operators.refinement_report(
+            "product-rule", _product_rule_residual, ellipsoid, r, resolutions)))
+    rows = [(name, rep.r, rep.residuals[-1], rep.observed_orders, rep.passes())
+            for name, rep in reports]
     worst = 0.0
     for model, r in catalog.self_shrinkers(6):
         rep = operators.verify_shrinker_pde(model, r)
@@ -420,9 +429,14 @@ def _verify_rows(resolutions):
 
 
 def cmd_verify(args) -> int:
-    resolutions = [int(x) for x in args.resolutions.split(",")]
+    try:
+        resolutions = [_integer(x) for x in args.resolutions.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad --resolutions {args.resolutions!r}") from exc
     if len(resolutions) < 2:
         raise ConfigError("verify needs at least two resolutions")
+    if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigError("verify needs strictly increasing resolutions")
     rows = _verify_rows(resolutions)
     all_ok = True
     records = []
@@ -454,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="newton-flow",
         description="Curvature algebra, model self-shrinkers, and explicit "
                     "integration of speed-sigma_r normal flows.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no subcommand randomizes yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="curvature algebra of an inline vector")
@@ -487,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_flow)
 
     p = sub.add_parser("verify", help="identity convergence suites")
-    p.add_argument("--all", action="store_true", help="run every suite (default)")
     p.add_argument("--resolutions", default="64,128,256",
                    help="comma-separated grid sizes")
     p.add_argument("--out", help="also write the records as JSON here")

@@ -9,15 +9,17 @@ Three discretizations, matched to the geometry:
 * surfaces of revolution (n = 2): the radial graph f(z, t) moves by
   df/dt = -sigma_r * sqrt(1 + f_z^2).
 
-Time steps follow dt <= cfl_safety * h^2 / (1 + sup tr P_{r-1}), the
-coefficient of the principal part of the linearized speed.  On surfaces
-of revolution the speed, that bound and the diagnostics share one
-derivative pass per stage (``revolution_stage``): ``run`` evaluates the
-stage of each state once, takes dt from its bound and hands it to the
-step; rk2 adds one stage at the midpoint.  Runs are deterministic for a
-fixed configuration.  The homothety monitor uses the
-canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
-data; no uniqueness of that normalization is claimed.
+All three advance by one explicit scheme, ``_explicit_step``: forward
+Euler, or the rk2 midpoint rule, with Dirichlet data imposed on each
+stage when given.  Time steps follow dt <= cfl_safety * h^2 / (1 + sup
+tr P_{r-1}), the coefficient of the principal part of the linearized
+speed.  On surfaces of revolution the speed, that bound and the
+diagnostics share one derivative pass per stage (``revolution_stage``):
+``run`` evaluates the stage of each state once, takes dt from its bound
+and hands it to the step.  Runs are deterministic for a fixed
+configuration.  The homothety monitor uses the canonical rescaling
+phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
+of that normalization is claimed.
 """
 
 from __future__ import annotations
@@ -109,10 +111,18 @@ class SphereGeometry:
     n: int
     radius: float
 
+    @property
+    def min_radius(self) -> float:
+        return self.radius
+
 
 @dataclass(eq=False)
 class CurveGeometry:
     vertices: np.ndarray      # (V, 2), closed polygon, CCW
+
+    @property
+    def min_radius(self) -> float:
+        return float(np.linalg.norm(self.vertices, axis=1).min())
 
 
 @dataclass(eq=False)
@@ -125,6 +135,10 @@ class RevolutionGeometryState:
     @property
     def h(self) -> float:
         return float(self.z[1] - self.z[0])
+
+    @property
+    def min_radius(self) -> float:
+        return float(self.f.min())
 
 
 @dataclass(eq=False)
@@ -183,6 +197,25 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
+# the explicit scheme
+
+def _explicit_step(x, speed, speed_at, t, dt, scheme, pin=None):
+    """One explicit step of dx/dt = speed_at(x) from x at time t.
+
+    speed is speed_at(x), already evaluated by the caller.  euler takes
+    x + dt * speed; rk2 is the midpoint rule x + dt * speed_at(x + dt/2 *
+    speed).  pin(values, t), when given, imposes Dirichlet data on the
+    midpoint and on the result.
+    """
+    if scheme == "euler":
+        x_new = x + dt * speed
+    else:
+        half = x + 0.5 * dt * speed
+        x_new = x + dt * speed_at(half if pin is None else pin(half, t + 0.5 * dt))
+    return x_new if pin is None else pin(x_new, t + dt)
+
+
+# ---------------------------------------------------------------------------
 # polygon curves (n = 1, r = 1)
 
 def circle_polygon(radius: float, vertices: int) -> np.ndarray:
@@ -236,11 +269,7 @@ def step_curve(state: FlowState, dt: float, scheme: str = "euler") -> FlowState:
         raise DomainError("closed curves need >= 16 vertices")
     if dt > curve_cfl_bound(v) * (1.0 + 1e-9):
         raise CflViolationError(f"dt={dt:.3e} above the curve stability bound")
-    if scheme == "euler":
-        v_new = v + dt * curve_speed(v)
-    else:
-        half = v + 0.5 * dt * curve_speed(v)
-        v_new = v + dt * curve_speed(half)
+    v_new = _explicit_step(v, curve_speed(v), curve_speed, state.t, dt, scheme)
     return FlowState(t=state.t + dt, geometry=CurveGeometry(vertices=v_new),
                      step_count=state.step_count + 1)
 
@@ -333,19 +362,15 @@ def step_revolution(state: FlowState, r: int, dt: float,
     if dt > stage.bound * (1.0 + 1e-9):
         raise CflViolationError(f"dt={dt:.3e} above the revolution stability bound")
 
+    def speed_at(f):
+        return revolution_stage(replace_f(geo, f), r).speed
+
     def pin(values, t):
-        if boundary_values is not None:
-            left, right = boundary_values(t)
-            values[0] = left
-            values[-1] = right
+        values[0], values[-1] = boundary_values(t)
         return values
 
-    if scheme == "euler":
-        f_new = pin(geo.f + dt * stage.speed, state.t + dt)
-    else:
-        f_mid = pin(geo.f + 0.5 * dt * stage.speed, state.t + 0.5 * dt)
-        mid = revolution_stage(replace_f(geo, f_mid), r)
-        f_new = pin(geo.f + dt * mid.speed, state.t + dt)
+    f_new = _explicit_step(geo.f, stage.speed, speed_at, state.t, dt, scheme,
+                           None if boundary_values is None else pin)
     f_min = f_new.min()
     if f_min <= 0.0:
         raise ExtinctionError(state.t + dt, reason="pinch")
@@ -381,20 +406,21 @@ def _residual_phi(config, t: float) -> float:
     return phi if phi > 0 else 1.0
 
 
-def _sphere_diagnostics(state, config, dt, radius0):
+def _sphere_diagnostics(state, config, dt, initial_geometry, resampled=False):
     n, r = state.geometry.n, config.r
     radius = state.geometry.radius
     phi = _residual_phi(config, state.t)
     residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
     defect = math.nan
     if config.rescaled:
-        defect = abs(radius - homothety_factor(r, state.t) * radius0)
+        defect = abs(radius - homothety_factor(r, state.t) * initial_geometry.radius)
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
-                       homothety_defect=defect, min_radius=radius, dt=dt)
+                       homothety_defect=defect, min_radius=radius, dt=dt,
+                       resampled=resampled)
 
 
-def _curve_diagnostics(state, config, dt, v0, resampled=False):
-    v = state.geometry.vertices
+def _curve_diagnostics(state, config, dt, initial_geometry, resampled=False):
+    v, v0 = state.geometry.vertices, initial_geometry.vertices
     normal, kappa = curve_normals_curvature(v)
     support = np.sum(v * normal, axis=1)
     phi = _residual_phi(config, state.t)
@@ -405,12 +431,13 @@ def _curve_diagnostics(state, config, dt, v0, resampled=False):
         defect = float(np.linalg.norm(v - phi_h * v0, axis=1).max())
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
                        homothety_defect=defect,
-                       min_radius=float(np.linalg.norm(v, axis=1).min()),
+                       min_radius=state.geometry.min_radius,
                        dt=dt, resampled=resampled)
 
 
-def _revolution_diagnostics(state, config, dt, f0, z0):
+def _revolution_diagnostics(state, config, dt, initial_geometry, resampled=False):
     geo = state.geometry
+    f0, z0 = initial_geometry.f, initial_geometry.z
     stage = revolution_stage(geo, config.r)
     support = revolution_support(geo.z, geo.f, stage.fp, stage.w, geo.orientation)
     phi = _residual_phi(config, state.t)
@@ -425,8 +452,8 @@ def _revolution_diagnostics(state, config, dt, f0, z0):
         else:
             defect = float(np.abs(geo.f).max())
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
-                       homothety_defect=defect,
-                       min_radius=float(geo.f.min()), dt=dt)
+                       homothety_defect=defect, min_radius=geo.min_radius,
+                       dt=dt, resampled=resampled)
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +489,17 @@ def _sphere_cfl_bound(geom: SphereGeometry, r: int, resolution: int) -> float:
     return h * h / (1.0 + trace_p)
 
 
-def _step_sphere(state: FlowState, config: FlowConfig, dt: float, model_r: int) -> FlowState:
+def _step_sphere(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
     geom = state.geometry
-    n, r = geom.n, model_r
+    n, r = geom.n, config.r
 
     def rate(radius):
+        if radius <= 0:     # an rk2 midpoint past extinction
+            raise ExtinctionError(state.t + dt)
         return -comb(n, r) / radius ** r
 
-    radius = geom.radius
-    if config.scheme == "euler":
-        new_radius = radius + dt * rate(radius)
-    else:
-        half = radius + 0.5 * dt * rate(radius)
-        if half <= 0:
-            raise ExtinctionError(state.t + dt)
-        new_radius = radius + dt * rate(half)
+    new_radius = _explicit_step(geom.radius, rate(geom.radius), rate, state.t, dt,
+                                config.scheme)
     if new_radius <= 0:
         raise ExtinctionError(state.t + dt)
     return FlowState(t=state.t + dt, geometry=SphereGeometry(n=n, radius=new_radius),
@@ -502,64 +525,52 @@ def run(config: FlowConfig) -> RunResult:
         diagnostics.append(replace(diag0, t=config.t_end))
         return RunResult(diagnostics=diagnostics, status="stationary", state=state)
 
+    # per geometry: its diagnostics, and a stage/advance pair where stage
+    # returns (dt bound, whatever advance can reuse of that evaluation)
     geom = state.geometry
     if isinstance(geom, SphereGeometry):
-        radius0 = geom.radius
+        diagnose = _sphere_diagnostics
 
-        def make_diag(s, dt, resampled=False):
-            return _sphere_diagnostics(s, config, dt, radius0)
-
-        def cfl(s):
+        def stage(s):
             return _sphere_cfl_bound(s.geometry, config.r, config.resolution), None
 
         def advance(s, dt, _):
-            return _step_sphere(s, config, dt, config.r)
-
-        def min_radius(s):
-            return s.geometry.radius
+            return _step_sphere(s, config, dt)
     elif isinstance(geom, CurveGeometry):
         if config.r != 1:
             raise DomainError("plane curves support r = 1 only")
-        v0 = geom.vertices.copy()
+        diagnose = _curve_diagnostics
 
-        def make_diag(s, dt, resampled=False):
-            return _curve_diagnostics(s, config, dt, v0, resampled)
-
-        def cfl(s):
+        def stage(s):
             return curve_cfl_bound(s.geometry.vertices), None
 
         def advance(s, dt, _):
             return step_curve(s, dt, config.scheme)
-
-        def min_radius(s):
-            return float(np.linalg.norm(s.geometry.vertices, axis=1).min())
     else:
-        f0, z0 = geom.f.copy(), geom.z.copy()
+        diagnose = _revolution_diagnostics
 
-        def make_diag(s, dt, resampled=False):
-            return _revolution_diagnostics(s, config, dt, f0, z0)
+        def stage(s):
+            st = revolution_stage(s.geometry, config.r)
+            return st.bound, st
 
-        def cfl(s):
-            stage = revolution_stage(s.geometry, config.r)
-            return stage.bound, stage
-
-        def advance(s, dt, stage):
+        def advance(s, dt, st):
             return step_revolution(s, config.r, dt, config.scheme,
-                                   config.boundary_values, stage)
+                                   config.boundary_values, st)
 
-        def min_radius(s):
-            return float(s.geometry.f.min())
+    def make_diag(s, dt, resampled=False):
+        # steps build new arrays, so the initial geometry stays as it was
+        return diagnose(s, config, dt, geom, resampled)
 
-    initial_radius = min_radius(state)
+    initial_radius = geom.min_radius
     diagnostics.append(make_diag(state, 0.0))
     status = "completed"
     resampled_last = False
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
-        bound, stage = cfl(state)
+        bound, reuse = stage(state)
         dt = min(config.cfl_safety * bound, config.t_end - state.t)
         try:
-            state = advance(state, dt, stage)
+            state = advance(state, dt, reuse)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"
@@ -573,7 +584,7 @@ def run(config: FlowConfig) -> RunResult:
                 geometry=CurveGeometry(resample_curve(state.geometry.vertices)),
                 step_count=state.step_count)
             resampled_last = True
-        if min_radius(state) < EXTINCTION_FRACTION * initial_radius:
+        if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
             status = "extinct"
             diagnostics.append(make_diag(state, dt, resampled_last))
             break

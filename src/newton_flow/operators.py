@@ -37,8 +37,6 @@ from .catalog import (
 from .errors import DomainError, NotSelfShrinkerError
 from .symfun import elem_sym_all, elem_sym_excluding
 
-TRUNCATION_ORDER = 2
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
@@ -54,16 +52,6 @@ class ScalarField:
             raise DomainError("field length does not match the grid")
         if not np.all(np.isfinite(v)):
             raise DomainError("field has non-finite values")
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorResult:
-    field: ScalarField
-    truncation_order: int = TRUNCATION_ORDER
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
 
 
 def _geom(field: ScalarField) -> RevolutionGeometry:
@@ -93,7 +81,7 @@ def position_gradient_term(field: ScalarField) -> np.ndarray:
     return (g.f * g.fp + g.z) * df / (g.w * g.w)
 
 
-def lr_apply(field: ScalarField, r: int) -> OperatorResult:
+def lr_apply(field: ScalarField, r: int) -> ScalarField:
     """Divergence-form discretization of tr(P_{r-1} Hess F).
 
     Second order in the interior; for r = 1 this is the discrete
@@ -103,15 +91,13 @@ def lr_apply(field: ScalarField, r: int) -> OperatorResult:
     lam = _lambda_meridian(g, r)
     coef = g.f * lam / g.w
     flux = fd.flux_divergence(coef, field.values, g.h, g.boundary)
-    values = flux / (g.f * g.w)
-    return OperatorResult(field=ScalarField(values=values, geometry=field.geometry))
+    return ScalarField(values=flux / (g.f * g.w), geometry=field.geometry)
 
 
-def drifted_apply(field: ScalarField, r: int) -> OperatorResult:
+def drifted_apply(field: ScalarField, r: int) -> ScalarField:
     """Drifted operator: lr_apply minus the position drift <X, grad F>."""
-    base = lr_apply(field, r)
-    values = base.values - position_gradient_term(field)
-    return OperatorResult(field=ScalarField(values=values, geometry=field.geometry))
+    values = lr_apply(field, r).values - position_gradient_term(field)
+    return ScalarField(values=values, geometry=field.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +176,12 @@ def _position_identity_residual(rev: Revolution, r: int) -> float:
     return float(np.abs(lhs - rhs)[cut].max())
 
 
-def _refinement_report(identity: str, residual_fn, model, r,
-                       resolutions) -> ConvergenceReport:
+def refinement_report(identity: str, residual_fn, model, r,
+                      resolutions) -> ConvergenceReport:
+    """Refinement study of residual_fn(revolution, r) over the resolutions.
+
+    Observed orders compare consecutive resolutions, which must differ.
+    """
     resolutions = [int(m) for m in resolutions]
     residuals = []
     spacings = []
@@ -220,7 +210,7 @@ def verify_support_identity(model, r: int, resolutions) -> ConvergenceReport:
     """
     if r not in (1, 2):
         raise DomainError("revolution operators support r in {1, 2}")
-    return _refinement_report(
+    return refinement_report(
         "support", _support_identity_residual, model, r, resolutions)
 
 
@@ -229,7 +219,7 @@ def verify_position_identity(model, r: int, resolutions) -> ConvergenceReport:
     + r sigma_r <X,N>."""
     if r not in (1, 2):
         raise DomainError("revolution operators support r in {1, 2}")
-    return _refinement_report(
+    return refinement_report(
         "position", _position_identity_residual, model, r, resolutions)
 
 

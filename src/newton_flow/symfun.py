@@ -13,7 +13,6 @@ numpy arrays.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,16 +89,6 @@ def elem_sym_excluding(k, i: int, r: int) -> float:
     return elem_sym(np.delete(k, i), r)
 
 
-def elem_sym_brute(k, r: int) -> float:
-    """Reference evaluation by explicit subset enumeration (oracle)."""
-    k = _as_curvatures(k)
-    if r == 0:
-        return 1.0
-    if r > k.size:
-        return 0.0
-    return float(sum(np.prod(c) for c in itertools.combinations(k, r)))
-
-
 def elem_sym_all_rows(K: np.ndarray) -> np.ndarray:
     """Row-wise sigma_0..sigma_n; K has one curvature vector per row."""
     K = np.atleast_2d(np.asarray(K, dtype=float))
@@ -138,10 +127,6 @@ class NewtonFamily:
 
     sigmas: np.ndarray
     P: tuple
-
-    @property
-    def r_max(self) -> int:
-        return len(self.P) - 1
 
 
 def newton_family(S) -> NewtonFamily:
@@ -291,28 +276,24 @@ def definiteness(M, tol: float = 1e-10) -> Definiteness:
     """
     A = _as_shape_operator(M)
     w = np.linalg.eigvalsh(A)
-    lo, hi = float(w[0]), float(w[-1])
-    cut = tol * max(1.0, float(np.linalg.norm(A)))
-    if lo > cut:
-        kind = DefinitenessClass.POSITIVE_DEFINITE
-    elif hi < -cut:
-        kind = DefinitenessClass.NEGATIVE_DEFINITE
-    elif lo >= -cut:
-        kind = DefinitenessClass.POSITIVE_SEMIDEFINITE
-    elif hi <= cut:
-        kind = DefinitenessClass.NEGATIVE_SEMIDEFINITE
-    else:
-        kind = DefinitenessClass.INDEFINITE
-    return Definiteness(kind=kind, min_eigenvalue=lo, max_eigenvalue=hi)
+    return _classify(float(w[0]), float(w[-1]),
+                     tol * max(1.0, float(np.linalg.norm(A))))
 
 
 def classify_from_eigenvalues(w, tol: float = 1e-10) -> Definiteness:
-    """Definiteness from a precomputed eigenvalue set (same tie-breaking)."""
+    """Definiteness from a precomputed eigenvalue set (same tie-breaking).
+
+    Its zero window scales with max |w| rather than the Frobenius norm.
+    """
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise DomainError("empty eigenvalue set")
-    lo, hi = float(w.min()), float(w.max())
-    cut = tol * max(1.0, float(np.abs(w).max()))
+    return _classify(float(w.min()), float(w.max()),
+                     tol * max(1.0, float(np.abs(w).max())))
+
+
+def _classify(lo: float, hi: float, cut: float) -> Definiteness:
+    """Class of the eigenvalue range [lo, hi]; |lambda| <= cut counts as zero."""
     if lo > cut:
         kind = DefinitenessClass.POSITIVE_DEFINITE
     elif hi < -cut:

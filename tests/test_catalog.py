@@ -202,3 +202,16 @@ class TestProfileValidation:
             Cylinder(n=3, m=3, radius=1.0)
         with pytest.raises(DomainError):
             Cylinder(n=3, m=0, radius=1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Sphere(n=2, radius=math.inf),
+        lambda: Cylinder(n=3, m=2, radius=math.inf),
+        lambda: Cylinder(n=3, m=2, radius=1.0, axial_extent=math.nan),
+        lambda: EllipsoidRev(a=math.inf, b=1.0),
+        lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(-5),
+        lambda: sphere_band_profile(math.inf, 0.5, 16),
+        lambda: cylinder_profile(1.0, math.inf, 16),
+    ])
+    def test_rejects_non_finite_sizes_and_short_grids(self, build):
+        with pytest.raises(DomainError):
+            build()

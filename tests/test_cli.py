@@ -61,6 +61,17 @@ class TestAlgebra:
         code, _, _ = run_cli(capsys, "algebra", "--k", "1,2", "--r", "5")
         assert code == 3
 
+    @pytest.mark.parametrize("preset, expect", [
+        ("cyl:n=3.5,m=2,r=1", 2),
+        ("cyl:n=3,m=x,r=1", 2),
+        ("cyl:n=-1,m=1,r=1", 3),
+    ])
+    def test_bad_preset_exit_code(self, capsys, preset, expect):
+        code, out, err = run_cli(capsys, "algebra", "--preset", preset)
+        assert code == expect
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestGap:
     def test_boundary_sphere(self, capsys, tmp_path):
@@ -112,6 +123,11 @@ MALFORMED_SCENES = [
       "colour": "red"}, 2),
     ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3}, 3),
     ({"model": {"kind": "sphere", "n": 2, "radius": -1.0}, "r": 1}, 3),
+    # integer fields are not truncated, and sizes must be finite
+    ({"model": {"kind": "sphere", "n": 2.7, "radius": 1.0}, "r": 1}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": True}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1.5}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": math.inf}, "r": 1}, 3),
 ]
 
 
@@ -123,6 +139,23 @@ def test_malformed_gap_scene_exit_code(capsys, tmp_path, scene, expect):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("config error" if expect == 2 else "domain error")
+
+
+def _nan_profile_scene(tmp_path):
+    f = [1.0] * 9
+    f[4] = float("nan")
+    return scene_file(tmp_path, {
+        "model": {"kind": "revolution", "z": [0.1 * i for i in range(9)], "f": f},
+        "r": 1, "resolution": 9})
+
+
+@pytest.mark.parametrize("command", ["gap", "residual"])
+def test_nan_profile_is_numerical_failure_outside_flow(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, "--config", _nan_profile_scene(tmp_path))
+    assert code == 4
+    assert out == ""
+    assert "non-finite" in err
+    assert "Traceback" not in err
 
 
 class TestResidual:
@@ -224,7 +257,7 @@ class TestFlow:
 
 class TestVerify:
     def test_full_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--all",
+        code, out, _ = run_cli(capsys, "verify",
                                "--resolutions", "64,128,256")
         assert code == 0
         assert "verification passed" in out
@@ -233,3 +266,11 @@ class TestVerify:
     def test_needs_two_resolutions(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--resolutions", "64")
         assert code == 2
+
+    @pytest.mark.parametrize("resolutions, expect", [
+        ("64,x", 2), ("64,128.5", 2), ("64,64", 2), ("128,64", 2), ("-5,10", 3)])
+    def test_bad_resolutions_exit_code(self, capsys, resolutions, expect):
+        code, out, err = run_cli(capsys, "verify", f"--resolutions={resolutions}")
+        assert code == expect
+        assert out == ""
+        assert err.startswith("config error" if expect == 2 else "domain error")

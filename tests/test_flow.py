@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from newton_flow import fd
+from newton_flow import fd, flow
 from newton_flow.catalog import (
     Cylinder,
     Hyperplane,
@@ -26,8 +26,11 @@ from newton_flow.flow import (
     FlowState,
     circle_polygon,
     curve_cfl_bound,
+    curve_normals_curvature,
+    curve_speed,
     extinction_time,
     homothety_factor,
+    resample_curve,
     revolution_cfl_bound,
     revolution_stage,
     run,
@@ -37,6 +40,7 @@ from newton_flow.flow import (
     step_revolution,
     RevolutionGeometryState,
 )
+from newton_flow.symfun import elem_sym_all
 
 
 class TestClosedForms:
@@ -395,3 +399,131 @@ class TestRevolutionStage:
         model = Revolution(profile=ProfileCurve(z=prof.z, f=f))
         with pytest.raises(NumericalError):
             run(FlowConfig(r=r, model=model, t_end=0.01))
+
+
+# ---------------------------------------------------------------------------
+# the shared explicit scheme against in-test loops written out per geometry
+
+def _reference_loop(x, t_end, safety, stride, bound, step, diagnose,
+                    min_radius, resample=None):
+    """run()'s time loop; returns (x, steps, diagnostic tuples, status)."""
+    t, steps, last_dt, resampled = 0.0, 0, 0.0, False
+    radius0 = min_radius(x)
+    diags = [diagnose(x, t, 0.0, False)]
+    status = "completed"
+    while t < t_end * (1.0 - 1e-14):
+        dt = min(safety * bound(x), t_end - t)
+        x = step(x, t, dt)
+        if x is None:
+            return None, steps, diags, "extinct"
+        t += dt
+        steps += 1
+        last_dt = dt
+        resampled = resample is not None and steps % resample[0] == 0
+        if resampled:
+            x = resample[1](x)
+        if min_radius(x) < 1e-3 * radius0:
+            diags.append(diagnose(x, t, dt, resampled))
+            status = "extinct"
+            break
+        if steps % stride == 0:
+            diags.append(diagnose(x, t, dt, resampled))
+    if diags[-1][0] < t:
+        diags.append(diagnose(x, t, last_dt, resampled))
+    return x, steps, diags, status
+
+
+def _as_tuples(diagnostics):
+    return [(d.t, d.max_shrinker_residual, d.homothety_defect, d.min_radius,
+             d.dt, d.resampled) for d in diagnostics]
+
+
+def _phi(r, t):
+    phi = homothety_factor(r, t)
+    return phi if phi > 0 else 1.0
+
+
+class TestExplicitScheme:
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("model, n, r", [
+        (Sphere(n=3, radius=shrinker_radius(3, 2)), 3, 2),
+        (Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 2, 1),
+    ])
+    def test_scalar_law_matches_reference_loop(self, model, n, r, scheme):
+        resolution, t_end, stride = 64, 0.3 / (r + 1), 7
+        config = FlowConfig(r=r, model=model, t_end=t_end, rescaled=True,
+                            resolution=resolution, scheme=scheme,
+                            output_stride=stride)
+        result = run(config)
+        radius0 = model.radius
+
+        def bound(radius):
+            trace_p = (n - r + 1) * elem_sym_all(np.full(n, 1.0 / radius))[r - 1]
+            h = 2.0 * np.pi * radius / resolution
+            return h * h / (1.0 + trace_p)
+
+        def rate(radius):
+            return -math.comb(n, r) / radius ** r
+
+        def step(radius, t, dt):
+            if scheme == "euler":
+                new = radius + dt * rate(radius)
+            else:
+                half = radius + 0.5 * dt * rate(radius)
+                new = radius + dt * rate(half) if half > 0 else 0.0
+            return new if new > 0 else None
+
+        def diagnose(radius, t, dt, resampled):
+            phi = _phi(r, t)
+            residual = abs(phi ** r * math.comb(n, r) / radius ** r - radius / phi)
+            defect = abs(radius - homothety_factor(r, t) * radius0)
+            return (t, residual, defect, radius, dt, resampled)
+
+        radius, steps, diags, status = _reference_loop(
+            radius0, t_end, 0.25, stride, bound, step, diagnose, lambda x: x)
+        assert result.status == status == "completed"
+        assert result.state.step_count == steps > 3 * stride
+        assert result.state.geometry.radius == radius
+        assert _as_tuples(result.diagnostics) == diags
+
+    def test_polygon_rk2_with_resampling_matches_reference_loop(self):
+        t_end, stride, every = 0.1, 4, 5
+        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=t_end,
+                            rescaled=True, resolution=48, scheme="rk2",
+                            output_stride=stride, resample_every=every)
+        result = run(config)
+        v0 = circle_polygon(1.0, 48)
+
+        def step(v, t, dt):
+            half = v + 0.5 * dt * curve_speed(v)
+            return v + dt * curve_speed(half)
+
+        def min_radius(v):
+            return float(np.linalg.norm(v, axis=1).min())
+
+        def diagnose(v, t, dt, resampled):
+            normal, kappa = curve_normals_curvature(v)
+            support = np.sum(v * normal, axis=1)
+            phi = _phi(1, t)
+            residual = float(np.abs(phi * kappa + support / phi).max())
+            defect = float(np.linalg.norm(v - homothety_factor(1, t) * v0,
+                                          axis=1).max())
+            return (t, residual, defect, min_radius(v), dt, resampled)
+
+        v, steps, diags, status = _reference_loop(
+            v0, t_end, 0.25, stride, curve_cfl_bound, step, diagnose,
+            min_radius, resample=(every, resample_curve))
+        assert result.status == status == "completed"
+        assert result.state.step_count == steps > 3 * stride
+        assert result.state.geometry.vertices.tobytes() == v.tobytes()
+        assert _as_tuples(result.diagnostics) == diags
+        assert any(d.resampled for d in result.diagnostics)
+
+    def test_scalar_rk2_past_extinction_reports_extinct(self):
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=0.3), t_end=1.0,
+                            resolution=16, scheme="rk2")
+        assert run(config).status == "extinct"
+        # a midpoint at radius 0 ends the step: 1 + 0.5 * 1 * (-2 / 1) = 0
+        state = FlowState(t=0.0, geometry=flow.SphereGeometry(n=2, radius=1.0))
+        with pytest.raises(ExtinctionError):
+            flow._step_sphere(state, config, 1.0)
