@@ -54,6 +54,10 @@ class Sphere:
         if not 0 < self.radius < inf:
             raise DomainError("radius must be positive and finite")
 
+    @property
+    def min_radius(self) -> float:
+        return self.radius
+
 
 @dataclass(frozen=True)
 class Cylinder:

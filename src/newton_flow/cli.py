@@ -150,8 +150,31 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """float, except that a boolean raises ValueError (float(True) is 1.0)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    """Only JSON true/false pass; truthy strings and numbers raise ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _string(value) -> str:
+    """Only JSON strings pass; str() would turn ["rk2"] into "['rk2']"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _floats(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
+    if not isinstance(values, list):
+        raise ValueError(f"{values!r} is not an array")
+    return np.array([_real(v) for v in values], dtype=float)
 
 
 def parse_model(spec: dict):
@@ -170,32 +193,32 @@ def parse_model(spec: dict):
     if kind == "hyperplane":
         return catalog.Hyperplane(n=get("n", _integer))
     if kind == "sphere":
-        return catalog.Sphere(n=get("n", _integer), radius=get("radius", float))
+        return catalog.Sphere(n=get("n", _integer), radius=get("radius", _real))
     if kind == "cylinder":
         extent = body.get("axial_extent")
         return catalog.Cylinder(
-            n=get("n", _integer), m=get("m", _integer), radius=get("radius", float),
-            axial_extent=None if extent is None else get("axial_extent", float))
+            n=get("n", _integer), m=get("m", _integer), radius=get("radius", _real),
+            axial_extent=None if extent is None else get("axial_extent", _real))
     if kind == "ellipsoid_rev":
-        kwargs = {"a": get("a", float), "b": get("b", float)}
+        kwargs = {"a": get("a", _real), "b": get("b", _real)}
         if "band" in body:
-            kwargs["band"] = get("band", float)
+            kwargs["band"] = get("band", _real)
         if "resolution" in body:
             kwargs["resolution"] = get("resolution", _integer)
         return catalog.EllipsoidRev(**kwargs)
     if kind == "sphere_band":
         profile = catalog.sphere_band_profile(
-            get("radius", float), get("half_width", float),
+            get("radius", _real), get("half_width", _real),
             get("samples", _integer, 128))
         return catalog.Revolution(profile=profile)
     if kind == "cylinder_band":
         profile = catalog.cylinder_profile(
-            get("radius", float), get("half_width", float),
+            get("radius", _real), get("half_width", _real),
             get("samples", _integer, 128))
         return catalog.Revolution(profile=profile)
     profile = catalog.ProfileCurve(
         z=get("z", _floats), f=get("f", _floats),
-        boundary=body.get("boundary", "neumann"))
+        boundary=get("boundary", _string, "neumann"))
     return catalog.Revolution(profile=profile,
                               orientation=get("orientation", _integer, 1))
 
@@ -226,6 +249,8 @@ def load_scene(path: str) -> dict:
     if not isinstance(scene["output"], dict):
         raise ConfigError("'output' must be an object")
     _reject_unknown(scene["output"], _OUTPUT_KEYS, "output")
+    for key in scene["output"]:     # an int path would open a file descriptor
+        _field(scene["output"], key, _string, "output")
     return scene
 
 
@@ -352,22 +377,22 @@ def cmd_flow(args) -> int:
         flow_spec["t_end"] = args.t_end
     if "t_end" not in flow_spec:
         raise ConfigError("flow needs t_end (config flow.t_end or --t-end)")
-    boundary_values = None
-    if flow_spec.get("pinned_boundary"):
-        boundary_values = _sphere_band_pin_from_profile(scene["model"], r)
 
     def get(key, convert, default=_REQUIRED):
         return _field(flow_spec, key, convert, "flow", default)
 
+    boundary_values = None
+    if get("pinned_boundary", _boolean, False):
+        boundary_values = _sphere_band_pin_from_profile(scene["model"], r)
     config = flow.FlowConfig(
         r=r,
         model=scene["model"],
-        t_end=get("t_end", float),
+        t_end=get("t_end", _real),
         resolution=(args.resolution if args.resolution is not None
                     else scene["resolution"]),
-        cfl_safety=get("cfl_safety", float, 0.25),
-        rescaled=bool(flow_spec.get("rescaled", False)),
-        scheme=str(flow_spec.get("scheme", "euler")),
+        cfl_safety=get("cfl_safety", _real, 0.25),
+        rescaled=get("rescaled", _boolean, False),
+        scheme=get("scheme", _string, "euler"),
         output_stride=get("output_stride", _integer, 10),
         resample_every=get("resample_every", _integer, 0),
         boundary_values=boundary_values,

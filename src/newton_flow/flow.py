@@ -2,8 +2,10 @@
 
 Three discretizations, matched to the geometry:
 
-* round spheres (any n): the radius obeys R' = -C(n,r)/R^r, integrated
-  as a scalar ODE with the closed form available for cross-checks;
+* round spheres (n >= 2) and the round factor of a cylinder: the state
+  is the catalog ``Sphere`` itself, whose radius obeys R' = -C(n,r)/R^r,
+  integrated as a scalar ODE with the closed form available for
+  cross-checks;
 * closed plane curves (n = 1, r = 1): polygon vertices move by the
   chord-based discrete curvature vector;
 * surfaces of revolution (n = 2): the radial graph f(z, t) moves by
@@ -16,10 +18,16 @@ tr P_{r-1}), the coefficient of the principal part of the linearized
 speed.  On surfaces of revolution the speed, that bound and the
 diagnostics share one derivative pass per stage (``revolution_stage``):
 ``run`` evaluates the stage of each state once, takes dt from its bound
-and hands it to the step.  Runs are deterministic for a fixed
-configuration.  The homothety monitor uses the canonical rescaling
-phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
-of that normalization is claimed.
+and hands it to the step.  The round factor has no grid: its bound
+takes h = 2 pi R / resolution and the closed-form trace tr P_{r-1} =
+(n-r+1) sigma_{r-1}, sigma_p = C(n,p) / R^p (the paper's trace
+identity on the round sphere; 0 once r-1 > n).  A bound shaped by the
+law's own time scale instead, dt <= T_ext(R) / (4 resolution), leaves
+Euler outside a 1e-3 radius-law error on 21 of the 55 catalog laws at
+resolution 128, so this h-shaped bound stays.  Runs are deterministic
+for a fixed configuration.  The homothety monitor uses the canonical
+rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no
+uniqueness of that normalization is claimed.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .catalog import (
     revolution_support,
 )
 from .errors import CflViolationError, DomainError, ExtinctionError, NumericalError
-from .symfun import elem_sym_all
 
 logger = logging.getLogger(__name__)
 
@@ -106,16 +113,6 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
 # ---------------------------------------------------------------------------
 # state containers
 
-@dataclass
-class SphereGeometry:
-    n: int
-    radius: float
-
-    @property
-    def min_radius(self) -> float:
-        return self.radius
-
-
 @dataclass(eq=False)
 class CurveGeometry:
     vertices: np.ndarray      # (V, 2), closed polygon, CCW
@@ -172,8 +169,12 @@ class FlowConfig:
     boundary_values: object = None   # callable t -> (f_left, f_right) for bands
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise DomainError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise DomainError("t_end must be positive and finite")
+        if self.resolution < 1:
+            raise DomainError("resolution must be >= 1")
+        if self.resample_every < 0:
+            raise DomainError("resample_every must be >= 0")
         if not 0 < self.cfl_safety <= 1:
             raise DomainError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("euler", "rk2"):
@@ -463,14 +464,14 @@ def _initial_state(config: FlowConfig) -> FlowState:
     model = config.model
     if isinstance(model, Hyperplane):
         return FlowState(t=0.0, geometry=model)
+    if isinstance(model, Sphere) and model.n == 1:
+        verts = circle_polygon(model.radius, config.resolution)
+        return FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
     if isinstance(model, Sphere):
-        if model.n == 1:
-            verts = circle_polygon(model.radius, config.resolution)
-            return FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
-        return FlowState(t=0.0, geometry=SphereGeometry(n=model.n, radius=model.radius))
+        return FlowState(t=0.0, geometry=model)
     if isinstance(model, Cylinder):
         # spherical factor shrinks by the same scalar law; flat part inert
-        return FlowState(t=0.0, geometry=SphereGeometry(n=model.m, radius=model.radius))
+        return FlowState(t=0.0, geometry=Sphere(n=model.m, radius=model.radius))
     if isinstance(model, EllipsoidRev):
         model = model.as_revolution(config.resolution)
     if isinstance(model, Revolution):
@@ -481,11 +482,11 @@ def _initial_state(config: FlowConfig) -> FlowState:
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 
-def _sphere_cfl_bound(geom: SphereGeometry, r: int, resolution: int) -> float:
-    k = np.full(geom.n, 1.0 / geom.radius)
-    sig = elem_sym_all(k)
-    trace_p = (geom.n - r + 1) * sig[r - 1] if r - 1 <= geom.n else 0.0
-    h = 2.0 * np.pi * geom.radius / resolution
+def _sphere_cfl_bound(geom: Sphere, r: int, resolution: int) -> float:
+    n, radius = geom.n, geom.radius
+    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
+    trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
+    h = 2.0 * np.pi * radius / resolution
     return h * h / (1.0 + trace_p)
 
 
@@ -502,7 +503,7 @@ def _step_sphere(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
                                 config.scheme)
     if new_radius <= 0:
         raise ExtinctionError(state.t + dt)
-    return FlowState(t=state.t + dt, geometry=SphereGeometry(n=n, radius=new_radius),
+    return FlowState(t=state.t + dt, geometry=Sphere(n=n, radius=new_radius),
                      step_count=state.step_count + 1)
 
 
@@ -528,7 +529,7 @@ def run(config: FlowConfig) -> RunResult:
     # per geometry: its diagnostics, and a stage/advance pair where stage
     # returns (dt bound, whatever advance can reuse of that evaluation)
     geom = state.geometry
-    if isinstance(geom, SphereGeometry):
+    if isinstance(geom, Sphere):
         diagnose = _sphere_diagnostics
 
         def stage(s):
@@ -569,6 +570,8 @@ def run(config: FlowConfig) -> RunResult:
     while state.t < config.t_end * (1.0 - 1e-14):
         bound, reuse = stage(state)
         dt = min(config.cfl_safety * bound, config.t_end - state.t)
+        if not state.t + dt > state.t:    # an underflowed bound would never end
+            raise NumericalError(f"time step {dt:.3e} does not advance t={state.t:.6g}")
         try:
             state = advance(state, dt, reuse)
         except ExtinctionError as exc:

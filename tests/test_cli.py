@@ -128,6 +128,17 @@ MALFORMED_SCENES = [
     ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": True}, 2),
     ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1.5}, 2),
     ({"model": {"kind": "sphere", "n": 2, "radius": math.inf}, "r": 1}, 3),
+    # a JSON boolean is not a number
+    ({"model": {"kind": "sphere", "n": 2, "radius": True}, "r": 1}, 2),
+    ({"model": {"kind": "cylinder", "n": 3, "m": 2, "radius": 1.0,
+                "axial_extent": False}, "r": 1}, 2),
+    ({"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
+                "f": [1, 1, True, 1, 1]}, "r": 1}, 2),
+    ({"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
+                "f": [1, 1, 1, 1, 1], "boundary": 5}, "r": 1}, 2),
+    # an output path must be a string: open() takes an int as a file descriptor
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1,
+      "output": {"report": 987654}}, 2),
 ]
 
 
@@ -242,6 +253,31 @@ class TestFlow:
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
         assert code == 2
         assert "t_end" in err
+
+    @pytest.mark.parametrize("flow_spec, argv, expect", [
+        ({"t_end": 0.01, "rescaled": "false"}, (), 2),
+        ({"t_end": 0.01, "rescaled": 0}, (), 2),
+        ({"t_end": 0.01, "pinned_boundary": "yes"}, (), 2),
+        ({"t_end": 0.01, "pinned_boundary": 0}, (), 2),
+        ({"t_end": True}, (), 2),
+        ({"t_end": 0.01, "cfl_safety": True}, (), 2),
+        ({"t_end": 0.01, "scheme": ["rk2"]}, (), 2),
+        ({"t_end": 0.01, "scheme": 2}, (), 2),
+        ({"t_end": math.inf}, (), 3),
+        ({"t_end": 0.01, "resample_every": -1}, (), 3),
+        ({"t_end": 0.01}, ("--resolution", "0"), 3),
+        ({"t_end": 0.01}, ("--resolution=-16",), 3),
+        ({}, ("--t-end", "inf"), 3),
+    ])
+    def test_flow_input_contract(self, capsys, tmp_path, flow_spec, argv, expect):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 2, "radius": 1.0},
+            "r": 1, "flow": flow_spec})
+        code, out, err = run_cli(capsys, "flow", "--config", cfg, *argv)
+        assert code == expect
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("config error" if expect == 2 else "domain error")
 
     def test_nan_profile_is_numerical_failure(self, capsys, tmp_path):
         z = [0.1 * i for i in range(9)]

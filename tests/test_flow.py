@@ -40,7 +40,7 @@ from newton_flow.flow import (
     step_revolution,
     RevolutionGeometryState,
 )
-from newton_flow.symfun import elem_sym_all
+from newton_flow.symfun import newton_family
 
 
 class TestClosedForms:
@@ -458,7 +458,7 @@ class TestExplicitScheme:
         radius0 = model.radius
 
         def bound(radius):
-            trace_p = (n - r + 1) * elem_sym_all(np.full(n, 1.0 / radius))[r - 1]
+            trace_p = (n - r + 1) * math.comb(n, r - 1) / radius ** (r - 1)
             h = 2.0 * np.pi * radius / resolution
             return h * h / (1.0 + trace_p)
 
@@ -524,6 +524,59 @@ class TestExplicitScheme:
                             resolution=16, scheme="rk2")
         assert run(config).status == "extinct"
         # a midpoint at radius 0 ends the step: 1 + 0.5 * 1 * (-2 / 1) = 0
-        state = FlowState(t=0.0, geometry=flow.SphereGeometry(n=2, radius=1.0))
+        state = FlowState(t=0.0, geometry=Sphere(n=2, radius=1.0))
         with pytest.raises(ExtinctionError):
             flow._step_sphere(state, config, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the round factor and its closed-form step bound
+
+class TestRoundFactor:
+    def test_state_is_the_catalog_sphere(self):
+        sphere = Sphere(n=3, radius=1.5)
+        config = FlowConfig(r=2, model=sphere, t_end=0.01, resolution=32)
+        assert flow._initial_state(config).geometry is sphere
+        result = run(config)
+        assert isinstance(result.state.geometry, Sphere)
+        assert result.state.geometry.n == 3
+        cylinder = FlowConfig(r=1, model=Cylinder(n=5, m=3, radius=1.5),
+                              t_end=0.01, resolution=32)
+        assert flow._initial_state(cylinder).geometry == Sphere(n=3, radius=1.5)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bound_matches_newton_family_trace(self, n):
+        resolution = 64
+        for r in range(1, n + 1):
+            for radius in (0.3, 1.0, shrinker_radius(n, r), 2.5):
+                trace_p = float(np.trace(newton_family(np.eye(n) / radius).P[r - 1]))
+                h = 2.0 * np.pi * radius / resolution
+                expect = h * h / (1.0 + trace_p)
+                got = flow._sphere_cfl_bound(Sphere(n=n, radius=radius), r, resolution)
+                assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_cylinder_bound_has_no_coefficient_above_m(self, r):
+        config = FlowConfig(r=r, model=Cylinder(n=5, m=2, radius=1.5),
+                            t_end=0.01, resolution=32)
+        state = flow._initial_state(config)
+        h = 2.0 * np.pi * 1.5 / 32
+        assert flow._sphere_cfl_bound(state.geometry, r, 32) == h * h
+
+
+class TestFlowConfigContract:
+    @pytest.mark.parametrize("field, value", [
+        ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
+        ("resolution", 0), ("resolution", -16),
+        ("resample_every", -1),
+    ])
+    def test_rejects(self, field, value):
+        kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}
+        with pytest.raises(DomainError, match=field):
+            FlowConfig(**kwargs)
+
+    def test_vanishing_time_step_is_an_error(self):
+        # h^2 underflows to 0, so dt = 0 and the loop would never end
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=1e-170), t_end=0.1)
+        with pytest.raises(NumericalError, match="does not advance"):
+            run(config)
