@@ -21,10 +21,11 @@ from typing import Union
 import numpy as np
 
 from . import fd
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_order, float_range_error
 from .symfun import elem_sym
 
 ON_MODEL_TOL = 1e-9    # absolute tolerance for "point lies on the model"
+MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +152,11 @@ class EllipsoidRev:
             raise DomainError("semi-axes must be positive and finite")
         if not 0 < self.band < 1:
             raise DomainError("band fraction must lie in (0, 1)")
-        if self.resolution < 5:
-            raise DomainError("resolution must be >= 5")
+        check_samples(self.resolution, 5, "resolution")
 
     def profile_curve(self, resolution: int | None = None) -> ProfileCurve:
         m = self.resolution if resolution is None else int(resolution)
-        if m < 5:
-            raise DomainError("resolution must be >= 5")
+        check_samples(m, 5, "resolution")
         z = np.linspace(-self.band * self.b, self.band * self.b, m)
         f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
         return ProfileCurve(z=z, f=f, boundary="neumann")
@@ -266,8 +265,13 @@ def sphere_band_profile(radius: float, half_width: float, samples: int,
     """Profile of the band |z| <= half_width of a round 2-sphere."""
     if not 0 < half_width < radius < inf:
         raise DomainError("need 0 < half_width < radius < inf")
+    check_samples(samples, 5, "samples")
+    try:
+        radius_sq = radius ** 2
+    except OverflowError as exc:
+        raise float_range_error("R", radius, 2) from exc
     z = np.linspace(-half_width, half_width, samples)
-    return ProfileCurve(z=z, f=np.sqrt(radius ** 2 - z ** 2), boundary=boundary)
+    return ProfileCurve(z=z, f=np.sqrt(radius_sq - z ** 2), boundary=boundary)
 
 
 def cylinder_profile(radius: float, half_width: float, samples: int,
@@ -275,6 +279,7 @@ def cylinder_profile(radius: float, half_width: float, samples: int,
     """Constant profile: the tube of the given radius."""
     if not (0 < radius < inf and 0 < half_width < inf):
         raise DomainError("radius and half_width must be positive and finite")
+    check_samples(samples, 5, "samples")
     z = np.linspace(-half_width, half_width, samples)
     return ProfileCurve(z=z, f=np.full_like(z, radius), boundary=boundary)
 
@@ -368,9 +373,7 @@ def support_function(model: HypersurfaceModel, point) -> float:
 
 def shrinker_residual(model: HypersurfaceModel, r: int, point) -> float:
     """sigma_r + <X,N> at the point; zero iff the shrinker equation holds."""
-    n = model.n
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, model.n)
     k = principal_curvatures(model, point)
     return elem_sym(k, r) + support_function(model, point)
 
@@ -398,8 +401,19 @@ class SampleArrays:
         return int(self.support.size)
 
 
+def check_samples(count: int, least: int, what: str):
+    """Raise DomainError unless least <= count <= MAX_SAMPLES."""
+    if not least <= count <= MAX_SAMPLES:
+        raise DomainError(f"{what} must lie in {least}..{MAX_SAMPLES}, got {count}")
+
+
 def _axis_sizes(ndims: int, resolution: int) -> list:
     """Product-grid sizes: the first two axes get `resolution`, the rest 3."""
+    # ndims > 16 is over budget at any resolution >= 8; testing it first
+    # keeps 3 ** (ndims - 2) from being evaluated for an absurd n
+    if ndims > 16 or resolution ** min(2, ndims) * 3 ** max(0, ndims - 2) > MAX_SAMPLES:
+        raise DomainError(f"an {ndims}-dimensional grid at resolution {resolution} "
+                          f"exceeds {MAX_SAMPLES} samples")
     return [resolution] * min(2, ndims) + [3] * max(0, ndims - 2)
 
 
@@ -432,8 +446,7 @@ def _box_positions(ndims: int, extent: float, resolution: int) -> np.ndarray:
 
 def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
     """Deterministic sample grid with per-sample curvatures and support."""
-    if resolution < 8:
-        raise DomainError("resolution must be >= 8")
+    check_samples(resolution, 8, "resolution")
     if isinstance(model, EllipsoidRev):
         model = model.as_revolution(resolution)
     if isinstance(model, Revolution):

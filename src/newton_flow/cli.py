@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     ExtinctionError,
     NewtonFlowError,
+    check_order,
 )
 from .symfun import (
     definiteness,
@@ -88,13 +89,20 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def emit_json(obj, path: str | None):
-    text = render_json(obj) + "\n"
-    if path:
+def write_output(text: str, path: str | None):
+    """Write text to path, or to stdout without one; a failed write is a ConfigError."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:     # ValueError: a NUL in the path
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
+def emit_json(obj, path: str | None):
+    write_output(render_json(obj) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +300,7 @@ def cmd_algebra(args) -> int:
             raise ConfigError("algebra needs --k and --r (or --preset)")
         k, r = _parse_curvatures(args.k), args.r
     n = k.size
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, n)
     S = np.diag(k)
     fam = newton_family(S)
     p_prev = fam.P[r - 1]
@@ -322,10 +329,9 @@ def cmd_residual(args) -> int:
     scene = load_scene(args.config)
     r = args.r if args.r is not None else scene["r"]
     resolution = args.resolution if args.resolution is not None else scene["resolution"]
+    check_order(r, scene["model"].n)
     arr = catalog.sample_arrays(scene["model"], resolution)
     sig = elem_sym_all_rows(arr.curvatures)
-    if not 1 <= r <= scene["model"].n:
-        raise DomainError(f"r={r} out of range")
     sup = float(np.abs(sig[:, r] + arr.support).max())
     emit_json({"r": r, "resolution": resolution, "supResidual": sup}, args.out)
     return EXIT_OK
@@ -337,8 +343,8 @@ def cmd_gap(args) -> int:
     resolution = args.resolution if args.resolution is not None else scene["resolution"]
     report = gapcheck.evaluate(scene["model"], r, resolution)
     payload = report.to_json_dict()
-    if r == scene["model"].n:
-        payload["gauss"] = gapcheck.gauss_check(scene["model"], resolution).to_json_dict()
+    if report.gauss is not None:
+        payload["gauss"] = report.gauss.to_json_dict()
     emit_json(payload, args.out or scene["output"].get("report"))
     return EXIT_OK
 
@@ -412,8 +418,7 @@ def cmd_flow(args) -> int:
     csv_text = "\n".join(_diagnostics_csv_lines(result.diagnostics)) + "\n"
     csv_path = args.out or scene["output"].get("csv")
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        write_output(csv_text, csv_path)
         emit_json(summary, scene["output"].get("report"))
     else:
         sys.stdout.write(csv_text)

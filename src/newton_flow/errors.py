@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the checks that raise them, shared across the package."""
 
 
 class NewtonFlowError(Exception):
@@ -36,3 +36,14 @@ class ExtinctionError(NewtonFlowError):
 
 class ConfigError(NewtonFlowError, ValueError):
     """Malformed scene configuration."""
+
+
+def check_order(r: int, n: int):
+    """Raise DomainError unless 1 <= r <= n, the orders of sigma_r on n curvatures."""
+    if not 1 <= r <= n:
+        raise DomainError(f"r={r} out of range 1..{n}")
+
+
+def float_range_error(name: str, value: float, p: int) -> NumericalError:
+    """The NumericalError for a value whose power value^p leaves the float range."""
+    return NumericalError(f"{name}^{p} of {name}={value:.6g} leaves the float range")

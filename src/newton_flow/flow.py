@@ -41,6 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import (
+    MAX_SAMPLES,
     Cylinder,
     EllipsoidRev,
     Hyperplane,
@@ -50,7 +51,14 @@ from .catalog import (
     revolution_curvatures,
     revolution_support,
 )
-from .errors import CflViolationError, DomainError, ExtinctionError, NumericalError
+from .errors import (
+    CflViolationError,
+    DomainError,
+    ExtinctionError,
+    NumericalError,
+    check_order,
+    float_range_error,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -62,11 +70,13 @@ EXTINCTION_FRACTION = 1e-3   # stop when min radius falls below this * initial
 
 def extinction_time(n: int, r: int, radius0: float) -> float:
     """Extinction time R0^(r+1) / ((r+1) C(n,r)) of a round n-sphere."""
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, n)
     if not radius0 > 0:
         raise DomainError("radius must be positive")
-    return radius0 ** (r + 1) / ((r + 1) * comb(n, r))
+    try:
+        return radius0 ** (r + 1) / ((r + 1) * comb(n, r))
+    except OverflowError as exc:
+        raise float_range_error("R", radius0, r + 1) from exc
 
 
 def sphere_radius_exact(n: int, r: int, radius0: float, t: float) -> float:
@@ -171,8 +181,8 @@ class FlowConfig:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
-        if self.resolution < 1:
-            raise DomainError("resolution must be >= 1")
+        if not 1 <= self.resolution <= MAX_SAMPLES:
+            raise DomainError(f"resolution must lie in 1..{MAX_SAMPLES}")
         if self.resample_every < 0:
             raise DomainError("resample_every must be >= 0")
         if not 0 < self.cfl_safety <= 1:
@@ -181,9 +191,7 @@ class FlowConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}")
         if self.output_stride < 1:
             raise DomainError("output_stride must be >= 1")
-        n = self.model.n
-        if not 1 <= self.r <= n:
-            raise DomainError(f"r={self.r} out of range 1..{n}")
+        check_order(self.r, self.model.n)
 
 
 @dataclass(eq=False)
@@ -323,8 +331,12 @@ def revolution_stage(geo: RevolutionGeometryState, r: int) -> RevolutionStage:
         coeff = float((np.abs(k_mer) + o * k_par).max())
     else:
         raise DomainError("revolution flow supports r in {1, 2}")
+    try:
+        h_sq = h ** 2
+    except OverflowError as exc:      # h above ~1.3e154
+        raise float_range_error("h", h, 2) from exc
     return RevolutionStage(geo, r, fp, w, k_mer, k_par, sigma, -o * sigma * w,
-                           h ** 2 / (1.0 + coeff))
+                           h_sq / (1.0 + coeff))
 
 
 def revolution_speed(geo: RevolutionGeometryState, r: int) -> np.ndarray:
@@ -411,7 +423,10 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, resampled=False):
     n, r = state.geometry.n, config.r
     radius = state.geometry.radius
     phi = _residual_phi(config, state.t)
-    residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
+    try:
+        residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise float_range_error("R", radius, r) from exc
     defect = math.nan
     if config.rescaled:
         defect = abs(radius - homothety_factor(r, state.t) * initial_geometry.radius)
@@ -497,7 +512,10 @@ def _step_sphere(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
     def rate(radius):
         if radius <= 0:     # an rk2 midpoint past extinction
             raise ExtinctionError(state.t + dt)
-        return -comb(n, r) / radius ** r
+        try:
+            return -comb(n, r) / radius ** r
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise float_range_error("R", radius, r) from exc
 
     new_radius = _explicit_step(geom.radius, rate(geom.radius), rate, state.t, dt,
                                 config.scheme)

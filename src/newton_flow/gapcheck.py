@@ -3,7 +3,8 @@
 A GapReport collects, over a deterministic sample of a model, the
 suprema/infima that enter the classification: sup of the modified norm
 tr(P_{r-1} A^2), the smallest eigenvalue of P_{r-1}, sup ||A||^2,
-sup sigma_{r-1}, and the worst shrinker residual |sigma_r + <X,N>|.
+sup sigma_{r-1}, the worst shrinker residual |sigma_r + <X,N>| and, for
+r = n, the Gauss-flow fragment (GaussReport) of the same samples.
 
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states
@@ -23,7 +24,7 @@ from .catalog import (
     SampleArrays,
     sample_arrays,
 )
-from .errors import DomainError, NotSelfShrinkerError
+from .errors import DomainError, NotSelfShrinkerError, check_order
 from .symfun import (
     Definiteness,
     classify_from_eigenvalues,
@@ -81,6 +82,7 @@ class GapReport:
     classification: Classification
     zero_multiplicity: int | None    # sampled count of vanishing curvatures
     notes: tuple
+    gauss: GaussReport | None = None  # Gauss fragment, r = n only
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,8 +123,7 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16,
              tol: float = GAP_TOL, shrinker_tol: float = SHRINKER_TOL) -> GapReport:
     """Sampled suprema/infima and hypothesis flags for a model at order r."""
     n = model.n
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, n)
     arr = sample_arrays(model, resolution)
     return evaluate_from_samples(arr, r, n, tol=tol, shrinker_tol=shrinker_tol,
                                  model=model)
@@ -135,6 +136,8 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
     K = arr.curvatures
     sig = elem_sym_all_rows(K)                       # (S, n+1)
     eig_p = elem_sym_excluding_rows(K, r - 1)        # eigenvalues of P_{r-1}
+    # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
+    gauss = _gauss_report(K, sig, eig_p, n, tol) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)
     residual = np.abs(sig[:, r] + arr.support)
 
@@ -167,20 +170,13 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
     strict = sup_norm_sq < r - tol
     boundary = abs(sup_norm_sq - r) <= tol
     definite = min_eig_p > tol
-    if r == n:
-        hk = sig[:, 1] * sig[:, n]
-        weakly_convex = bool(K.min() >= -tol)
-        hk_ok = bool(hk.max() <= n + tol)
-    else:
-        weakly_convex = False
-        hk_ok = False
     flags = GapFlags(
         thm1_strict=bool(strict),
         thm1_boundary=bool(boundary),
         thm1_psd_definite=bool(definite),
         thm2=bool(strict and np.isfinite(sup_a)),
-        gauss_weakly_convex=weakly_convex,
-        gauss_hk=hk_ok,
+        gauss_weakly_convex=gauss is not None and gauss.weakly_convex,
+        gauss_hk=gauss is not None and gauss.hk_at_most_n,
     )
     classification = _classify(sup_norm_sq, min_eig_p, sup_res, r, n,
                                zero_mult, tol, shrinker_tol)
@@ -196,6 +192,7 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
         classification=classification,
         zero_multiplicity=zero_mult,
         notes=tuple(notes),
+        gauss=gauss,
     )
 
 
@@ -235,14 +232,9 @@ class GaussReport:
         }
 
 
-def gauss_check(model: HypersurfaceModel, resolution: int = 16,
-                tol: float = GAP_TOL) -> GaussReport:
-    """Checks specific to the Gauss-curvature flow (r = n)."""
-    n = model.n
-    arr = sample_arrays(model, resolution)
-    K = arr.curvatures
-    sig = elem_sym_all_rows(K)
-    eig_p = elem_sym_excluding_rows(K, n - 1)
+def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
+                  n: int, tol: float) -> GaussReport:
+    """Gauss fragment of samples K with their sigmas and sigma_{n-1}(A_j)."""
     # K * I = P_{n-1} A: the product curvature equals k_i sigma_{n-1}(A_i)
     identity_residual = float(np.abs(K * eig_p - sig[:, n:n + 1]).max())
     hk = sig[:, 1] * sig[:, n]
@@ -253,6 +245,15 @@ def gauss_check(model: HypersurfaceModel, resolution: int = 16,
         hk_at_most_n=bool(hk.max() <= n + tol),
         identity_residual=identity_residual,
     )
+
+
+def gauss_check(model: HypersurfaceModel, resolution: int = 16,
+                tol: float = GAP_TOL) -> GaussReport:
+    """Checks specific to the Gauss-curvature flow (r = n)."""
+    n = model.n
+    K = sample_arrays(model, resolution).curvatures
+    return _gauss_report(K, elem_sym_all_rows(K),
+                         elem_sym_excluding_rows(K, n - 1), n, tol)
 
 
 @dataclass(frozen=True)
@@ -299,8 +300,7 @@ def psd_sufficient(samples, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiency
         raise DomainError("empty sample set")
     K = np.stack([np.asarray(s.curvatures, dtype=float) for s in samples])
     count, n = K.shape
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, n)
     sig = elem_sym_all_rows(K)
     scale = max(1.0, float(np.abs(K).max()) ** max(r, 1))
 

@@ -34,8 +34,8 @@ from .catalog import (
     revolution_geometry,
     sphere_band_profile,
 )
-from .errors import DomainError, NotSelfShrinkerError
-from .symfun import elem_sym_all, elem_sym_excluding
+from .errors import DomainError, NotSelfShrinkerError, check_order
+from .symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,30 +145,27 @@ def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
     raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
 
 
-def _sigma_fields(g: RevolutionGeometry):
-    """sigma_1, sigma_2 nodewise (n = 2, so sigma_3 = 0)."""
-    s1 = g.k_mer + g.k_par
-    s2 = g.k_mer * g.k_par
-    return s1, s2
+def _sigma_fields(g: RevolutionGeometry) -> np.ndarray:
+    """sigma_0..sigma_3 nodewise, one row each (n = 2, so sigma_3 = 0)."""
+    sig = elem_sym_all_rows(np.column_stack([g.k_mer, g.k_par]))
+    return np.vstack([sig.T, np.zeros(g.size)])
 
 
 def _support_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
-    s1, s2 = _sigma_fields(g)
-    sig = {0: np.ones_like(s1), 1: s1, 2: s2, 3: np.zeros_like(s1)}
+    sig = _sigma_fields(g)
     support = ScalarField(values=g.support, geometry=rev)
     lhs = lr_apply(support, r).values
     dsig = fd.deriv1(sig[r], g.h, g.boundary)
     grad_term = (g.f * g.fp + g.z) * dsig / (g.w * g.w)
-    rhs = -r * sig[r] - (s1 * sig[r] - (r + 1) * sig[r + 1]) * g.support - grad_term
+    rhs = -r * sig[r] - (sig[1] * sig[r] - (r + 1) * sig[r + 1]) * g.support - grad_term
     cut = g.interior()
     return float(np.abs(lhs - rhs)[cut].max())
 
 
 def _position_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
-    s1, s2 = _sigma_fields(g)
-    sig = {0: np.ones_like(s1), 1: s1, 2: s2}
+    sig = _sigma_fields(g)
     radius_sq = ScalarField(values=g.f ** 2 + g.z ** 2, geometry=rev)
     lhs = 0.5 * lr_apply(radius_sq, r).values
     rhs = (2 - r + 1) * sig[r - 1] + r * sig[r] * g.support
@@ -266,8 +263,7 @@ def verify_shrinker_pde(model, r: int, shrinker_tol: float = 1e-8) -> ShrinkerPd
     (||sqrt(P_{r-1})A||^2 - r) * sigma_r.
     """
     n = model.n
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+    check_order(r, n)
     k = exact_curvatures(model)
     support = exact_support(model)
     sig = elem_sym_all(k)

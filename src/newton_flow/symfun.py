@@ -9,6 +9,10 @@ whose eigenvalues in the eigenframe of A are the symmetric functions of
 the curvatures with one entry deleted.  Conventions: sigma_0 = 1 and
 sigma_r = 0 for r > n.  All functions are pure and operate on plain
 numpy arrays.
+
+The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
+``elem_sym`` and ``elem_sym_all`` read its one-row case.  Each order-r
+entry point validates its operator and builds the family once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NotPSDError, NumericalError
+from .errors import DomainError, NotPSDError, NumericalError, check_order
 
 # Tolerances (double precision with degree-based scaling).
 SYM_TOL = 1e-10        # relative asymmetry allowed in a shape operator
@@ -31,7 +35,7 @@ def _as_curvatures(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     if k.ndim != 1:
         raise DomainError("curvature vector must be 1-D")
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise DomainError("curvature vector has non-finite entries")
     return k
 
@@ -40,7 +44,7 @@ def _as_shape_operator(S) -> np.ndarray:
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DomainError("shape operator must be a square matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise DomainError("shape operator has non-finite entries")
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.abs(A - A.T).max() > SYM_TOL * scale:
@@ -52,33 +56,20 @@ def _as_shape_operator(S) -> np.ndarray:
 def elem_sym(k, r: int) -> float:
     """r-th elementary symmetric function of the entries of k.
 
-    Returns 1 for r = 0 and 0 for r > len(k).  Evaluated with the prefix
-    recurrence e_r^(j) = e_r^(j-1) + k_j * e_{r-1}^(j-1), which is
-    O(n*r) and avoids enumerating the C(n,r) terms of the defining sum.
+    Returns 1 for r = 0 and 0 for r > len(k); otherwise entry r of
+    ``elem_sym_all(k)``.
     """
     k = _as_curvatures(k)
     if r < 0:
         raise DomainError("order r must be nonnegative")
-    if r == 0:
-        return 1.0
     if r > k.size:
         return 0.0
-    e = np.zeros(r + 1)
-    e[0] = 1.0
-    for j, kj in enumerate(k, start=1):
-        top = min(j, r)
-        e[1:top + 1] += kj * e[0:top]
-    return float(e[r])
+    return float(elem_sym_all_rows(k[None])[0, r])
 
 
 def elem_sym_all(k) -> np.ndarray:
     """All values sigma_0..sigma_n of k as one array of length n+1."""
-    k = _as_curvatures(k)
-    e = np.zeros(k.size + 1)
-    e[0] = 1.0
-    for j, kj in enumerate(k, start=1):
-        e[1:j + 1] += kj * e[0:j]
-    return e
+    return elem_sym_all_rows(_as_curvatures(k)[None])[0]
 
 
 def elem_sym_excluding(k, i: int, r: int) -> float:
@@ -90,7 +81,10 @@ def elem_sym_excluding(k, i: int, r: int) -> float:
 
 
 def elem_sym_all_rows(K: np.ndarray) -> np.ndarray:
-    """Row-wise sigma_0..sigma_n; K has one curvature vector per row."""
+    """Row-wise sigma_0..sigma_n; K has one curvature vector per row.
+
+    The prefix recurrence e_p^(j) = e_p^(j-1) + k_j * e_{p-1}^(j-1).
+    """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     S, n = K.shape
     e = np.zeros((S, n + 1))
@@ -138,10 +132,14 @@ def newton_family(S) -> NewtonFamily:
     polynomial form sum_j (-1)^j sigma_{r-j} A^j is evaluated as a built-in
     cross-check, as is P_n = 0.
     """
-    A = _as_shape_operator(S)
+    return _family(_as_shape_operator(S))[1]
+
+
+def _family(A: np.ndarray) -> tuple:
+    """Eigenvalues and NewtonFamily of an operator already validated."""
     n = A.shape[0]
     k = np.linalg.eigvalsh(A)
-    sig = elem_sym_all(k)
+    sig = elem_sym_all_rows(k[None])[0]
     eye = np.eye(n)
     P = [eye]
     for r in range(1, n + 1):
@@ -163,7 +161,15 @@ def newton_family(S) -> NewtonFamily:
             )
     if np.linalg.norm(P[n]) > IDENTITY_TOL * (1.0 + norm_a) ** n:
         raise NumericalError("P_n deviates from zero beyond tolerance")
-    return NewtonFamily(sigmas=sig, P=tuple(P))
+    return k, NewtonFamily(sigmas=sig, P=tuple(P))
+
+
+def _order_family(S, r: int) -> tuple:
+    """Validated S, its eigenvalues and its family, once 1 <= r <= n holds."""
+    A = _as_shape_operator(S)
+    check_order(r, A.shape[0])
+    k, fam = _family(A)
+    return A, k, fam
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -190,14 +196,9 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A = _as_shape_operator(S)
+    A, k, fam = _order_family(S, r)
     n = A.shape[0]
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
-    fam = newton_family(A)
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
-
-    k = np.linalg.eigvalsh(A)
     val_sum = float(
         sum(elem_sym_excluding(k, j, r - 1) * k[j] ** 2 for j in range(n))
     )
@@ -228,11 +229,8 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
 
     Each residual is normalized by (1 + ||S||)^(r+1).
     """
-    A = _as_shape_operator(S)
+    A, _, fam = _order_family(S, r)
     n = A.shape[0]
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
-    fam = newton_family(A)
     P = fam.P[r - 1]
     sig = fam.sigmas
     sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
@@ -313,11 +311,7 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     The inequality is only asserted for positive semidefinite P_{r-1};
     an indefinite or negative P_{r-1} raises NotPSDError.
     """
-    A = _as_shape_operator(S)
-    n = A.shape[0]
-    if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
-    fam = newton_family(A)
+    A, _, fam = _order_family(S, r)
     P = fam.P[r - 1]
     d = definiteness(P)
     if not d.is_psd:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from newton_flow import catalog, gapcheck
 from newton_flow.cli import main, render_json
 
 
@@ -310,3 +311,161 @@ class TestVerify:
         assert code == expect
         assert out == ""
         assert err.startswith("config error" if expect == 2 else "domain error")
+
+
+def _model_spec(model):
+    if isinstance(model, catalog.Hyperplane):
+        return {"kind": "hyperplane", "n": model.n}
+    if isinstance(model, catalog.Sphere):
+        return {"kind": "sphere", "n": model.n, "radius": model.radius}
+    return {"kind": "cylinder", "n": model.n, "m": model.m, "radius": model.radius}
+
+
+def _gauss_taxonomy(n_max):
+    """Every r = n entry of the criterion-8 taxonomy with n <= n_max."""
+    for model, r in catalog.self_shrinkers(n_max):
+        if r == model.n:
+            yield model
+    for n in range(3, n_max + 1):           # r > m: not shrinkers
+        for m in range(1, n - 1):
+            yield catalog.Cylinder(n=n, m=m, radius=1.0)
+    for n in range(1, n_max + 1):           # Gauss flow on the unit sphere
+        yield catalog.Sphere(n=n, radius=1.0)
+
+
+class TestGapGaussFragment:
+    def test_one_sample_set_per_report(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = catalog.sample_arrays
+
+        def counted(model, resolution):
+            calls.append(resolution)
+            return original(model, resolution)
+
+        for module in (catalog, gapcheck):
+            monkeypatch.setattr(module, "sample_arrays", counted)
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 3, "radius": 1.0},
+            "r": 3, "resolution": 8})
+        code, out, _ = run_cli(capsys, "gap", "--config", cfg)
+        assert code == 0
+        assert calls == [8]
+        assert json.loads(out)["gauss"]["n"] == 3
+
+    def test_gauss_block_matches_gauss_check(self, capsys, tmp_path):
+        resolution = 8
+        models = list(_gauss_taxonomy(4))
+        assert len(models) == 15
+        for i, model in enumerate(models):
+            cfg = scene_file(tmp_path, {"model": _model_spec(model), "r": model.n,
+                                        "resolution": resolution}, f"s{i}.json")
+            code, out, _ = run_cli(capsys, "gap", "--config", cfg)
+            assert code == 0
+            expect = gapcheck.gauss_check(model, resolution).to_json_dict()
+            assert json.loads(out)["gauss"] == json.loads(render_json(expect)), model
+
+    def test_no_gauss_block_below_r_equals_n(self, capsys, tmp_path):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 3, "radius": 1.0},
+            "r": 2, "resolution": 8})
+        code, out, _ = run_cli(capsys, "gap", "--config", cfg)
+        assert code == 0
+        assert "gauss" not in json.loads(out)
+
+
+class TestExitContract:
+    """Inputs that used to escape as tracebacks exit 2, 3 or 4."""
+
+    SPHERE = {"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1,
+              "flow": {"t_end": 0.01}}
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--out", "{bad}"],
+        ["gap", "--out", "{bad}"],
+        ["residual", "--out", "{bad}"],
+    ])
+    def test_unwritable_out_is_a_config_error(self, capsys, tmp_path, argv):
+        cfg = scene_file(tmp_path, self.SPHERE)
+        bad = str(tmp_path / "missing" / "dir" / "out.txt")
+        argv = [a.replace("{bad}", bad) for a in argv] + ["--config", cfg]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error: cannot write output")
+
+    def test_unwritable_scene_outputs(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "dir" / "x.csv")
+        for output in ({"csv": bad}, {"csv": str(tmp_path / "ok.csv"), "report": bad},
+                       {"report": str(tmp_path)}):
+            cfg = scene_file(tmp_path, dict(self.SPHERE, output=output))
+            command = "flow" if "csv" in output else "gap"
+            code, _, err = run_cli(capsys, command, "--config", cfg)
+            assert code == 2, output
+            assert err.startswith("config error: cannot write output")
+
+    def test_unwritable_out_for_algebra_and_verify(self, capsys, tmp_path):
+        bad = str(tmp_path / "missing" / "a.json")
+        code, _, err = run_cli(capsys, "algebra", "--k", "1,2", "--r", "1", "--out", bad)
+        assert code == 2 and "cannot write output" in err
+        code, _, err = run_cli(capsys, "verify", "--resolutions", "16,32", "--out", bad)
+        assert code == 2 and "cannot write output" in err
+
+    @pytest.mark.parametrize("n, radius, r", [
+        (2, 1e200, 2), (3, 1e120, 3),      # R^r overflows
+        (2, 1e-200, 2), (4, 1e-100, 4),    # R^r underflows to zero
+    ])
+    def test_sphere_power_out_of_float_range(self, capsys, tmp_path, n, radius, r):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": n, "radius": radius}, "r": r,
+            "flow": {"t_end": 0.01}})
+        code, _, err = run_cli(capsys, "flow", "--config", cfg)
+        assert code == 4
+        assert "leaves the float range" in err
+
+    @pytest.mark.parametrize("model, flow_spec", [
+        # the CFL bound's h^2 overflows
+        ({"kind": "ellipsoid_rev", "a": 1.0, "b": 1e300}, {}),
+        # the pin's closed form R^(r+1) overflows
+        ({"kind": "cylinder_band", "radius": 1e300, "half_width": 4.0},
+         {"pinned_boundary": True}),
+    ])
+    def test_band_flow_out_of_float_range(self, capsys, tmp_path, model, flow_spec):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1,
+                                    "flow": dict(flow_spec, t_end=1e-4)})
+        code, _, err = run_cli(capsys, "flow", "--config", cfg)
+        assert code == 4
+        assert "leaves the float range" in err
+
+    def test_sphere_band_radius_out_of_float_range(self, capsys, tmp_path):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere_band", "radius": 1e200, "half_width": 0.5},
+            "r": 1})
+        code, _, err = run_cli(capsys, "gap", "--config", cfg)
+        assert code == 4
+        assert "leaves the float range" in err
+
+    @pytest.mark.parametrize("model, resolution", [
+        ({"kind": "hyperplane", "n": 1e300}, 16),
+        ({"kind": "sphere", "n": 40, "radius": 1.0}, 16),
+        ({"kind": "sphere", "n": 2, "radius": 1.0}, 1e200),
+        ({"kind": "cylinder_band", "radius": 1.0, "half_width": 1.0,
+          "samples": 1e200}, 16),
+        ({"kind": "sphere_band", "radius": 2.0, "half_width": 1.0,
+          "samples": -1}, 16),
+        ({"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0}, 1e200),
+    ])
+    def test_sample_counts_out_of_range(self, capsys, tmp_path, model, resolution):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
+        for command in ("gap", "residual"):
+            code, _, err = run_cli(capsys, command, "--config", cfg)
+            assert code == 3, (command, err)
+
+    def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def unreachable(model, resolution):
+            raise AssertionError("sampled before the order check")
+
+        monkeypatch.setattr(catalog, "sample_arrays", unreachable)
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3})
+        code, _, err = run_cli(capsys, "residual", "--config", cfg)
+        assert code == 3
+        assert "r=3 out of range 1..2" in err

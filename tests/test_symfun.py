@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from newton_flow import catalog
+from newton_flow import catalog, symfun
 from newton_flow.errors import DomainError, NotPSDError
 from newton_flow.symfun import (
     DefinitenessClass,
@@ -304,3 +304,91 @@ class TestFrameInvariance:
                 va = modified_sff_norm_sq(a, r)
                 vb = modified_sff_norm_sq(b, r)
                 assert abs(va - vb) <= 1e-10 * scale
+
+
+class TestOneRecurrence:
+    """elem_sym and elem_sym_all read the row kernel's one-row case."""
+
+    @staticmethod
+    def reference_elem_sym(k, r):
+        # the scalar prefix recurrence, kept here as the reference
+        k = np.asarray(k, dtype=float)
+        if r == 0:
+            return 1.0
+        if r > k.size:
+            return 0.0
+        e = np.zeros(r + 1)
+        e[0] = 1.0
+        for j, kj in enumerate(k, start=1):
+            top = min(j, r)
+            e[1:top + 1] += kj * e[0:top]
+        return float(e[r])
+
+    @staticmethod
+    def reference_elem_sym_all(k):
+        k = np.asarray(k, dtype=float)
+        e = np.zeros(k.size + 1)
+        e[0] = 1.0
+        for j, kj in enumerate(k, start=1):
+            e[1:j + 1] += kj * e[0:j]
+        return e
+
+    def test_bitwise_equal_to_the_scalar_loops(self, rng):
+        for trial in range(900):
+            n = trial % 9
+            k = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            expect = self.reference_elem_sym_all(k)
+            assert elem_sym_all(k).tobytes() == expect.tobytes()
+            for r in range(n + 3):
+                got = elem_sym(k, r)
+                assert np.float64(got).tobytes() == np.float64(
+                    self.reference_elem_sym(k, r)).tobytes(), (k, r)
+
+    def test_rows_against_subset_enumeration(self, rng):
+        for n in range(0, 7):
+            K = rng.standard_normal((6, n))
+            sig = elem_sym_all_rows(K)
+            assert sig.shape == (6, n + 1)
+            for s in range(6):
+                for r in range(n + 1):
+                    assert sig[s, r] == pytest.approx(
+                        brute_sigma(K[s], r), rel=1e-12, abs=1e-12)
+
+    def test_order_checked_before_the_family(self, monkeypatch):
+        def unreachable(A):
+            raise AssertionError("family built for an out-of-range order")
+
+        monkeypatch.setattr(symfun, "_family", unreachable)
+        for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
+            with pytest.raises(DomainError, match=r"r=4 out of range 1\.\.3"):
+                fn(np.eye(3), 4)
+
+    def test_operator_validated_once(self, monkeypatch):
+        calls = []
+        original = symfun._as_shape_operator
+
+        def counted(S):
+            calls.append(1)
+            return original(S)
+
+        monkeypatch.setattr(symfun, "_as_shape_operator", counted)
+        S = np.diag([1.0, 2.0, 3.0])
+        for fn in (trace_identities, modified_sff_norm_sq):
+            calls.clear()
+            fn(S, 2)
+            assert len(calls) == 1, fn.__name__
+        calls.clear()
+        cauchy_schwarz_bound(S, 2)     # S, then the PSD test of P_1
+        assert len(calls) == 2
+
+    def test_eigenvalues_computed_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(A):
+            calls.append(1)
+            return original(A)
+
+        monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
+        modified_sff_norm_sq(np.diag([1.0, 2.0, 3.0]), 2)
+        assert len(calls) == 1
