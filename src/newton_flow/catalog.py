@@ -233,8 +233,7 @@ def revolution_curvatures(f: np.ndarray, h: float, boundary: str,
     geometry, the flow's speed and CFL bound, and its diagnostics all
     come from here.
     """
-    fp = fd.deriv1(f, h, boundary)
-    fpp = fd.deriv2(f, h, boundary)
+    fp, fpp = fd.derivatives(f, h, boundary)
     w = np.sqrt(1.0 + fp * fp)
     o = float(orientation)
     k_mer = o * (-fpp) / w ** 3

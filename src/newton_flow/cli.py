@@ -6,9 +6,10 @@ flow (time integration with CSV diagnostics and a JSON summary), and
 verify (identity convergence suites with a pass/fail table).
 
 Exit codes: 0 success, 2 parse/config error, 3 domain error, 4 numerical
-failure (unexpected extinction or stability violation), 5 verification
-failure.  Output is deterministic: JSON keys are sorted and numbers are
-rendered with 17 significant digits.
+failure (unexpected extinction, stability violation, or a reported value
+that leaves the float range), 5 verification failure.  Output is
+deterministic: JSON keys are sorted and numbers are rendered with 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from .errors import (
     DomainError,
     ExtinctionError,
     NewtonFlowError,
+    NumericalError,
     check_order,
 )
 from .symfun import (
     definiteness,
     elem_sym_all_rows,
+    modified_sff_norm_sq,
     newton_family,
     trace_identities,
 )
@@ -306,14 +309,13 @@ def cmd_algebra(args) -> int:
     p_prev = fam.P[r - 1]
     residuals = trace_identities(S, r)
     psd = definiteness(p_prev)
-    norm_sq = float(np.trace(p_prev @ S @ S))
     out = {
         "n": n,
         "r": r,
         "curvatures": list(k),
         "sigmas": list(fam.sigmas),
         "pEigenvalues": list(np.sort(np.linalg.eigvalsh(p_prev))),
-        "modifiedNormSq": norm_sq,
+        "modifiedNormSq": modified_sff_norm_sq(S, r),
         "psdClass": psd.kind.value,
         "traceResiduals": {
             "traceP": residuals.trace_p,
@@ -333,6 +335,8 @@ def cmd_residual(args) -> int:
     arr = catalog.sample_arrays(scene["model"], resolution)
     sig = elem_sym_all_rows(arr.curvatures)
     sup = float(np.abs(sig[:, r] + arr.support).max())
+    if not math.isfinite(sup):
+        raise NumericalError("sup |sigma_r + <X,N>| leaves the float range")
     emit_json({"r": r, "resolution": resolution, "supResidual": sup}, args.out)
     return EXIT_OK
 

@@ -1,10 +1,15 @@
 """Finite-difference stencils on uniform 1-D grids.
 
-Two boundary modes are supported: "periodic" wraps the stencil, and
-"neumann" is the open/non-periodic mode, handled with one-sided stencils
-at the two end nodes (exact for zero-slope boundary data, second order
-for first derivatives, lower order for second derivatives at the ends).
-Consumers trim end nodes from any residual they report.
+Two boundary modes are supported: "periodic" wraps the grid (node M-1
+neighbours node 0), and "neumann" is the open/non-periodic mode, where
+cubic extrapolation supplies one ghost value beyond each end node.
+Both modes go through one validated, ghost-padded copy of the values
+(``_padded``), on which the centred stencils are written once:
+``derivatives`` returns the first and second derivative from that one
+pass, and ``deriv1`` is its first stencil alone.  At the open ends the
+first derivative is second order (exact for zero-slope data) and the
+second derivative lower order; consumers trim end nodes from any
+residual they report.
 """
 
 from __future__ import annotations
@@ -25,37 +30,34 @@ def _check(values: np.ndarray, boundary: str) -> np.ndarray:
     return v
 
 
-def _ghosts(v: np.ndarray):
-    """Cubic-extrapolated ghost values one node beyond each end."""
-    left = 4.0 * v[0] - 6.0 * v[1] + 4.0 * v[2] - v[3]
-    right = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
-    return left, right
+def _padded(values, boundary: str) -> np.ndarray:
+    """Validated values with one ghost node at each end.
+
+    The ghosts wrap around in the periodic mode and are cubic
+    extrapolations in the open mode.
+    """
+    v = _check(values, boundary)
+    p = np.empty(v.size + 2)
+    p[1:-1] = v
+    if boundary == "periodic":
+        p[0], p[-1] = v[-1], v[0]
+    else:
+        p[0] = 4.0 * v[0] - 6.0 * v[1] + 4.0 * v[2] - v[3]
+        p[-1] = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
+    return p
+
+
+def derivatives(values, h: float, boundary: str = "neumann"):
+    """First and second derivative, centred everywhere, from one padded pass."""
+    p = _padded(values, boundary)
+    first = (p[2:] - p[:-2]) / (2.0 * h)
+    return first, (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
 
 
 def deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:
-    """First derivative, centered everywhere (ghost nodes at open ends)."""
-    v = _check(values, boundary)
-    if boundary == "periodic":
-        return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-    left, right = _ghosts(v)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (v[1] - left) / (2.0 * h)
-    d[-1] = (right - v[-2]) / (2.0 * h)
-    return d
-
-
-def deriv2(values, h: float, boundary: str = "neumann") -> np.ndarray:
-    """Second derivative, centered everywhere (ghost nodes at open ends)."""
-    v = _check(values, boundary)
-    if boundary == "periodic":
-        return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
-    left, right = _ghosts(v)
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
-    d[0] = (v[1] - 2.0 * v[0] + left) / (h * h)
-    d[-1] = (right - 2.0 * v[-1] + v[-2]) / (h * h)
-    return d
+    """First derivative alone: the first stencil of ``derivatives``."""
+    p = _padded(values, boundary)
+    return (p[2:] - p[:-2]) / (2.0 * h)
 
 
 def flux_divergence(coef, values, h: float, boundary: str = "neumann") -> np.ndarray:

@@ -15,16 +15,18 @@ All three advance by one explicit scheme, ``_explicit_step``: forward
 Euler, or the rk2 midpoint rule, with Dirichlet data imposed on each
 stage when given.  Time steps follow dt <= cfl_safety * h^2 / (1 + sup
 tr P_{r-1}), the coefficient of the principal part of the linearized
-speed.  On surfaces of revolution the speed, that bound and the
-diagnostics share one derivative pass per stage (``revolution_stage``):
-``run`` evaluates the stage of each state once, takes dt from its bound
-and hands it to the step.  The round factor has no grid: its bound
-takes h = 2 pi R / resolution and the closed-form trace tr P_{r-1} =
-(n-r+1) sigma_{r-1}, sigma_p = C(n,p) / R^p (the paper's trace
-identity on the round sphere; 0 once r-1 > n).  A bound shaped by the
-law's own time scale instead, dt <= T_ext(R) / (4 resolution), leaves
-Euler outside a 1e-3 radius-law error on 21 of the 55 catalog laws at
-resolution 128, so this h-shaped bound stays.  Runs are deterministic
+speed.  ``run`` evaluates one stage per state, for the initial state
+and after each step: that stage sets the next dt, is handed to the step
+and feeds the state's diagnostics row.  On surfaces of revolution it is
+the one derivative pass of the state (``revolution_stage``), giving the
+speed, the bound and the diagnostics' curvatures; rk2 adds one pass at
+its midpoint.  The round factor has no grid: its bound takes h = 2 pi R
+/ resolution and the closed-form trace tr P_{r-1} = (n-r+1)
+sigma_{r-1}, sigma_p = C(n,p) / R^p (the paper's trace identity on the
+round sphere; 0 once r-1 > n).  A bound shaped by the law's own time
+scale instead, dt <= T_ext(R) / (4 resolution), leaves Euler outside a
+1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128,
+so this h-shaped bound stays.  Runs are deterministic
 for a fixed configuration.  The homothety monitor uses the canonical
 rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no
 uniqueness of that normalization is claimed.
@@ -339,21 +341,6 @@ def revolution_stage(geo: RevolutionGeometryState, r: int) -> RevolutionStage:
                            h_sq / (1.0 + coeff))
 
 
-def revolution_speed(geo: RevolutionGeometryState, r: int) -> np.ndarray:
-    """df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)."""
-    return revolution_stage(geo, r).speed
-
-
-def revolution_cfl_bound(geo: RevolutionGeometryState, r: int) -> float:
-    """dt <= h^2 / (1 + sup_j sum |sigma_{r-1}(A_j)|).
-
-    The bound of ``revolution_stage``, which derives it from the same
-    derivative pass as the speed and the diagnostics; the integrator uses
-    the stage directly.
-    """
-    return revolution_stage(geo, r).bound
-
-
 def step_revolution(state: FlowState, r: int, dt: float,
                     scheme: str = "euler", boundary_values=None,
                     stage: RevolutionStage | None = None) -> FlowState:
@@ -419,7 +406,7 @@ def _residual_phi(config, t: float) -> float:
     return phi if phi > 0 else 1.0
 
 
-def _sphere_diagnostics(state, config, dt, initial_geometry, resampled=False):
+def _sphere_diagnostics(state, config, dt, initial_geometry, _stage, resampled=False):
     n, r = state.geometry.n, config.r
     radius = state.geometry.radius
     phi = _residual_phi(config, state.t)
@@ -435,7 +422,7 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, resampled=False):
                        resampled=resampled)
 
 
-def _curve_diagnostics(state, config, dt, initial_geometry, resampled=False):
+def _curve_diagnostics(state, config, dt, initial_geometry, _stage, resampled=False):
     v, v0 = state.geometry.vertices, initial_geometry.vertices
     normal, kappa = curve_normals_curvature(v)
     support = np.sum(v * normal, axis=1)
@@ -451,10 +438,11 @@ def _curve_diagnostics(state, config, dt, initial_geometry, resampled=False):
                        dt=dt, resampled=resampled)
 
 
-def _revolution_diagnostics(state, config, dt, initial_geometry, resampled=False):
+def _revolution_diagnostics(state, config, dt, initial_geometry, stage,
+                            resampled=False):
+    """Diagnostics row of a radial graph from its state's revolution_stage."""
     geo = state.geometry
     f0, z0 = initial_geometry.f, initial_geometry.z
-    stage = revolution_stage(geo, config.r)
     support = revolution_support(geo.z, geo.f, stage.fp, stage.w, geo.orientation)
     phi = _residual_phi(config, state.t)
     residual = float(np.abs(phi ** config.r * stage.sigma + support / phi).max())
@@ -500,7 +488,10 @@ def _initial_state(config: FlowConfig) -> FlowState:
 def _sphere_cfl_bound(geom: Sphere, r: int, resolution: int) -> float:
     n, radius = geom.n, geom.radius
     # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
-    trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
+    try:
+        trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
+    except (OverflowError, ZeroDivisionError) as exc:   # so does R^r
+        raise float_range_error("R", radius, r) from exc
     h = 2.0 * np.pi * radius / resolution
     return h * h / (1.0 + trace_p)
 
@@ -545,7 +536,7 @@ def run(config: FlowConfig) -> RunResult:
         return RunResult(diagnostics=diagnostics, status="stationary", state=state)
 
     # per geometry: its diagnostics, and a stage/advance pair where stage
-    # returns (dt bound, whatever advance can reuse of that evaluation)
+    # returns (dt bound, whatever advance and diagnose reuse of it)
     geom = state.geometry
     if isinstance(geom, Sphere):
         diagnose = _sphere_diagnostics
@@ -576,17 +567,17 @@ def run(config: FlowConfig) -> RunResult:
             return step_revolution(s, config.r, dt, config.scheme,
                                    config.boundary_values, st)
 
-    def make_diag(s, dt, resampled=False):
+    def make_diag(s, dt, st, resampled=False):
         # steps build new arrays, so the initial geometry stays as it was
-        return diagnose(s, config, dt, geom, resampled)
+        return diagnose(s, config, dt, geom, st, resampled)
 
     initial_radius = geom.min_radius
-    diagnostics.append(make_diag(state, 0.0))
+    bound, reuse = stage(state)
+    diagnostics.append(make_diag(state, 0.0, reuse))
     status = "completed"
     resampled_last = False
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
-        bound, reuse = stage(state)
         dt = min(config.cfl_safety * bound, config.t_end - state.t)
         if not state.t + dt > state.t:    # an underflowed bound would never end
             raise NumericalError(f"time step {dt:.3e} does not advance t={state.t:.6g}")
@@ -605,12 +596,13 @@ def run(config: FlowConfig) -> RunResult:
                 geometry=CurveGeometry(resample_curve(state.geometry.vertices)),
                 step_count=state.step_count)
             resampled_last = True
+        bound, reuse = stage(state)
         if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
             status = "extinct"
-            diagnostics.append(make_diag(state, dt, resampled_last))
+            diagnostics.append(make_diag(state, dt, reuse, resampled_last))
             break
         if state.step_count % config.output_stride == 0:
-            diagnostics.append(make_diag(state, dt, resampled_last))
+            diagnostics.append(make_diag(state, dt, reuse, resampled_last))
     if diagnostics[-1].t < state.t:
-        diagnostics.append(make_diag(state, last_dt, resampled_last))
+        diagnostics.append(make_diag(state, last_dt, reuse, resampled_last))
     return RunResult(diagnostics=diagnostics, status=status, state=state)

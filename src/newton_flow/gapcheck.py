@@ -24,7 +24,7 @@ from .catalog import (
     SampleArrays,
     sample_arrays,
 )
-from .errors import DomainError, NotSelfShrinkerError, check_order
+from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
 from .symfun import (
     Definiteness,
     classify_from_eigenvalues,
@@ -160,6 +160,12 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
     sup_sig_rm1 = float(sig[:, r - 1].max())
     sup_res = float(residual.max())
     psd = classify_from_eigenvalues(eig_p.ravel(), tol=tol)
+    reported = [sup_norm_sq, min_eig_p, sup_a, sup_sig_rm1, sup_res,
+                psd.max_eigenvalue]
+    if gauss is not None:
+        reported += [gauss.sup_hk, gauss.identity_residual]
+    if not np.isfinite(reported).all():
+        raise NumericalError("a gap report value leaves the float range")
 
     zero_mult: int | None = None
     kscale = max(1.0, float(np.abs(K).max()))
@@ -174,7 +180,7 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
         thm1_strict=bool(strict),
         thm1_boundary=bool(boundary),
         thm1_psd_definite=bool(definite),
-        thm2=bool(strict and np.isfinite(sup_a)),
+        thm2=bool(strict),     # sup ||A||^2 is finite, checked above
         gauss_weakly_convex=gauss is not None and gauss.weakly_convex,
         gauss_hk=gauss is not None and gauss.hk_at_most_n,
     )

@@ -49,8 +49,9 @@ def _as_shape_operator(S) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.abs(A - A.T).max() > SYM_TOL * scale:
         raise DomainError("shape operator is not symmetric within tolerance")
-    # work with the exactly-symmetric part so eigh sees a clean input
-    return 0.5 * (A + A.T)
+    # work with the exactly-symmetric part so eigh sees a clean input;
+    # halving before adding cannot overflow for finite entries
+    return 0.5 * A + 0.5 * A.T
 
 
 def elem_sym(k, r: int) -> float:
@@ -155,11 +156,11 @@ def _family(A: np.ndarray) -> tuple:
             ((-1.0) ** j) * sig[r - j] * powers[j] for j in range(r + 1)
         )
         tol = IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
-        if np.linalg.norm(P[r] - poly_r) > tol:
+        if not np.linalg.norm(P[r] - poly_r) <= tol:    # NaN fails too
             raise NumericalError(
                 f"recurrence/polynomial disagreement for P_{r}"
             )
-    if np.linalg.norm(P[n]) > IDENTITY_TOL * (1.0 + norm_a) ** n:
+    if not np.linalg.norm(P[n]) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
         raise NumericalError("P_n deviates from zero beyond tolerance")
     return k, NewtonFamily(sigmas=sig, P=tuple(P))
 
@@ -206,7 +207,8 @@ def modified_sff_norm_sq(S, r: int) -> float:
     val_sigma = float(fam.sigmas[1] * fam.sigmas[r] - (r + 1) * sig_rp1)
 
     tol = IDENTITY_TOL * (1.0 + np.linalg.norm(A)) ** (r + 1)
-    if max(abs(val_trace - val_sum), abs(val_trace - val_sigma)) > tol:
+    # written so that a NaN route fails (max() would drop a NaN in second place)
+    if not (abs(val_trace - val_sum) <= tol and abs(val_trace - val_sigma) <= tol):
         raise NumericalError("modified norm routes disagree beyond tolerance")
     return val_trace
 

@@ -1,9 +1,10 @@
 """Shared oracles and generators for the test suite.
 
 The oracles here are deliberately independent of the package internals:
-brute-force subset enumeration for symmetric functions, and closed-form
+brute-force subset enumeration for symmetric functions, closed-form
 curvature of an ellipsoid of revolution from hand-differentiated
-formulas.
+formulas, and the finite-difference stencils written out per boundary
+mode.
 """
 
 from __future__ import annotations
@@ -59,6 +60,39 @@ def ellipsoid_gauss_curvature(a: float, b: float, z) -> np.ndarray:
     fp = -(a * z) / (b * b * u)
     fpp = -(a / (b * b * u)) * (1.0 + z * z / (b * b * u * u))
     return -fpp / (f * (1.0 + fp * fp) ** 2)
+
+
+def _reference_ghosts(v: np.ndarray):
+    """Cubic-extrapolated ghost values one node beyond each end."""
+    left = 4.0 * v[0] - 6.0 * v[1] + 4.0 * v[2] - v[3]
+    right = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
+    return left, right
+
+
+def reference_deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:
+    """First derivative as separate per-mode stencils (fd's former code)."""
+    v = np.asarray(values, dtype=float)
+    if boundary == "periodic":
+        return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
+    left, right = _reference_ghosts(v)
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (v[1] - left) / (2.0 * h)
+    d[-1] = (right - v[-2]) / (2.0 * h)
+    return d
+
+
+def reference_deriv2(values, h: float, boundary: str = "neumann") -> np.ndarray:
+    """Second derivative as separate per-mode stencils (fd's former code)."""
+    v = np.asarray(values, dtype=float)
+    if boundary == "periodic":
+        return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (h * h)
+    left, right = _reference_ghosts(v)
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+    d[0] = (v[1] - 2.0 * v[0] + left) / (h * h)
+    d[-1] = (right - 2.0 * v[-1] + v[-2]) / (h * h)
+    return d
 
 
 @pytest.fixture

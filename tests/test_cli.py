@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from newton_flow import catalog, gapcheck
 from newton_flow.cli import main, render_json
+from newton_flow.symfun import newton_family
 
 
 def run_cli(capsys, *argv):
@@ -412,6 +414,7 @@ class TestExitContract:
     @pytest.mark.parametrize("n, radius, r", [
         (2, 1e200, 2), (3, 1e120, 3),      # R^r overflows
         (2, 1e-200, 2), (4, 1e-100, 4),    # R^r underflows to zero
+        (3, 1e200, 3),                     # the step bound's R^(r-1) overflows
     ])
     def test_sphere_power_out_of_float_range(self, capsys, tmp_path, n, radius, r):
         cfg = scene_file(tmp_path, {
@@ -420,6 +423,37 @@ class TestExitContract:
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
         assert code == 4
         assert "leaves the float range" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "--k", "1e308,1", "--r", "1"],
+        ["algebra", "--k", "1e160,1", "--r", "1"],
+        ["gap", "--config", "{sphere}"],
+        ["gap", "--config", "{circle}"],
+        ["residual", "--config", "{sphere}"],
+    ])
+    def test_overflowed_curvature_algebra(self, capsys, tmp_path, argv):
+        # finite inputs whose sigmas or norms leave the float range
+        scenes = {
+            "{sphere}": {"model": {"kind": "sphere", "n": 3, "radius": 1e-120},
+                         "r": 3},
+            "{circle}": {"model": {"kind": "sphere", "n": 1, "radius": 1e-160},
+                         "r": 1},
+        }
+        argv = [scene_file(tmp_path, scenes[a]) if a in scenes else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4, out
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_algebra_norm_is_the_cross_checked_trace(self, capsys):
+        for k, r in (("1,2,3", 2), ("0.5,-1,2,4", 3), ("-2,0.3,0.7", 1)):
+            code, out, _ = run_cli(capsys, "algebra", "--k=" + k, "--r", str(r))
+            assert code == 0
+            s = np.diag([float(x) for x in k.split(",")])
+            p_prev = newton_family(s).P[r - 1]
+            expect = float(np.trace(p_prev @ s @ s))
+            assert json.loads(out)["modifiedNormSq"] == expect
 
     @pytest.mark.parametrize("model, flow_spec", [
         # the CFL bound's h^2 overflows

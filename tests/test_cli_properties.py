@@ -1,12 +1,14 @@
-"""Property test of the CLI exit contract.
+"""Property tests of the CLI exit contract and of byte stability.
 
 Every scene, however malformed, must end in exit 0, 2, 3 or 4 and never
 raise out of ``cli.main``.  A scene starts valid, for every model kind,
 and then has up to two fields replaced by a number that is huge, tiny,
 NaN or infinite, by a boolean, text, null or a list; output paths may
-be unwritable.  Sizes stay small (t_end <= 0.02, resolution <= 16) so
-each example is cheap; derandomized, so every run draws the same
-examples.
+be unwritable.  ``algebra`` gets curvature lists of the same kinds of
+numbers.  When ``gap``, ``residual`` or ``algebra`` exits 0, its JSON
+holds no null and no infinity.  A valid scene run twice writes the same
+bytes.  Sizes stay small (t_end <= 0.02, resolution <= 16) so each
+example is cheap; derandomized, so every run draws the same examples.
 """
 
 import contextlib
@@ -77,7 +79,8 @@ def models(draw):
 
 
 @st.composite
-def invocations(draw):
+def invocations(draw, corrupt=True):
+    """(command, scene, --out); corrupt=False keeps the scene valid."""
     command = draw(st.sampled_from(["flow", "gap", "residual"]))
     flowing = command == "flow"
     scene = {"model": draw(models()),
@@ -93,6 +96,11 @@ def invocations(draw):
             "resample_every": draw(st.sampled_from([0, 5])),
             "pinned_boundary": draw(st.booleans()),
         }
+    if not corrupt:
+        scene["output"] = draw(st.fixed_dictionaries(
+            {}, optional={"csv": st.just("scene.csv"),
+                          "report": st.just("report.json")}))
+        return command, scene, draw(st.sampled_from([None, "out.txt"]))
     scene["output"] = draw(st.fixed_dictionaries(
         {}, optional={"csv": OUTPUT_PATHS, "report": OUTPUT_PATHS}))
 
@@ -115,14 +123,31 @@ def invocations(draw):
     return command, scene, out
 
 
+CURVATURES = st.one_of(st.floats(-4.0, 4.0),
+                       st.sampled_from(HUGE + TINY + [-x for x in HUGE]))
+
+
+@st.composite
+def algebra_invocations(draw):
+    k = draw(st.lists(CURVATURES, min_size=1, max_size=4))
+    r = draw(st.integers(1, len(k)))
+    return ["algebra", "--k=" + ",".join(repr(x) for x in k), "--r", str(r)]
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-@settings(derandomize=True, deadline=None, max_examples=500)
-@given(case=invocations())
-def test_every_scene_maps_to_a_documented_exit(workdir, case):
+def _main(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _prepare(workdir, case):
+    """Write the scene; return argv and the output paths it may write."""
     command, scene, out = case
 
     def place(path):
@@ -135,7 +160,59 @@ def test_every_scene_maps_to_a_documented_exit(workdir, case):
     argv = [command, "--config", config]
     if out is not None:
         argv += ["--out", place(out)]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    assert code in ALLOWED_EXITS, (code, stderr.getvalue())
+    return argv, [place(out)] + list(scene["output"].values())
+
+
+def _finite_json(value) -> bool:
+    """No null and no rendered infinity anywhere in parsed JSON."""
+    if isinstance(value, dict):
+        return all(_finite_json(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_json(v) for v in value)
+    return value is not None and value not in ("Infinity", "-Infinity")
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(case=invocations())
+def test_every_scene_maps_to_a_documented_exit(workdir, case):
+    command = case[0]
+    report = case[2] or (case[1]["output"].get("report") if command == "gap" else None)
+    argv, _ = _prepare(workdir, case)
+    code, stdout, stderr = _main(argv)
+    assert code in ALLOWED_EXITS, (code, stderr)
+    if code == 0 and command != "flow":
+        if report:
+            with open(os.path.join(workdir, report), encoding="utf-8") as fh:
+                stdout = fh.read()
+        assert _finite_json(json.loads(stdout)), stdout
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=algebra_invocations())
+def test_algebra_maps_to_a_documented_exit(argv):
+    code, stdout, stderr = _main(argv)
+    assert code in ALLOWED_EXITS, (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 0:
+        assert _finite_json(json.loads(stdout)), stdout
+    else:
+        assert stdout == ""
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(case=invocations(corrupt=False))
+def test_a_scene_run_twice_writes_the_same_bytes(workdir, case):
+    argv, paths = _prepare(workdir, case)
+    runs = []
+    for _ in range(2):
+        for path in paths:
+            if path and os.path.exists(path):
+                os.remove(path)
+        code, stdout, _ = _main(argv)
+        files = {}
+        for path in paths:
+            if path and os.path.exists(path):
+                with open(path, "rb") as fh:
+                    files[path] = fh.read()
+        runs.append((code, stdout, files))
+    assert runs[0] == runs[1]

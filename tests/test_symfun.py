@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from newton_flow import catalog, symfun
-from newton_flow.errors import DomainError, NotPSDError
+from newton_flow.errors import DomainError, NotPSDError, NumericalError
 from newton_flow.symfun import (
     DefinitenessClass,
     cauchy_schwarz_bound,
@@ -392,3 +392,29 @@ class TestOneRecurrence:
         monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
         modified_sff_norm_sq(np.diag([1.0, 2.0, 3.0]), 2)
         assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowGuards:
+    def test_symmetrization_keeps_the_bits_of_sum_then_halve(self, rng):
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            a = random_symmetric(rng, n) * 10.0 ** rng.uniform(-3, 3)
+            got = symfun._as_shape_operator(a)
+            assert got.tobytes() == (0.5 * (a + a.T)).tobytes()
+
+    def test_huge_finite_entries_stay_finite(self):
+        a = np.diag([1e308, 1.0])
+        assert symfun._as_shape_operator(a).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("k", [[1e308, 1.0], [1e160, 1.0], [1e155, 1e155]])
+    def test_overflowed_family_is_a_numerical_error(self, k):
+        with pytest.raises(NumericalError):
+            newton_family(np.diag(k))
+        with pytest.raises(NumericalError):
+            modified_sff_norm_sq(np.diag(k), 1)
+
+    def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
+        monkeypatch.setattr(symfun, "elem_sym_excluding", lambda k, i, r: math.nan)
+        with pytest.raises(NumericalError):
+            modified_sff_norm_sq(np.diag([1.0, 2.0]), 1)
