@@ -219,8 +219,8 @@ class RevolutionGeometry:
         zero = np.zeros_like(self.z)
         return np.stack([self.f, zero, self.z], axis=1)
 
-    def interior(self, width: int = 2) -> slice:
-        return fd.trim_slice(self.boundary, width)
+    def interior(self) -> slice:
+        return fd.trim_slice(self.boundary)
 
 
 def revolution_curvatures(f: np.ndarray, h: float, boundary: str,

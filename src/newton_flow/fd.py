@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 
 BOUNDARY_MODES = ("periodic", "neumann")
+TRIM_WIDTH = 2        # end nodes left out of reported residuals, per open end
 
 
 def _check(values: np.ndarray, boundary: str) -> np.ndarray:
@@ -90,8 +91,8 @@ def flux_divergence(coef, values, h: float, boundary: str = "neumann") -> np.nda
     return out
 
 
-def trim_slice(boundary: str, width: int = 2) -> slice:
+def trim_slice(boundary: str) -> slice:
     """Interior slice for residual reporting (end nodes are lower order)."""
     if boundary == "periodic":
         return slice(None)
-    return slice(width, -width)
+    return slice(TRIM_WIDTH, -TRIM_WIDTH)

@@ -1,35 +1,33 @@
 """Explicit time integration of the speed-sigma_r normal flow.
 
-Three discretizations, matched to the geometry:
+Three discretizations, matched to the geometry: the round law R' =
+-C(n,r)/R^r of spheres (n >= 2) and of the round factor of a cylinder,
+whose state is the catalog ``Sphere``; closed plane curves (n = 1, r =
+1), whose polygon vertices move by the chord-based discrete curvature
+vector; and surfaces of revolution (n = 2), whose radial graph f(z, t)
+moves by df/dt = -sigma_r * sqrt(1 + f_z^2).
 
-* round spheres (n >= 2) and the round factor of a cylinder: the state
-  is the catalog ``Sphere`` itself, whose radius obeys R' = -C(n,r)/R^r,
-  integrated as a scalar ODE with the closed form available for
-  cross-checks;
-* closed plane curves (n = 1, r = 1): polygon vertices move by the
-  chord-based discrete curvature vector;
-* surfaces of revolution (n = 2): the radial graph f(z, t) moves by
-  df/dt = -sigma_r * sqrt(1 + f_z^2).
+Each has one stage function, giving a state's speed and its step bound
+dt <= h^2 / (1 + sup tr P_{r-1}) from one pass: ``revolution_stage``,
+``curve_stage`` and the round law's closed forms (h = 2 pi R /
+resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
+law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
+1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
+``step`` is the one explicit step for every geometry: it recomputes a
+stage built for another state or r, refuses dt above the bound, advances
+by ``_explicit_step`` (forward Euler or the rk2 midpoint rule, with the
+Dirichlet data of ``FlowConfig.boundary_values`` imposed on each stage)
+and runs one guard: a non-positive radius is extinction (reason "pinch"
+on radial graphs) and a NaN is a NumericalError.
 
-All three advance by one explicit scheme, ``_explicit_step``: forward
-Euler, or the rk2 midpoint rule, with Dirichlet data imposed on each
-stage when given.  Time steps follow dt <= cfl_safety * h^2 / (1 + sup
-tr P_{r-1}), the coefficient of the principal part of the linearized
-speed.  ``run`` evaluates one stage per state, for the initial state
-and after each step: that stage sets the next dt, is handed to the step
-and feeds the state's diagnostics row.  On surfaces of revolution it is
-the one derivative pass of the state (``revolution_stage``), giving the
-speed, the bound and the diagnostics' curvatures; rk2 adds one pass at
-its midpoint.  The round factor has no grid: its bound takes h = 2 pi R
-/ resolution and the closed-form trace tr P_{r-1} = (n-r+1)
-sigma_{r-1}, sigma_p = C(n,p) / R^p (the paper's trace identity on the
-round sphere; 0 once r-1 > n).  A bound shaped by the law's own time
-scale instead, dt <= T_ext(R) / (4 resolution), leaves Euler outside a
-1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128,
-so this h-shaped bound stays.  Runs are deterministic
-for a fixed configuration.  The homothety monitor uses the canonical
-rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no
-uniqueness of that normalization is claimed.
+``run`` evaluates one stage per state, which sets the next dt, is handed
+to the step and feeds the diagnostics row.  It estimates t_end /
+(cfl_safety * bound) from the first stage and refuses a run above
+``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS`` anyway
+stops with a NumericalError.  Runs are deterministic for a fixed
+configuration.  The homothety monitor uses the canonical rescaling
+phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
+of that normalization is claimed.
 """
 
 from __future__ import annotations
@@ -37,8 +35,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from math import comb
-from typing import NamedTuple
+from operator import attrgetter, methodcaller
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 EXTINCTION_FRACTION = 1e-3   # stop when min radius falls below this * initial
+MAX_STEPS = 10 ** 7   # step budget of one run; the longest test run takes 433,500
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +195,9 @@ class FlowConfig:
         if self.output_stride < 1:
             raise DomainError("output_stride must be >= 1")
         check_order(self.r, self.model.n)
+        if (self.boundary_values is not None
+                and not isinstance(self.model, (Revolution, EllipsoidRev))):
+            raise DomainError("boundary_values needs a revolution model")
 
 
 @dataclass(eq=False)
@@ -226,6 +230,21 @@ def _explicit_step(x, speed, speed_at, t, dt, scheme, pin=None):
     return x_new if pin is None else pin(x_new, t + dt)
 
 
+class Stage:
+    """Speed and explicit step bound of a polygon or round-law state.
+
+    A slots class: one is built every round-law step, where a NamedTuple's
+    constructor costs a measurable share of the step."""
+
+    __slots__ = ("geometry", "r", "speed", "bound")
+
+    def __init__(self, geometry, r: int, speed, bound: float):
+        self.geometry = geometry  # the state it was computed from
+        self.r = r
+        self.speed = speed        # vertex velocities (V, 2), or the round law's R'
+        self.bound = bound        # explicit stability bound on dt
+
+
 # ---------------------------------------------------------------------------
 # polygon curves (n = 1, r = 1)
 
@@ -245,44 +264,31 @@ def _curve_edges(v: np.ndarray):
     return d_next, np.roll(d_next, 1)
 
 
-def curve_speed(v: np.ndarray) -> np.ndarray:
-    """Discrete curvature vector kappa*N from neighboring vertices.
+def curve_stage(geo: CurveGeometry, r: int = 1) -> Stage:
+    """One edge pass over a closed polygon: its curvature vector and CFL bound.
 
-    Exact (1/R, radial) on a regular polygon inscribed in a circle;
-    points inward on convex CCW curves.
+    kappa*N is exact (1/R, radial) on a regular inscribed polygon and points
+    inward on convex CCW curves; the bound is h_min^2 / (1 + tr P_0), tr P_0 = 1.
     """
+    if r != 1:
+        raise DomainError("plane curves support r = 1 only")
+    v = geo.vertices
+    if v.shape[0] < 16:
+        raise DomainError("closed curves need >= 16 vertices")
     d_next, d_prev = _curve_edges(v)
     t_next = (np.roll(v, -1, axis=0) - v) / d_next[:, None]
     t_prev = (v - np.roll(v, 1, axis=0)) / d_prev[:, None]
-    return 2.0 * (t_next - t_prev) / (d_prev + d_next)[:, None]
+    speed = 2.0 * (t_next - t_prev) / (d_prev + d_next)[:, None]
+    return Stage(geo, r, speed, float(d_next.min() ** 2) / 2.0)
 
 
-def curve_normals_curvature(v: np.ndarray):
-    """Unit inward normals (CCW orientation) and signed curvature."""
-    kn = curve_speed(v)
+def curve_normals_curvature(v: np.ndarray, kn: np.ndarray):
+    """Unit inward normals (CCW) and signed curvature, from v's curvature vector kn."""
     chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
     normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
     normal /= np.linalg.norm(normal, axis=1)[:, None]
     kappa = np.sum(kn * normal, axis=1)
     return normal, kappa
-
-
-def curve_cfl_bound(v: np.ndarray) -> float:
-    """Stability envelope dt <= h_min^2 / (1 + sup tr P_0), with tr P_0 = 1."""
-    d_next, _ = _curve_edges(v)
-    return float(d_next.min() ** 2) / 2.0
-
-
-def step_curve(state: FlowState, dt: float, scheme: str = "euler") -> FlowState:
-    """Advance a closed polygon one explicit step of the curvature flow."""
-    v = state.geometry.vertices
-    if v.shape[0] < 16:
-        raise DomainError("closed curves need >= 16 vertices")
-    if dt > curve_cfl_bound(v) * (1.0 + 1e-9):
-        raise CflViolationError(f"dt={dt:.3e} above the curve stability bound")
-    v_new = _explicit_step(v, curve_speed(v), curve_speed, state.t, dt, scheme)
-    return FlowState(t=state.t + dt, geometry=CurveGeometry(vertices=v_new),
-                     step_count=state.step_count + 1)
 
 
 def resample_curve(v: np.ndarray) -> np.ndarray:
@@ -294,6 +300,22 @@ def resample_curve(v: np.ndarray) -> np.ndarray:
     x = np.interp(targets, s, closed[:, 0])
     y = np.interp(targets, s, closed[:, 1])
     return np.stack([x, y], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the round law (spheres, and the round factor of cylinders)
+
+def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
+    """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution."""
+    n, r, radius = geom.n, config.r, geom.radius
+    try:
+        # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
+        trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
+        speed = -comb(n, r) / radius ** r
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise float_range_error("R", radius, r) from exc
+    h = 2.0 * np.pi * radius / config.resolution
+    return Stage(geom, r, speed, h * h / (1.0 + trace_p))
 
 
 # ---------------------------------------------------------------------------
@@ -341,53 +363,6 @@ def revolution_stage(geo: RevolutionGeometryState, r: int) -> RevolutionStage:
                            h_sq / (1.0 + coeff))
 
 
-def step_revolution(state: FlowState, r: int, dt: float,
-                    scheme: str = "euler", boundary_values=None,
-                    stage: RevolutionStage | None = None) -> FlowState:
-    """Advance the radial graph one explicit step; detects pinching.
-
-    Without boundary_values the end nodes evolve by the extrapolating
-    stencils (the band then follows the closure's own boundary data, not
-    any particular continuation).  With boundary_values(t) -> (left,
-    right) the end nodes are pinned, giving a clean Dirichlet problem.
-
-    stage, when given, is the revolution_stage of state.geometry at this
-    r (run computes it to choose dt).  A stage computed for any other
-    geometry or r is ignored and recomputed.  Raises NumericalError when
-    the new profile holds a NaN.
-    """
-    geo = state.geometry
-    if stage is None or stage.geometry is not geo or stage.r != r:
-        stage = revolution_stage(geo, r)
-    if dt > stage.bound * (1.0 + 1e-9):
-        raise CflViolationError(f"dt={dt:.3e} above the revolution stability bound")
-
-    def speed_at(f):
-        return revolution_stage(replace_f(geo, f), r).speed
-
-    def pin(values, t):
-        values[0], values[-1] = boundary_values(t)
-        return values
-
-    f_new = _explicit_step(geo.f, stage.speed, speed_at, state.t, dt, scheme,
-                           None if boundary_values is None else pin)
-    f_min = f_new.min()
-    if f_min <= 0.0:
-        raise ExtinctionError(state.t + dt, reason="pinch")
-    if math.isnan(f_min):
-        raise NumericalError(f"non-finite profile at t={state.t + dt:.6g}")
-    return FlowState(
-        t=state.t + dt,
-        geometry=replace_f(geo, f_new),
-        step_count=state.step_count + 1,
-    )
-
-
-def replace_f(geo: RevolutionGeometryState, f_new: np.ndarray) -> RevolutionGeometryState:
-    return RevolutionGeometryState(z=geo.z, f=f_new, boundary=geo.boundary,
-                                   orientation=geo.orientation)
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -422,9 +397,9 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, _stage, resampled=F
                        resampled=resampled)
 
 
-def _curve_diagnostics(state, config, dt, initial_geometry, _stage, resampled=False):
+def _curve_diagnostics(state, config, dt, initial_geometry, stage, resampled=False):
     v, v0 = state.geometry.vertices, initial_geometry.vertices
-    normal, kappa = curve_normals_curvature(v)
+    normal, kappa = curve_normals_curvature(v, stage.speed)
     support = np.sum(v * normal, axis=1)
     phi = _residual_phi(config, state.t)
     residual = float(np.abs(phi * kappa + support / phi).max())
@@ -485,35 +460,77 @@ def _initial_state(config: FlowConfig) -> FlowState:
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 
-def _sphere_cfl_bound(geom: Sphere, r: int, resolution: int) -> float:
-    n, radius = geom.n, geom.radius
-    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
-    try:
-        trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
-    except (OverflowError, ZeroDivisionError) as exc:   # so does R^r
-        raise float_range_error("R", radius, r) from exc
-    h = 2.0 * np.pi * radius / resolution
-    return h * h / (1.0 + trace_p)
+class _Kind(NamedTuple):
+    """What step and run need to know of one kind of flow state."""
+
+    stage: Callable       # (geometry, config) -> its stage
+    values: Callable      # geometry -> the values that move
+    rebuild: Callable     # (geometry, values) -> the geometry holding them
+    radius: Callable      # values -> smallest radius, for the guard
+    name: str             # what a NaN made non-finite
+    reason: str           # ExtinctionError reason of a non-positive radius
+    diagnose: Callable    # the state's diagnostics row
 
 
-def _step_sphere(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
-    geom = state.geometry
-    n, r = geom.n, config.r
+_KINDS = {
+    Sphere: _Kind(
+        _round_stage, attrgetter("radius"), lambda geom, radius: Sphere(geom.n, radius),
+        float, "radius", "extinct", _sphere_diagnostics),
+    CurveGeometry: _Kind(
+        lambda geo, config: curve_stage(geo, config.r), attrgetter("vertices"),
+        lambda geo, v: CurveGeometry(v), lambda v: CurveGeometry(v).min_radius,
+        "polygon", "extinct", _curve_diagnostics),
+    RevolutionGeometryState: _Kind(
+        lambda geo, config: revolution_stage(geo, config.r), attrgetter("f"),
+        lambda geo, f: RevolutionGeometryState(geo.z, f, geo.boundary, geo.orientation),
+        methodcaller("min"), "profile", "pinch", _revolution_diagnostics),
+}
 
-    def rate(radius):
-        if radius <= 0:     # an rk2 midpoint past extinction
-            raise ExtinctionError(state.t + dt)
-        try:
-            return -comb(n, r) / radius ** r
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise float_range_error("R", radius, r) from exc
 
-    new_radius = _explicit_step(geom.radius, rate(geom.radius), rate, state.t, dt,
-                                config.scheme)
-    if new_radius <= 0:
-        raise ExtinctionError(state.t + dt)
-    return FlowState(t=state.t + dt, geometry=Sphere(n=n, radius=new_radius),
-                     step_count=state.step_count + 1)
+def _pin(boundary_values, values, t):
+    values[0], values[-1] = boundary_values(t)
+    return values
+
+
+def step(state: FlowState, config: FlowConfig, dt: float, stage=None) -> FlowState:
+    """Advance any flow state one explicit step of config's scheme.
+
+    stage is the stage of state.geometry at config.r, if at hand (one for
+    another geometry or r is recomputed).  Unpinned radial graphs move
+    their end nodes by the extrapolating stencils.  The guard runs on the
+    rk2 midpoint and on the result.
+    """
+    kind = _KINDS.get(type(state.geometry))
+    if kind is None:
+        raise DomainError(f"cannot step {type(state.geometry).__name__}")
+    return _step(kind, state, config, dt, stage)
+
+
+def _step(kind: _Kind, state: FlowState, config: FlowConfig, dt: float,
+          stage) -> FlowState:
+    """step, with the kind of state.geometry already looked up."""
+    geo, t = state.geometry, state.t + dt
+    if stage is None or stage.geometry is not geo or stage.r != config.r:
+        stage = kind.stage(geo, config)
+    if dt > stage.bound * (1.0 + 1e-9):
+        raise CflViolationError(f"dt={dt:.3e} above the step bound {stage.bound:.3e}")
+    speed_at = (None if config.scheme == "euler" else  # the rk2 midpoint's speed
+                lambda values: kind.stage(_guarded(kind, geo, values, t), config).speed)
+    pin = (None if config.boundary_values is None
+           else partial(_pin, config.boundary_values))
+    x_new = _explicit_step(kind.values(geo), stage.speed, speed_at, state.t, dt,
+                           config.scheme, pin)
+    return FlowState(t, _guarded(kind, geo, x_new, t), state.step_count + 1)
+
+
+def _guarded(kind: _Kind, geo, values, t: float):
+    """The geometry holding values, once the guard has passed them."""
+    radius = kind.radius(values)
+    if not radius > 0.0:
+        if radius <= 0.0:
+            raise ExtinctionError(t, reason=kind.reason)
+        raise NumericalError(f"non-finite {kind.name} at t={t:.6g}")   # a NaN
+    return kind.rebuild(geo, values)
 
 
 def run(config: FlowConfig) -> RunResult:
@@ -521,6 +538,8 @@ def run(config: FlowConfig) -> RunResult:
 
     Diagnostics are emitted at t = 0, every output_stride steps, and at
     the final accepted state.  Deterministic for a fixed configuration.
+    Raises DomainError when the first stage's bound puts the run above
+    MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
     """
     state = _initial_state(config)
     diagnostics: list = []
@@ -535,54 +554,31 @@ def run(config: FlowConfig) -> RunResult:
         diagnostics.append(replace(diag0, t=config.t_end))
         return RunResult(diagnostics=diagnostics, status="stationary", state=state)
 
-    # per geometry: its diagnostics, and a stage/advance pair where stage
-    # returns (dt bound, whatever advance and diagnose reuse of it)
     geom = state.geometry
-    if isinstance(geom, Sphere):
-        diagnose = _sphere_diagnostics
-
-        def stage(s):
-            return _sphere_cfl_bound(s.geometry, config.r, config.resolution), None
-
-        def advance(s, dt, _):
-            return _step_sphere(s, config, dt)
-    elif isinstance(geom, CurveGeometry):
-        if config.r != 1:
-            raise DomainError("plane curves support r = 1 only")
-        diagnose = _curve_diagnostics
-
-        def stage(s):
-            return curve_cfl_bound(s.geometry.vertices), None
-
-        def advance(s, dt, _):
-            return step_curve(s, dt, config.scheme)
-    else:
-        diagnose = _revolution_diagnostics
-
-        def stage(s):
-            st = revolution_stage(s.geometry, config.r)
-            return st.bound, st
-
-        def advance(s, dt, st):
-            return step_revolution(s, config.r, dt, config.scheme,
-                                   config.boundary_values, st)
+    kind = _KINDS[type(geom)]
 
     def make_diag(s, dt, st, resampled=False):
         # steps build new arrays, so the initial geometry stays as it was
-        return diagnose(s, config, dt, geom, st, resampled)
+        return kind.diagnose(s, config, dt, geom, st, resampled)
 
     initial_radius = geom.min_radius
-    bound, reuse = stage(state)
-    diagnostics.append(make_diag(state, 0.0, reuse))
+    stage = kind.stage(geom, config)
+    # the budget; a bound of 0 is an underflow, which the loop reports
+    if config.t_end > MAX_STEPS * config.cfl_safety * stage.bound > 0.0:
+        raise DomainError(f"about {config.t_end / config.cfl_safety / stage.bound:.3g} "
+                          f"steps to t_end={config.t_end:.6g}, above MAX_STEPS={MAX_STEPS}")
+    diagnostics.append(make_diag(state, 0.0, stage))
     status = "completed"
     resampled_last = False
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
-        dt = min(config.cfl_safety * bound, config.t_end - state.t)
+        if state.step_count >= MAX_STEPS:
+            raise NumericalError(f"run passed MAX_STEPS={MAX_STEPS} at t={state.t:.6g}")
+        dt = min(config.cfl_safety * stage.bound, config.t_end - state.t)
         if not state.t + dt > state.t:    # an underflowed bound would never end
             raise NumericalError(f"time step {dt:.3e} does not advance t={state.t:.6g}")
         try:
-            state = advance(state, dt, reuse)
+            state = _step(kind, state, config, dt, stage)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"
@@ -596,13 +592,13 @@ def run(config: FlowConfig) -> RunResult:
                 geometry=CurveGeometry(resample_curve(state.geometry.vertices)),
                 step_count=state.step_count)
             resampled_last = True
-        bound, reuse = stage(state)
+        stage = kind.stage(state.geometry, config)
         if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
             status = "extinct"
-            diagnostics.append(make_diag(state, dt, reuse, resampled_last))
+            diagnostics.append(make_diag(state, dt, stage, resampled_last))
             break
         if state.step_count % config.output_stride == 0:
-            diagnostics.append(make_diag(state, dt, reuse, resampled_last))
+            diagnostics.append(make_diag(state, dt, stage, resampled_last))
     if diagnostics[-1].t < state.t:
-        diagnostics.append(make_diag(state, last_dt, reuse, resampled_last))
+        diagnostics.append(make_diag(state, last_dt, stage, resampled_last))
     return RunResult(diagnostics=diagnostics, status=status, state=state)

@@ -27,13 +27,13 @@ from .catalog import (
 from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
 from .symfun import (
     Definiteness,
+    _excluding_rows,
     classify_from_eigenvalues,
     elem_sym_all_rows,
-    elem_sym_excluding_rows,
 )
 
 GAP_TOL = 1e-6          # strict-vs-boundary discrimination on the norm scale
-SHRINKER_TOL = 1e-8     # default residual threshold for "is a shrinker"
+SHRINKER_TOL = 1e-8     # residual threshold for "is a shrinker"
 AXIAL_CONSTANCY_TOL = 1e-12
 
 
@@ -105,13 +105,12 @@ class GapReport:
 
 
 def _classify(sup_norm_sq: float, min_eig_p: float, sup_residual: float,
-              r: int, n: int, zero_mult: int | None,
-              tol: float, shrinker_tol: float) -> Classification:
-    if sup_residual > shrinker_tol:
+              r: int, n: int, zero_mult: int | None) -> Classification:
+    if sup_residual > SHRINKER_TOL:
         return Classification(kind="NotShrinker")
-    if sup_norm_sq < r - tol:
+    if sup_norm_sq < r - GAP_TOL:
         return Classification(kind="Hyperplane")
-    if abs(sup_norm_sq - r) <= tol and min_eig_p > tol:
+    if abs(sup_norm_sq - r) <= GAP_TOL and min_eig_p > GAP_TOL:
         if zero_mult == 0:
             return Classification(kind="Sphere")
         if zero_mult is not None and zero_mult > 0:
@@ -119,25 +118,25 @@ def _classify(sup_norm_sq: float, min_eig_p: float, sup_residual: float,
     return Classification(kind="Inconclusive")
 
 
-def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16,
-             tol: float = GAP_TOL, shrinker_tol: float = SHRINKER_TOL) -> GapReport:
-    """Sampled suprema/infima and hypothesis flags for a model at order r."""
+def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapReport:
+    """Sampled suprema/infima and hypothesis flags for a model at order r.
+
+    Values within GAP_TOL of a threshold count as on it; a sampled
+    residual above SHRINKER_TOL classifies the model as NotShrinker.
+    """
     n = model.n
     check_order(r, n)
     arr = sample_arrays(model, resolution)
-    return evaluate_from_samples(arr, r, n, tol=tol, shrinker_tol=shrinker_tol,
-                                 model=model)
+    return evaluate_from_samples(arr, r, n, model=model)
 
 
 def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
-                          tol: float = GAP_TOL,
-                          shrinker_tol: float = SHRINKER_TOL,
                           model: HypersurfaceModel | None = None) -> GapReport:
     K = arr.curvatures
     sig = elem_sym_all_rows(K)                       # (S, n+1)
-    eig_p = elem_sym_excluding_rows(K, r - 1)        # eigenvalues of P_{r-1}
+    eig_p = _excluding_rows(K, sig, r - 1)           # eigenvalues of P_{r-1}
     # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
-    gauss = _gauss_report(K, sig, eig_p, n, tol) if r == n else None
+    gauss = _gauss_report(K, sig, eig_p, n, GAP_TOL) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)
     residual = np.abs(sig[:, r] + arr.support)
 
@@ -159,7 +158,7 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
     sup_a = float((K * K).sum(axis=1).max())
     sup_sig_rm1 = float(sig[:, r - 1].max())
     sup_res = float(residual.max())
-    psd = classify_from_eigenvalues(eig_p.ravel(), tol=tol)
+    psd = classify_from_eigenvalues(eig_p.ravel(), tol=GAP_TOL)
     reported = [sup_norm_sq, min_eig_p, sup_a, sup_sig_rm1, sup_res,
                 psd.max_eigenvalue]
     if gauss is not None:
@@ -169,13 +168,13 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
 
     zero_mult: int | None = None
     kscale = max(1.0, float(np.abs(K).max()))
-    zeros_per_sample = (np.abs(K) <= tol * kscale).sum(axis=1)
+    zeros_per_sample = (np.abs(K) <= GAP_TOL * kscale).sum(axis=1)
     if zeros_per_sample.min() == zeros_per_sample.max():
         zero_mult = int(zeros_per_sample[0])
 
-    strict = sup_norm_sq < r - tol
-    boundary = abs(sup_norm_sq - r) <= tol
-    definite = min_eig_p > tol
+    strict = sup_norm_sq < r - GAP_TOL
+    boundary = abs(sup_norm_sq - r) <= GAP_TOL
+    definite = min_eig_p > GAP_TOL
     flags = GapFlags(
         thm1_strict=bool(strict),
         thm1_boundary=bool(boundary),
@@ -184,8 +183,7 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
         gauss_weakly_convex=gauss is not None and gauss.weakly_convex,
         gauss_hk=gauss is not None and gauss.hk_at_most_n,
     )
-    classification = _classify(sup_norm_sq, min_eig_p, sup_res, r, n,
-                               zero_mult, tol, shrinker_tol)
+    classification = _classify(sup_norm_sq, min_eig_p, sup_res, r, n, zero_mult)
     return GapReport(
         r=r, n=n,
         sup_modified_norm_sq=sup_norm_sq,
@@ -202,20 +200,19 @@ def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
     )
 
 
-def classify(report: GapReport, tol: float = GAP_TOL,
-             shrinker_tol: float = SHRINKER_TOL) -> Classification:
+def classify(report: GapReport) -> Classification:
     """Taxonomy branch for a report whose model is a sampled shrinker.
 
-    Raises NotSelfShrinkerError when the residual shows the model is not
-    a shrinker at all.
+    Raises NotSelfShrinkerError when the residual (above SHRINKER_TOL)
+    shows the model is not a shrinker at all.
     """
-    if report.sup_residual > shrinker_tol:
+    if report.sup_residual > SHRINKER_TOL:
         raise NotSelfShrinkerError(
             f"sup |sigma_r + <X,N>| = {report.sup_residual:.3e} above threshold"
         )
     return _classify(report.sup_modified_norm_sq, report.min_eig_p,
                      report.sup_residual, report.r, report.n,
-                     report.zero_multiplicity, tol, shrinker_tol)
+                     report.zero_multiplicity)
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,8 @@ def gauss_check(model: HypersurfaceModel, resolution: int = 16,
     """Checks specific to the Gauss-curvature flow (r = n)."""
     n = model.n
     K = sample_arrays(model, resolution).curvatures
-    return _gauss_report(K, elem_sym_all_rows(K),
-                         elem_sym_excluding_rows(K, n - 1), n, tol)
+    sig = elem_sym_all_rows(K)
+    return _gauss_report(K, sig, _excluding_rows(K, sig, n - 1), n, tol)
 
 
 @dataclass(frozen=True)

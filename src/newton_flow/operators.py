@@ -35,7 +35,11 @@ from .catalog import (
     sphere_band_profile,
 )
 from .errors import DomainError, NotSelfShrinkerError, check_order
+from .gapcheck import SHRINKER_TOL
 from .symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
+
+ORDER_BAND = (1.5, 2.5)   # observed orders a passing refinement study shows
+FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,19 +115,10 @@ class ConvergenceReport:
     residuals: tuple
     observed_orders: tuple
 
-    def passes(self, order_band=(1.5, 2.5), finest_tol: float = 1e-3) -> bool:
-        if self.residuals[-1] > finest_tol:
+    def passes(self) -> bool:
+        if self.residuals[-1] > FINEST_TOL:
             return False
-        return all(order_band[0] <= p <= order_band[1] for p in self.observed_orders)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "r": self.r,
-            "resolutions": list(self.resolutions),
-            "residuals": list(self.residuals),
-            "observedOrders": list(self.observed_orders),
-        }
+        return all(ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in self.observed_orders)
 
 
 def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
@@ -255,19 +250,20 @@ class ShrinkerPdeReport:
         return max(self.residual_linear, self.residual_squared)
 
 
-def verify_shrinker_pde(model, r: int, shrinker_tol: float = 1e-8) -> ShrinkerPdeReport:
+def verify_shrinker_pde(model, r: int) -> ShrinkerPdeReport:
     """Stationary form of the shrinker identities on an exact model.
 
     On the catalog models sigma_r is constant, so the drifted terms and
     gradient terms vanish and both identities reduce to multiples of
-    (||sqrt(P_{r-1})A||^2 - r) * sigma_r.
+    (||sqrt(P_{r-1})A||^2 - r) * sigma_r.  Raises NotSelfShrinkerError
+    when |sigma_r + <X,N>| exceeds SHRINKER_TOL.
     """
     n = model.n
     check_order(r, n)
     k = exact_curvatures(model)
     support = exact_support(model)
     sig = elem_sym_all(k)
-    if abs(sig[r] + support) > shrinker_tol:
+    if abs(sig[r] + support) > SHRINKER_TOL:
         raise NotSelfShrinkerError(
             f"model violates sigma_r = -<X,N> by {abs(sig[r] + support):.3e}"
         )

@@ -46,8 +46,15 @@ def _as_shape_operator(S) -> np.ndarray:
         raise DomainError("shape operator must be a square matrix")
     if not np.isfinite(A).all():
         raise DomainError("shape operator has non-finite entries")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.abs(A - A.T).max() > SYM_TOL * scale:
+    scale = float(np.linalg.norm(A))
+    if scale < np.inf:
+        asymmetry = np.abs(A - A.T).max()
+    else:
+        # entries above ~1e154 overflow the norm: measure both in units of max|A|
+        unit = np.abs(A).max()
+        scale = float(np.linalg.norm(A / unit))
+        asymmetry = np.abs(A / unit - A.T / unit).max()
+    if asymmetry > SYM_TOL * max(1.0, scale):
         raise DomainError("shape operator is not symmetric within tolerance")
     # work with the exactly-symmetric part so eigh sees a clean input;
     # halving before adding cannot overflow for finite entries
@@ -104,12 +111,17 @@ def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
     operator.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
-    S, n = K.shape
     if r < 0:
         raise DomainError("order r must be nonnegative")
+    return _excluding_rows(K, elem_sym_all_rows(K), r)
+
+
+def _excluding_rows(K: np.ndarray, sig: np.ndarray, r: int) -> np.ndarray:
+    """elem_sym_excluding_rows of K, from the table sig = elem_sym_all_rows(K)
+    the caller already holds."""
+    S, n = K.shape
     if r > n - 1:
         return np.zeros((S, n))
-    sig = elem_sym_all_rows(K)
     out = np.ones((S, n))
     for p in range(1, r + 1):
         out = sig[:, p:p + 1] - K * out

@@ -32,7 +32,7 @@ from newton_flow.flow import (
     homothety_factor,
     run,
     sphere_band_pin,
-    step_revolution,
+    step,
 )
 from newton_flow.symfun import (
     elem_sym,
@@ -219,11 +219,12 @@ def test_criterion_6_flow_laws():
 
     # discrete cylinder under the Gauss flow speed: stationary per step
     prof = cylinder_profile(1.0, 2.0, 256)
+    config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
     state = FlowState(t=0.0, geometry=RevolutionGeometryState(
         z=prof.z.copy(), f=prof.f.copy(), boundary="neumann", orientation=1))
     for _ in range(50):
         before = state.geometry.f.copy()
-        state = step_revolution(state, 2, 1e-5)
+        state = step(state, config, 1e-5)
         assert np.abs(state.geometry.f - before).max() <= 1e-10
 
     elapsed = time.time() - t0

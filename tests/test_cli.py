@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -423,6 +424,21 @@ class TestExitContract:
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
         assert code == 4
         assert "leaves the float range" in err
+
+    def test_run_above_step_budget_is_a_domain_error(self, capsys, tmp_path):
+        # a stationary Gauss-speed tube of radius 1e-170: dt ~ 1e-173, so
+        # t_end = 0.01 would take about 9e170 steps
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "cylinder_band", "radius": 1e-170,
+                      "half_width": 0.5, "samples": 16},
+            "r": 2, "flow": {"t_end": 0.01}})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "flow", "--config", cfg)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: about 9e+170 steps")
+        assert "MAX_STEPS" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [

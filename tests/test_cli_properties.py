@@ -105,13 +105,7 @@ def invocations(draw, corrupt=True):
         {}, optional={"csv": OUTPUT_PATHS, "report": OUTPUT_PATHS}))
 
     bad = HUGE + NOT_NUMBERS + OFF_SIGN
-    # a valid band with a tiny length is a legitimately endless explicit
-    # run (dt ~ h^2), so tiny values reach flow scenes only through the
-    # round laws, whose cost does not depend on the radius
-    model_bad = bad
-    if not flowing or scene["model"]["kind"] in ("sphere", "cylinder"):
-        model_bad = bad + TINY
-    sites = [(scene["model"], key, model_bad)
+    sites = [(scene["model"], key, bad + TINY)
              for key in scene["model"] if key != "kind"]
     sites += [(scene, "r", bad), (scene, "resolution", bad)]
     sites += [(scene["flow"], key, bad) for key in scene.get("flow", {})]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ from newton_flow.flow import (
     FlowConfig,
     FlowState,
     circle_polygon,
-    curve_cfl_bound,
     curve_normals_curvature,
-    curve_speed,
+    curve_stage,
     extinction_time,
     homothety_factor,
     resample_curve,
@@ -35,8 +35,7 @@ from newton_flow.flow import (
     run,
     sphere_band_pin,
     sphere_radius_exact,
-    step_curve,
-    step_revolution,
+    step,
     RevolutionGeometryState,
 )
 from newton_flow.symfun import newton_family
@@ -68,12 +67,15 @@ class TestClosedForms:
         assert err.value.time == pytest.approx(0.25)
 
 
+CIRCLE = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=1.0)
+
+
 class TestCurveStepping:
     def test_cfl_violation(self):
-        verts = circle_polygon(1.0, 64)
-        state = FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
+        geo = CurveGeometry(vertices=circle_polygon(1.0, 64))
+        state = FlowState(t=0.0, geometry=geo)
         with pytest.raises(CflViolationError):
-            step_curve(state, 10.0 * curve_cfl_bound(verts))
+            step(state, CIRCLE, 10.0 * curve_stage(geo).bound)
 
     def test_circle_follows_law(self):
         config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.25,
@@ -119,7 +121,7 @@ class TestCurveStepping:
         verts[1] = verts[0]
         state = FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
         with pytest.raises(DomainError):
-            step_curve(state, 1e-8)
+            step(state, CIRCLE, 1e-8)
 
 
 class TestRevolutionStepping:
@@ -137,8 +139,9 @@ class TestRevolutionStepping:
         geo = RevolutionGeometryState(z=prof.z.copy(), f=prof.f.copy(),
                                       boundary="neumann", orientation=1)
         state = FlowState(t=0.0, geometry=geo)
+        config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
         for _ in range(25):
-            state = step_revolution(state, 2, 1e-5)
+            state = step(state, config, 1e-5)
             assert np.abs(state.geometry.f - 1.0).max() <= 1e-10
 
     def test_dt_order_one_on_cylinder(self):
@@ -317,6 +320,11 @@ def _band_config(r, scheme, pinned, output_stride=10 ** 9):
                       output_stride=output_stride)
 
 
+def _band_step_config(r, m=32):
+    return FlowConfig(r=r, model=Revolution(profile=sphere_band_profile(2.0, 0.6, m)),
+                      t_end=1.0)
+
+
 def _band_state(m=32, f=None):
     prof = sphere_band_profile(2.0, 0.6, m)
     geo = RevolutionGeometryState(z=prof.z.copy(),
@@ -372,17 +380,18 @@ class TestRevolutionStage:
     @pytest.mark.parametrize("r", [1, 2])
     def test_cfl_violation_with_own_or_foreign_stage(self, r):
         state = _band_state(m=129)
+        config = _band_step_config(r, m=129)
         bound = revolution_stage(state.geometry, r).bound
         with pytest.raises(CflViolationError):
-            step_revolution(state, r, 10.0 * bound)
+            step(state, config, 10.0 * bound)
         with pytest.raises(CflViolationError):
-            step_revolution(state, r, 10.0 * bound,
-                            stage=revolution_stage(state.geometry, r))
+            step(state, config, 10.0 * bound,
+                 stage=revolution_stage(state.geometry, r))
         # a coarser grid's stage allows the step; it must not be trusted
         coarse = revolution_stage(_band_state(m=33).geometry, r)
         assert coarse.bound > 10.0 * bound
         with pytest.raises(CflViolationError):
-            step_revolution(state, r, 10.0 * bound, stage=coarse)
+            step(state, config, 10.0 * bound, stage=coarse)
 
     def test_nan_profile_step_raises(self):
         f = _band_state().geometry.f.copy()
@@ -390,7 +399,7 @@ class TestRevolutionStage:
         state = _band_state(f=f)
         for r in (1, 2):
             with pytest.raises(NumericalError):
-                step_revolution(state, r, 1e-6)
+                step(state, _band_step_config(r), 1e-6)
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_nan_profile_run_raises(self, r):
@@ -495,15 +504,18 @@ class TestExplicitScheme:
         result = run(config)
         v0 = circle_polygon(1.0, 48)
 
-        def step(v, t, dt):
-            half = v + 0.5 * dt * curve_speed(v)
-            return v + dt * curve_speed(half)
+        def speed(v):
+            return curve_stage(CurveGeometry(v)).speed
+
+        def rk2_step(v, t, dt):
+            half = v + 0.5 * dt * speed(v)
+            return v + dt * speed(half)
 
         def min_radius(v):
             return float(np.linalg.norm(v, axis=1).min())
 
         def diagnose(v, t, dt, resampled):
-            normal, kappa = curve_normals_curvature(v)
+            normal, kappa = curve_normals_curvature(v, speed(v))
             support = np.sum(v * normal, axis=1)
             phi = _phi(1, t)
             residual = float(np.abs(phi * kappa + support / phi).max())
@@ -512,8 +524,8 @@ class TestExplicitScheme:
             return (t, residual, defect, min_radius(v), dt, resampled)
 
         v, steps, diags, status = _reference_loop(
-            v0, t_end, 0.25, stride, curve_cfl_bound, step, diagnose,
-            min_radius, resample=(every, resample_curve))
+            v0, t_end, 0.25, stride, lambda v: curve_stage(CurveGeometry(v)).bound,
+            rk2_step, diagnose, min_radius, resample=(every, resample_curve))
         assert result.status == status == "completed"
         assert result.state.step_count == steps > 3 * stride
         assert result.state.geometry.vertices.tobytes() == v.tobytes()
@@ -524,10 +536,11 @@ class TestExplicitScheme:
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.3), t_end=1.0,
                             resolution=16, scheme="rk2")
         assert run(config).status == "extinct"
-        # a midpoint at radius 0 ends the step: 1 + 0.5 * 1 * (-2 / 1) = 0
+        # a midpoint at radius 0 ends the step: 1 + 0.5 * 1 * (-2 / 1) = 0;
+        # at resolution 1 the bound is 4 pi^2 / 3, so dt = 1 is allowed
         state = FlowState(t=0.0, geometry=Sphere(n=2, radius=1.0))
         with pytest.raises(ExtinctionError):
-            flow._step_sphere(state, config, 1.0)
+            step(state, replace(config, resolution=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +566,9 @@ class TestRoundFactor:
                 trace_p = float(np.trace(newton_family(np.eye(n) / radius).P[r - 1]))
                 h = 2.0 * np.pi * radius / resolution
                 expect = h * h / (1.0 + trace_p)
-                got = flow._sphere_cfl_bound(Sphere(n=n, radius=radius), r, resolution)
+                sphere = Sphere(n=n, radius=radius)
+                config = FlowConfig(r=r, model=sphere, t_end=1.0, resolution=resolution)
+                got = flow._round_stage(sphere, config).bound
                 assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
@@ -562,7 +577,85 @@ class TestRoundFactor:
                             t_end=0.01, resolution=32)
         state = flow._initial_state(config)
         h = 2.0 * np.pi * 1.5 / 32
-        assert flow._sphere_cfl_bound(state.geometry, r, 32) == h * h
+        assert flow._round_stage(state.geometry, config).bound == h * h
+
+
+# ---------------------------------------------------------------------------
+# the one step, its guard and the step budget
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestStep:
+    def test_nan_vertex_raises(self):
+        verts = circle_polygon(1.0, 32)
+        verts[5, 0] = np.nan
+        state = FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
+        for scheme in ("euler", "rk2"):
+            with pytest.raises(NumericalError, match="non-finite polygon"):
+                step(state, replace(CIRCLE, scheme=scheme), 1e-6)
+
+    def test_round_law_checks_its_bound(self):
+        config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
+                            resolution=16)
+        state = flow._initial_state(config)
+        bound = flow._round_stage(state.geometry, config).bound
+        assert step(state, config, bound).geometry.radius < 1.0
+        with pytest.raises(CflViolationError):
+            step(state, config, 1.01 * bound)
+        with pytest.raises(CflViolationError):
+            step(state, config, 10.0)
+
+    def test_stage_of_another_r_is_recomputed(self):
+        state = _band_state(m=65)
+        loose = revolution_stage(state.geometry, 2)
+        assert loose.bound > 1.2 * revolution_stage(state.geometry, 1).bound
+        with pytest.raises(CflViolationError):
+            step(state, _band_step_config(1, m=65), loose.bound, stage=loose)
+
+    @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
+    def test_one_edge_pass_per_polygon_stage(self, monkeypatch, scheme, passes):
+        # the diagnostics rows reuse the curvature vector of the stage
+        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.05,
+                            resolution=32, scheme=scheme, output_stride=3)
+        calls = _count_calls(monkeypatch, flow, "_curve_edges")
+        result = run(config)
+        assert len(result.diagnostics) > 2
+        assert calls[0] == passes * result.state.step_count + 1
+
+    def test_boundary_values_need_a_revolution_model(self):
+        with pytest.raises(DomainError, match="boundary_values"):
+            FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
+                       boundary_values=sphere_band_pin(2.0, 1, 0.6))
+
+
+class TestStepBudget:
+    def test_estimate_above_budget_is_refused(self, monkeypatch):
+        calls = _count_calls(monkeypatch, flow, "_step")
+        prof = cylinder_profile(1e-170, 0.5, 16)
+        config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=0.01)
+        with pytest.raises(DomainError, match="MAX_STEPS"):
+            run(config)
+        assert calls[0] == 0
+
+    def test_loop_stops_past_the_budget(self, monkeypatch):
+        # the bound shrinks with R^2: about 75 steps estimated, 250 taken
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
+                            resolution=32)
+        assert run(config).state.step_count > 200
+        bound = flow._round_stage(config.model, config).bound
+        assert config.t_end / (config.cfl_safety * bound) < 100
+        monkeypatch.setattr(flow, "MAX_STEPS", 100)
+        with pytest.raises(NumericalError, match="MAX_STEPS=100"):
+            run(config)
 
 
 class TestFlowConfigContract:

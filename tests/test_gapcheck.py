@@ -22,6 +22,7 @@ from newton_flow.gapcheck import (
     gauss_check,
     psd_sufficient,
 )
+from newton_flow import gapcheck, symfun
 from newton_flow.catalog import PointSample, SampleArrays
 from newton_flow.symfun import DefinitenessClass
 from conftest import random_orthogonal
@@ -119,6 +120,31 @@ class TestClassify:
         assert rep_a.flags == rep_b.flags
         assert str(rep_a.classification) == str(rep_b.classification)
         assert rep_a.sup_modified_norm_sq == rep_b.sup_modified_norm_sq
+
+
+class TestOneSigmaTable:
+    def test_excluding_rows_from_a_held_table(self):
+        gen = np.random.default_rng(5)
+        for n in range(1, 8):
+            K = gen.standard_normal((40, n)) * 10.0 ** gen.uniform(-2, 2)
+            sig = symfun.elem_sym_all_rows(K)
+            for r in range(0, n + 1):
+                assert (symfun._excluding_rows(K, sig, r).tobytes()
+                        == symfun.elem_sym_excluding_rows(K, r).tobytes())
+
+    def test_one_table_per_report(self, monkeypatch):
+        calls = [0]
+        inner = gapcheck.elem_sym_all_rows
+
+        def counted(K):
+            calls[0] += 1
+            return inner(K)
+        monkeypatch.setattr(gapcheck, "elem_sym_all_rows", counted)
+        monkeypatch.setattr(symfun, "elem_sym_all_rows", counted)
+        report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3, resolution=8)
+        assert report.gauss is not None and calls[0] == 1
+        gauss_check(Sphere(n=2, radius=1.0), resolution=8)
+        assert calls[0] == 2
 
 
 class TestGaussCheck:

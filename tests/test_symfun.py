@@ -414,6 +414,28 @@ class TestOverflowGuards:
         with pytest.raises(NumericalError):
             modified_sff_norm_sq(np.diag(k), 1)
 
+    @pytest.mark.parametrize("big", [1e100, 1e160, 1e200, 1e308])
+    def test_huge_antisymmetric_part_is_rejected(self, big):
+        # the Frobenius norm overflows above ~1.3e154, and with it the tolerance
+        with pytest.raises(DomainError, match="not symmetric"):
+            newton_family([[1.0, big], [-big, 1.0]])
+
+    def test_huge_symmetric_operator_passes_the_symmetry_check(self):
+        a = np.array([[1e200, 3e199], [3e199, -1e200]])
+        assert symfun._as_shape_operator(a).tobytes() == a.tobytes()
+
+    def test_symmetry_threshold_unchanged_for_ordinary_operators(self, rng):
+        # asymmetry just below / above SYM_TOL * max(1, ||A||) on either side of 1
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            a = random_symmetric(rng, n) * 10.0 ** rng.uniform(-3, 3)
+            skew = np.zeros((n, n))
+            skew[0, 1] = 1.0
+            limit = symfun.SYM_TOL * max(1.0, float(np.linalg.norm(a)))
+            symfun._as_shape_operator(a + 0.9 * limit * skew)
+            with pytest.raises(DomainError):
+                symfun._as_shape_operator(a + 1.1 * limit * skew)
+
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
         monkeypatch.setattr(symfun, "elem_sym_excluding", lambda k, i, r: math.nan)
         with pytest.raises(NumericalError):
