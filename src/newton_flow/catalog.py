@@ -233,6 +233,8 @@ def revolution_curvatures(f: np.ndarray, h: float, boundary: str,
     geometry, the flow's speed and CFL bound, and its diagnostics all
     come from here.
     """
+    if not h * h > 0.0:      # an underflowed h^2 would divide f'' by zero
+        raise float_range_error("h", h, 2)
     fp, fpp = fd.derivatives(f, h, boundary)
     w = np.sqrt(1.0 + fp * fp)
     o = float(orientation)

@@ -34,11 +34,11 @@ from .errors import (
     check_order,
 )
 from .symfun import (
+    _modified_sff_norm_sq,
+    _order_family,
+    _trace_identities,
     definiteness,
     elem_sym_all_rows,
-    modified_sff_norm_sq,
-    newton_family,
-    trace_identities,
 )
 
 logger = logging.getLogger("newton_flow")
@@ -114,15 +114,15 @@ def emit_json(obj, path: str | None):
 _MODEL_KEYS = {
     "hyperplane": {"n"},
     "sphere": {"n", "radius"},
-    "cylinder": {"n", "m", "radius", "axial_extent"},
-    "ellipsoid_rev": {"a", "b", "band", "resolution"},
+    "cylinder": {"n", "m", "radius"},
+    "ellipsoid_rev": {"a", "b", "band"},
     "sphere_band": {"radius", "half_width", "samples"},
     "cylinder_band": {"radius", "half_width", "samples"},
     "revolution": {"z", "f", "boundary", "orientation"},
 }
 
 _FLOW_KEYS = {"t_end", "cfl_safety", "scheme", "rescaled", "output_stride",
-              "resample_every", "pinned_boundary"}
+              "pinned_boundary"}
 _SCENE_KEYS = {"model", "r", "resolution", "flow", "output"}
 _OUTPUT_KEYS = {"csv", "report"}
 
@@ -206,17 +206,11 @@ def parse_model(spec: dict):
     if kind == "sphere":
         return catalog.Sphere(n=get("n", _integer), radius=get("radius", _real))
     if kind == "cylinder":
-        extent = body.get("axial_extent")
         return catalog.Cylinder(
-            n=get("n", _integer), m=get("m", _integer), radius=get("radius", _real),
-            axial_extent=None if extent is None else get("axial_extent", _real))
+            n=get("n", _integer), m=get("m", _integer), radius=get("radius", _real))
     if kind == "ellipsoid_rev":
-        kwargs = {"a": get("a", _real), "b": get("b", _real)}
-        if "band" in body:
-            kwargs["band"] = get("band", _real)
-        if "resolution" in body:
-            kwargs["resolution"] = get("resolution", _integer)
-        return catalog.EllipsoidRev(**kwargs)
+        return catalog.EllipsoidRev(a=get("a", _real), b=get("b", _real),
+                                    band=get("band", _real, catalog.EllipsoidRev.band))
     if kind == "sphere_band":
         profile = catalog.sphere_band_profile(
             get("radius", _real), get("half_width", _real),
@@ -304,10 +298,10 @@ def cmd_algebra(args) -> int:
         k, r = _parse_curvatures(args.k), args.r
     n = k.size
     check_order(r, n)
-    S = np.diag(k)
-    fam = newton_family(S)
+    family = _order_family(np.diag(k), r)   # the one family of this call
+    fam = family[2]
     p_prev = fam.P[r - 1]
-    residuals = trace_identities(S, r)
+    residuals = _trace_identities(*family, r)
     psd = definiteness(p_prev)
     out = {
         "n": n,
@@ -315,7 +309,7 @@ def cmd_algebra(args) -> int:
         "curvatures": list(k),
         "sigmas": list(fam.sigmas),
         "pEigenvalues": list(np.sort(np.linalg.eigvalsh(p_prev))),
-        "modifiedNormSq": modified_sff_norm_sq(S, r),
+        "modifiedNormSq": _modified_sff_norm_sq(*family, r),
         "psdClass": psd.kind.value,
         "traceResiduals": {
             "traceP": residuals.trace_p,
@@ -404,7 +398,6 @@ def cmd_flow(args) -> int:
         rescaled=get("rescaled", _boolean, False),
         scheme=get("scheme", _string, "euler"),
         output_stride=get("output_stride", _integer, 10),
-        resample_every=get("resample_every", _integer, 0),
         boundary_values=boundary_values,
     )
     result = flow.run(config)

@@ -4,8 +4,9 @@ Three discretizations, matched to the geometry: the round law R' =
 -C(n,r)/R^r of spheres (n >= 2) and of the round factor of a cylinder,
 whose state is the catalog ``Sphere``; closed plane curves (n = 1, r =
 1), whose polygon vertices move by the chord-based discrete curvature
-vector; and surfaces of revolution (n = 2), whose radial graph f(z, t)
-moves by df/dt = -sigma_r * sqrt(1 + f_z^2).
+vector (radial on the regular polygons ``run`` builds, so they stay
+regular); and surfaces of revolution (n = 2), whose radial graph f(z,
+t) moves by df/dt = -sigma_r * sqrt(1 + f_z^2).
 
 Each has one stage function, giving a state's speed and its step bound
 dt <= h^2 / (1 + sup tr P_{r-1}) from one pass: ``revolution_stage``,
@@ -21,10 +22,11 @@ and runs one guard: a non-positive radius is extinction (reason "pinch"
 on radial graphs) and a NaN is a NumericalError.
 
 ``run`` evaluates one stage per state, which sets the next dt, is handed
-to the step and feeds the diagnostics row.  It estimates t_end /
-(cfl_safety * bound) from the first stage and refuses a run above
-``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS`` anyway
-stops with a NumericalError.  Runs are deterministic for a fixed
+to the step and feeds the diagnostics row.  It estimates T / (cfl_safety
+* bound) steps from the first stage, T being t_end or, if sooner, the
+closed-form extinction time of a round law or circle, and refuses a run
+above ``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS``
+anyway stops with a NumericalError.  Runs are deterministic for a fixed
 configuration.  The homothety monitor uses the canonical rescaling
 phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
 of that normalization is claimed.
@@ -165,7 +167,6 @@ class Diagnostics:
     homothety_defect: float     # nan when rescaled monitoring is off
     min_radius: float
     dt: float
-    resampled: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,6 @@ class FlowConfig:
     rescaled: bool = False
     scheme: str = "euler"        # "euler" | "rk2"
     output_stride: int = 10
-    resample_every: int = 0      # curve arclength redistribution (0 = off)
     boundary_values: object = None   # callable t -> (f_left, f_right) for bands
 
     def __post_init__(self):
@@ -186,8 +186,6 @@ class FlowConfig:
             raise DomainError("t_end must be positive and finite")
         if not 1 <= self.resolution <= MAX_SAMPLES:
             raise DomainError(f"resolution must lie in 1..{MAX_SAMPLES}")
-        if self.resample_every < 0:
-            raise DomainError("resample_every must be >= 0")
         if not 0 < self.cfl_safety <= 1:
             raise DomainError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("euler", "rk2"):
@@ -291,17 +289,6 @@ def curve_normals_curvature(v: np.ndarray, kn: np.ndarray):
     return normal, kappa
 
 
-def resample_curve(v: np.ndarray) -> np.ndarray:
-    """Redistribute polygon vertices uniformly by arclength."""
-    closed = np.vstack([v, v[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, s[-1], v.shape[0], endpoint=False)
-    x = np.interp(targets, s, closed[:, 0])
-    y = np.interp(targets, s, closed[:, 1])
-    return np.stack([x, y], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # the round law (spheres, and the round factor of cylinders)
 
@@ -381,7 +368,7 @@ def _residual_phi(config, t: float) -> float:
     return phi if phi > 0 else 1.0
 
 
-def _sphere_diagnostics(state, config, dt, initial_geometry, _stage, resampled=False):
+def _sphere_diagnostics(state, config, dt, initial_geometry, _stage):
     n, r = state.geometry.n, config.r
     radius = state.geometry.radius
     phi = _residual_phi(config, state.t)
@@ -393,11 +380,10 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, _stage, resampled=F
     if config.rescaled:
         defect = abs(radius - homothety_factor(r, state.t) * initial_geometry.radius)
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
-                       homothety_defect=defect, min_radius=radius, dt=dt,
-                       resampled=resampled)
+                       homothety_defect=defect, min_radius=radius, dt=dt)
 
 
-def _curve_diagnostics(state, config, dt, initial_geometry, stage, resampled=False):
+def _curve_diagnostics(state, config, dt, initial_geometry, stage):
     v, v0 = state.geometry.vertices, initial_geometry.vertices
     normal, kappa = curve_normals_curvature(v, stage.speed)
     support = np.sum(v * normal, axis=1)
@@ -409,12 +395,10 @@ def _curve_diagnostics(state, config, dt, initial_geometry, stage, resampled=Fal
         defect = float(np.linalg.norm(v - phi_h * v0, axis=1).max())
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
                        homothety_defect=defect,
-                       min_radius=state.geometry.min_radius,
-                       dt=dt, resampled=resampled)
+                       min_radius=state.geometry.min_radius, dt=dt)
 
 
-def _revolution_diagnostics(state, config, dt, initial_geometry, stage,
-                            resampled=False):
+def _revolution_diagnostics(state, config, dt, initial_geometry, stage):
     """Diagnostics row of a radial graph from its state's revolution_stage."""
     geo = state.geometry
     f0, z0 = initial_geometry.f, initial_geometry.z
@@ -431,8 +415,7 @@ def _revolution_diagnostics(state, config, dt, initial_geometry, stage,
         else:
             defect = float(np.abs(geo.f).max())
     return Diagnostics(t=state.t, max_shrinker_residual=residual,
-                       homothety_defect=defect, min_radius=geo.min_radius,
-                       dt=dt, resampled=resampled)
+                       homothety_defect=defect, min_radius=geo.min_radius, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +453,24 @@ class _Kind(NamedTuple):
     name: str             # what a NaN made non-finite
     reason: str           # ExtinctionError reason of a non-positive radius
     diagnose: Callable    # the state's diagnostics row
+    extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
 
 
 _KINDS = {
     Sphere: _Kind(
         _round_stage, attrgetter("radius"), lambda geom, radius: Sphere(geom.n, radius),
-        float, "radius", "extinct", _sphere_diagnostics),
+        float, "radius", "extinct", _sphere_diagnostics,
+        lambda geom, r: extinction_time(geom.n, r, geom.radius)),
     CurveGeometry: _Kind(
         lambda geo, config: curve_stage(geo, config.r), attrgetter("vertices"),
         lambda geo, v: CurveGeometry(v), lambda v: CurveGeometry(v).min_radius,
-        "polygon", "extinct", _curve_diagnostics),
+        "polygon", "extinct", _curve_diagnostics,
+        lambda geo, r: extinction_time(1, r, geo.min_radius)),
     RevolutionGeometryState: _Kind(
         lambda geo, config: revolution_stage(geo, config.r), attrgetter("f"),
         lambda geo, f: RevolutionGeometryState(geo.z, f, geo.boundary, geo.orientation),
-        methodcaller("min"), "profile", "pinch", _revolution_diagnostics),
+        methodcaller("min"), "profile", "pinch", _revolution_diagnostics,
+        lambda geo, r: math.inf),
 }
 
 
@@ -557,19 +544,22 @@ def run(config: FlowConfig) -> RunResult:
     geom = state.geometry
     kind = _KINDS[type(geom)]
 
-    def make_diag(s, dt, st, resampled=False):
+    def make_diag(s, dt, st):
         # steps build new arrays, so the initial geometry stays as it was
-        return kind.diagnose(s, config, dt, geom, st, resampled)
+        return kind.diagnose(s, config, dt, geom, st)
 
     initial_radius = geom.min_radius
     stage = kind.stage(geom, config)
-    # the budget; a bound of 0 is an underflow, which the loop reports
-    if config.t_end > MAX_STEPS * config.cfl_safety * stage.bound > 0.0:
-        raise DomainError(f"about {config.t_end / config.cfl_safety / stage.bound:.3g} "
-                          f"steps to t_end={config.t_end:.6g}, above MAX_STEPS={MAX_STEPS}")
+    try:    # the budget counts steps up to t_end or a closed-form extinction
+        horizon = min(config.t_end, kind.extinction(geom, config.r))
+    except (DomainError, NumericalError):   # r > n: stationary; R^(r+1) overflows
+        horizon = config.t_end
+    # a bound of 0 is an underflow, which the loop reports
+    if horizon > MAX_STEPS * config.cfl_safety * stage.bound > 0.0:
+        raise DomainError(f"about {horizon / config.cfl_safety / stage.bound:.3g} "
+                          f"steps to t={horizon:.6g}, above MAX_STEPS={MAX_STEPS}")
     diagnostics.append(make_diag(state, 0.0, stage))
     status = "completed"
-    resampled_last = False
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
         if state.step_count >= MAX_STEPS:
@@ -584,21 +574,13 @@ def run(config: FlowConfig) -> RunResult:
             status = "extinct"
             break
         last_dt = dt
-        resampled_last = False
-        if (isinstance(state.geometry, CurveGeometry) and config.resample_every
-                and state.step_count % config.resample_every == 0):
-            state = FlowState(
-                t=state.t,
-                geometry=CurveGeometry(resample_curve(state.geometry.vertices)),
-                step_count=state.step_count)
-            resampled_last = True
         stage = kind.stage(state.geometry, config)
         if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
             status = "extinct"
-            diagnostics.append(make_diag(state, dt, stage, resampled_last))
+            diagnostics.append(make_diag(state, dt, stage))
             break
         if state.step_count % config.output_stride == 0:
-            diagnostics.append(make_diag(state, dt, stage, resampled_last))
+            diagnostics.append(make_diag(state, dt, stage))
     if diagnostics[-1].t < state.t:
-        diagnostics.append(make_diag(state, last_dt, stage, resampled_last))
+        diagnostics.append(make_diag(state, last_dt, stage))
     return RunResult(diagnostics=diagnostics, status=status, state=state)

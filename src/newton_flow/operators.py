@@ -58,10 +58,6 @@ class ScalarField:
             raise DomainError("field has non-finite values")
 
 
-def _geom(field: ScalarField) -> RevolutionGeometry:
-    return revolution_geometry(field.geometry)
-
-
 def _lambda_meridian(g: RevolutionGeometry, r: int) -> np.ndarray:
     """Meridional eigenvalue of P_{r-1} built pointwise from curvatures."""
     if r == 1:
@@ -71,18 +67,31 @@ def _lambda_meridian(g: RevolutionGeometry, r: int) -> np.ndarray:
     raise DomainError("revolution operators support r in {1, 2}")
 
 
+# private forms on the geometry g the caller holds: one geometry pass per call
+
+def _gradient(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
+    return fd.deriv1(values, g.h, g.boundary) / g.w
+
+
+def _drift(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
+    """<X, grad F> = (f f' + z) F_z / w^2 for F sampled as values."""
+    return (g.f * g.fp + g.z) * fd.deriv1(values, g.h, g.boundary) / (g.w * g.w)
+
+
+def _lr_apply(g: RevolutionGeometry, field: ScalarField, r: int) -> ScalarField:
+    coef = g.f * _lambda_meridian(g, r) / g.w
+    flux = fd.flux_divergence(coef, field.values, g.h, g.boundary)
+    return ScalarField(values=flux / (g.f * g.w), geometry=field.geometry)
+
+
 def surface_gradient(field: ScalarField) -> np.ndarray:
     """Signed magnitude of grad F along the (unit) meridional direction."""
-    g = _geom(field)
-    df = fd.deriv1(field.values, g.h, g.boundary)
-    return df / g.w
+    return _gradient(revolution_geometry(field.geometry), field.values)
 
 
 def position_gradient_term(field: ScalarField) -> np.ndarray:
     """<X, grad F> nodewise: (f f' + z) F_z / w^2."""
-    g = _geom(field)
-    df = fd.deriv1(field.values, g.h, g.boundary)
-    return (g.f * g.fp + g.z) * df / (g.w * g.w)
+    return _drift(revolution_geometry(field.geometry), field.values)
 
 
 def lr_apply(field: ScalarField, r: int) -> ScalarField:
@@ -91,16 +100,13 @@ def lr_apply(field: ScalarField, r: int) -> ScalarField:
     Second order in the interior; for r = 1 this is the discrete
     Laplace-Beltrami operator of the surface.
     """
-    g = _geom(field)
-    lam = _lambda_meridian(g, r)
-    coef = g.f * lam / g.w
-    flux = fd.flux_divergence(coef, field.values, g.h, g.boundary)
-    return ScalarField(values=flux / (g.f * g.w), geometry=field.geometry)
+    return _lr_apply(revolution_geometry(field.geometry), field, r)
 
 
 def drifted_apply(field: ScalarField, r: int) -> ScalarField:
     """Drifted operator: lr_apply minus the position drift <X, grad F>."""
-    values = lr_apply(field, r).values - position_gradient_term(field)
+    g = revolution_geometry(field.geometry)
+    values = _lr_apply(g, field, r).values - _drift(g, field.values)
     return ScalarField(values=values, geometry=field.geometry)
 
 
@@ -150,10 +156,9 @@ def _support_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
     sig = _sigma_fields(g)
     support = ScalarField(values=g.support, geometry=rev)
-    lhs = lr_apply(support, r).values
-    dsig = fd.deriv1(sig[r], g.h, g.boundary)
-    grad_term = (g.f * g.fp + g.z) * dsig / (g.w * g.w)
-    rhs = -r * sig[r] - (sig[1] * sig[r] - (r + 1) * sig[r + 1]) * g.support - grad_term
+    lhs = _lr_apply(g, support, r).values
+    rhs = (-r * sig[r] - (sig[1] * sig[r] - (r + 1) * sig[r + 1]) * g.support
+           - _drift(g, sig[r]))
     cut = g.interior()
     return float(np.abs(lhs - rhs)[cut].max())
 
@@ -162,7 +167,7 @@ def _position_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
     sig = _sigma_fields(g)
     radius_sq = ScalarField(values=g.f ** 2 + g.z ** 2, geometry=rev)
-    lhs = 0.5 * lr_apply(radius_sq, r).values
+    lhs = 0.5 * _lr_apply(g, radius_sq, r).values
     rhs = (2 - r + 1) * sig[r - 1] + r * sig[r] * g.support
     cut = g.interior()
     return float(np.abs(lhs - rhs)[cut].max())
@@ -223,17 +228,18 @@ def verify_product_rule(f: ScalarField, g_field: ScalarField, r: int) -> float:
             pa.z.shape == pb.z.shape
             and np.array_equal(pa.z, pb.z)
             and np.array_equal(pa.f, pb.f)
+            and pa.boundary == pb.boundary
             and f.geometry.orientation == g_field.geometry.orientation
         )
         if not same:
             raise DomainError("fields live on different geometries")
-    geom = _geom(f)
+    geom = revolution_geometry(f.geometry)
     lam = _lambda_meridian(geom, r)
     fg = ScalarField(values=f.values * g_field.values, geometry=f.geometry)
-    lhs = lr_apply(fg, r).values
-    cross = 2.0 * lam * surface_gradient(f) * surface_gradient(g_field)
-    rhs = (f.values * lr_apply(g_field, r).values
-           + g_field.values * lr_apply(f, r).values + cross)
+    lhs = _lr_apply(geom, fg, r).values
+    cross = 2.0 * lam * _gradient(geom, f.values) * _gradient(geom, g_field.values)
+    rhs = (f.values * _lr_apply(geom, g_field, r).values
+           + g_field.values * _lr_apply(geom, f, r).values + cross)
     cut = geom.interior()
     return float(np.abs(lhs - rhs)[cut].max())
 

@@ -209,7 +209,11 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A, k, fam = _order_family(S, r)
+    return _modified_sff_norm_sq(*_order_family(S, r), r)
+
+
+def _modified_sff_norm_sq(A: np.ndarray, k: np.ndarray, fam, r: int) -> float:
+    """modified_sff_norm_sq from an _order_family result the caller holds."""
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
     val_sum = float(
@@ -243,7 +247,11 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
 
     Each residual is normalized by (1 + ||S||)^(r+1).
     """
-    A, _, fam = _order_family(S, r)
+    return _trace_identities(*_order_family(S, r), r)
+
+
+def _trace_identities(A: np.ndarray, _k, fam, r: int) -> TraceIdentityResiduals:
+    """trace_identities from an _order_family result the caller holds."""
     n = A.shape[0]
     P = fam.P[r - 1]
     sig = fam.sigmas

@@ -23,7 +23,7 @@ from newton_flow.catalog import (
     sphere_band_profile,
     support_function,
 )
-from newton_flow.errors import DomainError
+from newton_flow.errors import DomainError, NumericalError
 from newton_flow.symfun import elem_sym
 from conftest import ellipsoid_gauss_curvature
 
@@ -215,3 +215,9 @@ class TestProfileValidation:
     def test_rejects_non_finite_sizes_and_short_grids(self, build):
         with pytest.raises(DomainError):
             build()
+
+    def test_underflowed_spacing_is_refused_before_the_stencil(self):
+        prof = catalog.cylinder_profile(1.0, 1e-170, 16)
+        assert prof.h > 0.0 and prof.h * prof.h == 0.0
+        with pytest.raises(NumericalError, match=r"h\^2"):
+            catalog.revolution_curvatures(prof.f, prof.h, prof.boundary, 1)

@@ -1,11 +1,12 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from newton_flow import catalog, gapcheck
+from newton_flow import catalog, flow, gapcheck, operators, symfun
 from newton_flow.cli import main, render_json
 from newton_flow.symfun import newton_family
 
@@ -143,6 +144,12 @@ MALFORMED_SCENES = [
     # an output path must be a string: open() takes an int as a file descriptor
     ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1,
       "output": {"report": 987654}}, 2),
+    # keys that changed no output are unknown keys (flow.resample_every is
+    # in test_flow_input_contract)
+    ({"model": {"kind": "cylinder", "n": 3, "m": 2, "radius": 1.0,
+                "axial_extent": 1.0}, "r": 1}, 2),
+    ({"model": {"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0, "resolution": 64},
+      "r": 1}, 2),
 ]
 
 
@@ -268,7 +275,7 @@ class TestFlow:
         ({"t_end": 0.01, "scheme": ["rk2"]}, (), 2),
         ({"t_end": 0.01, "scheme": 2}, (), 2),
         ({"t_end": math.inf}, (), 3),
-        ({"t_end": 0.01, "resample_every": -1}, (), 3),
+        ({"t_end": 0.01, "resample_every": -1}, (), 2),    # an unknown key
         ({"t_end": 0.01}, ("--resolution", "0"), 3),
         ({"t_end": 0.01}, ("--resolution=-16",), 3),
         ({}, ("--t-end", "inf"), 3),
@@ -282,6 +289,22 @@ class TestFlow:
         assert out == ""
         assert "Traceback" not in err
         assert err.startswith("config error" if expect == 2 else "domain error")
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_budget_stops_at_the_closed_form_extinction(self, capsys, tmp_path, r):
+        # up to t_end = 1e4 the first bound gives 1.25e7 (r = 1) or 2.08e7
+        # (r = 2) steps, but the sphere dies out at t = 0.0625 or 0.0417
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 2, "radius": 0.5},
+            "r": r, "resolution": 32, "flow": {"t_end": 1e4}})
+        code, out, _ = run_cli(capsys, "flow", "--config", cfg,
+                               "--out", str(tmp_path / "diag.csv"), "--allow-extinction")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["status"] == "extinct"
+        t_ext = flow.extinction_time(2, r, 0.5)
+        assert summary["tFinal"] == pytest.approx(t_ext, rel=1e-2)
+        assert summary["stepCount"] < 2000
 
     def test_nan_profile_is_numerical_failure(self, capsys, tmp_path):
         z = [0.1 * i for i in range(9)]
@@ -461,6 +484,57 @@ class TestExitContract:
         assert code == 4, out
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--r", "1"], ["flow", "--r", "2"], ["gap"], ["residual"]])
+    def test_underflowed_grid_spacing_is_a_numerical_error(self, capsys, tmp_path, argv):
+        # h = 1e-170 / 7.5: h*h is 0, so f'' would divide by zero
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "cylinder_band", "radius": 1.0,
+                      "half_width": 1e-170, "samples": 16},
+            "r": 1, "flow": {"t_end": 0.01}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], "--config", cfg, *argv[1:])
+        assert code == 4
+        assert out == ""
+        assert "h^2" in err
+        assert "RuntimeWarning" not in err and not caught
+
+    def test_verify_makes_one_geometry_pass_per_residual(self, capsys, monkeypatch):
+        calls = []
+        original = catalog.revolution_geometry
+
+        def counted(rev):
+            calls.append(rev.profile.size)
+            return original(rev)
+
+        for module in (catalog, operators):
+            monkeypatch.setattr(module, "revolution_geometry", counted)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0 and "verification passed" in out
+        # three identities, r in {1, 2}, three resolutions
+        assert sorted(calls) == [64] * 6 + [128] * 6 + [256] * 6
+
+    def test_algebra_builds_one_newton_family(self, capsys, monkeypatch):
+        calls = []
+        original = symfun._family
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(symfun, "_family", counted)
+        code, out, _ = run_cli(capsys, "algebra", "--k", "1,2,3", "--r", "2")
+        assert code == 0
+        assert calls == [(3, 3)]
+        monkeypatch.undo()
+        data, s = json.loads(out), np.diag([1.0, 2.0, 3.0])
+        residuals = symfun.trace_identities(s, 2)
+        assert data["traceResiduals"] == {"traceP": residuals.trace_p,
+                                          "tracePA": residuals.trace_pa,
+                                          "tracePA2": residuals.trace_pa2}
+        assert data["modifiedNormSq"] == symfun.modified_sff_norm_sq(s, 2)
 
     def test_algebra_norm_is_the_cross_checked_trace(self, capsys):
         for k, r in (("1,2,3", 2), ("0.5,-1,2,4", 3), ("-2,0.3,0.7", 1)):

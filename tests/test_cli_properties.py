@@ -56,16 +56,12 @@ def models(draw):
         return {"kind": kind, "n": n, "radius": radius}
     if kind == "cylinder":
         n = max(n, 2)
-        spec = {"kind": kind, "n": n, "m": draw(st.integers(1, n - 1)),
+        return {"kind": kind, "n": n, "m": draw(st.integers(1, n - 1)),
                 "radius": radius}
-        if draw(st.booleans()):
-            spec["axial_extent"] = draw(ORDINARY)
-        return spec
     samples = draw(st.sampled_from([5, 9, 16]))
     if kind == "ellipsoid_rev":
         return {"kind": kind, "a": draw(ORDINARY), "b": draw(ORDINARY),
-                "band": draw(st.sampled_from([0.5, 0.75])),
-                "resolution": samples}
+                "band": draw(st.sampled_from([0.5, 0.75]))}
     if kind == "sphere_band":
         return {"kind": kind, "radius": draw(st.floats(1.5, 3.0)),
                 "half_width": draw(st.floats(0.2, 1.0)), "samples": samples}
@@ -93,7 +89,6 @@ def invocations(draw, corrupt=True):
             "scheme": draw(st.sampled_from(["euler", "rk2"])),
             "rescaled": draw(st.booleans()),
             "output_stride": draw(st.integers(1, 10)),
-            "resample_every": draw(st.sampled_from([0, 5])),
             "pinned_boundary": draw(st.booleans()),
         }
     if not corrupt:

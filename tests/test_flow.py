@@ -30,7 +30,6 @@ from newton_flow.flow import (
     curve_stage,
     extinction_time,
     homothety_factor,
-    resample_curve,
     revolution_stage,
     run,
     sphere_band_pin,
@@ -108,13 +107,6 @@ class TestCurveStepping:
         result = run(config)
         worst = max(d.max_shrinker_residual for d in result.diagnostics)
         assert worst <= 1e-3
-
-    def test_resampling_keeps_law(self):
-        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.2,
-                            resolution=128, resample_every=100)
-        result = run(config)
-        radius = np.linalg.norm(result.state.geometry.vertices, axis=1)
-        assert radius.mean() == pytest.approx(math.sqrt(1.0 - 0.4), abs=1e-3)
 
     def test_degenerate_edge_rejected(self):
         verts = circle_polygon(1.0, 32)
@@ -414,12 +406,11 @@ class TestRevolutionStage:
 # ---------------------------------------------------------------------------
 # the shared explicit scheme against in-test loops written out per geometry
 
-def _reference_loop(x, t_end, safety, stride, bound, step, diagnose,
-                    min_radius, resample=None):
+def _reference_loop(x, t_end, safety, stride, bound, step, diagnose, min_radius):
     """run()'s time loop; returns (x, steps, diagnostic tuples, status)."""
-    t, steps, last_dt, resampled = 0.0, 0, 0.0, False
+    t, steps, last_dt = 0.0, 0, 0.0
     radius0 = min_radius(x)
-    diags = [diagnose(x, t, 0.0, False)]
+    diags = [diagnose(x, t, 0.0)]
     status = "completed"
     while t < t_end * (1.0 - 1e-14):
         dt = min(safety * bound(x), t_end - t)
@@ -429,23 +420,20 @@ def _reference_loop(x, t_end, safety, stride, bound, step, diagnose,
         t += dt
         steps += 1
         last_dt = dt
-        resampled = resample is not None and steps % resample[0] == 0
-        if resampled:
-            x = resample[1](x)
         if min_radius(x) < 1e-3 * radius0:
-            diags.append(diagnose(x, t, dt, resampled))
+            diags.append(diagnose(x, t, dt))
             status = "extinct"
             break
         if steps % stride == 0:
-            diags.append(diagnose(x, t, dt, resampled))
+            diags.append(diagnose(x, t, dt))
     if diags[-1][0] < t:
-        diags.append(diagnose(x, t, last_dt, resampled))
+        diags.append(diagnose(x, t, last_dt))
     return x, steps, diags, status
 
 
 def _as_tuples(diagnostics):
-    return [(d.t, d.max_shrinker_residual, d.homothety_defect, d.min_radius,
-             d.dt, d.resampled) for d in diagnostics]
+    return [(d.t, d.max_shrinker_residual, d.homothety_defect, d.min_radius, d.dt)
+            for d in diagnostics]
 
 
 def _phi(r, t):
@@ -483,11 +471,11 @@ class TestExplicitScheme:
                 new = radius + dt * rate(half) if half > 0 else 0.0
             return new if new > 0 else None
 
-        def diagnose(radius, t, dt, resampled):
+        def diagnose(radius, t, dt):
             phi = _phi(r, t)
             residual = abs(phi ** r * math.comb(n, r) / radius ** r - radius / phi)
             defect = abs(radius - homothety_factor(r, t) * radius0)
-            return (t, residual, defect, radius, dt, resampled)
+            return (t, residual, defect, radius, dt)
 
         radius, steps, diags, status = _reference_loop(
             radius0, t_end, 0.25, stride, bound, step, diagnose, lambda x: x)
@@ -496,11 +484,11 @@ class TestExplicitScheme:
         assert result.state.geometry.radius == radius
         assert _as_tuples(result.diagnostics) == diags
 
-    def test_polygon_rk2_with_resampling_matches_reference_loop(self):
-        t_end, stride, every = 0.1, 4, 5
+    def test_polygon_rk2_matches_reference_loop(self):
+        t_end, stride = 0.1, 4
         config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=t_end,
                             rescaled=True, resolution=48, scheme="rk2",
-                            output_stride=stride, resample_every=every)
+                            output_stride=stride)
         result = run(config)
         v0 = circle_polygon(1.0, 48)
 
@@ -514,23 +502,22 @@ class TestExplicitScheme:
         def min_radius(v):
             return float(np.linalg.norm(v, axis=1).min())
 
-        def diagnose(v, t, dt, resampled):
+        def diagnose(v, t, dt):
             normal, kappa = curve_normals_curvature(v, speed(v))
             support = np.sum(v * normal, axis=1)
             phi = _phi(1, t)
             residual = float(np.abs(phi * kappa + support / phi).max())
             defect = float(np.linalg.norm(v - homothety_factor(1, t) * v0,
                                           axis=1).max())
-            return (t, residual, defect, min_radius(v), dt, resampled)
+            return (t, residual, defect, min_radius(v), dt)
 
         v, steps, diags, status = _reference_loop(
             v0, t_end, 0.25, stride, lambda v: curve_stage(CurveGeometry(v)).bound,
-            rk2_step, diagnose, min_radius, resample=(every, resample_curve))
+            rk2_step, diagnose, min_radius)
         assert result.status == status == "completed"
         assert result.state.step_count == steps > 3 * stride
         assert result.state.geometry.vertices.tobytes() == v.tobytes()
         assert _as_tuples(result.diagnostics) == diags
-        assert any(d.resampled for d in result.diagnostics)
 
     def test_scalar_rk2_past_extinction_reports_extinct(self):
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.3), t_end=1.0,
@@ -657,12 +644,33 @@ class TestStepBudget:
         with pytest.raises(NumericalError, match="MAX_STEPS=100"):
             run(config)
 
+    # spheres: tests/test_cli.py::TestFlow::test_budget_stops_at_the_closed_form_extinction
+    @pytest.mark.parametrize("model, r, resolution", [
+        (Cylinder(n=4, m=2, radius=0.5), 2, 32),   # 2.08e7 steps up to t_end
+        (Sphere(n=1, radius=1.0), 1, 96),          # the circle: 1.87e7
+    ])
+    def test_round_runs_are_estimated_up_to_extinction(self, model, r, resolution):
+        result = run(FlowConfig(r=r, model=model, t_end=1e4, resolution=resolution))
+        assert result.status == "extinct"
+        m = model.m if isinstance(model, Cylinder) else model.n
+        t_ext = extinction_time(m, r, model.radius)
+        assert result.state.t == pytest.approx(t_ext, rel=1e-2)
+
+    @pytest.mark.parametrize("model, r", [
+        (Cylinder(n=5, m=2, radius=1.2), 3),   # r > m: stationary, no extinction time
+        (Sphere(n=2, radius=1e150), 2),        # R^(r+1) overflows
+    ])
+    def test_estimate_keeps_t_end_without_a_closed_form_extinction(self, model, r):
+        assert run(FlowConfig(r=r, model=model, t_end=0.01, resolution=32)).status \
+            in ("completed", "stationary")
+        with pytest.raises(DomainError, match=r"steps to t=1e\+305, above MAX_STEPS"):
+            run(FlowConfig(r=r, model=model, t_end=1e305, resolution=32))
+
 
 class TestFlowConfigContract:
     @pytest.mark.parametrize("field, value", [
         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
         ("resolution", 0), ("resolution", -16),
-        ("resample_every", -1),
     ])
     def test_rejects(self, field, value):
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}

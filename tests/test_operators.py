@@ -5,6 +5,7 @@ from newton_flow import fd
 from newton_flow.catalog import (
     Cylinder,
     EllipsoidRev,
+    ProfileCurve,
     Revolution,
     Sphere,
     cylinder_profile,
@@ -215,6 +216,16 @@ class TestProductRule:
         fa = ScalarField(values=np.zeros(65), geometry=cylinder_rev(samples=65))
         fb = ScalarField(values=np.zeros(129), geometry=cylinder_rev(samples=129))
         with pytest.raises(DomainError):
+            verify_product_rule(fa, fb, 1)
+
+    def test_boundary_mismatch(self):
+        # equal nodes, other boundary mode: the fields' L_{r-1} differ
+        rev = cylinder_rev(samples=65)
+        periodic = Revolution(profile=ProfileCurve(z=rev.profile.z, f=rev.profile.f,
+                                                   boundary="periodic"))
+        fa = ScalarField(values=np.sin(rev.profile.z), geometry=rev)
+        fb = ScalarField(values=np.cos(rev.profile.z), geometry=periodic)
+        with pytest.raises(DomainError, match="different geometries"):
             verify_product_rule(fa, fb, 1)
 
 
