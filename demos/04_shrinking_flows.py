@@ -1,8 +1,8 @@
 """Explicit integration of the speed-sigma_r normal flow.
 
-Circles and spheres obey closed-form radius laws, which the polygon,
-scalar-ODE, and radial-graph integrators reproduce; the shrinking sphere
-of the right radius moves purely by homothety; a tube is frozen by the
+Circles and spheres obey closed-form radius laws, which the scalar round
+law and the radial-graph integrator reproduce; the shrinking sphere of
+the right radius moves purely by homothety; a tube is frozen by the
 Gauss-curvature speed because its sigma_2 vanishes.
 """
 
@@ -22,7 +22,7 @@ from newton_flow import (
 from newton_flow.catalog import cylinder_profile, sphere_band_profile
 from newton_flow.flow import homothety_factor, sphere_band_pin
 
-print("=== a unit circle under curve shortening (256 vertices) ===")
+print("=== a unit circle under curve shortening (the round law, resolution 256) ===")
 config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.25,
                     resolution=256, output_stride=1500)
 result = run(config)

@@ -103,6 +103,8 @@ class ProfileCurve:
         object.__setattr__(self, "f", f)
         if z.ndim != 1 or z.size < 5 or z.shape != f.shape:
             raise DomainError("profile needs >= 5 matching z/f samples")
+        if not (np.isfinite(z).all() and np.isfinite(f).all()):
+            raise DomainError("profile has non-finite z or f samples")
         dz = np.diff(z)
         if dz.min() <= 0 or np.abs(dz - dz[0]).max() > 1e-12 * abs(dz[0]):
             raise DomainError("profile grid must be uniform and increasing")

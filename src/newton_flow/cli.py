@@ -34,10 +34,10 @@ from .errors import (
     check_order,
 )
 from .symfun import (
+    _eigen_definiteness,
     _modified_sff_norm_sq,
     _order_family,
     _trace_identities,
-    definiteness,
     elem_sym_all_rows,
 )
 
@@ -300,15 +300,14 @@ def cmd_algebra(args) -> int:
     check_order(r, n)
     family = _order_family(np.diag(k), r)   # the one family of this call
     fam = family[2]
-    p_prev = fam.P[r - 1]
     residuals = _trace_identities(*family, r)
-    psd = definiteness(p_prev)
+    psd, p_eigenvalues = _eigen_definiteness(fam.P[r - 1])   # ascending
     out = {
         "n": n,
         "r": r,
         "curvatures": list(k),
         "sigmas": list(fam.sigmas),
-        "pEigenvalues": list(np.sort(np.linalg.eigvalsh(p_prev))),
+        "pEigenvalues": list(p_eigenvalues),
         "modifiedNormSq": _modified_sff_norm_sq(*family, r),
         "psdClass": psd.kind.value,
         "traceResiduals": {

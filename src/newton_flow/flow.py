@@ -1,19 +1,17 @@
 """Explicit time integration of the speed-sigma_r normal flow.
 
-Three discretizations, matched to the geometry: the round law R' =
--C(n,r)/R^r of spheres (n >= 2) and of the round factor of a cylinder,
-whose state is the catalog ``Sphere``; closed plane curves (n = 1, r =
-1), whose polygon vertices move by the chord-based discrete curvature
-vector (radial on the regular polygons ``run`` builds, so they stay
-regular); and surfaces of revolution (n = 2), whose radial graph f(z,
-t) moves by df/dt = -sigma_r * sqrt(1 + f_z^2).
+Two discretizations, matched to the geometry: the round law R' =
+-C(n,r)/R^r of spheres (the circle n = 1 among them) and of the round
+factor of a cylinder, whose state is the catalog ``Sphere``; and
+surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
+df/dt = -sigma_r * sqrt(1 + f_z^2).
 
 Each has one stage function, giving a state's speed and its step bound
-dt <= h^2 / (1 + sup tr P_{r-1}) from one pass: ``revolution_stage``,
-``curve_stage`` and the round law's closed forms (h = 2 pi R /
-resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
-law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
-1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
+dt <= h^2 / (1 + sup tr P_{r-1}) from one pass: ``revolution_stage`` and
+the round law's closed forms (h = 2 pi R / resolution, tr P_{r-1} =
+(n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
+T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
+on 21 of the 55 catalog laws at resolution 128).
 ``step`` is the one explicit step for every geometry: it recomputes a
 stage built for another state or r, refuses dt above the bound, advances
 by ``_explicit_step`` (forward Euler or the rk2 midpoint rule, with the
@@ -24,9 +22,9 @@ on radial graphs) and a NaN is a NumericalError.
 ``run`` evaluates one stage per state, which sets the next dt, is handed
 to the step and feeds the diagnostics row.  It estimates T / (cfl_safety
 * bound) steps from the first stage, T being t_end or, if sooner, the
-closed-form extinction time of a round law or circle, and refuses a run
-above ``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS``
-anyway stops with a NumericalError.  Runs are deterministic for a fixed
+closed-form extinction time of a round law, and refuses a run above
+``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS`` anyway
+stops with a NumericalError.  Runs are deterministic for a fixed
 configuration.  The homothety monitor uses the canonical rescaling
 phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
 of that normalization is claimed.
@@ -129,15 +127,6 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
 # state containers
 
 @dataclass(eq=False)
-class CurveGeometry:
-    vertices: np.ndarray      # (V, 2), closed polygon, CCW
-
-    @property
-    def min_radius(self) -> float:
-        return float(np.linalg.norm(self.vertices, axis=1).min())
-
-
-@dataclass(eq=False)
 class RevolutionGeometryState:
     z: np.ndarray
     f: np.ndarray
@@ -228,8 +217,11 @@ def _explicit_step(x, speed, speed_at, t, dt, scheme, pin=None):
     return x_new if pin is None else pin(x_new, t + dt)
 
 
+# ---------------------------------------------------------------------------
+# the round law (spheres, and the round factor of cylinders)
+
 class Stage:
-    """Speed and explicit step bound of a polygon or round-law state.
+    """Speed and explicit step bound of a round-law state.
 
     A slots class: one is built every round-law step, where a NamedTuple's
     constructor costs a measurable share of the step."""
@@ -239,58 +231,9 @@ class Stage:
     def __init__(self, geometry, r: int, speed, bound: float):
         self.geometry = geometry  # the state it was computed from
         self.r = r
-        self.speed = speed        # vertex velocities (V, 2), or the round law's R'
+        self.speed = speed        # the round law's R'
         self.bound = bound        # explicit stability bound on dt
 
-
-# ---------------------------------------------------------------------------
-# polygon curves (n = 1, r = 1)
-
-def circle_polygon(radius: float, vertices: int) -> np.ndarray:
-    """Regular CCW polygon inscribed in the circle of the given radius."""
-    if vertices < 16:
-        raise DomainError("closed curves need >= 16 vertices")
-    theta = 2.0 * np.pi * np.arange(vertices) / vertices
-    return radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-
-
-def _curve_edges(v: np.ndarray):
-    d_next = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
-    diam = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-    if d_next.min() < 1e-12 * max(diam, 1e-300):
-        raise DomainError("degenerate polygon edge")
-    return d_next, np.roll(d_next, 1)
-
-
-def curve_stage(geo: CurveGeometry, r: int = 1) -> Stage:
-    """One edge pass over a closed polygon: its curvature vector and CFL bound.
-
-    kappa*N is exact (1/R, radial) on a regular inscribed polygon and points
-    inward on convex CCW curves; the bound is h_min^2 / (1 + tr P_0), tr P_0 = 1.
-    """
-    if r != 1:
-        raise DomainError("plane curves support r = 1 only")
-    v = geo.vertices
-    if v.shape[0] < 16:
-        raise DomainError("closed curves need >= 16 vertices")
-    d_next, d_prev = _curve_edges(v)
-    t_next = (np.roll(v, -1, axis=0) - v) / d_next[:, None]
-    t_prev = (v - np.roll(v, 1, axis=0)) / d_prev[:, None]
-    speed = 2.0 * (t_next - t_prev) / (d_prev + d_next)[:, None]
-    return Stage(geo, r, speed, float(d_next.min() ** 2) / 2.0)
-
-
-def curve_normals_curvature(v: np.ndarray, kn: np.ndarray):
-    """Unit inward normals (CCW) and signed curvature, from v's curvature vector kn."""
-    chord = np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)
-    normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1)
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
-    kappa = np.sum(kn * normal, axis=1)
-    return normal, kappa
-
-
-# ---------------------------------------------------------------------------
-# the round law (spheres, and the round factor of cylinders)
 
 def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
     """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution."""
@@ -383,21 +326,6 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, _stage):
                        homothety_defect=defect, min_radius=radius, dt=dt)
 
 
-def _curve_diagnostics(state, config, dt, initial_geometry, stage):
-    v, v0 = state.geometry.vertices, initial_geometry.vertices
-    normal, kappa = curve_normals_curvature(v, stage.speed)
-    support = np.sum(v * normal, axis=1)
-    phi = _residual_phi(config, state.t)
-    residual = float(np.abs(phi * kappa + support / phi).max())
-    defect = math.nan
-    if config.rescaled:
-        phi_h = homothety_factor(config.r, state.t)
-        defect = float(np.linalg.norm(v - phi_h * v0, axis=1).max())
-    return Diagnostics(t=state.t, max_shrinker_residual=residual,
-                       homothety_defect=defect,
-                       min_radius=state.geometry.min_radius, dt=dt)
-
-
 def _revolution_diagnostics(state, config, dt, initial_geometry, stage):
     """Diagnostics row of a radial graph from its state's revolution_stage."""
     geo = state.geometry
@@ -425,9 +353,6 @@ def _initial_state(config: FlowConfig) -> FlowState:
     model = config.model
     if isinstance(model, Hyperplane):
         return FlowState(t=0.0, geometry=model)
-    if isinstance(model, Sphere) and model.n == 1:
-        verts = circle_polygon(model.radius, config.resolution)
-        return FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
     if isinstance(model, Sphere):
         return FlowState(t=0.0, geometry=model)
     if isinstance(model, Cylinder):
@@ -461,11 +386,6 @@ _KINDS = {
         _round_stage, attrgetter("radius"), lambda geom, radius: Sphere(geom.n, radius),
         float, "radius", "extinct", _sphere_diagnostics,
         lambda geom, r: extinction_time(geom.n, r, geom.radius)),
-    CurveGeometry: _Kind(
-        lambda geo, config: curve_stage(geo, config.r), attrgetter("vertices"),
-        lambda geo, v: CurveGeometry(v), lambda v: CurveGeometry(v).min_radius,
-        "polygon", "extinct", _curve_diagnostics,
-        lambda geo, r: extinction_time(1, r, geo.min_radius)),
     RevolutionGeometryState: _Kind(
         lambda geo, config: revolution_stage(geo, config.r), attrgetter("f"),
         lambda geo, f: RevolutionGeometryState(geo.z, f, geo.boundary, geo.orientation),

@@ -17,17 +17,19 @@ entry point validates its operator and builds the family once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NotPSDError, NumericalError, check_order
+from .errors import DomainError, NotPSDError, NumericalError, check_order, float_range_error
 
 # Tolerances (double precision with degree-based scaling).
 SYM_TOL = 1e-10        # relative asymmetry allowed in a shape operator
 CLAMP_TOL = 1e-12      # eigenvalue clamping window in sqrt_psd
 IDENTITY_TOL = 1e-10   # residual tolerance for the trace identities
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _as_curvatures(k) -> np.ndarray:
@@ -40,19 +42,30 @@ def _as_curvatures(k) -> np.ndarray:
     return k
 
 
+def _norm(X: np.ndarray) -> float:
+    """Frobenius norm; math.hypot scales, so it overflows only past the float range."""
+    return math.hypot(*X.ravel().tolist())
+
+
+def _check_degree(norm_a: float, p: int, n: int):
+    """Raise the float-range NumericalError unless n 2^n (1 + |A|)^p is finite: it
+    bounds the degree-p quantities of an n x n A (sigma_p, A^p, P_p, their traces)."""
+    if not p * math.log1p(norm_a) + math.log(n * 2.0 ** n) < _LOG_MAX:
+        raise float_range_error("|A|", norm_a, p)
+
+
 def _as_shape_operator(S) -> np.ndarray:
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DomainError("shape operator must be a square matrix")
     if not np.isfinite(A).all():
         raise DomainError("shape operator has non-finite entries")
-    scale = float(np.linalg.norm(A))
-    if scale < np.inf:
+    scale = _norm(A)
+    if scale < 8e307:     # half the largest float: no A_ij - A_ji overflows
         asymmetry = np.abs(A - A.T).max()
-    else:
-        # entries above ~1e154 overflow the norm: measure both in units of max|A|
+    else:                 # measure both in units of max|A|
         unit = np.abs(A).max()
-        scale = float(np.linalg.norm(A / unit))
+        scale = _norm(A / unit)
         asymmetry = np.abs(A / unit - A.T / unit).max()
     if asymmetry > SYM_TOL * max(1.0, scale):
         raise DomainError("shape operator is not symmetric within tolerance")
@@ -151,6 +164,8 @@ def newton_family(S) -> NewtonFamily:
 def _family(A: np.ndarray) -> tuple:
     """Eigenvalues and NewtonFamily of an operator already validated."""
     n = A.shape[0]
+    norm_a = _norm(A)
+    _check_degree(norm_a, n, n)
     k = np.linalg.eigvalsh(A)
     sig = elem_sym_all_rows(k[None])[0]
     eye = np.eye(n)
@@ -158,7 +173,6 @@ def _family(A: np.ndarray) -> tuple:
     for r in range(1, n + 1):
         P.append(sig[r] * eye - P[r - 1] @ A)
 
-    norm_a = float(np.linalg.norm(A))
     # cross-check against the polynomial form, degree-scaled
     powers = [eye]
     for _ in range(n):
@@ -168,11 +182,11 @@ def _family(A: np.ndarray) -> tuple:
             ((-1.0) ** j) * sig[r - j] * powers[j] for j in range(r + 1)
         )
         tol = IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
-        if not np.linalg.norm(P[r] - poly_r) <= tol:    # NaN fails too
+        if not _norm(P[r] - poly_r) <= tol:    # NaN fails too
             raise NumericalError(
                 f"recurrence/polynomial disagreement for P_{r}"
             )
-    if not np.linalg.norm(P[n]) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
+    if not _norm(P[n]) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
         raise NumericalError("P_n deviates from zero beyond tolerance")
     return k, NewtonFamily(sigmas=sig, P=tuple(P))
 
@@ -181,6 +195,7 @@ def _order_family(S, r: int) -> tuple:
     """Validated S, its eigenvalues and its family, once 1 <= r <= n holds."""
     A = _as_shape_operator(S)
     check_order(r, A.shape[0])
+    _check_degree(_norm(A), r + 1, A.shape[0])   # the order-r identities reach degree r+1
     k, fam = _family(A)
     return A, k, fam
 
@@ -294,10 +309,14 @@ def definiteness(M, tol: float = 1e-10) -> Definiteness:
     An eigenvalue within +/- tol*max(1, ||M||) of zero counts as zero
     (semidefinite), never as strictly signed.
     """
+    return _eigen_definiteness(M, tol)[0]
+
+
+def _eigen_definiteness(M, tol: float = 1e-10) -> tuple:
+    """definiteness of M, and the ascending eigenvalues it was read from."""
     A = _as_shape_operator(M)
     w = np.linalg.eigvalsh(A)
-    return _classify(float(w[0]), float(w[-1]),
-                     tol * max(1.0, float(np.linalg.norm(A))))
+    return _classify(float(w[0]), float(w[-1]), tol * max(1.0, _norm(A))), w
 
 
 def classify_from_eigenvalues(w, tol: float = 1e-10) -> Definiteness:

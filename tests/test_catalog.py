@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestProfileValidation:
         z = np.linspace(0.0, 1.0, 5)
         with pytest.raises(DomainError):
             ProfileCurve(z=z, f=np.array([1.0, 1.0, 0.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("column", ["z", "f"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, column, value):
+        samples = {"z": np.linspace(0.0, 1.0, 5), "f": np.ones(5)}
+        samples[column][2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # refused before np.diff runs
+            with pytest.raises(DomainError, match="non-finite"):
+                ProfileCurve(**samples)
 
     def test_cylinder_needs_valid_rank(self):
         with pytest.raises(DomainError):

@@ -174,7 +174,7 @@ def _nan_profile_scene(tmp_path):
 @pytest.mark.parametrize("command", ["gap", "residual"])
 def test_nan_profile_is_numerical_failure_outside_flow(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, command, "--config", _nan_profile_scene(tmp_path))
-    assert code == 4
+    assert code == 3     # a NaN sample is outside the profile's domain
     assert out == ""
     assert "non-finite" in err
     assert "Traceback" not in err
@@ -314,7 +314,7 @@ class TestFlow:
             "model": {"kind": "revolution", "z": z, "f": f},
             "r": 1, "flow": {"t_end": 0.01}})
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
-        assert code == 4
+        assert code == 3
         assert "non-finite" in err
 
 
@@ -485,6 +485,21 @@ class TestExitContract:
         assert out == ""
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k, r", [
+        ("1e308,1", 1), ("1e160,1", 1),   # A^2 overflows
+        ("1e200", 1),                     # n = 1: tr(P_0 A^2) overflows
+        ("1e120,1", 2), ("1e150,1,1", 2),   # (1 + |A|)^3 overflows
+    ])
+    def test_overflowing_algebra_is_a_float_range_error(self, capsys, k, r):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "algebra", "--k", k, "--r", str(r))
+        assert code == 4
+        assert out == ""
+        assert "float range" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("argv", [
         ["flow", "--r", "1"], ["flow", "--r", "2"], ["gap"], ["residual"]])
     def test_underflowed_grid_spacing_is_a_numerical_error(self, capsys, tmp_path, argv):
@@ -525,9 +540,19 @@ class TestExitContract:
             return original(a)
 
         monkeypatch.setattr(symfun, "_family", counted)
+        eigvalsh = np.linalg.eigvalsh
+        solves = []
+
+        def counted_eigvalsh(a):
+            solves.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         code, out, _ = run_cli(capsys, "algebra", "--k", "1,2,3", "--r", "2")
         assert code == 0
         assert calls == [(3, 3)]
+        # one for the family, one for P_{r-1}: psdClass and pEigenvalues share it
+        assert solves == [(3, 3), (3, 3)]
         monkeypatch.undo()
         data, s = json.loads(out), np.diag([1.0, 2.0, 3.0])
         residuals = symfun.trace_identities(s, 2)

@@ -8,7 +8,6 @@ from newton_flow import fd, flow
 from newton_flow.catalog import (
     Cylinder,
     Hyperplane,
-    ProfileCurve,
     Revolution,
     Sphere,
     cylinder_profile,
@@ -22,12 +21,8 @@ from newton_flow.errors import (
     NumericalError,
 )
 from newton_flow.flow import (
-    CurveGeometry,
     FlowConfig,
     FlowState,
-    circle_polygon,
-    curve_normals_curvature,
-    curve_stage,
     extinction_time,
     homothety_factor,
     revolution_stage,
@@ -66,31 +61,13 @@ class TestClosedForms:
         assert err.value.time == pytest.approx(0.25)
 
 
-CIRCLE = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=1.0)
-
-
 class TestCurveStepping:
-    def test_cfl_violation(self):
-        geo = CurveGeometry(vertices=circle_polygon(1.0, 64))
-        state = FlowState(t=0.0, geometry=geo)
-        with pytest.raises(CflViolationError):
-            step(state, CIRCLE, 10.0 * curve_stage(geo).bound)
-
     def test_circle_follows_law(self):
         config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.25,
                             resolution=256)
         result = run(config)
-        radius = np.linalg.norm(result.state.geometry.vertices, axis=1)
-        assert radius.mean() == pytest.approx(math.sqrt(0.5), abs=1e-3)
-
-    def test_polygon_stays_round_and_centered(self):
-        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.2,
-                            resolution=128)
-        result = run(config)
-        verts = result.state.geometry.vertices
-        radius = np.linalg.norm(verts, axis=1)
-        assert radius.max() - radius.min() <= 1e-6 * 1.0
-        assert np.abs(verts.mean(axis=0)).max() <= 1e-10
+        radius = result.state.geometry.radius
+        assert radius == pytest.approx(math.sqrt(0.5), abs=1e-3)
 
     def test_min_radius_strictly_decreasing(self):
         config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.2,
@@ -107,13 +84,6 @@ class TestCurveStepping:
         result = run(config)
         worst = max(d.max_shrinker_residual for d in result.diagnostics)
         assert worst <= 1e-3
-
-    def test_degenerate_edge_rejected(self):
-        verts = circle_polygon(1.0, 32)
-        verts[1] = verts[0]
-        state = FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
-        with pytest.raises(DomainError):
-            step(state, CIRCLE, 1e-8)
 
 
 class TestRevolutionStepping:
@@ -394,11 +364,17 @@ class TestRevolutionStage:
                 step(state, _band_step_config(r), 1e-6)
 
     @pytest.mark.parametrize("r", [1, 2])
-    def test_nan_profile_run_raises(self, r):
-        prof = sphere_band_profile(2.0, 0.6, 32)
-        f = prof.f.copy()
-        f[7] = np.nan
-        model = Revolution(profile=ProfileCurve(z=prof.z, f=f))
+    def test_nan_profile_run_raises(self, monkeypatch, r):
+        # a ProfileCurve refuses NaN samples, so the NaN goes into run's state
+        initial_state = flow._initial_state
+
+        def with_nan(config):
+            state = initial_state(config)
+            state.geometry.f[7] = np.nan
+            return state
+
+        monkeypatch.setattr(flow, "_initial_state", with_nan)
+        model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
         with pytest.raises(NumericalError):
             run(FlowConfig(r=r, model=model, t_end=0.01))
 
@@ -446,6 +422,7 @@ class TestExplicitScheme:
     @pytest.mark.parametrize("model, n, r", [
         (Sphere(n=3, radius=shrinker_radius(3, 2)), 3, 2),
         (Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 2, 1),
+        (Sphere(n=1, radius=shrinker_radius(1, 1)), 1, 1),    # the circle
     ])
     def test_scalar_law_matches_reference_loop(self, model, n, r, scheme):
         resolution, t_end, stride = 64, 0.3 / (r + 1), 7
@@ -484,41 +461,6 @@ class TestExplicitScheme:
         assert result.state.geometry.radius == radius
         assert _as_tuples(result.diagnostics) == diags
 
-    def test_polygon_rk2_matches_reference_loop(self):
-        t_end, stride = 0.1, 4
-        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=t_end,
-                            rescaled=True, resolution=48, scheme="rk2",
-                            output_stride=stride)
-        result = run(config)
-        v0 = circle_polygon(1.0, 48)
-
-        def speed(v):
-            return curve_stage(CurveGeometry(v)).speed
-
-        def rk2_step(v, t, dt):
-            half = v + 0.5 * dt * speed(v)
-            return v + dt * speed(half)
-
-        def min_radius(v):
-            return float(np.linalg.norm(v, axis=1).min())
-
-        def diagnose(v, t, dt):
-            normal, kappa = curve_normals_curvature(v, speed(v))
-            support = np.sum(v * normal, axis=1)
-            phi = _phi(1, t)
-            residual = float(np.abs(phi * kappa + support / phi).max())
-            defect = float(np.linalg.norm(v - homothety_factor(1, t) * v0,
-                                          axis=1).max())
-            return (t, residual, defect, min_radius(v), dt)
-
-        v, steps, diags, status = _reference_loop(
-            v0, t_end, 0.25, stride, lambda v: curve_stage(CurveGeometry(v)).bound,
-            rk2_step, diagnose, min_radius)
-        assert result.status == status == "completed"
-        assert result.state.step_count == steps > 3 * stride
-        assert result.state.geometry.vertices.tobytes() == v.tobytes()
-        assert _as_tuples(result.diagnostics) == diags
-
     def test_scalar_rk2_past_extinction_reports_extinct(self):
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.3), t_end=1.0,
                             resolution=16, scheme="rk2")
@@ -535,12 +477,13 @@ class TestExplicitScheme:
 
 class TestRoundFactor:
     def test_state_is_the_catalog_sphere(self):
-        sphere = Sphere(n=3, radius=1.5)
-        config = FlowConfig(r=2, model=sphere, t_end=0.01, resolution=32)
-        assert flow._initial_state(config).geometry is sphere
-        result = run(config)
-        assert isinstance(result.state.geometry, Sphere)
-        assert result.state.geometry.n == 3
+        for n, r in ((3, 2), (1, 1)):     # n = 1: the circle
+            sphere = Sphere(n=n, radius=1.5)
+            config = FlowConfig(r=r, model=sphere, t_end=0.01, resolution=32)
+            assert flow._initial_state(config).geometry is sphere
+            result = run(config)
+            assert isinstance(result.state.geometry, Sphere)
+            assert result.state.geometry.n == n
         cylinder = FlowConfig(r=1, model=Cylinder(n=5, m=3, radius=1.5),
                               t_end=0.01, resolution=32)
         assert flow._initial_state(cylinder).geometry == Sphere(n=3, radius=1.5)
@@ -582,14 +525,6 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestStep:
-    def test_nan_vertex_raises(self):
-        verts = circle_polygon(1.0, 32)
-        verts[5, 0] = np.nan
-        state = FlowState(t=0.0, geometry=CurveGeometry(vertices=verts))
-        for scheme in ("euler", "rk2"):
-            with pytest.raises(NumericalError, match="non-finite polygon"):
-                step(state, replace(CIRCLE, scheme=scheme), 1e-6)
-
     def test_round_law_checks_its_bound(self):
         config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
                             resolution=16)
@@ -607,16 +542,6 @@ class TestStep:
         assert loose.bound > 1.2 * revolution_stage(state.geometry, 1).bound
         with pytest.raises(CflViolationError):
             step(state, _band_step_config(1, m=65), loose.bound, stage=loose)
-
-    @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
-    def test_one_edge_pass_per_polygon_stage(self, monkeypatch, scheme, passes):
-        # the diagnostics rows reuse the curvature vector of the stage
-        config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.05,
-                            resolution=32, scheme=scheme, output_stride=3)
-        calls = _count_calls(monkeypatch, flow, "_curve_edges")
-        result = run(config)
-        assert len(result.diagnostics) > 2
-        assert calls[0] == passes * result.state.step_count + 1
 
     def test_boundary_values_need_a_revolution_model(self):
         with pytest.raises(DomainError, match="boundary_values"):
