@@ -216,11 +216,6 @@ class RevolutionGeometry:
     def size(self) -> int:
         return int(self.z.size)
 
-    def positions(self) -> np.ndarray:
-        """Node positions in the phi = 0 meridian plane, (M, 3)."""
-        zero = np.zeros_like(self.z)
-        return np.stack([self.f, zero, self.z], axis=1)
-
     def interior(self) -> slice:
         return fd.trim_slice(self.boundary)
 
@@ -420,8 +415,22 @@ def _axis_sizes(ndims: int, resolution: int) -> list:
     return [resolution] * min(2, ndims) + [3] * max(0, ndims - 2)
 
 
-def _sphere_positions(n: int, radius: float, resolution: int) -> np.ndarray:
-    sizes = _axis_sizes(n, resolution)
+def _grid_sizes(model, resolution: int) -> list:
+    """Axis sizes of a position-independent model's sample grid.
+
+    A cylinder's spherical factor takes the first m sizes and its flat
+    factor the rest.  Refuses an over-budget grid (the cylinder's
+    spherical factor is checked first) without building it.
+    """
+    if isinstance(model, Cylinder):
+        _axis_sizes(model.m, resolution)
+    if isinstance(model, (Hyperplane, Sphere, Cylinder)):
+        return _axis_sizes(model.n, resolution)
+    raise DomainError(f"unsupported model {type(model).__name__}")
+
+
+def _sphere_positions(sizes: list, radius: float) -> np.ndarray:
+    n = len(sizes)
     axes = []
     for i, size in enumerate(sizes):
         if i < n - 1:   # polar angles, open interval (0, pi)
@@ -440,15 +449,34 @@ def _sphere_positions(n: int, radius: float, resolution: int) -> np.ndarray:
     return radius * x
 
 
-def _box_positions(ndims: int, extent: float, resolution: int) -> np.ndarray:
-    sizes = _axis_sizes(ndims, resolution)
+def _box_positions(sizes: list, extent: float) -> np.ndarray:
     axes = [np.linspace(-extent, extent, size) for size in sizes]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
-    """Deterministic sample grid with per-sample curvatures and support."""
+def _grid_positions(model, sizes: list) -> np.ndarray:
+    """Positions of the sample grid with the given _grid_sizes, (S, n+1)."""
+    if isinstance(model, Sphere):
+        return _sphere_positions(sizes, model.radius)
+    if isinstance(model, Hyperplane):
+        flat = _box_positions(sizes, 2.0)
+        return np.concatenate([flat, np.zeros((flat.shape[0], 1))], axis=1)
+    sph = _sphere_positions(sizes[:model.m], model.radius)
+    ax = _box_positions(sizes[model.m:], model.extent)
+    return np.concatenate(
+        [np.repeat(sph, ax.shape[0], axis=0), np.tile(ax, (sph.shape[0], 1))],
+        axis=1,
+    )
+
+
+def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
+    """Curvature rows (S, n) and support values (S,) of the distinct samples.
+
+    A position-independent model has one distinct sample: its closed-form
+    row, given once its sample grid passes the budget checks.  A
+    revolution profile gives one row per node.  No position is built.
+    """
     check_samples(resolution, 8, "resolution")
     if isinstance(model, EllipsoidRev):
         model = model.as_revolution(resolution)
@@ -457,36 +485,28 @@ def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
         curvatures = np.stack([g.k_mer, g.k_par], axis=1)
         if not (np.isfinite(curvatures).all() and np.isfinite(g.support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")
-        return SampleArrays(
-            positions=g.positions(),
-            curvatures=curvatures,
-            support=g.support.copy(),
-        )
-    if isinstance(model, Sphere):
-        pos = _sphere_positions(model.n, model.radius, resolution)
-    elif isinstance(model, Hyperplane):
-        flat = _box_positions(model.n, 2.0, resolution)
-        pos = np.concatenate([flat, np.zeros((flat.shape[0], 1))], axis=1)
-    elif isinstance(model, Cylinder):
-        sph = _sphere_positions(model.m, model.radius, resolution)
-        ax_dims = model.n - model.m
-        sizes = _axis_sizes(model.n, resolution)[model.m:]
-        axes = [np.linspace(-model.extent, model.extent, s) for s in sizes]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ax = np.stack([m.ravel() for m in mesh], axis=1) if ax_dims else np.zeros((1, 0))
-        pos = np.concatenate(
-            [np.repeat(sph, ax.shape[0], axis=0),
-             np.tile(ax, (sph.shape[0], 1))],
-            axis=1,
-        )
-    else:
-        raise DomainError(f"unsupported model {type(model).__name__}")
-    # position-independent models: the same curvatures and support everywhere
-    count = pos.shape[0]
+        return curvatures, g.support
+    _grid_sizes(model, resolution)
+    return exact_curvatures(model)[None], np.array([exact_support(model)])
+
+
+def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
+    """Deterministic sample grid: sample_fields with one row per position."""
+    curvatures, support = sample_fields(model, resolution)
+    if isinstance(model, EllipsoidRev):
+        model = model.as_revolution(resolution)
+    if isinstance(model, Revolution):
+        p = model.profile    # nodes in the phi = 0 meridian plane
+        positions = np.stack([p.f, np.zeros_like(p.z), p.z], axis=1)
+        return SampleArrays(positions=positions, curvatures=curvatures,
+                            support=support)
+    # position-independent: the one row repeated at every grid point
+    positions = _grid_positions(model, _grid_sizes(model, resolution))
+    count = positions.shape[0]
     return SampleArrays(
-        positions=pos,
-        curvatures=np.tile(exact_curvatures(model), (count, 1)),
-        support=np.full(count, exact_support(model)),
+        positions=positions,
+        curvatures=np.repeat(curvatures, count, axis=0),
+        support=np.repeat(support, count),
     )
 
 

@@ -34,6 +34,7 @@ from .errors import (
     check_order,
 )
 from .symfun import (
+    _check_degree,
     _eigen_definiteness,
     _modified_sff_norm_sq,
     _order_family,
@@ -324,10 +325,12 @@ def cmd_residual(args) -> int:
     scene = load_scene(args.config)
     r = args.r if args.r is not None else scene["r"]
     resolution = args.resolution if args.resolution is not None else scene["resolution"]
-    check_order(r, scene["model"].n)
-    arr = catalog.sample_arrays(scene["model"], resolution)
-    sig = elem_sym_all_rows(arr.curvatures)
-    sup = float(np.abs(sig[:, r] + arr.support).max())
+    n = scene["model"].n
+    check_order(r, n)
+    curvatures, support = catalog.sample_fields(scene["model"], resolution)
+    _check_degree(float(np.abs(curvatures).max()), r, n)   # sigma_r has degree r
+    sigma_r = elem_sym_all_rows(curvatures, r)[:, r]
+    sup = float(np.abs(sigma_r + support).max())
     if not math.isfinite(sup):
         raise NumericalError("sup |sigma_r + <X,N>| leaves the float range")
     emit_json({"r": r, "resolution": resolution, "supResidual": sup}, args.out)

@@ -6,6 +6,12 @@ tr(P_{r-1} A^2), the smallest eigenvalue of P_{r-1}, sup ||A||^2,
 sup sigma_{r-1}, the worst shrinker residual |sigma_r + <X,N>| and, for
 r = n, the Gauss-flow fragment (GaussReport) of the same samples.
 
+The sample set holds one row per distinct sample (``sample_fields``).  A
+sphere, cylinder or hyperplane has the same curvatures and support at
+every point, so it is reported from its one closed-form row; for these
+models the resolution only sizes the grid that the sample budget is
+checked against.  A revolution profile gives one row per node.
+
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states
 which branch of the taxonomy the sampled data matches.
@@ -17,16 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    Cylinder,
-    Hyperplane,
-    HypersurfaceModel,
-    SampleArrays,
-    sample_arrays,
-)
+from .catalog import Cylinder, Hyperplane, HypersurfaceModel, sample_fields
 from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
 from .symfun import (
     Definiteness,
+    _check_degree,
     _excluding_rows,
     classify_from_eigenvalues,
     elem_sym_all_rows,
@@ -126,25 +127,32 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
     """
     n = model.n
     check_order(r, n)
-    arr = sample_arrays(model, resolution)
-    return evaluate_from_samples(arr, r, n, model=model)
+    curvatures, support = sample_fields(model, resolution)
+    return evaluate_from_samples(curvatures, support, r, n, model=model)
 
 
-def evaluate_from_samples(arr: SampleArrays, r: int, n: int,
-                          model: HypersurfaceModel | None = None) -> GapReport:
-    K = arr.curvatures
-    sig = elem_sym_all_rows(K)                       # (S, n+1)
+def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
+                          n: int, model: HypersurfaceModel | None = None) -> GapReport:
+    """GapReport of sample rows: curvatures (S, n) and support values (S,).
+
+    Every reported value has degree at most r + 1 in the curvatures, so
+    curvatures whose degree-(r + 1) bound leaves the float range raise
+    the float-range NumericalError before any row is reduced.
+    """
+    K = curvatures
+    _check_degree(float(np.abs(K).max()), r + 1, n)
+    sig = elem_sym_all_rows(K, r)                    # (S, r+1): the orders read
     eig_p = _excluding_rows(K, sig, r - 1)           # eigenvalues of P_{r-1}
     # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
     gauss = _gauss_report(K, sig, eig_p, n, GAP_TOL) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)
-    residual = np.abs(sig[:, r] + arr.support)
+    residual = np.abs(sig[:, r] + support)
 
     notes = []
     if isinstance(model, Cylinder):
         spread = max(
             float(np.ptp(K, axis=0).max()),
-            float(np.ptp(arr.support)),
+            float(np.ptp(support)),
         )
         scale = max(1.0, float(np.abs(K).max()))
         if spread > AXIAL_CONSTANCY_TOL * scale:
@@ -254,7 +262,7 @@ def gauss_check(model: HypersurfaceModel, resolution: int = 16,
                 tol: float = GAP_TOL) -> GaussReport:
     """Checks specific to the Gauss-curvature flow (r = n)."""
     n = model.n
-    K = sample_arrays(model, resolution).curvatures
+    K = sample_fields(model, resolution)[0]
     sig = elem_sym_all_rows(K)
     return _gauss_report(K, sig, _excluding_rows(K, sig, n - 1), n, tol)
 

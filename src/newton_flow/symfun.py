@@ -101,17 +101,23 @@ def elem_sym_excluding(k, i: int, r: int) -> float:
     return elem_sym(np.delete(k, i), r)
 
 
-def elem_sym_all_rows(K: np.ndarray) -> np.ndarray:
-    """Row-wise sigma_0..sigma_n; K has one curvature vector per row.
+def elem_sym_all_rows(K: np.ndarray, top: int | None = None) -> np.ndarray:
+    """Row-wise sigma_0..sigma_top (top = n by default); K has one
+    curvature vector per row.
 
-    The prefix recurrence e_p^(j) = e_p^(j-1) + k_j * e_{p-1}^(j-1).
+    The prefix recurrence e_p^(j) = e_p^(j-1) + k_j * e_{p-1}^(j-1).  An
+    entry depends only on lower orders, so a smaller top gives the same
+    bits for the orders it keeps and never forms the higher ones.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     S, n = K.shape
-    e = np.zeros((S, n + 1))
+    top = n if top is None else min(top, n)
+    e = np.zeros((S, top + 1))
     e[:, 0] = 1.0
-    for j in range(n):
+    for j in range(top):
         e[:, 1:j + 2] += K[:, j:j + 1] * e[:, 0:j + 1]
+    for j in range(top, n):     # later curvatures feed orders 1..top only
+        e[:, 1:] += K[:, j:j + 1] * e[:, :-1]
     return e
 
 
@@ -353,6 +359,7 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     an indefinite or negative P_{r-1} raises NotPSDError.
     """
     A, _, fam = _order_family(S, r)
+    _check_degree(_norm(A), 2 * r, A.shape[0])   # both sides are degree 2r in A
     P = fam.P[r - 1]
     d = definiteness(P)
     if not d.is_psd:

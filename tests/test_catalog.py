@@ -180,6 +180,29 @@ class TestSampling:
         assert errs[1] <= errs[0] / 3.0    # second-order stencils
         assert errs[1] <= 1e-3
 
+    def test_fields_are_the_distinct_rows_of_the_grid(self):
+        models = (Hyperplane(n=3), Sphere(n=4, radius=0.7),
+                  Cylinder(n=5, m=2, radius=1.3), EllipsoidRev(a=1.0, b=2.0))
+        for model in models:
+            curvatures, support = catalog.sample_fields(model, 8)
+            arr = sample_arrays(model, 8)
+            rows = arr.count if isinstance(model, EllipsoidRev) else 1
+            assert curvatures.shape == (rows, model.n) and support.shape == (rows,)
+            assert (arr.curvatures == curvatures).all() and (arr.support == support).all()
+
+    @pytest.mark.parametrize("model, grid", [
+        (Sphere(n=6, radius=1.0), "6-dimensional"),
+        (Hyperplane(n=3), "3-dimensional"),
+        (Cylinder(n=6, m=2, radius=1.0), "2-dimensional"),   # spherical factor first
+        (Cylinder(n=6, m=1, radius=1.0), "6-dimensional"),
+    ])
+    def test_fields_keep_the_grid_budget(self, model, grid):
+        for sampler in (catalog.sample_fields, sample_arrays):
+            with pytest.raises(DomainError, match=f"an {grid} grid at resolution 100000"):
+                sampler(model, 100_000)
+            with pytest.raises(DomainError, match="resolution must lie in 8"):
+                sampler(model, 7)
+
     def test_inward_convention_on_closed_models(self):
         for model in (Sphere(n=3, radius=0.7), Cylinder(n=4, m=2, radius=1.3)):
             arr = sample_arrays(model, 8)

@@ -359,17 +359,55 @@ def _gauss_taxonomy(n_max):
         yield catalog.Sphere(n=n, radius=1.0)
 
 
+def _oracle_taxonomy(n_max):
+    """Every catalog shrinker with n <= n_max, and every cylinder with r > m."""
+    yield from catalog.self_shrinkers(n_max)
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            for r in range(m + 1, n + 1):
+                yield catalog.Cylinder(n=n, m=m, radius=1.0), r
+
+
+class TestTiledOracle:
+    """gap and residual read one row per distinct sample; the tiled grid
+    of sample_arrays, one identical row per point, must give the same bytes."""
+
+    def test_gap_report_matches_the_tiled_grid(self):
+        for model, r in _oracle_taxonomy(4):
+            arr = catalog.sample_arrays(model, 8)
+            assert arr.count > 1
+            reports = (gapcheck.evaluate(model, r, 8),
+                       gapcheck.evaluate_from_samples(arr.curvatures, arr.support,
+                                                      r, model.n, model=model))
+            got, want = ({**rep.to_json_dict(),
+                          "gauss": rep.gauss and rep.gauss.to_json_dict()}
+                         for rep in reports)
+            assert render_json(got) == render_json(want), (model, r)
+
+    def test_residual_matches_the_tiled_grid(self, capsys, tmp_path):
+        for model, r in _oracle_taxonomy(4):
+            cfg = scene_file(tmp_path, {"model": _model_spec(model), "r": r,
+                                        "resolution": 8})
+            code, out, _ = run_cli(capsys, "residual", "--config", cfg)
+            arr = catalog.sample_arrays(model, 8)
+            sigma_r = symfun.elem_sym_all_rows(arr.curvatures)[:, r]
+            sup = float(np.abs(sigma_r + arr.support).max())
+            assert code == 0
+            assert out == render_json({"r": r, "resolution": 8,
+                                       "supResidual": sup}) + "\n", (model, r)
+
+
 class TestGapGaussFragment:
     def test_one_sample_set_per_report(self, capsys, tmp_path, monkeypatch):
         calls = []
-        original = catalog.sample_arrays
+        original = catalog.sample_fields
 
         def counted(model, resolution):
             calls.append(resolution)
             return original(model, resolution)
 
         for module in (catalog, gapcheck):
-            monkeypatch.setattr(module, "sample_arrays", counted)
+            monkeypatch.setattr(module, "sample_fields", counted)
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere", "n": 3, "radius": 1.0},
             "r": 3, "resolution": 8})
@@ -500,6 +538,25 @@ class TestExitContract:
         assert "Warning" not in err and "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("command", ["gap", "residual"])
+    @pytest.mark.parametrize("n, radius, r, expect", [
+        (6, 1e-60, 1, 0), (6, 1e-60, 3, 0),    # sigma_6 = 1e360 is never read
+        (3, 1e-120, 1, 0), (3, 1e-120, 3, 4),  # sigma_3 = 1e360 is read at r = 3
+    ])
+    def test_huge_curvatures_print_no_warning(self, capsys, tmp_path, command,
+                                              n, radius, r, expect):
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": n, "radius": radius}, "r": r,
+            "resolution": 8})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == expect, err
+        if expect:
+            assert out == "" and "leaves the float range" in err
+        else:
+            assert "Infinity" not in out and "null" not in out
+
     @pytest.mark.parametrize("argv", [
         ["flow", "--r", "1"], ["flow", "--r", "2"], ["gap"], ["residual"]])
     def test_underflowed_grid_spacing_is_a_numerical_error(self, capsys, tmp_path, argv):
@@ -601,6 +658,9 @@ class TestExitContract:
         ({"kind": "sphere_band", "radius": 2.0, "half_width": 1.0,
           "samples": -1}, 16),
         ({"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0}, 1e200),
+        # reported from one closed-form row, but the grid is still budgeted
+        ({"kind": "sphere", "n": 6, "radius": 1.0}, 100_000),
+        ({"kind": "cylinder", "n": 6, "m": 2, "radius": 1.0}, 100_000),
     ])
     def test_sample_counts_out_of_range(self, capsys, tmp_path, model, resolution):
         cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
@@ -612,7 +672,7 @@ class TestExitContract:
         def unreachable(model, resolution):
             raise AssertionError("sampled before the order check")
 
-        monkeypatch.setattr(catalog, "sample_arrays", unreachable)
+        monkeypatch.setattr(catalog, "sample_fields", unreachable)
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3})
         code, _, err = run_cli(capsys, "residual", "--config", cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,16 @@ class TestCauchySchwarz:
         with pytest.raises(NotPSDError):
             cauchy_schwarz_bound(np.diag([1.0, -1.0]), 2)
 
+    def test_refuses_sides_out_of_float_range(self):
+        # both sides are degree 2r = 4 in A: (1e100)^4 overflows, although
+        # the order-2 identities (degree 3) stay finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="leaves the float range"):
+                cauchy_schwarz_bound(np.diag([1e100, 1e100]), 2)
+            lhs, rhs = cauchy_schwarz_bound(np.diag([1e50, 1e50]), 2)
+        assert lhs == rhs == pytest.approx(4e200, rel=1e-12)
+
 
 class TestFrameInvariance:
     def test_scalars_invariant_under_conjugation(self, rng):
@@ -392,6 +403,14 @@ class TestOneRecurrence:
         monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
         modified_sff_norm_sq(np.diag([1.0, 2.0, 3.0]), 2)
         assert len(calls) == 1
+
+    def test_truncated_sigma_table_keeps_the_bits(self, rng):
+        K = rng.standard_normal((50, 6)) * 10.0
+        full = elem_sym_all_rows(K)
+        for top in range(0, 8):
+            part = elem_sym_all_rows(K, top)
+            assert part.shape == (50, min(top, 6) + 1)
+            assert part.tobytes() == np.ascontiguousarray(full[:, :top + 1]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
