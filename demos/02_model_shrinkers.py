@@ -15,7 +15,6 @@ from newton_flow import (
     Sphere,
     elem_sym,
     principal_curvatures,
-    sample_points,
     shrinker_radius,
     shrinker_residual,
     sigma_p_cylinder,
@@ -55,10 +54,9 @@ for p in range(5):
 
 print()
 print("=== sampled models carry curvatures and support ===")
-samples = sample_points(Sphere(n=2, radius=1.0), 16)
-print(f"  16x16 samples of the unit 2-sphere; first one: "
-      f"position {np.round(samples[0].position, 4)}, "
-      f"curvatures {samples[0].curvatures}, support {samples[0].support_value}")
+unit, pole = Sphere(n=2, radius=1.0), np.array([0.0, 0.0, 1.0])
+print(f"  the unit 2-sphere at {pole}: curvatures "
+      f"{principal_curvatures(unit, pole)}, support {support_function(unit, pole)}")
 
 print()
 print("=== a discretized sphere band approaches the exact residual ===")

@@ -18,9 +18,9 @@ from newton_flow import (
     evaluate,
     gauss_check,
     psd_sufficient,
-    sample_points,
     shrinker_radius,
 )
+from newton_flow.catalog import sample_fields
 
 print("=== the taxonomy on exact models (n = 3) ===")
 models = [
@@ -62,11 +62,7 @@ for n in range(2, 6):
 
 print()
 print("=== sufficient conditions for a positive semidefinite weight ===")
-sphere_samples = sample_points(Sphere(n=3, radius=1.0), 8)[::16]
-rep = psd_sufficient(sphere_samples, 2)
+rep = psd_sufficient(sample_fields(Sphere(n=3, radius=1.0), 8)[0], 2)
 print(f"  sphere, r=2: fires ({rep.fired}) -- {rep.detail}")
-saddle = [s for s in sample_points(Sphere(n=2, radius=1.0), 8)[:4]]
-saddle = [type(s)(position=s.position, curvatures=np.array([1.0, -1.0]),
-                  support_value=0.0) for s in saddle]
-rep = psd_sufficient(saddle, 2)
+rep = psd_sufficient(np.array([[1.0, -1.0]] * 4), 2)
 print(f"  saddle,  r=2: fires ({rep.fired}) -- {rep.detail}")

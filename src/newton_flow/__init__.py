@@ -14,12 +14,10 @@ from .catalog import (
     Cylinder,
     EllipsoidRev,
     Hyperplane,
-    PointSample,
     ProfileCurve,
     Revolution,
     Sphere,
     principal_curvatures,
-    sample_points,
     self_shrinkers,
     shrinker_radius,
     shrinker_residual,

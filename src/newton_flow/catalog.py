@@ -3,7 +3,8 @@
 Exact variants (hyperplane, round sphere, spherical cylinder) carry
 closed-form curvatures and support values.  Surfaces of revolution are
 discretized as radial graphs rho = f(z) over a uniform axial grid, with
-curvatures from second-order difference stencils.
+curvatures from second-order difference stencils.  ``sample_fields``
+gives the sample rows that ``gap`` and ``residual`` read.
 
 Orientation convention: the normal points inward on closed model
 hypersurfaces, so spheres and cylinders have positive principal
@@ -15,7 +16,7 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, isfinite
+from math import comb, inf
 from typing import Union
 
 import numpy as np
@@ -65,27 +66,18 @@ class Cylinder:
     """Product of an m-sphere of the given radius with a flat factor.
 
     Lives in R^{n+1}: sphere coordinates first (m+1 of them), then the
-    n-m flat axial coordinates.  Sampling covers the axial box
-    [-axial_extent, axial_extent]; all curvature data is constant in the
-    axial directions, so any extent is representative.
+    n-m flat axial coordinates.
     """
 
     n: int
     m: int
     radius: float
-    axial_extent: float | None = None
 
     def __post_init__(self):
         if self.n < 2 or not 1 <= self.m <= self.n - 1:
             raise DomainError("cylinder needs 1 <= m <= n-1")
         if not 0 < self.radius < inf:
             raise DomainError("radius must be positive and finite")
-        if self.axial_extent is not None and not isfinite(self.axial_extent):
-            raise DomainError("axial_extent must be finite")
-
-    @property
-    def extent(self) -> float:
-        return 2.0 * self.radius if self.axial_extent is None else self.axial_extent
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,27 +369,7 @@ def shrinker_residual(model: HypersurfaceModel, r: int, point) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic sampling
-
-@dataclass(frozen=True, eq=False)
-class PointSample:
-    position: np.ndarray
-    curvatures: np.ndarray
-    support_value: float
-
-
-@dataclass(frozen=True, eq=False)
-class SampleArrays:
-    """Column view of a sample set: one row per sample."""
-
-    positions: np.ndarray   # (S, n+1)
-    curvatures: np.ndarray  # (S, n)
-    support: np.ndarray     # (S,)
-
-    @property
-    def count(self) -> int:
-        return int(self.support.size)
-
+# sample rows
 
 def check_samples(count: int, least: int, what: str):
     """Raise DomainError unless least <= count <= MAX_SAMPLES."""
@@ -416,11 +388,11 @@ def _axis_sizes(ndims: int, resolution: int) -> list:
 
 
 def _grid_sizes(model, resolution: int) -> list:
-    """Axis sizes of a position-independent model's sample grid.
+    """Axis sizes of the grid a position-independent model is budgeted on.
 
     A cylinder's spherical factor takes the first m sizes and its flat
     factor the rest.  Refuses an over-budget grid (the cylinder's
-    spherical factor is checked first) without building it.
+    spherical factor is checked first); no grid is ever built.
     """
     if isinstance(model, Cylinder):
         _axis_sizes(model.m, resolution)
@@ -429,53 +401,12 @@ def _grid_sizes(model, resolution: int) -> list:
     raise DomainError(f"unsupported model {type(model).__name__}")
 
 
-def _sphere_positions(sizes: list, radius: float) -> np.ndarray:
-    n = len(sizes)
-    axes = []
-    for i, size in enumerate(sizes):
-        if i < n - 1:   # polar angles, open interval (0, pi)
-            axes.append((np.arange(size) + 0.5) * np.pi / size)
-        else:           # final azimuthal angle
-            axes.append(np.arange(size) * 2.0 * np.pi / size)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ang = np.stack([m.ravel() for m in mesh], axis=1)
-    count = ang.shape[0]
-    x = np.empty((count, n + 1))
-    sin_prod = np.ones(count)
-    for i in range(n):
-        x[:, i] = sin_prod * np.cos(ang[:, i])
-        sin_prod = sin_prod * np.sin(ang[:, i])
-    x[:, n] = sin_prod
-    return radius * x
-
-
-def _box_positions(sizes: list, extent: float) -> np.ndarray:
-    axes = [np.linspace(-extent, extent, size) for size in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _grid_positions(model, sizes: list) -> np.ndarray:
-    """Positions of the sample grid with the given _grid_sizes, (S, n+1)."""
-    if isinstance(model, Sphere):
-        return _sphere_positions(sizes, model.radius)
-    if isinstance(model, Hyperplane):
-        flat = _box_positions(sizes, 2.0)
-        return np.concatenate([flat, np.zeros((flat.shape[0], 1))], axis=1)
-    sph = _sphere_positions(sizes[:model.m], model.radius)
-    ax = _box_positions(sizes[model.m:], model.extent)
-    return np.concatenate(
-        [np.repeat(sph, ax.shape[0], axis=0), np.tile(ax, (sph.shape[0], 1))],
-        axis=1,
-    )
-
-
 def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
     """Curvature rows (S, n) and support values (S,) of the distinct samples.
 
     A position-independent model has one distinct sample: its closed-form
     row, given once its sample grid passes the budget checks.  A
-    revolution profile gives one row per node.  No position is built.
+    revolution profile gives one row per node.
     """
     check_samples(resolution, 8, "resolution")
     if isinstance(model, EllipsoidRev):
@@ -488,39 +419,6 @@ def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
         return curvatures, g.support
     _grid_sizes(model, resolution)
     return exact_curvatures(model)[None], np.array([exact_support(model)])
-
-
-def sample_arrays(model: HypersurfaceModel, resolution: int) -> SampleArrays:
-    """Deterministic sample grid: sample_fields with one row per position."""
-    curvatures, support = sample_fields(model, resolution)
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(resolution)
-    if isinstance(model, Revolution):
-        p = model.profile    # nodes in the phi = 0 meridian plane
-        positions = np.stack([p.f, np.zeros_like(p.z), p.z], axis=1)
-        return SampleArrays(positions=positions, curvatures=curvatures,
-                            support=support)
-    # position-independent: the one row repeated at every grid point
-    positions = _grid_positions(model, _grid_sizes(model, resolution))
-    count = positions.shape[0]
-    return SampleArrays(
-        positions=positions,
-        curvatures=np.repeat(curvatures, count, axis=0),
-        support=np.repeat(support, count),
-    )
-
-
-def sample_points(model: HypersurfaceModel, resolution: int) -> list:
-    """Same sampling as sample_arrays, wrapped one PointSample per row."""
-    arr = sample_arrays(model, resolution)
-    return [
-        PointSample(
-            position=arr.positions[i],
-            curvatures=arr.curvatures[i],
-            support_value=float(arr.support[i]),
-        )
-        for i in range(arr.count)
-    ]
 
 
 def self_shrinkers(n_max: int) -> list:

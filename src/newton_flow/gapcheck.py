@@ -35,7 +35,6 @@ from .symfun import (
 
 GAP_TOL = 1e-6          # strict-vs-boundary discrimination on the norm scale
 SHRINKER_TOL = 1e-8     # residual threshold for "is a shrinker"
-AXIAL_CONSTANCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,6 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
 
     notes = []
     if isinstance(model, Cylinder):
-        spread = max(
-            float(np.ptp(K, axis=0).max()),
-            float(np.ptp(support)),
-        )
-        scale = max(1.0, float(np.abs(K).max()))
-        if spread > AXIAL_CONSTANCY_TOL * scale:
-            raise DomainError("cylinder samples vary along the axial box")
         notes.append("axial box sampling is exact: samples are axially constant")
     if isinstance(model, Hyperplane):
         notes.append("open hypersurface: normal fixed to +e_{n+1}")
@@ -260,9 +252,13 @@ def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
 
 def gauss_check(model: HypersurfaceModel, resolution: int = 16,
                 tol: float = GAP_TOL) -> GaussReport:
-    """Checks specific to the Gauss-curvature flow (r = n)."""
+    """Checks specific to the Gauss-curvature flow (r = n).
+
+    sup HK has degree n + 1: out-of-range curvatures raise NumericalError.
+    """
     n = model.n
     K = sample_fields(model, resolution)[0]
+    _check_degree(float(np.abs(K).max()), n + 1, n)
     sig = elem_sym_all_rows(K)
     return _gauss_report(K, sig, _excluding_rows(K, sig, n - 1), n, tol)
 
@@ -305,15 +301,23 @@ class PsdSufficiencyReport:
         }
 
 
-def psd_sufficient(samples, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiencyReport:
-    """Evaluate the sampled sufficient conditions for P_{r-1} >= 0."""
-    if not samples:
-        raise DomainError("empty sample set")
-    K = np.stack([np.asarray(s.curvatures, dtype=float) for s in samples])
-    count, n = K.shape
+def psd_sufficient(curvatures, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiencyReport:
+    """Evaluate the sampled sufficient conditions for P_{r-1} >= 0.
+
+    ``curvatures`` is an (S, n) array of rows, e.g. ``sample_fields(model,
+    res)[0]``; sigma_n has degree n, so out-of-range rows raise NumericalError.
+    """
+    K = np.asarray(curvatures, dtype=float)
+    if K.ndim != 2 or K.size == 0:
+        raise DomainError("curvatures must be a non-empty (S, n) array of rows")
+    if not np.isfinite(K).all():
+        raise DomainError("curvature rows have non-finite entries")
+    n = K.shape[1]
     check_order(r, n)
+    kmax = float(np.abs(K).max())
+    _check_degree(kmax, n, n)
     sig = elem_sym_all_rows(K)
-    scale = max(1.0, float(np.abs(K).max()) ** max(r, 1))
+    scale = max(1.0, kmax ** max(r, 1))
 
     fires_i = fires_ii = fires_iii = False
     details = []
@@ -326,13 +330,11 @@ def psd_sufficient(samples, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiency
             note = ("r-1 odd: orientation choice" if not parity_even
                     else "r-1 even and sigma_{r-1} >= 0")
             details.append(f"sigma_r = 0 on all samples ({note})")
-            sigma_rp1 = sig[:, r + 1] if r + 1 <= n else np.zeros(count)
-            if bool(np.abs(sigma_rp1).min() > zero_tol * scale):
+            if r < n and np.abs(sig[:, r + 1]).min() > zero_tol * scale:
                 fires_ii = True
                 details.append("sigma_{r+1} never vanishes: definite")
 
-    has_convex_sample = bool(
-        (K >= -zero_tol * max(1.0, np.abs(K).max())).all(axis=1).any())
+    has_convex_sample = bool((K >= -zero_tol * max(1.0, kmax)).all(axis=1).any())
     if has_convex_sample:
         for k_idx in range(r, n + 1):
             if sig[:, k_idx].min() > zero_tol * scale:

@@ -15,8 +15,7 @@ from newton_flow.catalog import (
     cylinder_profile,
     principal_curvatures,
     revolution_geometry,
-    sample_arrays,
-    sample_points,
+    sample_fields,
     self_shrinkers,
     shrinker_radius,
     shrinker_residual,
@@ -116,10 +115,8 @@ class TestPointQueries:
 class TestShrinkerResidual:
     def test_catalog_shrinkers_vanish(self):
         for model, r in self_shrinkers(6):
-            arr = sample_arrays(model, 8)
-            sup = max(
-                abs(elem_sym(arr.curvatures[i], r) + arr.support[i])
-                for i in range(0, arr.count, max(1, arr.count // 16)))
+            curvatures, support = sample_fields(model, 8)
+            sup = max(abs(elem_sym(k, r) + h) for k, h in zip(curvatures, support))
             assert sup <= 1e-10, (model, r)
 
     def test_wrong_order_cylinder(self):
@@ -146,49 +143,42 @@ class TestShrinkerResidual:
 
 
 class TestSampling:
-    def test_sphere_grid_shape(self):
-        samples = sample_points(Sphere(n=2, radius=1.0), 16)
-        assert len(samples) == 16 * 16
-        for s in samples[:: 32]:
-            np.testing.assert_allclose(s.curvatures, 1.0)
-            assert s.support_value == -1.0
-            assert np.linalg.norm(s.position) == pytest.approx(1.0)
-
-    def test_cylinder_samples(self):
-        samples = sample_points(Cylinder(n=2, m=1, radius=1.0), 8)
-        for s in samples[:: 7]:
-            np.testing.assert_allclose(s.curvatures, [1.0, 0.0])
-            assert np.linalg.norm(s.position[:2]) == pytest.approx(1.0)
-
     def test_higher_dimensional_counts_stay_tame(self):
-        arr = sample_arrays(Sphere(n=6, radius=1.0), 12)
-        assert arr.count == 12 * 12 * 3 ** 4
+        assert catalog._grid_sizes(Sphere(n=6, radius=1.0), 12) == [12, 12, 3, 3, 3, 3]
 
     def test_resolution_floor(self):
         with pytest.raises(DomainError):
-            sample_points(Sphere(n=2, radius=1.0), 4)
+            sample_fields(Sphere(n=2, radius=1.0), 4)
 
     def test_ellipsoid_gauss_curvature_oracle(self):
         errs = []
         for m in (64, 128):
-            arr = sample_arrays(EllipsoidRev(a=1.0, b=2.0), m)
-            z = arr.positions[:, 2]
-            product = arr.curvatures[:, 0] * arr.curvatures[:, 1]
+            model = EllipsoidRev(a=1.0, b=2.0)
+            curvatures = sample_fields(model, m)[0]
+            product = curvatures[:, 0] * curvatures[:, 1]
             cut = slice(2, -2)
-            expect = ellipsoid_gauss_curvature(1.0, 2.0, z)
+            expect = ellipsoid_gauss_curvature(1.0, 2.0, model.profile_curve(m).z)
             errs.append(np.abs(product - expect)[cut].max())
         assert errs[1] <= errs[0] / 3.0    # second-order stencils
         assert errs[1] <= 1e-3
 
     def test_fields_are_the_distinct_rows_of_the_grid(self):
-        models = (Hyperplane(n=3), Sphere(n=4, radius=0.7),
-                  Cylinder(n=5, m=2, radius=1.3), EllipsoidRev(a=1.0, b=2.0))
-        for model in models:
-            curvatures, support = catalog.sample_fields(model, 8)
-            arr = sample_arrays(model, 8)
-            rows = arr.count if isinstance(model, EllipsoidRev) else 1
-            assert curvatures.shape == (rows, model.n) and support.shape == (rows,)
-            assert (arr.curvatures == curvatures).all() and (arr.support == support).all()
+        # one closed-form row, equal to the pointwise query at any on-model point
+        for model, point in ((Hyperplane(n=3), np.array([0.5, -1.0, 2.0, 0.0])),
+                             (Sphere(n=4, radius=0.7), np.array([0.0, 0.7, 0.0, 0.0, 0.0])),
+                             (Cylinder(n=5, m=2, radius=1.3),
+                              np.array([0.0, 0.0, 1.3, 4.0, -2.0, 0.5]))):
+            curvatures, support = sample_fields(model, 8)
+            assert curvatures.shape == (1, model.n) and support.shape == (1,)
+            assert (curvatures[0] == principal_curvatures(model, point)).all()
+            assert support[0] == support_function(model, point)
+        # one row per profile node
+        model = EllipsoidRev(a=1.0, b=2.0)
+        curvatures, support = sample_fields(model, 8)
+        g = revolution_geometry(model.as_revolution(8))
+        assert curvatures.shape == (8, 2) and support.shape == (8,)
+        assert (curvatures == np.stack([g.k_mer, g.k_par], axis=1)).all()
+        assert (support == g.support).all()
 
     @pytest.mark.parametrize("model, grid", [
         (Sphere(n=6, radius=1.0), "6-dimensional"),
@@ -197,17 +187,16 @@ class TestSampling:
         (Cylinder(n=6, m=1, radius=1.0), "6-dimensional"),
     ])
     def test_fields_keep_the_grid_budget(self, model, grid):
-        for sampler in (catalog.sample_fields, sample_arrays):
-            with pytest.raises(DomainError, match=f"an {grid} grid at resolution 100000"):
-                sampler(model, 100_000)
-            with pytest.raises(DomainError, match="resolution must lie in 8"):
-                sampler(model, 7)
+        with pytest.raises(DomainError, match=f"an {grid} grid at resolution 100000"):
+            sample_fields(model, 100_000)
+        with pytest.raises(DomainError, match="resolution must lie in 8"):
+            sample_fields(model, 7)
 
     def test_inward_convention_on_closed_models(self):
         for model in (Sphere(n=3, radius=0.7), Cylinder(n=4, m=2, radius=1.3)):
-            arr = sample_arrays(model, 8)
-            assert arr.support.max() < 0.0
-            assert arr.curvatures.min() >= 0.0
+            curvatures, support = sample_fields(model, 8)
+            assert support.max() < 0.0
+            assert curvatures.min() >= 0.0
 
 
 class TestProfileValidation:
@@ -240,7 +229,6 @@ class TestProfileValidation:
     @pytest.mark.parametrize("build", [
         lambda: Sphere(n=2, radius=math.inf),
         lambda: Cylinder(n=3, m=2, radius=math.inf),
-        lambda: Cylinder(n=3, m=2, radius=1.0, axial_extent=math.nan),
         lambda: EllipsoidRev(a=math.inf, b=1.0),
         lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(-5),
         lambda: sphere_band_profile(math.inf, 0.5, 16),

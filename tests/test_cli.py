@@ -368,16 +368,23 @@ def _oracle_taxonomy(n_max):
                 yield catalog.Cylinder(n=n, m=m, radius=1.0), r
 
 
+def _tiled_fields(model, resolution):
+    """The closed-form row repeated once per point of the model's sample grid."""
+    curvatures, support = catalog.sample_fields(model, resolution)
+    count = math.prod(catalog._grid_sizes(model, resolution))
+    return np.repeat(curvatures, count, axis=0), np.repeat(support, count)
+
+
 class TestTiledOracle:
-    """gap and residual read one row per distinct sample; the tiled grid
-    of sample_arrays, one identical row per point, must give the same bytes."""
+    """gap and residual read one row per distinct sample; the tiled grid,
+    one identical row per grid point, must give the same bytes."""
 
     def test_gap_report_matches_the_tiled_grid(self):
         for model, r in _oracle_taxonomy(4):
-            arr = catalog.sample_arrays(model, 8)
-            assert arr.count > 1
+            curvatures, support = _tiled_fields(model, 8)
+            assert support.size > 1
             reports = (gapcheck.evaluate(model, r, 8),
-                       gapcheck.evaluate_from_samples(arr.curvatures, arr.support,
+                       gapcheck.evaluate_from_samples(curvatures, support,
                                                       r, model.n, model=model))
             got, want = ({**rep.to_json_dict(),
                           "gauss": rep.gauss and rep.gauss.to_json_dict()}
@@ -389,9 +396,9 @@ class TestTiledOracle:
             cfg = scene_file(tmp_path, {"model": _model_spec(model), "r": r,
                                         "resolution": 8})
             code, out, _ = run_cli(capsys, "residual", "--config", cfg)
-            arr = catalog.sample_arrays(model, 8)
-            sigma_r = symfun.elem_sym_all_rows(arr.curvatures)[:, r]
-            sup = float(np.abs(sigma_r + arr.support).max())
+            curvatures, support = _tiled_fields(model, 8)
+            sigma_r = symfun.elem_sym_all_rows(curvatures)[:, r]
+            sup = float(np.abs(sigma_r + support).max())
             assert code == 0
             assert out == render_json({"r": r, "resolution": 8,
                                        "supResidual": sup}) + "\n", (model, r)

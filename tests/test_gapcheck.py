@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ from newton_flow.catalog import (
     Cylinder,
     Hyperplane,
     Sphere,
-    sample_points,
     self_shrinkers,
     shrinker_radius,
     sphere_band_profile,
     Revolution,
     revolution_geometry,
 )
-from newton_flow.errors import DomainError, NotSelfShrinkerError
+from newton_flow.errors import DomainError, NotSelfShrinkerError, NumericalError
 from newton_flow.gapcheck import (
     classify,
     evaluate,
@@ -23,7 +23,7 @@ from newton_flow.gapcheck import (
     psd_sufficient,
 )
 from newton_flow import gapcheck, symfun
-from newton_flow.catalog import PointSample, sample_fields
+from newton_flow.catalog import sample_fields
 from newton_flow.symfun import DefinitenessClass
 from conftest import random_orthogonal
 
@@ -163,20 +163,19 @@ class TestGaussCheck:
         assert rep.sup_hk == 0.0
         assert rep.weakly_convex and rep.hk_at_most_n
 
+    def test_out_of_range_curvatures_refused(self):
+        # sup HK has degree n + 1 = 4: (1e120)^4 leaves the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="float range"):
+                gauss_check(Sphere(n=3, radius=1e-120), resolution=8)
+
     def test_oversize_sphere_flagged(self):
         rep = gauss_check(Sphere(n=2, radius=2.0), resolution=8)
         assert rep.sup_hk == pytest.approx(0.25)
         assert rep.hk_at_most_n
         report = evaluate(Sphere(n=2, radius=2.0), 2, resolution=8)
         assert report.classification.kind == "NotShrinker"
-
-
-def _samples_from_curvatures(rows):
-    return [
-        PointSample(position=np.zeros(3), curvatures=np.asarray(row, float),
-                    support_value=0.0)
-        for row in rows
-    ]
 
 
 class TestPsdSufficient:
@@ -188,23 +187,20 @@ class TestPsdSufficient:
             z=z, f=prof_f, boundary="neumann"))
         geo = revolution_geometry(rev)
         cut = geo.interior()
-        samples = _samples_from_curvatures(
-            np.stack([geo.k_mer[cut], geo.k_par[cut]], axis=1))
-        rep = psd_sufficient(samples, 1, zero_tol=1e-3)
+        rows = np.stack([geo.k_mer[cut], geo.k_par[cut]], axis=1)
+        rep = psd_sufficient(rows, 1, zero_tol=1e-3)
         assert rep.fires_i
         assert rep.fired == "i"
         assert "sigma_r = 0" in rep.detail
 
     def test_sphere_fires_third_condition(self):
         for r in (1, 2, 3):
-            samples = sample_points(Sphere(n=3, radius=1.2), 8)[::16]
-            rep = psd_sufficient(samples, r)
+            rep = psd_sufficient(sample_fields(Sphere(n=3, radius=1.2), 8)[0], r)
             assert rep.fired == "iii"
             assert rep.definite
 
     def test_saddle_has_no_condition(self):
-        samples = _samples_from_curvatures([[1.0, -1.0]] * 5)
-        rep = psd_sufficient(samples, 2)
+        rep = psd_sufficient(np.array([[1.0, -1.0]] * 5), 2)
         assert rep.fired is None
         assert rep.detail == "no sufficient condition"
 
@@ -212,11 +208,29 @@ class TestPsdSufficient:
         # sigma_2 = 0 with sigma_3 != 0: curvatures (a, b, 0-ish)?  use
         # (2, -1, x) with sigma_2 = 2x - 2 - x = x - 2 = 0 -> x = 2,
         # sigma_3 = -4 != 0
-        samples = _samples_from_curvatures([[2.0, -1.0, 2.0]] * 4)
-        rep = psd_sufficient(samples, 2)
+        rep = psd_sufficient(np.array([[2.0, -1.0, 2.0]] * 4), 2)
         assert rep.fires_i and rep.fires_ii
         assert rep.definite
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             psd_sufficient([], 1)
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros((0, 2)),
+        np.array([1.0, 1.0]),
+        np.array([[1.0, math.nan], [1.0, 1.0]]),
+        np.array([[math.inf, 1.0]]),
+    ])
+    def test_bad_rows_rejected(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                psd_sufficient(rows, 1)
+
+    def test_out_of_range_curvatures_refused(self):
+        rows = sample_fields(Sphere(n=2, radius=1e-200), 8)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="float range"):
+                psd_sufficient(rows, 2)
