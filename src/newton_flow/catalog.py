@@ -3,8 +3,9 @@
 Exact variants (hyperplane, round sphere, spherical cylinder) carry
 closed-form curvatures and support values.  Surfaces of revolution are
 discretized as radial graphs rho = f(z) over a uniform axial grid, with
-curvatures from second-order difference stencils.  ``sample_fields``
-gives the sample rows that ``gap`` and ``residual`` read.
+curvatures from second-order difference stencils into one
+``RevolutionGeometry`` record, whose n = 2 closed forms the flow and the
+operators read.  ``sample_fields`` gives the sample rows that ``gap`` and ``residual`` read.
 
 Orientation convention: the normal points inward on closed model
 hypersurfaces, so spheres and cylinders have positive principal
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, inf
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .symfun import elem_sym
 
 ON_MODEL_TOL = 1e-9    # absolute tolerance for "point lies on the model"
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
+QUERY_RESOLUTION = 129  # profile nodes of an EllipsoidRev queried pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,6 @@ class EllipsoidRev:
     a: float
     b: float
     band: float = 0.75
-    resolution: int = 129
     n: int = field(default=2, init=False)
 
     def __post_init__(self):
@@ -146,16 +147,15 @@ class EllipsoidRev:
             raise DomainError("semi-axes must be positive and finite")
         if not 0 < self.band < 1:
             raise DomainError("band fraction must lie in (0, 1)")
-        check_samples(self.resolution, 5, "resolution")
 
-    def profile_curve(self, resolution: int | None = None) -> ProfileCurve:
-        m = self.resolution if resolution is None else int(resolution)
+    def profile_curve(self, resolution: int) -> ProfileCurve:
+        m = int(resolution)
         check_samples(m, 5, "resolution")
         z = np.linspace(-self.band * self.b, self.band * self.b, m)
         f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
         return ProfileCurve(z=z, f=f, boundary="neumann")
 
-    def as_revolution(self, resolution: int | None = None) -> Revolution:
+    def as_revolution(self, resolution: int) -> Revolution:
         return Revolution(profile=self.profile_curve(resolution))
 
 
@@ -188,9 +188,9 @@ def sigma_p_cylinder(m: int, r: int, p: int) -> float:
 # ---------------------------------------------------------------------------
 # revolution geometry
 
-@dataclass(frozen=True, eq=False)
-class RevolutionGeometry:
-    """Nodewise differential data of a revolution surface."""
+class RevolutionGeometry(NamedTuple):
+    """Nodewise data of a radial graph rho = f(z): the one source of its
+    curvatures, sigma_p, P_{r-1} eigenvalues and support (n = 2)."""
 
     z: np.ndarray
     f: np.ndarray
@@ -198,56 +198,61 @@ class RevolutionGeometry:
     boundary: str
     orientation: int
     fp: np.ndarray        # f'
-    fpp: np.ndarray       # f''
     w: np.ndarray         # sqrt(1 + f'^2), arclength factor
-    k_mer: np.ndarray     # meridional principal curvature
-    k_par: np.ndarray     # parallel principal curvature
-    support: np.ndarray   # <X, N>
+    k_mer: np.ndarray     # oriented meridional principal curvature
+    k_par: np.ndarray     # oriented parallel principal curvature
 
     @property
-    def size(self) -> int:
-        return int(self.z.size)
+    def support(self) -> np.ndarray:
+        """<X, N> = o (z f' - f) / w."""
+        return float(self.orientation) * (self.z * self.fp - self.f) / self.w
 
     def interior(self) -> slice:
         return fd.trim_slice(self.boundary)
 
+    def sigma(self, p: int) -> np.ndarray:
+        """sigma_p(k_mer, k_par): 1, k_mer + k_par, k_mer k_par, then 0."""
+        if p == 0:
+            return np.ones_like(self.f)
+        if p == 1:
+            return self.k_mer + self.k_par
+        if p == 2:
+            return self.k_mer * self.k_par
+        return np.zeros_like(self.f)
 
-def revolution_curvatures(f: np.ndarray, h: float, boundary: str,
-                          orientation: int):
-    """One derivative pass over the radial graph rho = f(z).
+    def p_eigenvalues(self, r: int) -> tuple:
+        """(meridional, parallel) eigenvalues of P_0 = I or P_1 = diag(k_par, k_mer)."""
+        if r == 1:
+            one = np.ones_like(self.f)
+            return one, one
+        if r == 2:
+            return self.k_par, self.k_mer
+        raise DomainError(f"revolution surfaces support r in {{1, 2}}, got r={r}")
 
-    Returns (f', f'', w, k_mer, k_par) with w = sqrt(1 + f'^2) and the
-    oriented meridional and parallel principal curvatures.  This is the
-    single source of the revolution curvature formulas: the catalog's
-    geometry, the flow's speed and CFL bound, and its diagnostics all
-    come from here.
-    """
+    def p_trace_sup(self, r: int) -> float:
+        """sup over the nodes of tr|P_{r-1}|; tr P_0 = 2 at every node."""
+        if r == 1:
+            return 2.0
+        mer, par = self.p_eigenvalues(r)
+        return float((np.abs(mer) + np.abs(par)).max())
+
+
+def radial_graph(z: np.ndarray, f: np.ndarray, h: float, boundary: str,
+                 orientation: int) -> RevolutionGeometry:
+    """The record of the radial graph rho = f(z), from one derivative pass."""
     if not h * h > 0.0:      # an underflowed h^2 would divide f'' by zero
         raise float_range_error("h", h, 2)
     fp, fpp = fd.derivatives(f, h, boundary)
     w = np.sqrt(1.0 + fp * fp)
     o = float(orientation)
-    k_mer = o * (-fpp) / w ** 3
-    k_par = o / (f * w)
-    return fp, fpp, w, k_mer, k_par
-
-
-def revolution_support(z: np.ndarray, f: np.ndarray, fp: np.ndarray,
-                       w: np.ndarray, orientation: int) -> np.ndarray:
-    """Support <X, N> = o (z f' - f) / w of the radial graph."""
-    return float(orientation) * (z * fp - f) / w
+    return RevolutionGeometry(z, f, h, boundary, orientation, fp, w,
+                              o * (-fpp) / w ** 3, o / (f * w))
 
 
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
-    """Differentiate the profile and assemble curvatures and support."""
+    """The record of a surface of revolution's profile."""
     p = rev.profile
-    fp, fpp, w, k_mer, k_par = revolution_curvatures(p.f, p.h, p.boundary,
-                                                     rev.orientation)
-    return RevolutionGeometry(
-        z=p.z, f=p.f, h=p.h, boundary=p.boundary, orientation=rev.orientation,
-        fp=fp, fpp=fpp, w=w, k_mer=k_mer, k_par=k_par,
-        support=revolution_support(p.z, p.f, fp, w, rev.orientation),
-    )
+    return radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
 
 
 def sphere_band_profile(radius: float, half_width: float, samples: int,
@@ -340,7 +345,7 @@ def principal_curvatures(model: HypersurfaceModel, point) -> np.ndarray:
         _validate_point(model, point)
         return exact_curvatures(model)
     if isinstance(model, EllipsoidRev):
-        model = model.as_revolution()
+        model = model.as_revolution(QUERY_RESOLUTION)
     if isinstance(model, Revolution):
         j = _locate_node(model, point)
         g = revolution_geometry(model)
@@ -354,7 +359,7 @@ def support_function(model: HypersurfaceModel, point) -> float:
         _validate_point(model, point)
         return exact_support(model)
     if isinstance(model, EllipsoidRev):
-        model = model.as_revolution()
+        model = model.as_revolution(QUERY_RESOLUTION)
     if isinstance(model, Revolution):
         j = _locate_node(model, point)
         return float(revolution_geometry(model).support[j])
@@ -413,10 +418,10 @@ def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
         model = model.as_revolution(resolution)
     if isinstance(model, Revolution):
         g = revolution_geometry(model)
-        curvatures = np.stack([g.k_mer, g.k_par], axis=1)
-        if not (np.isfinite(curvatures).all() and np.isfinite(g.support).all()):
+        curvatures, support = np.stack([g.k_mer, g.k_par], axis=1), g.support
+        if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")
-        return curvatures, g.support
+        return curvatures, support
     _grid_sizes(model, resolution)
     return exact_curvatures(model)[None], np.array([exact_support(model)])
 

@@ -265,9 +265,12 @@ def load_scene(path: str) -> dict:
 
 def _parse_curvatures(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",") if part != ""])
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ConfigError(f"bad curvature list {text!r}") from exc
+    n = len(values)     # the family holds n + 1 matrices of size n x n
+    catalog.check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
+    return np.array(values)
 
 
 def _parse_preset(text: str):
@@ -284,6 +287,7 @@ def _parse_preset(text: str):
     n, m, r = (_field(fields, key, _integer, "cyl preset") for key in "nmr")
     if not 1 <= m <= n:
         raise DomainError(f"cyl preset needs 1 <= m <= n, got m={m}, n={n}")
+    catalog.check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
     radius = catalog.shrinker_radius(m, r)
     k = np.zeros(n)
     k[:m] = 1.0 / radius

@@ -6,8 +6,9 @@ factor of a cylinder, whose state is the catalog ``Sphere``; and
 surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2).
 
-Each has one stage function, giving a state's speed and its step bound
-dt <= h^2 / (1 + sup tr P_{r-1}) from one pass: ``revolution_stage`` and
+Each has one stage function, giving a state's ``Stage``: its speed and
+step bound dt <= h^2 / (1 + sup tr|P_{r-1}|) from one pass.  These are
+``revolution_stage``, read off the graph's catalog curvature record, and
 the round law's closed forms (h = 2 pi R / resolution, tr P_{r-1} =
 (n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
 T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
@@ -50,8 +51,7 @@ from .catalog import (
     HypersurfaceModel,
     Revolution,
     Sphere,
-    revolution_curvatures,
-    revolution_support,
+    radial_graph,
 )
 from .errors import (
     CflViolationError,
@@ -221,18 +221,20 @@ def _explicit_step(x, speed, speed_at, t, dt, scheme, pin=None):
 # the round law (spheres, and the round factor of cylinders)
 
 class Stage:
-    """Speed and explicit step bound of a round-law state.
+    """Speed and explicit step bound of one state, for one speed law r.
 
-    A slots class: one is built every round-law step, where a NamedTuple's
-    constructor costs a measurable share of the step."""
+    A slots class: one is built every step, where a NamedTuple's
+    constructor costs a measurable share of a round-law step."""
 
-    __slots__ = ("geometry", "r", "speed", "bound")
+    __slots__ = ("geometry", "r", "speed", "bound", "graph", "sigma")
 
-    def __init__(self, geometry, r: int, speed, bound: float):
+    def __init__(self, geometry, r: int, speed, bound: float, graph=None, sigma=None):
         self.geometry = geometry  # the state it was computed from
         self.r = r
-        self.speed = speed        # the round law's R'
+        self.speed = speed        # R' of the round law, df/dt of a radial graph
         self.bound = bound        # explicit stability bound on dt
+        self.graph = graph        # a radial graph's curvature record, and
+        self.sigma = sigma        # its sigma_r, for the diagnostics row
 
 
 def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
@@ -251,46 +253,21 @@ def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-class RevolutionStage(NamedTuple):
-    """One derivative pass over a radial graph, for one speed law r."""
-
-    geometry: RevolutionGeometryState   # the state it was computed from
-    r: int
-    fp: np.ndarray        # f'
-    w: np.ndarray         # sqrt(1 + f'^2)
-    k_mer: np.ndarray     # oriented meridional curvature
-    k_par: np.ndarray     # oriented parallel curvature
-    sigma: np.ndarray     # sigma_r(k_mer, k_par)
-    speed: np.ndarray     # df/dt
-    bound: float          # explicit stability bound on dt
-
-
-def revolution_stage(geo: RevolutionGeometryState, r: int) -> RevolutionStage:
-    """Curvatures, speed and CFL bound of the radial graph from one pass.
+def revolution_stage(geo: RevolutionGeometryState, r: int) -> Stage:
+    """Curvature record, speed and step bound of the radial graph from one pass.
 
     The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
-    and the bound dt <= h^2 / (1 + sup_j sum |sigma_{r-1}(A_j)|).
+    and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).
     """
-    h = geo.h
-    fp, _, w, k_mer, k_par = revolution_curvatures(geo.f, h, geo.boundary,
-                                                   geo.orientation)
-    o = float(geo.orientation)
-    if r == 1:
-        sigma = k_mer + k_par
-        coeff = 2.0   # tr P_0 = n = 2, state independent
-    elif r == 2:
-        sigma = k_mer * k_par
-        # tr P_1 = |f''|/w^3 + 1/(f w): |o (-f'') / w^3| and o * (o / (f w))
-        # are exactly those numbers, since o = +-1 only flips signs
-        coeff = float((np.abs(k_mer) + o * k_par).max())
-    else:
-        raise DomainError("revolution flow supports r in {1, 2}")
+    graph = radial_graph(geo.z, geo.f, geo.h, geo.boundary, geo.orientation)
+    coeff = graph.p_trace_sup(r)     # refuses r outside {1, 2}
+    sigma = graph.sigma(r)
     try:
-        h_sq = h ** 2
+        h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
-        raise float_range_error("h", h, 2) from exc
-    return RevolutionStage(geo, r, fp, w, k_mer, k_par, sigma, -o * sigma * w,
-                           h_sq / (1.0 + coeff))
+        raise float_range_error("h", graph.h, 2) from exc
+    return Stage(geo, r, -float(geo.orientation) * sigma * graph.w,
+                 h_sq / (1.0 + coeff), graph, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +307,8 @@ def _revolution_diagnostics(state, config, dt, initial_geometry, stage):
     """Diagnostics row of a radial graph from its state's revolution_stage."""
     geo = state.geometry
     f0, z0 = initial_geometry.f, initial_geometry.z
-    support = revolution_support(geo.z, geo.f, stage.fp, stage.w, geo.orientation)
     phi = _residual_phi(config, state.t)
+    support = stage.graph.support
     residual = float(np.abs(phi ** config.r * stage.sigma + support / phi).max())
     defect = math.nan
     if config.rescaled:

@@ -6,8 +6,9 @@ operator tr(P_{r-1} Hess F) reduces to the one-dimensional flux form
     L F = (1/(f w)) d/dz ( (f * lambda_mer / w) dF/dz ),
 
 where lambda_mer is the eigenvalue of P_{r-1} on the meridional
-direction (1 for r = 1, k_parallel for r = 2), f the distance to the
-axis and w = sqrt(1 + f'^2).  The drifted variant subtracts <X, grad F>.
+direction, f the distance to the axis and w = sqrt(1 + f'^2); it and the
+identities' sigma_p are read off the catalog's ``RevolutionGeometry``.
+The drifted variant subtracts <X, grad F>.
 Identity checks report max-norm residuals over interior nodes only (two
 nodes trimmed per open boundary, where the stencils are lower order);
 no discrete maximum principle is claimed for semidefinite weights.
@@ -36,7 +37,7 @@ from .catalog import (
 )
 from .errors import DomainError, NotSelfShrinkerError, check_order
 from .gapcheck import SHRINKER_TOL
-from .symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
+from .symfun import elem_sym_all, elem_sym_excluding
 
 ORDER_BAND = (1.5, 2.5)   # observed orders a passing refinement study shows
 FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
@@ -58,15 +59,6 @@ class ScalarField:
             raise DomainError("field has non-finite values")
 
 
-def _lambda_meridian(g: RevolutionGeometry, r: int) -> np.ndarray:
-    """Meridional eigenvalue of P_{r-1} built pointwise from curvatures."""
-    if r == 1:
-        return np.ones_like(g.f)
-    if r == 2:
-        return g.k_par
-    raise DomainError("revolution operators support r in {1, 2}")
-
-
 # private forms on the geometry g the caller holds: one geometry pass per call
 
 def _gradient(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
@@ -79,7 +71,7 @@ def _drift(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
 
 
 def _lr_apply(g: RevolutionGeometry, field: ScalarField, r: int) -> ScalarField:
-    coef = g.f * _lambda_meridian(g, r) / g.w
+    coef = g.f * g.p_eigenvalues(r)[0] / g.w
     flux = fd.flux_divergence(coef, field.values, g.h, g.boundary)
     return ScalarField(values=flux / (g.f * g.w), geometry=field.geometry)
 
@@ -146,29 +138,22 @@ def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
     raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
 
 
-def _sigma_fields(g: RevolutionGeometry) -> np.ndarray:
-    """sigma_0..sigma_3 nodewise, one row each (n = 2, so sigma_3 = 0)."""
-    sig = elem_sym_all_rows(np.column_stack([g.k_mer, g.k_par]))
-    return np.vstack([sig.T, np.zeros(g.size)])
-
-
 def _support_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
-    sig = _sigma_fields(g)
-    support = ScalarField(values=g.support, geometry=rev)
-    lhs = _lr_apply(g, support, r).values
-    rhs = (-r * sig[r] - (sig[1] * sig[r] - (r + 1) * sig[r + 1]) * g.support
-           - _drift(g, sig[r]))
+    support = g.support
+    lhs = _lr_apply(g, ScalarField(values=support, geometry=rev), r).values
+    sigma_r = g.sigma(r)
+    rhs = (-r * sigma_r - (g.sigma(1) * sigma_r - (r + 1) * g.sigma(r + 1)) * support
+           - _drift(g, sigma_r))
     cut = g.interior()
     return float(np.abs(lhs - rhs)[cut].max())
 
 
 def _position_identity_residual(rev: Revolution, r: int) -> float:
     g = revolution_geometry(rev)
-    sig = _sigma_fields(g)
     radius_sq = ScalarField(values=g.f ** 2 + g.z ** 2, geometry=rev)
     lhs = 0.5 * _lr_apply(g, radius_sq, r).values
-    rhs = (2 - r + 1) * sig[r - 1] + r * sig[r] * g.support
+    rhs = (2 - r + 1) * g.sigma(r - 1) + r * g.sigma(r) * g.support
     cut = g.interior()
     return float(np.abs(lhs - rhs)[cut].max())
 
@@ -177,13 +162,18 @@ def refinement_report(identity: str, residual_fn, model, r,
                       resolutions) -> ConvergenceReport:
     """Refinement study of residual_fn(revolution, r) over the resolutions.
 
-    Observed orders compare consecutive resolutions, which must differ.
+    Observed orders compare consecutive resolutions, whose grid spacings
+    must differ (a DomainError otherwise: a fixed Revolution has one
+    spacing at every resolution).
     """
     resolutions = [int(m) for m in resolutions]
     residuals = []
     spacings = []
     for m in resolutions:
         rev = _as_revolution(model, m)
+        if spacings and rev.profile.h == spacings[-1]:
+            raise DomainError(f"resolutions {resolutions} repeat the grid spacing "
+                              f"h={rev.profile.h:.6g}: no order can be observed")
         residuals.append(residual_fn(rev, r))
         spacings.append(rev.profile.h)
     orders = []
@@ -205,19 +195,13 @@ def verify_support_identity(model, r: int, resolutions) -> ConvergenceReport:
                           - <grad sigma_r, X>
     which holds on any hypersurface, shrinker or not.
     """
-    if r not in (1, 2):
-        raise DomainError("revolution operators support r in {1, 2}")
-    return refinement_report(
-        "support", _support_identity_residual, model, r, resolutions)
+    return refinement_report("support", _support_identity_residual, model, r, resolutions)
 
 
 def verify_position_identity(model, r: int, resolutions) -> ConvergenceReport:
     """Refinement study of (1/2) L_{r-1} ||X||^2 = (n-r+1) sigma_{r-1}
     + r sigma_r <X,N>."""
-    if r not in (1, 2):
-        raise DomainError("revolution operators support r in {1, 2}")
-    return refinement_report(
-        "position", _position_identity_residual, model, r, resolutions)
+    return refinement_report("position", _position_identity_residual, model, r, resolutions)
 
 
 def verify_product_rule(f: ScalarField, g_field: ScalarField, r: int) -> float:
@@ -234,7 +218,7 @@ def verify_product_rule(f: ScalarField, g_field: ScalarField, r: int) -> float:
         if not same:
             raise DomainError("fields live on different geometries")
     geom = revolution_geometry(f.geometry)
-    lam = _lambda_meridian(geom, r)
+    lam = geom.p_eigenvalues(r)[0]
     fg = ScalarField(values=f.values * g_field.values, geometry=f.geometry)
     lhs = _lr_apply(geom, fg, r).values
     cross = 2.0 * lam * _gradient(geom, f.values) * _gradient(geom, g_field.values)

@@ -24,7 +24,7 @@ from newton_flow.catalog import (
     support_function,
 )
 from newton_flow.errors import DomainError, NumericalError
-from newton_flow.symfun import elem_sym
+from newton_flow.symfun import _excluding_rows, elem_sym, elem_sym_all_rows
 from conftest import ellipsoid_gauss_curvature
 
 
@@ -242,4 +242,60 @@ class TestProfileValidation:
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
         assert prof.h > 0.0 and prof.h * prof.h == 0.0
         with pytest.raises(NumericalError, match=r"h\^2"):
-            catalog.revolution_curvatures(prof.f, prof.h, prof.boundary, 1)
+            catalog.radial_graph(prof.z, prof.f, prof.h, prof.boundary, 1)
+
+
+class TestRevolutionRecord:
+    """The record's closed forms against the general-n row kernels."""
+
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_closed_forms_match_the_row_kernels(self, rng, orientation, boundary):
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            z = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+            phase, amp = rng.uniform(0.0, 2.0 * np.pi, 2), rng.uniform(0.05, 0.4, 2)
+            f = (rng.uniform(0.5, 2.0) + amp[0] * np.sin(z + phase[0])
+                 + amp[1] * np.cos(2.0 * z + phase[1]))
+            g = revolution_geometry(Revolution(
+                profile=ProfileCurve(z=z, f=f, boundary=boundary), orientation=orientation))
+            rows = np.column_stack([g.k_mer, g.k_par])
+            sig = elem_sym_all_rows(rows)
+            for p in range(3):
+                assert np.array_equal(g.sigma(p), sig[:, p]), p
+            assert np.array_equal(g.sigma(3), np.zeros(z.size))
+            for r in (1, 2):
+                mer, par = g.p_eigenvalues(r)
+                # sigma_{r-1} of the row with the meridional / parallel entry deleted
+                assert np.array_equal(mer, elem_sym_all_rows(rows[:, 1:])[:, r - 1])
+                assert np.array_equal(par, elem_sym_all_rows(rows[:, :1])[:, r - 1])
+                # the deletion identity sigma_1 - k_j rounds: equal to a few ulps
+                ref = _excluding_rows(rows, sig, r - 1)
+                scale = 2.0 * eps * (np.abs(g.k_mer) + np.abs(g.k_par))
+                assert (np.abs(np.column_stack([mer, par]) - ref) <= scale[:, None]).all()
+
+    def test_trace_sup(self):
+        g = revolution_geometry(Revolution(profile=sphere_band_profile(2.0, 0.6, 33)))
+        assert g.p_trace_sup(1) == 2.0
+        assert g.p_trace_sup(2) == float((np.abs(g.k_mer) + np.abs(g.k_par)).max())
+        with pytest.raises(DomainError, match="support r in"):
+            g.p_trace_sup(3)
+
+    def test_tube_product_is_signed_zero(self):
+        # k_mer * k_par is -0.0 on a tube where the row kernel gives 0.0;
+        # np.array_equal counts the two as equal
+        g = revolution_geometry(Revolution(profile=cylinder_profile(1.0, 2.0, 33)))
+        kernel = elem_sym_all_rows(np.column_stack([g.k_mer, g.k_par]))[:, 2]
+        assert np.signbit(g.sigma(2)).all() and not np.signbit(kernel).any()
+        assert np.array_equal(g.sigma(2), kernel)
+
+    def test_ellipsoid_queries_use_the_fixed_query_grid(self):
+        model = EllipsoidRev(a=1.0, b=2.0)
+        rev = model.as_revolution(catalog.QUERY_RESOLUTION)
+        g = revolution_geometry(rev)
+        j = 40
+        point = np.array([rev.profile.f[j], 0.0, rev.profile.z[j]])
+        assert (principal_curvatures(model, point) == [g.k_mer[j], g.k_par[j]]).all()
+        assert support_function(model, point) == g.support[j]
+        with pytest.raises(TypeError):
+            EllipsoidRev(a=1.0, b=2.0, resolution=129)

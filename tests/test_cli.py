@@ -508,6 +508,18 @@ class TestExitContract:
         assert err.startswith("domain error: about 9e+170 steps")
         assert "MAX_STEPS" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "--preset", "cyl:n=100000,m=1,r=1"],
+        ["algebra", "--k", ",".join(["1"] * 216), "--r", "1"],   # 217 * 216^2 > 10^7
+    ])
+    def test_algebra_family_above_the_sample_budget(self, capsys, argv):
+        # n + 1 matrices of size n x n; n = 100,000 used to end in a MemoryError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("domain error: the family's (n+1) n^2 at n=")
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["algebra", "--k", "1e308,1", "--r", "1"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_flow import fd
+from newton_flow import fd, operators
 from newton_flow.catalog import (
     Cylinder,
     EllipsoidRev,
@@ -14,6 +14,7 @@ from newton_flow.catalog import (
     sphere_band_profile,
 )
 from newton_flow.errors import DomainError, NotSelfShrinkerError
+from newton_flow.flow import RevolutionGeometryState, revolution_stage
 from newton_flow.operators import (
     ScalarField,
     drifted_apply,
@@ -26,6 +27,7 @@ from newton_flow.operators import (
     verify_support_identity,
 )
 from newton_flow.catalog import self_shrinkers
+from newton_flow.symfun import elem_sym_all_rows
 
 
 def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
@@ -227,6 +229,109 @@ class TestProductRule:
         fb = ScalarField(values=np.cos(rev.profile.z), geometry=periodic)
         with pytest.raises(DomainError, match="different geometries"):
             verify_product_rule(fa, fb, 1)
+
+
+# ---------------------------------------------------------------------------
+# the identities read the catalog's curvature record: pinned against the
+# pointwise forms the operators once kept themselves
+
+def _reference_lambda_meridian(g, r):
+    if r == 1:
+        return np.ones_like(g.f)
+    if r == 2:
+        return g.k_par
+    raise DomainError("revolution operators support r in {1, 2}")
+
+
+def _reference_sigma_fields(g):
+    sig = elem_sym_all_rows(np.column_stack([g.k_mer, g.k_par]))
+    return np.vstack([sig.T, np.zeros(g.z.size)])
+
+
+def _reference_lr(g, values, r):
+    coef = g.f * _reference_lambda_meridian(g, r) / g.w
+    return fd.flux_divergence(coef, values, g.h, g.boundary) / (g.f * g.w)
+
+
+def _reference_drift(g, values):
+    return (g.f * g.fp + g.z) * fd.deriv1(values, g.h, g.boundary) / (g.w * g.w)
+
+
+def _reference_support_residual(rev, r):
+    g = revolution_geometry(rev)
+    sig, support = _reference_sigma_fields(g), g.support
+    lhs = _reference_lr(g, support, r)
+    rhs = (-r * sig[r] - (sig[1] * sig[r] - (r + 1) * sig[r + 1]) * support
+           - _reference_drift(g, sig[r]))
+    return float(np.abs(lhs - rhs)[g.interior()].max())
+
+
+def _reference_position_residual(rev, r):
+    g = revolution_geometry(rev)
+    sig = _reference_sigma_fields(g)
+    lhs = 0.5 * _reference_lr(g, g.f ** 2 + g.z ** 2, r)
+    rhs = (2 - r + 1) * sig[r - 1] + r * sig[r] * g.support
+    return float(np.abs(lhs - rhs)[g.interior()].max())
+
+
+def _reference_product_residual(rev, a, b, r):
+    g = revolution_geometry(rev)
+    grad_a, grad_b = (fd.deriv1(v, g.h, g.boundary) / g.w for v in (a, b))
+    lhs = _reference_lr(g, a * b, r)
+    cross = 2.0 * _reference_lambda_meridian(g, r) * grad_a * grad_b
+    rhs = a * _reference_lr(g, b, r) + b * _reference_lr(g, a, r) + cross
+    return float(np.abs(lhs - rhs)[g.interior()].max())
+
+
+_RECORD_GEOMETRIES = ([("ellipsoid", m) for m in (64, 128, 256)]
+                      + [("tube", 97), ("tube", 129)])
+
+
+def _record_geometry(kind, m):
+    return ellipsoid_rev(m) if kind == "ellipsoid" else cylinder_rev(1.3, 2.0, m)
+
+
+class TestSingleSourceRecord:
+    @pytest.mark.parametrize("kind, m", _RECORD_GEOMETRIES)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_residuals_bitwise_equal_to_reference_forms(self, kind, m, r):
+        rev = _record_geometry(kind, m)
+        z = rev.profile.z
+        a, b = np.sin(1.5 * z), np.cos(0.7 * z) + 0.2 * z
+        assert np.array_equal(lr_apply(ScalarField(values=a, geometry=rev), r).values,
+                              _reference_lr(revolution_geometry(rev), a, r))
+        assert (operators._support_identity_residual(rev, r)
+                == _reference_support_residual(rev, r))
+        assert (operators._position_identity_residual(rev, r)
+                == _reference_position_residual(rev, r))
+        product = verify_product_rule(ScalarField(values=a, geometry=rev),
+                                      ScalarField(values=b, geometry=rev), r)
+        assert product == _reference_product_residual(rev, a, b, r)
+
+    def test_r_out_of_range_is_one_message(self):
+        rev = cylinder_rev(samples=33)
+        p = rev.profile
+        state = RevolutionGeometryState(z=p.z.copy(), f=p.f.copy(),
+                                        boundary=p.boundary, orientation=1)
+        messages = set()
+        for call in (lambda: revolution_stage(state, 3),
+                     lambda: lr_apply(ScalarField(values=p.z.copy(), geometry=rev), 3),
+                     lambda: verify_support_identity(rev, 3, [33])):
+            with pytest.raises(DomainError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"revolution surfaces support r in {1, 2}, got r=3"}
+
+
+class TestRefinementSpacing:
+    def test_fixed_revolution_at_two_resolutions_is_refused(self):
+        with pytest.raises(DomainError, match="repeat the grid spacing"):
+            verify_position_identity(EllipsoidRev(a=1.0, b=2.0).as_revolution(65),
+                                     1, [64, 128])
+
+    def test_repeated_resolution_is_refused(self):
+        with pytest.raises(DomainError, match="repeat the grid spacing"):
+            verify_position_identity(EllipsoidRev(a=1.0, b=2.0), 2, [64, 64])
 
 
 class TestShrinkerPde:
