@@ -203,6 +203,10 @@ class RevolutionGeometry(NamedTuple):
     k_par: np.ndarray     # oriented parallel principal curvature
 
     @property
+    def min_radius(self) -> float:
+        return float(self.f.min())
+
+    @property
     def support(self) -> np.ndarray:
         """<X, N> = o (z f' - f) / w."""
         return float(self.orientation) * (self.z * self.fp - self.f) / self.w
@@ -250,9 +254,21 @@ def radial_graph(z: np.ndarray, f: np.ndarray, h: float, boundary: str,
 
 
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
-    """The record of a surface of revolution's profile."""
+    """The record of a surface of revolution's profile.
+
+    A record that leaves the float range (radii near the float maximum
+    overflow the ghosts, steep slopes overflow w^3) raises NumericalError
+    with no numpy warning.  The check is made once per profile, here, and
+    not in the ``radial_graph`` of every flow step.
+    """
     p = rev.profile
-    return radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
+        except FloatingPointError as exc:
+            raise NumericalError(
+                f"the curvature record of a profile with max f={p.f.max():.6g} "
+                f"and h={p.h:.6g} leaves the float range") from exc
 
 
 def sphere_band_profile(radius: float, half_width: float, samples: int,

@@ -1,15 +1,17 @@
 """Finite-difference stencils on uniform 1-D grids.
 
 Two boundary modes are supported: "periodic" wraps the grid (node M-1
-neighbours node 0), and "neumann" is the open/non-periodic mode, where
-cubic extrapolation supplies one ghost value beyond each end node.
-Both modes go through one validated, ghost-padded copy of the values
-(``_padded``), on which the centred stencils are written once:
-``derivatives`` returns the first and second derivative from that one
-pass, and ``deriv1`` is its first stencil alone.  At the open ends the
-first derivative is second order (exact for zero-slope data) and the
-second derivative lower order; consumers trim end nodes from any
-residual they report.
+neighbours node 0), and "neumann" is the open/non-periodic mode.
+``_padded`` is the one ghost rule: it gives a validated copy of the
+values with one ghost node beyond each end, the wrapped neighbour in the
+periodic mode and the cubic extrapolation in the open mode.  Every
+stencil is written once on that copy: ``derivatives`` returns the first
+and second derivative from one pass, ``deriv1`` is its first stencil
+alone, and ``flux_divergence`` pads its coefficient and its values and
+applies one half-node formula.  The open-mode ghosts are exact on
+cubics, so f'' and the flux form with a constant coefficient are exact
+on cubics at every node.  The end nodes still carry larger errors than
+the interior, and consumers trim them from any residual they report.
 """
 
 from __future__ import annotations
@@ -64,31 +66,16 @@ def deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:
 def flux_divergence(coef, values, h: float, boundary: str = "neumann") -> np.ndarray:
     """Conservative form (d/dz)(coef * dv/dz) with half-node coefficients.
 
-    Second order in the interior.  In the open mode the end nodes use
-    quadratically extrapolated ghost values (first-order there; trim).
+    Both grids are extended by ``_padded``'s ghosts, so one half-node
+    formula serves every node.  Second order in the interior, with larger
+    errors at the open ends (trim).
     """
-    c = _check(coef, boundary)
-    v = _check(values, boundary)
+    c = _padded(coef, boundary)
+    v = _padded(values, boundary)
     if c.shape != v.shape:
         raise DomainError("coefficient and value grids differ in length")
-    if boundary == "periodic":
-        c_half = 0.5 * (c + np.roll(c, -1))       # coef at j+1/2
-        flux = c_half * (np.roll(v, -1) - v) / h  # flux at j+1/2
-        return (flux - np.roll(flux, 1)) / h
-    out = np.empty_like(v)
-    c_half = 0.5 * (c[:-1] + c[1:])               # length M-1, at j+1/2
-    flux = c_half * (v[1:] - v[:-1]) / h
-    out[1:-1] = (flux[1:] - flux[:-1]) / h
-    # ghosts: quadratic extrapolation of v, linear extrapolation of coef
-    c_left = 0.5 * (3.0 * c[0] - c[1])
-    v_left = 3.0 * v[0] - 3.0 * v[1] + v[2]
-    flux_left = c_left * (v[0] - v_left) / h
-    out[0] = (flux[0] - flux_left) / h
-    c_right = 0.5 * (3.0 * c[-1] - c[-2])
-    v_right = 3.0 * v[-1] - 3.0 * v[-2] + v[-3]
-    flux_right = c_right * (v_right - v[-1]) / h
-    out[-1] = (flux_right - flux[-1]) / h
-    return out
+    flux = 0.5 * (c[:-1] + c[1:]) * (v[1:] - v[:-1]) / h   # at j-1/2, j = 0..M
+    return (flux[1:] - flux[:-1]) / h
 
 
 def trim_slice(boundary: str) -> slice:

@@ -4,15 +4,17 @@ Two discretizations, matched to the geometry: the round law R' =
 -C(n,r)/R^r of spheres (the circle n = 1 among them) and of the round
 factor of a cylinder, whose state is the catalog ``Sphere``; and
 surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
-df/dt = -sigma_r * sqrt(1 + f_z^2).
+df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
+``RevolutionGeometry`` record: each state is built by ``radial_graph``
+from one derivative pass, once the guard has passed its radii.
 
 Each has one stage function, giving a state's ``Stage``: its speed and
-step bound dt <= h^2 / (1 + sup tr|P_{r-1}|) from one pass.  These are
-``revolution_stage``, read off the graph's catalog curvature record, and
-the round law's closed forms (h = 2 pi R / resolution, tr P_{r-1} =
-(n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
-T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
-on 21 of the 55 catalog laws at resolution 128).
+step bound dt <= h^2 / (1 + sup tr|P_{r-1}|).  These are
+``revolution_stage``, read off the state's record with no derivative
+pass of its own, and the round law's closed forms (h = 2 pi R /
+resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
+law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
+1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
 ``step`` is the one explicit step for every geometry: it recomputes a
 stage built for another state or r, refuses dt above the bound, advances
 by ``_explicit_step`` (forward Euler or the rk2 midpoint rule, with the
@@ -20,13 +22,13 @@ Dirichlet data of ``FlowConfig.boundary_values`` imposed on each stage)
 and runs one guard: a non-positive radius is extinction (reason "pinch"
 on radial graphs) and a NaN is a NumericalError.
 
-``run`` evaluates one stage per state, which sets the next dt, is handed
-to the step and feeds the diagnostics row.  It estimates T / (cfl_safety
-* bound) steps from the first stage, T being t_end or, if sooner, the
-closed-form extinction time of a round law, and refuses a run above
-``MAX_STEPS`` steps (DomainError); one that passes ``MAX_STEPS`` anyway
-stops with a NumericalError.  Runs are deterministic for a fixed
-configuration.  The homothety monitor uses the canonical rescaling
+``run`` evaluates one stage per state, which sets the next dt and is
+handed to the step; the diagnostics row reads the state.  It estimates
+T / (cfl_safety * bound) steps from the first stage, T being t_end or,
+if sooner, the closed-form extinction time of a round law, and refuses
+a run above ``MAX_STEPS`` steps (DomainError); one that passes
+``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
+deterministic for a fixed configuration.  The homothety monitor uses the canonical rescaling
 phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
 of that normalization is claimed.
 """
@@ -50,8 +52,10 @@ from .catalog import (
     Hyperplane,
     HypersurfaceModel,
     Revolution,
+    RevolutionGeometry,
     Sphere,
     radial_graph,
+    revolution_geometry,
 )
 from .errors import (
     CflViolationError,
@@ -125,22 +129,6 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
 
 # ---------------------------------------------------------------------------
 # state containers
-
-@dataclass(eq=False)
-class RevolutionGeometryState:
-    z: np.ndarray
-    f: np.ndarray
-    boundary: str
-    orientation: int
-
-    @property
-    def h(self) -> float:
-        return float(self.z[1] - self.z[0])
-
-    @property
-    def min_radius(self) -> float:
-        return float(self.f.min())
-
 
 @dataclass(eq=False)
 class FlowState:
@@ -226,15 +214,13 @@ class Stage:
     A slots class: one is built every step, where a NamedTuple's
     constructor costs a measurable share of a round-law step."""
 
-    __slots__ = ("geometry", "r", "speed", "bound", "graph", "sigma")
+    __slots__ = ("geometry", "r", "speed", "bound")
 
-    def __init__(self, geometry, r: int, speed, bound: float, graph=None, sigma=None):
+    def __init__(self, geometry, r: int, speed, bound: float):
         self.geometry = geometry  # the state it was computed from
         self.r = r
         self.speed = speed        # R' of the round law, df/dt of a radial graph
         self.bound = bound        # explicit stability bound on dt
-        self.graph = graph        # a radial graph's curvature record, and
-        self.sigma = sigma        # its sigma_r, for the diagnostics row
 
 
 def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
@@ -253,21 +239,19 @@ def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-def revolution_stage(geo: RevolutionGeometryState, r: int) -> Stage:
-    """Curvature record, speed and step bound of the radial graph from one pass.
+def revolution_stage(graph: RevolutionGeometry, r: int) -> Stage:
+    """Speed and step bound of a radial graph, read off its record.
 
     The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
     and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).
     """
-    graph = radial_graph(geo.z, geo.f, geo.h, geo.boundary, geo.orientation)
     coeff = graph.p_trace_sup(r)     # refuses r outside {1, 2}
-    sigma = graph.sigma(r)
     try:
         h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
         raise float_range_error("h", graph.h, 2) from exc
-    return Stage(geo, r, -float(geo.orientation) * sigma * graph.w,
-                 h_sq / (1.0 + coeff), graph, sigma)
+    return Stage(graph, r, -float(graph.orientation) * graph.sigma(r) * graph.w,
+                 h_sq / (1.0 + coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +272,7 @@ def _residual_phi(config, t: float) -> float:
     return phi if phi > 0 else 1.0
 
 
-def _sphere_diagnostics(state, config, dt, initial_geometry, _stage):
+def _sphere_diagnostics(state, config, dt, initial_geometry):
     n, r = state.geometry.n, config.r
     radius = state.geometry.radius
     phi = _residual_phi(config, state.t)
@@ -303,13 +287,13 @@ def _sphere_diagnostics(state, config, dt, initial_geometry, _stage):
                        homothety_defect=defect, min_radius=radius, dt=dt)
 
 
-def _revolution_diagnostics(state, config, dt, initial_geometry, stage):
-    """Diagnostics row of a radial graph from its state's revolution_stage."""
+def _revolution_diagnostics(state, config, dt, initial_geometry):
+    """Diagnostics row of a radial graph, read off its state's record."""
     geo = state.geometry
     f0, z0 = initial_geometry.f, initial_geometry.z
     phi = _residual_phi(config, state.t)
-    support = stage.graph.support
-    residual = float(np.abs(phi ** config.r * stage.sigma + support / phi).max())
+    sigma = geo.sigma(config.r)
+    residual = float(np.abs(phi ** config.r * sigma + geo.support / phi).max())
     defect = math.nan
     if config.rescaled:
         phi_h = homothety_factor(config.r, state.t)
@@ -338,10 +322,10 @@ def _initial_state(config: FlowConfig) -> FlowState:
     if isinstance(model, EllipsoidRev):
         model = model.as_revolution(config.resolution)
     if isinstance(model, Revolution):
+        # the run's one float-range check, on its own copies of z and f
         p = model.profile
-        return FlowState(t=0.0, geometry=RevolutionGeometryState(
-            z=p.z.copy(), f=p.f.copy(), boundary=p.boundary,
-            orientation=model.orientation))
+        return FlowState(t=0.0, geometry=revolution_geometry(model)._replace(
+            z=p.z.copy(), f=p.f.copy()))
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 
@@ -363,9 +347,9 @@ _KINDS = {
         _round_stage, attrgetter("radius"), lambda geom, radius: Sphere(geom.n, radius),
         float, "radius", "extinct", _sphere_diagnostics,
         lambda geom, r: extinction_time(geom.n, r, geom.radius)),
-    RevolutionGeometryState: _Kind(
+    RevolutionGeometry: _Kind(
         lambda geo, config: revolution_stage(geo, config.r), attrgetter("f"),
-        lambda geo, f: RevolutionGeometryState(geo.z, f, geo.boundary, geo.orientation),
+        lambda geo, f: radial_graph(geo.z, f, geo.h, geo.boundary, geo.orientation),
         methodcaller("min"), "profile", "pinch", _revolution_diagnostics,
         lambda geo, r: math.inf),
 }
@@ -441,9 +425,9 @@ def run(config: FlowConfig) -> RunResult:
     geom = state.geometry
     kind = _KINDS[type(geom)]
 
-    def make_diag(s, dt, st):
+    def make_diag(s, dt):
         # steps build new arrays, so the initial geometry stays as it was
-        return kind.diagnose(s, config, dt, geom, st)
+        return kind.diagnose(s, config, dt, geom)
 
     initial_radius = geom.min_radius
     stage = kind.stage(geom, config)
@@ -455,7 +439,7 @@ def run(config: FlowConfig) -> RunResult:
     if horizon > MAX_STEPS * config.cfl_safety * stage.bound > 0.0:
         raise DomainError(f"about {horizon / config.cfl_safety / stage.bound:.3g} "
                           f"steps to t={horizon:.6g}, above MAX_STEPS={MAX_STEPS}")
-    diagnostics.append(make_diag(state, 0.0, stage))
+    diagnostics.append(make_diag(state, 0.0))
     status = "completed"
     last_dt = 0.0
     while state.t < config.t_end * (1.0 - 1e-14):
@@ -474,10 +458,10 @@ def run(config: FlowConfig) -> RunResult:
         stage = kind.stage(state.geometry, config)
         if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
             status = "extinct"
-            diagnostics.append(make_diag(state, dt, stage))
+            diagnostics.append(make_diag(state, dt))
             break
         if state.step_count % config.output_stride == 0:
-            diagnostics.append(make_diag(state, dt, stage))
+            diagnostics.append(make_diag(state, dt))
     if diagnostics[-1].t < state.t:
-        diagnostics.append(make_diag(state, last_dt, stage))
+        diagnostics.append(make_diag(state, last_dt))
     return RunResult(diagnostics=diagnostics, status=status, state=state)

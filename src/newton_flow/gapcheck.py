@@ -143,7 +143,7 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     sig = elem_sym_all_rows(K, r)                    # (S, r+1): the orders read
     eig_p = _excluding_rows(K, sig, r - 1)           # eigenvalues of P_{r-1}
     # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
-    gauss = _gauss_report(K, sig, eig_p, n, GAP_TOL) if r == n else None
+    gauss = _gauss_report(K, sig, eig_p, n) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)
     residual = np.abs(sig[:, r] + support)
 
@@ -210,9 +210,7 @@ def classify(report: GapReport) -> Classification:
         raise NotSelfShrinkerError(
             f"sup |sigma_r + <X,N>| = {report.sup_residual:.3e} above threshold"
         )
-    return _classify(report.sup_modified_norm_sq, report.min_eig_p,
-                     report.sup_residual, report.r, report.n,
-                     report.zero_multiplicity)
+    return report.classification
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ class GaussReport:
 
 
 def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
-                  n: int, tol: float) -> GaussReport:
+                  n: int) -> GaussReport:
     """Gauss fragment of samples K with their sigmas and sigma_{n-1}(A_j)."""
     # K * I = P_{n-1} A: the product curvature equals k_i sigma_{n-1}(A_i)
     identity_residual = float(np.abs(K * eig_p - sig[:, n:n + 1]).max())
@@ -244,23 +242,19 @@ def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
     return GaussReport(
         n=n,
         sup_hk=float(hk.max()),
-        weakly_convex=bool(K.min() >= -tol),
-        hk_at_most_n=bool(hk.max() <= n + tol),
+        weakly_convex=bool(K.min() >= -GAP_TOL),
+        hk_at_most_n=bool(hk.max() <= n + GAP_TOL),
         identity_residual=identity_residual,
     )
 
 
-def gauss_check(model: HypersurfaceModel, resolution: int = 16,
-                tol: float = GAP_TOL) -> GaussReport:
-    """Checks specific to the Gauss-curvature flow (r = n).
+def gauss_check(model: HypersurfaceModel, resolution: int = 16) -> GaussReport:
+    """Checks specific to the Gauss-curvature flow (r = n): the Gauss
+    fragment of ``evaluate(model, model.n, resolution)``.
 
     sup HK has degree n + 1: out-of-range curvatures raise NumericalError.
     """
-    n = model.n
-    K = sample_fields(model, resolution)[0]
-    _check_degree(float(np.abs(K).max()), n + 1, n)
-    sig = elem_sym_all_rows(K)
-    return _gauss_report(K, sig, _excluding_rows(K, sig, n - 1), n, tol)
+    return evaluate(model, model.n, resolution).gauss
 
 
 @dataclass(frozen=True)

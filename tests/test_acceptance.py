@@ -19,6 +19,7 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
+    radial_graph,
     self_shrinkers,
     shrinker_radius,
     sigma_p_cylinder,
@@ -28,7 +29,6 @@ from newton_flow.cli import main as cli_main
 from newton_flow.flow import (
     FlowConfig,
     FlowState,
-    RevolutionGeometryState,
     homothety_factor,
     run,
     sphere_band_pin,
@@ -220,8 +220,8 @@ def test_criterion_6_flow_laws():
     # discrete cylinder under the Gauss flow speed: stationary per step
     prof = cylinder_profile(1.0, 2.0, 256)
     config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
-    state = FlowState(t=0.0, geometry=RevolutionGeometryState(
-        z=prof.z.copy(), f=prof.f.copy(), boundary="neumann", orientation=1))
+    state = FlowState(t=0.0, geometry=radial_graph(
+        prof.z.copy(), prof.f.copy(), prof.h, "neumann", 1))
     for _ in range(50):
         before = state.geometry.f.copy()
         state = step(state, config, 1e-5)

@@ -592,6 +592,21 @@ class TestExitContract:
         assert "h^2" in err
         assert "RuntimeWarning" not in err and not caught
 
+    @pytest.mark.parametrize("command", ["flow", "gap", "residual"])
+    @pytest.mark.parametrize("model", [
+        {"kind": "ellipsoid_rev", "a": 1e200, "b": 1.0, "band": 0.5},   # f'^2 overflows
+        {"kind": "cylinder_band", "radius": 1.7e308, "half_width": 0.5,
+         "samples": 16},                                               # the ghosts overflow
+    ])
+    def test_profile_out_of_float_range_is_refused_without_warning(
+            self, capsys, tmp_path, command, model):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1, "flow": {"t_end": 0.01}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 4
+        assert out == "" and "leaves the float range" in err
+
     def test_verify_makes_one_geometry_pass_per_residual(self, capsys, monkeypatch):
         calls = []
         original = catalog.revolution_geometry

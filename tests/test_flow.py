@@ -10,7 +10,9 @@ from newton_flow.catalog import (
     Hyperplane,
     Revolution,
     Sphere,
+    RevolutionGeometry,
     cylinder_profile,
+    radial_graph,
     shrinker_radius,
     sphere_band_profile,
 )
@@ -30,7 +32,6 @@ from newton_flow.flow import (
     sphere_band_pin,
     sphere_radius_exact,
     step,
-    RevolutionGeometryState,
 )
 from newton_flow.symfun import newton_family
 
@@ -98,8 +99,7 @@ class TestRevolutionStepping:
 
     def test_cylinder_r2_stationary_per_step(self):
         prof = cylinder_profile(1.0, 2.0, 64)
-        geo = RevolutionGeometryState(z=prof.z.copy(), f=prof.f.copy(),
-                                      boundary="neumann", orientation=1)
+        geo = radial_graph(prof.z.copy(), prof.f.copy(), prof.h, "neumann", 1)
         state = FlowState(t=0.0, geometry=geo)
         config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
         for _ in range(25):
@@ -287,15 +287,23 @@ def _band_step_config(r, m=32):
                       t_end=1.0)
 
 
-def _band_state(m=32, f=None):
+def _band_state(m=32, f=None, orientation=1):
     prof = sphere_band_profile(2.0, 0.6, m)
-    geo = RevolutionGeometryState(z=prof.z.copy(),
-                                  f=prof.f.copy() if f is None else f,
-                                  boundary="neumann", orientation=1)
+    geo = radial_graph(prof.z.copy(), prof.f.copy() if f is None else f,
+                       prof.h, "neumann", orientation)
     return FlowState(t=0.0, geometry=geo)
 
 
 class TestRevolutionStage:
+    def test_state_is_the_catalog_record(self):
+        result = run(_band_config(2, "rk2", pinned=True))
+        geo = result.state.geometry
+        assert isinstance(geo, RevolutionGeometry)
+        again = radial_graph(geo.z, geo.f, geo.h, geo.boundary, geo.orientation)
+        for name in ("fp", "w", "k_mer", "k_par"):
+            assert getattr(geo, name).tobytes() == getattr(again, name).tobytes()
+        assert flow.Stage.__slots__ == ("geometry", "r", "speed", "bound")
+
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
     @pytest.mark.parametrize("r", [1, 2])
@@ -311,8 +319,7 @@ class TestRevolutionStage:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_stage_matches_reference_formulas(self, r):
-        geo = _band_state(m=48).geometry
-        geo.orientation = -1
+        geo = _band_state(m=48, orientation=-1).geometry
         stage = revolution_stage(geo, r)
         speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
         assert stage.speed.tobytes() == speed.tobytes()

@@ -9,12 +9,13 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
+    radial_graph,
     revolution_geometry,
     shrinker_radius,
     sphere_band_profile,
 )
 from newton_flow.errors import DomainError, NotSelfShrinkerError
-from newton_flow.flow import RevolutionGeometryState, revolution_stage
+from newton_flow.flow import revolution_stage
 from newton_flow.operators import (
     ScalarField,
     drifted_apply,
@@ -311,8 +312,7 @@ class TestSingleSourceRecord:
     def test_r_out_of_range_is_one_message(self):
         rev = cylinder_rev(samples=33)
         p = rev.profile
-        state = RevolutionGeometryState(z=p.z.copy(), f=p.f.copy(),
-                                        boundary=p.boundary, orientation=1)
+        state = radial_graph(p.z.copy(), p.f.copy(), p.h, p.boundary, 1)
         messages = set()
         for call in (lambda: revolution_stage(state, 3),
                      lambda: lr_apply(ScalarField(values=p.z.copy(), geometry=rev), 3),
@@ -321,6 +321,29 @@ class TestSingleSourceRecord:
                 call()
             messages.add(str(info.value))
         assert messages == {"revolution surfaces support r in {1, 2}, got r=3"}
+
+
+class TestExactIdentities:
+    """A residual at rounding level is exact: it gives no order and passes."""
+
+    def test_tube_identities_pass_with_no_order(self):
+        rep = verify_position_identity(Cylinder(n=2, m=1, radius=1.0), 1, [9, 10])
+        assert rep.residuals[0] == 0.0 < rep.residuals[1] <= operators.EXACT_TOL
+        assert rep.observed_orders == () and rep.passes()
+        rep = verify_support_identity(Cylinder(2, 1, 1.0), 1, [17, 33, 65])
+        assert rep.residuals == (0.0, 0.0, 0.0)
+        assert rep.observed_orders == () and rep.passes()
+
+    def test_only_pairs_above_rounding_give_orders(self):
+        made = {17: 4e-3, 33: 1e-3, 65: 1e-16}
+        rep = operators.refinement_report(
+            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            1, [17, 33])
+        assert len(rep.observed_orders) == 1 and rep.passes()
+        rep = operators.refinement_report(
+            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            1, [17, 33, 65])
+        assert len(rep.observed_orders) == 1 and rep.passes()
 
 
 class TestRefinementSpacing:
