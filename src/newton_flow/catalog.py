@@ -17,7 +17,7 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf
+from math import comb, inf, isfinite
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -247,10 +247,12 @@ def radial_graph(z: np.ndarray, f: np.ndarray, h: float, boundary: str,
     if not h * h > 0.0:      # an underflowed h^2 would divide f'' by zero
         raise float_range_error("h", h, 2)
     fp, fpp = fd.derivatives(f, h, boundary)
-    w = np.sqrt(1.0 + fp * fp)
-    o = float(orientation)
-    return RevolutionGeometry(z, f, h, boundary, orientation, fp, w,
-                              o * (-fpp) / w ** 3, o / (f * w))
+    w = np.sqrt(fp * fp + 1.0)
+    if orientation > 0:     # k_mer = o (-f'') / w^3 and k_par = o / (f w), o = +-1
+        k_mer, k_par = -fpp / w ** 3, 1.0 / (f * w)
+    else:
+        k_mer, k_par = fpp / w ** 3, -1.0 / (f * w)
+    return RevolutionGeometry(z, f, h, boundary, orientation, fp, w, k_mer, k_par)
 
 
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
@@ -259,16 +261,21 @@ def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
     A record that leaves the float range (radii near the float maximum
     overflow the ghosts, steep slopes overflow w^3) raises NumericalError
     with no numpy warning.  The check is made once per profile, here, and
-    not in the ``radial_graph`` of every flow step.
+    not in the ``radial_graph`` of every flow step.  The ghosts overflow
+    without a numpy flag, so a non-finite f' at an end is caught here.
     """
     p = rev.profile
     with np.errstate(over="raise", invalid="raise"):
         try:
-            return radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
-        except FloatingPointError as exc:
-            raise NumericalError(
-                f"the curvature record of a profile with max f={p.f.max():.6g} "
-                f"and h={p.h:.6g} leaves the float range") from exc
+            geo = radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
+            finite = isfinite(geo.fp[0]) and isfinite(geo.fp[-1])
+        except FloatingPointError:
+            finite = False
+    if not finite:
+        raise NumericalError(
+            f"the curvature record of a profile with max f={p.f.max():.6g} "
+            f"and h={p.h:.6g} leaves the float range")
+    return geo
 
 
 def sphere_band_profile(radius: float, half_width: float, samples: int,

@@ -37,24 +37,28 @@ def _padded(values, boundary: str) -> np.ndarray:
     """Validated values with one ghost node at each end.
 
     The ghosts wrap around in the periodic mode and are cubic
-    extrapolations in the open mode.
+    extrapolations in the open mode.  The extrapolations are taken in
+    Python floats, which round as float64 does but overflow to inf or
+    nan with no numpy flag or warning.
     """
     v = _check(values, boundary)
     p = np.empty(v.size + 2)
     p[1:-1] = v
     if boundary == "periodic":
-        p[0], p[-1] = v[-1], v[0]
+        p[0], p[-1] = p[-2], p[1]
     else:
-        p[0] = 4.0 * v[0] - 6.0 * v[1] + 4.0 * v[2] - v[3]
-        p[-1] = 4.0 * v[-1] - 6.0 * v[-2] + 4.0 * v[-3] - v[-4]
+        a, b, c, d = v[:4].tolist()
+        p[0] = 4.0 * a - 6.0 * b + 4.0 * c - d
+        a, b, c, d = v[:-5:-1].tolist()
+        p[-1] = 4.0 * a - 6.0 * b + 4.0 * c - d
     return p
 
 
 def derivatives(values, h: float, boundary: str = "neumann"):
     """First and second derivative, centred everywhere, from one padded pass."""
     p = _padded(values, boundary)
-    first = (p[2:] - p[:-2]) / (2.0 * h)
-    return first, (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)
+    right, left = p[2:], p[:-2]
+    return (right - left) / (2.0 * h), (right - p[1:-1] * 2.0 + left) / (h * h)
 
 
 def deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:

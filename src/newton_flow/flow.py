@@ -1,36 +1,46 @@
 """Explicit time integration of the speed-sigma_r normal flow.
 
-Two discretizations, matched to the geometry: the round law R' =
+Two kinds of flow state, matched to the geometry: the round law R' =
 -C(n,r)/R^r of spheres (the circle n = 1 among them) and of the round
 factor of a cylinder, whose state is the catalog ``Sphere``; and
 surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
-``RevolutionGeometry`` record: each state is built by ``radial_graph``
-from one derivative pass, once the guard has passed its radii.
+``RevolutionGeometry`` record, built by ``radial_graph`` from one
+derivative pass.
 
-Each has one stage function, giving a state's ``Stage``: its speed and
-step bound dt <= h^2 / (1 + sup tr|P_{r-1}|).  These are
-``revolution_stage``, read off the state's record with no derivative
-pass of its own, and the round law's closed forms (h = 2 pi R /
-resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
-law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
-1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
-``step`` is the one explicit step for every geometry: it recomputes a
-stage built for another state or r, refuses dt above the bound, advances
-by ``_explicit_step`` (forward Euler or the rk2 midpoint rule, with the
-Dirichlet data of ``FlowConfig.boundary_values`` imposed on each stage)
-and runs one guard: a non-positive radius is extinction (reason "pinch"
-on radial graphs) and a NaN is a NumericalError.
+A run makes its kind once from the initial state, r and the resolution
+(``_round_kind``, ``_graph_kind``).  The kind binds what no step changes
+(C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the grid, the
+orientation and h^2) and gives a state's speed and step bound dt <= h^2
+/ (1 + sup tr|P_{r-1}|), the speed at new values for the rk2 midpoint,
+and the rebuild of a state from values the guard has passed (a round
+law's ``Sphere`` skips its validation there).  The radial graph's stage
+is read off the state's record, with no derivative pass of its own; the
+round law's is closed-form (h = 2 pi R / resolution, tr P_{r-1} =
+(n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
+T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
+on 21 of the 55 catalog laws at resolution 128).  ``revolution_stage``
+and ``_round_stage`` give one state's speed and bound as a ``Stage``.
 
-``run`` evaluates one stage per state, which sets the next dt and is
-handed to the step; the diagnostics row reads the state.  It estimates
+``_stepper`` makes the run's one explicit step from the kind and the
+configuration: forward Euler or the rk2 midpoint rule, with the
+Dirichlet data of ``FlowConfig.boundary_values`` imposed on the midpoint
+and on the result.  It refuses dt above the bound (CflViolationError)
+and runs one guard on the midpoint and on the result: a non-positive
+radius is extinction (reason "pinch" on radial graphs) and a NaN is a
+NumericalError.  The guard returns the smallest radius it computed.
+``step`` is a thin public call into the same stepper.
+
+``run`` builds the kind and the stepper once and carries t, the state,
+its speed and bound and the step count as locals; a ``FlowState`` is
+built only for a diagnostics row and for the final state.  It estimates
 T / (cfl_safety * bound) steps from the first stage, T being t_end or,
 if sooner, the closed-form extinction time of a round law, and refuses
 a run above ``MAX_STEPS`` steps (DomainError); one that passes
 ``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
-deterministic for a fixed configuration.  The homothety monitor uses the canonical rescaling
-phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial data; no uniqueness
-of that normalization is claimed.
+deterministic for a fixed configuration.  The homothety monitor uses
+the canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog
+initial data; no uniqueness of that normalization is claimed.
 """
 
 from __future__ import annotations
@@ -38,7 +48,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from math import comb
 from operator import attrgetter, methodcaller
 from typing import Callable, NamedTuple
@@ -92,13 +101,26 @@ def sphere_radius_exact(n: int, r: int, radius0: float, t: float) -> float:
     Raises ExtinctionError (carrying the extinction time) for t at or
     past extinction.
     """
-    if t < 0:
+    if t < 0:       # before the parameters are checked
         raise DomainError("time must be nonnegative")
+    return _radius_law(n, r, radius0)(t)
+
+
+def _radius_law(n: int, r: int, radius0: float):
+    """t -> sphere_radius_exact(n, r, radius0, t), with the parts that do
+    not depend on t, and their checks, taken once."""
     t_ext = extinction_time(n, r, radius0)
-    core = radius0 ** (r + 1) - (r + 1) * comb(n, r) * t
-    if core <= 0:
-        raise ExtinctionError(t_ext)
-    return core ** (1.0 / (r + 1))
+    top, rate, power = radius0 ** (r + 1), (r + 1) * comb(n, r), 1.0 / (r + 1)
+
+    def radius(t: float) -> float:
+        if t < 0:
+            raise DomainError("time must be nonnegative")
+        core = top - rate * t
+        if core <= 0:
+            raise ExtinctionError(t_ext)
+        return core ** power
+
+    return radius
 
 
 def homothety_factor(r: int, t: float) -> float:
@@ -112,12 +134,14 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
 
     Returns a callable t -> (f_left, f_right) suitable for
     FlowConfig.boundary_values, raising ExtinctionError once the band
-    edge reaches the shrinking sphere's equator.
+    edge reaches the shrinking sphere's equator.  The parameters are
+    checked, and the sphere's law set up, when the pin is made.
     """
+    law = _radius_law(n, r, radius0)
     hw2 = half_width * half_width
 
     def values(t: float):
-        radius = sphere_radius_exact(n, r, radius0, t)
+        radius = law(t)
         core = radius * radius - hw2
         if core <= 0:
             raise ExtinctionError(t, reason="band pinch")
@@ -187,32 +211,13 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the explicit scheme
-
-def _explicit_step(x, speed, speed_at, t, dt, scheme, pin=None):
-    """One explicit step of dx/dt = speed_at(x) from x at time t.
-
-    speed is speed_at(x), already evaluated by the caller.  euler takes
-    x + dt * speed; rk2 is the midpoint rule x + dt * speed_at(x + dt/2 *
-    speed).  pin(values, t), when given, imposes Dirichlet data on the
-    midpoint and on the result.
-    """
-    if scheme == "euler":
-        x_new = x + dt * speed
-    else:
-        half = x + 0.5 * dt * speed
-        x_new = x + dt * speed_at(half if pin is None else pin(half, t + 0.5 * dt))
-    return x_new if pin is None else pin(x_new, t + dt)
-
-
-# ---------------------------------------------------------------------------
-# the round law (spheres, and the round factor of cylinders)
+# stages
 
 class Stage:
     """Speed and explicit step bound of one state, for one speed law r.
 
-    A slots class: one is built every step, where a NamedTuple's
-    constructor costs a measurable share of a round-law step."""
+    A slots class, built once per call of ``revolution_stage`` or
+    ``_round_stage``; ``run`` carries a stage's speed and bound as locals."""
 
     __slots__ = ("geometry", "r", "speed", "bound")
 
@@ -223,35 +228,101 @@ class Stage:
         self.bound = bound        # explicit stability bound on dt
 
 
-def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
+class _Kind(NamedTuple):
+    """One kind of flow state, bound to one run's r, resolution and grid."""
+
+    stage: Callable       # geometry -> (its speed, its step bound)
+    speed_at: Callable    # values -> speed of the state holding them (rk2 midpoint)
+    values: Callable      # geometry -> the values that move
+    rebuild: Callable     # values -> the geometry holding them, once the guard passed them
+    radius: Callable      # values -> smallest radius, for the guard
+    name: str             # what a NaN made non-finite
+    reason: str           # ExtinctionError reason of a non-positive radius
+    diagnose: Callable    # the state's diagnostics row
+    extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
+
+
+# ---------------------------------------------------------------------------
+# the round law (spheres, and the round factor of cylinders)
+
+def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
     """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution."""
-    n, r, radius = geom.n, config.r, geom.radius
-    try:
-        # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
-        trace_p = (n - r + 1) * comb(n, r - 1) / radius ** (r - 1)
-        speed = -comb(n, r) / radius ** r
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise float_range_error("R", radius, r) from exc
-    h = 2.0 * np.pi * radius / config.resolution
-    return Stage(geom, r, speed, h * h / (1.0 + trace_p))
+    n = geom.n
+    rate = -comb(n, r)
+    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
+    trace = (n - r + 1) * comb(n, r - 1)
+    two_pi = 2.0 * np.pi
+    new, set_field = object.__new__, object.__setattr__
+
+    def speed(radius):
+        try:
+            return rate / radius ** r
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise float_range_error("R", radius, r) from exc
+
+    def stage(sphere):
+        radius = sphere.radius
+        try:
+            trace_p = trace / radius ** (r - 1)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise float_range_error("R", radius, r) from exc
+        h = two_pi * radius / resolution
+        return speed(radius), h * h / (1.0 + trace_p)
+
+    def rebuild(radius):
+        # the guard has passed the radius, so Sphere's validation is skipped
+        sphere = new(Sphere)
+        set_field(sphere, "n", n)
+        set_field(sphere, "radius", radius)
+        return sphere
+
+    return _Kind(stage, speed, attrgetter("radius"), rebuild, float, "radius", "extinct",
+                 _sphere_diagnostics, lambda g, r: extinction_time(g.n, r, g.radius))
+
+
+def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
+    """The round law's Stage of one sphere at config's r and resolution."""
+    return Stage(geom, config.r,
+                 *_round_kind(geom, config.r, config.resolution).stage(geom))
 
 
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-def revolution_stage(graph: RevolutionGeometry, r: int) -> Stage:
-    """Speed and step bound of a radial graph, read off its record.
+def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
+    """The radial graph's speed and bound, read off each state's record.
 
     The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
-    and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).
+    and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).  The grid,
+    its boundary mode and the orientation are the run's; resolution is
+    the profile's own.
     """
-    coeff = graph.p_trace_sup(r)     # refuses r outside {1, 2}
+    graph.p_eigenvalues(r)     # refuses r outside {1, 2}
     try:
         h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
         raise float_range_error("h", graph.h, 2) from exc
-    return Stage(graph, r, -float(graph.orientation) * graph.sigma(r) * graph.w,
-                 h_sq / (1.0 + coeff))
+    z, h, boundary, orientation = graph.z, graph.h, graph.boundary, graph.orientation
+    negate = orientation > 0          # o = +-1 only chooses the sign
+
+    def speed(geo):
+        sigma_w = geo.sigma(r) * geo.w
+        return -sigma_w if negate else sigma_w
+
+    def stage(geo):
+        return speed(geo), h_sq / (1.0 + geo.p_trace_sup(r))
+
+    def rebuild(f):
+        return radial_graph(z, f, h, boundary, orientation)
+
+    return _Kind(stage, lambda f: speed(rebuild(f)), attrgetter("f"), rebuild,
+                 methodcaller("min"), "profile", "pinch", _revolution_diagnostics,
+                 lambda g, r: math.inf)
+
+
+def revolution_stage(graph: RevolutionGeometry, r: int) -> Stage:
+    """Speed and step bound of a radial graph, read off its record."""
+    return Stage(graph, r, *_graph_kind(graph, r).stage(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -329,35 +400,51 @@ def _initial_state(config: FlowConfig) -> FlowState:
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 
-class _Kind(NamedTuple):
-    """What step and run need to know of one kind of flow state."""
-
-    stage: Callable       # (geometry, config) -> its stage
-    values: Callable      # geometry -> the values that move
-    rebuild: Callable     # (geometry, values) -> the geometry holding them
-    radius: Callable      # values -> smallest radius, for the guard
-    name: str             # what a NaN made non-finite
-    reason: str           # ExtinctionError reason of a non-positive radius
-    diagnose: Callable    # the state's diagnostics row
-    extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
+# kind of a flow state -> its kind at one run's (r, resolution)
+_KINDS = {Sphere: _round_kind, RevolutionGeometry: _graph_kind}
 
 
-_KINDS = {
-    Sphere: _Kind(
-        _round_stage, attrgetter("radius"), lambda geom, radius: Sphere(geom.n, radius),
-        float, "radius", "extinct", _sphere_diagnostics,
-        lambda geom, r: extinction_time(geom.n, r, geom.radius)),
-    RevolutionGeometry: _Kind(
-        lambda geo, config: revolution_stage(geo, config.r), attrgetter("f"),
-        lambda geo, f: radial_graph(geo.z, f, geo.h, geo.boundary, geo.orientation),
-        methodcaller("min"), "profile", "pinch", _revolution_diagnostics,
-        lambda geo, r: math.inf),
-}
+def _stepper(kind: _Kind, config: FlowConfig):
+    """The one explicit step of a run, with the run's fixed parts bound once.
 
+    Returns advance(geometry, speed, bound, t, dt) -> (new geometry, its
+    smallest radius), where speed and bound are the geometry's stage.
+    Forward Euler takes x + speed * dt; rk2 is the midpoint rule.  The
+    Dirichlet data of config.boundary_values are imposed on the midpoint
+    and on the result, and the guard runs on both: a non-positive radius
+    is an ExtinctionError, a NaN a NumericalError.
+    """
+    values, speed_at, rebuild, radius_of = kind.values, kind.speed_at, kind.rebuild, kind.radius
+    name, reason = kind.name, kind.reason
+    rk2 = config.scheme == "rk2"
+    pin = config.boundary_values
 
-def _pin(boundary_values, values, t):
-    values[0], values[-1] = boundary_values(t)
-    return values
+    def guard(x, t):
+        radius = radius_of(x)
+        if not radius > 0.0:
+            if radius <= 0.0:
+                raise ExtinctionError(t, reason=reason)
+            raise NumericalError(f"non-finite {name} at t={t:.6g}")   # a NaN
+        return radius
+
+    def advance(geo, speed, bound, t, dt):
+        if dt > bound * (1.0 + 1e-9):
+            raise CflViolationError(f"dt={dt:.3e} above the step bound {bound:.3e}")
+        x, t_new = values(geo), t + dt
+        if rk2:
+            half = x + speed * (0.5 * dt)
+            if pin is not None:
+                half[0], half[-1] = pin(t + 0.5 * dt)
+            guard(half, t_new)
+            x = x + speed_at(half) * dt
+        else:
+            x = x + speed * dt
+        if pin is not None:
+            x[0], x[-1] = pin(t_new)
+        radius = guard(x, t_new)
+        return rebuild(x), radius
+
+    return advance
 
 
 def step(state: FlowState, config: FlowConfig, dt: float, stage=None) -> FlowState:
@@ -365,40 +452,20 @@ def step(state: FlowState, config: FlowConfig, dt: float, stage=None) -> FlowSta
 
     stage is the stage of state.geometry at config.r, if at hand (one for
     another geometry or r is recomputed).  Unpinned radial graphs move
-    their end nodes by the extrapolating stencils.  The guard runs on the
-    rk2 midpoint and on the result.
+    their end nodes by the extrapolating stencils.  This is the step of
+    ``run``: one call of the stepper.
     """
-    kind = _KINDS.get(type(state.geometry))
-    if kind is None:
-        raise DomainError(f"cannot step {type(state.geometry).__name__}")
-    return _step(kind, state, config, dt, stage)
-
-
-def _step(kind: _Kind, state: FlowState, config: FlowConfig, dt: float,
-          stage) -> FlowState:
-    """step, with the kind of state.geometry already looked up."""
-    geo, t = state.geometry, state.t + dt
+    geo = state.geometry
+    make_kind = _KINDS.get(type(geo))
+    if make_kind is None:
+        raise DomainError(f"cannot step {type(geo).__name__}")
+    kind = make_kind(geo, config.r, config.resolution)
     if stage is None or stage.geometry is not geo or stage.r != config.r:
-        stage = kind.stage(geo, config)
-    if dt > stage.bound * (1.0 + 1e-9):
-        raise CflViolationError(f"dt={dt:.3e} above the step bound {stage.bound:.3e}")
-    speed_at = (None if config.scheme == "euler" else  # the rk2 midpoint's speed
-                lambda values: kind.stage(_guarded(kind, geo, values, t), config).speed)
-    pin = (None if config.boundary_values is None
-           else partial(_pin, config.boundary_values))
-    x_new = _explicit_step(kind.values(geo), stage.speed, speed_at, state.t, dt,
-                           config.scheme, pin)
-    return FlowState(t, _guarded(kind, geo, x_new, t), state.step_count + 1)
-
-
-def _guarded(kind: _Kind, geo, values, t: float):
-    """The geometry holding values, once the guard has passed them."""
-    radius = kind.radius(values)
-    if not radius > 0.0:
-        if radius <= 0.0:
-            raise ExtinctionError(t, reason=kind.reason)
-        raise NumericalError(f"non-finite {kind.name} at t={t:.6g}")   # a NaN
-    return kind.rebuild(geo, values)
+        speed, bound = kind.stage(geo)
+    else:
+        speed, bound = stage.speed, stage.bound
+    geo, _ = _stepper(kind, config)(geo, speed, bound, state.t, dt)
+    return FlowState(state.t + dt, geo, state.step_count + 1)
 
 
 def run(config: FlowConfig) -> RunResult:
@@ -423,45 +490,54 @@ def run(config: FlowConfig) -> RunResult:
         return RunResult(diagnostics=diagnostics, status="stationary", state=state)
 
     geom = state.geometry
-    kind = _KINDS[type(geom)]
+    kind = _KINDS[type(geom)](geom, config.r, config.resolution)
+    advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
 
-    def make_diag(s, dt):
+    def make_diag(t, geo, count, dt):
         # steps build new arrays, so the initial geometry stays as it was
-        return kind.diagnose(s, config, dt, geom)
+        return diagnose(FlowState(t, geo, count), config, dt, geom)
 
-    initial_radius = geom.min_radius
-    stage = kind.stage(geom, config)
+    speed, bound = stage(geom)
     try:    # the budget counts steps up to t_end or a closed-form extinction
         horizon = min(config.t_end, kind.extinction(geom, config.r))
     except (DomainError, NumericalError):   # r > n: stationary; R^(r+1) overflows
         horizon = config.t_end
+    max_steps, cfl, t_end = MAX_STEPS, config.cfl_safety, config.t_end
     # a bound of 0 is an underflow, which the loop reports
-    if horizon > MAX_STEPS * config.cfl_safety * stage.bound > 0.0:
-        raise DomainError(f"about {horizon / config.cfl_safety / stage.bound:.3g} "
-                          f"steps to t={horizon:.6g}, above MAX_STEPS={MAX_STEPS}")
-    diagnostics.append(make_diag(state, 0.0))
+    if horizon > max_steps * cfl * bound > 0.0:
+        raise DomainError(f"about {horizon / cfl / bound:.3g} "
+                          f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
+    diagnostics.append(diagnose(state, config, 0.0, geom))
+    t, geo, count = state.t, geom, 0
+    t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
+    floor = EXTINCTION_FRACTION * geom.min_radius
     status = "completed"
     last_dt = 0.0
-    while state.t < config.t_end * (1.0 - 1e-14):
-        if state.step_count >= MAX_STEPS:
-            raise NumericalError(f"run passed MAX_STEPS={MAX_STEPS} at t={state.t:.6g}")
-        dt = min(config.cfl_safety * stage.bound, config.t_end - state.t)
-        if not state.t + dt > state.t:    # an underflowed bound would never end
-            raise NumericalError(f"time step {dt:.3e} does not advance t={state.t:.6g}")
+    while t < t_stop:
+        if count >= max_steps:
+            raise NumericalError(f"run passed MAX_STEPS={max_steps} at t={t:.6g}")
+        dt = cfl * bound
+        if t_end - t < dt:
+            dt = t_end - t
+        if not t + dt > t:    # an underflowed bound would never end
+            raise NumericalError(f"time step {dt:.3e} does not advance t={t:.6g}")
         try:
-            state = _step(kind, state, config, dt, stage)
+            geo, radius = advance(geo, speed, bound, t, dt)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"
             break
+        t += dt
+        count += 1
         last_dt = dt
-        stage = kind.stage(state.geometry, config)
-        if state.geometry.min_radius < EXTINCTION_FRACTION * initial_radius:
+        speed, bound = stage(geo)
+        if radius < floor:
             status = "extinct"
-            diagnostics.append(make_diag(state, dt))
+            diagnostics.append(make_diag(t, geo, count, dt))
             break
-        if state.step_count % config.output_stride == 0:
-            diagnostics.append(make_diag(state, dt))
-    if diagnostics[-1].t < state.t:
-        diagnostics.append(make_diag(state, last_dt))
+        if count % stride == 0:
+            diagnostics.append(make_diag(t, geo, count, dt))
+    state = FlowState(t, geo, count)
+    if diagnostics[-1].t < t:
+        diagnostics.append(diagnose(state, config, last_dt, geom))
     return RunResult(diagnostics=diagnostics, status=status, state=state)

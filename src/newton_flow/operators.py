@@ -116,10 +116,18 @@ class ConvergenceReport:
     observed_orders: tuple
 
     def passes(self) -> bool:
-        """An exact finest residual, or a small one reached at the observed orders."""
+        """An exact finest residual, or a small one reached at the observed orders.
+
+        A finest residual that is not exact must give an order with the
+        one before it: a study of one resolution, or one whose residual
+        first appears at the finest grid, shows no convergence.
+        """
         finest = self.residuals[-1]
-        return finest <= EXACT_TOL or (finest <= FINEST_TOL and all(
-            ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in self.observed_orders))
+        if finest <= EXACT_TOL:
+            return True
+        return (finest <= FINEST_TOL and len(self.residuals) > 1
+                and self.residuals[-2] > EXACT_TOL
+                and all(ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in self.observed_orders))
 
 
 def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:

@@ -597,6 +597,8 @@ class TestExitContract:
         {"kind": "ellipsoid_rev", "a": 1e200, "b": 1.0, "band": 0.5},   # f'^2 overflows
         {"kind": "cylinder_band", "radius": 1.7e308, "half_width": 0.5,
          "samples": 16},                                               # the ghosts overflow
+        {"kind": "cylinder_band", "radius": 5e307, "half_width": 0.5,
+         "samples": 16},                                   # only the ghosts overflow
     ])
     def test_profile_out_of_float_range_is_refused_without_warning(
             self, capsys, tmp_path, command, model):

@@ -556,9 +556,36 @@ class TestStep:
                        boundary_values=sphere_band_pin(2.0, 1, 0.6))
 
 
+class TestOneStepPath:
+    """The public step is run's step: a loop of step calls ends where run ends."""
+
+    @pytest.mark.parametrize("config, stage_of", [
+        (FlowConfig(r=2, model=Sphere(n=3, radius=shrinker_radius(3, 2)), t_end=0.1,
+                    resolution=64), flow._round_stage),
+        (_band_config(2, "rk2", pinned=True),
+         lambda geo, config: revolution_stage(geo, config.r)),
+    ])
+    def test_step_by_step_matches_run(self, config, stage_of):
+        result = run(config)
+        state = flow._initial_state(config)
+        while state.t < config.t_end * (1.0 - 1e-14):
+            stage = stage_of(state.geometry, config)
+            dt = min(config.cfl_safety * stage.bound, config.t_end - state.t)
+            state = step(state, config, dt, stage=stage)
+        assert result.status == "completed"
+        assert (state.t, state.step_count) == (result.state.t, result.state.step_count)
+        got, want = state.geometry, result.state.geometry
+        if isinstance(want, Sphere):
+            assert got == want
+        else:
+            for name in ("f", "fp", "w", "k_mer", "k_par"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 class TestStepBudget:
     def test_estimate_above_budget_is_refused(self, monkeypatch):
-        calls = _count_calls(monkeypatch, flow, "_step")
+        # every step rebuilds the radial graph: no rebuild, no step
+        calls = _count_calls(monkeypatch, flow, "radial_graph")
         prof = cylinder_profile(1e-170, 0.5, 16)
         config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=0.01)
         with pytest.raises(DomainError, match="MAX_STEPS"):

@@ -346,6 +346,19 @@ class TestExactIdentities:
         assert len(rep.observed_orders) == 1 and rep.passes()
 
 
+    @pytest.mark.parametrize("made", [
+        {65: 5e-5},                         # one resolution: no order
+        {65: 1e-16, 129: 5e-5},             # the residual appears under refinement
+        {17: 4e-3, 33: 1e-3, 65: 1e-16, 129: 5e-5},   # an order, not at the finest pair
+    ])
+    def test_a_residual_with_no_order_at_the_finest_grid_fails(self, made):
+        rep = operators.refinement_report(
+            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            1, sorted(made))
+        assert rep.residuals[-1] <= operators.FINEST_TOL
+        assert not rep.passes()
+
+
 class TestRefinementSpacing:
     def test_fixed_revolution_at_two_resolutions_is_refused(self):
         with pytest.raises(DomainError, match="repeat the grid spacing"):
