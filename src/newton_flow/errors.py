@@ -1,5 +1,7 @@
 """Exception types, and the checks that raise them, shared across the package."""
 
+import numbers
+
 
 class NewtonFlowError(Exception):
     """Base class for all package-specific failures."""
@@ -38,8 +40,16 @@ class ConfigError(NewtonFlowError, ValueError):
     """Malformed scene configuration."""
 
 
+def check_integer(value, name: str):
+    """Raise DomainError unless value is a Python or numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def check_order(r: int, n: int):
-    """Raise DomainError unless 1 <= r <= n, the orders of sigma_r on n curvatures."""
+    """Raise DomainError unless r is an integer with 1 <= r <= n, the orders of
+    sigma_r on n curvatures."""
+    check_integer(r, "order r")
     if not 1 <= r <= n:
         raise DomainError(f"r={r} out of range 1..{n}")
 

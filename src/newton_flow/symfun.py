@@ -7,12 +7,22 @@ shape operators, and the derived matrix family P_0..P_n with
 
 whose eigenvalues in the eigenframe of A are the symmetric functions of
 the curvatures with one entry deleted.  Conventions: sigma_0 = 1 and
-sigma_r = 0 for r > n.  All functions are pure and operate on plain
-numpy arrays.
+sigma_r = 0 for r > n.  All functions operate on plain numpy arrays
+and are pure as observed: the same input bytes give the same result
+bytes, and every result is the caller's own.
 
 The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
 ``elem_sym`` and ``elem_sym_all`` read its one-row case.  Each order-r
-entry point validates its operator and builds the family once.
+entry point validates its operator on every call.
+
+One operator is usually asked about at every order r in turn, so the
+module keeps the validated family of the last operator it built: one
+slot keyed by the bytes of the exactly-symmetric operator, whose arrays
+are read-only.  A hit skips only the build (``eigvalsh``, the P
+recurrence and its polynomial cross-check), which is a deterministic
+function of those bytes; every per-call check still runs.
+``newton_family`` hands out writable copies, so no caller can alter
+the slot.
 """
 
 from __future__ import annotations
@@ -23,7 +33,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NotPSDError, NumericalError, check_order, float_range_error
+from .errors import (
+    DomainError,
+    NotPSDError,
+    NumericalError,
+    check_integer,
+    check_order,
+    float_range_error,
+)
 
 # Tolerances (double precision with degree-based scaling).
 SYM_TOL = 1e-10        # relative asymmetry allowed in a shape operator
@@ -81,6 +98,7 @@ def elem_sym(k, r: int) -> float:
     ``elem_sym_all(k)``.
     """
     k = _as_curvatures(k)
+    check_integer(r, "order r")
     if r < 0:
         raise DomainError("order r must be nonnegative")
     if r > k.size:
@@ -96,6 +114,7 @@ def elem_sym_all(k) -> np.ndarray:
 def elem_sym_excluding(k, i: int, r: int) -> float:
     """sigma_r of k with entry i removed (0-based index)."""
     k = _as_curvatures(k)
+    check_integer(i, "index i")
     if not 0 <= i < k.size:
         raise DomainError(f"index {i} out of range for n={k.size}")
     return elem_sym(np.delete(k, i), r)
@@ -130,6 +149,7 @@ def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
     operator.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
+    check_integer(r, "order r")
     if r < 0:
         raise DomainError("order r must be nonnegative")
     return _excluding_rows(K, elem_sym_all_rows(K), r)
@@ -162,13 +182,36 @@ def newton_family(S) -> NewtonFamily:
     characteristic-polynomial coefficients, for conditioning); the P_r come
     from the recurrence P_r = sigma_r I - P_{r-1} A.  The independent
     polynomial form sum_j (-1)^j sigma_{r-j} A^j is evaluated as a built-in
-    cross-check, as is P_n = 0.
+    cross-check, as is P_n = 0.  The arrays returned are the caller's own.
     """
-    return _family(_as_shape_operator(S))[1]
+    fam = _family(_as_shape_operator(S))[1]
+    return NewtonFamily(sigmas=fam.sigmas.copy(), P=tuple(p.copy() for p in fam.P))
+
+
+# (key, (k, NewtonFamily)) of the last operator _family built, or None
+_last_family = None
 
 
 def _family(A: np.ndarray) -> tuple:
-    """Eigenvalues and NewtonFamily of an operator already validated."""
+    """Eigenvalues and NewtonFamily of an operator already validated.
+
+    The result is shared and read-only: it comes from the one-operator
+    slot when A has the bytes of the operator built last.
+    """
+    global _last_family
+    key = (A.shape, A.tobytes())
+    slot = _last_family
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    k, fam = _build_family(A)
+    for array in (k, fam.sigmas, *fam.P):
+        array.setflags(write=False)
+    _last_family = (key, (k, fam))
+    return k, fam
+
+
+def _build_family(A: np.ndarray) -> tuple:
+    """Eigenvalues and NewtonFamily of A, cross-checked, built afresh."""
     n = A.shape[0]
     norm_a = _norm(A)
     _check_degree(norm_a, n, n)
@@ -214,8 +257,7 @@ def sqrt_psd(M) -> np.ndarray:
     """
     A = _as_shape_operator(M)
     w, V = np.linalg.eigh(A)
-    scale = float(np.linalg.norm(A))
-    if w[0] < -CLAMP_TOL * scale:
+    if w[0] < -CLAMP_TOL * _norm(A):
         raise NotPSDError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD clamping window"
         )
@@ -237,9 +279,8 @@ def _modified_sff_norm_sq(A: np.ndarray, k: np.ndarray, fam, r: int) -> float:
     """modified_sff_norm_sq from an _order_family result the caller holds."""
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
-    val_sum = float(
-        sum(elem_sym_excluding(k, j, r - 1) * k[j] ** 2 for j in range(n))
-    )
+    excluded = _excluding_rows(k[None], fam.sigmas[None], r - 1)[0]
+    val_sum = float((excluded * k ** 2).sum())
     sig_rp1 = fam.sigmas[r + 1] if r + 1 <= n else 0.0
     val_sigma = float(fam.sigmas[1] * fam.sigmas[r] - (r + 1) * sig_rp1)
 
@@ -313,13 +354,21 @@ def definiteness(M, tol: float = 1e-10) -> Definiteness:
     """Classify a symmetric matrix by its extreme eigenvalues.
 
     An eigenvalue within +/- tol*max(1, ||M||) of zero counts as zero
-    (semidefinite), never as strictly signed.
+    (semidefinite), never as strictly signed.  tol must be finite and
+    nonnegative.
     """
     return _eigen_definiteness(M, tol)[0]
 
 
+def _check_tol(tol: float):
+    """Raise DomainError unless the zero-window tolerance is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance {tol!r} must be finite and nonnegative")
+
+
 def _eigen_definiteness(M, tol: float = 1e-10) -> tuple:
     """definiteness of M, and the ascending eigenvalues it was read from."""
+    _check_tol(tol)
     A = _as_shape_operator(M)
     w = np.linalg.eigvalsh(A)
     return _classify(float(w[0]), float(w[-1]), tol * max(1.0, _norm(A))), w
@@ -329,10 +378,14 @@ def classify_from_eigenvalues(w, tol: float = 1e-10) -> Definiteness:
     """Definiteness from a precomputed eigenvalue set (same tie-breaking).
 
     Its zero window scales with max |w| rather than the Frobenius norm.
+    The eigenvalues must be finite, and tol finite and nonnegative.
     """
+    _check_tol(tol)
     w = np.asarray(w, dtype=float).ravel()
     if w.size == 0:
         raise DomainError("empty eigenvalue set")
+    if not np.isfinite(w).all():
+        raise DomainError("eigenvalue set has non-finite entries")
     return _classify(float(w.min()), float(w.max()),
                      tol * max(1.0, float(np.abs(w).max())))
 

@@ -15,6 +15,8 @@ import math
 import numpy as np
 import pytest
 
+from newton_flow import symfun
+
 
 def brute_sigma(k, r: int) -> float:
     """sigma_r by explicit enumeration of all r-subsets."""
@@ -98,3 +100,10 @@ def reference_deriv2(values, h: float, boundary: str = "neumann") -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.RandomState:
     return np.random.RandomState(20240811)
+
+
+@pytest.fixture(autouse=True)
+def empty_family_slot():
+    """Start every test with symfun's one-operator family slot empty, so a
+    count of family builds or eigensolves does not depend on test order."""
+    symfun._last_family = None

@@ -9,6 +9,7 @@ from newton_flow.errors import DomainError, NotPSDError, NumericalError
 from newton_flow.symfun import (
     DefinitenessClass,
     cauchy_schwarz_bound,
+    classify_from_eigenvalues,
     definiteness,
     elem_sym,
     elem_sym_all,
@@ -456,6 +457,170 @@ class TestOverflowGuards:
                 symfun._as_shape_operator(a + 1.1 * limit * skew)
 
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
-        monkeypatch.setattr(symfun, "elem_sym_excluding", lambda k, i, r: math.nan)
+        monkeypatch.setattr(symfun, "_excluding_rows",
+                            lambda K, sig, r: np.full(K.shape, math.nan))
         with pytest.raises(NumericalError):
             modified_sff_norm_sq(np.diag([1.0, 2.0]), 1)
+
+
+def _operator_outputs(a) -> list:
+    """The bytes of every order-r result on a, in the order the algebra
+    workload asks for them: the family, then each r in turn."""
+    fam = newton_family(a)
+    out = [fam.sigmas.tobytes(), *(p.tobytes() for p in fam.P)]
+    for r in range(1, a.shape[0] + 1):
+        t = trace_identities(a, r)
+        out.append(np.array([t.trace_p, t.trace_pa, t.trace_pa2]).tobytes())
+        out.append(np.float64(modified_sff_norm_sq(a, r)).tobytes())
+        try:
+            out.append(np.array(cauchy_schwarz_bound(a, r)).tobytes())
+        except NotPSDError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestFamilySlot:
+    @staticmethod
+    def counted_builds(monkeypatch) -> list:
+        calls = []
+        original = symfun._build_family
+
+        def counted(A):
+            calls.append(A.shape)
+            return original(A)
+
+        monkeypatch.setattr(symfun, "_build_family", counted)
+        return calls
+
+    def test_hits_are_bit_equal_to_fresh_builds(self, rng, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        for trial in range(1000):
+            n = trial % 8 + 1
+            a = random_symmetric(rng, n, positive=(trial // 8) % 2 == 0)
+            builds.clear()
+            memo = _operator_outputs(a)
+            assert builds == [(n, n)]       # one build, then every call hits
+            with monkeypatch.context() as m:
+                m.setattr(symfun, "_family", symfun._build_family)
+                fresh = _operator_outputs(a)
+            assert memo == fresh, trial
+
+    def test_one_eigensolve_for_the_family_of_a_job(self, rng, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(A):
+            solves.append(A.shape)
+            return eigvalsh(A)
+
+        monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
+        n = 5
+        a = random_symmetric(rng, n, positive=True)
+        fam = newton_family(a)
+        assert definiteness(a).is_psd
+        sqrt_psd(a)
+        for r in range(1, n + 1):
+            trace_identities(a, r)
+            modified_sff_norm_sq(a, r)
+            definiteness(fam.P[r - 1])
+            cauchy_schwarz_bound(a, r)
+        assert builds == [(n, n)]
+        # the family's one, definiteness(a), and the PSD test of each P_{r-1}
+        # from definiteness and from cauchy_schwarz_bound
+        assert len(solves) == 1 + 1 + 2 * n
+
+    def test_a_mutated_result_leaves_the_next_call_unchanged(self, rng):
+        a = random_symmetric(rng, 4)
+        expect = _operator_outputs(a)
+        fam = newton_family(a)
+        assert fam.sigmas.flags.writeable and all(p.flags.writeable for p in fam.P)
+        fam.sigmas[:] = 7.0
+        for p in fam.P:
+            p[:] = 7.0
+        assert _operator_outputs(a) == expect
+
+    def test_the_slot_is_read_only(self, rng):
+        newton_family(random_symmetric(rng, 3))
+        k, fam = symfun._last_family[1]
+        for array in (k, fam.sigmas, *fam.P):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_a_failed_build_is_not_cached(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        good = np.diag([1.0, 2.0])
+        newton_family(good)
+        slot = symfun._last_family
+        for _ in range(2):
+            with pytest.raises(NumericalError):
+                newton_family(np.diag([1e160, 1.0]))
+        assert symfun._last_family is slot
+        assert builds == [(2, 2)] * 3
+        newton_family(good)
+        assert len(builds) == 3
+
+    def test_operators_one_ulp_apart_miss_the_slot(self, rng, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        a = random_symmetric(rng, 3)
+        b = a.copy()
+        b[0, 0] = np.nextafter(a[0, 0], np.inf)
+        for s in (a, b, a):
+            got = newton_family(s)
+            fresh = symfun._build_family(symfun._as_shape_operator(s))[1]
+            assert got.sigmas.tobytes() == fresh.sigmas.tobytes()
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(got.P, fresh.P))
+        assert len(builds) == 3 + 3     # three misses, three reference builds
+
+
+class TestInputRefusals:
+    def test_huge_indefinite_operator_has_no_root(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSDError):
+                sqrt_psd(np.diag([-1e200, 1e200]))
+            root = sqrt_psd(np.diag([1e200, 1e200]))
+        assert root.tobytes() == np.diag([1e100, 1e100]).tobytes()
+
+    def test_roots_keep_their_bits(self, rng):
+        for trial in range(1000):
+            n = trial % 6 + 1
+            a = random_symmetric(rng, n, positive=True) * 10.0 ** rng.uniform(-3, 3)
+            w, V = np.linalg.eigh(symfun._as_shape_operator(a))
+            expect = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+            assert sqrt_psd(a).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf]])
+    def test_non_finite_eigenvalues_are_refused(self, w):
+        with pytest.raises(DomainError, match="non-finite"):
+            classify_from_eigenvalues(w)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+    def test_bad_tolerance_is_refused(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            definiteness(np.eye(2), tol=tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            classify_from_eigenvalues([1.0, 2.0], tol=tol)
+
+    def test_zero_tolerance_is_exact(self):
+        assert definiteness(np.diag([1e-300, 1.0]), tol=0.0).kind \
+            is DefinitenessClass.POSITIVE_DEFINITE
+
+    @pytest.mark.parametrize("r", [2.0, 1.5, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integral_order_is_refused(self, r):
+        for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
+            with pytest.raises(DomainError, match="must be an integer"):
+                fn(np.eye(2), r)
+        with pytest.raises(DomainError, match="must be an integer"):
+            elem_sym([1.0, 2.0], r)
+        with pytest.raises(DomainError, match="must be an integer"):
+            elem_sym_excluding([1.0, 2.0], 0, r)
+        with pytest.raises(DomainError, match="must be an integer"):
+            elem_sym_excluding([1.0, 2.0], r, 1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            elem_sym_excluding_rows(np.eye(2), r)
+
+    def test_numpy_integer_orders_pass(self):
+        for r in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert modified_sff_norm_sq(np.eye(2), r) == modified_sff_norm_sq(np.eye(2), 2)
+            assert elem_sym([1.0, 2.0], r) == 2.0
