@@ -14,13 +14,15 @@ from newton_flow import (
     Revolution,
     Sphere,
     elem_sym,
-    principal_curvatures,
     shrinker_radius,
-    shrinker_residual,
     sigma_p_cylinder,
-    support_function,
 )
-from newton_flow.catalog import revolution_geometry, sphere_band_profile
+from newton_flow.catalog import (
+    exact_curvatures,
+    exact_support,
+    revolution_geometry,
+    sphere_band_profile,
+)
 
 print("=== shrinking radii delta_m(r) = C(m,r)^(1/(r+1)) ===")
 for m in range(1, 6):
@@ -30,15 +32,13 @@ for m in range(1, 6):
 print()
 print("=== the shrinker equation on exact models ===")
 cases = [
-    (Hyperplane(n=3), 2, np.zeros(4)),
-    (Sphere(n=3, radius=shrinker_radius(3, 2)), 2,
-     np.array([shrinker_radius(3, 2), 0.0, 0.0, 0.0])),
-    (Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 1,
-     np.array([shrinker_radius(2, 1), 0.0, 0.0, 1.5])),
-    (Cylinder(n=3, m=1, radius=1.0), 2, np.array([1.0, 0.0, 0.0, 0.0])),
+    (Hyperplane(n=3), 2),
+    (Sphere(n=3, radius=shrinker_radius(3, 2)), 2),
+    (Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 1),
+    (Cylinder(n=3, m=1, radius=1.0), 2),
 ]
-for model, r, point in cases:
-    res = shrinker_residual(model, r, point)
+for model, r in cases:
+    res = elem_sym(exact_curvatures(model), r) + exact_support(model)
     name = type(model).__name__
     print(f"  {name:<10} r={r}: sigma_r + <X,N> = {res:+.3e}"
           + ("   (not a shrinker: r > m)" if abs(res) > 1e-8 else ""))
@@ -54,9 +54,9 @@ for p in range(5):
 
 print()
 print("=== sampled models carry curvatures and support ===")
-unit, pole = Sphere(n=2, radius=1.0), np.array([0.0, 0.0, 1.0])
-print(f"  the unit 2-sphere at {pole}: curvatures "
-      f"{principal_curvatures(unit, pole)}, support {support_function(unit, pole)}")
+unit = Sphere(n=2, radius=1.0)
+print(f"  the unit 2-sphere: curvatures "
+      f"{exact_curvatures(unit)}, support {exact_support(unit)}")
 
 print()
 print("=== a discretized sphere band approaches the exact residual ===")
@@ -67,6 +67,6 @@ for m in (33, 65, 129):
     sigma1 = g.k_mer + g.k_par
     res = np.abs(sigma1 + g.support)[g.interior()].max()
     print(f"  M={m:4d}: sup |sigma_1 + <X,N>| = {res:.3e}")
-point = np.array([rev.profile.f[64], 0.0, rev.profile.z[64]])
-print(f"  curvatures at a node: {np.round(principal_curvatures(rev, point), 6)}"
-      f", support {support_function(rev, point):.6f} (exact {-radius:.6f})")
+node = np.array([g.k_mer[64], g.k_par[64]])
+print(f"  curvatures at a node: {np.round(node, 6)}"
+      f", support {g.support[64]:.6f} (exact {-radius:.6f})")

@@ -17,12 +17,9 @@ from .catalog import (
     ProfileCurve,
     Revolution,
     Sphere,
-    principal_curvatures,
     self_shrinkers,
     shrinker_radius,
-    shrinker_residual,
     sigma_p_cylinder,
-    support_function,
 )
 from .errors import (
     CflViolationError,

@@ -1,11 +1,13 @@
-"""Model hypersurfaces with pointwise curvature data.
+"""Model hypersurfaces and their curvature data.
 
 Exact variants (hyperplane, round sphere, spherical cylinder) carry
-closed-form curvatures and support values.  Surfaces of revolution are
-discretized as radial graphs rho = f(z) over a uniform axial grid, with
-curvatures from second-order difference stencils into one
-``RevolutionGeometry`` record, whose n = 2 closed forms the flow and the
-operators read.  ``sample_fields`` gives the sample rows that ``gap`` and ``residual`` read.
+closed-form curvatures and support values (``exact_curvatures``,
+``exact_support``).  Surfaces of revolution are discretized as radial
+graphs rho = f(z) over a uniform axial grid, with curvatures from
+second-order difference stencils into one ``RevolutionGeometry`` record,
+whose n = 2 closed forms the flow and the operators read.
+``sample_fields`` gives either kind's curvature and support rows, which
+``gap`` and ``residual`` read.
 
 Orientation convention: the normal points inward on closed model
 hypersurfaces, so spheres and cylinders have positive principal
@@ -23,12 +25,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import fd
-from .errors import DomainError, NumericalError, check_order, float_range_error
-from .symfun import elem_sym
+from .errors import DomainError, NumericalError, check_integer, float_range_error
 
-ON_MODEL_TOL = 1e-9    # absolute tolerance for "point lies on the model"
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
-QUERY_RESOLUTION = 129  # profile nodes of an EllipsoidRev queried pointwise
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +40,7 @@ class Hyperplane:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if check_integer(self.n, "dimension n") < 1:
             raise DomainError("dimension n must be >= 1")
 
 
@@ -53,7 +52,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if check_integer(self.n, "dimension n") < 1:
             raise DomainError("dimension n must be >= 1")
         if not 0 < self.radius < inf:
             raise DomainError("radius must be positive and finite")
@@ -76,6 +75,8 @@ class Cylinder:
     radius: float
 
     def __post_init__(self):
+        check_integer(self.n, "dimension n")
+        check_integer(self.m, "rank m")
         if self.n < 2 or not 1 <= self.m <= self.n - 1:
             raise DomainError("cylinder needs 1 <= m <= n-1")
         if not 0 < self.radius < inf:
@@ -149,9 +150,8 @@ class EllipsoidRev:
             raise DomainError("band fraction must lie in (0, 1)")
 
     def profile_curve(self, resolution: int) -> ProfileCurve:
-        m = int(resolution)
-        check_samples(m, 5, "resolution")
-        z = np.linspace(-self.band * self.b, self.band * self.b, m)
+        check_samples(resolution, 5, "resolution")
+        z = np.linspace(-self.band * self.b, self.band * self.b, resolution)
         f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
         return ProfileCurve(z=z, f=f, boundary="neumann")
 
@@ -167,7 +167,8 @@ HypersurfaceModel = Union[Hyperplane, Sphere, Cylinder, Revolution, EllipsoidRev
 
 def shrinker_radius(m: int, r: int) -> float:
     """Radius C(m,r)^(1/(r+1)) at which the model satisfies sigma_r = -<X,N>."""
-    if not 1 <= r <= m:
+    check_integer(m, "rank m")
+    if not 1 <= check_integer(r, "order r") <= m:
         raise DomainError(
             f"no shrinking radius for r={r} > m={m}: sigma_r vanishes there"
         )
@@ -176,13 +177,36 @@ def shrinker_radius(m: int, r: int) -> float:
 
 def sigma_p_cylinder(m: int, r: int, p: int) -> float:
     """Closed-form sigma_p on the shrinking cylinder with spherical rank m."""
-    if not 1 <= r <= m:
+    check_integer(m, "rank m")
+    if not 1 <= check_integer(r, "order r") <= m:
         raise DomainError(f"cylinder closed form needs 1 <= r <= m, got r={r}")
-    if p < 0:
+    if check_integer(p, "p") < 0:
         raise DomainError("p must be nonnegative")
     if p > m:
         return 0.0
     return comb(m, p) * comb(m, r) ** (-p / (r + 1))
+
+
+def exact_curvatures(model) -> np.ndarray:
+    """Curvature vector of a position-independent model."""
+    if isinstance(model, Hyperplane):
+        return np.zeros(model.n)
+    if isinstance(model, Sphere):
+        return np.full(model.n, 1.0 / model.radius)
+    if isinstance(model, Cylinder):
+        k = np.zeros(model.n)
+        k[:model.m] = 1.0 / model.radius
+        return k
+    raise DomainError(f"{type(model).__name__} has no constant curvature data")
+
+
+def exact_support(model) -> float:
+    """Support value <X,N> of a position-independent model."""
+    if isinstance(model, Hyperplane):
+        return 0.0
+    if isinstance(model, (Sphere, Cylinder)):
+        return -model.radius
+    raise DomainError(f"{type(model).__name__} has no constant support value")
 
 
 # ---------------------------------------------------------------------------
@@ -303,105 +327,11 @@ def cylinder_profile(radius: float, half_width: float, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# pointwise queries
-
-def exact_curvatures(model) -> np.ndarray:
-    """Curvature vector of a position-independent model."""
-    if isinstance(model, Hyperplane):
-        return np.zeros(model.n)
-    if isinstance(model, Sphere):
-        return np.full(model.n, 1.0 / model.radius)
-    if isinstance(model, Cylinder):
-        k = np.zeros(model.n)
-        k[:model.m] = 1.0 / model.radius
-        return k
-    raise DomainError(f"{type(model).__name__} has no constant curvature data")
-
-
-def exact_support(model) -> float:
-    """Support value <X,N> of a position-independent model."""
-    if isinstance(model, Hyperplane):
-        return 0.0
-    if isinstance(model, (Sphere, Cylinder)):
-        return -model.radius
-    raise DomainError(f"{type(model).__name__} has no constant support value")
-
-
-def _locate_node(rev: Revolution, point) -> int:
-    x = np.asarray(point, dtype=float)
-    if x.shape != (3,):
-        raise DomainError("revolution points live in R^3")
-    p = rev.profile
-    j = int(round((x[2] - p.z[0]) / p.h))
-    if not 0 <= j < p.size or abs(x[2] - p.z[j]) > ON_MODEL_TOL:
-        raise DomainError("point is not an axial grid node of the profile")
-    rho = float(np.hypot(x[0], x[1]))
-    if abs(rho - p.f[j]) > ON_MODEL_TOL:
-        raise DomainError("point radius does not match the profile")
-    return j
-
-
-def _validate_point(model, point) -> np.ndarray:
-    x = np.asarray(point, dtype=float)
-    n = model.n
-    if x.shape != (n + 1,):
-        raise DomainError(f"point must live in R^{n + 1}")
-    if isinstance(model, Hyperplane):
-        if abs(x[-1]) > ON_MODEL_TOL:
-            raise DomainError("point is off the hyperplane")
-    elif isinstance(model, Sphere):
-        if abs(np.linalg.norm(x) - model.radius) > ON_MODEL_TOL:
-            raise DomainError("point is off the sphere")
-    elif isinstance(model, Cylinder):
-        if abs(np.linalg.norm(x[:model.m + 1]) - model.radius) > ON_MODEL_TOL:
-            raise DomainError("point is off the cylinder")
-    return x
-
-
-def principal_curvatures(model: HypersurfaceModel, point) -> np.ndarray:
-    """Principal curvatures of the model at a point on it.
-
-    Revolution models are queried at grid nodes and return the pair
-    (meridional, parallel) from the difference stencils.
-    """
-    if isinstance(model, (Hyperplane, Sphere, Cylinder)):
-        _validate_point(model, point)
-        return exact_curvatures(model)
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(QUERY_RESOLUTION)
-    if isinstance(model, Revolution):
-        j = _locate_node(model, point)
-        g = revolution_geometry(model)
-        return np.array([g.k_mer[j], g.k_par[j]])
-    raise DomainError(f"unsupported model {type(model).__name__}")
-
-
-def support_function(model: HypersurfaceModel, point) -> float:
-    """<X, N> at a point on the model, inward convention on closed models."""
-    if isinstance(model, (Hyperplane, Sphere, Cylinder)):
-        _validate_point(model, point)
-        return exact_support(model)
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(QUERY_RESOLUTION)
-    if isinstance(model, Revolution):
-        j = _locate_node(model, point)
-        return float(revolution_geometry(model).support[j])
-    raise DomainError(f"unsupported model {type(model).__name__}")
-
-
-def shrinker_residual(model: HypersurfaceModel, r: int, point) -> float:
-    """sigma_r + <X,N> at the point; zero iff the shrinker equation holds."""
-    check_order(r, model.n)
-    k = principal_curvatures(model, point)
-    return elem_sym(k, r) + support_function(model, point)
-
-
-# ---------------------------------------------------------------------------
 # sample rows
 
 def check_samples(count: int, least: int, what: str):
-    """Raise DomainError unless least <= count <= MAX_SAMPLES."""
-    if not least <= count <= MAX_SAMPLES:
+    """Raise DomainError unless count is an integer in least..MAX_SAMPLES."""
+    if not least <= check_integer(count, what) <= MAX_SAMPLES:
         raise DomainError(f"{what} must lie in {least}..{MAX_SAMPLES}, got {count}")
 
 
@@ -456,7 +386,7 @@ def self_shrinkers(n_max: int) -> list:
     of radius delta_m(r) for r <= m <= n-1.
     """
     out = []
-    for n in range(1, n_max + 1):
+    for n in range(1, check_integer(n_max, "n_max") + 1):
         for r in range(1, n + 1):
             out.append((Hyperplane(n=n), r))
             out.append((Sphere(n=n, radius=shrinker_radius(n, r)), r))

@@ -40,10 +40,12 @@ class ConfigError(NewtonFlowError, ValueError):
     """Malformed scene configuration."""
 
 
-def check_integer(value, name: str):
-    """Raise DomainError unless value is a Python or numpy integer (a bool is not)."""
+def check_integer(value, name: str) -> int:
+    """value as a Python int; DomainError unless it is a Python or numpy
+    integer (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_order(r: int, n: int):

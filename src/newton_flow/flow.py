@@ -71,6 +71,7 @@ from .errors import (
     DomainError,
     ExtinctionError,
     NumericalError,
+    check_integer,
     check_order,
     float_range_error,
 )
@@ -185,13 +186,13 @@ class FlowConfig:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
-        if not 1 <= self.resolution <= MAX_SAMPLES:
+        if not 1 <= check_integer(self.resolution, "resolution") <= MAX_SAMPLES:
             raise DomainError(f"resolution must lie in 1..{MAX_SAMPLES}")
         if not 0 < self.cfl_safety <= 1:
             raise DomainError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("euler", "rk2"):
             raise DomainError(f"unknown scheme {self.scheme!r}")
-        if self.output_stride < 1:
+        if check_integer(self.output_stride, "output_stride") < 1:
             raise DomainError("output_stride must be >= 1")
         check_order(self.r, self.model.n)
         if (self.boundary_values is not None

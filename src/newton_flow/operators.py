@@ -36,7 +36,7 @@ from .catalog import (
     revolution_geometry,
     sphere_band_profile,
 )
-from .errors import DomainError, NotSelfShrinkerError, check_order
+from .errors import DomainError, NotSelfShrinkerError, check_integer, check_order
 from .gapcheck import SHRINKER_TOL
 from .symfun import elem_sym_all, elem_sym_excluding
 
@@ -178,7 +178,7 @@ def refinement_report(identity: str, residual_fn, model, r,
     spacing at every resolution).  A pair holding an exact residual (at
     most EXACT_TOL, rounding) gives no order.
     """
-    resolutions = [int(m) for m in resolutions]
+    resolutions = [check_integer(m, "resolution") for m in resolutions]
     residuals = []
     spacings = []
     for m in resolutions:

@@ -13,15 +13,14 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
-    principal_curvatures,
+    exact_curvatures,
+    exact_support,
     revolution_geometry,
     sample_fields,
     self_shrinkers,
     shrinker_radius,
-    shrinker_residual,
     sigma_p_cylinder,
     sphere_band_profile,
-    support_function,
 )
 from newton_flow.errors import DomainError, NumericalError
 from newton_flow.symfun import _excluding_rows, elem_sym, elem_sym_all_rows
@@ -60,39 +59,30 @@ class TestSigmaPCylinder:
 
 
 class TestPointQueries:
+    """Sample rows of the models: one closed-form row, or one row per node."""
+
     def test_sphere(self):
-        model = Sphere(n=3, radius=2.0)
-        point = np.array([2.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(principal_curvatures(model, point), 0.5)
-        assert support_function(model, point) == -2.0
+        curvatures, support = sample_fields(Sphere(n=3, radius=2.0), 8)
+        np.testing.assert_allclose(curvatures[0], 0.5)
+        assert support[0] == -2.0
 
     def test_cylinder_multiplicities(self):
         radius = math.sqrt(2.0)
-        model = Cylinder(n=3, m=2, radius=radius)
-        point = np.array([radius, 0.0, 0.0, 5.0])
-        np.testing.assert_allclose(
-            principal_curvatures(model, point),
-            [1.0 / radius, 1.0 / radius, 0.0])
-        assert support_function(model, point) == pytest.approx(-radius)
+        curvatures, support = sample_fields(Cylinder(n=3, m=2, radius=radius), 8)
+        np.testing.assert_allclose(curvatures[0], [1.0 / radius, 1.0 / radius, 0.0])
+        assert support[0] == pytest.approx(-radius)
 
     def test_hyperplane(self):
-        model = Hyperplane(n=2)
-        point = np.array([1.0, -4.0, 0.0])
-        np.testing.assert_allclose(principal_curvatures(model, point), 0.0)
-        assert support_function(model, point) == 0.0
-
-    def test_off_model_rejected(self):
-        with pytest.raises(DomainError):
-            principal_curvatures(Sphere(n=2, radius=1.0), np.array([1.1, 0.0, 0.0]))
+        curvatures, support = sample_fields(Hyperplane(n=2), 8)
+        np.testing.assert_allclose(curvatures[0], 0.0)
+        assert support[0] == 0.0
 
     def test_discrete_cylinder(self):
         radius = 1.5
         rev = Revolution(profile=cylinder_profile(radius, 2.0, 64))
-        z = rev.profile.z[10]
-        point = np.array([radius, 0.0, z])
-        k = principal_curvatures(rev, point)
-        np.testing.assert_allclose(k, [0.0, 1.0 / radius], atol=1e-10)
-        assert support_function(rev, point) == pytest.approx(-radius, abs=1e-10)
+        curvatures, support = sample_fields(rev, 64)
+        np.testing.assert_allclose(curvatures[10], [0.0, 1.0 / radius], atol=1e-10)
+        assert support[10] == pytest.approx(-radius, abs=1e-10)
 
     def test_discrete_sphere_band(self):
         radius = 2.0
@@ -121,14 +111,12 @@ class TestShrinkerResidual:
 
     def test_wrong_order_cylinder(self):
         # sigma_2 vanishes on a rank-1 cylinder, but the support does not
-        model = Cylinder(n=3, m=1, radius=1.0)
-        point = np.array([1.0, 0.0, 0.0, 0.0])
-        assert shrinker_residual(model, 2, point) == pytest.approx(-1.0)
+        curvatures, support = sample_fields(Cylinder(n=3, m=1, radius=1.0), 8)
+        assert elem_sym(curvatures[0], 2) + support[0] == pytest.approx(-1.0)
 
     def test_hyperplane(self):
-        model = Hyperplane(n=3)
-        point = np.zeros(4)
-        assert shrinker_residual(model, 2, point) == 0.0
+        curvatures, support = sample_fields(Hyperplane(n=3), 8)
+        assert elem_sym(curvatures[0], 2) + support[0] == 0.0
 
     def test_discrete_band_residual_second_order(self):
         radius, r = shrinker_radius(2, 1), 1
@@ -163,15 +151,13 @@ class TestSampling:
         assert errs[1] <= 1e-3
 
     def test_fields_are_the_distinct_rows_of_the_grid(self):
-        # one closed-form row, equal to the pointwise query at any on-model point
-        for model, point in ((Hyperplane(n=3), np.array([0.5, -1.0, 2.0, 0.0])),
-                             (Sphere(n=4, radius=0.7), np.array([0.0, 0.7, 0.0, 0.0, 0.0])),
-                             (Cylinder(n=5, m=2, radius=1.3),
-                              np.array([0.0, 0.0, 1.3, 4.0, -2.0, 0.5]))):
+        # one closed-form row
+        for model in (Hyperplane(n=3), Sphere(n=4, radius=0.7),
+                      Cylinder(n=5, m=2, radius=1.3)):
             curvatures, support = sample_fields(model, 8)
             assert curvatures.shape == (1, model.n) and support.shape == (1,)
-            assert (curvatures[0] == principal_curvatures(model, point)).all()
-            assert support[0] == support_function(model, point)
+            assert (curvatures[0] == exact_curvatures(model)).all()
+            assert support[0] == exact_support(model)
         # one row per profile node
         model = EllipsoidRev(a=1.0, b=2.0)
         curvatures, support = sample_fields(model, 8)
@@ -233,10 +219,28 @@ class TestProfileValidation:
         lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(-5),
         lambda: sphere_band_profile(math.inf, 0.5, 16),
         lambda: cylinder_profile(1.0, math.inf, 16),
+        # sizes, dimensions and ranks are integers: no truncation, no raw TypeError
+        lambda: Sphere(n=2.5, radius=1.0),
+        lambda: Cylinder(n=3, m=2.0, radius=1.0),
+        lambda: Hyperplane(n=True),
+        lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(8.7),
+        lambda: sphere_band_profile(2.0, 0.5, 16.5),
+        lambda: cylinder_profile(1.0, 2.0, 16.5),
+        lambda: sample_fields(Sphere(n=2, radius=1.0), 8.5),
+        lambda: self_shrinkers(2.5),
+        lambda: shrinker_radius(2.5, 1),
+        lambda: sigma_p_cylinder(3, 2, 1.0),
     ])
     def test_rejects_non_finite_sizes_and_short_grids(self, build):
         with pytest.raises(DomainError):
             build()
+
+    def test_numpy_integer_sizes_pass(self):
+        two, three, eight = np.int64(2), np.int64(3), np.int64(8)
+        assert Cylinder(n=three, m=two, radius=1.0).m == 2
+        assert EllipsoidRev(a=1.0, b=2.0).profile_curve(eight).size == 8
+        assert shrinker_radius(two, np.int64(1)) == shrinker_radius(2, 1)
+        assert sample_fields(Sphere(n=two, radius=1.0), eight)[0].shape == (1, 2)
 
     def test_underflowed_spacing_is_refused_before_the_stencil(self):
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
@@ -289,13 +293,6 @@ class TestRevolutionRecord:
         assert np.signbit(g.sigma(2)).all() and not np.signbit(kernel).any()
         assert np.array_equal(g.sigma(2), kernel)
 
-    def test_ellipsoid_queries_use_the_fixed_query_grid(self):
-        model = EllipsoidRev(a=1.0, b=2.0)
-        rev = model.as_revolution(catalog.QUERY_RESOLUTION)
-        g = revolution_geometry(rev)
-        j = 40
-        point = np.array([rev.profile.f[j], 0.0, rev.profile.z[j]])
-        assert (principal_curvatures(model, point) == [g.k_mer[j], g.k_par[j]]).all()
-        assert support_function(model, point) == g.support[j]
+    def test_ellipsoid_has_no_resolution_field(self):
         with pytest.raises(TypeError):
             EllipsoidRev(a=1.0, b=2.0, resolution=129)

@@ -630,6 +630,7 @@ class TestFlowConfigContract:
     @pytest.mark.parametrize("field, value", [
         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
         ("resolution", 0), ("resolution", -16),
+        ("resolution", 8.5), ("resolution", True), ("output_stride", 2.5),
     ])
     def test_rejects(self, field, value):
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}

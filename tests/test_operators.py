@@ -369,6 +369,12 @@ class TestRefinementSpacing:
         with pytest.raises(DomainError, match="repeat the grid spacing"):
             verify_position_identity(EllipsoidRev(a=1.0, b=2.0), 2, [64, 64])
 
+    def test_resolutions_are_integers_not_truncated(self):
+        with pytest.raises(DomainError, match="resolution must be an integer, got 64.5"):
+            verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, [64.5, 128])
+        rep = verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, np.array([17, 33]))
+        assert rep.resolutions == (17, 33) and {type(m) for m in rep.resolutions} == {int}
+
 
 class TestShrinkerPde:
     def test_catalog_residuals_tiny(self):
