@@ -126,7 +126,7 @@ class Revolution:
     n: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if self.orientation not in (1, -1):
+        if check_integer(self.orientation, "orientation") not in (1, -1):
             raise DomainError("orientation must be +1 or -1")
 
 

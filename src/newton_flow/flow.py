@@ -8,7 +8,7 @@ df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
 ``RevolutionGeometry`` record, built by ``radial_graph`` from one
 derivative pass.
 
-A run makes its kind once from the initial state, r and the resolution
+A run makes its kind once from the initial geometry, r and the resolution
 (``_round_kind``, ``_graph_kind``).  The kind binds what no step changes
 (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the grid, the
 orientation and h^2) and gives a state's speed and step bound dt <= h^2
@@ -19,8 +19,9 @@ is read off the state's record, with no derivative pass of its own; the
 round law's is closed-form (h = 2 pi R / resolution, tr P_{r-1} =
 (n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
 T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
-on 21 of the 55 catalog laws at resolution 128).  ``revolution_stage``
-and ``_round_stage`` give one state's speed and bound as a ``Stage``.
+on 21 of the 55 catalog laws at resolution 128).  The kind is the only
+source of a state's speed and step bound, for ``run`` and ``step``
+alike.
 
 ``_stepper`` makes the run's one explicit step from the kind and the
 configuration: forward Euler or the rk2 midpoint rule, with the
@@ -31,9 +32,10 @@ radius is extinction (reason "pinch" on radial graphs) and a NaN is a
 NumericalError.  The guard returns the smallest radius it computed.
 ``step`` is a thin public call into the same stepper.
 
-``run`` builds the kind and the stepper once and carries t, the state,
-its speed and bound and the step count as locals; a ``FlowState`` is
-built only for a diagnostics row and for the final state.  It estimates
+``run`` builds the kind and the stepper once and carries t, the
+geometry, its speed and bound and the step count as locals; a
+diagnostics row is read off t and the geometry, and a ``FlowState`` is
+built only for the final state (and by ``step``).  It estimates
 T / (cfl_safety * bound) steps from the first stage, T being t_end or,
 if sooner, the closed-form extinction time of a round law, and refuses
 a run above ``MAX_STEPS`` steps (DomainError); one that passes
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from math import comb
 from operator import attrgetter, methodcaller
@@ -87,6 +90,7 @@ MAX_STEPS = 10 ** 7   # step budget of one run; the longest test run takes 433,5
 
 def extinction_time(n: int, r: int, radius0: float) -> float:
     """Extinction time R0^(r+1) / ((r+1) C(n,r)) of a round n-sphere."""
+    check_integer(n, "dimension n")
     check_order(r, n)
     if not radius0 > 0:
         raise DomainError("radius must be positive")
@@ -136,9 +140,12 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
     Returns a callable t -> (f_left, f_right) suitable for
     FlowConfig.boundary_values, raising ExtinctionError once the band
     edge reaches the shrinking sphere's equator.  The parameters are
-    checked, and the sphere's law set up, when the pin is made.
+    checked, and the sphere's law set up, when the pin is made: the band
+    needs 0 < half_width < radius0.
     """
     law = _radius_law(n, r, radius0)
+    if not 0 < half_width < radius0:
+        raise DomainError("need 0 < half_width < radius")
     hw2 = half_width * half_width
 
     def values(t: float):
@@ -184,6 +191,14 @@ class FlowConfig:
     boundary_values: object = None   # callable t -> (f_left, f_right) for bands
 
     def __post_init__(self):
+        # the types the scene parsers refuse: a bool is no real number, and
+        # only a bool turns rescaled monitoring on or off
+        for name in ("t_end", "cfl_safety"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.rescaled, (bool, np.bool_)):
+            raise DomainError(f"rescaled must be true or false, got {self.rescaled!r}")
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
         if not 1 <= check_integer(self.resolution, "resolution") <= MAX_SAMPLES:
@@ -212,22 +227,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# stages
-
-class Stage:
-    """Speed and explicit step bound of one state, for one speed law r.
-
-    A slots class, built once per call of ``revolution_stage`` or
-    ``_round_stage``; ``run`` carries a stage's speed and bound as locals."""
-
-    __slots__ = ("geometry", "r", "speed", "bound")
-
-    def __init__(self, geometry, r: int, speed, bound: float):
-        self.geometry = geometry  # the state it was computed from
-        self.r = r
-        self.speed = speed        # R' of the round law, df/dt of a radial graph
-        self.bound = bound        # explicit stability bound on dt
-
+# kinds of flow state
 
 class _Kind(NamedTuple):
     """One kind of flow state, bound to one run's r, resolution and grid."""
@@ -239,7 +239,7 @@ class _Kind(NamedTuple):
     radius: Callable      # values -> smallest radius, for the guard
     name: str             # what a NaN made non-finite
     reason: str           # ExtinctionError reason of a non-positive radius
-    diagnose: Callable    # the state's diagnostics row
+    diagnose: Callable    # (t, geometry, dt, config, initial geometry) -> diagnostics row
     extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
 
 
@@ -281,12 +281,6 @@ def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
                  _sphere_diagnostics, lambda g, r: extinction_time(g.n, r, g.radius))
 
 
-def _round_stage(geom: Sphere, config: FlowConfig) -> Stage:
-    """The round law's Stage of one sphere at config's r and resolution."""
-    return Stage(geom, config.r,
-                 *_round_kind(geom, config.r, config.resolution).stage(geom))
-
-
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
@@ -321,11 +315,6 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
                  lambda g, r: math.inf)
 
 
-def revolution_stage(graph: RevolutionGeometry, r: int) -> Stage:
-    """Speed and step bound of a radial graph, read off its record."""
-    return Stage(graph, r, *_graph_kind(graph, r).stage(graph))
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -344,60 +333,57 @@ def _residual_phi(config, t: float) -> float:
     return phi if phi > 0 else 1.0
 
 
-def _sphere_diagnostics(state, config, dt, initial_geometry):
-    n, r = state.geometry.n, config.r
-    radius = state.geometry.radius
-    phi = _residual_phi(config, state.t)
+def _sphere_diagnostics(t, sphere, dt, config, initial_geometry):
+    n, r = sphere.n, config.r
+    radius = sphere.radius
+    phi = _residual_phi(config, t)
     try:
         residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
     except (OverflowError, ZeroDivisionError) as exc:
         raise float_range_error("R", radius, r) from exc
     defect = math.nan
     if config.rescaled:
-        defect = abs(radius - homothety_factor(r, state.t) * initial_geometry.radius)
-    return Diagnostics(t=state.t, max_shrinker_residual=residual,
+        defect = abs(radius - homothety_factor(r, t) * initial_geometry.radius)
+    return Diagnostics(t=t, max_shrinker_residual=residual,
                        homothety_defect=defect, min_radius=radius, dt=dt)
 
 
-def _revolution_diagnostics(state, config, dt, initial_geometry):
-    """Diagnostics row of a radial graph, read off its state's record."""
-    geo = state.geometry
+def _revolution_diagnostics(t, geo, dt, config, initial_geometry):
+    """Diagnostics row of a radial graph, read off its record."""
     f0, z0 = initial_geometry.f, initial_geometry.z
-    phi = _residual_phi(config, state.t)
+    phi = _residual_phi(config, t)
     sigma = geo.sigma(config.r)
     residual = float(np.abs(phi ** config.r * sigma + geo.support / phi).max())
     defect = math.nan
     if config.rescaled:
-        phi_h = homothety_factor(config.r, state.t)
+        phi_h = homothety_factor(config.r, t)
         if phi_h > 0:
             inside = np.abs(geo.z / phi_h) <= z0.max()
             ref = phi_h * np.interp(geo.z[inside] / phi_h, z0, f0)
             defect = float(np.abs(geo.f[inside] - ref).max()) if inside.any() else math.nan
         else:
             defect = float(np.abs(geo.f).max())
-    return Diagnostics(t=state.t, max_shrinker_residual=residual,
+    return Diagnostics(t=t, max_shrinker_residual=residual,
                        homothety_defect=defect, min_radius=geo.min_radius, dt=dt)
 
 
 # ---------------------------------------------------------------------------
 # the driver
 
-def _initial_state(config: FlowConfig) -> FlowState:
+def _initial_state(config: FlowConfig):
+    """The geometry a run starts from, at t = 0."""
     model = config.model
-    if isinstance(model, Hyperplane):
-        return FlowState(t=0.0, geometry=model)
-    if isinstance(model, Sphere):
-        return FlowState(t=0.0, geometry=model)
+    if isinstance(model, (Hyperplane, Sphere)):
+        return model
     if isinstance(model, Cylinder):
         # spherical factor shrinks by the same scalar law; flat part inert
-        return FlowState(t=0.0, geometry=Sphere(n=model.m, radius=model.radius))
+        return Sphere(n=model.m, radius=model.radius)
     if isinstance(model, EllipsoidRev):
         model = model.as_revolution(config.resolution)
     if isinstance(model, Revolution):
         # the run's one float-range check, on its own copies of z and f
         p = model.profile
-        return FlowState(t=0.0, geometry=revolution_geometry(model)._replace(
-            z=p.z.copy(), f=p.f.copy()))
+        return revolution_geometry(model)._replace(z=p.z.copy(), f=p.f.copy())
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 
@@ -448,24 +434,18 @@ def _stepper(kind: _Kind, config: FlowConfig):
     return advance
 
 
-def step(state: FlowState, config: FlowConfig, dt: float, stage=None) -> FlowState:
+def step(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
     """Advance any flow state one explicit step of config's scheme.
 
-    stage is the stage of state.geometry at config.r, if at hand (one for
-    another geometry or r is recomputed).  Unpinned radial graphs move
-    their end nodes by the extrapolating stencils.  This is the step of
-    ``run``: one call of the stepper.
+    Unpinned radial graphs move their end nodes by the extrapolating
+    stencils.  This is the step of ``run``: one call of the stepper.
     """
     geo = state.geometry
     make_kind = _KINDS.get(type(geo))
     if make_kind is None:
         raise DomainError(f"cannot step {type(geo).__name__}")
     kind = make_kind(geo, config.r, config.resolution)
-    if stage is None or stage.geometry is not geo or stage.r != config.r:
-        speed, bound = kind.stage(geo)
-    else:
-        speed, bound = stage.speed, stage.bound
-    geo, _ = _stepper(kind, config)(geo, speed, bound, state.t, dt)
+    geo, _ = _stepper(kind, config)(geo, *kind.stage(geo), state.t, dt)
     return FlowState(state.t + dt, geo, state.step_count + 1)
 
 
@@ -477,27 +457,17 @@ def run(config: FlowConfig) -> RunResult:
     Raises DomainError when the first stage's bound puts the run above
     MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
     """
-    state = _initial_state(config)
-    diagnostics: list = []
-
-    if isinstance(state.geometry, Hyperplane):
+    geom = _initial_state(config)
+    if isinstance(geom, Hyperplane):
         # sigma_r = 0: stationary; report start and end
         diag0 = Diagnostics(t=0.0, max_shrinker_residual=0.0,
                             homothety_defect=0.0 if config.rescaled else math.nan,
                             min_radius=0.0, dt=config.t_end)
-        diagnostics.append(diag0)
-        state = FlowState(t=config.t_end, geometry=state.geometry, step_count=1)
-        diagnostics.append(replace(diag0, t=config.t_end))
-        return RunResult(diagnostics=diagnostics, status="stationary", state=state)
+        return RunResult(diagnostics=[diag0, replace(diag0, t=config.t_end)],
+                         status="stationary", state=FlowState(config.t_end, geom, 1))
 
-    geom = state.geometry
     kind = _KINDS[type(geom)](geom, config.r, config.resolution)
     advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
-
-    def make_diag(t, geo, count, dt):
-        # steps build new arrays, so the initial geometry stays as it was
-        return diagnose(FlowState(t, geo, count), config, dt, geom)
-
     speed, bound = stage(geom)
     try:    # the budget counts steps up to t_end or a closed-form extinction
         horizon = min(config.t_end, kind.extinction(geom, config.r))
@@ -508,8 +478,9 @@ def run(config: FlowConfig) -> RunResult:
     if horizon > max_steps * cfl * bound > 0.0:
         raise DomainError(f"about {horizon / cfl / bound:.3g} "
                           f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
-    diagnostics.append(diagnose(state, config, 0.0, geom))
-    t, geo, count = state.t, geom, 0
+    # steps build new arrays, so the initial geometry stays as it was
+    diagnostics = [diagnose(0.0, geom, 0.0, config, geom)]
+    t, geo, count = 0.0, geom, 0
     t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
     floor = EXTINCTION_FRACTION * geom.min_radius
     status = "completed"
@@ -534,11 +505,10 @@ def run(config: FlowConfig) -> RunResult:
         speed, bound = stage(geo)
         if radius < floor:
             status = "extinct"
-            diagnostics.append(make_diag(t, geo, count, dt))
+            diagnostics.append(diagnose(t, geo, dt, config, geom))
             break
         if count % stride == 0:
-            diagnostics.append(make_diag(t, geo, count, dt))
-    state = FlowState(t, geo, count)
+            diagnostics.append(diagnose(t, geo, dt, config, geom))
     if diagnostics[-1].t < t:
-        diagnostics.append(diagnose(state, config, last_dt, geom))
-    return RunResult(diagnostics=diagnostics, status=status, state=state)
+        diagnostics.append(diagnose(t, geo, last_dt, config, geom))
+    return RunResult(diagnostics=diagnostics, status=status, state=FlowState(t, geo, count))

@@ -242,6 +242,13 @@ class TestProfileValidation:
         assert shrinker_radius(two, np.int64(1)) == shrinker_radius(2, 1)
         assert sample_fields(Sphere(n=two, radius=1.0), eight)[0].shape == (1, 2)
 
+    def test_orientation_is_an_integer(self):
+        prof = cylinder_profile(1.0, 2.0, 16)
+        for orientation in (1.0, True, 0, 2):
+            with pytest.raises(DomainError, match="orientation"):
+                Revolution(profile=prof, orientation=orientation)
+        assert Revolution(profile=prof, orientation=np.int64(-1)).orientation == -1
+
     def test_underflowed_spacing_is_refused_before_the_stencil(self):
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
         assert prof.h > 0.0 and prof.h * prof.h == 0.0

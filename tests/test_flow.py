@@ -27,7 +27,6 @@ from newton_flow.flow import (
     FlowState,
     extinction_time,
     homothety_factor,
-    revolution_stage,
     run,
     sphere_band_pin,
     sphere_radius_exact,
@@ -51,6 +50,21 @@ class TestClosedForms:
                 assert sphere_radius_exact(n, r, radius0, t) == pytest.approx(
                     radius0 * homothety_factor(r, t))
                 assert extinction_time(n, r, radius0) == pytest.approx(1.0 / (r + 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: extinction_time(2.5, 1, 1.0),
+        lambda: extinction_time(True, 1, 1.0),
+        lambda: sphere_radius_exact(2.5, 1, 1.0, 0.1),
+        lambda: sphere_band_pin(2.0, 1, 0.6, n=2.5),
+    ])
+    def test_dimension_is_an_integer(self, call):
+        with pytest.raises(DomainError, match="dimension n"):
+            call()
+
+    @pytest.mark.parametrize("half_width", [math.nan, -0.6, 0.0, 2.0, 3.0])
+    def test_band_pin_checks_its_half_width(self, half_width):
+        with pytest.raises(DomainError, match="half_width"):
+            sphere_band_pin(2.0, 1, half_width)
 
     def test_extinction_values(self):
         assert extinction_time(1, 1, 1.0) == pytest.approx(0.5)
@@ -302,7 +316,6 @@ class TestRevolutionStage:
         again = radial_graph(geo.z, geo.f, geo.h, geo.boundary, geo.orientation)
         for name in ("fp", "w", "k_mer", "k_par"):
             assert getattr(geo, name).tobytes() == getattr(again, name).tobytes()
-        assert flow.Stage.__slots__ == ("geometry", "r", "speed", "bound")
 
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
@@ -320,10 +333,10 @@ class TestRevolutionStage:
     @pytest.mark.parametrize("r", [1, 2])
     def test_stage_matches_reference_formulas(self, r):
         geo = _band_state(m=48, orientation=-1).geometry
-        stage = revolution_stage(geo, r)
+        got_speed, got_bound = flow._graph_kind(geo, r).stage(geo)
         speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
-        assert stage.speed.tobytes() == speed.tobytes()
-        assert stage.bound == _reference_bound(geo.f, geo.h, geo.boundary, r)
+        assert got_speed.tobytes() == speed.tobytes()
+        assert got_bound == _reference_bound(geo.f, geo.h, geo.boundary, r)
 
     @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
     def test_one_derivative_pass_per_stage(self, monkeypatch, scheme, passes):
@@ -347,20 +360,13 @@ class TestRevolutionStage:
         assert calls == {"derivatives": passes * steps + 1, "deriv1": 0}
 
     @pytest.mark.parametrize("r", [1, 2])
-    def test_cfl_violation_with_own_or_foreign_stage(self, r):
+    def test_cfl_violation_with_own_bound(self, r):
         state = _band_state(m=129)
         config = _band_step_config(r, m=129)
-        bound = revolution_stage(state.geometry, r).bound
+        geo = state.geometry
+        _, bound = flow._graph_kind(geo, r).stage(geo)
         with pytest.raises(CflViolationError):
             step(state, config, 10.0 * bound)
-        with pytest.raises(CflViolationError):
-            step(state, config, 10.0 * bound,
-                 stage=revolution_stage(state.geometry, r))
-        # a coarser grid's stage allows the step; it must not be trusted
-        coarse = revolution_stage(_band_state(m=33).geometry, r)
-        assert coarse.bound > 10.0 * bound
-        with pytest.raises(CflViolationError):
-            step(state, config, 10.0 * bound, stage=coarse)
 
     def test_nan_profile_step_raises(self):
         f = _band_state().geometry.f.copy()
@@ -376,9 +382,9 @@ class TestRevolutionStage:
         initial_state = flow._initial_state
 
         def with_nan(config):
-            state = initial_state(config)
-            state.geometry.f[7] = np.nan
-            return state
+            geo = initial_state(config)
+            geo.f[7] = np.nan
+            return geo
 
         monkeypatch.setattr(flow, "_initial_state", with_nan)
         model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
@@ -487,13 +493,13 @@ class TestRoundFactor:
         for n, r in ((3, 2), (1, 1)):     # n = 1: the circle
             sphere = Sphere(n=n, radius=1.5)
             config = FlowConfig(r=r, model=sphere, t_end=0.01, resolution=32)
-            assert flow._initial_state(config).geometry is sphere
+            assert flow._initial_state(config) is sphere
             result = run(config)
             assert isinstance(result.state.geometry, Sphere)
             assert result.state.geometry.n == n
         cylinder = FlowConfig(r=1, model=Cylinder(n=5, m=3, radius=1.5),
                               t_end=0.01, resolution=32)
-        assert flow._initial_state(cylinder).geometry == Sphere(n=3, radius=1.5)
+        assert flow._initial_state(cylinder) == Sphere(n=3, radius=1.5)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_bound_matches_newton_family_trace(self, n):
@@ -504,17 +510,16 @@ class TestRoundFactor:
                 h = 2.0 * np.pi * radius / resolution
                 expect = h * h / (1.0 + trace_p)
                 sphere = Sphere(n=n, radius=radius)
-                config = FlowConfig(r=r, model=sphere, t_end=1.0, resolution=resolution)
-                got = flow._round_stage(sphere, config).bound
+                _, got = flow._round_kind(sphere, r, resolution).stage(sphere)
                 assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_cylinder_bound_has_no_coefficient_above_m(self, r):
         config = FlowConfig(r=r, model=Cylinder(n=5, m=2, radius=1.5),
                             t_end=0.01, resolution=32)
-        state = flow._initial_state(config)
+        sphere = flow._initial_state(config)
         h = 2.0 * np.pi * 1.5 / 32
-        assert flow._round_stage(state.geometry, config).bound == h * h
+        assert flow._round_kind(sphere, r, 32).stage(sphere)[1] == h * h
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +540,19 @@ class TestStep:
     def test_round_law_checks_its_bound(self):
         config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
                             resolution=16)
-        state = flow._initial_state(config)
-        bound = flow._round_stage(state.geometry, config).bound
+        sphere = config.model
+        _, bound = flow._round_kind(sphere, 2, 16).stage(sphere)
+        state = FlowState(t=0.0, geometry=sphere)
         assert step(state, config, bound).geometry.radius < 1.0
         with pytest.raises(CflViolationError):
             step(state, config, 1.01 * bound)
         with pytest.raises(CflViolationError):
             step(state, config, 10.0)
 
-    def test_stage_of_another_r_is_recomputed(self):
-        state = _band_state(m=65)
-        loose = revolution_stage(state.geometry, 2)
-        assert loose.bound > 1.2 * revolution_stage(state.geometry, 1).bound
-        with pytest.raises(CflViolationError):
-            step(state, _band_step_config(1, m=65), loose.bound, stage=loose)
+    def test_refuses_a_geometry_with_no_flow(self):
+        config = FlowConfig(r=1, model=Hyperplane(n=2), t_end=1.0)
+        with pytest.raises(DomainError, match="cannot step Hyperplane"):
+            step(FlowState(0.0, Hyperplane(n=2)), config, 0.1)
 
     def test_boundary_values_need_a_revolution_model(self):
         with pytest.raises(DomainError, match="boundary_values"):
@@ -559,19 +563,20 @@ class TestStep:
 class TestOneStepPath:
     """The public step is run's step: a loop of step calls ends where run ends."""
 
-    @pytest.mark.parametrize("config, stage_of", [
+    @pytest.mark.parametrize("config, make_kind", [
         (FlowConfig(r=2, model=Sphere(n=3, radius=shrinker_radius(3, 2)), t_end=0.1,
-                    resolution=64), flow._round_stage),
-        (_band_config(2, "rk2", pinned=True),
-         lambda geo, config: revolution_stage(geo, config.r)),
+                    resolution=64), flow._round_kind),
+        (_band_config(2, "rk2", pinned=True), flow._graph_kind),
     ])
-    def test_step_by_step_matches_run(self, config, stage_of):
+    def test_step_by_step_matches_run(self, config, make_kind):
         result = run(config)
-        state = flow._initial_state(config)
+        geo = flow._initial_state(config)
+        kind = make_kind(geo, config.r, config.resolution)
+        state = FlowState(t=0.0, geometry=geo)
         while state.t < config.t_end * (1.0 - 1e-14):
-            stage = stage_of(state.geometry, config)
-            dt = min(config.cfl_safety * stage.bound, config.t_end - state.t)
-            state = step(state, config, dt, stage=stage)
+            _, bound = kind.stage(state.geometry)
+            dt = min(config.cfl_safety * bound, config.t_end - state.t)
+            state = step(state, config, dt)
         assert result.status == "completed"
         assert (state.t, state.step_count) == (result.state.t, result.state.step_count)
         got, want = state.geometry, result.state.geometry
@@ -597,7 +602,7 @@ class TestStepBudget:
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
                             resolution=32)
         assert run(config).state.step_count > 200
-        bound = flow._round_stage(config.model, config).bound
+        _, bound = flow._round_kind(config.model, 1, 32).stage(config.model)
         assert config.t_end / (config.cfl_safety * bound) < 100
         monkeypatch.setattr(flow, "MAX_STEPS", 100)
         with pytest.raises(NumericalError, match="MAX_STEPS=100"):
@@ -631,11 +636,19 @@ class TestFlowConfigContract:
         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
         ("resolution", 0), ("resolution", -16),
         ("resolution", 8.5), ("resolution", True), ("output_stride", 2.5),
+        ("t_end", True), ("cfl_safety", True), ("cfl_safety", np.True_),
+        ("t_end", "1"), ("cfl_safety", "0.5"),
+        ("rescaled", "no"), ("rescaled", 1), ("rescaled", None),
     ])
     def test_rejects(self, field, value):
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}
         with pytest.raises(DomainError, match=field):
             FlowConfig(**kwargs)
+
+    def test_numpy_bool_rescaled_passes(self):
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
+                            rescaled=np.True_)
+        assert not math.isnan(run(config).final.homothety_defect)
 
     def test_vanishing_time_step_is_an_error(self):
         # h^2 underflows to 0, so dt = 0 and the loop would never end

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from newton_flow import fd, operators
+from newton_flow import fd, flow, operators
 from newton_flow.catalog import (
     Cylinder,
     EllipsoidRev,
@@ -15,7 +15,6 @@ from newton_flow.catalog import (
     sphere_band_profile,
 )
 from newton_flow.errors import DomainError, NotSelfShrinkerError
-from newton_flow.flow import revolution_stage
 from newton_flow.operators import (
     ScalarField,
     drifted_apply,
@@ -314,7 +313,7 @@ class TestSingleSourceRecord:
         p = rev.profile
         state = radial_graph(p.z.copy(), p.f.copy(), p.h, p.boundary, 1)
         messages = set()
-        for call in (lambda: revolution_stage(state, 3),
+        for call in (lambda: flow._graph_kind(state, 3),
                      lambda: lr_apply(ScalarField(values=p.z.copy(), geometry=rev), 3),
                      lambda: verify_support_identity(rev, 3, [33])):
             with pytest.raises(DomainError) as info:
