@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import fd
-from .errors import DomainError, NumericalError, check_integer, float_range_error
+from .errors import DomainError, NumericalError, check_integer, check_real, float_range_error
 
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
 
@@ -54,7 +54,7 @@ class Sphere:
     def __post_init__(self):
         if check_integer(self.n, "dimension n") < 1:
             raise DomainError("dimension n must be >= 1")
-        if not 0 < self.radius < inf:
+        if not 0 < check_real(self.radius, "radius") < inf:
             raise DomainError("radius must be positive and finite")
 
     @property
@@ -79,7 +79,7 @@ class Cylinder:
         check_integer(self.m, "rank m")
         if self.n < 2 or not 1 <= self.m <= self.n - 1:
             raise DomainError("cylinder needs 1 <= m <= n-1")
-        if not 0 < self.radius < inf:
+        if not 0 < check_real(self.radius, "radius") < inf:
             raise DomainError("radius must be positive and finite")
 
 
@@ -144,9 +144,10 @@ class EllipsoidRev:
     n: int = field(default=2, init=False)
 
     def __post_init__(self):
-        if not (0 < self.a < inf and 0 < self.b < inf):
+        a, b = check_real(self.a, "semi-axis a"), check_real(self.b, "semi-axis b")
+        if not (0 < a < inf and 0 < b < inf):
             raise DomainError("semi-axes must be positive and finite")
-        if not 0 < self.band < 1:
+        if not 0 < check_real(self.band, "band fraction") < 1:
             raise DomainError("band fraction must lie in (0, 1)")
 
     def profile_curve(self, resolution: int) -> ProfileCurve:
@@ -302,10 +303,10 @@ def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
     return geo
 
 
-def sphere_band_profile(radius: float, half_width: float, samples: int,
-                        boundary: str = "neumann") -> ProfileCurve:
+def sphere_band_profile(radius: float, half_width: float, samples: int) -> ProfileCurve:
     """Profile of the band |z| <= half_width of a round 2-sphere."""
-    if not 0 < half_width < radius < inf:
+    check_real(radius, "radius")
+    if not 0 < check_real(half_width, "half_width") < radius < inf:
         raise DomainError("need 0 < half_width < radius < inf")
     check_samples(samples, 5, "samples")
     try:
@@ -313,17 +314,17 @@ def sphere_band_profile(radius: float, half_width: float, samples: int,
     except OverflowError as exc:
         raise float_range_error("R", radius, 2) from exc
     z = np.linspace(-half_width, half_width, samples)
-    return ProfileCurve(z=z, f=np.sqrt(radius_sq - z ** 2), boundary=boundary)
+    return ProfileCurve(z=z, f=np.sqrt(radius_sq - z ** 2))
 
 
-def cylinder_profile(radius: float, half_width: float, samples: int,
-                     boundary: str = "neumann") -> ProfileCurve:
+def cylinder_profile(radius: float, half_width: float, samples: int) -> ProfileCurve:
     """Constant profile: the tube of the given radius."""
-    if not (0 < radius < inf and 0 < half_width < inf):
+    check_real(radius, "radius")
+    if not (0 < radius < inf and 0 < check_real(half_width, "half_width") < inf):
         raise DomainError("radius and half_width must be positive and finite")
     check_samples(samples, 5, "samples")
     z = np.linspace(-half_width, half_width, samples)
-    return ProfileCurve(z=z, f=np.full_like(z, radius), boundary=boundary)
+    return ProfileCurve(z=z, f=np.full_like(z, radius))
 
 
 # ---------------------------------------------------------------------------

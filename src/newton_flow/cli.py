@@ -36,10 +36,10 @@ from .errors import (
 from .symfun import (
     _check_degree,
     _eigen_definiteness,
-    _modified_sff_norm_sq,
-    _order_family,
-    _trace_identities,
     elem_sym_all_rows,
+    modified_sff_norm_sq,
+    newton_family,
+    trace_identities,
 )
 
 logger = logging.getLogger("newton_flow")
@@ -303,9 +303,9 @@ def cmd_algebra(args) -> int:
         k, r = _parse_curvatures(args.k), args.r
     n = k.size
     check_order(r, n)
-    family = _order_family(np.diag(k), r)   # the one family of this call
-    fam = family[2]
-    residuals = _trace_identities(*family, r)
+    A = np.diag(k)
+    residuals = trace_identities(A, r)   # builds the one family of this call
+    fam = newton_family(A)
     psd, p_eigenvalues = _eigen_definiteness(fam.P[r - 1])   # ascending
     out = {
         "n": n,
@@ -313,7 +313,7 @@ def cmd_algebra(args) -> int:
         "curvatures": list(k),
         "sigmas": list(fam.sigmas),
         "pEigenvalues": list(p_eigenvalues),
-        "modifiedNormSq": _modified_sff_norm_sq(*family, r),
+        "modifiedNormSq": modified_sff_norm_sq(A, r),
         "psdClass": psd.kind.value,
         "traceResiduals": {
             "traceP": residuals.trace_p,

@@ -48,6 +48,14 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str):
+    """value unchanged; DomainError unless it is a Python or numpy real
+    number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_order(r: int, n: int):
     """Raise DomainError unless r is an integer with 1 <= r <= n, the orders of
     sigma_r on n curvatures."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, replace
 from math import comb
 from operator import attrgetter, methodcaller
@@ -76,6 +75,7 @@ from .errors import (
     NumericalError,
     check_integer,
     check_order,
+    check_real,
     float_range_error,
 )
 
@@ -92,7 +92,7 @@ def extinction_time(n: int, r: int, radius0: float) -> float:
     """Extinction time R0^(r+1) / ((r+1) C(n,r)) of a round n-sphere."""
     check_integer(n, "dimension n")
     check_order(r, n)
-    if not radius0 > 0:
+    if not check_real(radius0, "radius0") > 0:
         raise DomainError("radius must be positive")
     try:
         return radius0 ** (r + 1) / ((r + 1) * comb(n, r))
@@ -106,7 +106,7 @@ def sphere_radius_exact(n: int, r: int, radius0: float, t: float) -> float:
     Raises ExtinctionError (carrying the extinction time) for t at or
     past extinction.
     """
-    if t < 0:       # before the parameters are checked
+    if check_real(t, "time t") < 0:   # before the parameters are checked
         raise DomainError("time must be nonnegative")
     return _radius_law(n, r, radius0)(t)
 
@@ -144,7 +144,7 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
     needs 0 < half_width < radius0.
     """
     law = _radius_law(n, r, radius0)
-    if not 0 < half_width < radius0:
+    if not 0 < check_real(half_width, "half_width") < radius0:
         raise DomainError("need 0 < half_width < radius")
     hw2 = half_width * half_width
 
@@ -194,9 +194,7 @@ class FlowConfig:
         # the types the scene parsers refuse: a bool is no real number, and
         # only a bool turns rescaled monitoring on or off
         for name in ("t_end", "cfl_safety"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
+            check_real(getattr(self, name), name)
         if not isinstance(self.rescaled, (bool, np.bool_)):
             raise DomainError(f"rescaled must be true or false, got {self.rescaled!r}")
         if not 0 < self.t_end < math.inf:

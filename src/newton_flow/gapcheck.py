@@ -28,8 +28,8 @@ from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_ord
 from .symfun import (
     Definiteness,
     _check_degree,
+    _classify,
     _excluding_rows,
-    classify_from_eigenvalues,
     elem_sym_all_rows,
 )
 
@@ -104,13 +104,13 @@ class GapReport:
         }
 
 
-def _classify(sup_norm_sq: float, min_eig_p: float, sup_residual: float,
-              r: int, n: int, zero_mult: int | None) -> Classification:
+def _taxonomy(flags: GapFlags, sup_residual: float, n: int,
+              zero_mult: int | None) -> Classification:
     if sup_residual > SHRINKER_TOL:
         return Classification(kind="NotShrinker")
-    if sup_norm_sq < r - GAP_TOL:
+    if flags.thm1_strict:
         return Classification(kind="Hyperplane")
-    if abs(sup_norm_sq - r) <= GAP_TOL and min_eig_p > GAP_TOL:
+    if flags.thm1_boundary and flags.thm1_psd_definite:
         if zero_mult == 0:
             return Classification(kind="Sphere")
         if zero_mult is not None and zero_mult > 0:
@@ -158,7 +158,8 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     sup_a = float((K * K).sum(axis=1).max())
     sup_sig_rm1 = float(sig[:, r - 1].max())
     sup_res = float(residual.max())
-    psd = classify_from_eigenvalues(eig_p.ravel(), tol=GAP_TOL)
+    psd = _classify(min_eig_p, float(eig_p.max()),
+                    GAP_TOL * max(1.0, float(np.abs(eig_p).max())))
     reported = [sup_norm_sq, min_eig_p, sup_a, sup_sig_rm1, sup_res,
                 psd.max_eigenvalue]
     if gauss is not None:
@@ -183,7 +184,7 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
         gauss_weakly_convex=gauss is not None and gauss.weakly_convex,
         gauss_hk=gauss is not None and gauss.hk_at_most_n,
     )
-    classification = _classify(sup_norm_sq, min_eig_p, sup_res, r, n, zero_mult)
+    classification = _taxonomy(flags, sup_res, n, zero_mult)
     return GapReport(
         r=r, n=n,
         sup_modified_norm_sq=sup_norm_sq,
@@ -284,15 +285,6 @@ class PsdSufficiencyReport:
             if flag:
                 return name
         return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "firesI": self.fires_i,
-            "firesII": self.fires_ii,
-            "firesIII": self.fires_iii,
-            "definite": self.definite,
-            "detail": self.detail,
-        }
 
 
 def psd_sufficient(curvatures, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiencyReport:

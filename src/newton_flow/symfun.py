@@ -13,7 +13,8 @@ bytes, and every result is the caller's own.
 
 The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
 ``elem_sym`` and ``elem_sym_all`` read its one-row case.  Each order-r
-entry point validates its operator on every call.
+entry point validates its operator on every call.  ``definiteness``
+counts an eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero.
 
 One operator is usually asked about at every order r in turn, so the
 module keeps the validated family of the last operator it built: one
@@ -46,6 +47,7 @@ from .errors import (
 SYM_TOL = 1e-10        # relative asymmetry allowed in a shape operator
 CLAMP_TOL = 1e-12      # eigenvalue clamping window in sqrt_psd
 IDENTITY_TOL = 1e-10   # residual tolerance for the trace identities
+ZERO_TOL = 1e-10       # relative zero window of definiteness
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -272,11 +274,7 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    return _modified_sff_norm_sq(*_order_family(S, r), r)
-
-
-def _modified_sff_norm_sq(A: np.ndarray, k: np.ndarray, fam, r: int) -> float:
-    """modified_sff_norm_sq from an _order_family result the caller holds."""
+    A, k, fam = _order_family(S, r)
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
     excluded = _excluding_rows(k[None], fam.sigmas[None], r - 1)[0]
@@ -309,11 +307,7 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
 
     Each residual is normalized by (1 + ||S||)^(r+1).
     """
-    return _trace_identities(*_order_family(S, r), r)
-
-
-def _trace_identities(A: np.ndarray, _k, fam, r: int) -> TraceIdentityResiduals:
-    """trace_identities from an _order_family result the caller holds."""
+    A, _, fam = _order_family(S, r)
     n = A.shape[0]
     P = fam.P[r - 1]
     sig = fam.sigmas
@@ -350,44 +344,20 @@ class Definiteness:
         )
 
 
-def definiteness(M, tol: float = 1e-10) -> Definiteness:
+def definiteness(M) -> Definiteness:
     """Classify a symmetric matrix by its extreme eigenvalues.
 
-    An eigenvalue within +/- tol*max(1, ||M||) of zero counts as zero
-    (semidefinite), never as strictly signed.  tol must be finite and
-    nonnegative.
+    An eigenvalue within +/- ZERO_TOL*max(1, ||M||) of zero counts as
+    zero (semidefinite), never as strictly signed.
     """
-    return _eigen_definiteness(M, tol)[0]
+    return _eigen_definiteness(M)[0]
 
 
-def _check_tol(tol: float):
-    """Raise DomainError unless the zero-window tolerance is finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise DomainError(f"tolerance {tol!r} must be finite and nonnegative")
-
-
-def _eigen_definiteness(M, tol: float = 1e-10) -> tuple:
+def _eigen_definiteness(M) -> tuple:
     """definiteness of M, and the ascending eigenvalues it was read from."""
-    _check_tol(tol)
     A = _as_shape_operator(M)
     w = np.linalg.eigvalsh(A)
-    return _classify(float(w[0]), float(w[-1]), tol * max(1.0, _norm(A))), w
-
-
-def classify_from_eigenvalues(w, tol: float = 1e-10) -> Definiteness:
-    """Definiteness from a precomputed eigenvalue set (same tie-breaking).
-
-    Its zero window scales with max |w| rather than the Frobenius norm.
-    The eigenvalues must be finite, and tol finite and nonnegative.
-    """
-    _check_tol(tol)
-    w = np.asarray(w, dtype=float).ravel()
-    if w.size == 0:
-        raise DomainError("empty eigenvalue set")
-    if not np.isfinite(w).all():
-        raise DomainError("eigenvalue set has non-finite entries")
-    return _classify(float(w.min()), float(w.max()),
-                     tol * max(1.0, float(np.abs(w).max())))
+    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, _norm(A))), w
 
 
 def _classify(lo: float, hi: float, cut: float) -> Definiteness:

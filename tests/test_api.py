@@ -1,4 +1,14 @@
-"""The public API is a deliberate list: a change to it must change this file."""
+"""The public API is a deliberate list: a change to it must change this file.
+
+Two tables pin it: the names in ``newton_flow.__all__``, and the settings
+of each public function or dataclass (parameter names and defaults, or
+init fields and defaults), so that adding or removing a setting is as
+visible as adding or removing a name.  Enum and exception types are not
+pinned by signature.
+"""
+
+import dataclasses
+import inspect
 
 import newton_flow
 
@@ -18,6 +28,74 @@ PUBLIC_NAMES = [
     "verify_product_rule", "verify_shrinker_pde", "verify_support_identity",
 ]
 
+PUBLIC_SETTINGS = {
+    "Cylinder": "n, m, radius",
+    "Definiteness": "kind, min_eigenvalue, max_eigenvalue",
+    "Diagnostics": "t, max_shrinker_residual, homothety_defect, min_radius, dt",
+    "EllipsoidRev": "a, b, band=0.75",
+    "FlowConfig": "r, model, t_end, resolution=128, cfl_safety=0.25, rescaled=False, "
+                  "scheme='euler', output_stride=10, boundary_values=None",
+    "FlowState": "t, geometry, step_count=0",
+    "GapReport": "r, n, sup_modified_norm_sq, min_eig_p, sup_a_norm_sq, sup_sigma_rm1, "
+                 "sup_residual, psd_class, flags, classification, zero_multiplicity, "
+                 "notes, gauss=None",
+    "Hyperplane": "n",
+    "NewtonFamily": "sigmas, P",
+    "ProfileCurve": "z, f, boundary='neumann'",
+    "Revolution": "profile, orientation=1",
+    "RunResult": "diagnostics, status, state",
+    "ScalarField": "values, geometry",
+    "Sphere": "n, radius",
+    "cauchy_schwarz_bound": "S, r",
+    "classify": "report",
+    "definiteness": "M",
+    "drifted_apply": "field, r",
+    "elem_sym": "k, r",
+    "elem_sym_all": "k",
+    "elem_sym_excluding": "k, i, r",
+    "evaluate": "model, r, resolution=16",
+    "extinction_time": "n, r, radius0",
+    "gauss_check": "model, resolution=16",
+    "lr_apply": "field, r",
+    "modified_sff_norm_sq": "S, r",
+    "newton_family": "S",
+    "psd_sufficient": "curvatures, r, zero_tol=1e-06",
+    "run": "config",
+    "self_shrinkers": "n_max",
+    "shrinker_radius": "m, r",
+    "sigma_p_cylinder": "m, r, p",
+    "sphere_radius_exact": "n, r, radius0, t",
+    "sqrt_psd": "M",
+    "surface_gradient": "field",
+    "trace_identities": "S, r",
+    "verify_position_identity": "model, r, resolutions",
+    "verify_product_rule": "f, g_field, r",
+    "verify_shrinker_pde": "model, r",
+    "verify_support_identity": "model, r, resolutions",
+}
+
+
+def settings(obj) -> str:
+    """Parameter names and defaults of a function, or init fields and
+    defaults of a dataclass, as 'name' or 'name=default' joined by commas."""
+    if dataclasses.is_dataclass(obj):
+        params = [(f.name, f.default) for f in dataclasses.fields(obj) if f.init]
+        missing = dataclasses.MISSING
+    else:
+        params = [(p.name, p.default) for p in inspect.signature(obj).parameters.values()]
+        missing = inspect.Parameter.empty
+    return ", ".join(name if default is missing else f"{name}={default!r}"
+                     for name, default in params)
+
 
 def test_public_names_are_pinned():
     assert sorted(newton_flow.__all__) == PUBLIC_NAMES
+
+
+def test_public_settings_are_pinned():
+    found = {}
+    for name in newton_flow.__all__:
+        obj = getattr(newton_flow, name)
+        if dataclasses.is_dataclass(obj) or inspect.isfunction(obj):
+            found[name] = settings(obj)
+    assert found == PUBLIC_SETTINGS

@@ -626,13 +626,13 @@ class TestExitContract:
 
     def test_algebra_builds_one_newton_family(self, capsys, monkeypatch):
         calls = []
-        original = symfun._family
+        original = symfun._build_family
 
         def counted(a):
             calls.append(a.shape)
             return original(a)
 
-        monkeypatch.setattr(symfun, "_family", counted)
+        monkeypatch.setattr(symfun, "_build_family", counted)
         eigvalsh = np.linalg.eigvalsh
         solves = []
 

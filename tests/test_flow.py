@@ -7,6 +7,7 @@ import pytest
 from newton_flow import fd, flow
 from newton_flow.catalog import (
     Cylinder,
+    EllipsoidRev,
     Hyperplane,
     Revolution,
     Sphere,
@@ -65,6 +66,37 @@ class TestClosedForms:
     def test_band_pin_checks_its_half_width(self, half_width):
         with pytest.raises(DomainError, match="half_width"):
             sphere_band_pin(2.0, 1, half_width)
+
+    @pytest.mark.parametrize("site", [
+        lambda v: Sphere(n=2, radius=v),
+        lambda v: Cylinder(n=3, m=1, radius=v),
+        lambda v: EllipsoidRev(a=v, b=2.0),
+        lambda v: EllipsoidRev(a=2.0, b=v),
+        lambda v: EllipsoidRev(a=2.0, b=2.0, band=v),
+        lambda v: sphere_band_profile(v, 0.25, 16),
+        lambda v: sphere_band_profile(2.0, v, 16),
+        lambda v: cylinder_profile(v, 2.0, 16),
+        lambda v: cylinder_profile(1.0, v, 16),
+        lambda v: extinction_time(2, 1, v),
+        lambda v: sphere_radius_exact(2, 1, v, 0.01),
+        lambda v: sphere_radius_exact(2, 1, 3.0, v),
+        lambda v: sphere_band_pin(v, 1, 0.25),
+        lambda v: sphere_band_pin(2.0, 1, v),
+        lambda v: FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=v),
+        lambda v: FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
+                             cfl_safety=v),
+    ], ids=["Sphere.radius", "Cylinder.radius", "EllipsoidRev.a", "EllipsoidRev.b",
+            "EllipsoidRev.band", "sphere_band_profile.radius",
+            "sphere_band_profile.half_width", "cylinder_profile.radius",
+            "cylinder_profile.half_width", "extinction_time.radius0",
+            "sphere_radius_exact.radius0", "sphere_radius_exact.t",
+            "sphere_band_pin.radius0", "sphere_band_pin.half_width",
+            "FlowConfig.t_end", "FlowConfig.cfl_safety"])
+    def test_real_parameters_refuse_other_types(self, site):
+        site(np.float64(0.5))
+        for value in (True, np.bool_(True), "1.0", None):
+            with pytest.raises(DomainError, match="must be a real number"):
+                site(value)
 
     def test_extinction_values(self):
         assert extinction_time(1, 1, 1.0) == pytest.approx(0.5)

@@ -9,7 +9,6 @@ from newton_flow.errors import DomainError, NotPSDError, NumericalError
 from newton_flow.symfun import (
     DefinitenessClass,
     cauchy_schwarz_bound,
-    classify_from_eigenvalues,
     definiteness,
     elem_sym,
     elem_sym_all,
@@ -255,9 +254,9 @@ class TestDefiniteness:
         assert definiteness(-np.eye(2)).kind is DefinitenessClass.NEGATIVE_DEFINITE
 
     def test_near_zero_counts_as_zero(self):
-        d = definiteness(np.diag([1e-14, 1.0]), tol=1e-10)
+        d = definiteness(np.diag([1e-14, 1.0]))
         assert d.kind is DefinitenessClass.POSITIVE_SEMIDEFINITE
-        d = definiteness(np.diag([-1e-14, 1.0]), tol=1e-10)
+        d = definiteness(np.diag([-1e-14, 1.0]))
         assert d.kind is DefinitenessClass.POSITIVE_SEMIDEFINITE
 
 
@@ -589,22 +588,6 @@ class TestInputRefusals:
             w, V = np.linalg.eigh(symfun._as_shape_operator(a))
             expect = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
             assert sqrt_psd(a).tobytes() == expect.tobytes()
-
-    @pytest.mark.parametrize("w", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf]])
-    def test_non_finite_eigenvalues_are_refused(self, w):
-        with pytest.raises(DomainError, match="non-finite"):
-            classify_from_eigenvalues(w)
-
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
-    def test_bad_tolerance_is_refused(self, tol):
-        with pytest.raises(DomainError, match="tolerance"):
-            definiteness(np.eye(2), tol=tol)
-        with pytest.raises(DomainError, match="tolerance"):
-            classify_from_eigenvalues([1.0, 2.0], tol=tol)
-
-    def test_zero_tolerance_is_exact(self):
-        assert definiteness(np.diag([1e-300, 1.0]), tol=0.0).kind \
-            is DefinitenessClass.POSITIVE_DEFINITE
 
     @pytest.mark.parametrize("r", [2.0, 1.5, True, np.float64(1.0), np.bool_(True)])
     def test_non_integral_order_is_refused(self, r):
