@@ -42,7 +42,6 @@ from .flow import (
 )
 from .gapcheck import GapReport, classify, evaluate, gauss_check, psd_sufficient
 from .operators import (
-    ScalarField,
     drifted_apply,
     lr_apply,
     surface_gradient,

@@ -251,6 +251,7 @@ class RevolutionGeometry(NamedTuple):
 
     def p_eigenvalues(self, r: int) -> tuple:
         """(meridional, parallel) eigenvalues of P_0 = I or P_1 = diag(k_par, k_mer)."""
+        check_integer(r, "order r")
         if r == 1:
             one = np.ones_like(self.f)
             return one, one

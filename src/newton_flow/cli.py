@@ -432,12 +432,10 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def _product_rule_residual(rev, r: int) -> float:
+def _product_rule_residual(geometry, r: int) -> float:
     """Product-rule residual for two smooth trigonometric fields."""
-    z = rev.profile.z
-    fa = operators.ScalarField(values=np.sin(z), geometry=rev)
-    fb = operators.ScalarField(values=np.cos(0.5 * z) + 0.25 * z, geometry=rev)
-    return operators.verify_product_rule(fa, fb, r)
+    z = geometry.z
+    return operators.verify_product_rule(geometry, np.sin(z), np.cos(0.5 * z) + 0.25 * z, r)
 
 
 def _verify_rows(resolutions):
@@ -504,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="curvature algebra of an inline vector")
-    p.add_argument("--k", help="comma-separated principal curvatures")
+    p.add_argument("--k", help="comma-separated principal curvatures; "
+                   "write --k=-1,2 when the first one is negative")
     p.add_argument("--r", type=int, help="symmetric-function order")
     p.add_argument("--preset", help="model preset, e.g. cyl:n=3,m=2,r=1")
     p.add_argument("--out", help="write JSON here instead of stdout")

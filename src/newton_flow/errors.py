@@ -43,7 +43,8 @@ class ConfigError(NewtonFlowError, ValueError):
 def check_integer(value, name: str) -> int:
     """value as a Python int; DomainError unless it is a Python or numpy
     integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (     # a plain int skips the slow ABC check
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

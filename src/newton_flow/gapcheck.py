@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Cylinder, Hyperplane, HypersurfaceModel, sample_fields
-from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
+from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order, check_real
 from .symfun import (
     Definiteness,
     _check_degree,
@@ -292,7 +292,10 @@ def psd_sufficient(curvatures, r: int, zero_tol: float = GAP_TOL) -> PsdSufficie
 
     ``curvatures`` is an (S, n) array of rows, e.g. ``sample_fields(model,
     res)[0]``; sigma_n has degree n, so out-of-range rows raise NumericalError.
+    ``zero_tol`` is the relative window below which a value counts as zero.
     """
+    if not 0.0 <= check_real(zero_tol, "zero_tol") < np.inf:
+        raise DomainError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     K = np.asarray(curvatures, dtype=float)
     if K.ndim != 2 or K.size == 0:
         raise DomainError("curvatures must be a non-empty (S, n) array of rows")

@@ -6,8 +6,11 @@ operator tr(P_{r-1} Hess F) reduces to the one-dimensional flux form
     L F = (1/(f w)) d/dz ( (f * lambda_mer / w) dF/dz ),
 
 where lambda_mer is the eigenvalue of P_{r-1} on the meridional
-direction, f the distance to the axis and w = sqrt(1 + f'^2); it and the
-identities' sigma_p are read off the catalog's ``RevolutionGeometry``.
+direction, f the distance to the axis and w = sqrt(1 + f'^2).  Every
+operator takes that surface's curvature record (the catalog's
+``RevolutionGeometry``, from ``revolution_geometry`` or a radial-graph
+flow state) and an array of values on its grid, and returns an array;
+lambda_mer and the identities' sigma_p are read off the record.
 The drifted variant subtracts <X, grad F>.
 Identity checks report max-norm residuals over interior nodes only (two
 nodes trimmed per open boundary, where the stencils are lower order); a
@@ -45,63 +48,41 @@ FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
 EXACT_TOL = 1e-10         # a residual at most this is rounding: the identity is exact
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Rotationally invariant function sampled on the profile grid."""
-
-    values: np.ndarray
-    geometry: Revolution
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.shape != self.geometry.profile.z.shape:
-            raise DomainError("field length does not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("field has non-finite values")
+def _values(g: RevolutionGeometry, values) -> np.ndarray:
+    """values as a float array on the grid of g; DomainError otherwise."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != g.f.shape:
+        raise DomainError("field length does not match the grid")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("field has non-finite values")
+    return v
 
 
-# private forms on the geometry g the caller holds: one geometry pass per call
-
-def _gradient(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
-    return fd.deriv1(values, g.h, g.boundary) / g.w
-
-
-def _drift(g: RevolutionGeometry, values: np.ndarray) -> np.ndarray:
-    """<X, grad F> = (f f' + z) F_z / w^2 for F sampled as values."""
-    return (g.f * g.fp + g.z) * fd.deriv1(values, g.h, g.boundary) / (g.w * g.w)
-
-
-def _lr_apply(g: RevolutionGeometry, field: ScalarField, r: int) -> ScalarField:
-    coef = g.f * g.p_eigenvalues(r)[0] / g.w
-    flux = fd.flux_divergence(coef, field.values, g.h, g.boundary)
-    return ScalarField(values=flux / (g.f * g.w), geometry=field.geometry)
-
-
-def surface_gradient(field: ScalarField) -> np.ndarray:
+def surface_gradient(geometry: RevolutionGeometry, values) -> np.ndarray:
     """Signed magnitude of grad F along the (unit) meridional direction."""
-    return _gradient(revolution_geometry(field.geometry), field.values)
+    return fd.deriv1(_values(geometry, values), geometry.h, geometry.boundary) / geometry.w
 
 
-def position_gradient_term(field: ScalarField) -> np.ndarray:
+def position_gradient_term(geometry: RevolutionGeometry, values) -> np.ndarray:
     """<X, grad F> nodewise: (f f' + z) F_z / w^2."""
-    return _drift(revolution_geometry(field.geometry), field.values)
+    g = geometry
+    return (g.f * g.fp + g.z) * fd.deriv1(_values(g, values), g.h, g.boundary) / (g.w * g.w)
 
 
-def lr_apply(field: ScalarField, r: int) -> ScalarField:
+def lr_apply(geometry: RevolutionGeometry, values, r: int) -> np.ndarray:
     """Divergence-form discretization of tr(P_{r-1} Hess F).
 
     Second order in the interior; for r = 1 this is the discrete
     Laplace-Beltrami operator of the surface.
     """
-    return _lr_apply(revolution_geometry(field.geometry), field, r)
+    g = geometry
+    coef = g.f * g.p_eigenvalues(r)[0] / g.w
+    return fd.flux_divergence(coef, _values(g, values), g.h, g.boundary) / (g.f * g.w)
 
 
-def drifted_apply(field: ScalarField, r: int) -> ScalarField:
+def drifted_apply(geometry: RevolutionGeometry, values, r: int) -> np.ndarray:
     """Drifted operator: lr_apply minus the position drift <X, grad F>."""
-    g = revolution_geometry(field.geometry)
-    values = _lr_apply(g, field, r).values - _drift(g, field.values)
-    return ScalarField(values=values, geometry=field.geometry)
+    return lr_apply(geometry, values, r) - position_gradient_term(geometry, values)
 
 
 # ---------------------------------------------------------------------------
@@ -149,45 +130,43 @@ def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
     raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
 
 
-def _support_identity_residual(rev: Revolution, r: int) -> float:
-    g = revolution_geometry(rev)
+def _support_identity_residual(g: RevolutionGeometry, r: int) -> float:
     support = g.support
-    lhs = _lr_apply(g, ScalarField(values=support, geometry=rev), r).values
+    lhs = lr_apply(g, support, r)
     sigma_r = g.sigma(r)
     rhs = (-r * sigma_r - (g.sigma(1) * sigma_r - (r + 1) * g.sigma(r + 1)) * support
-           - _drift(g, sigma_r))
-    cut = g.interior()
-    return float(np.abs(lhs - rhs)[cut].max())
+           - position_gradient_term(g, sigma_r))
+    return float(np.abs(lhs - rhs)[g.interior()].max())
 
 
-def _position_identity_residual(rev: Revolution, r: int) -> float:
-    g = revolution_geometry(rev)
-    radius_sq = ScalarField(values=g.f ** 2 + g.z ** 2, geometry=rev)
-    lhs = 0.5 * _lr_apply(g, radius_sq, r).values
+def _position_identity_residual(g: RevolutionGeometry, r: int) -> float:
+    lhs = 0.5 * lr_apply(g, g.f ** 2 + g.z ** 2, r)
     rhs = (2 - r + 1) * g.sigma(r - 1) + r * g.sigma(r) * g.support
-    cut = g.interior()
-    return float(np.abs(lhs - rhs)[cut].max())
+    return float(np.abs(lhs - rhs)[g.interior()].max())
 
 
 def refinement_report(identity: str, residual_fn, model, r,
                       resolutions) -> ConvergenceReport:
-    """Refinement study of residual_fn(revolution, r) over the resolutions.
+    """Refinement study of residual_fn(geometry, r) over the resolutions.
 
+    geometry is the curvature record of the model at each resolution.
     Observed orders compare consecutive resolutions, whose grid spacings
     must differ (a DomainError otherwise: a fixed Revolution has one
     spacing at every resolution).  A pair holding an exact residual (at
     most EXACT_TOL, rounding) gives no order.
     """
     resolutions = [check_integer(m, "resolution") for m in resolutions]
+    if not resolutions:
+        raise DomainError("a refinement study needs at least one resolution")
     residuals = []
     spacings = []
     for m in resolutions:
-        rev = _as_revolution(model, m)
-        if spacings and rev.profile.h == spacings[-1]:
+        g = revolution_geometry(_as_revolution(model, m))
+        if spacings and g.h == spacings[-1]:
             raise DomainError(f"resolutions {resolutions} repeat the grid spacing "
-                              f"h={rev.profile.h:.6g}: no order can be observed")
-        residuals.append(residual_fn(rev, r))
-        spacings.append(rev.profile.h)
+                              f"h={g.h:.6g}: no order can be observed")
+        residuals.append(residual_fn(g, r))
+        spacings.append(g.h)
     orders = [math.log(coarse / fine) / math.log(h_coarse / h_fine)
               for coarse, fine, h_coarse, h_fine
               in zip(residuals, residuals[1:], spacings, spacings[1:])
@@ -215,28 +194,14 @@ def verify_position_identity(model, r: int, resolutions) -> ConvergenceReport:
     return refinement_report("position", _position_identity_residual, model, r, resolutions)
 
 
-def verify_product_rule(f: ScalarField, g_field: ScalarField, r: int) -> float:
-    """Max-norm residual of L(fg) = f Lg + g Lf + 2 <P grad f, grad g>."""
-    if f.geometry is not g_field.geometry:
-        pa, pb = f.geometry.profile, g_field.geometry.profile
-        same = (
-            pa.z.shape == pb.z.shape
-            and np.array_equal(pa.z, pb.z)
-            and np.array_equal(pa.f, pb.f)
-            and pa.boundary == pb.boundary
-            and f.geometry.orientation == g_field.geometry.orientation
-        )
-        if not same:
-            raise DomainError("fields live on different geometries")
-    geom = revolution_geometry(f.geometry)
-    lam = geom.p_eigenvalues(r)[0]
-    fg = ScalarField(values=f.values * g_field.values, geometry=f.geometry)
-    lhs = _lr_apply(geom, fg, r).values
-    cross = 2.0 * lam * _gradient(geom, f.values) * _gradient(geom, g_field.values)
-    rhs = (f.values * _lr_apply(geom, g_field, r).values
-           + g_field.values * _lr_apply(geom, f, r).values + cross)
-    cut = geom.interior()
-    return float(np.abs(lhs - rhs)[cut].max())
+def verify_product_rule(geometry: RevolutionGeometry, a, b, r: int) -> float:
+    """Max-norm residual of L(ab) = a Lb + b La + 2 <P grad a, grad b>."""
+    g = geometry
+    a, b = _values(g, a), _values(g, b)
+    lhs = lr_apply(g, a * b, r)
+    cross = 2.0 * g.p_eigenvalues(r)[0] * surface_gradient(g, a) * surface_gradient(g, b)
+    rhs = a * lr_apply(g, b, r) + b * lr_apply(g, a, r) + cross
+    return float(np.abs(lhs - rhs)[g.interior()].max())
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ PUBLIC_NAMES = [
     "DefinitenessClass", "Diagnostics", "DomainError", "EllipsoidRev",
     "ExtinctionError", "FlowConfig", "FlowState", "GapReport", "Hyperplane",
     "NewtonFamily", "NewtonFlowError", "NotPSDError", "NotSelfShrinkerError",
-    "NumericalError", "ProfileCurve", "Revolution", "RunResult", "ScalarField",
-    "Sphere", "catalog", "cauchy_schwarz_bound", "classify", "definiteness",
+    "NumericalError", "ProfileCurve", "Revolution", "RunResult", "Sphere", "catalog", "cauchy_schwarz_bound", "classify", "definiteness",
     "drifted_apply", "elem_sym", "elem_sym_all", "elem_sym_excluding",
     "errors", "evaluate", "extinction_time", "fd", "flow", "gapcheck",
     "gauss_check", "lr_apply", "modified_sff_norm_sq", "newton_family",
@@ -44,19 +43,18 @@ PUBLIC_SETTINGS = {
     "ProfileCurve": "z, f, boundary='neumann'",
     "Revolution": "profile, orientation=1",
     "RunResult": "diagnostics, status, state",
-    "ScalarField": "values, geometry",
     "Sphere": "n, radius",
     "cauchy_schwarz_bound": "S, r",
     "classify": "report",
     "definiteness": "M",
-    "drifted_apply": "field, r",
+    "drifted_apply": "geometry, values, r",
     "elem_sym": "k, r",
     "elem_sym_all": "k",
     "elem_sym_excluding": "k, i, r",
     "evaluate": "model, r, resolution=16",
     "extinction_time": "n, r, radius0",
     "gauss_check": "model, resolution=16",
-    "lr_apply": "field, r",
+    "lr_apply": "geometry, values, r",
     "modified_sff_norm_sq": "S, r",
     "newton_family": "S",
     "psd_sufficient": "curvatures, r, zero_tol=1e-06",
@@ -66,10 +64,10 @@ PUBLIC_SETTINGS = {
     "sigma_p_cylinder": "m, r, p",
     "sphere_radius_exact": "n, r, radius0, t",
     "sqrt_psd": "M",
-    "surface_gradient": "field",
+    "surface_gradient": "geometry, values",
     "trace_identities": "S, r",
     "verify_position_identity": "model, r, resolutions",
-    "verify_product_rule": "f, g_field, r",
+    "verify_product_rule": "geometry, a, b, r",
     "verify_shrinker_pde": "model, r",
     "verify_support_identity": "model, r, resolutions",
 }

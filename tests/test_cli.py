@@ -66,6 +66,20 @@ class TestAlgebra:
         code, _, _ = run_cli(capsys, "algebra", "--k", "1,2", "--r", "5")
         assert code == 3
 
+    def test_negative_first_curvature_with_equals_form(self, capsys):
+        code, out, _ = run_cli(capsys, "algebra", "--k=-1,2", "--r", "1")
+        assert code == 0
+        assert json.loads(out)["sigmas"] == [1, 1, -2]
+
+    def test_negative_first_curvature_with_space_form_is_a_parse_error(self, capsys):
+        # argparse reads "-1,2" as an option, so --k has no value
+        with pytest.raises(SystemExit) as info:
+            main(["algebra", "--k", "-1,2", "--r", "1"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "--k" in captured.err
+
     @pytest.mark.parametrize("preset, expect", [
         ("cyl:n=3.5,m=2,r=1", 2),
         ("cyl:n=3,m=x,r=1", 2),

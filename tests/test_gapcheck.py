@@ -216,6 +216,13 @@ class TestPsdSufficient:
         with pytest.raises(DomainError):
             psd_sufficient([], 1)
 
+    @pytest.mark.parametrize("zero_tol", [-1.0, math.nan, math.inf, True, "1e-6", None])
+    def test_bad_zero_window_is_refused(self, zero_tol):
+        # a bad window would turn the certificate off: the default fires (iii)
+        assert psd_sufficient([[1.0, 2.0]], 1).fired == "iii"
+        with pytest.raises(DomainError, match="zero_tol"):
+            psd_sufficient([[1.0, 2.0]], 1, zero_tol=zero_tol)
+
     @pytest.mark.parametrize("rows", [
         np.zeros((0, 2)),
         np.array([1.0, 1.0]),

@@ -16,7 +16,6 @@ from newton_flow.catalog import (
 )
 from newton_flow.errors import DomainError, NotSelfShrinkerError
 from newton_flow.operators import (
-    ScalarField,
     drifted_apply,
     lr_apply,
     position_gradient_term,
@@ -40,23 +39,21 @@ def ellipsoid_rev(samples=129) -> Revolution:
 
 class TestGradient:
     def test_constant_field(self):
-        rev = cylinder_rev()
-        g = surface_gradient(ScalarField(values=np.full(129, 3.0), geometry=rev))
+        g = surface_gradient(revolution_geometry(cylinder_rev()), np.full(129, 3.0))
         np.testing.assert_allclose(g, 0.0, atol=1e-13)
 
     def test_axial_coordinate_on_cylinder(self):
-        rev = cylinder_rev()
-        g = surface_gradient(ScalarField(values=rev.profile.z.copy(), geometry=rev))
+        geo = revolution_geometry(cylinder_rev())
+        g = surface_gradient(geo, geo.z)
         np.testing.assert_allclose(g, 1.0, atol=1e-12)
 
     def test_pythagorean_split_of_position(self):
         # |grad ||X||^2| = 2 ||X_tangent|| = 2 sqrt(||X||^2 - <X,N>^2)
         errs = []
         for m in (65, 129):
-            rev = ellipsoid_rev(m)
-            geo = revolution_geometry(rev)
+            geo = revolution_geometry(ellipsoid_rev(m))
             radius_sq = geo.f ** 2 + geo.z ** 2
-            g = surface_gradient(ScalarField(values=radius_sq, geometry=rev))
+            g = surface_gradient(geo, radius_sq)
             expect_sq = 4.0 * (radius_sq - geo.support ** 2)
             errs.append(np.abs(g * g - expect_sq)[geo.interior()].max())
         assert errs[1] <= errs[0] / 3.0
@@ -69,45 +66,38 @@ class TestGradient:
 
 class TestLrApply:
     def test_constant_field_is_harmonic(self):
-        rev = cylinder_rev()
-        out = lr_apply(ScalarField(values=np.full(129, 2.5), geometry=rev), 1)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
+        out = lr_apply(revolution_geometry(cylinder_rev()), np.full(129, 2.5), 1)
+        np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_axial_coordinate_harmonic_on_cylinder(self):
-        rev = cylinder_rev(radius=1.7)
-        out = lr_apply(ScalarField(values=rev.profile.z.copy(), geometry=rev), 1)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        geo = revolution_geometry(cylinder_rev(radius=1.7))
+        out = lr_apply(geo, geo.z, 1)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_position_norm_on_cylinder(self):
         # L_0 ||X||^2 = 2 on any tube: ||X||^2 = R^2 + z^2 and only the
         # flat direction contributes
-        rev = cylinder_rev(radius=0.8)
-        geo = revolution_geometry(rev)
-        out = lr_apply(ScalarField(values=geo.f ** 2 + geo.z ** 2, geometry=rev), 1)
-        np.testing.assert_allclose(out.values, 2.0, atol=1e-10)
+        geo = revolution_geometry(cylinder_rev(radius=0.8))
+        out = lr_apply(geo, geo.f ** 2 + geo.z ** 2, 1)
+        np.testing.assert_allclose(out, 2.0, atol=1e-10)
 
     def test_linearity(self, rng):
-        rev = ellipsoid_rev()
-        z = rev.profile.z
-        fa = ScalarField(values=np.sin(z), geometry=rev)
-        fb = ScalarField(values=np.exp(0.3 * z), geometry=rev)
+        geo = revolution_geometry(ellipsoid_rev())
+        fa, fb = np.sin(geo.z), np.exp(0.3 * geo.z)
         for r in (1, 2):
-            left = lr_apply(
-                ScalarField(values=2.0 * fa.values - 0.7 * fb.values, geometry=rev), r)
-            right = 2.0 * lr_apply(fa, r).values - 0.7 * lr_apply(fb, r).values
+            left = lr_apply(geo, 2.0 * fa - 0.7 * fb, r)
+            right = 2.0 * lr_apply(geo, fa, r) - 0.7 * lr_apply(geo, fb, r)
             scale = max(1.0, np.abs(right).max())
-            assert np.abs(left.values - right).max() <= 1e-12 * scale
+            assert np.abs(left - right).max() <= 1e-12 * scale
 
     def test_r1_matches_trace_form_laplacian(self):
         # flux form against the independent non-conservative discretization
         errs = []
         for m in (65, 129):
-            rev = ellipsoid_rev(m)
-            geo = revolution_geometry(rev)
-            z = rev.profile.z
-            field = ScalarField(values=np.cos(z), geometry=rev)
-            flux = lr_apply(field, 1).values
-            df = fd.deriv1(field.values, geo.h, geo.boundary)
+            geo = revolution_geometry(ellipsoid_rev(m))
+            field = np.cos(geo.z)
+            flux = lr_apply(geo, field, 1)
+            df = fd.deriv1(field, geo.h, geo.boundary)
             fs = df / geo.w
             dfs = fd.deriv1(fs, geo.h, geo.boundary) / geo.w
             trace_form = dfs + (geo.fp / (geo.f * geo.w)) * fs
@@ -115,33 +105,29 @@ class TestLrApply:
         assert errs[1] <= errs[0] / 3.0
 
     def test_r_out_of_range(self):
-        rev = cylinder_rev()
+        geo = revolution_geometry(cylinder_rev())
         with pytest.raises(DomainError):
-            lr_apply(ScalarField(values=rev.profile.z.copy(), geometry=rev), 3)
+            lr_apply(geo, geo.z, 3)
 
 
 class TestDrifted:
     def test_constant_field(self):
-        rev = ellipsoid_rev()
-        out = drifted_apply(ScalarField(values=np.full(129, 1.0), geometry=rev), 1)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
+        out = drifted_apply(revolution_geometry(ellipsoid_rev()), np.full(129, 1.0), 1)
+        np.testing.assert_allclose(out, 0.0, atol=1e-13)
 
     def test_drift_decomposition_exact(self):
-        rev = ellipsoid_rev()
-        z = rev.profile.z
-        field = ScalarField(values=np.sin(2.0 * z), geometry=rev)
+        geo = revolution_geometry(ellipsoid_rev())
+        field = np.sin(2.0 * geo.z)
         for r in (1, 2):
-            total = drifted_apply(field, r).values + position_gradient_term(field)
-            np.testing.assert_allclose(total, lr_apply(field, r).values, atol=1e-14)
+            total = drifted_apply(geo, field, r) + position_gradient_term(geo, field)
+            np.testing.assert_allclose(total, lr_apply(geo, field, r), atol=1e-14)
 
     def test_sigma_field_on_model_shrinker(self):
         # sigma_1 is constant on the shrinking tube, so the drifted
         # operator annihilates it
-        rev = cylinder_rev(radius=shrinker_radius(1, 1), samples=97)
-        geo = revolution_geometry(rev)
-        sigma1 = geo.k_mer + geo.k_par
-        out = drifted_apply(ScalarField(values=sigma1, geometry=rev), 1)
-        assert np.abs(out.values).max() <= 1e-10
+        geo = revolution_geometry(cylinder_rev(radius=shrinker_radius(1, 1), samples=97))
+        out = drifted_apply(geo, geo.k_mer + geo.k_par, 1)
+        assert np.abs(out).max() <= 1e-10
 
 
 class TestSupportIdentity:
@@ -163,8 +149,7 @@ class TestPositionIdentity:
         rev = Revolution(profile=sphere_band_profile(radius, 0.5, 129))
         rep = verify_position_identity(rev, 1, [129])
         geo = revolution_geometry(rev)
-        field = ScalarField(values=geo.f ** 2 + geo.z ** 2, geometry=rev)
-        lhs = 0.5 * lr_apply(field, 1).values
+        lhs = 0.5 * lr_apply(geo, geo.f ** 2 + geo.z ** 2, 1)
         assert np.abs(lhs[geo.interior()]).max() <= 1e-4
         assert rep.residuals[0] <= 1e-4
 
@@ -173,8 +158,7 @@ class TestPositionIdentity:
         radius = 2.0
         rev = cylinder_rev(radius=radius)
         geo = revolution_geometry(rev)
-        field = ScalarField(values=geo.f ** 2 + geo.z ** 2, geometry=rev)
-        lhs = 0.5 * lr_apply(field, 1).values
+        lhs = 0.5 * lr_apply(geo, geo.f ** 2 + geo.z ** 2, 1)
         np.testing.assert_allclose(lhs, 1.0, atol=1e-10)
         rep = verify_position_identity(rev, 1, [65])
         assert rep.residuals[0] <= 1e-10
@@ -188,47 +172,37 @@ class TestPositionIdentity:
 
 class TestProductRule:
     def test_constant_factor_exact(self):
-        rev = ellipsoid_rev()
-        z = rev.profile.z
-        fa = ScalarField(values=np.full_like(z, 4.0), geometry=rev)
-        fb = ScalarField(values=np.sin(z), geometry=rev)
+        geo = revolution_geometry(ellipsoid_rev())
         for r in (1, 2):
-            assert verify_product_rule(fa, fb, r) <= 1e-12
+            assert verify_product_rule(geo, np.full_like(geo.z, 4.0), np.sin(geo.z), r) <= 1e-12
 
     def test_squared_field_refinement(self):
         errs = []
         for m in (65, 129):
-            rev = ellipsoid_rev(m)
-            z = rev.profile.z
-            fa = ScalarField(values=np.sin(z), geometry=rev)
-            errs.append(verify_product_rule(fa, fa, 1))
+            geo = revolution_geometry(ellipsoid_rev(m))
+            errs.append(verify_product_rule(geo, np.sin(geo.z), np.sin(geo.z), 1))
         assert errs[1] <= errs[0] / 3.0
 
     def test_trig_fields_refinement(self):
         errs = []
         for m in (65, 129):
-            rev = ellipsoid_rev(m)
-            z = rev.profile.z
-            fa = ScalarField(values=np.sin(1.5 * z), geometry=rev)
-            fb = ScalarField(values=np.cos(0.7 * z) + 0.2 * z, geometry=rev)
-            errs.append(verify_product_rule(fa, fb, 2))
+            geo = revolution_geometry(ellipsoid_rev(m))
+            z = geo.z
+            errs.append(verify_product_rule(geo, np.sin(1.5 * z), np.cos(0.7 * z) + 0.2 * z, 2))
         assert errs[1] <= errs[0] / 2.8   # observed order >= 1.5
 
     def test_geometry_mismatch(self):
-        fa = ScalarField(values=np.zeros(65), geometry=cylinder_rev(samples=65))
-        fb = ScalarField(values=np.zeros(129), geometry=cylinder_rev(samples=129))
-        with pytest.raises(DomainError):
-            verify_product_rule(fa, fb, 1)
-
-    def test_boundary_mismatch(self):
-        # equal nodes, other boundary mode: the fields' L_{r-1} differ
-        rev = cylinder_rev(samples=65)
-        periodic = Revolution(profile=ProfileCurve(z=rev.profile.z, f=rev.profile.f,
-                                                   boundary="periodic"))
-        fa = ScalarField(values=np.sin(rev.profile.z), geometry=rev)
-        fb = ScalarField(values=np.cos(rev.profile.z), geometry=periodic)
-        with pytest.raises(DomainError, match="different geometries"):
-            verify_product_rule(fa, fb, 1)
+        # a 65-value array on a 129-node record, and a non-finite array, are
+        # refused by every operator
+        geo = revolution_geometry(cylinder_rev(samples=129))
+        for bad, message in ((np.zeros(65), "field length does not match the grid"),
+                             (np.full(129, np.nan), "field has non-finite values")):
+            for call in (lambda: verify_product_rule(geo, bad, np.zeros(129), 1),
+                         lambda: lr_apply(geo, bad, 1), lambda: drifted_apply(geo, bad, 1),
+                         lambda: surface_gradient(geo, bad),
+                         lambda: position_gradient_term(geo, bad)):
+                with pytest.raises(DomainError, match=message):
+                    call()
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +270,14 @@ class TestSingleSourceRecord:
     @pytest.mark.parametrize("r", [1, 2])
     def test_residuals_bitwise_equal_to_reference_forms(self, kind, m, r):
         rev = _record_geometry(kind, m)
-        z = rev.profile.z
-        a, b = np.sin(1.5 * z), np.cos(0.7 * z) + 0.2 * z
-        assert np.array_equal(lr_apply(ScalarField(values=a, geometry=rev), r).values,
-                              _reference_lr(revolution_geometry(rev), a, r))
-        assert (operators._support_identity_residual(rev, r)
+        geo = revolution_geometry(rev)
+        a, b = np.sin(1.5 * geo.z), np.cos(0.7 * geo.z) + 0.2 * geo.z
+        assert np.array_equal(lr_apply(geo, a, r), _reference_lr(revolution_geometry(rev), a, r))
+        assert (operators._support_identity_residual(geo, r)
                 == _reference_support_residual(rev, r))
-        assert (operators._position_identity_residual(rev, r)
+        assert (operators._position_identity_residual(geo, r)
                 == _reference_position_residual(rev, r))
-        product = verify_product_rule(ScalarField(values=a, geometry=rev),
-                                      ScalarField(values=b, geometry=rev), r)
-        assert product == _reference_product_residual(rev, a, b, r)
+        assert verify_product_rule(geo, a, b, r) == _reference_product_residual(rev, a, b, r)
 
     def test_r_out_of_range_is_one_message(self):
         rev = cylinder_rev(samples=33)
@@ -314,12 +285,34 @@ class TestSingleSourceRecord:
         state = radial_graph(p.z.copy(), p.f.copy(), p.h, p.boundary, 1)
         messages = set()
         for call in (lambda: flow._graph_kind(state, 3),
-                     lambda: lr_apply(ScalarField(values=p.z.copy(), geometry=rev), 3),
+                     lambda: lr_apply(revolution_geometry(rev), p.z.copy(), 3),
                      lambda: verify_support_identity(rev, 3, [33])):
             with pytest.raises(DomainError) as info:
                 call()
             messages.add(str(info.value))
         assert messages == {"revolution surfaces support r in {1, 2}, got r=3"}
+
+    @pytest.mark.parametrize("r", [True, 1.0, np.float64(2.0), "1"])
+    def test_r_that_is_not_an_integer_is_refused(self, r):
+        rev = cylinder_rev(samples=33)
+        geo = revolution_geometry(rev)
+        with pytest.raises(DomainError, match="order r must be an integer"):
+            lr_apply(geo, geo.z, r)
+        with pytest.raises(DomainError, match="order r must be an integer"):
+            verify_support_identity(rev, r, [33])
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_a_flow_state_is_the_same_record(self, r):
+        # the operators read a radial graph's flow state as they read the
+        # record of a Revolution with that profile, bit for bit
+        config = flow.FlowConfig(r=r, model=ellipsoid_rev(65), t_end=0.01)
+        state = flow.run(config).state.geometry
+        rev = Revolution(profile=ProfileCurve(z=state.z, f=state.f, boundary=state.boundary),
+                         orientation=state.orientation)
+        geo = revolution_geometry(rev)
+        values = np.sin(1.5 * state.z)
+        assert np.array_equal(lr_apply(state, values, r), lr_apply(geo, values, r))
+        assert np.array_equal(drifted_apply(state, values, r), drifted_apply(geo, values, r))
 
 
 class TestExactIdentities:
@@ -336,11 +329,11 @@ class TestExactIdentities:
     def test_only_pairs_above_rounding_give_orders(self):
         made = {17: 4e-3, 33: 1e-3, 65: 1e-16}
         rep = operators.refinement_report(
-            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, [17, 33])
         assert len(rep.observed_orders) == 1 and rep.passes()
         rep = operators.refinement_report(
-            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, [17, 33, 65])
         assert len(rep.observed_orders) == 1 and rep.passes()
 
@@ -352,7 +345,7 @@ class TestExactIdentities:
     ])
     def test_a_residual_with_no_order_at_the_finest_grid_fails(self, made):
         rep = operators.refinement_report(
-            "made", lambda rev, r: made[rev.profile.size], EllipsoidRev(a=1.0, b=2.0),
+            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, sorted(made))
         assert rep.residuals[-1] <= operators.FINEST_TOL
         assert not rep.passes()
@@ -371,6 +364,8 @@ class TestRefinementSpacing:
     def test_resolutions_are_integers_not_truncated(self):
         with pytest.raises(DomainError, match="resolution must be an integer, got 64.5"):
             verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, [64.5, 128])
+        with pytest.raises(DomainError, match="at least one resolution"):
+            verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, [])
         rep = verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, np.array([17, 33]))
         assert rep.resolutions == (17, 33) and {type(m) for m in rep.resolutions} == {int}
 
