@@ -10,11 +10,18 @@ failure (unexpected extinction, stability violation, or a reported value
 that leaves the float range), 5 verification failure.  Output is
 deterministic: JSON keys are sorted and numbers are rendered with 17
 significant digits.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+argparse parser on the first call and reuses it, and it reads
+NEWTON_FLOW_LOG (error, warn, info or debug; warn by default) on every
+call.  Log lines go to the current stderr through one handler on the
+``newton_flow`` logger, which does not propagate to the root logger.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -538,18 +545,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first ``main`` call."""
+    return build_parser()
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the current ``sys.stderr``, so a redirect made after the
+    handler was installed receives the log lines too."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+@functools.cache
+def _install_log_handler():
+    handler = _StderrHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.propagate = False
+
+
 def _setup_logging():
     level = os.environ.get("NEWTON_FLOW_LOG", "warn").lower()
     mapping = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=mapping.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    _install_log_handler()
+    logger.setLevel(mapping.get(level, logging.WARNING))
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

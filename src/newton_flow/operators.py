@@ -41,7 +41,7 @@ from .catalog import (
 )
 from .errors import DomainError, NotSelfShrinkerError, check_integer, check_order
 from .gapcheck import SHRINKER_TOL
-from .symfun import elem_sym_all, elem_sym_excluding
+from .symfun import elem_sym_all, elem_sym_all_rows
 
 ORDER_BAND = (1.5, 2.5)   # observed orders a passing refinement study shows
 FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
@@ -233,9 +233,10 @@ def verify_shrinker_pde(model, r: int) -> ShrinkerPdeReport:
         raise NotSelfShrinkerError(
             f"model violates sigma_r = -<X,N> by {abs(sig[r] + support):.3e}"
         )
-    norm_sq = float(
-        sum(elem_sym_excluding(k, j, r - 1) * k[j] ** 2 for j in range(n))
-    )
+    # row j is k without entry j, so column r - 1 is sigma_{r-1}(k | j)
+    rows = np.array([np.delete(k, j) for j in range(n)])
+    excluded = elem_sym_all_rows(rows, r - 1)[:, r - 1]
+    norm_sq = float(sum((excluded * k ** 2).tolist()))
     sigma_r = float(sig[r])
     return ShrinkerPdeReport(
         residual_linear=abs((norm_sq - r) * sigma_r),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from newton_flow import catalog, flow, gapcheck, operators, symfun
+from newton_flow import catalog, cli, flow, gapcheck, operators, symfun
 from newton_flow.cli import main, render_json
 from newton_flow.symfun import newton_family
 
@@ -728,3 +728,82 @@ class TestExitContract:
         code, _, err = run_cli(capsys, "residual", "--config", cfg)
         assert code == 3
         assert "r=3 out of range 1..2" in err
+
+
+class TestOneParserPerProcess:
+    def _sequence(self, capsys, tmp_path):
+        """(exit code, stdout, stderr[, file bytes]) of one main call per subcommand
+        and argparse exit, in one process."""
+        sphere = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 2, "radius": 2.0}, "r": 1, "resolution": 8})
+        circle = scene_file(tmp_path, {
+            "model": {"kind": "sphere", "n": 1, "radius": 1.0}, "r": 1, "resolution": 64,
+            "flow": {"t_end": 0.05, "output_stride": 100}}, name="circle.json")
+        csv_path = tmp_path / "diag.csv"
+        calls = [
+            ["algebra", "--k", "1,2,3", "--r", "2"],
+            ["gap", "--config", sphere],
+            ["residual", "--config", sphere],
+            ["flow", "--config", circle, "--out", str(csv_path)],
+            ["verify", "--resolutions", "8,16"],
+            ["gap", "--config", sphere, "--no-such-option"],
+            ["--help"],
+            ["gap", "--config", sphere],
+        ]
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, csv_path.read_bytes()
+
+    def test_main_builds_one_parser_and_matches_fresh_parsers(
+            self, capsys, tmp_path, monkeypatch):
+        original = cli.build_parser
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        reused, reused_csv = self._sequence(capsys, tmp_path)
+        assert len(builds) == 1
+
+        monkeypatch.setattr(cli, "_parser", original)
+        fresh, fresh_csv = self._sequence(capsys, tmp_path)
+        assert [code for code, _, _ in reused] == [
+            0, 0, 0, 0, 5, ("SystemExit", 2), ("SystemExit", 0), 0]
+        assert reused == fresh
+        assert reused_csv == fresh_csv
+        assert reused[-1] == reused[1]
+
+
+class TestLogLevelPerCall:
+    BAND = {"model": {"kind": "sphere_band", "radius": 1.0, "half_width": 0.6,
+                      "samples": 24},
+            "r": 1, "flow": {"t_end": 0.5, "pinned_boundary": True}}
+    STOPPED = "INFO newton_flow.flow: flow stopped: flow band pinch at t=0.160151\n"
+
+    @pytest.mark.parametrize("levels", [("warn", "info"), ("info", "warn")])
+    def test_each_call_reads_newton_flow_log(self, capsys, tmp_path, monkeypatch, levels):
+        cfg = scene_file(tmp_path, self.BAND)
+        csv_path = tmp_path / "band.csv"
+        outputs = []
+        previous = cli.logger.level
+        try:
+            for level in levels:
+                monkeypatch.setenv("NEWTON_FLOW_LOG", level)
+                code, out, err = run_cli(capsys, "flow", "--config", cfg,
+                                         "--out", str(csv_path))
+                assert code == 4
+                assert err.count(self.STOPPED) == (level == "info")
+                assert err.count("ERROR newton_flow: flow went extinct before t_end\n") == 1
+                outputs.append((out, csv_path.read_bytes()))
+        finally:
+            cli.logger.setLevel(previous)
+        assert outputs[0] == outputs[1]

@@ -25,8 +25,8 @@ from newton_flow.operators import (
     verify_shrinker_pde,
     verify_support_identity,
 )
-from newton_flow.catalog import self_shrinkers
-from newton_flow.symfun import elem_sym_all_rows
+from newton_flow.catalog import exact_curvatures, self_shrinkers
+from newton_flow.symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
 
 
 def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
@@ -388,3 +388,14 @@ class TestShrinkerPde:
     def test_non_shrinker_rejected(self):
         with pytest.raises(NotSelfShrinkerError):
             verify_shrinker_pde(Sphere(n=2, radius=5.0), 1)
+
+    def test_row_kernel_norm_is_bit_equal_to_the_excluding_route(self):
+        # oracle: one elem_sym_excluding call per curvature, summed in index order
+        for model, r in self_shrinkers(6):
+            k = exact_curvatures(model)
+            norm_sq = float(sum(elem_sym_excluding(k, j, r - 1) * k[j] ** 2
+                                for j in range(model.n)))
+            sigma_r = float(elem_sym_all(k)[r])
+            rep = verify_shrinker_pde(model, r)
+            assert rep.residual_linear.hex() == abs((norm_sq - r) * sigma_r).hex()
+            assert rep.residual_squared.hex() == abs(sigma_r ** 2 * (r - norm_sq)).hex()
