@@ -13,7 +13,8 @@ significant digits.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argparse parser on the first call and reuses it, and it reads
-NEWTON_FLOW_LOG (error, warn, info or debug; warn by default) on every
+NEWTON_FLOW_LOG (critical, error, warning or warn, info, debug; warn by
+default, and an unknown value is named in one stderr line) on every
 call.  Log lines go to the current stderr through one handler on the
 ``newton_flow`` logger, which does not propagate to the root logger.
 """
@@ -572,11 +573,13 @@ def _install_log_handler():
 
 
 def _setup_logging():
-    level = os.environ.get("NEWTON_FLOW_LOG", "warn").lower()
-    mapping = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
+    value = os.environ.get("NEWTON_FLOW_LOG") or "warn"
+    levels = {"critical": logging.CRITICAL, "error": logging.ERROR, "warning": logging.WARNING,
+              "warn": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     _install_log_handler()
-    logger.setLevel(mapping.get(level, logging.WARNING))
+    logger.setLevel(levels.get(value.lower(), logging.WARNING))
+    if value.lower() not in levels:
+        logger.warning("unknown NEWTON_FLOW_LOG value %r; using warn", value)
 
 
 def main(argv=None) -> int:

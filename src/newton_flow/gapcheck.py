@@ -29,8 +29,8 @@ from .symfun import (
     Definiteness,
     _check_degree,
     _classify,
-    _excluding_rows,
     elem_sym_all_rows,
+    elem_sym_excluding_rows,
 )
 
 GAP_TOL = 1e-6          # strict-vs-boundary discrimination on the norm scale
@@ -141,7 +141,7 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     K = curvatures
     _check_degree(float(np.abs(K).max()), r + 1, n)
     sig = elem_sym_all_rows(K, r)                    # (S, r+1): the orders read
-    eig_p = _excluding_rows(K, sig, r - 1)           # eigenvalues of P_{r-1}
+    eig_p = elem_sym_excluding_rows(K, r - 1)        # eigenvalues of P_{r-1}
     # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
     gauss = _gauss_report(K, sig, eig_p, n) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)

@@ -41,7 +41,7 @@ from .catalog import (
 )
 from .errors import DomainError, NotSelfShrinkerError, check_integer, check_order
 from .gapcheck import SHRINKER_TOL
-from .symfun import elem_sym_all, elem_sym_all_rows
+from .symfun import elem_sym_all, elem_sym_excluding_rows
 
 ORDER_BAND = (1.5, 2.5)   # observed orders a passing refinement study shows
 FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
@@ -224,8 +224,7 @@ def verify_shrinker_pde(model, r: int) -> ShrinkerPdeReport:
     (||sqrt(P_{r-1})A||^2 - r) * sigma_r.  Raises NotSelfShrinkerError
     when |sigma_r + <X,N>| exceeds SHRINKER_TOL.
     """
-    n = model.n
-    check_order(r, n)
+    check_order(r, model.n)
     k = exact_curvatures(model)
     support = exact_support(model)
     sig = elem_sym_all(k)
@@ -233,9 +232,7 @@ def verify_shrinker_pde(model, r: int) -> ShrinkerPdeReport:
         raise NotSelfShrinkerError(
             f"model violates sigma_r = -<X,N> by {abs(sig[r] + support):.3e}"
         )
-    # row j is k without entry j, so column r - 1 is sigma_{r-1}(k | j)
-    rows = np.array([np.delete(k, j) for j in range(n)])
-    excluded = elem_sym_all_rows(rows, r - 1)[:, r - 1]
+    excluded = elem_sym_excluding_rows(k[None], r - 1)[0]     # sigma_{r-1}(k | j)
     norm_sq = float(sum((excluded * k ** 2).tolist()))
     sigma_r = float(sig[r])
     return ShrinkerPdeReport(

@@ -1,7 +1,7 @@
 """Algebra of principal curvatures.
 
 Elementary symmetric functions sigma_0..sigma_n of a curvature vector,
-shape operators, and the derived matrix family P_0..P_n with
+shape operators, and the derived matrix family P_0..P_n, defined by
 
     P_0 = I,    P_r = sigma_r * I - P_{r-1} @ A,    P_n = 0,
 
@@ -12,16 +12,20 @@ and are pure as observed: the same input bytes give the same result
 bytes, and every result is the caller's own.
 
 The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
-``elem_sym`` and ``elem_sym_all`` read its one-row case.  Each order-r
-entry point validates its operator on every call.  ``definiteness``
-counts an eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero.
+``elem_sym`` and ``elem_sym_all`` read its one-row case, and the
+deletion kernel ``elem_sym_excluding_rows`` runs it on each row with one
+entry deleted: no sigma_p(A_j) comes from a subtraction.  P_r is built in
+the eigenframe (k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's
+table, with the polynomial form as the cross-check.  Each order-r entry
+point validates its operator on every call.  ``definiteness`` counts an
+eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero.
 
 One operator is usually asked about at every order r in turn, so the
 module keeps the validated family of the last operator it built: one
 slot keyed by the bytes of the exactly-symmetric operator, whose arrays
-are read-only.  A hit skips only the build (``eigvalsh``, the P
-recurrence and its polynomial cross-check), which is a deterministic
-function of those bytes; every per-call check still runs.
+are read-only.  A hit skips only the build (``eigh``, the deletion
+table, the P_r and their polynomial cross-check), which is a
+deterministic function of those bytes; every per-call check still runs.
 ``newton_family`` hands out writable copies, so no caller can alter
 the slot.
 """
@@ -114,12 +118,12 @@ def elem_sym_all(k) -> np.ndarray:
 
 
 def elem_sym_excluding(k, i: int, r: int) -> float:
-    """sigma_r of k with entry i removed (0-based index)."""
+    """sigma_r of k with entry i (0-based) removed: one row of elem_sym_excluding_rows."""
     k = _as_curvatures(k)
     check_integer(i, "index i")
     if not 0 <= i < k.size:
         raise DomainError(f"index {i} out of range for n={k.size}")
-    return elem_sym(np.delete(k, i), r)
+    return float(elem_sym_excluding_rows(k[None], r)[0, i])
 
 
 def elem_sym_all_rows(K: np.ndarray, top: int | None = None) -> np.ndarray:
@@ -145,28 +149,27 @@ def elem_sym_all_rows(K: np.ndarray, top: int | None = None) -> np.ndarray:
 def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
     """Row-wise sigma_r with one entry deleted, for every entry.
 
-    Returns out[s, j] = sigma_r of row s with column j removed, via the
-    deletion identity sigma_p(A_j) = sigma_p - k_j * sigma_{p-1}(A_j).
-    These are the eigenvalues of P_r in the eigenframe of the shape
-    operator.
+    Returns out[s, j] = sigma_r of row s with column j removed.  These
+    are the eigenvalues of P_r in the eigenframe of the shape operator.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     check_integer(r, "order r")
     if r < 0:
         raise DomainError("order r must be nonnegative")
-    return _excluding_rows(K, elem_sym_all_rows(K), r)
-
-
-def _excluding_rows(K: np.ndarray, sig: np.ndarray, r: int) -> np.ndarray:
-    """elem_sym_excluding_rows of K, from the table sig = elem_sym_all_rows(K)
-    the caller already holds."""
     S, n = K.shape
     if r > n - 1:
         return np.zeros((S, n))
-    out = np.ones((S, n))
-    for p in range(1, r + 1):
-        out = sig[:, p:p + 1] - K * out
-    return out
+    return _excluding_table(K, r)[:, r].reshape(S, n)
+
+
+def _excluding_table(K: np.ndarray, top: int) -> np.ndarray:
+    """Row s * n + j: sigma_0..sigma_top of row s of K without column j, by
+    ``elem_sym_all_rows`` on the rows np.delete would give (no subtraction).
+    For one row and top = n - 1 it is the (n, n) table [j, p] = sigma_p(A_j)."""
+    S, n = K.shape
+    cols = np.arange(n - 1)
+    keep = cols + (cols >= np.arange(n)[:, None])     # row j: 0..n-1 without j
+    return elem_sym_all_rows(K[:, keep].reshape(S * n, n - 1), top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,22 +183,23 @@ class NewtonFamily:
 def newton_family(S) -> NewtonFamily:
     """Build sigma_0..sigma_n and P_0..P_n from a symmetric shape operator.
 
-    The sigmas come from the eigenvalues of S (symmetric eigensolver, not
-    characteristic-polynomial coefficients, for conditioning); the P_r come
-    from the recurrence P_r = sigma_r I - P_{r-1} A.  The independent
-    polynomial form sum_j (-1)^j sigma_{r-j} A^j is evaluated as a built-in
-    cross-check, as is P_n = 0.  The arrays returned are the caller's own.
+    The sigmas come from the eigenvalues k of S (symmetric eigensolver, not
+    characteristic-polynomial coefficients, for conditioning); P_r is
+    Q diag(sigma_r(A_j)) Q^T in the eigenframe (k, Q), with P_0 = I and
+    P_n = 0.  The independent polynomial form sum_j (-1)^j sigma_{r-j} A^j
+    is a built-in cross-check at every r, and its P_n must vanish
+    (Cayley-Hamilton).  The arrays returned are the caller's own.
     """
     fam = _family(_as_shape_operator(S))[1]
     return NewtonFamily(sigmas=fam.sigmas.copy(), P=tuple(p.copy() for p in fam.P))
 
 
-# (key, (k, NewtonFamily)) of the last operator _family built, or None
+# (key, (k, NewtonFamily, deletion table)) of the last operator built, or None
 _last_family = None
 
 
 def _family(A: np.ndarray) -> tuple:
-    """Eigenvalues and NewtonFamily of an operator already validated.
+    """Eigenvalues, NewtonFamily and deletion table of a validated operator.
 
     The result is shared and read-only: it comes from the one-operator
     slot when A has the bytes of the operator built last.
@@ -205,50 +209,46 @@ def _family(A: np.ndarray) -> tuple:
     slot = _last_family
     if slot is not None and slot[0] == key:
         return slot[1]
-    k, fam = _build_family(A)
-    for array in (k, fam.sigmas, *fam.P):
+    k, fam, table = _build_family(A)
+    for array in (k, fam.sigmas, *fam.P, table):
         array.setflags(write=False)
-    _last_family = (key, (k, fam))
-    return k, fam
+    _last_family = (key, (k, fam, table))
+    return k, fam, table
 
 
 def _build_family(A: np.ndarray) -> tuple:
-    """Eigenvalues and NewtonFamily of A, cross-checked, built afresh."""
+    """Eigenvalues, NewtonFamily and deletion table [j, p] = sigma_p(A_j)
+    of A, cross-checked, built afresh."""
     n = A.shape[0]
     norm_a = _norm(A)
     _check_degree(norm_a, n, n)
-    k = np.linalg.eigvalsh(A)
+    k, Q = np.linalg.eigh(A)
     sig = elem_sym_all_rows(k[None])[0]
+    table = _excluding_table(k[None], n - 1)
     eye = np.eye(n)
-    P = [eye]
-    for r in range(1, n + 1):
-        P.append(sig[r] * eye - P[r - 1] @ A)
+    P = (eye, *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
 
-    # cross-check against the polynomial form, degree-scaled
-    powers = [eye]
+    # cross-check against the polynomial form sum_j sigma_{r-j} (-A)^j, degree-scaled
+    powers, minus_a, s = [eye], -A, sig.tolist()
     for _ in range(n):
-        powers.append(powers[-1] @ A)
+        powers.append(powers[-1] @ minus_a)
     for r in range(n + 1):
-        poly_r = sum(
-            ((-1.0) ** j) * sig[r - j] * powers[j] for j in range(r + 1)
-        )
+        poly_r = sum(s[r - j] * powers[j] for j in range(r + 1))
         tol = IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
         if not _norm(P[r] - poly_r) <= tol:    # NaN fails too
-            raise NumericalError(
-                f"recurrence/polynomial disagreement for P_{r}"
-            )
-    if not _norm(P[n]) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
-        raise NumericalError("P_n deviates from zero beyond tolerance")
-    return k, NewtonFamily(sigmas=sig, P=tuple(P))
+            raise NumericalError(f"eigenframe/polynomial disagreement for P_{r}")
+    # Cayley-Hamilton: the polynomial form of P_n vanishes
+    if not _norm(poly_r) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
+        raise NumericalError("polynomial P_n deviates from zero beyond tolerance")
+    return k, NewtonFamily(sigmas=sig, P=P), table
 
 
 def _order_family(S, r: int) -> tuple:
-    """Validated S, its eigenvalues and its family, once 1 <= r <= n holds."""
+    """Validated S, then _family's triple, once 1 <= r <= n holds."""
     A = _as_shape_operator(S)
     check_order(r, A.shape[0])
     _check_degree(_norm(A), r + 1, A.shape[0])   # the order-r identities reach degree r+1
-    k, fam = _family(A)
-    return A, k, fam
+    return (A, *_family(A))
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -274,11 +274,10 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A, k, fam = _order_family(S, r)
+    A, k, fam, table = _order_family(S, r)
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
-    excluded = _excluding_rows(k[None], fam.sigmas[None], r - 1)[0]
-    val_sum = float((excluded * k ** 2).sum())
+    val_sum = float((table[:, r - 1] * k ** 2).sum())
     sig_rp1 = fam.sigmas[r + 1] if r + 1 <= n else 0.0
     val_sigma = float(fam.sigmas[1] * fam.sigmas[r] - (r + 1) * sig_rp1)
 
@@ -307,7 +306,7 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
 
     Each residual is normalized by (1 + ||S||)^(r+1).
     """
-    A, _, fam = _order_family(S, r)
+    A, _, fam, _ = _order_family(S, r)
     n = A.shape[0]
     P = fam.P[r - 1]
     sig = fam.sigmas
@@ -381,7 +380,7 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     The inequality is only asserted for positive semidefinite P_{r-1};
     an indefinite or negative P_{r-1} raises NotPSDError.
     """
-    A, _, fam = _order_family(S, r)
+    A, _, fam, _ = _order_family(S, r)
     _check_degree(_norm(A), 2 * r, A.shape[0])   # both sides are degree 2r in A
     P = fam.P[r - 1]
     d = definiteness(P)

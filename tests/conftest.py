@@ -97,6 +97,18 @@ def reference_deriv2(values, h: float, boundary: str = "neumann") -> np.ndarray:
     return d
 
 
+def count_eigensolves(monkeypatch) -> list:
+    """Record the shape of every eigen-solve, eigh and eigvalsh alike, for
+    the rest of the test; returns the record."""
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return solves
+
+
 @pytest.fixture
 def rng() -> np.random.RandomState:
     return np.random.RandomState(20240811)

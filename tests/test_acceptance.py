@@ -106,7 +106,7 @@ def test_criterion_3_algebra_property_suite():
         a = (q * eig) @ q.T
         a = 0.5 * (a + a.T)
 
-        fam = newton_family(a)      # recurrence vs polynomial + P_n built in
+        fam = newton_family(a)      # eigenframe vs polynomial + Cayley-Hamilton built in
         sig = fam.sigmas
         k, v = np.linalg.eigh(a)
         scale1 = 1.0 + frob(a)

@@ -23,7 +23,7 @@ from newton_flow.catalog import (
     sphere_band_profile,
 )
 from newton_flow.errors import DomainError, NumericalError
-from newton_flow.symfun import _excluding_rows, elem_sym, elem_sym_all_rows
+from newton_flow.symfun import elem_sym, elem_sym_all_rows, elem_sym_excluding_rows
 from conftest import ellipsoid_gauss_curvature
 
 
@@ -262,7 +262,6 @@ class TestRevolutionRecord:
     @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
     @pytest.mark.parametrize("orientation", [1, -1])
     def test_closed_forms_match_the_row_kernels(self, rng, orientation, boundary):
-        eps = np.finfo(float).eps
         for _ in range(5):
             z = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
             phase, amp = rng.uniform(0.0, 2.0 * np.pi, 2), rng.uniform(0.05, 0.4, 2)
@@ -280,10 +279,9 @@ class TestRevolutionRecord:
                 # sigma_{r-1} of the row with the meridional / parallel entry deleted
                 assert np.array_equal(mer, elem_sym_all_rows(rows[:, 1:])[:, r - 1])
                 assert np.array_equal(par, elem_sym_all_rows(rows[:, :1])[:, r - 1])
-                # the deletion identity sigma_1 - k_j rounds: equal to a few ulps
-                ref = _excluding_rows(rows, sig, r - 1)
-                scale = 2.0 * eps * (np.abs(g.k_mer) + np.abs(g.k_par))
-                assert (np.abs(np.column_stack([mer, par]) - ref) <= scale[:, None]).all()
+                # the deletion kernel gives (1, 1) and (k_par, k_mer) exactly
+                ref = elem_sym_excluding_rows(rows, r - 1)
+                assert np.array_equal(np.column_stack([mer, par]), ref)
 
     def test_trace_sup(self):
         g = revolution_geometry(Revolution(profile=sphere_band_profile(2.0, 0.6, 33)))

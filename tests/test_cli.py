@@ -9,6 +9,7 @@ import pytest
 from newton_flow import catalog, cli, flow, gapcheck, operators, symfun
 from newton_flow.cli import main, render_json
 from newton_flow.symfun import newton_family
+from conftest import count_eigensolves
 
 
 def run_cli(capsys, *argv):
@@ -647,14 +648,7 @@ class TestExitContract:
             return original(a)
 
         monkeypatch.setattr(symfun, "_build_family", counted)
-        eigvalsh = np.linalg.eigvalsh
-        solves = []
-
-        def counted_eigvalsh(a):
-            solves.append(a.shape)
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        solves = count_eigensolves(monkeypatch)
         code, out, _ = run_cli(capsys, "algebra", "--k", "1,2,3", "--r", "2")
         assert code == 0
         assert calls == [(3, 3)]
@@ -667,6 +661,15 @@ class TestExitContract:
                                           "tracePA": residuals.trace_pa,
                                           "tracePA2": residuals.trace_pa2}
         assert data["modifiedNormSq"] == symfun.modified_sff_norm_sq(s, 2)
+
+    def test_algebra_at_a_wide_curvature_spread(self, capsys):
+        code, out, _ = run_cli(capsys, "algebra", "--k=1e8,1e-4,1", "--r", "3")
+        assert code == 0
+        data = json.loads(out)
+        assert data["pEigenvalues"] == [1e-4, 1e4, 1e8]
+        assert data["modifiedNormSq"] == 1000000010001
+        # 1e-4 lies inside definiteness' zero window 1e-10 * ||P_2|| = 1e-2
+        assert data["psdClass"] == "PositiveSemidefinite"
 
     def test_algebra_norm_is_the_cross_checked_trace(self, capsys):
         for k, r in (("1,2,3", 2), ("0.5,-1,2,4", 3), ("-2,0.3,0.7", 1)):
@@ -807,3 +810,25 @@ class TestLogLevelPerCall:
         finally:
             cli.logger.setLevel(previous)
         assert outputs[0] == outputs[1]
+
+    def test_an_unknown_value_is_named_and_changes_no_output(
+            self, capsys, tmp_path, monkeypatch):
+        cfg = scene_file(tmp_path, self.BAND)
+        csv_path = tmp_path / "band.csv"
+        runs = {}
+        previous = cli.logger.level
+        try:
+            for level in ("warn", "warning", "critical", "bogus"):
+                monkeypatch.setenv("NEWTON_FLOW_LOG", level)
+                code, out, err = run_cli(capsys, "flow", "--config", cfg,
+                                         "--out", str(csv_path))
+                assert code == 4
+                runs[level] = (out, csv_path.read_bytes(), err)
+        finally:
+            cli.logger.setLevel(previous)
+        named = "WARNING newton_flow: unknown NEWTON_FLOW_LOG value 'bogus'; using warn\n"
+        assert runs["bogus"][2] == named + runs["warn"][2]
+        assert runs["warning"][2] == runs["warn"][2]
+        assert "ERROR newton_flow" in runs["warn"][2]
+        assert "newton_flow" not in runs["critical"][2]
+        assert len({run[:2] for run in runs.values()}) == 1

@@ -75,6 +75,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(Sphere(n=2, radius=1.0), 3)
 
+    def test_wide_curvature_spread(self):
+        # P_2 of k = (1e8, 1e-4, 1) has the eigenvalues (1e-4, 1e8, 1e4)
+        rep = evaluate_from_samples(np.array([[1e8, 1e-4, 1.0]]), np.array([-1e4]), 3, 3)
+        assert rep.min_eig_p == 1e-4
+        assert rep.psd_class.max_eigenvalue == 1e8
+
 
 class TestClassify:
     def test_catalog_taxonomy(self):
@@ -127,13 +133,19 @@ class TestClassify:
 
 class TestOneSigmaTable:
     def test_excluding_rows_from_a_held_table(self):
+        # the all-orders table the family slot holds has the kernel's bits
+        # in every column, and each column is the deleted rows' recurrence
         gen = np.random.default_rng(5)
         for n in range(1, 8):
             K = gen.standard_normal((40, n)) * 10.0 ** gen.uniform(-2, 2)
-            sig = symfun.elem_sym_all_rows(K)
-            for r in range(0, n + 1):
-                assert (symfun._excluding_rows(K, sig, r).tobytes()
-                        == symfun.elem_sym_excluding_rows(K, r).tobytes())
+            held = symfun._excluding_table(K, n - 1).reshape(40, n, n)
+            for r in range(0, n):
+                got = symfun.elem_sym_excluding_rows(K, r)
+                assert got.tobytes() == np.ascontiguousarray(held[:, :, r]).tobytes()
+                for j in range(n):
+                    deleted = symfun.elem_sym_all_rows(np.delete(K, j, axis=1))
+                    assert got[:, j].tobytes() == deleted[:, r].tobytes()
+            assert not symfun.elem_sym_excluding_rows(K, n).any()
 
     def test_one_table_per_report(self, monkeypatch):
         calls = [0]
@@ -144,10 +156,11 @@ class TestOneSigmaTable:
             return inner(K, *top)
         monkeypatch.setattr(gapcheck, "elem_sym_all_rows", counted)
         monkeypatch.setattr(symfun, "elem_sym_all_rows", counted)
+        # one table of the rows, one of the rows with each column deleted
         report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3, resolution=8)
-        assert report.gauss is not None and calls[0] == 1
+        assert report.gauss is not None and calls[0] == 2
         gauss_check(Sphere(n=2, radius=1.0), resolution=8)
-        assert calls[0] == 2
+        assert calls[0] == 4
 
 
 class TestGaussCheck:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,13 @@ from newton_flow.symfun import (
     sqrt_psd,
     trace_identities,
 )
-from conftest import brute_sigma, brute_sigma_excluding, random_orthogonal, random_symmetric
+from conftest import (
+    brute_sigma,
+    brute_sigma_excluding,
+    count_eigensolves,
+    random_orthogonal,
+    random_symmetric,
+)
 
 
 class TestElemSym:
@@ -104,6 +112,21 @@ class TestElemSymExcluding:
                         brute_sigma_excluding(list(K[s]), j, r),
                         rel=1e-10, abs=1e-10)
 
+    def test_rows_match_exact_rationals_at_every_spread(self, rng):
+        # same-sign entries spanning up to 1e16 against exact subset sums:
+        # the kernel adds products of one sign only, so its relative error
+        # stays a small multiple of n eps
+        eps = np.finfo(float).eps
+        for trial in range(120):
+            n = trial % 5 + 2
+            K = (-1.0) ** trial * 10.0 ** rng.uniform(-8.0, 8.0, (2, n))
+            for r in range(n):
+                got = elem_sym_excluding_rows(K, r)
+                for s, j in itertools.product(range(2), range(n)):
+                    rest = [Fraction(x) for x in np.delete(K[s], j)]
+                    exact = sum(math.prod(c) for c in itertools.combinations(rest, r))
+                    assert abs(Fraction(got[s, j]) - exact) <= 2 * n * eps * abs(exact)
+
     def test_rows_all(self, rng):
         K = rng.standard_normal((10, 5))
         sig = elem_sym_all_rows(K)
@@ -163,6 +186,20 @@ class TestNewtonFamily:
                 off = conj - np.diag(np.diag(conj))
                 assert np.abs(off).max() <= 1e-9 * scale
             checked += 1
+
+
+class TestWideCurvatureSpread:
+    """k = (1e8, 1e-4, 1) at r = 3: P_2 has the eigenvalues (1e-4, 1e8, 1e4),
+    which a subtractive deletion recurrence turned into an indefinite P_2."""
+
+    K = np.diag([1e8, 1e-4, 1.0])
+
+    def test_modified_norm_is_sigma_1_sigma_3(self):
+        assert modified_sff_norm_sq(self.K, 3) == 1000000010001.0
+
+    def test_cauchy_schwarz_bound_holds(self):
+        lhs, rhs = cauchy_schwarz_bound(self.K, 3)
+        assert 0.0 < lhs <= rhs
 
 
 class TestSqrtPsd:
@@ -393,16 +430,9 @@ class TestOneRecurrence:
         assert len(calls) == 2
 
     def test_eigenvalues_computed_once(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counted(A):
-            calls.append(1)
-            return original(A)
-
-        monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
+        solves = count_eigensolves(monkeypatch)
         modified_sff_norm_sq(np.diag([1.0, 2.0, 3.0]), 2)
-        assert len(calls) == 1
+        assert solves == [(3, 3)]
 
     def test_truncated_sigma_table_keeps_the_bits(self, rng):
         K = rng.standard_normal((50, 6)) * 10.0
@@ -456,9 +486,16 @@ class TestOverflowGuards:
                 symfun._as_shape_operator(a + 1.1 * limit * skew)
 
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
-        monkeypatch.setattr(symfun, "_excluding_rows",
-                            lambda K, sig, r: np.full(K.shape, math.nan))
-        with pytest.raises(NumericalError):
+        # order 0 of the deletion table feeds route (b) at r = 1 and no P_r
+        kernel = symfun._excluding_table
+
+        def nan_order_0(K, top):
+            table = kernel(K, top)
+            table[:, 0] = math.nan
+            return table
+
+        monkeypatch.setattr(symfun, "_excluding_table", nan_order_0)
+        with pytest.raises(NumericalError, match="modified norm routes disagree"):
             modified_sff_norm_sq(np.diag([1.0, 2.0]), 1)
 
 
@@ -506,14 +543,7 @@ class TestFamilySlot:
 
     def test_one_eigensolve_for_the_family_of_a_job(self, rng, monkeypatch):
         builds = self.counted_builds(monkeypatch)
-        solves = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(A):
-            solves.append(A.shape)
-            return eigvalsh(A)
-
-        monkeypatch.setattr(symfun.np.linalg, "eigvalsh", counted)
+        solves = count_eigensolves(monkeypatch)
         n = 5
         a = random_symmetric(rng, n, positive=True)
         fam = newton_family(a)
@@ -525,9 +555,9 @@ class TestFamilySlot:
             definiteness(fam.P[r - 1])
             cauchy_schwarz_bound(a, r)
         assert builds == [(n, n)]
-        # the family's one, definiteness(a), and the PSD test of each P_{r-1}
-        # from definiteness and from cauchy_schwarz_bound
-        assert len(solves) == 1 + 1 + 2 * n
+        # the family's one, definiteness(a), sqrt_psd(a), and the PSD test
+        # of each P_{r-1} from definiteness and from cauchy_schwarz_bound
+        assert len(solves) == 1 + 1 + 1 + 2 * n
 
     def test_a_mutated_result_leaves_the_next_call_unchanged(self, rng):
         a = random_symmetric(rng, 4)
@@ -541,8 +571,8 @@ class TestFamilySlot:
 
     def test_the_slot_is_read_only(self, rng):
         newton_family(random_symmetric(rng, 3))
-        k, fam = symfun._last_family[1]
-        for array in (k, fam.sigmas, *fam.P):
+        k, fam, table = symfun._last_family[1]
+        for array in (k, fam.sigmas, *fam.P, table):
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
