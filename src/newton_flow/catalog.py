@@ -189,16 +189,17 @@ def sigma_p_cylinder(m: int, r: int, p: int) -> float:
 
 
 def exact_curvatures(model) -> np.ndarray:
-    """Curvature vector of a position-independent model."""
-    if isinstance(model, Hyperplane):
-        return np.zeros(model.n)
+    """Curvature vector of a position-independent model, once its
+    dimension passes ``check_dimension``."""
+    if not isinstance(model, (Hyperplane, Sphere, Cylinder)):
+        raise DomainError(f"{type(model).__name__} has no constant curvature data")
+    check_dimension(model.n)
+    k = np.zeros(model.n)
     if isinstance(model, Sphere):
-        return np.full(model.n, 1.0 / model.radius)
+        k[:] = 1.0 / model.radius
     if isinstance(model, Cylinder):
-        k = np.zeros(model.n)
         k[:model.m] = 1.0 / model.radius
-        return k
-    raise DomainError(f"{type(model).__name__} has no constant curvature data")
+    return k
 
 
 def exact_support(model) -> float:
@@ -337,36 +338,18 @@ def check_samples(count: int, least: int, what: str):
         raise DomainError(f"{what} must lie in {least}..{MAX_SAMPLES}, got {count}")
 
 
-def _axis_sizes(ndims: int, resolution: int) -> list:
-    """Product-grid sizes: the first two axes get `resolution`, the rest 3."""
-    # ndims > 16 is over budget at any resolution >= 8; testing it first
-    # keeps 3 ** (ndims - 2) from being evaluated for an absurd n
-    if ndims > 16 or resolution ** min(2, ndims) * 3 ** max(0, ndims - 2) > MAX_SAMPLES:
-        raise DomainError(f"an {ndims}-dimensional grid at resolution {resolution} "
-                          f"exceeds {MAX_SAMPLES} samples")
-    return [resolution] * min(2, ndims) + [3] * max(0, ndims - 2)
-
-
-def _grid_sizes(model, resolution: int) -> list:
-    """Axis sizes of the grid a position-independent model is budgeted on.
-
-    A cylinder's spherical factor takes the first m sizes and its flat
-    factor the rest.  Refuses an over-budget grid (the cylinder's
-    spherical factor is checked first); no grid is ever built.
-    """
-    if isinstance(model, Cylinder):
-        _axis_sizes(model.m, resolution)
-    if isinstance(model, (Hyperplane, Sphere, Cylinder)):
-        return _axis_sizes(model.n, resolution)
-    raise DomainError(f"unsupported model {type(model).__name__}")
+def check_dimension(n: int):
+    """Raise DomainError unless the n + 1 matrices of size n x n of an
+    n-dimensional curvature family fit the sample budget (n <= 215)."""
+    check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
 
 
 def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
     """Curvature rows (S, n) and support values (S,) of the distinct samples.
 
     A position-independent model has one distinct sample: its closed-form
-    row, given once its sample grid passes the budget checks.  A
-    revolution profile gives one row per node.
+    row, whatever the resolution, once its dimension passes
+    ``check_dimension``.  A revolution profile gives one row per node.
     """
     check_samples(resolution, 8, "resolution")
     if isinstance(model, EllipsoidRev):
@@ -377,7 +360,6 @@ def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
         if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")
         return curvatures, support
-    _grid_sizes(model, resolution)
     return exact_curvatures(model)[None], np.array([exact_support(model)])
 
 

@@ -276,8 +276,7 @@ def _parse_curvatures(text: str) -> np.ndarray:
         values = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ConfigError(f"bad curvature list {text!r}") from exc
-    n = len(values)     # the family holds n + 1 matrices of size n x n
-    catalog.check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
+    catalog.check_dimension(len(values))
     return np.array(values)
 
 
@@ -295,7 +294,7 @@ def _parse_preset(text: str):
     n, m, r = (_field(fields, key, _integer, "cyl preset") for key in "nmr")
     if not 1 <= m <= n:
         raise DomainError(f"cyl preset needs 1 <= m <= n, got m={m}, n={n}")
-    catalog.check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
+    catalog.check_dimension(n)
     radius = catalog.shrinker_radius(m, r)
     k = np.zeros(n)
     k[:m] = 1.0 / radius
@@ -354,10 +353,7 @@ def cmd_gap(args) -> int:
     r = args.r if args.r is not None else scene["r"]
     resolution = args.resolution if args.resolution is not None else scene["resolution"]
     report = gapcheck.evaluate(scene["model"], r, resolution)
-    payload = report.to_json_dict()
-    if report.gauss is not None:
-        payload["gauss"] = report.gauss.to_json_dict()
-    emit_json(payload, args.out or scene["output"].get("report"))
+    emit_json(report.to_json_dict(), args.out or scene["output"].get("report"))
     return EXIT_OK
 
 
@@ -408,10 +404,10 @@ def cmd_flow(args) -> int:
         t_end=get("t_end", _real),
         resolution=(args.resolution if args.resolution is not None
                     else scene["resolution"]),
-        cfl_safety=get("cfl_safety", _real, 0.25),
-        rescaled=get("rescaled", _boolean, False),
-        scheme=get("scheme", _string, "euler"),
-        output_stride=get("output_stride", _integer, 10),
+        cfl_safety=get("cfl_safety", _real, flow.FlowConfig.cfl_safety),
+        rescaled=get("rescaled", _boolean, flow.FlowConfig.rescaled),
+        scheme=get("scheme", _string, flow.FlowConfig.scheme),
+        output_stride=get("output_stride", _integer, flow.FlowConfig.output_stride),
         boundary_values=boundary_values,
     )
     result = flow.run(config)

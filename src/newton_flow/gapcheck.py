@@ -8,9 +8,9 @@ r = n, the Gauss-flow fragment (GaussReport) of the same samples.
 
 The sample set holds one row per distinct sample (``sample_fields``).  A
 sphere, cylinder or hyperplane has the same curvatures and support at
-every point, so it is reported from its one closed-form row; for these
-models the resolution only sizes the grid that the sample budget is
-checked against.  A revolution profile gives one row per node.
+every point, so it is reported from its one closed-form row at any
+resolution; its dimension n is bounded by ``check_dimension``.  A
+revolution profile gives one row per node.
 
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Cylinder, Hyperplane, HypersurfaceModel, sample_fields
+from .catalog import Hyperplane, HypersurfaceModel, sample_fields
 from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order, check_real
 from .symfun import (
     Definiteness,
+    DefinitenessClass,
     _check_degree,
     _classify,
     elem_sym_all_rows,
@@ -41,20 +42,10 @@ SHRINKER_TOL = 1e-8     # residual threshold for "is a shrinker"
 class GapFlags:
     thm1_strict: bool          # sup ||sqrt(P_{r-1})A||^2 < r - tol
     thm1_boundary: bool        # |sup - r| <= tol
-    thm1_psd_definite: bool    # sampled min eigenvalue of P_{r-1} > tol
-    thm2: bool                 # strict gap with finite sampled sup ||A||^2
-    gauss_weakly_convex: bool  # r = n only: all sampled curvatures >= -tol
-    gauss_hk: bool             # r = n only: sup HK <= n + tol
+    thm1_psd_definite: bool    # the report's psd_class is PositiveDefinite
 
     def to_json_dict(self) -> dict:
-        return {
-            "thm1_strict": self.thm1_strict,
-            "thm1_boundary": self.thm1_boundary,
-            "thm1_psd_definite": self.thm1_psd_definite,
-            "thm2": self.thm2,
-            "gauss_weakly_convex": self.gauss_weakly_convex,
-            "gauss_HK": self.gauss_hk,
-        }
+        return dict(vars(self))     # the JSON keys are the field names
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ class GapReport:
     gauss: GaussReport | None = None  # Gauss fragment, r = n only
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "r": self.r,
             "n": self.n,
             "supModifiedNormSq": self.sup_modified_norm_sq,
@@ -102,6 +93,9 @@ class GapReport:
             "classification": str(self.classification),
             "notes": list(self.notes),
         }
+        if self.gauss is not None:
+            out["gauss"] = self.gauss.to_json_dict()
+        return out
 
 
 def _taxonomy(flags: GapFlags, sup_residual: float, n: int,
@@ -148,8 +142,6 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     residual = np.abs(sig[:, r] + support)
 
     notes = []
-    if isinstance(model, Cylinder):
-        notes.append("axial box sampling is exact: samples are axially constant")
     if isinstance(model, Hyperplane):
         notes.append("open hypersurface: normal fixed to +e_{n+1}")
 
@@ -173,16 +165,10 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     if zeros_per_sample.min() == zeros_per_sample.max():
         zero_mult = int(zeros_per_sample[0])
 
-    strict = sup_norm_sq < r - GAP_TOL
-    boundary = abs(sup_norm_sq - r) <= GAP_TOL
-    definite = min_eig_p > GAP_TOL
     flags = GapFlags(
-        thm1_strict=bool(strict),
-        thm1_boundary=bool(boundary),
-        thm1_psd_definite=bool(definite),
-        thm2=bool(strict),     # sup ||A||^2 is finite, checked above
-        gauss_weakly_convex=gauss is not None and gauss.weakly_convex,
-        gauss_hk=gauss is not None and gauss.hk_at_most_n,
+        thm1_strict=sup_norm_sq < r - GAP_TOL,
+        thm1_boundary=abs(sup_norm_sq - r) <= GAP_TOL,
+        thm1_psd_definite=psd.kind is DefinitenessClass.POSITIVE_DEFINITE,
     )
     classification = _taxonomy(flags, sup_res, n, zero_mult)
     return GapReport(
@@ -204,10 +190,10 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
 def classify(report: GapReport) -> Classification:
     """Taxonomy branch for a report whose model is a sampled shrinker.
 
-    Raises NotSelfShrinkerError when the residual (above SHRINKER_TOL)
-    shows the model is not a shrinker at all.
+    Raises NotSelfShrinkerError when the report classifies the model as
+    NotShrinker: its residual is above SHRINKER_TOL.
     """
-    if report.sup_residual > SHRINKER_TOL:
+    if report.classification.kind == "NotShrinker":
         raise NotSelfShrinkerError(
             f"sup |sigma_r + <X,N>| = {report.sup_residual:.3e} above threshold"
         )

@@ -110,7 +110,12 @@ def test_criterion_3_algebra_property_suite():
         sig = fam.sigmas
         k, v = np.linalg.eigh(a)
         scale1 = 1.0 + frob(a)
-        assert frob(fam.P[n]) <= 1e-10 * scale1 ** n
+        # Cayley-Hamilton: sum_j sigma_{n-j} (-A)^j vanishes
+        power, cayley_hamilton = np.eye(n), np.zeros((n, n))
+        for j in range(n + 1):
+            cayley_hamilton += sig[n - j] * power
+            power = power @ -a
+        assert frob(cayley_hamilton) <= 1e-10 * scale1 ** n
 
         a2 = a @ a
         gap_ok = n == 1 or float(np.diff(k).min()) >= 1e-6

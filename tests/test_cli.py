@@ -102,7 +102,8 @@ class TestGap:
         code, out, _ = run_cli(capsys, "gap", "--config", cfg)
         assert code == 0
         data = json.loads(out)
-        assert data["flags"]["thm1_boundary"] is True
+        assert data["flags"] == {"thm1_strict": False, "thm1_boundary": True,
+                                 "thm1_psd_definite": True}
         assert data["classification"] == "Sphere"
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
@@ -384,9 +385,9 @@ def _oracle_taxonomy(n_max):
 
 
 def _tiled_fields(model, resolution):
-    """The closed-form row repeated once per point of the model's sample grid."""
+    """The closed-form row repeated once per point of a resolution^2 grid."""
     curvatures, support = catalog.sample_fields(model, resolution)
-    count = math.prod(catalog._grid_sizes(model, resolution))
+    count = resolution ** 2
     return np.repeat(curvatures, count, axis=0), np.repeat(support, count)
 
 
@@ -401,10 +402,8 @@ class TestTiledOracle:
             reports = (gapcheck.evaluate(model, r, 8),
                        gapcheck.evaluate_from_samples(curvatures, support,
                                                       r, model.n, model=model))
-            got, want = ({**rep.to_json_dict(),
-                          "gauss": rep.gauss and rep.gauss.to_json_dict()}
-                         for rep in reports)
-            assert render_json(got) == render_json(want), (model, r)
+            got, want = (render_json(rep.to_json_dict()) for rep in reports)
+            assert got == want, (model, r)
 
     def test_residual_matches_the_tiled_grid(self, capsys, tmp_path):
         for model, r in _oracle_taxonomy(4):
@@ -704,22 +703,53 @@ class TestExitContract:
 
     @pytest.mark.parametrize("model, resolution", [
         ({"kind": "hyperplane", "n": 1e300}, 16),
-        ({"kind": "sphere", "n": 40, "radius": 1.0}, 16),
+        ({"kind": "sphere", "n": 216, "radius": 1.0}, 16),
         ({"kind": "sphere", "n": 2, "radius": 1.0}, 1e200),
         ({"kind": "cylinder_band", "radius": 1.0, "half_width": 1.0,
           "samples": 1e200}, 16),
         ({"kind": "sphere_band", "radius": 2.0, "half_width": 1.0,
           "samples": -1}, 16),
         ({"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0}, 1e200),
-        # reported from one closed-form row, but the grid is still budgeted
-        ({"kind": "sphere", "n": 6, "radius": 1.0}, 100_000),
-        ({"kind": "cylinder", "n": 6, "m": 2, "radius": 1.0}, 100_000),
+        # a closed-form model's dimension is bounded at any resolution
+        ({"kind": "sphere", "n": 216, "radius": 1.0}, 100_000),
+        ({"kind": "cylinder", "n": 216, "m": 2, "radius": 1.0}, 100_000),
     ])
     def test_sample_counts_out_of_range(self, capsys, tmp_path, model, resolution):
         cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
         for command in ("gap", "residual"):
             code, _, err = run_cli(capsys, command, "--config", cfg)
             assert code == 3, (command, err)
+
+    @pytest.mark.parametrize("model, resolution", [
+        ({"kind": "sphere", "n": 40, "radius": 1.0}, 16),
+        ({"kind": "sphere", "n": 6, "radius": 1.0}, 100_000),
+        ({"kind": "cylinder", "n": 6, "m": 2, "radius": 1.0}, 100_000),
+        ({"kind": "hyperplane", "n": 215}, 10 ** 7),
+    ])
+    def test_closed_form_rows_at_any_resolution(self, capsys, tmp_path, model,
+                                                resolution):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
+        for command in ("gap", "residual"):
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+            assert code == 0, (command, err)
+            assert json.loads(out)["r"] == 1
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "hyperplane"},
+        {"kind": "sphere", "radius": 1.0},
+        {"kind": "cylinder", "m": 2, "radius": 1.0},
+    ])
+    def test_closed_form_dimension_bound(self, capsys, tmp_path, model):
+        # the (n + 1) n^2 family budget that algebra applies: n <= 215
+        for n, expect in ((215, 0), (216, 3)):
+            cfg = scene_file(tmp_path, {"model": dict(model, n=n), "r": 1,
+                                        "resolution": 8})
+            for command in ("gap", "residual"):
+                code, _, err = run_cli(capsys, command, "--config", cfg)
+                assert code == expect, (command, n, err)
+                if expect:
+                    assert err.startswith(
+                        "domain error: the family's (n+1) n^2 at n=216 must lie in")
 
     def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
         def unreachable(model, resolution):

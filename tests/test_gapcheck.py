@@ -42,7 +42,7 @@ class TestEvaluate:
     def test_hyperplane_strict(self):
         rep = evaluate(Hyperplane(n=3), 2, resolution=8)
         assert rep.sup_modified_norm_sq == 0.0
-        assert rep.flags.thm1_strict and rep.flags.thm2
+        assert rep.flags.thm1_strict
         assert rep.classification.kind == "Hyperplane"
         assert any("normal" in note for note in rep.notes)
 
@@ -67,9 +67,10 @@ class TestEvaluate:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_cylinder_axial_constancy_note(self):
+        # a cylinder is reported from one closed-form row: no sampler to note
         rep = evaluate(Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 1,
                        resolution=8)
-        assert any("axial" in note for note in rep.notes)
+        assert not any("axial" in note for note in rep.notes)
 
     def test_r_out_of_range(self):
         with pytest.raises(DomainError):
@@ -80,6 +81,15 @@ class TestEvaluate:
         rep = evaluate_from_samples(np.array([[1e8, 1e-4, 1.0]]), np.array([-1e4]), 3, 3)
         assert rep.min_eig_p == 1e-4
         assert rep.psd_class.max_eigenvalue == 1e8
+
+    @pytest.mark.parametrize("k", [(1e8, 1e-4, 1.0), (1e3, 1e-4, 1.0)])
+    def test_one_definiteness_answer(self, k):
+        # min eig 1e-4 is above GAP_TOL but inside the window relative to
+        # max eig: the flag reads the report's one class
+        K = np.array([k])
+        rep = evaluate_from_samples(K, -symfun.elem_sym_all_rows(K)[:, 3], 3, 3)
+        assert rep.psd_class.kind is DefinitenessClass.POSITIVE_SEMIDEFINITE
+        assert rep.flags.thm1_psd_definite is False
 
 
 class TestClassify:

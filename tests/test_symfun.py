@@ -165,7 +165,7 @@ class TestNewtonFamily:
                 assert np.abs(fam.P[r] - rec).max() <= 1e-12 * scale ** r
                 comm = fam.P[r] @ a - a @ fam.P[r]
                 assert np.linalg.norm(comm) <= 1e-10 * scale ** (r + 1)
-            assert np.linalg.norm(fam.P[n]) <= 1e-10 * scale ** n
+            assert (fam.P[n] == 0.0).all()
 
     def test_eigenframe_eigenvalue_law(self, rng):
         # diagonal entries of P_{r-1} in the eigenframe are the deleted sigmas
