@@ -6,6 +6,10 @@ closed-form curvatures and support values (``exact_curvatures``,
 graphs rho = f(z) over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
+``graph_builder`` binds one grid (z, h, boundary mode, orientation) and
+its ``fd.stencil`` once and builds the record of each profile on it, as
+a flow run does at every step; ``radial_graph`` is the one-shot call on
+top of it, and ``revolution_geometry`` adds the float-range check.
 ``sample_fields`` gives either kind's curvature and support rows, which
 ``gap`` and ``residual`` read.
 
@@ -265,21 +269,46 @@ class RevolutionGeometry(NamedTuple):
         if r == 1:
             return 2.0
         mer, par = self.p_eigenvalues(r)
-        return float((np.abs(mer) + np.abs(par)).max())
+        return float(np.maximum.reduce(np.abs(mer) + np.abs(par)))
+
+
+def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int):
+    """The record builder of one grid: build(f) -> the record of rho = f(z).
+
+    The grid (z, h, the boundary mode and the orientation) is bound, and
+    checked, once: an underflowed h^2 would divide f'' by zero, so it is
+    refused here.  Each build takes one derivative pass of the grid's
+    ``fd.stencil`` (so one caller at a time) on float64 values of the
+    grid's size, which it does not check, and returns new arrays; the
+    record holds f itself.
+    """
+    if not h * h > 0.0:
+        raise float_range_error("h", h, 2)
+    derivatives = fd.stencil(np.size(z), h, boundary)
+    # k_mer = o (-f'') / w^3 and k_par = o / (f w), o = +-1
+    negate = orientation > 0
+    sign, one, three = np.array(1.0 if negate else -1.0), np.array(1.0), np.array(3)
+
+    def build(f):
+        fp, fpp = derivatives(f)
+        w = np.sqrt(fp * fp + one)
+        k_mer = (-fpp if negate else fpp) / np.power(w, three)
+        return RevolutionGeometry(z, f, h, boundary, orientation, fp, w, k_mer,
+                                  sign / (f * w))
+
+    return build
 
 
 def radial_graph(z: np.ndarray, f: np.ndarray, h: float, boundary: str,
                  orientation: int) -> RevolutionGeometry:
-    """The record of the radial graph rho = f(z), from one derivative pass."""
-    if not h * h > 0.0:      # an underflowed h^2 would divide f'' by zero
-        raise float_range_error("h", h, 2)
-    fp, fpp = fd.derivatives(f, h, boundary)
-    w = np.sqrt(fp * fp + 1.0)
-    if orientation > 0:     # k_mer = o (-f'') / w^3 and k_par = o / (f w), o = +-1
-        k_mer, k_par = -fpp / w ** 3, 1.0 / (f * w)
-    else:
-        k_mer, k_par = fpp / w ** 3, -1.0 / (f * w)
-    return RevolutionGeometry(z, f, h, boundary, orientation, fp, w, k_mer, k_par)
+    """The record of the radial graph rho = f(z), from one derivative pass:
+    one build of a fresh ``graph_builder``, on f once ``fd`` has checked it
+    and it matches the grid."""
+    build = graph_builder(z, h, boundary, orientation)
+    f = fd._check(f, boundary)
+    if f.shape != np.shape(z):
+        raise DomainError("z and f grids differ in length")
+    return build(f)
 
 
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:

@@ -2,16 +2,21 @@
 
 Two boundary modes are supported: "periodic" wraps the grid (node M-1
 neighbours node 0), and "neumann" is the open/non-periodic mode.
-``_padded`` is the one ghost rule: it gives a validated copy of the
-values with one ghost node beyond each end, the wrapped neighbour in the
-periodic mode and the cubic extrapolation in the open mode.  Every
-stencil is written once on that copy: ``derivatives`` returns the first
-and second derivative from one pass, ``deriv1`` is its first stencil
-alone, and ``flux_divergence`` pads its coefficient and its values and
-applies one half-node formula.  The open-mode ghosts are exact on
-cubics, so f'' and the flux form with a constant coefficient are exact
-on cubics at every node.  The end nodes still carry larger errors than
-the interior, and consumers trim them from any residual they report.
+``_fill_ghosts`` is the one ghost rule: it sets one ghost node beyond
+each end of a padded buffer, the wrapped neighbour in the periodic mode
+and the cubic extrapolation in the open mode, and ``_padded`` gives a
+validated copy of the values with those ghosts.  ``stencil`` binds one
+grid (its size, h, boundary mode and padded buffer) once and returns
+``apply``, which gives the first and second derivative from one padded
+pass; a run that differentiates the same grid at every step binds it
+once.
+``derivatives`` is the one-shot call: the input checks, then one
+``apply``.  ``deriv1`` is its first stencil alone, and
+``flux_divergence`` pads its coefficient and its values and applies one
+half-node formula.  The open-mode ghosts are exact on cubics, so f''
+and the flux form with a constant coefficient are exact on cubics at
+every node.  The end nodes still carry larger errors than the interior,
+and consumers trim them from any residual they report.
 """
 
 from __future__ import annotations
@@ -24,41 +29,72 @@ BOUNDARY_MODES = ("periodic", "neumann")
 TRIM_WIDTH = 2        # end nodes left out of reported residuals, per open end
 
 
-def _check(values: np.ndarray, boundary: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size < 5:
+def _check_grid(size: int, boundary: str):
+    if size < 5:
         raise DomainError("grid needs at least 5 nodes")
     if boundary not in BOUNDARY_MODES:
         raise DomainError(f"unknown boundary mode {boundary!r}")
+
+
+def _check(values: np.ndarray, boundary: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    _check_grid(v.size if v.ndim == 1 else 0, boundary)
     return v
 
 
-def _padded(values, boundary: str) -> np.ndarray:
-    """Validated values with one ghost node at each end.
+def _fill_ghosts(p: np.ndarray, boundary: str):
+    """Set the ghosts p[0] and p[-1] of a buffer whose p[1:-1] holds the values.
 
     The ghosts wrap around in the periodic mode and are cubic
     extrapolations in the open mode.  The extrapolations are taken in
     Python floats, which round as float64 does but overflow to inf or
     nan with no numpy flag or warning.
     """
-    v = _check(values, boundary)
-    p = np.empty(v.size + 2)
-    p[1:-1] = v
     if boundary == "periodic":
         p[0], p[-1] = p[-2], p[1]
     else:
-        a, b, c, d = v[:4].tolist()
+        a, b, c, d = p[1:5].tolist()
         p[0] = 4.0 * a - 6.0 * b + 4.0 * c - d
-        a, b, c, d = v[:-5:-1].tolist()
+        a, b, c, d = p[-2:-6:-1].tolist()
         p[-1] = 4.0 * a - 6.0 * b + 4.0 * c - d
+
+
+def _padded(values, boundary: str) -> np.ndarray:
+    """Validated values with one ghost node at each end (``_fill_ghosts``)."""
+    v = _check(values, boundary)
+    p = np.empty(v.size + 2)
+    p[1:-1] = v
+    _fill_ghosts(p, boundary)
     return p
+
+
+def stencil(size: int, h: float, boundary: str = "neumann"):
+    """The derivative pass of one grid, with the grid's constants bound once.
+
+    Returns apply(values) -> (f', f''), centred everywhere, for float64
+    values of the given size.  2h, h^2 and 2 are bound as 0-d arrays,
+    which numpy applies faster than Python floats, to the same doubles.
+    The grid's one padded buffer and its views are made here: each call
+    copies the values into it, so one caller at a time may use an
+    apply, and returns new arrays that share no memory with the buffer.
+    """
+    _check_grid(size, boundary)
+    two_h, h_sq, two = np.array(2.0 * h), np.array(h * h), np.array(2.0)
+    p = np.empty(size + 2)
+    inner, right, left = p[1:-1], p[2:], p[:-2]
+
+    def apply(values):
+        inner[...] = values
+        _fill_ghosts(p, boundary)
+        return (right - left) / two_h, (right - inner * two + left) / h_sq
+
+    return apply
 
 
 def derivatives(values, h: float, boundary: str = "neumann"):
     """First and second derivative, centred everywhere, from one padded pass."""
-    p = _padded(values, boundary)
-    right, left = p[2:], p[:-2]
-    return (right - left) / (2.0 * h), (right - p[1:-1] * 2.0 + left) / (h * h)
+    v = _check(values, boundary)
+    return stencil(v.size, h, boundary)(v)
 
 
 def deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:

@@ -5,23 +5,24 @@ Two kinds of flow state, matched to the geometry: the round law R' =
 factor of a cylinder, whose state is the catalog ``Sphere``; and
 surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
-``RevolutionGeometry`` record, built by ``radial_graph`` from one
-derivative pass.
+``RevolutionGeometry`` record, built from one derivative pass.
 
-A run makes its kind once from the initial geometry, r and the resolution
-(``_round_kind``, ``_graph_kind``).  The kind binds what no step changes
-(C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the grid, the
-orientation and h^2) and gives a state's speed and step bound dt <= h^2
-/ (1 + sup tr|P_{r-1}|), the speed at new values for the rk2 midpoint,
-and the rebuild of a state from values the guard has passed (a round
-law's ``Sphere`` skips its validation there).  The radial graph's stage
-is read off the state's record, with no derivative pass of its own; the
-round law's is closed-form (h = 2 pi R / resolution, tr P_{r-1} =
-(n-r+1) C(n,r-1) / R^(r-1); a bound from the law's own time scale,
-T_ext(R) / (4 resolution), leaves Euler outside a 1e-3 radius-law error
-on 21 of the 55 catalog laws at resolution 128).  The kind is the only
-source of a state's speed and step bound, for ``run`` and ``step``
-alike.
+A run makes its kind once from the initial geometry, r and the
+resolution (``_round_kind``, ``_graph_kind``).  The kind binds what no
+step changes (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the
+grid, the orientation and h^2) and gives a state's speed and step bound
+dt <= h^2 / (1 + sup tr|P_{r-1}|), the speed at new values for the rk2
+midpoint, and the rebuild of a state from values the guard has passed (a
+round law's ``Sphere`` skips its validation there; a radial graph's is
+the run's one ``catalog.graph_builder``, which binds the grid's stencil
+and constants once, so a step re-checks nothing the run made itself).
+The radial graph's stage is read off the state's record, with no
+derivative pass of its own; the round law's is closed-form (h = 2 pi R /
+resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
+law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
+1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
+The kind is the only source of a state's speed and step bound, for
+``run`` and ``step`` alike.
 
 ``_stepper`` makes the run's one explicit step from the kind and the
 configuration: forward Euler or the rk2 midpoint rule, with the
@@ -51,7 +52,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from math import comb
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,7 +66,7 @@ from .catalog import (
     Revolution,
     RevolutionGeometry,
     Sphere,
-    radial_graph,
+    graph_builder,
     revolution_geometry,
 )
 from .errors import (
@@ -287,16 +288,18 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
 
     The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
     and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).  The grid,
-    its boundary mode and the orientation are the run's; resolution is
-    the profile's own.
+    its boundary mode and the orientation are the run's, bound once into
+    its record builder; resolution is the profile's own.  The guard's
+    smallest radius is np.minimum.reduce, the value of ndarray.min
+    without its method wrapper.
     """
     graph.p_eigenvalues(r)     # refuses r outside {1, 2}
     try:
         h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
         raise float_range_error("h", graph.h, 2) from exc
-    z, h, boundary, orientation = graph.z, graph.h, graph.boundary, graph.orientation
-    negate = orientation > 0          # o = +-1 only chooses the sign
+    rebuild = graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
+    negate = graph.orientation > 0    # o = +-1 only chooses the sign
 
     def speed(geo):
         sigma_w = geo.sigma(r) * geo.w
@@ -305,11 +308,8 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
     def stage(geo):
         return speed(geo), h_sq / (1.0 + geo.p_trace_sup(r))
 
-    def rebuild(f):
-        return radial_graph(z, f, h, boundary, orientation)
-
     return _Kind(stage, lambda f: speed(rebuild(f)), attrgetter("f"), rebuild,
-                 methodcaller("min"), "profile", "pinch", _revolution_diagnostics,
+                 np.minimum.reduce, "profile", "pinch", _revolution_diagnostics,
                  lambda g, r: math.inf)
 
 

@@ -14,10 +14,11 @@ bytes, and every result is the caller's own.
 The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
 ``elem_sym`` and ``elem_sym_all`` read its one-row case, and the
 deletion kernel ``elem_sym_excluding_rows`` runs it on each row with one
-entry deleted: no sigma_p(A_j) comes from a subtraction.  P_r is built in
-the eigenframe (k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's
-table, with the polynomial form as the cross-check.  Each order-r entry
-point validates its operator on every call.  ``definiteness`` counts an
+entry deleted (through a read-only column index, built once per n): no
+sigma_p(A_j) comes from a subtraction.  P_r is built in the eigenframe
+(k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's table, with
+the polynomial form as the cross-check.  Each order-r entry point
+validates its operator on every call.  ``definiteness`` counts an
 eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero.
 
 One operator is usually asked about at every order r in turn, so the
@@ -32,6 +33,7 @@ the slot.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -167,9 +169,16 @@ def _excluding_table(K: np.ndarray, top: int) -> np.ndarray:
     ``elem_sym_all_rows`` on the rows np.delete would give (no subtraction).
     For one row and top = n - 1 it is the (n, n) table [j, p] = sigma_p(A_j)."""
     S, n = K.shape
+    return elem_sym_all_rows(K[:, _excluding_columns(n)].reshape(S * n, n - 1), top)
+
+
+@functools.lru_cache(maxsize=64)
+def _excluding_columns(n: int) -> np.ndarray:
+    """The read-only (n, n-1) column index whose row j is 0..n-1 without j."""
     cols = np.arange(n - 1)
-    keep = cols + (cols >= np.arange(n)[:, None])     # row j: 0..n-1 without j
-    return elem_sym_all_rows(K[:, keep].reshape(S * n, n - 1), top)
+    keep = cols + (cols >= np.arange(n)[:, None])
+    keep.flags.writeable = False
+    return keep
 
 
 @dataclass(frozen=True, eq=False)

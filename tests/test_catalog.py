@@ -24,7 +24,7 @@ from newton_flow.catalog import (
 )
 from newton_flow.errors import DomainError, NumericalError
 from newton_flow.symfun import elem_sym, elem_sym_all_rows, elem_sym_excluding_rows
-from conftest import ellipsoid_gauss_curvature
+from conftest import ellipsoid_gauss_curvature, reference_deriv1, reference_deriv2
 
 
 class TestShrinkerRadius:
@@ -256,6 +256,77 @@ class TestProfileValidation:
         assert prof.h > 0.0 and prof.h * prof.h == 0.0
         with pytest.raises(NumericalError, match=r"h\^2"):
             catalog.radial_graph(prof.z, prof.f, prof.h, prof.boundary, 1)
+
+
+def _reference_record_fields(z, f, h, boundary, orientation):
+    """fp, w, k_mer and k_par from the per-mode stencils and the closed forms
+    k_mer = o (-f'') / w^3, k_par = o / (f w), written out per orientation."""
+    fp, fpp = reference_deriv1(f, h, boundary), reference_deriv2(f, h, boundary)
+    w = np.sqrt(fp * fp + 1.0)
+    if orientation > 0:
+        return fp, w, -fpp / w ** 3, 1.0 / (f * w)
+    return fp, w, fpp / w ** 3, -1.0 / (f * w)
+
+
+class TestPerGridBuilder:
+    @pytest.mark.parametrize("boundary", ["neumann", "periodic"])
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_builds_are_bit_equal_to_the_one_shot_record(self, rng, orientation, boundary):
+        for _ in range(20):
+            m = int(rng.randint(5, 200))
+            z = np.linspace(-1.0, 1.0, m)
+            h = float(z[1] - z[0])
+            build = catalog.graph_builder(z, h, boundary, orientation)
+            for _ in range(3):      # one bound grid, fresh profiles each time
+                f = rng.uniform(0.5, 2.0) + 0.3 * rng.standard_normal(m)
+                got = build(f)
+                one_shot = catalog.radial_graph(z, f, h, boundary, orientation)
+                for record in (got, one_shot):
+                    assert record.z is z and record.f is f
+                    assert record[2:5] == (h, boundary, orientation)
+                reference = _reference_record_fields(z, f, h, boundary, orientation)
+                for name, want in zip(("fp", "w", "k_mer", "k_par"), reference):
+                    assert getattr(got, name).tobytes() == want.tobytes(), name
+                    assert getattr(one_shot, name).tobytes() == want.tobytes(), name
+
+    def test_builds_do_not_alias(self):
+        prof = sphere_band_profile(2.0, 0.6, 17)
+        build = catalog.graph_builder(prof.z, prof.h, prof.boundary, 1)
+        first, second = build(prof.f), build(prof.f.copy())
+        fields = ("fp", "w", "k_mer", "k_par")
+        for name in fields:
+            for other in fields:
+                assert not np.shares_memory(getattr(first, name), getattr(second, other))
+                if other != name:
+                    assert not np.shares_memory(getattr(first, name), getattr(first, other))
+        kept = first.k_mer.copy()
+        second.k_mer[:] = 0.0
+        assert first.k_mer.tobytes() == kept.tobytes()
+
+    def test_profile_out_of_float_range_still_raises(self):
+        # w ~ 1e150, so w^3 overflows
+        z = np.linspace(0.0, 1.0, 16)
+        rev = Revolution(profile=ProfileCurve(z=z, f=1e150 * (1.0 + z)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="leaves the float range"):
+                revolution_geometry(rev)
+
+    def test_one_shot_refuses_a_profile_off_the_grid(self):
+        z = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(DomainError, match="differ in length"):
+            catalog.radial_graph(z, np.full(8, 2.0), 0.125, "neumann", 1)
+
+    def test_underflowed_spacing_is_refused_before_any_stencil(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(catalog.fd, "stencil", lambda *args: made.append(args))
+        prof = catalog.cylinder_profile(1.0, 1e-170, 16)
+        for build in (lambda: catalog.graph_builder(prof.z, prof.h, prof.boundary, 1),
+                      lambda: catalog.radial_graph(prof.z, prof.f, prof.h, prof.boundary, 1),
+                      lambda: revolution_geometry(Revolution(profile=prof))):
+            with pytest.raises(NumericalError, match=r"h\^2"):
+                build()
+        assert made == []
 
 
 class TestRevolutionRecord:

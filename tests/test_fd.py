@@ -45,6 +45,39 @@ class TestOnePaddedPass:
             fd.deriv1(values, 0.1, boundary)
 
 
+class TestPerGridStencil:
+    @pytest.mark.parametrize("boundary", fd.BOUNDARY_MODES)
+    def test_bitwise_equal_to_per_mode_stencils(self, rng, boundary):
+        for _ in range(100):
+            m = int(rng.randint(5, 257))
+            h = float(rng.uniform(1e-3, 1.0))
+            apply = fd.stencil(m, h, boundary)
+            for _ in range(3):      # one bound grid, fresh values each time
+                v = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(m)
+                first, second = apply(v)
+                assert first.tobytes() == reference_deriv1(v, h, boundary).tobytes()
+                assert second.tobytes() == reference_deriv2(v, h, boundary).tobytes()
+
+    def test_passes_do_not_alias(self):
+        # the grid's padded buffer is reused; what a pass returns is not
+        apply = fd.stencil(9, 0.125, "neumann")
+        v = np.linspace(1.0, 2.0, 9) ** 3
+        one = apply(v)
+        kept = [a.copy() for a in one]
+        two = apply(2.0 * v)
+        for a, b in zip(one, kept):
+            assert a.tobytes() == b.tobytes()
+        for a in one:
+            assert not np.shares_memory(a, v)
+            for b in two:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("size, boundary", [(4, "neumann"), (9, "dirichlet")])
+    def test_rejects_bad_grids(self, size, boundary):
+        with pytest.raises(DomainError):
+            fd.stencil(size, 0.1, boundary)
+
+
 class TestPeriodicMode:
     @staticmethod
     def _errors(m):

@@ -372,24 +372,17 @@ class TestRevolutionStage:
 
     @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
     def test_one_derivative_pass_per_stage(self, monkeypatch, scheme, passes):
-        # the diagnostics rows reuse the stage that set each state's dt
-        calls = {"derivatives": 0, "deriv1": 0}
-
-        def counted(name):
-            inner = getattr(fd, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            return wrapper
-
+        # the run binds its grid's stencil once, next to the one of the
+        # initial record, and the diagnostics rows reuse the stage that set
+        # each state's dt
+        stencils = _count_products(monkeypatch, fd, "stencil")
+        one_shots = [_count_calls(monkeypatch, fd, name) for name in ("derivatives", "deriv1")]
         config = _band_config(2, scheme, pinned=True, output_stride=10)
-        for name in calls:
-            monkeypatch.setattr(fd, name, counted(name))
         result = run(config)
         steps = result.state.step_count
         assert len(result.diagnostics) > 2
-        assert calls == {"derivatives": passes * steps + 1, "deriv1": 0}
+        assert stencils == [2, passes * steps + 1]
+        assert one_shots == [[0], [0]]
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_cfl_violation_with_own_bound(self, r):
@@ -568,6 +561,24 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_products(monkeypatch, module, name):
+    """Count the functions that module.name makes and their calls, as
+    [made, called]."""
+    counts = [0, 0]
+    make = getattr(module, name)
+
+    def counted_make(*args, **kwargs):
+        counts[0] += 1
+        inner = make(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            counts[1] += 1
+            return inner(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(module, name, counted_make)
+    return counts
+
+
 class TestStep:
     def test_round_law_checks_its_bound(self):
         config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
@@ -621,13 +632,17 @@ class TestOneStepPath:
 
 class TestStepBudget:
     def test_estimate_above_budget_is_refused(self, monkeypatch):
-        # every step rebuilds the radial graph: no rebuild, no step
-        calls = _count_calls(monkeypatch, flow, "radial_graph")
+        # every step builds a record with the run's builder: no build, no step
+        builds = _count_products(monkeypatch, flow, "graph_builder")
+        tube = Revolution(profile=cylinder_profile(1.0, 0.5, 16))
+        steps = run(FlowConfig(r=2, model=tube, t_end=1e-3)).state.step_count
+        assert steps > 0 and builds == [1, steps]
+        builds[:] = [0, 0]
         prof = cylinder_profile(1e-170, 0.5, 16)
         config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=0.01)
         with pytest.raises(DomainError, match="MAX_STEPS"):
             run(config)
-        assert calls[0] == 0
+        assert builds == [1, 0]
 
     def test_loop_stops_past_the_budget(self, monkeypatch):
         # the bound shrinks with R^2: about 75 steps estimated, 250 taken

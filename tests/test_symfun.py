@@ -127,6 +127,16 @@ class TestElemSymExcluding:
                     exact = sum(math.prod(c) for c in itertools.combinations(rest, r))
                     assert abs(Fraction(got[s, j]) - exact) <= 2 * n * eps * abs(exact)
 
+    def test_one_read_only_column_index_per_n(self, rng):
+        # the table is bit-equal to the recurrence on the np.delete rows
+        for n in range(1, 8):
+            keep = symfun._excluding_columns(n)
+            assert keep is symfun._excluding_columns(n) and not keep.flags.writeable
+            K = rng.standard_normal((3, n))
+            rows = np.array([np.delete(row, j) for row in K for j in range(n)])
+            assert (symfun._excluding_table(K, n - 1).tobytes()
+                    == elem_sym_all_rows(rows.reshape(3 * n, n - 1), n - 1).tobytes())
+
     def test_rows_all(self, rng):
         K = rng.standard_normal((10, 5))
         sig = elem_sym_all_rows(K)
