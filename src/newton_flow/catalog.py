@@ -8,8 +8,9 @@ second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
 ``graph_builder`` binds one grid (z, h, boundary mode, orientation) and
 its ``fd.stencil`` once and builds the record of each profile on it, as
-a flow run does at every step; ``radial_graph`` is the one-shot call on
-top of it, and ``revolution_geometry`` adds the float-range check.
+a flow run does at every step; ``revolution_geometry`` is the one
+checked entry from a model: one build on a ``Revolution``'s profile,
+with the float-range check.
 ``sample_fields`` gives either kind's curvature and support rows, which
 ``gap`` and ``residual`` read.
 
@@ -23,7 +24,7 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, isfinite
+from math import comb, inf, isfinite, log10
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -32,6 +33,7 @@ from . import fd
 from .errors import DomainError, NumericalError, check_integer, check_real, float_range_error
 
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
+MAX_DIMENSION = 215    # the largest n whose (n+1) n^2 is at most MAX_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +301,21 @@ def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int):
     return build
 
 
-def radial_graph(z: np.ndarray, f: np.ndarray, h: float, boundary: str,
-                 orientation: int) -> RevolutionGeometry:
-    """The record of the radial graph rho = f(z), from one derivative pass:
-    one build of a fresh ``graph_builder``, on f once ``fd`` has checked it
-    and it matches the grid."""
-    build = graph_builder(z, h, boundary, orientation)
-    f = fd._check(f, boundary)
-    if f.shape != np.shape(z):
-        raise DomainError("z and f grids differ in length")
-    return build(f)
-
-
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
-    """The record of a surface of revolution's profile.
+    """The record of a surface of revolution's profile: one build of a
+    fresh ``graph_builder`` on the profile's grid, holding its own f.
 
-    A record that leaves the float range (radii near the float maximum
-    overflow the ghosts, steep slopes overflow w^3) raises NumericalError
-    with no numpy warning.  The check is made once per profile, here, and
-    not in the ``radial_graph`` of every flow step.  The ghosts overflow
-    without a numpy flag, so a non-finite f' at an end is caught here.
+    The ``ProfileCurve`` has already checked the grid and f.  A record
+    that leaves the float range (radii near the float maximum overflow
+    the ghosts, steep slopes overflow w^3) raises NumericalError with no
+    numpy warning.  The check is made once per profile, here, and not in
+    the builds of a flow run.  The ghosts overflow without a numpy flag,
+    so a non-finite f' at an end is caught here.
     """
     p = rev.profile
     with np.errstate(over="raise", invalid="raise"):
         try:
-            geo = radial_graph(p.z, p.f, p.h, p.boundary, rev.orientation)
+            geo = graph_builder(p.z, p.h, p.boundary, rev.orientation)(p.f)
             finite = isfinite(geo.fp[0]) and isfinite(geo.fp[-1])
         except FloatingPointError:
             finite = False
@@ -369,8 +361,13 @@ def check_samples(count: int, least: int, what: str):
 
 def check_dimension(n: int):
     """Raise DomainError unless the n + 1 matrices of size n x n of an
-    n-dimensional curvature family fit the sample budget (n <= 215)."""
-    check_samples((n + 1) * n * n, 0, f"the family's (n+1) n^2 at n={n}")
+    n-dimensional curvature family fit the sample budget: n <= MAX_DIMENSION.
+    n is compared before any product is formed, and an n of more than 12
+    digits is shown as a power of ten, so a huge n gives a short message."""
+    if check_integer(n, "dimension n") > MAX_DIMENSION:
+        shown = n if n < 10 ** 12 else f"10^{log10(n):.1f}"
+        raise DomainError(f"the family's (n+1) n^2 at n={shown} exceeds "
+                          f"{MAX_SAMPLES}: n must be at most {MAX_DIMENSION}")
 
 
 def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:

@@ -243,7 +243,7 @@ def load_scene(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, non-UTF-8 bytes, an int past the digit limit
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scene config must be a JSON object")
@@ -459,7 +459,7 @@ def _verify_rows(resolutions):
     for model, r in catalog.self_shrinkers(6):
         rep = operators.verify_shrinker_pde(model, r)
         worst = max(worst, rep.worst)
-    rows.append(("shrinker-pde(catalog n<=6)", 0, worst, (), worst <= 1e-10))
+    rows.append(("shrinker-pde(catalog n<=6)", 0, worst, (), worst <= operators.EXACT_TOL))
     return rows
 
 

@@ -8,10 +8,8 @@ and the cubic extrapolation in the open mode, and ``_padded`` gives a
 validated copy of the values with those ghosts.  ``stencil`` binds one
 grid (its size, h, boundary mode and padded buffer) once and returns
 ``apply``, which gives the first and second derivative from one padded
-pass; a run that differentiates the same grid at every step binds it
-once.
-``derivatives`` is the one-shot call: the input checks, then one
-``apply``.  ``deriv1`` is its first stencil alone, and
+pass: it is the one source of both centred differences, and a run that
+differentiates the same grid at every step binds it once.
 ``flux_divergence`` pads its coefficient and its values and applies one
 half-node formula.  The open-mode ghosts are exact on cubics, so f''
 and the flux form with a constant coefficient are exact on cubics at
@@ -36,12 +34,6 @@ def _check_grid(size: int, boundary: str):
         raise DomainError(f"unknown boundary mode {boundary!r}")
 
 
-def _check(values: np.ndarray, boundary: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    _check_grid(v.size if v.ndim == 1 else 0, boundary)
-    return v
-
-
 def _fill_ghosts(p: np.ndarray, boundary: str):
     """Set the ghosts p[0] and p[-1] of a buffer whose p[1:-1] holds the values.
 
@@ -61,7 +53,8 @@ def _fill_ghosts(p: np.ndarray, boundary: str):
 
 def _padded(values, boundary: str) -> np.ndarray:
     """Validated values with one ghost node at each end (``_fill_ghosts``)."""
-    v = _check(values, boundary)
+    v = np.asarray(values, dtype=float)
+    _check_grid(v.size if v.ndim == 1 else 0, boundary)
     p = np.empty(v.size + 2)
     p[1:-1] = v
     _fill_ghosts(p, boundary)
@@ -89,18 +82,6 @@ def stencil(size: int, h: float, boundary: str = "neumann"):
         return (right - left) / two_h, (right - inner * two + left) / h_sq
 
     return apply
-
-
-def derivatives(values, h: float, boundary: str = "neumann"):
-    """First and second derivative, centred everywhere, from one padded pass."""
-    v = _check(values, boundary)
-    return stencil(v.size, h, boundary)(v)
-
-
-def deriv1(values, h: float, boundary: str = "neumann") -> np.ndarray:
-    """First derivative alone: the first stencil of ``derivatives``."""
-    p = _padded(values, boundary)
-    return (p[2:] - p[:-2]) / (2.0 * h)
 
 
 def flux_divergence(coef, values, h: float, boundary: str = "neumann") -> np.ndarray:

@@ -10,8 +10,9 @@ direction, f the distance to the axis and w = sqrt(1 + f'^2).  Every
 operator takes that surface's curvature record (the catalog's
 ``RevolutionGeometry``, from ``revolution_geometry`` or a radial-graph
 flow state) and an array of values on its grid, and returns an array;
-lambda_mer and the identities' sigma_p are read off the record.
-The drifted variant subtracts <X, grad F>.
+lambda_mer and the identities' sigma_p are read off the record, F_z is
+the first output of an ``fd.stencil`` of the record's grid, and L F is
+one ``fd.flux_divergence``.  The drifted variant subtracts <X, grad F>.
 Identity checks report max-norm residuals over interior nodes only (two
 nodes trimmed per open boundary, where the stencils are lower order); a
 residual at rounding level (EXACT_TOL) counts as exact in a refinement
@@ -58,15 +59,20 @@ def _values(g: RevolutionGeometry, values) -> np.ndarray:
     return v
 
 
+def _dz(g: RevolutionGeometry, values) -> np.ndarray:
+    """F_z of checked values: the first output of a stencil of g's grid."""
+    return fd.stencil(g.f.size, g.h, g.boundary)(_values(g, values))[0]
+
+
 def surface_gradient(geometry: RevolutionGeometry, values) -> np.ndarray:
     """Signed magnitude of grad F along the (unit) meridional direction."""
-    return fd.deriv1(_values(geometry, values), geometry.h, geometry.boundary) / geometry.w
+    return _dz(geometry, values) / geometry.w
 
 
 def position_gradient_term(geometry: RevolutionGeometry, values) -> np.ndarray:
     """<X, grad F> nodewise: (f f' + z) F_z / w^2."""
     g = geometry
-    return (g.f * g.fp + g.z) * fd.deriv1(_values(g, values), g.h, g.boundary) / (g.w * g.w)
+    return (g.f * g.fp + g.z) * _dz(g, values) / (g.w * g.w)
 
 
 def lr_apply(geometry: RevolutionGeometry, values, r: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
-    radial_graph,
+    revolution_geometry,
     self_shrinkers,
     shrinker_radius,
     sigma_p_cylinder,
@@ -225,8 +225,7 @@ def test_criterion_6_flow_laws():
     # discrete cylinder under the Gauss flow speed: stationary per step
     prof = cylinder_profile(1.0, 2.0, 256)
     config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
-    state = FlowState(t=0.0, geometry=radial_graph(
-        prof.z.copy(), prof.f.copy(), prof.h, "neumann", 1))
+    state = FlowState(t=0.0, geometry=revolution_geometry(Revolution(profile=prof)))
     for _ in range(50):
         before = state.geometry.f.copy()
         state = step(state, config, 1e-5)

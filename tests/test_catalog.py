@@ -174,10 +174,13 @@ class TestSampling:
             sample_fields(model, 7)
 
     def test_closed_form_dimension_bound(self):
+        n = catalog.MAX_DIMENSION
+        assert (n + 1) * n * n <= catalog.MAX_SAMPLES < (n + 2) * (n + 1) ** 2
         assert exact_curvatures(Hyperplane(n=215)).shape == (215,)
         for model in (Hyperplane(n=216), Sphere(n=10 ** 300, radius=1.0),
                       Cylinder(n=216, m=2, radius=1.0)):
-            with pytest.raises(DomainError, match=r"the family's \(n\+1\) n\^2 at n="):
+            with pytest.raises(DomainError, match=r"the family's \(n\+1\) n\^2 at n=.* "
+                                                  r"exceeds 10000000: n must be at most 215$"):
                 exact_curvatures(model)
 
     def test_inward_convention_on_closed_models(self):
@@ -192,6 +195,13 @@ class TestProfileValidation:
         z = np.array([0.0, 1.0, 2.5, 3.0, 4.0])
         with pytest.raises(DomainError):
             ProfileCurve(z=z, f=np.ones(5))
+
+    def test_rejects_f_off_the_grid(self):
+        # the one length check of a record's f: builds do not repeat it
+        z = np.linspace(0.0, 1.0, 9)
+        for f in (np.full(8, 2.0), np.full((9, 1), 2.0)):
+            with pytest.raises(DomainError, match="matching z/f"):
+                ProfileCurve(z=z, f=f)
 
     def test_rejects_nonpositive_radii(self):
         z = np.linspace(0.0, 1.0, 5)
@@ -255,12 +265,13 @@ class TestProfileValidation:
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
         assert prof.h > 0.0 and prof.h * prof.h == 0.0
         with pytest.raises(NumericalError, match=r"h\^2"):
-            catalog.radial_graph(prof.z, prof.f, prof.h, prof.boundary, 1)
+            revolution_geometry(Revolution(profile=prof))
 
 
 def _reference_record_fields(z, f, h, boundary, orientation):
-    """fp, w, k_mer and k_par from the per-mode stencils and the closed forms
-    k_mer = o (-f'') / w^3, k_par = o / (f w), written out per orientation."""
+    """The one-shot record's fp, w, k_mer and k_par, from the per-mode
+    stencils and the closed forms k_mer = o (-f'') / w^3, k_par = o / (f w),
+    written out per orientation: no grid is bound."""
     fp, fpp = reference_deriv1(f, h, boundary), reference_deriv2(f, h, boundary)
     w = np.sqrt(fp * fp + 1.0)
     if orientation > 0:
@@ -280,14 +291,11 @@ class TestPerGridBuilder:
             for _ in range(3):      # one bound grid, fresh profiles each time
                 f = rng.uniform(0.5, 2.0) + 0.3 * rng.standard_normal(m)
                 got = build(f)
-                one_shot = catalog.radial_graph(z, f, h, boundary, orientation)
-                for record in (got, one_shot):
-                    assert record.z is z and record.f is f
-                    assert record[2:5] == (h, boundary, orientation)
+                assert got.z is z and got.f is f
+                assert got[2:5] == (h, boundary, orientation)
                 reference = _reference_record_fields(z, f, h, boundary, orientation)
                 for name, want in zip(("fp", "w", "k_mer", "k_par"), reference):
                     assert getattr(got, name).tobytes() == want.tobytes(), name
-                    assert getattr(one_shot, name).tobytes() == want.tobytes(), name
 
     def test_builds_do_not_alias(self):
         prof = sphere_band_profile(2.0, 0.6, 17)
@@ -312,17 +320,11 @@ class TestPerGridBuilder:
             with pytest.raises(NumericalError, match="leaves the float range"):
                 revolution_geometry(rev)
 
-    def test_one_shot_refuses_a_profile_off_the_grid(self):
-        z = np.linspace(0.0, 1.0, 9)
-        with pytest.raises(DomainError, match="differ in length"):
-            catalog.radial_graph(z, np.full(8, 2.0), 0.125, "neumann", 1)
-
     def test_underflowed_spacing_is_refused_before_any_stencil(self, monkeypatch):
         made = []
         monkeypatch.setattr(catalog.fd, "stencil", lambda *args: made.append(args))
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
         for build in (lambda: catalog.graph_builder(prof.z, prof.h, prof.boundary, 1),
-                      lambda: catalog.radial_graph(prof.z, prof.f, prof.h, prof.boundary, 1),
                       lambda: revolution_geometry(Revolution(profile=prof))):
             with pytest.raises(NumericalError, match=r"h\^2"):
                 build()

@@ -179,6 +179,21 @@ def test_malformed_gap_scene_exit_code(capsys, tmp_path, scene, expect):
     assert err.startswith("config error" if expect == 2 else "domain error")
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"model": "\xff\xfe"}',                                           # not UTF-8
+    b'{"model": {"kind": "hyperplane", "n": ' + b"1" * 4301 + b'}}',    # past int's limit
+], ids=["not-utf-8", "int-past-the-digit-limit"])
+def test_scene_that_json_cannot_load_is_a_config_error(capsys, tmp_path, raw):
+    # json.dumps writes neither file, and json.load raises a ValueError on each
+    path = tmp_path / "scene.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "gap", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: malformed JSON in ")
+    assert "Traceback" not in err
+
+
 def _nan_profile_scene(tmp_path):
     f = [1.0] * 9
     f[4] = float("nan")
@@ -525,6 +540,8 @@ class TestExitContract:
     @pytest.mark.parametrize("argv", [
         ["algebra", "--preset", "cyl:n=100000,m=1,r=1"],
         ["algebra", "--k", ",".join(["1"] * 216), "--r", "1"],   # 217 * 216^2 > 10^7
+        # (n+1) n^2 has more digits than str(int) may print
+        ["algebra", "--preset", f"cyl:n={'9' * 1501},m=1,r=1"],
     ])
     def test_algebra_family_above_the_sample_budget(self, capsys, argv):
         # n + 1 matrices of size n x n; n = 100,000 used to end in a MemoryError
@@ -532,7 +549,8 @@ class TestExitContract:
         assert code == 3
         assert out == ""
         assert err.startswith("domain error: the family's (n+1) n^2 at n=")
-        assert "Traceback" not in err
+        assert err.endswith("exceeds 10000000: n must be at most 215\n")
+        assert len(err) < 200 and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
@@ -741,15 +759,19 @@ class TestExitContract:
     ])
     def test_closed_form_dimension_bound(self, capsys, tmp_path, model):
         # the (n + 1) n^2 family budget that algebra applies: n <= 215
-        for n, expect in ((215, 0), (216, 3)):
+        # n = 10^300 and a 1,501-digit n are refused before (n+1) n^2 is formed
+        for n, expect, shown in ((215, 0, ""), (216, 3, "216"),
+                                 (10 ** 300, 3, "10^300.0"),
+                                 (int("9" * 1501), 3, "10^1501.0")):
             cfg = scene_file(tmp_path, {"model": dict(model, n=n), "r": 1,
                                         "resolution": 8})
             for command in ("gap", "residual"):
                 code, _, err = run_cli(capsys, command, "--config", cfg)
-                assert code == expect, (command, n, err)
+                assert code == expect, (command, shown, err)
                 if expect:
-                    assert err.startswith(
-                        "domain error: the family's (n+1) n^2 at n=216 must lie in")
+                    assert err == (f"domain error: the family's (n+1) n^2 at n={shown} "
+                                   "exceeds 10000000: n must be at most 215\n")
+                    assert len(err.encode()) < 200
 
     def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
         def unreachable(model, resolution):

@@ -13,7 +13,8 @@ from newton_flow.catalog import (
     Sphere,
     RevolutionGeometry,
     cylinder_profile,
-    radial_graph,
+    graph_builder,
+    revolution_geometry,
     shrinker_radius,
     sphere_band_profile,
 )
@@ -145,7 +146,7 @@ class TestRevolutionStepping:
 
     def test_cylinder_r2_stationary_per_step(self):
         prof = cylinder_profile(1.0, 2.0, 64)
-        geo = radial_graph(prof.z.copy(), prof.f.copy(), prof.h, "neumann", 1)
+        geo = revolution_geometry(Revolution(profile=prof))
         state = FlowState(t=0.0, geometry=geo)
         config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
         for _ in range(25):
@@ -335,9 +336,8 @@ def _band_step_config(r, m=32):
 
 def _band_state(m=32, f=None, orientation=1):
     prof = sphere_band_profile(2.0, 0.6, m)
-    geo = radial_graph(prof.z.copy(), prof.f.copy() if f is None else f,
-                       prof.h, "neumann", orientation)
-    return FlowState(t=0.0, geometry=geo)
+    build = graph_builder(prof.z, prof.h, prof.boundary, orientation)
+    return FlowState(t=0.0, geometry=build(prof.f if f is None else f))
 
 
 class TestRevolutionStage:
@@ -345,7 +345,7 @@ class TestRevolutionStage:
         result = run(_band_config(2, "rk2", pinned=True))
         geo = result.state.geometry
         assert isinstance(geo, RevolutionGeometry)
-        again = radial_graph(geo.z, geo.f, geo.h, geo.boundary, geo.orientation)
+        again = graph_builder(geo.z, geo.h, geo.boundary, geo.orientation)(geo.f)
         for name in ("fp", "w", "k_mer", "k_par"):
             assert getattr(geo, name).tobytes() == getattr(again, name).tobytes()
 
@@ -376,13 +376,11 @@ class TestRevolutionStage:
         # initial record, and the diagnostics rows reuse the stage that set
         # each state's dt
         stencils = _count_products(monkeypatch, fd, "stencil")
-        one_shots = [_count_calls(monkeypatch, fd, name) for name in ("derivatives", "deriv1")]
         config = _band_config(2, scheme, pinned=True, output_stride=10)
         result = run(config)
         steps = result.state.step_count
         assert len(result.diagnostics) > 2
         assert stencils == [2, passes * steps + 1]
-        assert one_shots == [[0], [0]]
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_cfl_violation_with_own_bound(self, r):
@@ -549,17 +547,6 @@ class TestRoundFactor:
 
 # ---------------------------------------------------------------------------
 # the one step, its guard and the step budget
-
-def _count_calls(monkeypatch, module, name):
-    calls = [0]
-    inner = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
 
 def _count_products(monkeypatch, module, name):
     """Count the functions that module.name makes and their calls, as

@@ -9,7 +9,6 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
-    radial_graph,
     revolution_geometry,
     shrinker_radius,
     sphere_band_profile,
@@ -27,6 +26,7 @@ from newton_flow.operators import (
 )
 from newton_flow.catalog import exact_curvatures, self_shrinkers
 from newton_flow.symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
+from conftest import reference_deriv1
 
 
 def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
@@ -59,9 +59,8 @@ class TestGradient:
         assert errs[1] <= errs[0] / 3.0
 
     def test_short_grid_rejected(self):
-        z = np.linspace(0.0, 1.0, 4)
         with pytest.raises(DomainError):
-            fd.deriv1(np.ones(4), 0.1, "neumann")
+            fd.stencil(4, 0.1, "neumann")
 
 
 class TestLrApply:
@@ -97,9 +96,9 @@ class TestLrApply:
             geo = revolution_geometry(ellipsoid_rev(m))
             field = np.cos(geo.z)
             flux = lr_apply(geo, field, 1)
-            df = fd.deriv1(field, geo.h, geo.boundary)
+            df = reference_deriv1(field, geo.h, geo.boundary)
             fs = df / geo.w
-            dfs = fd.deriv1(fs, geo.h, geo.boundary) / geo.w
+            dfs = reference_deriv1(fs, geo.h, geo.boundary) / geo.w
             trace_form = dfs + (geo.fp / (geo.f * geo.w)) * fs
             errs.append(np.abs(flux - trace_form)[geo.interior()].max())
         assert errs[1] <= errs[0] / 3.0
@@ -228,7 +227,7 @@ def _reference_lr(g, values, r):
 
 
 def _reference_drift(g, values):
-    return (g.f * g.fp + g.z) * fd.deriv1(values, g.h, g.boundary) / (g.w * g.w)
+    return (g.f * g.fp + g.z) * reference_deriv1(values, g.h, g.boundary) / (g.w * g.w)
 
 
 def _reference_support_residual(rev, r):
@@ -250,7 +249,7 @@ def _reference_position_residual(rev, r):
 
 def _reference_product_residual(rev, a, b, r):
     g = revolution_geometry(rev)
-    grad_a, grad_b = (fd.deriv1(v, g.h, g.boundary) / g.w for v in (a, b))
+    grad_a, grad_b = (reference_deriv1(v, g.h, g.boundary) / g.w for v in (a, b))
     lhs = _reference_lr(g, a * b, r)
     cross = 2.0 * _reference_lambda_meridian(g, r) * grad_a * grad_b
     rhs = a * _reference_lr(g, b, r) + b * _reference_lr(g, a, r) + cross
@@ -282,10 +281,10 @@ class TestSingleSourceRecord:
     def test_r_out_of_range_is_one_message(self):
         rev = cylinder_rev(samples=33)
         p = rev.profile
-        state = radial_graph(p.z.copy(), p.f.copy(), p.h, p.boundary, 1)
+        state = revolution_geometry(rev)
         messages = set()
         for call in (lambda: flow._graph_kind(state, 3),
-                     lambda: lr_apply(revolution_geometry(rev), p.z.copy(), 3),
+                     lambda: lr_apply(state, p.z.copy(), 3),
                      lambda: verify_support_identity(rev, 3, [33])):
             with pytest.raises(DomainError) as info:
                 call()
