@@ -24,13 +24,14 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, isfinite, log10
+from math import comb, inf, isfinite
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from . import fd
-from .errors import DomainError, NumericalError, check_integer, check_real, float_range_error
+from .errors import (DomainError, NumericalError, brief, check_integer, check_real,
+                     float_range_error)
 
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
 MAX_DIMENSION = 215    # the largest n whose (n+1) n^2 is at most MAX_SAMPLES
@@ -106,13 +107,15 @@ class ProfileCurve:
             raise DomainError("profile needs >= 5 matching z/f samples")
         if not (np.isfinite(z).all() and np.isfinite(f).all()):
             raise DomainError("profile has non-finite z or f samples")
+        # np.linspace spacings stray by up to about 2 eps max|z|: allow 4
         dz = np.diff(z)
-        if dz.min() <= 0 or np.abs(dz - dz[0]).max() > 1e-12 * abs(dz[0]):
+        slack = 1e-12 * abs(dz[0]) + 4 * np.finfo(float).eps * np.abs(z).max()
+        if dz.min() <= 0 or np.abs(dz - dz[0]).max() > slack:
             raise DomainError("profile grid must be uniform and increasing")
         if f.min() <= 0:
             raise DomainError("profile radii must be positive")
         if self.boundary not in fd.BOUNDARY_MODES:
-            raise DomainError(f"unknown boundary mode {self.boundary!r}")
+            raise DomainError(f"unknown boundary mode {brief(self.boundary)}")
 
     @property
     def h(self) -> float:
@@ -177,7 +180,7 @@ def shrinker_radius(m: int, r: int) -> float:
     check_integer(m, "rank m")
     if not 1 <= check_integer(r, "order r") <= m:
         raise DomainError(
-            f"no shrinking radius for r={r} > m={m}: sigma_r vanishes there"
+            f"no shrinking radius for r={brief(r)} > m={brief(m)}: sigma_r vanishes there"
         )
     return comb(m, r) ** (1.0 / (r + 1))
 
@@ -186,7 +189,7 @@ def sigma_p_cylinder(m: int, r: int, p: int) -> float:
     """Closed-form sigma_p on the shrinking cylinder with spherical rank m."""
     check_integer(m, "rank m")
     if not 1 <= check_integer(r, "order r") <= m:
-        raise DomainError(f"cylinder closed form needs 1 <= r <= m, got r={r}")
+        raise DomainError(f"cylinder closed form needs 1 <= r <= m, got r={brief(r)}")
     if check_integer(p, "p") < 0:
         raise DomainError("p must be nonnegative")
     if p > m:
@@ -264,7 +267,7 @@ class RevolutionGeometry(NamedTuple):
             return one, one
         if r == 2:
             return self.k_par, self.k_mer
-        raise DomainError(f"revolution surfaces support r in {{1, 2}}, got r={r}")
+        raise DomainError(f"revolution surfaces support r in {{1, 2}}, got r={brief(r)}")
 
     def p_trace_sup(self, r: int) -> float:
         """sup over the nodes of tr|P_{r-1}|; tr P_0 = 2 at every node."""
@@ -356,17 +359,16 @@ def cylinder_profile(radius: float, half_width: float, samples: int) -> ProfileC
 def check_samples(count: int, least: int, what: str):
     """Raise DomainError unless count is an integer in least..MAX_SAMPLES."""
     if not least <= check_integer(count, what) <= MAX_SAMPLES:
-        raise DomainError(f"{what} must lie in {least}..{MAX_SAMPLES}, got {count}")
+        raise DomainError(f"{what} must lie in {least}..{MAX_SAMPLES}, got {brief(count)}")
 
 
 def check_dimension(n: int):
     """Raise DomainError unless the n + 1 matrices of size n x n of an
     n-dimensional curvature family fit the sample budget: n <= MAX_DIMENSION.
-    n is compared before any product is formed, and an n of more than 12
-    digits is shown as a power of ten, so a huge n gives a short message."""
+    n is compared before any product is formed, and ``brief`` shows it, so
+    a huge n gives a short message."""
     if check_integer(n, "dimension n") > MAX_DIMENSION:
-        shown = n if n < 10 ** 12 else f"10^{log10(n):.1f}"
-        raise DomainError(f"the family's (n+1) n^2 at n={shown} exceeds "
+        raise DomainError(f"the family's (n+1) n^2 at n={brief(n)} exceeds "
                           f"{MAX_SAMPLES}: n must be at most {MAX_DIMENSION}")
 
 

@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: algebra (curvature algebra from an inline curvature list),
-residual (worst shrinker residual of a scene), gap (gap report JSON),
-flow (time integration with CSV diagnostics and a JSON summary), and
-verify (identity convergence suites with a pass/fail table).
+residual (worst shrinker residual of a scene, read off its gap report),
+gap (gap report JSON), flow (time integration with CSV diagnostics and a
+JSON summary), and verify (identity convergence suites with a pass/fail
+table).  A scene is parsed through one table per scene object
+(``_MODELS``, ``_FLOW_FIELDS``), every field of a model type-checked
+before the model is built; each answer is one library call, rendered.
+``pinned_boundary`` pins a ``sphere_band`` scene's ends to the sphere law
+of its own radius and half-width, and is refused on any other kind.
 
 Exit codes: 0 success, 2 parse/config error, 3 domain error, 4 numerical
 failure (unexpected extinction, stability violation, or a reported value
@@ -38,13 +43,11 @@ from .errors import (
     DomainError,
     ExtinctionError,
     NewtonFlowError,
-    NumericalError,
+    brief,
     check_order,
 )
 from .symfun import (
-    _check_degree,
     _eigen_definiteness,
-    elem_sym_all_rows,
     modified_sff_norm_sq,
     newton_family,
     trace_identities,
@@ -120,26 +123,14 @@ def emit_json(obj, path: str | None):
 # ---------------------------------------------------------------------------
 # scene configuration
 
-_MODEL_KEYS = {
-    "hyperplane": {"n"},
-    "sphere": {"n", "radius"},
-    "cylinder": {"n", "m", "radius"},
-    "ellipsoid_rev": {"a", "b", "band"},
-    "sphere_band": {"radius", "half_width", "samples"},
-    "cylinder_band": {"radius", "half_width", "samples"},
-    "revolution": {"z", "f", "boundary", "orientation"},
-}
-
-_FLOW_KEYS = {"t_end", "cfl_safety", "scheme", "rescaled", "output_stride",
-              "pinned_boundary"}
 _SCENE_KEYS = {"model", "r", "resolution", "flow", "output"}
 _OUTPUT_KEYS = {"csv", "report"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _reject_unknown(d: dict, allowed, where: str):
+    unknown = set(d).difference(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {brief(sorted(unknown))}")
 
 
 _REQUIRED = object()
@@ -154,7 +145,13 @@ def _field(body: dict, key: str, convert, where: str, default=_REQUIRED):
     try:
         return convert(body[key])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad {key!r} value {body[key]!r}") from exc
+        raise ConfigError(f"{where}: bad {key!r} value {brief(body[key])}") from exc
+
+
+def _fields(body: dict, table: dict, where: str) -> dict:
+    """Every key of table, {key: (convert, default)}, read from body in order."""
+    return {key: _field(body, key, convert, where, default)
+            for key, (convert, default) in table.items()}
 
 
 def _integer(value) -> int:
@@ -171,10 +168,14 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """float, except that a boolean raises ValueError (float(True) is 1.0)."""
+    """float, except that a boolean raises ValueError (float(True) is 1.0),
+    and an integer past the float range is +-inf, as the literal 1e400 is."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _boolean(value) -> bool:
@@ -197,47 +198,65 @@ def _floats(values) -> np.ndarray:
     return np.array([_real(v) for v in values], dtype=float)
 
 
-def parse_model(spec: dict):
+def _revolution(z, f, boundary, orientation):
+    return catalog.Revolution(profile=catalog.ProfileCurve(z=z, f=f, boundary=boundary),
+                              orientation=orientation)
+
+
+_BAND = {"radius": (_real, _REQUIRED), "half_width": (_real, _REQUIRED),
+         "samples": (_integer, 128)}
+
+# model kind -> (builder, {key: (converter, default)}), keys in reading order
+_MODELS = {
+    "hyperplane": (catalog.Hyperplane, {"n": (_integer, _REQUIRED)}),
+    "sphere": (catalog.Sphere, {"n": (_integer, _REQUIRED), "radius": (_real, _REQUIRED)}),
+    "cylinder": (catalog.Cylinder, {"n": (_integer, _REQUIRED), "m": (_integer, _REQUIRED),
+                                    "radius": (_real, _REQUIRED)}),
+    "ellipsoid_rev": (catalog.EllipsoidRev, {
+        "a": (_real, _REQUIRED), "b": (_real, _REQUIRED),
+        "band": (_real, catalog.EllipsoidRev.band)}),
+    "sphere_band": (lambda **band: catalog.Revolution(
+        profile=catalog.sphere_band_profile(**band)), _BAND),
+    "cylinder_band": (lambda **band: catalog.Revolution(
+        profile=catalog.cylinder_profile(**band)), _BAND),
+    "revolution": (_revolution, {
+        "z": (_floats, _REQUIRED), "f": (_floats, _REQUIRED),
+        "boundary": (_string, catalog.ProfileCurve.boundary),
+        "orientation": (_integer, catalog.Revolution.orientation)}),
+}
+
+# the flow keys that are FlowConfig fields, in reading order
+_FLOW_FIELDS = {
+    "t_end": (_real, _REQUIRED),
+    "cfl_safety": (_real, flow.FlowConfig.cfl_safety),
+    "rescaled": (_boolean, flow.FlowConfig.rescaled),
+    "scheme": (_string, flow.FlowConfig.scheme),
+    "output_stride": (_integer, flow.FlowConfig.output_stride),
+}
+_FLOW_KEYS = {*_FLOW_FIELDS, "pinned_boundary"}
+
+
+def parse_model(spec) -> tuple:
+    """(kind, converted fields, model) of a scene's model object.  Every
+    field is converted, so an ill-typed one is a ConfigError, before the
+    model is built and checks its domain."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model must be an object with a 'kind' key")
     kind = spec["kind"]
-    if kind not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _MODELS:
+        raise ConfigError(f"unknown model kind {brief(kind)}")
     body = {k: v for k, v in spec.items() if k != "kind"}
     where = f"model kind {kind!r}"
-    _reject_unknown(body, _MODEL_KEYS[kind], where)
-
-    def get(key, convert, default=_REQUIRED):
-        return _field(body, key, convert, where, default)
-
-    if kind == "hyperplane":
-        return catalog.Hyperplane(n=get("n", _integer))
-    if kind == "sphere":
-        return catalog.Sphere(n=get("n", _integer), radius=get("radius", _real))
-    if kind == "cylinder":
-        return catalog.Cylinder(
-            n=get("n", _integer), m=get("m", _integer), radius=get("radius", _real))
-    if kind == "ellipsoid_rev":
-        return catalog.EllipsoidRev(a=get("a", _real), b=get("b", _real),
-                                    band=get("band", _real, catalog.EllipsoidRev.band))
-    if kind == "sphere_band":
-        profile = catalog.sphere_band_profile(
-            get("radius", _real), get("half_width", _real),
-            get("samples", _integer, 128))
-        return catalog.Revolution(profile=profile)
-    if kind == "cylinder_band":
-        profile = catalog.cylinder_profile(
-            get("radius", _real), get("half_width", _real),
-            get("samples", _integer, 128))
-        return catalog.Revolution(profile=profile)
-    profile = catalog.ProfileCurve(
-        z=get("z", _floats), f=get("f", _floats),
-        boundary=get("boundary", _string, "neumann"))
-    return catalog.Revolution(profile=profile,
-                              orientation=get("orientation", _integer, 1))
+    build, table = _MODELS[kind]
+    _reject_unknown(body, table, where)
+    fields = _fields(body, table, where)
+    return kind, fields, build(**fields)
 
 
-def load_scene(path: str) -> dict:
+def load_scene(path: str, r: int | None = None, resolution: int | None = None) -> dict:
+    """The scene of a JSON file; r and resolution, when given, replace the
+    scene's own (which are still checked).  "band" holds a sphere_band
+    scene's (radius, half_width), and is None for every other kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -250,19 +269,22 @@ def load_scene(path: str) -> dict:
     _reject_unknown(raw, _SCENE_KEYS, "scene")
     if "model" not in raw:
         raise ConfigError("scene config needs a 'model'")
+    kind, fields, model = parse_model(raw["model"])
     scene = {
-        "model": parse_model(raw["model"]),
+        "model": model,
+        "band": (fields["radius"], fields["half_width"]) if kind == "sphere_band" else None,
         "r": _field(raw, "r", _integer, "scene", 1),
         "resolution": _field(raw, "resolution", _integer, "scene", 16),
         "flow": raw.get("flow", {}),
         "output": raw.get("output", {}),
     }
-    if not isinstance(scene["flow"], dict):
-        raise ConfigError("'flow' must be an object")
-    _reject_unknown(scene["flow"], _FLOW_KEYS, "flow")
-    if not isinstance(scene["output"], dict):
-        raise ConfigError("'output' must be an object")
-    _reject_unknown(scene["output"], _OUTPUT_KEYS, "output")
+    for key, value in (("r", r), ("resolution", resolution)):
+        if value is not None:
+            scene[key] = value
+    for key, allowed in (("flow", _FLOW_KEYS), ("output", _OUTPUT_KEYS)):
+        if not isinstance(scene[key], dict):
+            raise ConfigError(f"{key!r} must be an object")
+        _reject_unknown(scene[key], allowed, key)
     for key in scene["output"]:     # an int path would open a file descriptor
         _field(scene["output"], key, _string, "output")
     return scene
@@ -275,7 +297,7 @@ def _parse_curvatures(text: str) -> np.ndarray:
     try:
         values = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad curvature list {text!r}") from exc
+        raise ConfigError(f"bad curvature list {brief(text)}") from exc
     catalog.check_dimension(len(values))
     return np.array(values)
 
@@ -286,19 +308,18 @@ def _parse_preset(text: str):
         kind, body = text.split(":", 1)
         fields = dict(part.split("=") for part in body.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad preset {text!r}") from exc
+        raise ConfigError(f"bad preset {brief(text)}") from exc
     if kind != "cyl":
-        raise ConfigError(f"unknown preset kind {kind!r}")
+        raise ConfigError(f"unknown preset kind {brief(kind)}")
     if set(fields) != {"n", "m", "r"}:
         raise ConfigError("cyl preset needs n=, m=, r=")
     n, m, r = (_field(fields, key, _integer, "cyl preset") for key in "nmr")
     if not 1 <= m <= n:
-        raise DomainError(f"cyl preset needs 1 <= m <= n, got m={m}, n={n}")
+        raise DomainError(f"cyl preset needs 1 <= m <= n, got m={brief(m)}, n={brief(n)}")
     catalog.check_dimension(n)
     radius = catalog.shrinker_radius(m, r)
-    k = np.zeros(n)
-    k[:m] = 1.0 / radius
-    return k, r
+    model = catalog.Sphere(n, radius) if m == n else catalog.Cylinder(n, m, radius)
+    return catalog.exact_curvatures(model), r
 
 
 def cmd_algebra(args) -> int:
@@ -332,84 +353,42 @@ def cmd_algebra(args) -> int:
     return EXIT_OK
 
 
-def cmd_residual(args) -> int:
-    scene = load_scene(args.config)
-    r = args.r if args.r is not None else scene["r"]
-    resolution = args.resolution if args.resolution is not None else scene["resolution"]
-    n = scene["model"].n
-    check_order(r, n)
-    curvatures, support = catalog.sample_fields(scene["model"], resolution)
-    _check_degree(float(np.abs(curvatures).max()), r, n)   # sigma_r has degree r
-    sigma_r = elem_sym_all_rows(curvatures, r)[:, r]
-    sup = float(np.abs(sigma_r + support).max())
-    if not math.isfinite(sup):
-        raise NumericalError("sup |sigma_r + <X,N>| leaves the float range")
-    emit_json({"r": r, "resolution": resolution, "supResidual": sup}, args.out)
-    return EXIT_OK
-
-
 def cmd_gap(args) -> int:
-    scene = load_scene(args.config)
-    r = args.r if args.r is not None else scene["r"]
-    resolution = args.resolution if args.resolution is not None else scene["resolution"]
+    """gap writes the scene's gap report; residual, its supResidual alone."""
+    scene = load_scene(args.config, args.r, args.resolution)
+    r, resolution = scene["r"], scene["resolution"]
     report = gapcheck.evaluate(scene["model"], r, resolution)
-    emit_json(report.to_json_dict(), args.out or scene["output"].get("report"))
+    if args.command == "residual":
+        emit_json({"r": r, "resolution": resolution, "supResidual": report.sup_residual},
+                  args.out)
+    else:
+        emit_json(report.to_json_dict(), args.out or scene["output"].get("report"))
     return EXIT_OK
 
 
 def _diagnostics_csv_lines(diagnostics):
     yield "t,max_residual,homothety_defect,min_radius,dt"
     for d in diagnostics:
-        defect = "nan" if math.isnan(d.homothety_defect) else format(d.homothety_defect, ".17g")
-        yield ",".join([
-            format(d.t, ".17g"),
-            format(d.max_shrinker_residual, ".17g"),
-            defect,
-            format(d.min_radius, ".17g"),
-            format(d.dt, ".17g"),
-        ])
-
-
-def _sphere_band_pin_from_profile(model, r: int):
-    """Exact Dirichlet data for a scene whose profile is a sphere band."""
-    if not isinstance(model, catalog.Revolution):
-        raise ConfigError("pinned_boundary needs a revolution-type model")
-    prof = model.profile
-    radii = np.hypot(prof.f, prof.z)
-    radius = float(radii[0])
-    if np.abs(radii - radius).max() > 1e-9 * radius:
-        raise ConfigError("pinned_boundary: profile is not a sphere band")
-    half_width = float(np.abs(prof.z).max())
-    return flow.sphere_band_pin(radius, r, half_width)
+        yield ",".join(format(x, ".17g") for x in (
+            d.t, d.max_shrinker_residual, d.homothety_defect, d.min_radius, d.dt))
 
 
 def cmd_flow(args) -> int:
-    scene = load_scene(args.config)
-    r = args.r if args.r is not None else scene["r"]
+    scene = load_scene(args.config, args.r, args.resolution)
     flow_spec = dict(scene["flow"])
     if args.t_end is not None:
         flow_spec["t_end"] = args.t_end
     if "t_end" not in flow_spec:
         raise ConfigError("flow needs t_end (config flow.t_end or --t-end)")
-
-    def get(key, convert, default=_REQUIRED):
-        return _field(flow_spec, key, convert, "flow", default)
-
     boundary_values = None
-    if get("pinned_boundary", _boolean, False):
-        boundary_values = _sphere_band_pin_from_profile(scene["model"], r)
-    config = flow.FlowConfig(
-        r=r,
-        model=scene["model"],
-        t_end=get("t_end", _real),
-        resolution=(args.resolution if args.resolution is not None
-                    else scene["resolution"]),
-        cfl_safety=get("cfl_safety", _real, flow.FlowConfig.cfl_safety),
-        rescaled=get("rescaled", _boolean, flow.FlowConfig.rescaled),
-        scheme=get("scheme", _string, flow.FlowConfig.scheme),
-        output_stride=get("output_stride", _integer, flow.FlowConfig.output_stride),
-        boundary_values=boundary_values,
-    )
+    if _field(flow_spec, "pinned_boundary", _boolean, "flow", False):
+        if scene["band"] is None:
+            raise ConfigError("pinned_boundary needs a sphere band (model kind 'sphere_band')")
+        radius, half_width = scene["band"]
+        boundary_values = flow.sphere_band_pin(radius, scene["r"], half_width)
+    config = flow.FlowConfig(r=scene["r"], model=scene["model"],
+                             resolution=scene["resolution"], boundary_values=boundary_values,
+                             **_fields(flow_spec, _FLOW_FIELDS, "flow"))
     result = flow.run(config)
     final = result.final
     summary = {
@@ -418,8 +397,7 @@ def cmd_flow(args) -> int:
         "stepCount": result.state.step_count,
         "finalMinRadius": final.min_radius,
         "finalMaxResidual": final.max_shrinker_residual,
-        "finalHomothetyDefect": (None if math.isnan(final.homothety_defect)
-                                 else final.homothety_defect),
+        "finalHomothetyDefect": final.homothety_defect,
         "diagnosticsCount": len(result.diagnostics),
     }
     csv_text = "\n".join(_diagnostics_csv_lines(result.diagnostics)) + "\n"
@@ -467,7 +445,7 @@ def cmd_verify(args) -> int:
     try:
         resolutions = [_integer(x) for x in args.resolutions.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad --resolutions {args.resolutions!r}") from exc
+        raise ConfigError(f"bad --resolutions {brief(args.resolutions)}") from exc
     if len(resolutions) < 2:
         raise ConfigError("verify needs at least two resolutions")
     if any(a >= b for a, b in zip(resolutions, resolutions[1:])):
@@ -513,16 +491,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_algebra)
 
-    for name, handler, extra in (
-        ("residual", cmd_residual, "worst shrinker residual over samples"),
-        ("gap", cmd_gap, "gap-hypothesis report as JSON"),
-    ):
+    for name, extra in (("residual", "worst shrinker residual over samples"),
+                        ("gap", "gap-hypothesis report as JSON")):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="scene JSON file")
         p.add_argument("--r", type=int, default=None)
         p.add_argument("--resolution", type=int, default=None)
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=cmd_gap)
 
     p = sub.add_parser("flow", help="run the flow; CSV diagnostics + JSON summary")
     p.add_argument("--config", required=True, help="scene JSON file")

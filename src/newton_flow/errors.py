@@ -1,6 +1,8 @@
 """Exception types, and the checks that raise them, shared across the package."""
 
+import math
 import numbers
+import reprlib
 
 
 class NewtonFlowError(Exception):
@@ -40,12 +42,24 @@ class ConfigError(NewtonFlowError, ValueError):
     """Malformed scene configuration."""
 
 
+def brief(value) -> str:
+    """A refused value as an error message shows it: an integer of more than
+    12 digits as a power of ten, anything else through reprlib.repr, which
+    cuts long strings and lists short."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+        if abs(value) < 10 ** 12:
+            return str(value)
+        return f"{'-' * (value < 0)}10^{math.log10(abs(value)):.1f}"
+    return reprlib.repr(value)
+
+
 def check_integer(value, name: str) -> int:
     """value as a Python int; DomainError unless it is a Python or numpy
     integer (a bool is not)."""
     if type(value) is not int and (     # a plain int skips the slow ABC check
             isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {brief(value)}")
     return int(value)
 
 
@@ -53,7 +67,7 @@ def check_real(value, name: str):
     """value unchanged; DomainError unless it is a Python or numpy real
     number (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {brief(value)}")
     return value
 
 
@@ -62,7 +76,7 @@ def check_order(r: int, n: int):
     sigma_r on n curvatures."""
     check_integer(r, "order r")
     if not 1 <= r <= n:
-        raise DomainError(f"r={r} out of range 1..{n}")
+        raise DomainError(f"r={brief(r)} out of range 1..{brief(n)}")
 
 
 def float_range_error(name: str, value: float, p: int) -> NumericalError:

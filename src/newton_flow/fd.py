@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, brief
 
 BOUNDARY_MODES = ("periodic", "neumann")
 TRIM_WIDTH = 2        # end nodes left out of reported residuals, per open end
@@ -31,7 +31,7 @@ def _check_grid(size: int, boundary: str):
     if size < 5:
         raise DomainError("grid needs at least 5 nodes")
     if boundary not in BOUNDARY_MODES:
-        raise DomainError(f"unknown boundary mode {boundary!r}")
+        raise DomainError(f"unknown boundary mode {brief(boundary)}")
 
 
 def _fill_ghosts(p: np.ndarray, boundary: str):

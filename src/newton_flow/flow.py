@@ -74,6 +74,7 @@ from .errors import (
     DomainError,
     ExtinctionError,
     NumericalError,
+    brief,
     check_integer,
     check_order,
     check_real,
@@ -135,8 +136,9 @@ def homothety_factor(r: int, t: float) -> float:
     return core ** (1.0 / (r + 1)) if core > 0 else 0.0
 
 
-def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
-    """Dirichlet data for a shrinking sphere band: edges follow the law.
+def sphere_band_pin(radius0: float, r: int, half_width: float):
+    """Dirichlet data for a shrinking band of a round 2-sphere (the
+    radial-graph flow is n = 2): edges follow the sphere's law.
 
     Returns a callable t -> (f_left, f_right) suitable for
     FlowConfig.boundary_values, raising ExtinctionError once the band
@@ -144,7 +146,7 @@ def sphere_band_pin(radius0: float, r: int, half_width: float, n: int = 2):
     checked, and the sphere's law set up, when the pin is made: the band
     needs 0 < half_width < radius0.
     """
-    law = _radius_law(n, r, radius0)
+    law = _radius_law(2, r, radius0)
     if not 0 < check_real(half_width, "half_width") < radius0:
         raise DomainError("need 0 < half_width < radius")
     hw2 = half_width * half_width
@@ -197,7 +199,7 @@ class FlowConfig:
         for name in ("t_end", "cfl_safety"):
             check_real(getattr(self, name), name)
         if not isinstance(self.rescaled, (bool, np.bool_)):
-            raise DomainError(f"rescaled must be true or false, got {self.rescaled!r}")
+            raise DomainError(f"rescaled must be true or false, got {brief(self.rescaled)}")
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
         if not 1 <= check_integer(self.resolution, "resolution") <= MAX_SAMPLES:
@@ -205,7 +207,7 @@ class FlowConfig:
         if not 0 < self.cfl_safety <= 1:
             raise DomainError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("euler", "rk2"):
-            raise DomainError(f"unknown scheme {self.scheme!r}")
+            raise DomainError(f"unknown scheme {brief(self.scheme)}")
         if check_integer(self.output_stride, "output_stride") < 1:
             raise DomainError("output_stride must be >= 1")
         check_order(self.r, self.model.n)

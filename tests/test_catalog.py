@@ -196,6 +196,24 @@ class TestProfileValidation:
         with pytest.raises(DomainError):
             ProfileCurve(z=z, f=np.ones(5))
 
+    @pytest.mark.parametrize("build", [
+        lambda size: sphere_band_profile(2.0, 0.6, size),
+        lambda size: cylinder_profile(1.0, 1.0, size),
+        lambda size: EllipsoidRev(a=1.0, b=2.0).profile_curve(size),
+    ])
+    def test_catalog_grids_pass_at_any_size(self, build):
+        # np.linspace spacings stray by up to about 2 eps max|z|, which is
+        # more than 1e-12 |dz| from about 5,400 nodes up
+        for size in (5409, 6693, 6761, 10 ** 5):
+            assert build(size).size == size
+
+    @pytest.mark.parametrize("size", [101, 10 ** 5])
+    def test_one_spacing_off_by_1e_9_is_refused(self, size):
+        z = np.linspace(-1.0, 1.0, size)
+        z[size // 2:] += 1e-9 * (z[1] - z[0])
+        with pytest.raises(DomainError, match="uniform"):
+            ProfileCurve(z=z, f=np.ones(size))
+
     def test_rejects_f_off_the_grid(self):
         # the one length check of a record's f: builds do not repeat it
         z = np.linspace(0.0, 1.0, 9)

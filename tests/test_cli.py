@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import warnings
 
@@ -123,6 +124,16 @@ class TestGap:
         _, out_b, _ = run_cli(capsys, "gap", "--config", cfg)
         assert out_a == out_b
 
+    @pytest.mark.parametrize("model, resolution", [
+        ({"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0}, 8000),
+        ({"kind": "sphere_band", "radius": 2.0, "half_width": 0.6, "samples": 8000}, 16),
+    ])
+    def test_catalog_grids_of_8000_nodes(self, capsys, tmp_path, model, resolution):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
+        code, out, err = run_cli(capsys, "gap", "--config", cfg)
+        assert code == 0, err
+        assert json.loads(out)["classification"] == "NotShrinker"
+
     def test_gauss_fragment_when_r_equals_n(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere", "n": 2, "radius": 1.0},
@@ -166,6 +177,15 @@ MALFORMED_SCENES = [
                 "axial_extent": 1.0}, "r": 1}, 2),
     ({"model": {"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0, "resolution": 64},
       "r": 1}, 2),
+    # every field of a model object is type-checked before the model is
+    # built: the ill-typed orientation is named, not the 4-node profile
+    ({"model": {"kind": "revolution", "z": [0, 1, 2, 3], "f": [1, 1, 1, 1],
+                "orientation": "x"}, "r": 1}, 2),
+    ({"model": {"kind": ["sphere"], "n": 2, "radius": 1.0}, "r": 1}, 2),
+    # an integer past the float range reads as inf, as the literal 1e400 does
+    ({"model": {"kind": "sphere", "n": 2, "radius": 10 ** 400}, "r": 1}, 3),
+    ({"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
+                "f": [1, 1, 10 ** 400, 1, 1]}, "r": 1}, 3),
 ]
 
 
@@ -211,6 +231,31 @@ def test_nan_profile_is_numerical_failure_outside_flow(capsys, tmp_path, command
     assert "Traceback" not in err
 
 
+def sup_residual_text(out: str) -> str:
+    """The rendered supResidual of a gap or residual JSON output."""
+    return re.search(r'"supResidual": ([^,\n]*)', out).group(1)
+
+
+PROFILE_Z = [-1.0 + 0.25 * i for i in range(9)]
+PROFILE_SCENES = [
+    {"model": {"kind": "ellipsoid_rev", "a": 1.0, "b": 2.0}, "r": 2, "resolution": 32},
+    {"model": {"kind": "ellipsoid_rev", "a": 1.5, "b": 0.7, "band": 0.5}, "r": 1},
+    {"model": {"kind": "sphere_band", "radius": 1.9, "half_width": 0.3}, "r": 2},
+    {"model": {"kind": "cylinder_band", "radius": 1.0, "half_width": 1.0, "samples": 33},
+     "r": 1},
+    {"model": {"kind": "revolution", "z": PROFILE_Z, "boundary": "periodic",
+               "f": [1.0 + 0.1 * math.cos(i) for i in range(9)]}, "r": 2},
+    {"model": {"kind": "revolution", "z": PROFILE_Z, "orientation": -1,
+               "f": [1.0 + 0.1 * math.sin(i) for i in range(9)]}, "r": 1},
+]
+FLOAT_EDGE_SCENES = [
+    # the gap report's degree-(r + 1) bounds leave the float range on the first two
+    {"model": {"kind": "sphere", "n": 1, "radius": 1e-154}, "r": 1},
+    {"model": {"kind": "sphere", "n": 3, "radius": 1e-120}, "r": 3},
+    {"model": {"kind": "sphere", "n": 6, "radius": 1e-60}, "r": 1},
+]
+
+
 class TestResidual:
     def test_sphere_residual(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
@@ -220,6 +265,20 @@ class TestResidual:
         assert code == 0
         # sigma_1 + <X,N> = 2 - 1 = 1 on the unit 2-sphere
         assert json.loads(out)["supResidual"] == pytest.approx(1.0)
+
+    def test_residual_is_read_off_the_gap_report(self, capsys, tmp_path):
+        scenes = [{"model": _model_spec(model), "r": r, "resolution": 32}
+                  for model, r in _criterion_8_taxonomy(6)]
+        assert len(scenes) == 113
+        for scene in scenes + PROFILE_SCENES + FLOAT_EDGE_SCENES:
+            cfg = scene_file(tmp_path, scene)
+            gap, residual = (run_cli(capsys, command, "--config", cfg)
+                             for command in ("gap", "residual"))
+            assert gap[0] == residual[0], scene
+            if gap[0] == 0:
+                assert sup_residual_text(gap[1]) == sup_residual_text(residual[1]), scene
+            else:
+                assert gap[2] == residual[2], scene
 
 
 class TestFlow:
@@ -287,6 +346,40 @@ class TestFlow:
         assert code == 2
         assert "sphere band" in err
 
+    @pytest.mark.parametrize("model", [
+        # a wide tube: every node of its profile lies near one sphere of radius 1e5
+        {"kind": "cylinder_band", "radius": 1e5, "half_width": 1.0, "samples": 48},
+        # a sphere-band profile given node by node is still a raw revolution
+        {"kind": "revolution", "z": PROFILE_Z,
+         "f": [math.sqrt(4.0 - z * z) for z in PROFILE_Z]},
+    ])
+    def test_pinned_boundary_refuses_other_kinds(self, capsys, tmp_path, model):
+        cfg = scene_file(tmp_path, {"model": model, "r": 1,
+                                    "flow": {"t_end": 0.01, "pinned_boundary": True}})
+        code, out, err = run_cli(capsys, "flow", "--config", cfg)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and "sphere band" in err
+
+    def test_pinned_band_follows_the_scene_radius(self, capsys, tmp_path):
+        radius, half_width, samples = 1.9, 0.3, 40
+        profile = catalog.sphere_band_profile(radius, half_width, samples)
+        # the profile's end radius differs from the scene's in the last bit
+        assert math.hypot(profile.f[0], profile.z[0]) != radius
+        cfg = scene_file(tmp_path, {
+            "model": {"kind": "sphere_band", "radius": radius,
+                      "half_width": half_width, "samples": samples},
+            "r": 1, "resolution": samples,
+            "flow": {"t_end": 0.02, "output_stride": 100, "pinned_boundary": True}})
+        out_csv = tmp_path / "band.csv"
+        code, _, _ = run_cli(capsys, "flow", "--config", cfg, "--out", str(out_csv))
+        assert code == 0
+        result = flow.run(flow.FlowConfig(
+            r=1, model=catalog.Revolution(profile=profile), t_end=0.02,
+            resolution=samples, output_stride=100,
+            boundary_values=flow.sphere_band_pin(radius, 1, half_width)))
+        expect = "\n".join(cli._diagnostics_csv_lines(result.diagnostics)) + "\n"
+        assert out_csv.read_text() == expect
+
     def test_bad_flow_field_is_config_error(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere_band", "radius": 2.0,
@@ -310,6 +403,7 @@ class TestFlow:
         ({"t_end": 0.01}, ("--resolution", "0"), 3),
         ({"t_end": 0.01}, ("--resolution=-16",), 3),
         ({}, ("--t-end", "inf"), 3),
+        ({"t_end": 10 ** 400}, (), 3),     # read as inf, as the literal 1e400 is
     ])
     def test_flow_input_contract(self, capsys, tmp_path, flow_spec, argv, expect):
         cfg = scene_file(tmp_path, {
@@ -369,6 +463,10 @@ class TestVerify:
         assert out == ""
         assert err.startswith("config error" if expect == 2 else "domain error")
 
+    def test_fine_catalog_grids_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--resolutions", "4000,8000")
+        assert code == 0 and "verification passed" in out
+
 
 def _model_spec(model):
     if isinstance(model, catalog.Hyperplane):
@@ -397,6 +495,17 @@ def _oracle_taxonomy(n_max):
         for m in range(1, n):
             for r in range(m + 1, n + 1):
                 yield catalog.Cylinder(n=n, m=m, radius=1.0), r
+
+
+def _criterion_8_taxonomy(n_max):
+    """Every (model, r) scene of the criterion-8 taxonomy with n <= n_max."""
+    yield from catalog.self_shrinkers(n_max)
+    for n in range(3, n_max + 1):           # r > m: not shrinkers
+        for m in range(1, n - 1):
+            for r in range(m + 1, n + 1):
+                yield catalog.Cylinder(n=n, m=m, radius=1.0), r
+    for n in range(1, n_max + 1):           # Gauss flow on the unit sphere
+        yield catalog.Sphere(n=n, radius=1.0), n
 
 
 def _tiled_fields(model, resolution):
@@ -593,6 +702,7 @@ class TestExitContract:
     @pytest.mark.parametrize("n, radius, r, expect", [
         (6, 1e-60, 1, 0), (6, 1e-60, 3, 0),    # sigma_6 = 1e360 is never read
         (3, 1e-120, 1, 0), (3, 1e-120, 3, 4),  # sigma_3 = 1e360 is read at r = 3
+        (1, 1e-154, 1, 4),     # the degree-2 bound 2 (1 + |A|)^2 = 2e308 is read at r = 1
     ])
     def test_huge_curvatures_print_no_warning(self, capsys, tmp_path, command,
                                               n, radius, r, expect):
@@ -697,19 +807,20 @@ class TestExitContract:
             expect = float(np.trace(p_prev @ s @ s))
             assert json.loads(out)["modifiedNormSq"] == expect
 
-    @pytest.mark.parametrize("model, flow_spec", [
+    @pytest.mark.parametrize("model, r, flow_spec, message", [
         # the CFL bound's h^2 overflows
-        ({"kind": "ellipsoid_rev", "a": 1.0, "b": 1e300}, {}),
-        # the pin's closed form R^(r+1) overflows
-        ({"kind": "cylinder_band", "radius": 1e300, "half_width": 4.0},
-         {"pinned_boundary": True}),
-    ])
-    def test_band_flow_out_of_float_range(self, capsys, tmp_path, model, flow_spec):
-        cfg = scene_file(tmp_path, {"model": model, "r": 1,
+        ({"kind": "ellipsoid_rev", "a": 1.0, "b": 1e300}, 1, {}, "leaves the float range"),
+        # the profile's R^2 is finite, but the pin's closed form R^(r+1) overflows
+        ({"kind": "sphere_band", "radius": 1e120, "half_width": 4.0}, 2,
+         {"pinned_boundary": True}, "R^3 of R=1e+120 leaves the float range"),
+    ], ids=["cfl-h2", "pin-r-cubed"])
+    def test_band_flow_out_of_float_range(self, capsys, tmp_path, model, r, flow_spec,
+                                          message):
+        cfg = scene_file(tmp_path, {"model": model, "r": r,
                                     "flow": dict(flow_spec, t_end=1e-4)})
         code, _, err = run_cli(capsys, "flow", "--config", cfg)
         assert code == 4
-        assert "leaves the float range" in err
+        assert message in err
 
     def test_sphere_band_radius_out_of_float_range(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
@@ -772,6 +883,37 @@ class TestExitContract:
                     assert err == (f"domain error: the family's (n+1) n^2 at n={shown} "
                                    "exceeds 10000000: n must be at most 215\n")
                     assert len(err.encode()) < 200
+
+    BIG = int("9" * 4000)
+    SPHERE_2 = {"kind": "sphere", "n": 2, "radius": 1.0}
+
+    @pytest.mark.parametrize("argv, scene, expect", [
+        (["algebra", "--preset", f"cyl:n={'9' * 5000},m=1,r=1"], None, 2),
+        (["algebra", "--preset", f"cyl:n=3,m={'9' * 4000},r=1"], None, 3),
+        (["algebra", "--k", "x" * 5000, "--r", "1"], None, 2),
+        (["algebra", "--preset", "c" * 5000 + ":n=3,m=2,r=1"], None, 2),
+        (["verify", "--resolutions", "x" * 5000], None, 2),
+        (["gap"], {"model": {"kind": "k" * 5000}, "r": 1}, 2),
+        (["gap"], {"model": dict(SPHERE_2, **{"q" * 5000: 1}), "r": 1}, 2),
+        (["gap"], {"model": dict(SPHERE_2, n="n" * 5000), "r": 1}, 2),
+        (["gap"], {"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
+                             "f": [1, 1, "f" * 5000, 1, 1]}, "r": 1}, 2),
+        (["gap"], {"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4], "f": [1] * 5,
+                             "boundary": "b" * 5000}, "r": 1}, 3),
+        (["gap"], {"model": SPHERE_2, "r": 1, "resolution": BIG}, 3),
+        (["residual"], {"model": {"kind": "sphere_band", "radius": 2.0,
+                                  "half_width": 0.6, "samples": BIG}, "r": 1}, 3),
+        (["residual"], {"model": SPHERE_2, "r": BIG}, 3),
+        (["flow"], {"model": SPHERE_2, "r": 1,
+                    "flow": {"t_end": 0.01, "scheme": "s" * 5000}}, 3),
+    ])
+    def test_refused_values_are_shown_briefly(self, capsys, tmp_path, argv, scene, expect):
+        if scene is not None:
+            argv = argv + ["--config", scene_file(tmp_path, scene)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expect
+        assert out == "" and "Traceback" not in err
+        assert len(err.encode()) < 200, err[:300]
 
     def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
         def unreachable(model, resolution):

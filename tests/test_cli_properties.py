@@ -7,8 +7,10 @@ NaN or infinite, by a boolean, text, null or a list; output paths may
 be unwritable.  ``algebra`` gets curvature lists of the same kinds of
 numbers.  When ``gap``, ``residual`` or ``algebra`` exits 0, its JSON
 holds no null and no infinity.  A valid scene run twice writes the same
-bytes.  Sizes stay small (t_end <= 0.02, resolution <= 16) so each
-example is cheap; derandomized, so every run draws the same examples.
+bytes, and on it ``residual`` exits as ``gap`` does and prints the gap
+report's supResidual.  Sizes stay small (t_end <= 0.02, resolution <= 16)
+so each example is cheap; derandomized, so every run draws the same
+examples.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -205,3 +208,22 @@ def test_a_scene_run_twice_writes_the_same_bytes(workdir, case):
                     files[path] = fh.read()
         runs.append((code, stdout, files))
     assert runs[0] == runs[1]
+
+
+def _sup_residual_text(out: str) -> str:
+    return re.search(r'"supResidual": ([^,\n]*)', out).group(1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(scene=st.fixed_dictionaries({"model": models(), "r": st.integers(1, 3),
+                                    "resolution": st.sampled_from([8, 12, 16])}))
+def test_residual_is_read_off_the_gap_report(workdir, scene):
+    config = os.path.join(workdir, "scene.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(scene, fh)
+    gap, residual = (_main([command, "--config", config]) for command in ("gap", "residual"))
+    assert gap[0] == residual[0], (gap, residual)
+    if gap[0] == 0:
+        assert _sup_residual_text(gap[1]) == _sup_residual_text(residual[1])
+    else:
+        assert gap[2] == residual[2]

@@ -57,7 +57,6 @@ class TestClosedForms:
         lambda: extinction_time(2.5, 1, 1.0),
         lambda: extinction_time(True, 1, 1.0),
         lambda: sphere_radius_exact(2.5, 1, 1.0, 0.1),
-        lambda: sphere_band_pin(2.0, 1, 0.6, n=2.5),
     ])
     def test_dimension_is_an_integer(self, call):
         with pytest.raises(DomainError, match="dimension n"):

@@ -1,0 +1,44 @@
+"""Every name a package module imports is read somewhere in that module.
+
+No linter is assumed, so the check walks each module's syntax tree:
+a name bound by ``import`` or ``from ... import`` must appear as a loaded
+name (``np`` in ``np.zeros`` counts) or in the module's ``__all__``.
+``__init__.py`` is left out, because its imports are the re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "newton_flow"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_the_check_sees_an_unused_import():
+    source = "import os\nimport sys\nfrom math import inf, pi\nprint(sys.argv, pi)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "inf")]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_read(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
