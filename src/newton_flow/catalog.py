@@ -7,8 +7,10 @@ graphs rho = f(z) over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
 ``graph_builder`` binds one grid (z, h, boundary mode, orientation) and
-its ``fd.stencil`` once and builds the record of each profile on it, as
-a flow run does at every step; ``revolution_geometry`` is the one
+its ``fd.stencil`` once; it gives each profile's unoriented curvature
+parts from one derivative pass (a flow run's stage reads them at every
+step) and the record made from them (which a run makes only for a
+diagnostics row or its result); ``revolution_geometry`` is the one
 checked entry from a model: one build on a ``Revolution``'s profile,
 with the float-range check.
 ``sample_fields`` gives either kind's curvature and support rows, which
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, inf, isfinite
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -269,39 +271,47 @@ class RevolutionGeometry(NamedTuple):
             return self.k_par, self.k_mer
         raise DomainError(f"revolution surfaces support r in {{1, 2}}, got r={brief(r)}")
 
-    def p_trace_sup(self, r: int) -> float:
-        """sup over the nodes of tr|P_{r-1}|; tr P_0 = 2 at every node."""
-        if r == 1:
-            return 2.0
-        mer, par = self.p_eigenvalues(r)
-        return float(np.maximum.reduce(np.abs(mer) + np.abs(par)))
+
+class GraphBuilder(NamedTuple):
+    """The record builder of one grid; build(f) -> the record of rho = f(z)."""
+
+    parts: Callable     # f -> (f', w, q = f''/w^3, p = 1/(f w)), one derivative pass
+    record: Callable    # (f, its parts) -> the record, with no pass of its own
+
+    def __call__(self, f) -> RevolutionGeometry:
+        return self.record(f, self.parts(f))
 
 
-def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int):
-    """The record builder of one grid: build(f) -> the record of rho = f(z).
+def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int) -> GraphBuilder:
+    """The record builder of one grid: its parts, and the record made from them.
 
     The grid (z, h, the boundary mode and the orientation) is bound, and
     checked, once: an underflowed h^2 would divide f'' by zero, so it is
-    refused here.  Each build takes one derivative pass of the grid's
+    refused here.  ``parts`` takes one derivative pass of the grid's
     ``fd.stencil`` (so one caller at a time) on float64 values of the
-    grid's size, which it does not check, and returns new arrays; the
-    record holds f itself.
+    grid's size, which it does not check, and returns new arrays.  The
+    unoriented q and p are the one curvature formula: ``record`` makes
+    k_mer = -o q and k_par = o p (o = +-1) by exact sign flips and holds
+    f itself, so a flow stage that reads q and p directly gets the bits
+    of the record's curvatures.
     """
     if not h * h > 0.0:
         raise float_range_error("h", h, 2)
     derivatives = fd.stencil(np.size(z), h, boundary)
-    # k_mer = o (-f'') / w^3 and k_par = o / (f w), o = +-1
     negate = orientation > 0
-    sign, one, three = np.array(1.0 if negate else -1.0), np.array(1.0), np.array(3)
+    one, three = np.array(1.0), np.array(3)
 
-    def build(f):
+    def parts(f):
         fp, fpp = derivatives(f)
         w = np.sqrt(fp * fp + one)
-        k_mer = (-fpp if negate else fpp) / np.power(w, three)
-        return RevolutionGeometry(z, f, h, boundary, orientation, fp, w, k_mer,
-                                  sign / (f * w))
+        return fp, w, fpp / np.power(w, three), one / (f * w)
 
-    return build
+    def record(f, of_f):
+        fp, w, q, p = of_f
+        return RevolutionGeometry(z, f, h, boundary, orientation, fp, w,
+                                  -q if negate else q, p if negate else -p)
+
+    return GraphBuilder(parts, record)
 
 
 def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
@@ -312,7 +322,7 @@ def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
     that leaves the float range (radii near the float maximum overflow
     the ghosts, steep slopes overflow w^3) raises NumericalError with no
     numpy warning.  The check is made once per profile, here, and not in
-    the builds of a flow run.  The ghosts overflow without a numpy flag,
+    the stages of a flow run.  The ghosts overflow without a numpy flag,
     so a non-finite f' at an end is caught here.
     """
     p = rev.profile

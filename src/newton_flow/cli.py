@@ -476,6 +476,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+def _option(convert):
+    """The argparse type of a number option: convert's value of the text, or
+    a refusal (exit 2) that shows the text through ``brief``, where argparse's
+    own message would echo all of it."""
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value {brief(text)}") from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newton-flow",
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="curvature algebra of an inline vector")
     p.add_argument("--k", help="comma-separated principal curvatures; "
                    "write --k=-1,2 when the first one is negative")
-    p.add_argument("--r", type=int, help="symmetric-function order")
+    p.add_argument("--r", type=_option(int), help="symmetric-function order")
     p.add_argument("--preset", help="model preset, e.g. cyl:n=3,m=2,r=1")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_algebra)
@@ -495,16 +508,16 @@ def build_parser() -> argparse.ArgumentParser:
                         ("gap", "gap-hypothesis report as JSON")):
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="scene JSON file")
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--resolution", type=int, default=None)
+        p.add_argument("--r", type=_option(int), default=None)
+        p.add_argument("--resolution", type=_option(int), default=None)
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.set_defaults(handler=cmd_gap)
 
     p = sub.add_parser("flow", help="run the flow; CSV diagnostics + JSON summary")
     p.add_argument("--config", required=True, help="scene JSON file")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
+    p.add_argument("--r", type=_option(int), default=None)
+    p.add_argument("--resolution", type=_option(int), default=None)
+    p.add_argument("--t-end", dest="t_end", type=_option(float), default=None)
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.add_argument("--allow-extinction", action="store_true",
                    help="exit 0 even if the flow goes extinct before t_end")

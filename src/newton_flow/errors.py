@@ -44,13 +44,20 @@ class ConfigError(NewtonFlowError, ValueError):
 
 def brief(value) -> str:
     """A refused value as an error message shows it: an integer of more than
-    12 digits as a power of ten, anything else through reprlib.repr, which
-    cuts long strings and lists short."""
+    12 digits by its first six digits, cut, not rounded, and its digit count
+    (10^4000 - 1 reads 999999... (4000 digits), 10^4000 100000... (4001
+    digits)), anything else through reprlib.repr, which cuts long strings and
+    lists short.  The digits are counted with no decimal string, which Python
+    refuses past 4300 digits."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         value = int(value)
-        if abs(value) < 10 ** 12:
+        size = abs(value)
+        if size < 10 ** 12:
             return str(value)
-        return f"{'-' * (value < 0)}10^{math.log10(abs(value)):.1f}"
+        digits = int(size.bit_length() * math.log10(2))   # within one of the count
+        digits += size >= 10 ** digits
+        digits -= size < 10 ** (digits - 1)
+        return f"{'-' * (value < 0)}{size // 10 ** (digits - 6)}... ({digits} digits)"
     return reprlib.repr(value)
 
 

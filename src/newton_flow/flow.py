@@ -5,45 +5,45 @@ Two kinds of flow state, matched to the geometry: the round law R' =
 factor of a cylinder, whose state is the catalog ``Sphere``; and
 surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
-``RevolutionGeometry`` record, built from one derivative pass.
+``RevolutionGeometry`` record.
 
 A run makes its kind once from the initial geometry, r and the
 resolution (``_round_kind``, ``_graph_kind``).  The kind binds what no
 step changes (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the
-grid, the orientation and h^2) and gives a state's speed and step bound
-dt <= h^2 / (1 + sup tr|P_{r-1}|), the speed at new values for the rk2
-midpoint, and the rebuild of a state from values the guard has passed (a
-round law's ``Sphere`` skips its validation there; a radial graph's is
-the run's one ``catalog.graph_builder``, which binds the grid's stencil
-and constants once, so a step re-checks nothing the run made itself).
-The radial graph's stage is read off the state's record, with no
-derivative pass of its own; the round law's is closed-form (h = 2 pi R /
-resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from the
-law's own time scale, T_ext(R) / (4 resolution), leaves Euler outside a
-1e-3 radius-law error on 21 of the 55 catalog laws at resolution 128).
-The kind is the only source of a state's speed and step bound, for
-``run`` and ``step`` alike.
+grid, the orientation and h^2).  A run steps only the values that move,
+a round law's float radius or a radial graph's profile array f.  The
+kind's stage takes values and gives their speed and step bound dt <= h^2
+/ (1 + sup tr|P_{r-1}|), the rk2 midpoint's too; its rebuild makes the
+state object from values the guard has passed.  The radial graph's stage
+reads the curvature parts of the run's one ``catalog.graph_builder``
+(one derivative pass) and keeps the last ones, so the record of values
+just staged costs no pass of its own; the round law's is closed-form (h
+= 2 pi R / resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound
+from the law's own time scale, T_ext(R) / (4 resolution), leaves Euler
+outside a 1e-3 radius-law error on 21 of the 55 catalog laws at
+resolution 128).  The kind is the only source of speed and step bound,
+for ``run`` and ``step`` alike.
 
-``_stepper`` makes the run's one explicit step from the kind and the
-configuration: forward Euler or the rk2 midpoint rule, with the
-Dirichlet data of ``FlowConfig.boundary_values`` imposed on the midpoint
-and on the result.  It refuses dt above the bound (CflViolationError)
-and runs one guard on the midpoint and on the result: a non-positive
-radius is extinction (reason "pinch" on radial graphs) and a NaN is a
+``_stepper`` makes the run's one explicit step of the values: forward
+Euler or the rk2 midpoint rule, with the Dirichlet data of
+``FlowConfig.boundary_values`` imposed on the midpoint and on the
+result.  It refuses dt above the bound (CflViolationError) and runs one
+guard on the midpoint and on the result: a non-positive radius is
+extinction (reason "pinch" on radial graphs) and a NaN is a
 NumericalError.  The guard returns the smallest radius it computed.
 ``step`` is a thin public call into the same stepper.
 
-``run`` builds the kind and the stepper once and carries t, the
-geometry, its speed and bound and the step count as locals; a
-diagnostics row is read off t and the geometry, and a ``FlowState`` is
-built only for the final state (and by ``step``).  It estimates
-T / (cfl_safety * bound) steps from the first stage, T being t_end or,
-if sooner, the closed-form extinction time of a round law, and refuses
-a run above ``MAX_STEPS`` steps (DomainError); one that passes
-``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
-deterministic for a fixed configuration.  The homothety monitor uses
-the canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog
-initial data; no uniqueness of that normalization is claimed.
+``run`` builds the kind and the stepper once and carries t, the values,
+their speed and bound and the step count as locals; a state object is
+made only for a diagnostics row past t = 0 and for the final
+``FlowState`` (and by ``step``).  It estimates T / (cfl_safety * bound)
+steps from the first stage, T being t_end or, if sooner, the closed-form
+extinction time of a round law, and refuses a run above ``MAX_STEPS``
+steps (DomainError); one that passes ``MAX_STEPS`` anyway stops with a
+NumericalError.  Runs are deterministic for a fixed configuration.  The
+homothety monitor uses the canonical rescaling phi(t) = (1 - (r+1)
+t)^(1/(r+1)) of catalog initial data; no uniqueness of that
+normalization is claimed.
 """
 
 from __future__ import annotations
@@ -233,8 +233,7 @@ class RunResult:
 class _Kind(NamedTuple):
     """One kind of flow state, bound to one run's r, resolution and grid."""
 
-    stage: Callable       # geometry -> (its speed, its step bound)
-    speed_at: Callable    # values -> speed of the state holding them (rk2 midpoint)
+    stage: Callable       # values -> (their speed, their step bound), the rk2 midpoint's too
     values: Callable      # geometry -> the values that move
     rebuild: Callable     # values -> the geometry holding them, once the guard passed them
     radius: Callable      # values -> smallest radius, for the guard
@@ -254,63 +253,62 @@ def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
     # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
     trace = (n - r + 1) * comb(n, r - 1)
     two_pi = 2.0 * np.pi
-    new, set_field = object.__new__, object.__setattr__
 
-    def speed(radius):
+    def stage(radius):
         try:
-            return rate / radius ** r
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise float_range_error("R", radius, r) from exc
-
-    def stage(sphere):
-        radius = sphere.radius
-        try:
-            trace_p = trace / radius ** (r - 1)
+            speed, trace_p = rate / radius ** r, trace / radius ** (r - 1)
         except (OverflowError, ZeroDivisionError) as exc:
             raise float_range_error("R", radius, r) from exc
         h = two_pi * radius / resolution
-        return speed(radius), h * h / (1.0 + trace_p)
+        return speed, h * h / (1.0 + trace_p)
 
-    def rebuild(radius):
-        # the guard has passed the radius, so Sphere's validation is skipped
-        sphere = new(Sphere)
-        set_field(sphere, "n", n)
-        set_field(sphere, "radius", radius)
-        return sphere
-
-    return _Kind(stage, speed, attrgetter("radius"), rebuild, float, "radius", "extinct",
-                 _sphere_diagnostics, lambda g, r: extinction_time(g.n, r, g.radius))
+    return _Kind(stage, attrgetter("radius"), lambda radius: Sphere(n, radius), float,
+                 "radius", "extinct", _sphere_diagnostics,
+                 lambda g, r: extinction_time(g.n, r, g.radius))
 
 
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
 def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
-    """The radial graph's speed and bound, read off each state's record.
+    """The radial graph's speed and bound, read off each profile's parts.
 
-    The speed is df/dt = -o * sigma_r(oriented curvatures) * sqrt(1 + f_z^2)
-    and the bound dt <= h^2 / (1 + sup_j tr|P_{r-1}(A_j)|).  The grid,
-    its boundary mode and the orientation are the run's, bound once into
-    its record builder; resolution is the profile's own.  The guard's
-    smallest radius is np.minimum.reduce, the value of ndarray.min
-    without its method wrapper.
+    With the run's ``graph_builder`` parts q = f''/w^3 and p = 1/(f w),
+    the speed -o sigma_r(oriented curvatures) w is (q - p) w at r = 1 and
+    o q p w at r = 2, and the bound h^2 / (1 + sup_j tr|P_{r-1}(A_j)|)
+    has tr|P_0| = 2 and tr|P_1| = |q| + |p|: the record's closed forms,
+    to the bit (but the sign of a zero speed, which no step sees).  The
+    parts of the last profile staged are kept, first the initial
+    record's.  resolution is the profile's own.  The guard's smallest
+    radius is np.minimum.reduce, ndarray.min without its method wrapper.
     """
     graph.p_eigenvalues(r)     # refuses r outside {1, 2}
     try:
         h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
         raise float_range_error("h", graph.h, 2) from exc
-    rebuild = graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
+    build = graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
     negate = graph.orientation > 0    # o = +-1 only chooses the sign
+    bound_1 = h_sq / (1.0 + 2.0)      # tr P_0 = 2
+    # k_mer = -o q and k_par = o p, so the record's parts are exact sign flips
+    last_f, last_parts = graph.f, (graph.fp, graph.w, -graph.k_mer if negate else graph.k_mer,
+                                   graph.k_par if negate else -graph.k_par)
 
-    def speed(geo):
-        sigma_w = geo.sigma(r) * geo.w
-        return -sigma_w if negate else sigma_w
+    def parts(f):
+        nonlocal last_f, last_parts
+        if f is not last_f:
+            last_f, last_parts = f, build.parts(f)
+        return last_parts
 
-    def stage(geo):
-        return speed(geo), h_sq / (1.0 + geo.p_trace_sup(r))
+    def stage(f):
+        _, w, q, p = parts(f)
+        if r == 1:
+            return (q - p) * w, bound_1
+        qpw = q * p * w
+        return qpw if negate else -qpw, h_sq / (1.0 + float(np.maximum.reduce(
+            np.abs(q) + np.abs(p))))
 
-    return _Kind(stage, lambda f: speed(rebuild(f)), attrgetter("f"), rebuild,
+    return _Kind(stage, attrgetter("f"), lambda f: build.record(f, parts(f)),
                  np.minimum.reduce, "profile", "pinch", _revolution_diagnostics,
                  lambda g, r: math.inf)
 
@@ -334,8 +332,7 @@ def _residual_phi(config, t: float) -> float:
 
 
 def _sphere_diagnostics(t, sphere, dt, config, initial_geometry):
-    n, r = sphere.n, config.r
-    radius = sphere.radius
+    n, r, radius = sphere.n, config.r, sphere.radius
     phi = _residual_phi(config, t)
     try:
         residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
@@ -394,15 +391,15 @@ _KINDS = {Sphere: _round_kind, RevolutionGeometry: _graph_kind}
 def _stepper(kind: _Kind, config: FlowConfig):
     """The one explicit step of a run, with the run's fixed parts bound once.
 
-    Returns advance(geometry, speed, bound, t, dt) -> (new geometry, its
-    smallest radius), where speed and bound are the geometry's stage.
-    Forward Euler takes x + speed * dt; rk2 is the midpoint rule.  The
-    Dirichlet data of config.boundary_values are imposed on the midpoint
-    and on the result, and the guard runs on both: a non-positive radius
-    is an ExtinctionError, a NaN a NumericalError.
+    Returns advance(x, speed, bound, t, dt) -> (new values, their smallest
+    radius), where x are the values that move and speed and bound their
+    stage.  Forward Euler takes x + speed * dt; rk2 is the midpoint rule,
+    whose midpoint speed is the kind's stage.  The Dirichlet data of
+    config.boundary_values are imposed on the midpoint and on the result,
+    and the guard runs on both: a non-positive radius is an
+    ExtinctionError, a NaN a NumericalError.  Each step makes new values.
     """
-    values, speed_at, rebuild, radius_of = kind.values, kind.speed_at, kind.rebuild, kind.radius
-    name, reason = kind.name, kind.reason
+    stage, radius_of, name, reason = kind.stage, kind.radius, kind.name, kind.reason
     rk2 = config.scheme == "rk2"
     pin = config.boundary_values
 
@@ -414,22 +411,21 @@ def _stepper(kind: _Kind, config: FlowConfig):
             raise NumericalError(f"non-finite {name} at t={t:.6g}")   # a NaN
         return radius
 
-    def advance(geo, speed, bound, t, dt):
+    def advance(x, speed, bound, t, dt):
         if dt > bound * (1.0 + 1e-9):
             raise CflViolationError(f"dt={dt:.3e} above the step bound {bound:.3e}")
-        x, t_new = values(geo), t + dt
+        t_new = t + dt
         if rk2:
             half = x + speed * (0.5 * dt)
             if pin is not None:
                 half[0], half[-1] = pin(t + 0.5 * dt)
             guard(half, t_new)
-            x = x + speed_at(half) * dt
+            x = x + stage(half)[0] * dt
         else:
             x = x + speed * dt
         if pin is not None:
             x[0], x[-1] = pin(t_new)
-        radius = guard(x, t_new)
-        return rebuild(x), radius
+        return x, guard(x, t_new)
 
     return advance
 
@@ -445,8 +441,9 @@ def step(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
     if make_kind is None:
         raise DomainError(f"cannot step {type(geo).__name__}")
     kind = make_kind(geo, config.r, config.resolution)
-    geo, _ = _stepper(kind, config)(geo, *kind.stage(geo), state.t, dt)
-    return FlowState(state.t + dt, geo, state.step_count + 1)
+    x = kind.values(geo)
+    x, _ = _stepper(kind, config)(x, *kind.stage(x), state.t, dt)
+    return FlowState(state.t + dt, kind.rebuild(x), state.step_count + 1)
 
 
 def run(config: FlowConfig) -> RunResult:
@@ -467,8 +464,10 @@ def run(config: FlowConfig) -> RunResult:
                          status="stationary", state=FlowState(config.t_end, geom, 1))
 
     kind = _KINDS[type(geom)](geom, config.r, config.resolution)
-    advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
-    speed, bound = stage(geom)
+    advance, stage, rebuild, diagnose = (_stepper(kind, config), kind.stage, kind.rebuild,
+                                         kind.diagnose)
+    x = kind.values(geom)
+    speed, bound = stage(x)
     try:    # the budget counts steps up to t_end or a closed-form extinction
         horizon = min(config.t_end, kind.extinction(geom, config.r))
     except (DomainError, NumericalError):   # r > n: stationary; R^(r+1) overflows
@@ -478,9 +477,9 @@ def run(config: FlowConfig) -> RunResult:
     if horizon > max_steps * cfl * bound > 0.0:
         raise DomainError(f"about {horizon / cfl / bound:.3g} "
                           f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
-    # steps build new arrays, so the initial geometry stays as it was
+    # steps make new values, so the initial geometry stays as it was
     diagnostics = [diagnose(0.0, geom, 0.0, config, geom)]
-    t, geo, count = 0.0, geom, 0
+    t, count = 0.0, 0
     t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
     floor = EXTINCTION_FRACTION * geom.min_radius
     status = "completed"
@@ -494,7 +493,7 @@ def run(config: FlowConfig) -> RunResult:
         if not t + dt > t:    # an underflowed bound would never end
             raise NumericalError(f"time step {dt:.3e} does not advance t={t:.6g}")
         try:
-            geo, radius = advance(geo, speed, bound, t, dt)
+            x, radius = advance(x, speed, bound, t, dt)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"
@@ -502,13 +501,14 @@ def run(config: FlowConfig) -> RunResult:
         t += dt
         count += 1
         last_dt = dt
-        speed, bound = stage(geo)
+        speed, bound = stage(x)
         if radius < floor:
             status = "extinct"
-            diagnostics.append(diagnose(t, geo, dt, config, geom))
+            diagnostics.append(diagnose(t, rebuild(x), dt, config, geom))
             break
         if count % stride == 0:
-            diagnostics.append(diagnose(t, geo, dt, config, geom))
+            diagnostics.append(diagnose(t, rebuild(x), dt, config, geom))
     if diagnostics[-1].t < t:
-        diagnostics.append(diagnose(t, geo, last_dt, config, geom))
-    return RunResult(diagnostics=diagnostics, status=status, state=FlowState(t, geo, count))
+        diagnostics.append(diagnose(t, rebuild(x), last_dt, config, geom))
+    return RunResult(diagnostics=diagnostics, status=status,
+                     state=FlowState(t, rebuild(x), count))

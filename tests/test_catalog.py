@@ -376,13 +376,6 @@ class TestRevolutionRecord:
                 ref = elem_sym_excluding_rows(rows, r - 1)
                 assert np.array_equal(np.column_stack([mer, par]), ref)
 
-    def test_trace_sup(self):
-        g = revolution_geometry(Revolution(profile=sphere_band_profile(2.0, 0.6, 33)))
-        assert g.p_trace_sup(1) == 2.0
-        assert g.p_trace_sup(2) == float((np.abs(g.k_mer) + np.abs(g.k_par)).max())
-        with pytest.raises(DomainError, match="support r in"):
-            g.p_trace_sup(3)
-
     def test_tube_product_is_signed_zero(self):
         # k_mer * k_par is -0.0 on a tube where the row kernel gives 0.0;
         # np.array_equal counts the two as equal

@@ -9,6 +9,7 @@ import pytest
 
 from newton_flow import catalog, cli, flow, gapcheck, operators, symfun
 from newton_flow.cli import main, render_json
+from newton_flow.errors import brief
 from newton_flow.symfun import newton_family
 from conftest import count_eigensolves
 
@@ -872,8 +873,8 @@ class TestExitContract:
         # the (n + 1) n^2 family budget that algebra applies: n <= 215
         # n = 10^300 and a 1,501-digit n are refused before (n+1) n^2 is formed
         for n, expect, shown in ((215, 0, ""), (216, 3, "216"),
-                                 (10 ** 300, 3, "10^300.0"),
-                                 (int("9" * 1501), 3, "10^1501.0")):
+                                 (10 ** 300, 3, "100000... (301 digits)"),
+                                 (int("9" * 1501), 3, "999999... (1501 digits)")):
             cfg = scene_file(tmp_path, {"model": dict(model, n=n), "r": 1,
                                         "resolution": 8})
             for command in ("gap", "residual"):
@@ -914,6 +915,33 @@ class TestExitContract:
         assert code == expect
         assert out == "" and "Traceback" not in err
         assert len(err.encode()) < 200, err[:300]
+
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--r", "9" * 5000], ["residual", "--r", "9" * 5000],
+        ["flow", "--r", "9" * 5000], ["algebra", "--k", "1,2", "--r", "9" * 5000],
+        ["gap", "--resolution", "9" * 5000], ["flow", "--resolution", "x" * 5000],
+        ["flow", "--t-end", "x" * 5000],
+    ])
+    def test_refused_options_are_shown_briefly(self, capsys, tmp_path, argv):
+        # argparse's own type=int message echoes the whole value
+        option = argv[-2]
+        if argv[0] != "algebra":
+            argv = argv + ["--config", scene_file(tmp_path, {"model": self.SPHERE_2, "r": 1})]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert f"argument {option}: invalid" in captured.err
+        assert all(len(line.encode()) < 200 for line in captured.err.splitlines())
+
+    def test_huge_integers_are_told_apart(self, capsys, tmp_path):
+        assert brief(10 ** 4000 - 1) != brief(10 ** 4000)
+        cfg = scene_file(tmp_path, {"model": {"kind": "hyperplane", "n": 10 ** 4000 - 1},
+                                    "r": 10 ** 4000})
+        code, _, err = run_cli(capsys, "gap", "--config", cfg)
+        assert code == 3
+        assert err == ("domain error: r=100000... (4001 digits) out of range "
+                       "1..999999... (4000 digits)\n")
 
     def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
         def unreachable(model, resolution):

@@ -339,6 +339,10 @@ def _band_state(m=32, f=None, orientation=1):
     return FlowState(t=0.0, geometry=build(prof.f if f is None else f))
 
 
+def _arrays(geo):
+    return [field for field in geo if isinstance(field, np.ndarray)]
+
+
 class TestRevolutionStage:
     def test_state_is_the_catalog_record(self):
         result = run(_band_config(2, "rk2", pinned=True))
@@ -364,7 +368,7 @@ class TestRevolutionStage:
     @pytest.mark.parametrize("r", [1, 2])
     def test_stage_matches_reference_formulas(self, r):
         geo = _band_state(m=48, orientation=-1).geometry
-        got_speed, got_bound = flow._graph_kind(geo, r).stage(geo)
+        got_speed, got_bound = flow._graph_kind(geo, r).stage(geo.f)
         speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
         assert got_speed.tobytes() == speed.tobytes()
         assert got_bound == _reference_bound(geo.f, geo.h, geo.boundary, r)
@@ -381,12 +385,43 @@ class TestRevolutionStage:
         assert len(result.diagnostics) > 2
         assert stencils == [2, passes * steps + 1]
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    def test_records_own_their_memory(self, monkeypatch, scheme):
+        # what a step writes: the stencil's padded buffer (by its ghost fill)
+        # and the values the guard reads (the pinned midpoint and result);
+        # the initial record sees the run's steps, the final one a step past
+        # the run
+        padded, guarded, records = [], [], []
+        fill, start, make = fd._fill_ghosts, flow._initial_state, flow._graph_kind
+        monkeypatch.setattr(fd, "_fill_ghosts",
+                            lambda p, mode: padded.append(p) or fill(p, mode))
+        monkeypatch.setattr(flow, "_initial_state",
+                            lambda config: records.append(start(config)) or records[0])
+        monkeypatch.setitem(flow._KINDS, RevolutionGeometry, lambda *args: make(*args)._replace(
+            radius=lambda x: guarded.append(x) or np.minimum.reduce(x)))
+        config = _band_config(2, scheme, pinned=True, output_stride=10)
+        result = run(config)
+        records.append(result.state.geometry)
+        kept = [[a.tobytes() for a in _arrays(geo)] for geo in records]
+
+        def assert_owned(geo):
+            for array in _arrays(geo):
+                assert not any(np.shares_memory(array, b) for b in padded + guarded)
+
+        assert len(guarded) >= result.state.step_count > 0
+        assert_owned(records[0])
+        guarded.clear()
+        step(result.state, config, 1e-6)
+        assert guarded
+        assert_owned(records[1])
+        assert [[a.tobytes() for a in _arrays(geo)] for geo in records] == kept
+
     @pytest.mark.parametrize("r", [1, 2])
     def test_cfl_violation_with_own_bound(self, r):
         state = _band_state(m=129)
         config = _band_step_config(r, m=129)
         geo = state.geometry
-        _, bound = flow._graph_kind(geo, r).stage(geo)
+        _, bound = flow._graph_kind(geo, r).stage(geo.f)
         with pytest.raises(CflViolationError):
             step(state, config, 10.0 * bound)
 
@@ -532,8 +567,25 @@ class TestRoundFactor:
                 h = 2.0 * np.pi * radius / resolution
                 expect = h * h / (1.0 + trace_p)
                 sphere = Sphere(n=n, radius=radius)
-                _, got = flow._round_kind(sphere, r, resolution).stage(sphere)
+                _, got = flow._round_kind(sphere, r, resolution).stage(radius)
                 assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    def test_one_sphere_per_row_and_the_result(self, monkeypatch, scheme):
+        # the loop steps a float radius; the row at t = 0 reads the model
+        made = [0]
+        check = Sphere.__post_init__
+
+        def counted(sphere):
+            made[0] += 1
+            check(sphere)
+        config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=0.05,
+                            resolution=32, scheme=scheme, output_stride=7)
+        monkeypatch.setattr(Sphere, "__post_init__", counted)
+        result = run(config)
+        rows_past_start = len(result.diagnostics) - 1
+        assert result.state.step_count > 3 * 7 and rows_past_start > 3
+        assert made == [rows_past_start + 1]
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_cylinder_bound_has_no_coefficient_above_m(self, r):
@@ -541,7 +593,7 @@ class TestRoundFactor:
                             t_end=0.01, resolution=32)
         sphere = flow._initial_state(config)
         h = 2.0 * np.pi * 1.5 / 32
-        assert flow._round_kind(sphere, r, 32).stage(sphere)[1] == h * h
+        assert flow._round_kind(sphere, r, 32).stage(sphere.radius)[1] == h * h
 
 
 # ---------------------------------------------------------------------------
@@ -565,12 +617,28 @@ def _count_products(monkeypatch, module, name):
     return counts
 
 
+def _count_stages(monkeypatch):
+    """Count the stage calls of every radial-graph kind made, as [calls]."""
+    calls = [0]
+    make = flow._graph_kind
+
+    def counted_kind(*args):
+        kind = make(*args)
+
+        def stage(f):
+            calls[0] += 1
+            return kind.stage(f)
+        return kind._replace(stage=stage)
+    monkeypatch.setitem(flow._KINDS, RevolutionGeometry, counted_kind)
+    return calls
+
+
 class TestStep:
     def test_round_law_checks_its_bound(self):
         config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
                             resolution=16)
         sphere = config.model
-        _, bound = flow._round_kind(sphere, 2, 16).stage(sphere)
+        _, bound = flow._round_kind(sphere, 2, 16).stage(sphere.radius)
         state = FlowState(t=0.0, geometry=sphere)
         assert step(state, config, bound).geometry.radius < 1.0
         with pytest.raises(CflViolationError):
@@ -603,7 +671,7 @@ class TestOneStepPath:
         kind = make_kind(geo, config.r, config.resolution)
         state = FlowState(t=0.0, geometry=geo)
         while state.t < config.t_end * (1.0 - 1e-14):
-            _, bound = kind.stage(state.geometry)
+            _, bound = kind.stage(kind.values(state.geometry))
             dt = min(config.cfl_safety * bound, config.t_end - state.t)
             state = step(state, config, dt)
         assert result.status == "completed"
@@ -618,24 +686,27 @@ class TestOneStepPath:
 
 class TestStepBudget:
     def test_estimate_above_budget_is_refused(self, monkeypatch):
-        # every step builds a record with the run's builder: no build, no step
-        builds = _count_products(monkeypatch, flow, "graph_builder")
+        # one derivative pass per stage, the first stage's being the initial
+        # record's (the second stencil made is the run's): a refused run
+        # takes no pass past the first
+        passes = _count_products(monkeypatch, fd, "stencil")
+        stages = _count_stages(monkeypatch)
         tube = Revolution(profile=cylinder_profile(1.0, 0.5, 16))
         steps = run(FlowConfig(r=2, model=tube, t_end=1e-3)).state.step_count
-        assert steps > 0 and builds == [1, steps]
-        builds[:] = [0, 0]
+        assert steps > 0 and passes == [2, steps + 1] and stages == [steps + 1]
+        passes[:], stages[:] = [0, 0], [0]
         prof = cylinder_profile(1e-170, 0.5, 16)
         config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=0.01)
         with pytest.raises(DomainError, match="MAX_STEPS"):
             run(config)
-        assert builds == [1, 0]
+        assert passes == [2, 1] and stages == [1]
 
     def test_loop_stops_past_the_budget(self, monkeypatch):
         # the bound shrinks with R^2: about 75 steps estimated, 250 taken
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
                             resolution=32)
         assert run(config).state.step_count > 200
-        _, bound = flow._round_kind(config.model, 1, 32).stage(config.model)
+        _, bound = flow._round_kind(config.model, 1, 32).stage(config.model.radius)
         assert config.t_end / (config.cfl_safety * bound) < 100
         monkeypatch.setattr(flow, "MAX_STEPS", 100)
         with pytest.raises(NumericalError, match="MAX_STEPS=100"):
