@@ -5,7 +5,9 @@ smallest eigenvalue of P_(r-1), and the worst shrinker residual, then
 classifies: strict gap means hyperplane, the boundary value r with a
 definite weight means sphere or cylinder, anything else is inconclusive
 or not a shrinker at all.  The Gauss-flow fragment (r = n) checks weak
-convexity and sup HK against n.
+convexity and sup HK against n.  Whether the weight P_(r-1) is positive
+semidefinite is read from its eigenvalues on every sample row, for a
+model (evaluate) and for rows a caller supplies (evaluate_from_samples).
 """
 
 import numpy as np
@@ -16,11 +18,9 @@ from newton_flow import (
     Sphere,
     classify,
     evaluate,
-    gauss_check,
-    psd_sufficient,
     shrinker_radius,
 )
-from newton_flow.catalog import sample_fields
+from newton_flow.gapcheck import evaluate_from_samples
 
 print("=== the taxonomy on exact models (n = 3) ===")
 models = [
@@ -56,13 +56,13 @@ for scale in (0.8, 1.0, 1.5, 2.0):
 print()
 print("=== Gauss flow fragment: HK vs n on unit spheres ===")
 for n in range(2, 6):
-    g = gauss_check(Sphere(n=n, radius=1.0), resolution=8)
+    g = evaluate(Sphere(n=n, radius=1.0), n, resolution=8).gauss
     print(f"  S^{n}(1): sup HK = {g.sup_hk:.1f}, weakly convex: {g.weakly_convex}, "
           f"K-identity residual {g.identity_residual:.1e}")
 
 print()
-print("=== sufficient conditions for a positive semidefinite weight ===")
-rep = psd_sufficient(sample_fields(Sphere(n=3, radius=1.0), 8)[0], 2)
-print(f"  sphere, r=2: fires ({rep.fired}) -- {rep.detail}")
-rep = psd_sufficient(np.array([[1.0, -1.0]] * 4), 2)
-print(f"  saddle,  r=2: fires ({rep.fired}) -- {rep.detail}")
+print("=== is the weight P_(r-1) positive semidefinite? its eigenvalues answer ===")
+rep = evaluate(Sphere(n=3, radius=1.0), 2, resolution=8)
+print(f"  sphere, r=2: {rep.psd_class.kind.value}, min eig P = {rep.min_eig_p:g}")
+rep = evaluate_from_samples(np.array([[1.0, -1.0]] * 4), np.zeros(4), 2)
+print(f"  saddle rows, r=2: {rep.psd_class.kind.value}, min eig P = {rep.min_eig_p:g}")

@@ -40,7 +40,7 @@ from .flow import (
     run,
     sphere_radius_exact,
 )
-from .gapcheck import GapReport, classify, evaluate, gauss_check, psd_sufficient
+from .gapcheck import GapReport, classify, evaluate
 from .operators import (
     drifted_apply,
     lr_apply,

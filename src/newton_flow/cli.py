@@ -306,11 +306,14 @@ def _parse_preset(text: str):
     """cyl:n=3,m=2,r=1 -> cylinder curvature vector and its r."""
     try:
         kind, body = text.split(":", 1)
-        fields = dict(part.split("=") for part in body.split(","))
+        pairs = [part.split("=") for part in body.split(",")]
+        fields = dict(pairs)     # a repeated key keeps its last value
     except ValueError as exc:
         raise ConfigError(f"bad preset {brief(text)}") from exc
     if kind != "cyl":
         raise ConfigError(f"unknown preset kind {brief(kind)}")
+    if len(fields) < len(pairs):
+        raise ConfigError("cyl preset repeats a key")
     if set(fields) != {"n", "m", "r"}:
         raise ConfigError("cyl preset needs n=, m=, r=")
     n, m, r = (_field(fields, key, _integer, "cyl preset") for key in "nmr")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Hyperplane, HypersurfaceModel, sample_fields
-from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order, check_real
+from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
 from .symfun import (
     Definiteness,
     DefinitenessClass,
@@ -118,21 +118,41 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
     Values within GAP_TOL of a threshold count as on it; a sampled
     residual above SHRINKER_TOL classifies the model as NotShrinker.
     """
-    n = model.n
-    check_order(r, n)
+    check_order(r, model.n)
     curvatures, support = sample_fields(model, resolution)
-    return evaluate_from_samples(curvatures, support, r, n, model=model)
+    return _report(curvatures, support, r, model)
 
 
-def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
-                          n: int, model: HypersurfaceModel | None = None) -> GapReport:
+def evaluate_from_samples(curvatures, support, r: int,
+                          model: HypersurfaceModel | None = None) -> GapReport:
     """GapReport of sample rows: curvatures (S, n) and support values (S,).
 
-    Every reported value has degree at most r + 1 in the curvatures, so
-    curvatures whose degree-(r + 1) bound leaves the float range raise
-    the float-range NumericalError before any row is reduced.
+    n is the number of columns.  Rows that are not a non-empty 2-D array
+    of finite numbers, a support whose shape is not (S,), and r outside
+    1..n raise DomainError.
     """
-    K = curvatures
+    try:
+        K = np.asarray(curvatures, dtype=float)
+        support = np.asarray(support, dtype=float)
+    except (TypeError, ValueError) as exc:      # ragged or non-numeric rows
+        raise DomainError("sample rows must be numeric arrays") from exc
+    if K.ndim != 2 or K.size == 0:
+        raise DomainError("curvatures must be a non-empty (S, n) array of rows")
+    if support.shape != K.shape[:1]:
+        raise DomainError(f"support must have shape ({K.shape[0]},): one value per row")
+    if not (np.isfinite(K).all() and np.isfinite(support).all()):
+        raise DomainError("sample rows have non-finite entries")
+    check_order(r, K.shape[1])
+    return _report(K, support, r, model)
+
+
+def _report(K: np.ndarray, support: np.ndarray, r: int,
+            model: HypersurfaceModel | None) -> GapReport:
+    """The gap reduction of rows K (S, n) and support (S,).  Every reported
+    value has degree at most r + 1 in K, so rows whose degree-(r + 1) bound
+    leaves the float range (an overflowed closed-form row among them) raise
+    the float-range NumericalError before any row is reduced."""
+    n = K.shape[1]
     _check_degree(float(np.abs(K).max()), r + 1, n)
     sig = elem_sym_all_rows(K, r)                    # (S, r+1): the orders read
     eig_p = elem_sym_excluding_rows(K, r - 1)        # eigenvalues of P_{r-1}
@@ -141,10 +161,8 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
     norm_sq = (eig_p * K * K).sum(axis=1)
     residual = np.abs(sig[:, r] + support)
 
-    notes = []
-    if isinstance(model, Hyperplane):
-        notes.append("open hypersurface: normal fixed to +e_{n+1}")
-
+    notes = (("open hypersurface: normal fixed to +e_{n+1}",)
+             if isinstance(model, Hyperplane) else ())
     sup_norm_sq = float(norm_sq.max())
     min_eig_p = float(eig_p.min())
     sup_a = float((K * K).sum(axis=1).max())
@@ -182,7 +200,7 @@ def evaluate_from_samples(curvatures: np.ndarray, support: np.ndarray, r: int,
         flags=flags,
         classification=classification,
         zero_multiplicity=zero_mult,
-        notes=tuple(notes),
+        notes=notes,
         gauss=gauss,
     )
 
@@ -232,95 +250,4 @@ def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
         weakly_convex=bool(K.min() >= -GAP_TOL),
         hk_at_most_n=bool(hk.max() <= n + GAP_TOL),
         identity_residual=identity_residual,
-    )
-
-
-def gauss_check(model: HypersurfaceModel, resolution: int = 16) -> GaussReport:
-    """Checks specific to the Gauss-curvature flow (r = n): the Gauss
-    fragment of ``evaluate(model, model.n, resolution)``.
-
-    sup HK has degree n + 1: out-of-range curvatures raise NumericalError.
-    """
-    return evaluate(model, model.n, resolution).gauss
-
-
-@dataclass(frozen=True)
-class PsdSufficiencyReport:
-    """Which sampled sufficient conditions certify P_{r-1} >= 0, if any.
-
-    The conditions mirror the classical criteria and are cumulative:
-    (i) sigma_r vanishes identically (the parity of r-1 and the sign of
-    sigma_{r-1} decide whether the positive orientation is achievable);
-    (ii) additionally sigma_{r+1} never vanishes, upgrading semidefinite
-    to definite; (iii) some sigma_k with k >= r is everywhere positive
-    and some sample is weakly convex.  Sufficiency only; necessity is
-    never claimed.
-    """
-
-    fires_i: bool
-    fires_ii: bool
-    fires_iii: bool
-    definite: bool              # some firing condition certifies definiteness
-    detail: str
-
-    @property
-    def fired(self) -> str | None:
-        """First firing condition in the order (i), (ii), (iii)."""
-        for name, flag in (("i", self.fires_i), ("ii", self.fires_ii),
-                           ("iii", self.fires_iii)):
-            if flag:
-                return name
-        return None
-
-
-def psd_sufficient(curvatures, r: int, zero_tol: float = GAP_TOL) -> PsdSufficiencyReport:
-    """Evaluate the sampled sufficient conditions for P_{r-1} >= 0.
-
-    ``curvatures`` is an (S, n) array of rows, e.g. ``sample_fields(model,
-    res)[0]``; sigma_n has degree n, so out-of-range rows raise NumericalError.
-    ``zero_tol`` is the relative window below which a value counts as zero.
-    """
-    if not 0.0 <= check_real(zero_tol, "zero_tol") < np.inf:
-        raise DomainError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
-    K = np.asarray(curvatures, dtype=float)
-    if K.ndim != 2 or K.size == 0:
-        raise DomainError("curvatures must be a non-empty (S, n) array of rows")
-    if not np.isfinite(K).all():
-        raise DomainError("curvature rows have non-finite entries")
-    n = K.shape[1]
-    check_order(r, n)
-    kmax = float(np.abs(K).max())
-    _check_degree(kmax, n, n)
-    sig = elem_sym_all_rows(K)
-    scale = max(1.0, kmax ** max(r, 1))
-
-    fires_i = fires_ii = fires_iii = False
-    details = []
-    sigma_r_zero = bool(np.abs(sig[:, r]).max() <= zero_tol * scale)
-    if sigma_r_zero:
-        parity_even = (r - 1) % 2 == 0
-        sigma_rm1_nonneg = bool(sig[:, r - 1].min() >= -zero_tol * scale)
-        if (not parity_even) or sigma_rm1_nonneg:
-            fires_i = True
-            note = ("r-1 odd: orientation choice" if not parity_even
-                    else "r-1 even and sigma_{r-1} >= 0")
-            details.append(f"sigma_r = 0 on all samples ({note})")
-            if r < n and np.abs(sig[:, r + 1]).min() > zero_tol * scale:
-                fires_ii = True
-                details.append("sigma_{r+1} never vanishes: definite")
-
-    has_convex_sample = bool((K >= -zero_tol * max(1.0, kmax)).all(axis=1).any())
-    if has_convex_sample:
-        for k_idx in range(r, n + 1):
-            if sig[:, k_idx].min() > zero_tol * scale:
-                fires_iii = True
-                details.append(
-                    f"sigma_{k_idx} > 0 everywhere and a weakly convex sample exists")
-                break
-    if not details:
-        details.append("no sufficient condition")
-    return PsdSufficiencyReport(
-        fires_i=fires_i, fires_ii=fires_ii, fires_iii=fires_iii,
-        definite=fires_ii or fires_iii,
-        detail="; ".join(details),
     )

@@ -1,0 +1,21 @@
+"""Regenerate the golden-output corpus from the current code.
+
+Run it from the repository root after a deliberate output change, then
+read ``git diff tests/golden`` and name the records that moved:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+The scene list, ``tests/golden/scenes.json``, is the corpus's input and is
+not rewritten.
+"""
+
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
+
+from golden_corpus import regenerate  # noqa: E402
+
+if __name__ == "__main__":
+    regenerate()

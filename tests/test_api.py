@@ -15,16 +15,18 @@ import newton_flow
 PUBLIC_NAMES = [
     "CflViolationError", "ConfigError", "Cylinder", "Definiteness",
     "DefinitenessClass", "Diagnostics", "DomainError", "EllipsoidRev",
-    "ExtinctionError", "FlowConfig", "FlowState", "GapReport", "Hyperplane",
-    "NewtonFamily", "NewtonFlowError", "NotPSDError", "NotSelfShrinkerError",
-    "NumericalError", "ProfileCurve", "Revolution", "RunResult", "Sphere", "catalog", "cauchy_schwarz_bound", "classify", "definiteness",
-    "drifted_apply", "elem_sym", "elem_sym_all", "elem_sym_excluding",
-    "errors", "evaluate", "extinction_time", "fd", "flow", "gapcheck",
-    "gauss_check", "lr_apply", "modified_sff_norm_sq", "newton_family",
-    "operators", "psd_sufficient", "run", "self_shrinkers", "shrinker_radius",
-    "sigma_p_cylinder", "sphere_radius_exact", "sqrt_psd", "surface_gradient",
-    "symfun", "trace_identities", "verify_position_identity",
-    "verify_product_rule", "verify_shrinker_pde", "verify_support_identity",
+    "ExtinctionError", "FlowConfig", "FlowState", "GapReport",
+    "Hyperplane", "NewtonFamily", "NewtonFlowError", "NotPSDError",
+    "NotSelfShrinkerError", "NumericalError", "ProfileCurve",
+    "Revolution", "RunResult", "Sphere", "catalog",
+    "cauchy_schwarz_bound", "classify", "definiteness", "drifted_apply",
+    "elem_sym", "elem_sym_all", "elem_sym_excluding", "errors",
+    "evaluate", "extinction_time", "fd", "flow", "gapcheck", "lr_apply",
+    "modified_sff_norm_sq", "newton_family", "operators", "run",
+    "self_shrinkers", "shrinker_radius", "sigma_p_cylinder",
+    "sphere_radius_exact", "sqrt_psd", "surface_gradient", "symfun",
+    "trace_identities", "verify_position_identity", "verify_product_rule",
+    "verify_shrinker_pde", "verify_support_identity",
 ]
 
 PUBLIC_SETTINGS = {
@@ -53,11 +55,9 @@ PUBLIC_SETTINGS = {
     "elem_sym_excluding": "k, i, r",
     "evaluate": "model, r, resolution=16",
     "extinction_time": "n, r, radius0",
-    "gauss_check": "model, resolution=16",
     "lr_apply": "geometry, values, r",
     "modified_sff_norm_sq": "S, r",
     "newton_family": "S",
-    "psd_sufficient": "curvatures, r, zero_tol=1e-06",
     "run": "config",
     "self_shrinkers": "n_max",
     "shrinker_radius": "m, r",

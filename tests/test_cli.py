@@ -87,6 +87,9 @@ class TestAlgebra:
         ("cyl:n=3.5,m=2,r=1", 2),
         ("cyl:n=3,m=x,r=1", 2),
         ("cyl:n=-1,m=1,r=1", 3),
+        # a repeated key is refused, not read as its last value
+        ("cyl:n=3,m=2,r=1,r=2", 2),
+        ("cyl:n=3,m=2,m=1,r=1", 2),
     ])
     def test_bad_preset_exit_code(self, capsys, preset, expect):
         code, out, err = run_cli(capsys, "algebra", "--preset", preset)
@@ -525,8 +528,7 @@ class TestTiledOracle:
             curvatures, support = _tiled_fields(model, 8)
             assert support.size > 1
             reports = (gapcheck.evaluate(model, r, 8),
-                       gapcheck.evaluate_from_samples(curvatures, support,
-                                                      r, model.n, model=model))
+                       gapcheck.evaluate_from_samples(curvatures, support, r, model=model))
             got, want = (render_json(rep.to_json_dict()) for rep in reports)
             assert got == want, (model, r)
 
@@ -562,7 +564,7 @@ class TestGapGaussFragment:
         assert calls == [8]
         assert json.loads(out)["gauss"]["n"] == 3
 
-    def test_gauss_block_matches_gauss_check(self, capsys, tmp_path):
+    def test_gauss_block_matches_evaluate(self, capsys, tmp_path):
         resolution = 8
         models = list(_gauss_taxonomy(4))
         assert len(models) == 15
@@ -571,7 +573,7 @@ class TestGapGaussFragment:
                                         "resolution": resolution}, f"s{i}.json")
             code, out, _ = run_cli(capsys, "gap", "--config", cfg)
             assert code == 0
-            expect = gapcheck.gauss_check(model, resolution).to_json_dict()
+            expect = gapcheck.evaluate(model, model.n, resolution).gauss.to_json_dict()
             assert json.loads(out)["gauss"] == json.loads(render_json(expect)), model
 
     def test_no_gauss_block_below_r_equals_n(self, capsys, tmp_path):

@@ -1,23 +1,15 @@
-"""Smoke test: every script in demos/ runs cleanly from a source checkout."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Every script in demos/ runs cleanly from a source checkout, and prints
+the stdout recorded in the golden corpus (``tests/golden/demos``)."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from golden_corpus import DEMOS, demo_path, run_demo
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.strip()
+    assert proc.stdout == demo_path(demo).read_text(encoding="utf-8")

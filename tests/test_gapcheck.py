@@ -10,18 +10,9 @@ from newton_flow.catalog import (
     Sphere,
     self_shrinkers,
     shrinker_radius,
-    sphere_band_profile,
-    Revolution,
-    revolution_geometry,
 )
 from newton_flow.errors import DomainError, NotSelfShrinkerError, NumericalError
-from newton_flow.gapcheck import (
-    classify,
-    evaluate,
-    evaluate_from_samples,
-    gauss_check,
-    psd_sufficient,
-)
+from newton_flow.gapcheck import classify, evaluate, evaluate_from_samples
 from newton_flow import gapcheck, symfun
 from newton_flow.catalog import sample_fields
 from newton_flow.symfun import DefinitenessClass
@@ -78,7 +69,7 @@ class TestEvaluate:
 
     def test_wide_curvature_spread(self):
         # P_2 of k = (1e8, 1e-4, 1) has the eigenvalues (1e-4, 1e8, 1e4)
-        rep = evaluate_from_samples(np.array([[1e8, 1e-4, 1.0]]), np.array([-1e4]), 3, 3)
+        rep = evaluate_from_samples(np.array([[1e8, 1e-4, 1.0]]), np.array([-1e4]), 3)
         assert rep.min_eig_p == 1e-4
         assert rep.psd_class.max_eigenvalue == 1e8
 
@@ -87,7 +78,7 @@ class TestEvaluate:
         # min eig 1e-4 is above GAP_TOL but inside the window relative to
         # max eig: the flag reads the report's one class
         K = np.array([k])
-        rep = evaluate_from_samples(K, -symfun.elem_sym_all_rows(K)[:, 3], 3, 3)
+        rep = evaluate_from_samples(K, -symfun.elem_sym_all_rows(K)[:, 3], 3)
         assert rep.psd_class.kind is DefinitenessClass.POSITIVE_SEMIDEFINITE
         assert rep.flags.thm1_psd_definite is False
 
@@ -132,8 +123,8 @@ class TestClassify:
         q = random_orthogonal(rng, 3)
         rotated = np.stack([np.linalg.eigvalsh((q * k) @ q.T) for k in K])
         assert not np.array_equal(rotated, K)
-        rep_a = evaluate_from_samples(K, support, 2, 3, model=model)
-        rep_b = evaluate_from_samples(rotated, support, 2, 3, model=model)
+        rep_a = evaluate_from_samples(K, support, 2, model=model)
+        rep_b = evaluate_from_samples(rotated, support, 2, model=model)
         assert rep_a.flags == rep_b.flags
         assert str(rep_a.classification) == str(rep_b.classification) == "Cylinder(m=2)"
         assert rep_b.sup_modified_norm_sq == pytest.approx(rep_a.sup_modified_norm_sq,
@@ -169,20 +160,26 @@ class TestOneSigmaTable:
         # one table of the rows, one of the rows with each column deleted
         report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3, resolution=8)
         assert report.gauss is not None and calls[0] == 2
-        gauss_check(Sphere(n=2, radius=1.0), resolution=8)
+        evaluate(Sphere(n=2, radius=1.0), 2, resolution=8)
         assert calls[0] == 4
 
 
+def gauss(model):
+    return evaluate(model, model.n, resolution=8).gauss
+
+
 class TestGaussCheck:
+    """The Gauss fragment (r = n) of a gap report."""
+
     def test_unit_spheres_boundary(self):
         for n in range(1, 6):
-            rep = gauss_check(Sphere(n=n, radius=1.0), resolution=8)
+            rep = gauss(Sphere(n=n, radius=1.0))
             assert rep.sup_hk == pytest.approx(float(n), abs=1e-12)
             assert rep.weakly_convex and rep.hk_at_most_n
             assert rep.identity_residual <= 1e-12
 
     def test_hyperplane(self):
-        rep = gauss_check(Hyperplane(n=2), resolution=8)
+        rep = gauss(Hyperplane(n=2))
         assert rep.sup_hk == 0.0
         assert rep.weakly_convex and rep.hk_at_most_n
 
@@ -191,76 +188,70 @@ class TestGaussCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="float range"):
-                gauss_check(Sphere(n=3, radius=1e-120), resolution=8)
+                gauss(Sphere(n=3, radius=1e-120))
 
     def test_oversize_sphere_flagged(self):
-        rep = gauss_check(Sphere(n=2, radius=2.0), resolution=8)
+        rep = gauss(Sphere(n=2, radius=2.0))
         assert rep.sup_hk == pytest.approx(0.25)
         assert rep.hk_at_most_n
         report = evaluate(Sphere(n=2, radius=2.0), 2, resolution=8)
         assert report.classification.kind == "NotShrinker"
 
 
-class TestPsdSufficient:
-    def test_minimal_profile_fires_first_condition(self):
-        # catenoid-like band: sigma_1 = 0, checked via parity of r-1 = 0
-        z = np.linspace(-1.0, 1.0, 201)
-        prof_f = np.cosh(z)
-        rev = Revolution(profile=__import__("newton_flow").catalog.ProfileCurve(
-            z=z, f=prof_f, boundary="neumann"))
-        geo = revolution_geometry(rev)
-        cut = geo.interior()
-        rows = np.stack([geo.k_mer[cut], geo.k_par[cut]], axis=1)
-        rep = psd_sufficient(rows, 1, zero_tol=1e-3)
-        assert rep.fires_i
-        assert rep.fired == "i"
-        assert "sigma_r = 0" in rep.detail
+class TestSampleRows:
+    """evaluate_from_samples: the checked entry for sample rows."""
 
-    def test_sphere_fires_third_condition(self):
+    def test_sphere_rows_are_definite(self):
+        K, support = sample_fields(Sphere(n=3, radius=1.2), 8)
         for r in (1, 2, 3):
-            rep = psd_sufficient(sample_fields(Sphere(n=3, radius=1.2), 8)[0], r)
-            assert rep.fired == "iii"
-            assert rep.definite
+            rep = evaluate_from_samples(K, support, r)
+            assert rep.psd_class.kind is DefinitenessClass.POSITIVE_DEFINITE
 
-    def test_saddle_has_no_condition(self):
-        rep = psd_sufficient(np.array([[1.0, -1.0]] * 5), 2)
-        assert rep.fired is None
-        assert rep.detail == "no sufficient condition"
+    def test_saddle_rows_are_indefinite(self):
+        rep = evaluate_from_samples(np.array([[1.0, -1.0]] * 5), np.zeros(5), 2)
+        assert rep.psd_class.kind is DefinitenessClass.INDEFINITE
+        assert rep.min_eig_p == -1.0
 
-    def test_definite_upgrade(self):
-        # sigma_2 = 0 with sigma_3 != 0: curvatures (a, b, 0-ish)?  use
-        # (2, -1, x) with sigma_2 = 2x - 2 - x = x - 2 = 0 -> x = 2,
-        # sigma_3 = -4 != 0
-        rep = psd_sufficient(np.array([[2.0, -1.0, 2.0]] * 4), 2)
-        assert rep.fires_i and rep.fires_ii
-        assert rep.definite
+    def test_rows_of_opposite_sign_are_indefinite(self):
+        # each row is convex or concave, but P_1 of the second row is -I: no
+        # sampled sufficient condition overrides the eigenvalues
+        rep = evaluate_from_samples([[1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0], 2)
+        assert rep.psd_class.kind is DefinitenessClass.INDEFINITE
+        assert rep.min_eig_p == -1.0
+        assert not rep.flags.thm1_psd_definite
 
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            psd_sufficient([], 1)
+    def test_n_is_the_column_count(self):
+        K = np.array([[1.0, 1.0, 1.0]])
+        rep = evaluate_from_samples(K, [-3.0], 2)
+        assert rep.n == 3
+        assert rep.to_json_dict()["n"] == 3
 
-    @pytest.mark.parametrize("zero_tol", [-1.0, math.nan, math.inf, True, "1e-6", None])
-    def test_bad_zero_window_is_refused(self, zero_tol):
-        # a bad window would turn the certificate off: the default fires (iii)
-        assert psd_sufficient([[1.0, 2.0]], 1).fired == "iii"
-        with pytest.raises(DomainError, match="zero_tol"):
-            psd_sufficient([[1.0, 2.0]], 1, zero_tol=zero_tol)
-
-    @pytest.mark.parametrize("rows", [
-        np.zeros((0, 2)),
-        np.array([1.0, 1.0]),
-        np.array([[1.0, math.nan], [1.0, 1.0]]),
-        np.array([[math.inf, 1.0]]),
-    ])
-    def test_bad_rows_rejected(self, rows):
+    @pytest.mark.parametrize("rows, support, r", [
+        (np.zeros((0, 2)), np.zeros(0), 1),
+        (np.array([1.0, 1.0]), np.zeros(1), 1),
+        (np.array([[1.0, math.nan], [1.0, 1.0]]), np.zeros(2), 1),
+        (np.array([[math.inf, 1.0]]), np.zeros(1), 1),
+        ([], [], 1),
+        (np.ones((2, 2, 1)), np.zeros(2), 1),
+        ([[1.0, 2.0], [3.0]], [0.0, 0.0], 1),
+        (np.ones((1, 2)), np.zeros(3), 1),
+        (np.ones((2, 2)), np.zeros((2, 1)), 1),
+        (np.ones((1, 2)), np.array([math.nan]), 1),
+        (np.ones((1, 1)), np.zeros(1), 2),
+        (np.ones((1, 3)), np.zeros(1), 4),
+        (np.ones((1, 2)), np.zeros(1), 0),
+    ], ids=["empty", "one-d", "nan", "inf", "empty-list", "three-d", "ragged",
+            "support-length", "support-shape", "support-nan", "r-above-n",
+            "r-above-columns", "r-zero"])
+    def test_bad_rows_rejected(self, rows, support, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                psd_sufficient(rows, 1)
+                evaluate_from_samples(rows, support, r)
 
     def test_out_of_range_curvatures_refused(self):
-        rows = sample_fields(Sphere(n=2, radius=1e-200), 8)[0]
+        K, support = sample_fields(Sphere(n=2, radius=1e-200), 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="float range"):
-                psd_sufficient(rows, 2)
+                evaluate_from_samples(K, support, 2)

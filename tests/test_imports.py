@@ -1,4 +1,5 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module: the
+package modules, the demos and the test files.
 
 No linter is assumed, so the check walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must appear as a loaded
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "newton_flow"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "newton_flow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +45,9 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_read(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS,
+                         ids=[str(p.relative_to(ROOT)) for p in SCRIPTS])
+def test_every_demo_and_test_import_is_read(script):
+    assert unused_imports(script.read_text(encoding="utf-8")) == []
