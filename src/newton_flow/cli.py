@@ -46,12 +46,7 @@ from .errors import (
     brief,
     check_order,
 )
-from .symfun import (
-    _eigen_definiteness,
-    modified_sff_norm_sq,
-    newton_family,
-    trace_identities,
-)
+from .symfun import _p_spectrum, modified_sff_norm_sq, trace_identities
 
 logger = logging.getLogger("newton_flow")
 
@@ -336,8 +331,7 @@ def cmd_algebra(args) -> int:
     check_order(r, n)
     A = np.diag(k)
     residuals = trace_identities(A, r)   # builds the one family of this call
-    fam = newton_family(A)
-    psd, p_eigenvalues = _eigen_definiteness(fam.P[r - 1])   # ascending
+    _, fam, psd, p_eigenvalues = _p_spectrum(A, r)   # ascending, off the family's table
     out = {
         "n": n,
         "r": r,
@@ -433,7 +427,7 @@ def _verify_rows(resolutions):
             ellipsoid, r, resolutions)))
     for r in (1, 2):
         reports.append(("product-rule", operators.refinement_report(
-            "product-rule", _product_rule_residual, ellipsoid, r, resolutions)))
+            _product_rule_residual, ellipsoid, r, resolutions)))
     rows = [(name, rep.r, rep.residuals[-1], rep.observed_orders, rep.passes())
             for name, rep in reports]
     worst = 0.0

@@ -120,16 +120,17 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
     """
     check_order(r, model.n)
     curvatures, support = sample_fields(model, resolution)
-    return _report(curvatures, support, r, model)
+    notes = (("open hypersurface: normal fixed to +e_{n+1}",)
+             if isinstance(model, Hyperplane) else ())
+    return _report(curvatures, support, r, notes)
 
 
-def evaluate_from_samples(curvatures, support, r: int,
-                          model: HypersurfaceModel | None = None) -> GapReport:
+def evaluate_from_samples(curvatures, support, r: int) -> GapReport:
     """GapReport of sample rows: curvatures (S, n) and support values (S,).
 
-    n is the number of columns.  Rows that are not a non-empty 2-D array
-    of finite numbers, a support whose shape is not (S,), and r outside
-    1..n raise DomainError.
+    n is the number of columns, and the report has no notes.  Rows that
+    are not a non-empty 2-D array of finite numbers, a support whose
+    shape is not (S,), and r outside 1..n raise DomainError.
     """
     try:
         K = np.asarray(curvatures, dtype=float)
@@ -143,11 +144,10 @@ def evaluate_from_samples(curvatures, support, r: int,
     if not (np.isfinite(K).all() and np.isfinite(support).all()):
         raise DomainError("sample rows have non-finite entries")
     check_order(r, K.shape[1])
-    return _report(K, support, r, model)
+    return _report(K, support, r, ())
 
 
-def _report(K: np.ndarray, support: np.ndarray, r: int,
-            model: HypersurfaceModel | None) -> GapReport:
+def _report(K: np.ndarray, support: np.ndarray, r: int, notes: tuple) -> GapReport:
     """The gap reduction of rows K (S, n) and support (S,).  Every reported
     value has degree at most r + 1 in K, so rows whose degree-(r + 1) bound
     leaves the float range (an overflowed closed-form row among them) raise
@@ -161,8 +161,6 @@ def _report(K: np.ndarray, support: np.ndarray, r: int,
     norm_sq = (eig_p * K * K).sum(axis=1)
     residual = np.abs(sig[:, r] + support)
 
-    notes = (("open hypersurface: normal fixed to +e_{n+1}",)
-             if isinstance(model, Hyperplane) else ())
     sup_norm_sq = float(norm_sq.max())
     min_eig_p = float(eig_p.min())
     sup_a = float((K * K).sum(axis=1).max())

@@ -96,7 +96,6 @@ def drifted_apply(geometry: RevolutionGeometry, values, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    identity: str
     r: int
     resolutions: tuple
     residuals: tuple
@@ -151,8 +150,7 @@ def _position_identity_residual(g: RevolutionGeometry, r: int) -> float:
     return float(np.abs(lhs - rhs)[g.interior()].max())
 
 
-def refinement_report(identity: str, residual_fn, model, r,
-                      resolutions) -> ConvergenceReport:
+def refinement_report(residual_fn, model, r, resolutions) -> ConvergenceReport:
     """Refinement study of residual_fn(geometry, r) over the resolutions.
 
     geometry is the curvature record of the model at each resolution.
@@ -178,7 +176,7 @@ def refinement_report(identity: str, residual_fn, model, r,
               in zip(residuals, residuals[1:], spacings, spacings[1:])
               if min(coarse, fine) > EXACT_TOL]
     return ConvergenceReport(
-        identity=identity, r=r, resolutions=tuple(resolutions),
+        r=r, resolutions=tuple(resolutions),
         residuals=tuple(residuals), observed_orders=tuple(orders),
     )
 
@@ -191,13 +189,13 @@ def verify_support_identity(model, r: int, resolutions) -> ConvergenceReport:
                           - <grad sigma_r, X>
     which holds on any hypersurface, shrinker or not.
     """
-    return refinement_report("support", _support_identity_residual, model, r, resolutions)
+    return refinement_report(_support_identity_residual, model, r, resolutions)
 
 
 def verify_position_identity(model, r: int, resolutions) -> ConvergenceReport:
     """Refinement study of (1/2) L_{r-1} ||X||^2 = (n-r+1) sigma_{r-1}
     + r sigma_r <X,N>."""
-    return refinement_report("position", _position_identity_residual, model, r, resolutions)
+    return refinement_report(_position_identity_residual, model, r, resolutions)
 
 
 def verify_product_rule(geometry: RevolutionGeometry, a, b, r: int) -> float:

@@ -18,8 +18,10 @@ entry deleted (through a read-only column index, built once per n): no
 sigma_p(A_j) comes from a subtraction.  P_r is built in the eigenframe
 (k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's table, with
 the polynomial form as the cross-check.  Each order-r entry point
-validates its operator on every call.  ``definiteness`` counts an
-eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero.
+validates its operator on every call.  ``definiteness`` eigensolves a
+symmetric M and counts an eigenvalue within ZERO_TOL * max(1, ||M||) of
+zero as zero; the PSD gate of ``cauchy_schwarz_bound`` reads P_{r-1}'s
+eigenvalues off the deletion table instead, with the same window.
 
 One operator is usually asked about at every order r in turn, so the
 module keeps the validated family of the last operator it built: one
@@ -358,14 +360,9 @@ def definiteness(M) -> Definiteness:
     An eigenvalue within +/- ZERO_TOL*max(1, ||M||) of zero counts as
     zero (semidefinite), never as strictly signed.
     """
-    return _eigen_definiteness(M)[0]
-
-
-def _eigen_definiteness(M) -> tuple:
-    """definiteness of M, and the ascending eigenvalues it was read from."""
     A = _as_shape_operator(M)
     w = np.linalg.eigvalsh(A)
-    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, _norm(A))), w
+    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, _norm(A)))
 
 
 def _classify(lo: float, hi: float, cut: float) -> Definiteness:
@@ -383,16 +380,26 @@ def _classify(lo: float, hi: float, cut: float) -> Definiteness:
     return Definiteness(kind=kind, min_eigenvalue=lo, max_eigenvalue=hi)
 
 
+def _p_spectrum(S, r: int) -> tuple:
+    """Validated S, its NewtonFamily, and the Definiteness of P_{r-1} with the
+    ascending eigenvalues it was read from: column r-1 of the deletion table,
+    cut as in ``definiteness``.  No eigensolve on a slot hit."""
+    A, _, fam, table = _order_family(S, r)
+    w = np.sort(table[:, r - 1])
+    cut = ZERO_TOL * max(1.0, _norm(fam.P[r - 1]))
+    return A, fam, _classify(float(w[0]), float(w[-1]), cut), w
+
+
 def cauchy_schwarz_bound(S, r: int) -> tuple:
     """Both sides of r^2 sigma_r^2 <= tr(P_{r-1}) * tr(P_{r-1} A^2).
 
     The inequality is only asserted for positive semidefinite P_{r-1};
-    an indefinite or negative P_{r-1} raises NotPSDError.
+    an indefinite or negative P_{r-1} raises NotPSDError.  The gate reads
+    P_{r-1}'s eigenvalues off the family's deletion table (``_p_spectrum``).
     """
-    A, _, fam, _ = _order_family(S, r)
+    A, fam, d, _ = _p_spectrum(S, r)
     _check_degree(_norm(A), 2 * r, A.shape[0])   # both sides are degree 2r in A
     P = fam.P[r - 1]
-    d = definiteness(P)
     if not d.is_psd:
         raise NotPSDError(
             f"P_{r - 1} is {d.kind.value}; bound asserted only under PSD"

@@ -97,6 +97,24 @@ class TestAlgebra:
         assert out == ""
         assert "Traceback" not in err
 
+    def test_p_eigenvalues_are_the_eigvalsh_of_p(self, capsys, rng):
+        # the deletion table's column, sorted, against an eigensolve of the
+        # assembled P_{r-1}, bit for bit (signed zeros too), with zero and
+        # repeated curvatures among the vectors
+        for trial in range(1000):
+            n = rng.randint(1, 7)
+            k = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 4, n)
+            k[rng.rand(n) < 0.2] = 0.0
+            if n > 1 and trial % 3 == 0:
+                k[1] = k[0]
+            r = rng.randint(1, n + 1)
+            text = ",".join(format(x, ".17g") for x in k)
+            code, out, _ = run_cli(capsys, "algebra", f"--k={text}", "--r", str(r))
+            assert code == 0, (k, r)
+            got = np.array(json.loads(out, parse_int=float)["pEigenvalues"])
+            want = np.linalg.eigvalsh(symfun.newton_family(np.diag(k)).P[r - 1])
+            assert got.tobytes() == want.tobytes(), (k, r)
+
 
 class TestGap:
     def test_boundary_sphere(self, capsys, tmp_path):
@@ -527,10 +545,11 @@ class TestTiledOracle:
         for model, r in _oracle_taxonomy(4):
             curvatures, support = _tiled_fields(model, 8)
             assert support.size > 1
-            reports = (gapcheck.evaluate(model, r, 8),
-                       gapcheck.evaluate_from_samples(curvatures, support, r, model=model))
-            got, want = (render_json(rep.to_json_dict()) for rep in reports)
-            assert got == want, (model, r)
+            want, got = (gapcheck.evaluate(model, r, 8).to_json_dict(),
+                         gapcheck.evaluate_from_samples(curvatures, support, r).to_json_dict())
+            assert got["notes"] == []
+            got["notes"] = want["notes"]     # evaluate alone adds the hyperplane note
+            assert render_json(got) == render_json(want), (model, r)
 
     def test_residual_matches_the_tiled_grid(self, capsys, tmp_path):
         for model, r in _oracle_taxonomy(4):
@@ -782,8 +801,8 @@ class TestExitContract:
         code, out, _ = run_cli(capsys, "algebra", "--k", "1,2,3", "--r", "2")
         assert code == 0
         assert calls == [(3, 3)]
-        # one for the family, one for P_{r-1}: psdClass and pEigenvalues share it
-        assert solves == [(3, 3), (3, 3)]
+        # the family's one: psdClass and pEigenvalues read its deletion table
+        assert solves == [(3, 3)]
         monkeypatch.undo()
         data, s = json.loads(out), np.diag([1.0, 2.0, 3.0])
         residuals = symfun.trace_identities(s, 2)

@@ -123,8 +123,8 @@ class TestClassify:
         q = random_orthogonal(rng, 3)
         rotated = np.stack([np.linalg.eigvalsh((q * k) @ q.T) for k in K])
         assert not np.array_equal(rotated, K)
-        rep_a = evaluate_from_samples(K, support, 2, model=model)
-        rep_b = evaluate_from_samples(rotated, support, 2, model=model)
+        rep_a = evaluate_from_samples(K, support, 2)
+        rep_b = evaluate_from_samples(rotated, support, 2)
         assert rep_a.flags == rep_b.flags
         assert str(rep_a.classification) == str(rep_b.classification) == "Cylinder(m=2)"
         assert rep_b.sup_modified_norm_sq == pytest.approx(rep_a.sup_modified_norm_sq,
@@ -225,6 +225,13 @@ class TestSampleRows:
         rep = evaluate_from_samples(K, [-3.0], 2)
         assert rep.n == 3
         assert rep.to_json_dict()["n"] == 3
+
+    def test_rows_carry_no_notes(self):
+        # the hyperplane note is evaluate's, from its model; rows have none
+        assert evaluate_from_samples([[1.0, 1.0]], [-2.0], 2).notes == ()
+        K, support = sample_fields(Hyperplane(n=3), 8)
+        assert evaluate_from_samples(K, support, 1).notes == ()
+        assert evaluate(Hyperplane(n=3), 1, 8).notes != ()
 
     @pytest.mark.parametrize("rows, support, r", [
         (np.zeros((0, 2)), np.zeros(0), 1),

@@ -5,6 +5,9 @@ No linter is assumed, so the check walks each module's syntax tree:
 a name bound by ``import`` or ``from ... import`` must appear as a loaded
 name (``np`` in ``np.zeros`` counts) or in the module's ``__all__``.
 ``__init__.py`` is left out, because its imports are the re-exports.
+
+The private names one package module takes from a sibling are pinned:
+a new coupling of that kind shows up as an edit of ``PRIVATE_IMPORTS``.
 """
 
 import ast
@@ -16,6 +19,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "newton_flow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").rglob("*.py")])
+
+# (importing module, sibling module, private name)
+PRIVATE_IMPORTS = {
+    ("cli", "symfun", "_p_spectrum"),
+    ("gapcheck", "symfun", "_check_degree"),
+    ("gapcheck", "symfun", "_classify"),
+}
 
 
 def unused_imports(source: str) -> list:
@@ -35,6 +45,39 @@ def unused_imports(source: str) -> list:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             read |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def private_imports(stem: str, source: str) -> set:
+    """(stem, sibling, name) for every _-prefixed name the module binds by
+    ``from .sibling import`` or reads as ``sibling._name`` after ``from . import``."""
+    tree = ast.parse(source)
+    found, siblings = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    siblings[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((stem, node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")):
+            found.add((stem, siblings[node.value.id], node.attr))
+    return found
+
+
+def test_the_check_sees_a_private_import():
+    source = ("from . import fd\nfrom .symfun import _norm, elem_sym\n"
+              "fd._check_grid(3, 'periodic')\n")
+    assert private_imports("m", source) == {("m", "symfun", "_norm"),
+                                            ("m", "fd", "_check_grid")}
+
+
+def test_private_imports_between_package_modules_are_pinned():
+    found = set()
+    for module in PACKAGE.glob("*.py"):
+        found |= private_imports(module.stem, module.read_text(encoding="utf-8"))
+    assert found == PRIVATE_IMPORTS
 
 
 def test_the_check_sees_an_unused_import():

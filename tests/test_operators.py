@@ -328,11 +328,11 @@ class TestExactIdentities:
     def test_only_pairs_above_rounding_give_orders(self):
         made = {17: 4e-3, 33: 1e-3, 65: 1e-16}
         rep = operators.refinement_report(
-            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, [17, 33])
         assert len(rep.observed_orders) == 1 and rep.passes()
         rep = operators.refinement_report(
-            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, [17, 33, 65])
         assert len(rep.observed_orders) == 1 and rep.passes()
 
@@ -344,7 +344,7 @@ class TestExactIdentities:
     ])
     def test_a_residual_with_no_order_at_the_finest_grid_fails(self, made):
         rep = operators.refinement_report(
-            "made", lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
             1, sorted(made))
         assert rep.residuals[-1] <= operators.FINEST_TOL
         assert not rep.passes()

@@ -330,6 +330,24 @@ class TestCauchySchwarz:
                 scale = (1.0 + np.linalg.norm(a)) ** (2 * r)
                 assert lhs <= rhs + 1e-10 * scale
 
+    def test_gate_agrees_with_the_definiteness_oracle(self, rng):
+        # the gate reads the deletion table; definiteness eigensolves P_{r-1}
+        refused = passed = 0
+        for trial in range(1000):
+            n = trial % 6 + 1
+            a = random_symmetric(rng, n, positive=trial % 2 == 0)
+            fam = newton_family(a)
+            for r in range(1, n + 1):
+                oracle = definiteness(fam.P[r - 1])
+                if oracle.is_psd:
+                    cauchy_schwarz_bound(a, r)
+                    passed += 1
+                else:
+                    with pytest.raises(NotPSDError, match=f"P_{r - 1} is {oracle.kind.value};"):
+                        cauchy_schwarz_bound(a, r)
+                    refused += 1
+        assert refused > 500 and passed > 500
+
     def test_rejects_indefinite_weight(self):
         # k = (1, -1): P_1 = sigma_1 I - A = -A is indefinite
         with pytest.raises(NotPSDError):
@@ -431,13 +449,11 @@ class TestOneRecurrence:
 
         monkeypatch.setattr(symfun, "_as_shape_operator", counted)
         S = np.diag([1.0, 2.0, 3.0])
-        for fn in (trace_identities, modified_sff_norm_sq):
+        # cauchy_schwarz_bound's PSD test of P_1 reads the family's table
+        for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
             calls.clear()
             fn(S, 2)
             assert len(calls) == 1, fn.__name__
-        calls.clear()
-        cauchy_schwarz_bound(S, 2)     # S, then the PSD test of P_1
-        assert len(calls) == 2
 
     def test_eigenvalues_computed_once(self, monkeypatch):
         solves = count_eigensolves(monkeypatch)
@@ -565,9 +581,9 @@ class TestFamilySlot:
             definiteness(fam.P[r - 1])
             cauchy_schwarz_bound(a, r)
         assert builds == [(n, n)]
-        # the family's one, definiteness(a), sqrt_psd(a), and the PSD test
-        # of each P_{r-1} from definiteness and from cauchy_schwarz_bound
-        assert len(solves) == 1 + 1 + 1 + 2 * n
+        # the family's one, definiteness(a), sqrt_psd(a), and definiteness of
+        # each P_{r-1}; cauchy_schwarz_bound reads the family's table
+        assert len(solves) == 1 + 1 + 1 + n
 
     def test_a_mutated_result_leaves_the_next_call_unchanged(self, rng):
         a = random_symmetric(rng, 4)
