@@ -331,12 +331,12 @@ def cmd_algebra(args) -> int:
     check_order(r, n)
     A = np.diag(k)
     residuals = trace_identities(A, r)   # builds the one family of this call
-    _, fam, psd, p_eigenvalues = _p_spectrum(A, r)   # ascending, off the family's table
+    op, psd, p_eigenvalues = _p_spectrum(A, r)   # ascending, off the family's table
     out = {
         "n": n,
         "r": r,
         "curvatures": list(k),
-        "sigmas": list(fam.sigmas),
+        "sigmas": list(op.fam.sigmas),
         "pEigenvalues": list(p_eigenvalues),
         "modifiedNormSq": modified_sff_norm_sq(A, r),
         "psdClass": psd.kind.value,

@@ -17,20 +17,29 @@ deletion kernel ``elem_sym_excluding_rows`` runs it on each row with one
 entry deleted (through a read-only column index, built once per n): no
 sigma_p(A_j) comes from a subtraction.  P_r is built in the eigenframe
 (k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's table, with
-the polynomial form as the cross-check.  Each order-r entry point
-validates its operator on every call.  ``definiteness`` eigensolves a
-symmetric M and counts an eigenvalue within ZERO_TOL * max(1, ||M||) of
-zero as zero; the PSD gate of ``cauchy_schwarz_bound`` reads P_{r-1}'s
-eigenvalues off the deletion table instead, with the same window.
+Horner's form of the polynomial, poly_r = sigma_r I - poly_{r-1} A, as
+the cross-check.  ``definiteness`` eigensolves a symmetric M and counts
+an eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero; the PSD
+gate of ``cauchy_schwarz_bound`` reads P_{r-1}'s eigenvalues off the
+deletion table instead, with the same window.  The entry points that
+take a curvature vector or an operator convert it once and refuse
+ragged, string, complex or object input with DomainError; the row
+kernels trust their callers' float arrays.
 
 One operator is usually asked about at every order r in turn, so the
-module keeps the validated family of the last operator it built: one
-slot keyed by the bytes of the exactly-symmetric operator, whose arrays
-are read-only.  A hit skips only the build (``eigh``, the deletion
-table, the P_r and their polynomial cross-check), which is a
-deterministic function of those bytes; every per-call check still runs.
-``newton_family`` hands out writable copies, so no caller can alter
-the slot.
+module keeps the last operator it built a family for: one slot keyed by
+the shape and float64 bytes of the caller's array, holding the
+validated, exactly-symmetric operator A, its norm and its family, all
+read-only.  Validation and build are deterministic functions of those
+bytes, and the slot is stored only after both have passed.  A hit skips
+the validation (finiteness, symmetry, the symmetrized copy, the norm)
+and the build (``eigh``, the deletion table, the P_r and their
+cross-check).  Every per-call check still runs: the order r, the degree
+checks (from the stored norm), the three modified-norm routes, the trace
+identities and the PSD gate.  ``definiteness`` and ``sqrt_psd`` read the
+stored A on a hit and still eigensolve; a miss there validates afresh and
+leaves the slot alone.  ``newton_family`` hands out writable copies, so
+no caller can alter the slot.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +67,23 @@ CLAMP_TOL = 1e-12      # eigenvalue clamping window in sqrt_psd
 IDENTITY_TOL = 1e-10   # residual tolerance for the trace identities
 ZERO_TOL = 1e-10       # relative zero window of definiteness
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_2 = math.log(2.0)
+
+
+def _as_floats(x, what: str) -> np.ndarray:
+    """x as a float64 array; ragged, string, complex or object input raises DomainError."""
+    try:
+        X = np.asarray(x)
+    except (TypeError, ValueError) as exc:      # ragged
+        raise DomainError(f"{what} must be a numeric array") from exc
+    if X.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be a numeric array")
+    return X.astype(float, copy=False)
 
 
 def _as_curvatures(k) -> np.ndarray:
     # empty vectors are allowed: sigma_0 of nothing is 1 (deletion from n=1)
-    k = np.asarray(k, dtype=float)
+    k = _as_floats(k, "curvature vector")
     if k.ndim != 1:
         raise DomainError("curvature vector must be 1-D")
     if not np.isfinite(k).all():
@@ -76,13 +98,14 @@ def _norm(X: np.ndarray) -> float:
 
 def _check_degree(norm_a: float, p: int, n: int):
     """Raise the float-range NumericalError unless n 2^n (1 + |A|)^p is finite: it
-    bounds the degree-p quantities of an n x n A (sigma_p, A^p, P_p, their traces)."""
-    if not p * math.log1p(norm_a) + math.log(n * 2.0 ** n) < _LOG_MAX:
+    bounds the degree-p quantities of an n x n A (sigma_p, A^p, P_p, their traces).
+    Summed as logarithms, so that no n overflows the bound itself."""
+    if not p * math.log1p(norm_a) + math.log(n) + n * _LOG_2 < _LOG_MAX:
         raise float_range_error("|A|", norm_a, p)
 
 
 def _as_shape_operator(S) -> np.ndarray:
-    A = np.asarray(S, dtype=float)
+    A = _as_floats(S, "shape operator")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DomainError("shape operator must be a square matrix")
     if not np.isfinite(A).all():
@@ -197,34 +220,58 @@ def newton_family(S) -> NewtonFamily:
     The sigmas come from the eigenvalues k of S (symmetric eigensolver, not
     characteristic-polynomial coefficients, for conditioning); P_r is
     Q diag(sigma_r(A_j)) Q^T in the eigenframe (k, Q), with P_0 = I and
-    P_n = 0.  The independent polynomial form sum_j (-1)^j sigma_{r-j} A^j
-    is a built-in cross-check at every r, and its P_n must vanish
-    (Cayley-Hamilton).  The arrays returned are the caller's own.
+    P_n = 0.  The independent polynomial form, evaluated by Horner's rule
+    poly_r = sigma_r I - poly_{r-1} A, is a built-in cross-check at every
+    r, and poly_n must vanish (Cayley-Hamilton).  When S has the bytes of
+    the last operator built, the validation and the build are skipped and
+    the family comes from the slot.  The arrays returned are the caller's
+    own.
     """
-    fam = _family(_as_shape_operator(S))[1]
+    fam = _family(*_lookup(S)).fam
     return NewtonFamily(sigmas=fam.sigmas.copy(), P=tuple(p.copy() for p in fam.P))
 
 
-# (key, (k, NewtonFamily, deletion table)) of the last operator built, or None
+class _Operator(NamedTuple):
+    """A validated operator and, once built, its family."""
+
+    A: np.ndarray                   # the exactly-symmetric part of the input
+    norm: float                     # _norm(A), which the degree checks read
+    k: np.ndarray | None = None     # eigenvalues of A
+    fam: NewtonFamily | None = None
+    table: np.ndarray | None = None     # deletion table [j, p] = sigma_p(A_j)
+
+
+# (key, _Operator with its family, all read-only) of the last operator built,
+# keyed by the shape and float64 bytes of the caller's array; or None
 _last_family = None
 
 
-def _family(A: np.ndarray) -> tuple:
-    """Eigenvalues, NewtonFamily and deletion table of a validated operator.
-
-    The result is shared and read-only: it comes from the one-operator
-    slot when A has the bytes of the operator built last.
-    """
-    global _last_family
-    key = (A.shape, A.tobytes())
+def _lookup(S) -> tuple:
+    """(key, _Operator) of the caller's operator S: the slot's entry on a
+    hit; on a miss S validated afresh, without a family, and the slot is
+    left alone."""
+    X = _as_floats(S, "shape operator")
+    key = (X.shape, X.tobytes())
     slot = _last_family
     if slot is not None and slot[0] == key:
-        return slot[1]
-    k, fam, table = _build_family(A)
-    for array in (k, fam.sigmas, *fam.P, table):
+        return slot
+    A = _as_shape_operator(X)
+    return key, _Operator(A, _norm(A))
+
+
+def _family(key, op: _Operator) -> _Operator:
+    """op with its family.  A miss's family is built, made read-only with A
+    and stored in the slot under key; the result is shared and must not
+    be written."""
+    global _last_family
+    if op.fam is not None:
+        return op
+    k, fam, table = _build_family(op.A)
+    for array in (op.A, k, fam.sigmas, *fam.P, table):
         array.setflags(write=False)
-    _last_family = (key, (k, fam, table))
-    return k, fam, table
+    op = op._replace(k=k, fam=fam, table=table)
+    _last_family = (key, op)
+    return op
 
 
 def _build_family(A: np.ndarray) -> tuple:
@@ -236,30 +283,38 @@ def _build_family(A: np.ndarray) -> tuple:
     k, Q = np.linalg.eigh(A)
     sig = elem_sym_all_rows(k[None])[0]
     table = _excluding_table(k[None], n - 1)
-    eye = np.eye(n)
-    P = (eye, *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
-
-    # cross-check against the polynomial form sum_j sigma_{r-j} (-A)^j, degree-scaled
-    powers, minus_a, s = [eye], -A, sig.tolist()
-    for _ in range(n):
-        powers.append(powers[-1] @ minus_a)
-    for r in range(n + 1):
-        poly_r = sum(s[r - j] * powers[j] for j in range(r + 1))
-        tol = IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
-        if not _norm(P[r] - poly_r) <= tol:    # NaN fails too
-            raise NumericalError(f"eigenframe/polynomial disagreement for P_{r}")
-    # Cayley-Hamilton: the polynomial form of P_n vanishes
-    if not _norm(poly_r) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
-        raise NumericalError("polynomial P_n deviates from zero beyond tolerance")
+    P = (np.eye(n), *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
+    _cross_check(A, norm_a, sig, P)
     return k, NewtonFamily(sigmas=sig, P=P), table
 
 
-def _order_family(S, r: int) -> tuple:
-    """Validated S, then _family's triple, once 1 <= r <= n holds."""
-    A = _as_shape_operator(S)
-    check_order(r, A.shape[0])
-    _check_degree(_norm(A), r + 1, A.shape[0])   # the order-r identities reach degree r+1
-    return (A, *_family(A))
+def _cross_check(A: np.ndarray, norm_a: float, sigmas: np.ndarray, P: tuple):
+    """Raise NumericalError unless every P_r is within IDENTITY_TOL n
+    (1 + |A|)^max(r, 1) of Horner's form poly_r = sigma_r I - poly_{r-1} A
+    (poly_0 = I), and poly_n is within IDENTITY_TOL (1 + |A|)^n of zero."""
+    n = A.shape[0]
+    eye = np.eye(n)
+    poly = eye
+    for r, s_r in enumerate(sigmas.tolist()):
+        if r:
+            poly = s_r * eye - poly @ A
+        tol = IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
+        if not _norm(P[r] - poly) <= tol:    # NaN fails too
+            raise NumericalError(f"eigenframe/polynomial disagreement for P_{r}")
+    # Cayley-Hamilton: the polynomial form of P_n vanishes
+    if not _norm(poly) <= IDENTITY_TOL * (1.0 + norm_a) ** n:
+        raise NumericalError("polynomial P_n deviates from zero beyond tolerance")
+
+
+def _order_family(S, r: int) -> _Operator:
+    """S with its family, once 1 <= r <= n holds and the degree-(r+1)
+    quantities stay in the float range; both are checked on every call,
+    before any build."""
+    key, op = _lookup(S)
+    n = op.A.shape[0]
+    check_order(r, n)
+    _check_degree(op.norm, r + 1, n)   # the order-r identities reach degree r+1
+    return _family(key, op)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -268,9 +323,9 @@ def sqrt_psd(M) -> np.ndarray:
     Eigenvalues in [-CLAMP_TOL*||M||, 0) are clamped to zero; anything
     below that window raises NotPSDError.
     """
-    A = _as_shape_operator(M)
-    w, V = np.linalg.eigh(A)
-    if w[0] < -CLAMP_TOL * _norm(A):
+    op = _lookup(M)[1]
+    w, V = np.linalg.eigh(op.A)
+    if w[0] < -CLAMP_TOL * op.norm:
         raise NotPSDError(
             f"matrix has eigenvalue {w[0]:.3e} below the PSD clamping window"
         )
@@ -285,7 +340,7 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A, k, fam, table = _order_family(S, r)
+    A, _, k, fam, table = _order_family(S, r)
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
     val_sum = float((table[:, r - 1] * k ** 2).sum())
@@ -317,7 +372,7 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
 
     Each residual is normalized by (1 + ||S||)^(r+1).
     """
-    A, _, fam, _ = _order_family(S, r)
+    A, _, _, fam, _ = _order_family(S, r)
     n = A.shape[0]
     P = fam.P[r - 1]
     sig = fam.sigmas
@@ -360,9 +415,9 @@ def definiteness(M) -> Definiteness:
     An eigenvalue within +/- ZERO_TOL*max(1, ||M||) of zero counts as
     zero (semidefinite), never as strictly signed.
     """
-    A = _as_shape_operator(M)
-    w = np.linalg.eigvalsh(A)
-    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, _norm(A)))
+    op = _lookup(M)[1]
+    w = np.linalg.eigvalsh(op.A)
+    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, op.norm))
 
 
 def _classify(lo: float, hi: float, cut: float) -> Definiteness:
@@ -381,13 +436,13 @@ def _classify(lo: float, hi: float, cut: float) -> Definiteness:
 
 
 def _p_spectrum(S, r: int) -> tuple:
-    """Validated S, its NewtonFamily, and the Definiteness of P_{r-1} with the
-    ascending eigenvalues it was read from: column r-1 of the deletion table,
-    cut as in ``definiteness``.  No eigensolve on a slot hit."""
-    A, _, fam, table = _order_family(S, r)
-    w = np.sort(table[:, r - 1])
-    cut = ZERO_TOL * max(1.0, _norm(fam.P[r - 1]))
-    return A, fam, _classify(float(w[0]), float(w[-1]), cut), w
+    """S with its family (``_order_family``), and the Definiteness of P_{r-1}
+    with the ascending eigenvalues it was read from: column r-1 of the
+    deletion table, cut as in ``definiteness``.  No eigensolve on a slot hit."""
+    op = _order_family(S, r)
+    w = np.sort(op.table[:, r - 1])
+    cut = ZERO_TOL * max(1.0, _norm(op.fam.P[r - 1]))
+    return op, _classify(float(w[0]), float(w[-1]), cut), w
 
 
 def cauchy_schwarz_bound(S, r: int) -> tuple:
@@ -397,8 +452,8 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     an indefinite or negative P_{r-1} raises NotPSDError.  The gate reads
     P_{r-1}'s eigenvalues off the family's deletion table (``_p_spectrum``).
     """
-    A, fam, d, _ = _p_spectrum(S, r)
-    _check_degree(_norm(A), 2 * r, A.shape[0])   # both sides are degree 2r in A
+    (A, norm_a, _, fam, _), d, _ = _p_spectrum(S, r)
+    _check_degree(norm_a, 2 * r, A.shape[0])   # both sides are degree 2r in A
     P = fam.P[r - 1]
     if not d.is_psd:
         raise NotPSDError(

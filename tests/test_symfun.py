@@ -431,13 +431,23 @@ class TestOneRecurrence:
                         brute_sigma(K[s], r), rel=1e-12, abs=1e-12)
 
     def test_order_checked_before_the_family(self, monkeypatch):
-        def unreachable(A):
+        def unreachable(key, op):
             raise AssertionError("family built for an out-of-range order")
 
         monkeypatch.setattr(symfun, "_family", unreachable)
         for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
             with pytest.raises(DomainError, match=r"r=4 out of range 1\.\.3"):
                 fn(np.eye(3), 4)
+        # on a slot hit too, the order is checked on every call
+        monkeypatch.undo()
+        newton_family(np.eye(3))
+        slot = symfun._last_family
+        for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
+            with pytest.raises(DomainError, match=r"r=4 out of range 1\.\.3"):
+                fn(np.eye(3), 4)
+            with pytest.raises(DomainError, match="must be an integer"):
+                fn(np.eye(3), 1.5)
+        assert symfun._last_family is slot
 
     def test_operator_validated_once(self, monkeypatch):
         calls = []
@@ -449,10 +459,12 @@ class TestOneRecurrence:
 
         monkeypatch.setattr(symfun, "_as_shape_operator", counted)
         S = np.diag([1.0, 2.0, 3.0])
-        # cauchy_schwarz_bound's PSD test of P_1 reads the family's table
+        # a miss validates once; later calls on the same bytes hit the slot
         for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
+            symfun._last_family = None
             calls.clear()
-            fn(S, 2)
+            for r in (1, 2, 3, 2):
+                fn(S, r)
             assert len(calls) == 1, fn.__name__
 
     def test_eigenvalues_computed_once(self, monkeypatch):
@@ -488,6 +500,19 @@ class TestOverflowGuards:
             newton_family(np.diag(k))
         with pytest.raises(NumericalError):
             modified_sff_norm_sq(np.diag(k), 1)
+
+    def test_a_dimension_past_the_float_range_is_a_numerical_error(self, monkeypatch):
+        # n 2^n alone leaves the float range from n = 1024 on: refused before any eigensolve
+        solves = count_eigensolves(monkeypatch)
+        s = np.eye(1100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="leaves the float range"):
+                newton_family(s)
+            for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
+                with pytest.raises(NumericalError, match="leaves the float range"):
+                    fn(s, 1)
+        assert solves == [] and symfun._last_family is None
 
     @pytest.mark.parametrize("big", [1e100, 1e160, 1e200, 1e308])
     def test_huge_antisymmetric_part_is_rejected(self, big):
@@ -525,65 +550,94 @@ class TestOverflowGuards:
             modified_sff_norm_sq(np.diag([1.0, 2.0]), 1)
 
 
-def _operator_outputs(a) -> list:
-    """The bytes of every order-r result on a, in the order the algebra
-    workload asks for them: the family, then each r in turn."""
-    fam = newton_family(a)
+def _operator_outputs(a, fresh: bool = False) -> list:
+    """The bytes of every result on a, in the order the algebra workload
+    asks for them: the family, definiteness and root, then each r in turn.
+    fresh empties the slot before every call, so each validates and builds
+    afresh."""
+    def call(fn, *args):
+        if fresh:
+            symfun._last_family = None
+        return fn(*args)
+
+    fam = call(newton_family, a)
     out = [fam.sigmas.tobytes(), *(p.tobytes() for p in fam.P)]
+    d = call(definiteness, a)
+    out.append(repr(d))
+    if d.is_psd:
+        out.append(call(sqrt_psd, a).tobytes())
     for r in range(1, a.shape[0] + 1):
-        t = trace_identities(a, r)
+        t = call(trace_identities, a, r)
         out.append(np.array([t.trace_p, t.trace_pa, t.trace_pa2]).tobytes())
-        out.append(np.float64(modified_sff_norm_sq(a, r)).tobytes())
+        out.append(np.float64(call(modified_sff_norm_sq, a, r)).tobytes())
         try:
-            out.append(np.array(cauchy_schwarz_bound(a, r)).tobytes())
+            out.append(np.array(call(cauchy_schwarz_bound, a, r)).tobytes())
         except NotPSDError as exc:
             out.append(str(exc))
     return out
 
 
+# every public entry point that takes an operator, with the arguments after it
+OPERATOR_ENTRY_POINTS = [
+    (newton_family, ()), (definiteness, ()), (sqrt_psd, ()),
+    (trace_identities, (1,)), (modified_sff_norm_sq, (1,)), (cauchy_schwarz_bound, (1,)),
+]
+CURVATURE_ENTRY_POINTS = [(elem_sym, (1,)), (elem_sym_all, ()), (elem_sym_excluding, (0, 1))]
+
+
+def _names(entry_points) -> list:
+    return [fn.__name__ for fn, _ in entry_points]
+
+
 class TestFamilySlot:
     @staticmethod
-    def counted_builds(monkeypatch) -> list:
+    def counted(monkeypatch, name: str) -> list:
+        """Record the shape of every call of symfun's one-argument ``name``."""
         calls = []
-        original = symfun._build_family
+        original = getattr(symfun, name)
 
         def counted(A):
-            calls.append(A.shape)
+            calls.append(np.shape(A))
             return original(A)
 
-        monkeypatch.setattr(symfun, "_build_family", counted)
+        monkeypatch.setattr(symfun, name, counted)
         return calls
 
     def test_hits_are_bit_equal_to_fresh_builds(self, rng, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        builds = self.counted(monkeypatch, "_build_family")
         for trial in range(1000):
             n = trial % 8 + 1
             a = random_symmetric(rng, n, positive=(trial // 8) % 2 == 0)
+            symfun._last_family = None
             builds.clear()
             memo = _operator_outputs(a)
             assert builds == [(n, n)]       # one build, then every call hits
-            with monkeypatch.context() as m:
-                m.setattr(symfun, "_family", symfun._build_family)
-                fresh = _operator_outputs(a)
-            assert memo == fresh, trial
+            assert memo == _operator_outputs(a, fresh=True), trial
 
     def test_one_eigensolve_for_the_family_of_a_job(self, rng, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        validations = self.counted(monkeypatch, "_as_shape_operator")
+        builds = self.counted(monkeypatch, "_build_family")
         solves = count_eigensolves(monkeypatch)
-        n = 5
-        a = random_symmetric(rng, n, positive=True)
-        fam = newton_family(a)
-        assert definiteness(a).is_psd
-        sqrt_psd(a)
-        for r in range(1, n + 1):
-            trace_identities(a, r)
-            modified_sff_norm_sq(a, r)
-            definiteness(fam.P[r - 1])
-            cauchy_schwarz_bound(a, r)
-        assert builds == [(n, n)]
-        # the family's one, definiteness(a), sqrt_psd(a), and definiteness of
-        # each P_{r-1}; cauchy_schwarz_bound reads the family's table
-        assert len(solves) == 1 + 1 + 1 + n
+        for n in range(1, 7):
+            a = random_symmetric(rng, n, positive=True)
+            validations.clear()
+            builds.clear()
+            solves.clear()
+            # the calls of the algebra benchmark's job on one operator
+            fam = newton_family(a)
+            assert definiteness(a).is_psd
+            sqrt_psd(a)
+            for r in range(1, n + 1):
+                trace_identities(a, r)
+                modified_sff_norm_sq(a, r)
+                definiteness(fam.P[r - 1])
+                cauchy_schwarz_bound(a, r)
+            assert builds == [(n, n)]
+            # a once, then each P_{r-1}: a miss that leaves the slot alone
+            assert validations == [(n, n)] * (1 + n)
+            # the family's one, definiteness(a), sqrt_psd(a), and definiteness
+            # of each P_{r-1}; cauchy_schwarz_bound reads the family's table
+            assert len(solves) == 3 + n
 
     def test_a_mutated_result_leaves_the_next_call_unchanged(self, rng):
         a = random_symmetric(rng, 4)
@@ -596,27 +650,88 @@ class TestFamilySlot:
         assert _operator_outputs(a) == expect
 
     def test_the_slot_is_read_only(self, rng):
-        newton_family(random_symmetric(rng, 3))
-        k, fam, table = symfun._last_family[1]
-        for array in (k, fam.sigmas, *fam.P, table):
+        a = random_symmetric(rng, 3)
+        newton_family(a)
+        key, op = symfun._last_family
+        assert key == (a.shape, a.tobytes())
+        for array in (op.A, op.k, op.fam.sigmas, *op.fam.P, op.table):
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
     def test_a_failed_build_is_not_cached(self, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        builds = self.counted(monkeypatch, "_build_family")
         good = np.diag([1.0, 2.0])
         newton_family(good)
         slot = symfun._last_family
         for _ in range(2):
             with pytest.raises(NumericalError):
                 newton_family(np.diag([1e160, 1.0]))
+            with pytest.raises(NumericalError):
+                modified_sff_norm_sq(np.diag([1e160, 1.0]), 1)
         assert symfun._last_family is slot
+        # the order entry point's degree check refuses before its build
         assert builds == [(2, 2)] * 3
         newton_family(good)
         assert len(builds) == 3
 
+    @pytest.mark.parametrize("fn, args", OPERATOR_ENTRY_POINTS,
+                             ids=_names(OPERATOR_ENTRY_POINTS))
+    def test_no_refused_input_enters_the_slot(self, fn, args):
+        newton_family(np.diag([1.0, 2.0]))
+        slot = symfun._last_family
+        refused = [
+            [[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+            [[1.0, 0.5], [0.0, 1.0]], np.ones((2, 3)), np.zeros((0, 0)), [1.0, 2.0],
+            [[1.0, 2.0], [3.0]], [[1j, 0.0], [0.0, 1.0]], [["1", "0"], ["0", "1"]],
+        ]
+        for bad in refused:
+            with pytest.raises(DomainError):
+                fn(bad, *args)
+            assert symfun._last_family is slot, bad
+        if args:        # out-of-range order and float-range degree on a miss
+            for bad, r, error in ((np.eye(3), 4, DomainError),
+                                  (np.diag([1e160, 1.0]), 1, NumericalError)):
+                with pytest.raises(error):
+                    fn(bad, r)
+                assert symfun._last_family is slot
+
+    def test_definiteness_and_root_never_store(self, rng):
+        a, b = random_symmetric(rng, 3), random_symmetric(rng, 3, positive=True)
+        newton_family(a)
+        slot = symfun._last_family
+        definiteness(b)
+        sqrt_psd(b)
+        assert symfun._last_family is slot
+        # on a hit they read the stored operator, with the same bits as a miss
+        hit = (repr(definiteness(b)), sqrt_psd(b).tobytes())
+        newton_family(b)
+        assert symfun._last_family is not slot
+        assert (repr(definiteness(b)), sqrt_psd(b).tobytes()) == hit
+
+    @pytest.mark.parametrize("i, j, value, message", [
+        (1, 1, math.nan, "non-finite"), (0, 2, math.inf, "non-finite"),
+        (0, 1, 0.5, "not symmetric"),
+    ])
+    def test_a_caller_array_changed_after_a_hit_is_refused_again(
+            self, rng, i, j, value, message):
+        a = random_symmetric(rng, 3, positive=True)
+        newton_family(a)
+        trace_identities(a, 1)          # a hit
+        a[i, j] = value
+        for fn, args in OPERATOR_ENTRY_POINTS:
+            with pytest.raises(DomainError, match=message):
+                fn(a, *args)
+
+    def test_equal_float64_bytes_hit_whatever_the_container(self, monkeypatch):
+        builds = self.counted(monkeypatch, "_build_family")
+        a = np.diag([1.0, 2.0, 3.0])
+        for s in (a, a.tolist(), np.asfortranarray(a), a.astype(int), a.astype(np.float32)):
+            newton_family(s)
+            trace_identities(s, 2)
+        assert builds == [(3, 3)]
+
     def test_operators_one_ulp_apart_miss_the_slot(self, rng, monkeypatch):
-        builds = self.counted_builds(monkeypatch)
+        builds = self.counted(monkeypatch, "_build_family")
         a = random_symmetric(rng, 3)
         b = a.copy()
         b[0, 0] = np.nextafter(a[0, 0], np.inf)
@@ -626,6 +741,105 @@ class TestFamilySlot:
             assert got.sigmas.tobytes() == fresh.sigmas.tobytes()
             assert all(p.tobytes() == q.tobytes() for p, q in zip(got.P, fresh.P))
         assert len(builds) == 3 + 3     # three misses, three reference builds
+
+
+def power_sum_check(A, norm_a, sigmas, P):
+    """The cross-check in power-sum form, poly_r = sum_j sigma_{r-j} (-A)^j:
+    the oracle for the Horner form of ``symfun._cross_check``."""
+    n = A.shape[0]
+    powers, minus_a, s = [np.eye(n)], -A, sigmas.tolist()
+    for _ in range(n):
+        powers.append(powers[-1] @ minus_a)
+    for r in range(n + 1):
+        poly_r = sum(s[r - j] * powers[j] for j in range(r + 1))
+        tol = symfun.IDENTITY_TOL * n * (1.0 + norm_a) ** max(r, 1)
+        if not symfun._norm(P[r] - poly_r) <= tol:
+            raise NumericalError(f"eigenframe/polynomial disagreement for P_{r}")
+    if not symfun._norm(poly_r) <= symfun.IDENTITY_TOL * (1.0 + norm_a) ** n:
+        raise NumericalError("polynomial P_n deviates from zero beyond tolerance")
+
+
+def _verdict(check, *args) -> str:
+    try:
+        check(*args)
+    except NumericalError as exc:
+        return str(exc)
+    return "agree"
+
+
+class TestHornerCrossCheck:
+    @staticmethod
+    def unchecked_family(A, monkeypatch):
+        """sigmas and P of a validated A, built without the cross-check."""
+        with monkeypatch.context() as m:
+            m.setattr(symfun, "_cross_check", lambda *args: None)
+            fam = symfun._build_family(A)[1]
+        return fam.sigmas, fam.P
+
+    def test_a_perturbed_p_r_is_refused(self, rng, monkeypatch):
+        for n in range(2, 7):
+            q = random_orthogonal(rng, n)
+            A = symfun._as_shape_operator((q * rng.uniform(0.9, 1.1, n)) @ q.T)
+            norm_a = symfun._norm(A)
+            sig, P = self.unchecked_family(A, monkeypatch)
+            symfun._cross_check(A, norm_a, sig, P)
+            for r in range(1, n):
+                bad = P[:r] + (P[r] * (1.0 + 1e-6),) + P[r + 1:]
+                for check in (symfun._cross_check, power_sum_check):
+                    with pytest.raises(NumericalError, match=(
+                            f"eigenframe/polynomial disagreement for P_{r}$")):
+                        check(A, norm_a, sig, bad)
+
+    def test_a_perturbed_build_stores_nothing(self, monkeypatch):
+        kernel = symfun._excluding_table
+
+        def perturbed(K, top):
+            table = kernel(K, top)
+            table[:, 1] *= 1.0 + 1e-6
+            return table
+
+        monkeypatch.setattr(symfun, "_excluding_table", perturbed)
+        with pytest.raises(NumericalError, match="disagreement for P_1"):
+            newton_family(np.diag([1.0, 1.1, 0.9]))
+        assert symfun._last_family is None
+
+    def test_same_verdict_as_the_power_sum(self, rng, monkeypatch):
+        # curvatures of either sign spread over 10^-8..10^8; every other
+        # operator gets one P_r off by a relative 10^-13..10^-3
+        verdicts = []
+        for trial in range(1200):
+            n = trial % 8 + 1
+            k = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            q = random_orthogonal(rng, n)
+            A = symfun._as_shape_operator((q * k) @ q.T)
+            norm_a = symfun._norm(A)
+            sig, P = self.unchecked_family(A, monkeypatch)
+            if trial % 2:
+                r = rng.randint(1, n + 1)
+                P = P[:r - 1] + (P[r - 1] * (1.0 + 10.0 ** rng.uniform(-13.0, -3.0)),) + P[r:]
+            horner = _verdict(symfun._cross_check, A, norm_a, sig, P)
+            assert horner == _verdict(power_sum_check, A, norm_a, sig, P), trial
+            verdicts.append(horner)
+        assert verdicts.count("agree") >= 600
+        assert len(set(verdicts)) > 2       # refusals at several orders
+
+
+@pytest.mark.parametrize("operator, curvatures", [
+    ([[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0]]),
+    ([[1j, 0.0], [0.0, 1.0]], [1j, 2.0]),
+    (np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), np.array([1.0, 2.0], dtype=complex)),
+    ([["1", "0"], ["0", "1"]], ["1", "2"]),
+    ([[None, 0.0], [0.0, 1.0]], [None, 2.0]),
+    (np.eye(2, dtype=object), np.ones(2, dtype=object)),
+], ids=["ragged", "complex", "complex-array", "string", "none", "object-array"])
+@pytest.mark.parametrize("fn, args", OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS,
+                         ids=_names(OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS))
+def test_non_numeric_input_is_a_domain_error(fn, args, operator, curvatures):
+    value = curvatures if (fn, args) in CURVATURE_ENTRY_POINTS else operator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be a numeric array"):
+            fn(value, *args)
 
 
 class TestInputRefusals:
