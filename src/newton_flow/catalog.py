@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import fd
-from .errors import (DomainError, NumericalError, brief, check_integer, check_real,
-                     float_range_error)
+from .errors import (DomainError, NumericalError, as_floats, brief, check_integer,
+                     check_real, float_range_error)
 
 MAX_SAMPLES = 10 ** 7  # a larger sample grid is refused, not allocated
 MAX_DIMENSION = 215    # the largest n whose (n+1) n^2 is at most MAX_SAMPLES
@@ -94,15 +94,14 @@ class Cylinder:
 
 @dataclass(frozen=True, eq=False)
 class ProfileCurve:
-    """Radial graph rho = f(z) on a uniform axial grid."""
+    """Radial graph rho = f(z) on a uniform axial grid (z, f through ``errors.as_floats``)."""
 
     z: np.ndarray
     f: np.ndarray
     boundary: str = "neumann"
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        f = np.asarray(self.f, dtype=float)
+        z, f = as_floats(self.z, "profile z"), as_floats(self.f, "profile f")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "f", f)
         if z.ndim != 1 or z.size < 5 or z.shape != f.shape:
@@ -253,6 +252,8 @@ class RevolutionGeometry(NamedTuple):
 
     def sigma(self, p: int) -> np.ndarray:
         """sigma_p(k_mer, k_par): 1, k_mer + k_par, k_mer k_par, then 0."""
+        if check_integer(p, "p") < 0:
+            raise DomainError("p must be nonnegative")
         if p == 0:
             return np.ones_like(self.f)
         if p == 1:

@@ -4,6 +4,8 @@ import math
 import numbers
 import reprlib
 
+import numpy as np
+
 
 class NewtonFlowError(Exception):
     """Base class for all package-specific failures."""
@@ -76,6 +78,18 @@ def check_real(value, name: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {brief(value)}")
     return value
+
+
+def as_floats(x, what: str) -> np.ndarray:
+    """x as float64, the bytes of np.asarray(x, dtype=float) for bool, integer or
+    float input; ragged, string, complex or object input raises DomainError."""
+    try:
+        X = np.asarray(x)
+    except (TypeError, ValueError) as exc:      # ragged
+        raise DomainError(f"{what} must be a numeric array") from exc
+    if X.dtype.kind not in "biuf":
+        raise DomainError(f"{what} must be a numeric array")
+    return X.astype(float, copy=False)
 
 
 def check_order(r: int, n: int):

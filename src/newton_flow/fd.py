@@ -5,11 +5,12 @@ neighbours node 0), and "neumann" is the open/non-periodic mode.
 ``_fill_ghosts`` is the one ghost rule: it sets one ghost node beyond
 each end of a padded buffer, the wrapped neighbour in the periodic mode
 and the cubic extrapolation in the open mode, and ``_padded`` gives a
-validated copy of the values with those ghosts.  ``stencil`` binds one
-grid (its size, h, boundary mode and padded buffer) once and returns
-``apply``, which gives the first and second derivative from one padded
-pass: it is the one source of both centred differences, and a run that
-differentiates the same grid at every step binds it once.
+float64 copy of the values (``errors.as_floats``) with those ghosts.
+``stencil`` binds one grid (its size, h, boundary mode and padded
+buffer) once and returns ``apply``, which gives the first and second
+derivative from one padded pass: it is the one source of both centred
+differences, and a run that differentiates the same grid at every step
+binds it once.
 ``flux_divergence`` pads its coefficient and its values and applies one
 half-node formula.  The open-mode ghosts are exact on cubics, so f''
 and the flux form with a constant coefficient are exact on cubics at
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, brief
+from .errors import DomainError, as_floats, brief
 
 BOUNDARY_MODES = ("periodic", "neumann")
 TRIM_WIDTH = 2        # end nodes left out of reported residuals, per open end
@@ -51,9 +52,9 @@ def _fill_ghosts(p: np.ndarray, boundary: str):
         p[-1] = 4.0 * a - 6.0 * b + 4.0 * c - d
 
 
-def _padded(values, boundary: str) -> np.ndarray:
+def _padded(values, boundary: str, what: str) -> np.ndarray:
     """Validated values with one ghost node at each end (``_fill_ghosts``)."""
-    v = np.asarray(values, dtype=float)
+    v = as_floats(values, what)
     _check_grid(v.size if v.ndim == 1 else 0, boundary)
     p = np.empty(v.size + 2)
     p[1:-1] = v
@@ -91,8 +92,8 @@ def flux_divergence(coef, values, h: float, boundary: str = "neumann") -> np.nda
     formula serves every node.  Second order in the interior, with larger
     errors at the open ends (trim).
     """
-    c = _padded(coef, boundary)
-    v = _padded(values, boundary)
+    c = _padded(coef, boundary, "coefficient")
+    v = _padded(values, boundary, "values")
     if c.shape != v.shape:
         raise DomainError("coefficient and value grids differ in length")
     flux = 0.5 * (c[:-1] + c[1:]) * (v[1:] - v[:-1]) / h   # at j-1/2, j = 0..M

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Hyperplane, HypersurfaceModel, sample_fields
-from .errors import DomainError, NotSelfShrinkerError, NumericalError, check_order
+from .errors import DomainError, NotSelfShrinkerError, NumericalError, as_floats, check_order
 from .symfun import (
     Definiteness,
     DefinitenessClass,
@@ -128,15 +128,12 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
 def evaluate_from_samples(curvatures, support, r: int) -> GapReport:
     """GapReport of sample rows: curvatures (S, n) and support values (S,).
 
-    n is the number of columns, and the report has no notes.  Rows that
-    are not a non-empty 2-D array of finite numbers, a support whose
-    shape is not (S,), and r outside 1..n raise DomainError.
+    n is the number of columns; the report has no notes.  Input that
+    ``errors.as_floats`` refuses, rows not a non-empty 2-D array of finite
+    numbers, a support not of shape (S,) and r outside 1..n raise DomainError.
     """
-    try:
-        K = np.asarray(curvatures, dtype=float)
-        support = np.asarray(support, dtype=float)
-    except (TypeError, ValueError) as exc:      # ragged or non-numeric rows
-        raise DomainError("sample rows must be numeric arrays") from exc
+    K = as_floats(curvatures, "curvatures")
+    support = as_floats(support, "support")
     if K.ndim != 2 or K.size == 0:
         raise DomainError("curvatures must be a non-empty (S, n) array of rows")
     if support.shape != K.shape[:1]:

@@ -40,7 +40,7 @@ from .catalog import (
     revolution_geometry,
     sphere_band_profile,
 )
-from .errors import DomainError, NotSelfShrinkerError, check_integer, check_order
+from .errors import DomainError, NotSelfShrinkerError, as_floats, check_integer, check_order
 from .gapcheck import SHRINKER_TOL
 from .symfun import elem_sym_all, elem_sym_excluding_rows
 
@@ -50,8 +50,8 @@ EXACT_TOL = 1e-10         # a residual at most this is rounding: the identity is
 
 
 def _values(g: RevolutionGeometry, values) -> np.ndarray:
-    """values as a float array on the grid of g; DomainError otherwise."""
-    v = np.asarray(values, dtype=float)
+    """values through ``errors.as_floats``, finite, on the grid of g; else DomainError."""
+    v = as_floats(values, "field")
     if v.shape != g.f.shape:
         raise DomainError("field length does not match the grid")
     if not np.all(np.isfinite(v)):

@@ -21,10 +21,10 @@ Horner's form of the polynomial, poly_r = sigma_r I - poly_{r-1} A, as
 the cross-check.  ``definiteness`` eigensolves a symmetric M and counts
 an eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero; the PSD
 gate of ``cauchy_schwarz_bound`` reads P_{r-1}'s eigenvalues off the
-deletion table instead, with the same window.  The entry points that
-take a curvature vector or an operator convert it once and refuse
-ragged, string, complex or object input with DomainError; the row
-kernels trust their callers' float arrays.
+deletion table instead, with the same window.  Every entry point converts
+its curvatures, operator or rows once through ``errors.as_floats``, which
+refuses ragged, string, complex or object input with DomainError; the
+row kernels also refuse rows that are not 1-D or 2-D.
 
 One operator is usually asked about at every order r in turn, so the
 module keeps the last operator it built a family for: one slot keyed by
@@ -56,6 +56,7 @@ from .errors import (
     DomainError,
     NotPSDError,
     NumericalError,
+    as_floats,
     check_integer,
     check_order,
     float_range_error,
@@ -70,20 +71,9 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_2 = math.log(2.0)
 
 
-def _as_floats(x, what: str) -> np.ndarray:
-    """x as a float64 array; ragged, string, complex or object input raises DomainError."""
-    try:
-        X = np.asarray(x)
-    except (TypeError, ValueError) as exc:      # ragged
-        raise DomainError(f"{what} must be a numeric array") from exc
-    if X.dtype.kind not in "biuf":
-        raise DomainError(f"{what} must be a numeric array")
-    return X.astype(float, copy=False)
-
-
 def _as_curvatures(k) -> np.ndarray:
     # empty vectors are allowed: sigma_0 of nothing is 1 (deletion from n=1)
-    k = _as_floats(k, "curvature vector")
+    k = as_floats(k, "curvature vector")
     if k.ndim != 1:
         raise DomainError("curvature vector must be 1-D")
     if not np.isfinite(k).all():
@@ -99,13 +89,15 @@ def _norm(X: np.ndarray) -> float:
 def _check_degree(norm_a: float, p: int, n: int):
     """Raise the float-range NumericalError unless n 2^n (1 + |A|)^p is finite: it
     bounds the degree-p quantities of an n x n A (sigma_p, A^p, P_p, their traces).
-    Summed as logarithms, so that no n overflows the bound itself."""
+    Summed as logarithms, so that no n overflows the bound; names n if n 2^n does."""
     if not p * math.log1p(norm_a) + math.log(n) + n * _LOG_2 < _LOG_MAX:
+        if not math.log(n) + n * _LOG_2 < _LOG_MAX:
+            raise NumericalError(f"n 2^n of n={n} leaves the float range")
         raise float_range_error("|A|", norm_a, p)
 
 
 def _as_shape_operator(S) -> np.ndarray:
-    A = _as_floats(S, "shape operator")
+    A = as_floats(S, "shape operator")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DomainError("shape operator must be a square matrix")
     if not np.isfinite(A).all():
@@ -131,8 +123,7 @@ def elem_sym(k, r: int) -> float:
     ``elem_sym_all(k)``.
     """
     k = _as_curvatures(k)
-    check_integer(r, "order r")
-    if r < 0:
+    if check_integer(r, "order r") < 0:
         raise DomainError("order r must be nonnegative")
     if r > k.size:
         return 0.0
@@ -153,16 +144,26 @@ def elem_sym_excluding(k, i: int, r: int) -> float:
     return float(elem_sym_excluding_rows(k[None], r)[0, i])
 
 
+def _as_rows(K) -> np.ndarray:
+    K = as_floats(K, "curvature rows")
+    if not 1 <= K.ndim <= 2:
+        raise DomainError("curvature rows must be a 1-D or 2-D array")
+    return np.atleast_2d(K)
+
+
 def elem_sym_all_rows(K: np.ndarray, top: int | None = None) -> np.ndarray:
     """Row-wise sigma_0..sigma_top (top = n by default); K has one
     curvature vector per row.
 
     The prefix recurrence e_p^(j) = e_p^(j-1) + k_j * e_{p-1}^(j-1).  An
-    entry depends only on lower orders, so a smaller top gives the same
-    bits for the orders it keeps and never forms the higher ones.
+    entry depends only on lower orders, so a smaller top (a nonnegative
+    integer) gives the same bits for the orders it keeps and never forms
+    the higher ones.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
+    K = _as_rows(K)
     S, n = K.shape
+    if top is not None and check_integer(top, "top") < 0:
+        raise DomainError("top must be nonnegative")
     top = n if top is None else min(top, n)
     e = np.zeros((S, top + 1))
     e[:, 0] = 1.0
@@ -179,9 +180,8 @@ def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
     Returns out[s, j] = sigma_r of row s with column j removed.  These
     are the eigenvalues of P_r in the eigenframe of the shape operator.
     """
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    check_integer(r, "order r")
-    if r < 0:
+    K = _as_rows(K)
+    if check_integer(r, "order r") < 0:
         raise DomainError("order r must be nonnegative")
     S, n = K.shape
     if r > n - 1:
@@ -250,7 +250,7 @@ def _lookup(S) -> tuple:
     """(key, _Operator) of the caller's operator S: the slot's entry on a
     hit; on a miss S validated afresh, without a family, and the slot is
     left alone."""
-    X = _as_floats(S, "shape operator")
+    X = as_floats(S, "shape operator")
     key = (X.shape, X.tobytes())
     slot = _last_family
     if slot is not None and slot[0] == key:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from newton_flow import symfun
+from newton_flow.errors import DomainError
 
 
 def brute_sigma(k, r: int) -> float:
@@ -107,6 +109,39 @@ def count_eigensolves(monkeypatch) -> list:
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return solves
+
+
+# input that no array entry point may read as numbers: one 2 x 2 matrix
+# (an operator, or two rows) per id, and non_numeric_vectors(size)
+NON_NUMERIC_IDS = ["ragged", "complex", "complex-array", "string", "none", "object-array"]
+NON_NUMERIC_MATRICES = [
+    [[1.0, 2.0], [3.0]],
+    [[1j, 0.0], [0.0, 1.0]],
+    np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    [["1", "0"], ["0", "1"]],
+    [[None, 0.0], [0.0, 1.0]],
+    np.eye(2, dtype=object),
+]
+
+
+def non_numeric_vectors(size: int) -> list:
+    """One vector of the given length per NON_NUMERIC_IDS entry."""
+    return [
+        [1.0] * (size - 1) + [[2.0, 3.0]],
+        [1j] + [2.0] * (size - 1),
+        np.arange(1.0, size + 1.0, dtype=complex),
+        [str(v) for v in range(1, size + 1)],
+        [None] + [2.0] * (size - 1),
+        np.ones(size, dtype=object),
+    ]
+
+
+def assert_refused_as_non_numeric(fn, *args):
+    """fn(*args) raises the gate's DomainError, with numpy warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be a numeric array"):
+            fn(*args)
 
 
 @pytest.fixture

@@ -24,7 +24,14 @@ from newton_flow.catalog import (
 )
 from newton_flow.errors import DomainError, NumericalError
 from newton_flow.symfun import elem_sym, elem_sym_all_rows, elem_sym_excluding_rows
-from conftest import ellipsoid_gauss_curvature, reference_deriv1, reference_deriv2
+from conftest import (
+    NON_NUMERIC_IDS,
+    assert_refused_as_non_numeric,
+    ellipsoid_gauss_curvature,
+    non_numeric_vectors,
+    reference_deriv1,
+    reference_deriv2,
+)
 
 
 class TestShrinkerRadius:
@@ -214,6 +221,12 @@ class TestProfileValidation:
         with pytest.raises(DomainError, match="uniform"):
             ProfileCurve(z=z, f=np.ones(size))
 
+    @pytest.mark.parametrize("bad", non_numeric_vectors(9), ids=NON_NUMERIC_IDS)
+    def test_non_numeric_input_is_a_domain_error(self, bad):
+        z = np.linspace(0.0, 1.0, 9)
+        assert_refused_as_non_numeric(ProfileCurve, bad, np.ones(9))
+        assert_refused_as_non_numeric(ProfileCurve, z, bad)
+
     def test_rejects_f_off_the_grid(self):
         # the one length check of a record's f: builds do not repeat it
         z = np.linspace(0.0, 1.0, 9)
@@ -383,6 +396,21 @@ class TestRevolutionRecord:
         kernel = elem_sym_all_rows(np.column_stack([g.k_mer, g.k_par]))[:, 2]
         assert np.signbit(g.sigma(2)).all() and not np.signbit(kernel).any()
         assert np.array_equal(g.sigma(2), kernel)
+
+    @pytest.mark.parametrize("p, message", [
+        (-1, "p must be nonnegative"), (True, "p must be an integer"),
+        (2.0, "p must be an integer"), ("1", "p must be an integer"),
+    ])
+    def test_sigma_takes_a_nonnegative_integer(self, p, message):
+        g = revolution_geometry(Revolution(profile=cylinder_profile(1.0, 2.0, 9)))
+        with pytest.raises(DomainError, match=message):
+            g.sigma(p)
+
+    def test_sigma_past_two_is_zero(self):
+        g = revolution_geometry(Revolution(profile=cylinder_profile(1.0, 2.0, 9)))
+        for p in (3, np.int64(7)):
+            assert g.sigma(p).tobytes() == np.zeros(9).tobytes()
+        assert np.array_equal(g.sigma(np.uint8(2)), g.sigma(2))
 
     def test_ellipsoid_has_no_resolution_field(self):
         with pytest.raises(TypeError):

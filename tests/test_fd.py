@@ -4,7 +4,13 @@ import pytest
 from newton_flow import fd
 from newton_flow.errors import DomainError
 
-from conftest import reference_deriv1, reference_deriv2
+from conftest import (
+    NON_NUMERIC_IDS,
+    assert_refused_as_non_numeric,
+    non_numeric_vectors,
+    reference_deriv1,
+    reference_deriv2,
+)
 
 
 class TestPerGridStencil:
@@ -105,6 +111,11 @@ class TestFluxDivergenceOnTheGhostRule:
             new = fd.flux_divergence(coef, values, h, boundary)
             old = _two_rule_flux_divergence(coef, values, h, boundary)
             assert new[cut].tobytes() == old[cut].tobytes()
+
+    @pytest.mark.parametrize("bad", non_numeric_vectors(9), ids=NON_NUMERIC_IDS)
+    def test_non_numeric_input_is_a_domain_error(self, bad):
+        assert_refused_as_non_numeric(fd.flux_divergence, bad, np.ones(9), 0.1)
+        assert_refused_as_non_numeric(fd.flux_divergence, np.ones(9), bad, 0.1)
 
     def test_grids_of_different_length_are_refused(self):
         with pytest.raises(DomainError, match="differ in length"):

@@ -16,7 +16,13 @@ from newton_flow.gapcheck import classify, evaluate, evaluate_from_samples
 from newton_flow import gapcheck, symfun
 from newton_flow.catalog import sample_fields
 from newton_flow.symfun import DefinitenessClass
-from conftest import random_orthogonal
+from conftest import (
+    NON_NUMERIC_IDS,
+    NON_NUMERIC_MATRICES,
+    assert_refused_as_non_numeric,
+    non_numeric_vectors,
+    random_orthogonal,
+)
 
 
 class TestEvaluate:
@@ -247,14 +253,23 @@ class TestSampleRows:
         (np.ones((1, 1)), np.zeros(1), 2),
         (np.ones((1, 3)), np.zeros(1), 4),
         (np.ones((1, 2)), np.zeros(1), 0),
+        (np.array([[1 + 5j, 2.0]]), np.zeros(1), 1),
+        ([["1", "2"]], ["0"], 1),
     ], ids=["empty", "one-d", "nan", "inf", "empty-list", "three-d", "ragged",
             "support-length", "support-shape", "support-nan", "r-above-n",
-            "r-above-columns", "r-zero"])
+            "r-above-columns", "r-zero", "complex", "string"])
     def test_bad_rows_rejected(self, rows, support, r):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 evaluate_from_samples(rows, support, r)
+
+    @pytest.mark.parametrize("rows, support",
+                             list(zip(NON_NUMERIC_MATRICES, non_numeric_vectors(2))),
+                             ids=NON_NUMERIC_IDS)
+    def test_non_numeric_input_is_a_domain_error(self, rows, support):
+        assert_refused_as_non_numeric(evaluate_from_samples, rows, [0.0, 0.0], 1)
+        assert_refused_as_non_numeric(evaluate_from_samples, np.ones((2, 2)), support, 1)
 
     def test_out_of_range_curvatures_refused(self):
         K, support = sample_fields(Sphere(n=2, radius=1e-200), 8)

@@ -8,6 +8,8 @@ name (``np`` in ``np.zeros`` counts) or in the module's ``__all__``.
 
 The private names one package module takes from a sibling are pinned:
 a new coupling of that kind shows up as an edit of ``PRIVATE_IMPORTS``.
+So is the one conversion of a caller's array: ``asarray`` and a cast to
+float appear in the package only inside ``errors.as_floats``.
 """
 
 import ast
@@ -78,6 +80,51 @@ def test_private_imports_between_package_modules_are_pinned():
     for module in PACKAGE.glob("*.py"):
         found |= private_imports(module.stem, module.read_text(encoding="utf-8"))
     assert found == PRIVATE_IMPORTS
+
+
+FLOAT_DTYPES = {"float", "np.float64", "numpy.float64", "'float'", "'float64'"}
+
+
+def array_conversions(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, kind) for every ``asarray`` the module
+    names and every ``astype`` call to a float dtype, in source order."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "asarray"
+                or isinstance(node, ast.Name) and node.id == "asarray"
+                or isinstance(node, ast.alias) and node.name == "asarray"):
+            found.append((stem, function, "asarray"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "astype"):
+            dtypes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "dtype")]
+            if any(ast.unparse(d) in FLOAT_DTYPES for d in dtypes):
+                found.append((stem, function, "astype(float)"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_a_planted_conversion():
+    source = ("from numpy import asarray\nimport numpy as np\n"
+              "def values(x):\n    return np.asarray(x, dtype=float)\n"
+              "class C:\n    def f(self, x):\n        return x.astype(dtype=np.float64)\n"
+              "y = asarray([1]).astype('float')\nz = y.astype(int)\n")
+    assert array_conversions("m", source) == [
+        ("m", None, "asarray"), ("m", "values", "asarray"), ("m", "f", "astype(float)"),
+        ("m", None, "astype(float)"), ("m", None, "asarray")]
+
+
+def test_one_gate_converts_a_callers_array():
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += array_conversions(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("errors", "as_floats", "asarray"),
+                     ("errors", "as_floats", "astype(float)")]
 
 
 def test_the_check_sees_an_unused_import():

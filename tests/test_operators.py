@@ -26,7 +26,12 @@ from newton_flow.operators import (
 )
 from newton_flow.catalog import exact_curvatures, self_shrinkers
 from newton_flow.symfun import elem_sym_all, elem_sym_all_rows, elem_sym_excluding
-from conftest import reference_deriv1
+from conftest import (
+    NON_NUMERIC_IDS,
+    assert_refused_as_non_numeric,
+    non_numeric_vectors,
+    reference_deriv1,
+)
 
 
 def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
@@ -107,6 +112,17 @@ class TestLrApply:
         geo = revolution_geometry(cylinder_rev())
         with pytest.raises(DomainError):
             lr_apply(geo, geo.z, 3)
+
+
+class TestArrayInput:
+    @pytest.mark.parametrize("bad", non_numeric_vectors(9), ids=NON_NUMERIC_IDS)
+    def test_non_numeric_input_is_a_domain_error(self, bad):
+        geo = revolution_geometry(cylinder_rev(samples=9))
+        for fn, args in [(surface_gradient, (bad,)), (position_gradient_term, (bad,)),
+                         (lr_apply, (bad, 1)), (drifted_apply, (bad, 2)),
+                         (verify_product_rule, (bad, geo.z, 1)),
+                         (verify_product_rule, (geo.z, bad, 1))]:
+            assert_refused_as_non_numeric(fn, geo, *args)
 
 
 class TestDrifted:

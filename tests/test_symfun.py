@@ -23,9 +23,13 @@ from newton_flow.symfun import (
     trace_identities,
 )
 from conftest import (
+    NON_NUMERIC_IDS,
+    NON_NUMERIC_MATRICES,
+    assert_refused_as_non_numeric,
     brute_sigma,
     brute_sigma_excluding,
     count_eigensolves,
+    non_numeric_vectors,
     random_orthogonal,
     random_symmetric,
 )
@@ -502,7 +506,7 @@ class TestOverflowGuards:
             modified_sff_norm_sq(np.diag(k), 1)
 
     def test_a_dimension_past_the_float_range_is_a_numerical_error(self, monkeypatch):
-        # n 2^n alone leaves the float range from n = 1024 on: refused before any eigensolve
+        # n 2^n alone leaves the float range from n = 1015 on: refused before any eigensolve
         solves = count_eigensolves(monkeypatch)
         s = np.eye(1100)
         with warnings.catch_warnings():
@@ -513,6 +517,28 @@ class TestOverflowGuards:
                 with pytest.raises(NumericalError, match="leaves the float range"):
                     fn(s, 1)
         assert solves == [] and symfun._last_family is None
+
+    def test_the_float_range_error_names_the_factor_that_overflows(self):
+        # n 2^n alone leaves the float range from n = 1015 on: the error names n
+        order_entry_points = (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound)
+        assert math.log(1014) + 1014 * math.log(2) < math.log(np.finfo(float).max)
+        assert math.log(1015) + 1015 * math.log(2) > math.log(np.finfo(float).max)
+        with pytest.raises(NumericalError) as info:
+            newton_family(np.eye(1015))
+        assert str(info.value) == "n 2^n of n=1015 leaves the float range"
+        for fn in order_entry_points:
+            with pytest.raises(NumericalError) as info:
+                fn(np.eye(1015), 1)
+            assert str(info.value) == "n 2^n of n=1015 leaves the float range"
+        # below it, (1 + |A|)^p tips the bound over and |A| is named, as before
+        norm = f"{math.sqrt(1014):.6g}"
+        with pytest.raises(NumericalError) as info:
+            newton_family(np.eye(1014))
+        assert str(info.value) == f"|A|^1014 of |A|={norm} leaves the float range"
+        for fn in order_entry_points:   # the order-1 identities reach degree 2
+            with pytest.raises(NumericalError) as info:
+                fn(np.eye(1014), 1)
+            assert str(info.value) == f"|A|^2 of |A|={norm} leaves the float range"
 
     @pytest.mark.parametrize("big", [1e100, 1e160, 1e200, 1e308])
     def test_huge_antisymmetric_part_is_rejected(self, big):
@@ -583,6 +609,7 @@ OPERATOR_ENTRY_POINTS = [
     (trace_identities, (1,)), (modified_sff_norm_sq, (1,)), (cauchy_schwarz_bound, (1,)),
 ]
 CURVATURE_ENTRY_POINTS = [(elem_sym, (1,)), (elem_sym_all, ()), (elem_sym_excluding, (0, 1))]
+ROW_ENTRY_POINTS = [(elem_sym_all_rows, ()), (elem_sym_excluding_rows, (1,))]
 
 
 def _names(entry_points) -> list:
@@ -824,22 +851,19 @@ class TestHornerCrossCheck:
         assert len(set(verdicts)) > 2       # refusals at several orders
 
 
-@pytest.mark.parametrize("operator, curvatures", [
-    ([[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0]]),
-    ([[1j, 0.0], [0.0, 1.0]], [1j, 2.0]),
-    (np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), np.array([1.0, 2.0], dtype=complex)),
-    ([["1", "0"], ["0", "1"]], ["1", "2"]),
-    ([[None, 0.0], [0.0, 1.0]], [None, 2.0]),
-    (np.eye(2, dtype=object), np.ones(2, dtype=object)),
-], ids=["ragged", "complex", "complex-array", "string", "none", "object-array"])
-@pytest.mark.parametrize("fn, args", OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS,
-                         ids=_names(OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS))
+@pytest.mark.parametrize("operator, curvatures",
+                         list(zip(NON_NUMERIC_MATRICES, non_numeric_vectors(2))),
+                         ids=NON_NUMERIC_IDS)
+@pytest.mark.parametrize("fn, args",
+                         OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS + ROW_ENTRY_POINTS,
+                         ids=_names(OPERATOR_ENTRY_POINTS + CURVATURE_ENTRY_POINTS
+                                    + ROW_ENTRY_POINTS))
 def test_non_numeric_input_is_a_domain_error(fn, args, operator, curvatures):
+    # the row kernels take the matrices as two rows
     value = curvatures if (fn, args) in CURVATURE_ENTRY_POINTS else operator
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="must be a numeric array"):
-            fn(value, *args)
+    assert_refused_as_non_numeric(fn, value, *args)
+    if (fn, args) in ROW_ENTRY_POINTS:
+        assert_refused_as_non_numeric(fn, curvatures, *args)    # one row
 
 
 class TestInputRefusals:
@@ -872,6 +896,28 @@ class TestInputRefusals:
             elem_sym_excluding([1.0, 2.0], r, 1)
         with pytest.raises(DomainError, match="must be an integer"):
             elem_sym_excluding_rows(np.eye(2), r)
+
+    @pytest.mark.parametrize("rows", [np.float64(1.0), np.ones((2, 2, 2)), [[[1.0]]]],
+                             ids=["zero-d", "three-d", "nested-list"])
+    def test_row_kernels_take_one_or_two_dimensional_rows(self, rows):
+        for fn, args in ROW_ENTRY_POINTS:
+            with pytest.raises(DomainError, match="must be a 1-D or 2-D array"):
+                fn(rows, *args)
+
+    @pytest.mark.parametrize("top, message", [
+        (-1, "top must be nonnegative"), (-5, "top must be nonnegative"),
+        (True, "top must be an integer"), (1.0, "top must be an integer"),
+        ("1", "top must be an integer"), (np.bool_(True), "top must be an integer"),
+    ])
+    def test_top_must_be_a_nonnegative_integer(self, top, message):
+        with pytest.raises(DomainError, match=message):
+            elem_sym_all_rows(np.ones((2, 3)), top)
+
+    def test_numpy_integer_tops_pass(self):
+        K = np.arange(6.0).reshape(2, 3)
+        for top in (0, np.int64(1), np.uint8(2), 7):
+            assert elem_sym_all_rows(K, top).tobytes() == elem_sym_all_rows(K, int(top)).tobytes()
+        assert elem_sym_all_rows(K, 0).tolist() == [[1.0], [1.0]]
 
     def test_numpy_integer_orders_pass(self):
         for r in (np.int64(2), np.int32(2), np.uint8(2)):
