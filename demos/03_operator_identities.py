@@ -40,13 +40,13 @@ for r in (1, 2):
 print()
 print("=== product rule L(fg) = f Lg + g Lf + 2 <P grad f, grad g> ===")
 for m in resolutions:
-    geo = revolution_geometry(ellipsoid.as_revolution(m))
+    geo = revolution_geometry(ellipsoid, m)
     f, g = np.sin(geo.z), np.cos(0.5 * geo.z) + 0.25 * geo.z
     print(f"  M={m:4d}: residual {verify_product_rule(geo, f, g, 1):.3e}")
 
 print()
 print("=== the drift term splits off exactly ===")
-geo = revolution_geometry(ellipsoid.as_revolution(129))
+geo = revolution_geometry(ellipsoid, 129)
 field = geo.f ** 2 + geo.z ** 2
 gap = np.abs(drifted_apply(geo, field, 1)
              + position_gradient_term(geo, field)

@@ -6,13 +6,16 @@ closed-form curvatures and support values (``exact_curvatures``,
 graphs rho = f(z) over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
-``graph_builder`` binds one grid (z, h, boundary mode, orientation) and
-its ``fd.stencil`` once; it gives each profile's unoriented curvature
+``revolution_geometry(model, resolution)`` is the one door from a model
+to its record (``flow``, ``operators`` and ``sample_fields`` convert no
+model themselves): it discretizes an ``EllipsoidRev`` at the resolution
+and makes one checked build.  Profiles hold read-only copies of z and
+f, and records read-only arrays.  The private ``_graph_builder`` binds
+one grid (z, h, boundary mode, orientation) and its ``fd._stencil``
+once, and checks no values; it gives each profile's unoriented curvature
 parts from one derivative pass (a flow run's stage reads them at every
 step) and the record made from them (which a run makes only for a
-diagnostics row or its result); ``revolution_geometry`` is the one
-checked entry from a model: one build on a ``Revolution``'s profile,
-with the float-range check.
+diagnostics row or its result).
 ``sample_fields`` gives either kind's curvature and support rows, which
 ``gap`` and ``residual`` read.
 
@@ -94,16 +97,17 @@ class Cylinder:
 
 @dataclass(frozen=True, eq=False)
 class ProfileCurve:
-    """Radial graph rho = f(z) on a uniform axial grid (z, f through ``errors.as_floats``)."""
+    """Radial graph rho = f(z) on a uniform axial grid, with read-only copies of z and f."""
 
     z: np.ndarray
     f: np.ndarray
     boundary: str = "neumann"
 
     def __post_init__(self):
-        z, f = as_floats(self.z, "profile z"), as_floats(self.f, "profile f")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "f", f)
+        z, f = as_floats(self.z, "profile z").copy(), as_floats(self.f, "profile f").copy()
+        for name, values in (("z", z), ("f", f)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if z.ndim != 1 or z.size < 5 or z.shape != f.shape:
             raise DomainError("profile needs >= 5 matching z/f samples")
         if not (np.isfinite(z).all() and np.isfinite(f).all()):
@@ -121,10 +125,6 @@ class ProfileCurve:
     @property
     def h(self) -> float:
         return float(self.z[1] - self.z[0])
-
-    @property
-    def size(self) -> int:
-        return int(self.z.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +165,6 @@ class EllipsoidRev:
         z = np.linspace(-self.band * self.b, self.band * self.b, resolution)
         f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
         return ProfileCurve(z=z, f=f, boundary="neumann")
-
-    def as_revolution(self, resolution: int) -> Revolution:
-        return Revolution(profile=self.profile_curve(resolution))
 
 
 HypersurfaceModel = Union[Hyperplane, Sphere, Cylinder, Revolution, EllipsoidRev]
@@ -273,7 +270,7 @@ class RevolutionGeometry(NamedTuple):
         raise DomainError(f"revolution surfaces support r in {{1, 2}}, got r={brief(r)}")
 
 
-class GraphBuilder(NamedTuple):
+class _GraphBuilder(NamedTuple):
     """The record builder of one grid; build(f) -> the record of rho = f(z)."""
 
     parts: Callable     # f -> (f', w, q = f''/w^3, p = 1/(f w)), one derivative pass
@@ -283,22 +280,23 @@ class GraphBuilder(NamedTuple):
         return self.record(f, self.parts(f))
 
 
-def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int) -> GraphBuilder:
+def _graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int) -> _GraphBuilder:
     """The record builder of one grid: its parts, and the record made from them.
 
     The grid (z, h, the boundary mode and the orientation) is bound, and
     checked, once: an underflowed h^2 would divide f'' by zero, so it is
     refused here.  ``parts`` takes one derivative pass of the grid's
-    ``fd.stencil`` (so one caller at a time) on float64 values of the
+    ``fd._stencil`` (so one caller at a time) on float64 values of the
     grid's size, which it does not check, and returns new arrays.  The
     unoriented q and p are the one curvature formula: ``record`` makes
-    k_mer = -o q and k_par = o p (o = +-1) by exact sign flips and holds
-    f itself, so a flow stage that reads q and p directly gets the bits
-    of the record's curvatures.
+    k_mer = -o q and k_par = o p (o = +-1) by exact sign flips, holds f
+    itself, and makes f and the four derived arrays read-only, so a flow
+    stage that reads q and p directly gets the bits of the record's
+    curvatures.
     """
     if not h * h > 0.0:
         raise float_range_error("h", h, 2)
-    derivatives = fd.stencil(np.size(z), h, boundary)
+    derivatives = fd._stencil(np.size(z), h, boundary)
     negate = orientation > 0
     one, three = np.array(1.0), np.array(3)
 
@@ -309,27 +307,36 @@ def graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int) -> G
 
     def record(f, of_f):
         fp, w, q, p = of_f
-        return RevolutionGeometry(z, f, h, boundary, orientation, fp, w,
-                                  -q if negate else q, p if negate else -p)
+        geo = RevolutionGeometry(z, f, h, boundary, orientation, fp, w,
+                                 -q if negate else q, p if negate else -p)
+        for values in geo[5:] + (f,):
+            values.flags.writeable = False
+        return geo
 
-    return GraphBuilder(parts, record)
+    return _GraphBuilder(parts, record)
 
 
-def revolution_geometry(rev: Revolution) -> RevolutionGeometry:
-    """The record of a surface of revolution's profile: one build of a
-    fresh ``graph_builder`` on the profile's grid, holding its own f.
+def revolution_geometry(model, resolution=None) -> RevolutionGeometry:
+    """The record of a surface of revolution: the one door from a model to it.
 
-    The ``ProfileCurve`` has already checked the grid and f.  A record
-    that leaves the float range (radii near the float maximum overflow
-    the ghosts, steep slopes overflow w^3) raises NumericalError with no
-    numpy warning.  The check is made once per profile, here, and not in
-    the stages of a flow run.  The ghosts overflow without a numpy flag,
-    so a non-finite f' at an end is caught here.
+    A ``Revolution`` has its own grid and ignores the resolution; an
+    ``EllipsoidRev`` is discretized by ``profile_curve(resolution)`` and
+    needs one.  One build of a fresh ``_graph_builder`` shares the
+    profile's checked, read-only z and f.  A record that leaves the
+    float range (radii near the float maximum overflow the ghosts, steep
+    slopes overflow w^3) raises NumericalError with no numpy warning.
+    The check is made once per profile, here, and not in the stages of a
+    flow run.  The ghosts overflow without a numpy flag, so a non-finite
+    f' at an end is caught here.
     """
-    p = rev.profile
+    if isinstance(model, EllipsoidRev):    # a missing resolution is a DomainError
+        model = Revolution(profile=model.profile_curve(resolution))
+    if not isinstance(model, Revolution):
+        raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
+    p = model.profile
     with np.errstate(over="raise", invalid="raise"):
         try:
-            geo = graph_builder(p.z, p.h, p.boundary, rev.orientation)(p.f)
+            geo = _graph_builder(p.z, p.h, p.boundary, model.orientation)(p.f)
             finite = isfinite(geo.fp[0]) and isfinite(geo.fp[-1])
         except FloatingPointError:
             finite = False
@@ -391,10 +398,8 @@ def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
     ``check_dimension``.  A revolution profile gives one row per node.
     """
     check_samples(resolution, 8, "resolution")
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(resolution)
-    if isinstance(model, Revolution):
-        g = revolution_geometry(model)
+    if isinstance(model, (Revolution, EllipsoidRev)):
+        g = revolution_geometry(model, resolution)
         curvatures, support = np.stack([g.k_mer, g.k_par], axis=1), g.support
         if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")

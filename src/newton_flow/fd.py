@@ -6,11 +6,11 @@ neighbours node 0), and "neumann" is the open/non-periodic mode.
 each end of a padded buffer, the wrapped neighbour in the periodic mode
 and the cubic extrapolation in the open mode, and ``_padded`` gives a
 float64 copy of the values (``errors.as_floats``) with those ghosts.
-``stencil`` binds one grid (its size, h, boundary mode and padded
-buffer) once and returns ``apply``, which gives the first and second
-derivative from one padded pass: it is the one source of both centred
-differences, and a run that differentiates the same grid at every step
-binds it once.
+The private ``_stencil`` binds one grid (its size, h, boundary mode and
+padded buffer) once and returns ``apply``, which checks nothing and
+gives the first and second derivative from one padded pass: it is the
+one source of both centred differences, and a run that differentiates
+the same grid at every step binds it once.
 ``flux_divergence`` pads its coefficient and its values and applies one
 half-node formula.  The open-mode ghosts are exact on cubics, so f''
 and the flux form with a constant coefficient are exact on cubics at
@@ -62,7 +62,7 @@ def _padded(values, boundary: str, what: str) -> np.ndarray:
     return p
 
 
-def stencil(size: int, h: float, boundary: str = "neumann"):
+def _stencil(size: int, h: float, boundary: str = "neumann"):
     """The derivative pass of one grid, with the grid's constants bound once.
 
     Returns apply(values) -> (f', f''), centred everywhere, for float64

@@ -7,15 +7,16 @@ surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
 ``RevolutionGeometry`` record.
 
-A run makes its kind once from the initial geometry, r and the
-resolution (``_round_kind``, ``_graph_kind``).  The kind binds what no
-step changes (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the
+A run makes its kind once from the initial geometry (a ``Sphere``, or
+the record of ``catalog.revolution_geometry(model, resolution)``), r and
+the resolution (``_round_kind``, ``_graph_kind``).  The kind binds what
+no step changes (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the
 grid, the orientation and h^2).  A run steps only the values that move,
 a round law's float radius or a radial graph's profile array f.  The
 kind's stage takes values and gives their speed and step bound dt <= h^2
 / (1 + sup tr|P_{r-1}|), the rk2 midpoint's too; its rebuild makes the
 state object from values the guard has passed.  The radial graph's stage
-reads the curvature parts of the run's one ``catalog.graph_builder``
+reads the curvature parts of the run's one ``catalog._graph_builder``
 (one derivative pass) and keeps the last ones, so the record of values
 just staged costs no pass of its own; the round law's is closed-form (h
 = 2 pi R / resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound
@@ -36,14 +37,14 @@ NumericalError.  The guard returns the smallest radius it computed.
 ``run`` builds the kind and the stepper once and carries t, the values,
 their speed and bound and the step count as locals; a state object is
 made only for a diagnostics row past t = 0 and for the final
-``FlowState`` (and by ``step``).  It estimates T / (cfl_safety * bound)
-steps from the first stage, T being t_end or, if sooner, the closed-form
-extinction time of a round law, and refuses a run above ``MAX_STEPS``
-steps (DomainError); one that passes ``MAX_STEPS`` anyway stops with a
-NumericalError.  Runs are deterministic for a fixed configuration.  The
-homothety monitor uses the canonical rescaling phi(t) = (1 - (r+1)
-t)^(1/(r+1)) of catalog initial data; no uniqueness of that
-normalization is claimed.
+``FlowState`` (and by ``step``), with read-only arrays.  It estimates
+T / (cfl_safety * bound) steps from the first stage, T being t_end or,
+if sooner, the closed-form extinction time of a round law, and refuses a
+run above ``MAX_STEPS`` steps (DomainError); one that passes
+``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
+deterministic for a fixed configuration.  The homothety monitor uses the
+canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
+data; no uniqueness of that normalization is claimed.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .catalog import (
     Revolution,
     RevolutionGeometry,
     Sphere,
-    graph_builder,
+    _graph_builder,
     revolution_geometry,
 )
 from .errors import (
@@ -273,7 +274,7 @@ def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
 def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
     """The radial graph's speed and bound, read off each profile's parts.
 
-    With the run's ``graph_builder`` parts q = f''/w^3 and p = 1/(f w),
+    With the run's ``_graph_builder`` parts q = f''/w^3 and p = 1/(f w),
     the speed -o sigma_r(oriented curvatures) w is (q - p) w at r = 1 and
     o q p w at r = 2, and the bound h^2 / (1 + sup_j tr|P_{r-1}(A_j)|)
     has tr|P_0| = 2 and tr|P_1| = |q| + |p|: the record's closed forms,
@@ -287,7 +288,7 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
         h_sq = graph.h ** 2
     except OverflowError as exc:      # h above ~1.3e154
         raise float_range_error("h", graph.h, 2) from exc
-    build = graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
+    build = _graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
     negate = graph.orientation > 0    # o = +-1 only chooses the sign
     bound_1 = h_sq / (1.0 + 2.0)      # tr P_0 = 2
     # k_mer = -o q and k_par = o p, so the record's parts are exact sign flips
@@ -375,12 +376,9 @@ def _initial_state(config: FlowConfig):
     if isinstance(model, Cylinder):
         # spherical factor shrinks by the same scalar law; flat part inert
         return Sphere(n=model.m, radius=model.radius)
-    if isinstance(model, EllipsoidRev):
-        model = model.as_revolution(config.resolution)
-    if isinstance(model, Revolution):
-        # the run's one float-range check, on its own copies of z and f
-        p = model.profile
-        return revolution_geometry(model)._replace(z=p.z.copy(), f=p.f.copy())
+    if isinstance(model, (Revolution, EllipsoidRev)):
+        # the run's one float-range check; steps make new values
+        return revolution_geometry(model, config.resolution)
     raise DomainError(f"cannot evolve {type(model).__name__}")
 
 

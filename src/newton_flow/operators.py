@@ -11,7 +11,7 @@ operator takes that surface's curvature record (the catalog's
 ``RevolutionGeometry``, from ``revolution_geometry`` or a radial-graph
 flow state) and an array of values on its grid, and returns an array;
 lambda_mer and the identities' sigma_p are read off the record, F_z is
-the first output of an ``fd.stencil`` of the record's grid, and L F is
+the first output of an ``fd._stencil`` of the record's grid, and L F is
 one ``fd.flux_divergence``.  The drifted variant subtracts <X, grad F>.
 Identity checks report max-norm residuals over interior nodes only (two
 nodes trimmed per open boundary, where the stencils are lower order); a
@@ -29,7 +29,6 @@ import numpy as np
 from . import fd
 from .catalog import (
     Cylinder,
-    EllipsoidRev,
     HypersurfaceModel,
     Revolution,
     RevolutionGeometry,
@@ -61,7 +60,7 @@ def _values(g: RevolutionGeometry, values) -> np.ndarray:
 
 def _dz(g: RevolutionGeometry, values) -> np.ndarray:
     """F_z of checked values: the first output of a stencil of g's grid."""
-    return fd.stencil(g.f.size, g.h, g.boundary)(_values(g, values))[0]
+    return fd._stencil(g.f.size, g.h, g.boundary)(_values(g, values))[0]
 
 
 def surface_gradient(geometry: RevolutionGeometry, values) -> np.ndarray:
@@ -116,12 +115,9 @@ class ConvergenceReport:
                 and all(ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in self.observed_orders))
 
 
-def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
-    """Discretize a model as a revolution surface at the given node count."""
-    if isinstance(model, Revolution):
-        return model
-    if isinstance(model, EllipsoidRev):
-        return model.as_revolution(resolution)
+def _as_revolution(model: HypersurfaceModel, resolution: int) -> HypersurfaceModel:
+    """A sphere as a band, a cylinder as a tube, at the given node count;
+    any other model as it is, for ``revolution_geometry``."""
     if isinstance(model, Sphere):
         if model.n != 2:
             raise DomainError("revolution operators need n = 2")
@@ -132,7 +128,7 @@ def _as_revolution(model: HypersurfaceModel, resolution: int) -> Revolution:
             raise DomainError("revolution operators need n = 2")
         return Revolution(profile=cylinder_profile(
             model.radius, 2.0 * model.radius, resolution))
-    raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
+    return model
 
 
 def _support_identity_residual(g: RevolutionGeometry, r: int) -> float:
@@ -165,7 +161,7 @@ def refinement_report(residual_fn, model, r, resolutions) -> ConvergenceReport:
     residuals = []
     spacings = []
     for m in resolutions:
-        g = revolution_geometry(_as_revolution(model, m))
+        g = revolution_geometry(_as_revolution(model, m), m)
         if spacings and g.h == spacings[-1]:
             raise DomainError(f"resolutions {resolutions} repeat the grid spacing "
                               f"h={g.h:.6g}: no order can be observed")

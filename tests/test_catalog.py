@@ -165,7 +165,7 @@ class TestSampling:
         # one row per profile node
         model = EllipsoidRev(a=1.0, b=2.0)
         curvatures, support = sample_fields(model, 8)
-        g = revolution_geometry(model.as_revolution(8))
+        g = revolution_geometry(model, 8)
         assert curvatures.shape == (8, 2) and support.shape == (8,)
         assert (curvatures == np.stack([g.k_mer, g.k_par], axis=1)).all()
         assert (support == g.support).all()
@@ -212,7 +212,7 @@ class TestProfileValidation:
         # np.linspace spacings stray by up to about 2 eps max|z|, which is
         # more than 1e-12 |dz| from about 5,400 nodes up
         for size in (5409, 6693, 6761, 10 ** 5):
-            assert build(size).size == size
+            assert build(size).z.size == size
 
     @pytest.mark.parametrize("size", [101, 10 ** 5])
     def test_one_spacing_off_by_1e_9_is_refused(self, size):
@@ -226,6 +226,16 @@ class TestProfileValidation:
         z = np.linspace(0.0, 1.0, 9)
         assert_refused_as_non_numeric(ProfileCurve, bad, np.ones(9))
         assert_refused_as_non_numeric(ProfileCurve, z, bad)
+
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        z, f = np.linspace(0.0, 1.0, 9), np.full(9, 2.0)
+        p = ProfileCurve(z=z, f=f)
+        z[0], f[0], f[1] = -5.0, -1.0, math.nan
+        assert p.z.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
+        assert p.f.tobytes() == np.full(9, 2.0).tobytes()
+        for values in (p.z, p.f):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
     def test_rejects_f_off_the_grid(self):
         # the one length check of a record's f: builds do not repeat it
@@ -281,7 +291,7 @@ class TestProfileValidation:
     def test_numpy_integer_sizes_pass(self):
         two, three, eight = np.int64(2), np.int64(3), np.int64(8)
         assert Cylinder(n=three, m=two, radius=1.0).m == 2
-        assert EllipsoidRev(a=1.0, b=2.0).profile_curve(eight).size == 8
+        assert EllipsoidRev(a=1.0, b=2.0).profile_curve(eight).z.size == 8
         assert shrinker_radius(two, np.int64(1)) == shrinker_radius(2, 1)
         assert sample_fields(Sphere(n=two, radius=1.0), eight)[0].shape == (1, 2)
 
@@ -318,7 +328,7 @@ class TestPerGridBuilder:
             m = int(rng.randint(5, 200))
             z = np.linspace(-1.0, 1.0, m)
             h = float(z[1] - z[0])
-            build = catalog.graph_builder(z, h, boundary, orientation)
+            build = catalog._graph_builder(z, h, boundary, orientation)
             for _ in range(3):      # one bound grid, fresh profiles each time
                 f = rng.uniform(0.5, 2.0) + 0.3 * rng.standard_normal(m)
                 got = build(f)
@@ -330,7 +340,7 @@ class TestPerGridBuilder:
 
     def test_builds_do_not_alias(self):
         prof = sphere_band_profile(2.0, 0.6, 17)
-        build = catalog.graph_builder(prof.z, prof.h, prof.boundary, 1)
+        build = catalog._graph_builder(prof.z, prof.h, prof.boundary, 1)
         first, second = build(prof.f), build(prof.f.copy())
         fields = ("fp", "w", "k_mer", "k_par")
         for name in fields:
@@ -338,9 +348,8 @@ class TestPerGridBuilder:
                 assert not np.shares_memory(getattr(first, name), getattr(second, other))
                 if other != name:
                     assert not np.shares_memory(getattr(first, name), getattr(first, other))
-        kept = first.k_mer.copy()
-        second.k_mer[:] = 0.0
-        assert first.k_mer.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            second.k_mer[:] = 0.0
 
     def test_profile_out_of_float_range_still_raises(self):
         # w ~ 1e150, so w^3 overflows
@@ -353,13 +362,41 @@ class TestPerGridBuilder:
 
     def test_underflowed_spacing_is_refused_before_any_stencil(self, monkeypatch):
         made = []
-        monkeypatch.setattr(catalog.fd, "stencil", lambda *args: made.append(args))
+        monkeypatch.setattr(catalog.fd, "_stencil", lambda *args: made.append(args))
         prof = catalog.cylinder_profile(1.0, 1e-170, 16)
-        for build in (lambda: catalog.graph_builder(prof.z, prof.h, prof.boundary, 1),
+        for build in (lambda: catalog._graph_builder(prof.z, prof.h, prof.boundary, 1),
                       lambda: revolution_geometry(Revolution(profile=prof))):
             with pytest.raises(NumericalError, match=r"h\^2"):
                 build()
         assert made == []
+
+
+class TestOneDoor:
+    """revolution_geometry(model, resolution) is the one door from a model to its record."""
+
+    @pytest.mark.parametrize("m", [5, 8, 129])
+    def test_an_ellipsoid_record_is_its_profiles(self, m):
+        model = EllipsoidRev(a=1.0, b=2.0)
+        got = revolution_geometry(model, m)
+        want = revolution_geometry(Revolution(profile=model.profile_curve(m)))
+        assert got[2:5] == want[2:5]
+        for name in ("z", "f", "fp", "w", "k_mer", "k_par"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_a_revolution_keeps_its_own_grid(self):
+        rev = Revolution(profile=sphere_band_profile(2.0, 0.6, 17))
+        got, want = revolution_geometry(rev, 64), revolution_geometry(rev)
+        assert got.z.size == 17
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[5:], want[5:]))
+
+    def test_an_ellipsoid_needs_a_resolution(self):
+        with pytest.raises(DomainError, match="resolution must be an integer, got None"):
+            revolution_geometry(EllipsoidRev(a=1.0, b=2.0))
+
+    @pytest.mark.parametrize("model", [Sphere(n=2, radius=1.0), Hyperplane(n=2)])
+    def test_a_model_with_no_profile_is_refused(self, model):
+        with pytest.raises(DomainError, match="cannot discretize"):
+            revolution_geometry(model, 16)
 
 
 class TestRevolutionRecord:

@@ -777,9 +777,10 @@ class TestExitContract:
         calls = []
         original = catalog.revolution_geometry
 
-        def counted(rev):
-            calls.append(rev.profile.size)
-            return original(rev)
+        def counted(model, resolution=None):
+            geo = original(model, resolution)
+            calls.append(geo.z.size)
+            return geo
 
         for module in (catalog, operators):
             monkeypatch.setattr(module, "revolution_geometry", counted)

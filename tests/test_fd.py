@@ -19,7 +19,7 @@ class TestPerGridStencil:
         for _ in range(100):
             m = int(rng.randint(5, 257))
             h = float(rng.uniform(1e-3, 1.0))
-            apply = fd.stencil(m, h, boundary)
+            apply = fd._stencil(m, h, boundary)
             for _ in range(3):      # one bound grid, fresh values each time
                 v = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(m)
                 first, second = apply(v)
@@ -28,7 +28,7 @@ class TestPerGridStencil:
 
     def test_passes_do_not_alias(self):
         # the grid's padded buffer is reused; what a pass returns is not
-        apply = fd.stencil(9, 0.125, "neumann")
+        apply = fd._stencil(9, 0.125, "neumann")
         v = np.linspace(1.0, 2.0, 9) ** 3
         one = apply(v)
         kept = [a.copy() for a in one]
@@ -43,7 +43,7 @@ class TestPerGridStencil:
     @pytest.mark.parametrize("size, boundary", [(4, "neumann"), (9, "dirichlet")])
     def test_rejects_bad_grids(self, size, boundary):
         with pytest.raises(DomainError):
-            fd.stencil(size, 0.1, boundary)
+            fd._stencil(size, 0.1, boundary)
 
 
 class TestPeriodicMode:
@@ -55,7 +55,7 @@ class TestPeriodicMode:
         f = 1.0 + 0.3 * np.sin(z) + 0.1 * np.cos(2.0 * z)
         fp = 0.3 * np.cos(z) - 0.2 * np.sin(2.0 * z)
         fpp = -0.3 * np.sin(z) - 0.4 * np.cos(2.0 * z)
-        first, second = fd.stencil(m, h, "periodic")(f)
+        first, second = fd._stencil(m, h, "periodic")(f)
         return np.abs(first - fp).max(), np.abs(second - fpp).max()
 
     def test_both_stencils_converge_at_second_order(self):

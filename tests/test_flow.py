@@ -9,11 +9,12 @@ from newton_flow.catalog import (
     Cylinder,
     EllipsoidRev,
     Hyperplane,
+    ProfileCurve,
     Revolution,
     Sphere,
     RevolutionGeometry,
+    _graph_builder,
     cylinder_profile,
-    graph_builder,
     revolution_geometry,
     shrinker_radius,
     sphere_band_profile,
@@ -335,7 +336,7 @@ def _band_step_config(r, m=32):
 
 def _band_state(m=32, f=None, orientation=1):
     prof = sphere_band_profile(2.0, 0.6, m)
-    build = graph_builder(prof.z, prof.h, prof.boundary, orientation)
+    build = _graph_builder(prof.z, prof.h, prof.boundary, orientation)
     return FlowState(t=0.0, geometry=build(prof.f if f is None else f))
 
 
@@ -348,7 +349,7 @@ class TestRevolutionStage:
         result = run(_band_config(2, "rk2", pinned=True))
         geo = result.state.geometry
         assert isinstance(geo, RevolutionGeometry)
-        again = graph_builder(geo.z, geo.h, geo.boundary, geo.orientation)(geo.f)
+        again = _graph_builder(geo.z, geo.h, geo.boundary, geo.orientation)(geo.f)
         for name in ("fp", "w", "k_mer", "k_par"):
             assert getattr(geo, name).tobytes() == getattr(again, name).tobytes()
 
@@ -378,7 +379,7 @@ class TestRevolutionStage:
         # the run binds its grid's stencil once, next to the one of the
         # initial record, and the diagnostics rows reuse the stage that set
         # each state's dt
-        stencils = _count_products(monkeypatch, fd, "stencil")
+        stencils = _count_products(monkeypatch, fd, "_stencil")
         config = _band_config(2, scheme, pinned=True, output_stride=10)
         result = run(config)
         steps = result.state.step_count
@@ -440,13 +441,43 @@ class TestRevolutionStage:
 
         def with_nan(config):
             geo = initial_state(config)
-            geo.f[7] = np.nan
-            return geo
+            f = geo.f.copy()
+            f[7] = np.nan
+            return geo._replace(f=f)
 
         monkeypatch.setattr(flow, "_initial_state", with_nan)
         model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
         with pytest.raises(NumericalError):
             run(FlowConfig(r=r, model=model, t_end=0.01))
+
+
+def _records_of(z, f):
+    """The records a caller gets from a profile on z and f: revolution_geometry's,
+    a run's result and a step's (and an ellipsoid's, with no caller arrays)."""
+    model = Revolution(profile=ProfileCurve(z=z, f=f))
+    config = FlowConfig(r=2, model=model, t_end=1e-4)
+    result = run(config)
+    assert result.status == "completed" and result.state.step_count > 0
+    return {"revolution_geometry": revolution_geometry(model),
+            "ellipsoid": revolution_geometry(EllipsoidRev(a=1.0, b=2.0), 16),
+            "run": result.state.geometry,
+            "step": step(result.state, config, 1e-6).geometry}
+
+
+class TestReadOnlyRecords:
+    def test_writing_to_a_record_raises(self):
+        z = np.linspace(-0.6, 0.6, 32)
+        for geo in _records_of(z, np.sqrt(4.0 - z * z)).values():
+            for array in _arrays(geo):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    def test_records_share_no_memory_with_the_callers_arrays(self):
+        z = np.linspace(-0.6, 0.6, 32)
+        f = np.sqrt(4.0 - z * z)
+        for source, geo in _records_of(z, f).items():
+            for array in _arrays(geo):
+                assert not (np.shares_memory(array, z) or np.shares_memory(array, f)), source
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +720,7 @@ class TestStepBudget:
         # one derivative pass per stage, the first stage's being the initial
         # record's (the second stencil made is the run's): a refused run
         # takes no pass past the first
-        passes = _count_products(monkeypatch, fd, "stencil")
+        passes = _count_products(monkeypatch, fd, "_stencil")
         stages = _count_stages(monkeypatch)
         tube = Revolution(profile=cylinder_profile(1.0, 0.5, 16))
         steps = run(FlowConfig(r=2, model=tube, t_end=1e-3)).state.step_count

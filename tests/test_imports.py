@@ -9,7 +9,10 @@ name (``np`` in ``np.zeros`` counts) or in the module's ``__all__``.
 The private names one package module takes from a sibling are pinned:
 a new coupling of that kind shows up as an edit of ``PRIVATE_IMPORTS``.
 So is the one conversion of a caller's array: ``asarray`` and a cast to
-float appear in the package only inside ``errors.as_floats``.
+float appear in the package only inside ``errors.as_floats``.  And so is
+the one door from a model to its curvature record: no module but
+``catalog`` calls ``profile_curve``, and ``_graph_builder`` is called
+only in ``catalog`` and by the flow's radial-graph kind.
 """
 
 import ast
@@ -24,9 +27,12 @@ SCRIPTS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").rglob("*.py"
 
 # (importing module, sibling module, private name)
 PRIVATE_IMPORTS = {
+    ("catalog", "fd", "_stencil"),
     ("cli", "symfun", "_p_spectrum"),
+    ("flow", "catalog", "_graph_builder"),
     ("gapcheck", "symfun", "_check_degree"),
     ("gapcheck", "symfun", "_classify"),
+    ("operators", "fd", "_stencil"),
 }
 
 
@@ -85,14 +91,23 @@ def test_private_imports_between_package_modules_are_pinned():
 FLOAT_DTYPES = {"float", "np.float64", "numpy.float64", "'float'", "'float64'"}
 
 
+def nodes_in_functions(source: str):
+    """(node, enclosing function's name or None) for every node, in source order."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        yield node, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(ast.parse(source), None)
+
+
 def array_conversions(stem: str, source: str) -> list:
     """(stem, enclosing function or None, kind) for every ``asarray`` the module
     names and every ``astype`` call to a float dtype, in source order."""
     found = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    for node, function in nodes_in_functions(source):
         if (isinstance(node, ast.Attribute) and node.attr == "asarray"
                 or isinstance(node, ast.Name) and node.id == "asarray"
                 or isinstance(node, ast.alias) and node.name == "asarray"):
@@ -102,10 +117,6 @@ def array_conversions(stem: str, source: str) -> list:
             dtypes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "dtype")]
             if any(ast.unparse(d) in FLOAT_DTYPES for d in dtypes):
                 found.append((stem, function, "astype(float)"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
     return found
 
 
@@ -125,6 +136,41 @@ def test_one_gate_converts_a_callers_array():
         found += array_conversions(module.stem, module.read_text(encoding="utf-8"))
     assert found == [("errors", "as_floats", "asarray"),
                      ("errors", "as_floats", "astype(float)")]
+
+
+DOORS = ("profile_curve", "_graph_builder")
+
+
+def door_calls(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, name) for every call of a name in
+    DOORS, bare or as an attribute, in source order."""
+    found = []
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in DOORS:
+                found.append((stem, function, name))
+    return found
+
+
+def test_the_check_sees_a_planted_door():
+    source = ("from .catalog import _graph_builder\n"
+              "def discretize(model, m):\n    return model.profile_curve(m)\n"
+              "class C:\n    def f(self, z):\n"
+              "        return catalog._graph_builder(z, 0.1, 'neumann', 1)\n"
+              "profile_curve = None\nb = _graph_builder(z, 0.1, 'periodic', -1)\n")
+    assert door_calls("m", source) == [
+        ("m", "discretize", "profile_curve"), ("m", "f", "_graph_builder"),
+        ("m", None, "_graph_builder")]
+
+
+def test_one_door_from_a_model_to_its_record():
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += door_calls(module.stem, module.read_text(encoding="utf-8"))
+    assert [call for call in found if call[0] != "catalog"] == [
+        ("flow", "_graph_kind", "_graph_builder")]
 
 
 def test_the_check_sees_an_unused_import():

@@ -39,7 +39,7 @@ def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
 
 
 def ellipsoid_rev(samples=129) -> Revolution:
-    return EllipsoidRev(a=1.0, b=2.0).as_revolution(samples)
+    return Revolution(profile=EllipsoidRev(a=1.0, b=2.0).profile_curve(samples))
 
 
 class TestGradient:
@@ -65,7 +65,7 @@ class TestGradient:
 
     def test_short_grid_rejected(self):
         with pytest.raises(DomainError):
-            fd.stencil(4, 0.1, "neumann")
+            fd._stencil(4, 0.1, "neumann")
 
 
 class TestLrApply:
@@ -369,8 +369,7 @@ class TestExactIdentities:
 class TestRefinementSpacing:
     def test_fixed_revolution_at_two_resolutions_is_refused(self):
         with pytest.raises(DomainError, match="repeat the grid spacing"):
-            verify_position_identity(EllipsoidRev(a=1.0, b=2.0).as_revolution(65),
-                                     1, [64, 128])
+            verify_position_identity(ellipsoid_rev(65), 1, [64, 128])
 
     def test_repeated_resolution_is_refused(self):
         with pytest.raises(DomainError, match="repeat the grid spacing"):
