@@ -2,7 +2,9 @@
 
 Exact variants (hyperplane, round sphere, spherical cylinder) carry
 closed-form curvatures and support values (``exact_curvatures``,
-``exact_support``).  Surfaces of revolution are discretized as radial
+``exact_support``), with binomials C(n, r) rounded once from exact
+integers (``binomial``).  ``check_model`` refuses a non-model at the
+entries that take one.  Surfaces of revolution are discretized as radial
 graphs rho = f(z) over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
@@ -170,8 +172,26 @@ class EllipsoidRev:
 HypersurfaceModel = Union[Hyperplane, Sphere, Cylinder, Revolution, EllipsoidRev]
 
 
+def check_model(model):
+    """Raise DomainError unless model is a catalog model (a HypersurfaceModel)."""
+    if not isinstance(model, HypersurfaceModel):
+        raise DomainError(f"{type(model).__name__} is not a catalog model")
+
+
 # ---------------------------------------------------------------------------
 # closed forms
+
+def binomial(n: int, r: int, factor: int = 1) -> float:
+    """factor C(n, r) as a float: the exact integer product, rounded once (the
+    bits Python's int-float arithmetic gives it).  A product past the float
+    range raises the float-range NumericalError, which names C(n,r)."""
+    try:
+        return float(factor * comb(n, r))
+    except OverflowError as exc:
+        times = "" if factor == 1 else f"{factor} "
+        raise NumericalError(f"{times}C(n,r) of n={brief(n)}, r={brief(r)} "
+                             f"leaves the float range") from exc
+
 
 def shrinker_radius(m: int, r: int) -> float:
     """Radius C(m,r)^(1/(r+1)) at which the model satisfies sigma_r = -<X,N>."""
@@ -180,7 +200,7 @@ def shrinker_radius(m: int, r: int) -> float:
         raise DomainError(
             f"no shrinking radius for r={brief(r)} > m={brief(m)}: sigma_r vanishes there"
         )
-    return comb(m, r) ** (1.0 / (r + 1))
+    return binomial(m, r) ** (1.0 / (r + 1))
 
 
 def sigma_p_cylinder(m: int, r: int, p: int) -> float:
@@ -192,7 +212,7 @@ def sigma_p_cylinder(m: int, r: int, p: int) -> float:
         raise DomainError("p must be nonnegative")
     if p > m:
         return 0.0
-    return comb(m, p) * comb(m, r) ** (-p / (r + 1))
+    return binomial(m, p) * binomial(m, r) ** (-p / (r + 1))
 
 
 def exact_curvatures(model) -> np.ndarray:

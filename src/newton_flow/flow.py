@@ -52,7 +52,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from math import comb
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -68,6 +67,8 @@ from .catalog import (
     RevolutionGeometry,
     Sphere,
     _graph_builder,
+    binomial,
+    check_model,
     revolution_geometry,
 )
 from .errors import (
@@ -98,9 +99,10 @@ def extinction_time(n: int, r: int, radius0: float) -> float:
     if not check_real(radius0, "radius0") > 0:
         raise DomainError("radius must be positive")
     try:
-        return radius0 ** (r + 1) / ((r + 1) * comb(n, r))
+        top = radius0 ** (r + 1)
     except OverflowError as exc:
         raise float_range_error("R", radius0, r + 1) from exc
+    return top / binomial(n, r, r + 1)
 
 
 def sphere_radius_exact(n: int, r: int, radius0: float, t: float) -> float:
@@ -118,7 +120,7 @@ def _radius_law(n: int, r: int, radius0: float):
     """t -> sphere_radius_exact(n, r, radius0, t), with the parts that do
     not depend on t, and their checks, taken once."""
     t_ext = extinction_time(n, r, radius0)
-    top, rate, power = radius0 ** (r + 1), (r + 1) * comb(n, r), 1.0 / (r + 1)
+    top, rate, power = radius0 ** (r + 1), binomial(n, r, r + 1), 1.0 / (r + 1)
 
     def radius(t: float) -> float:
         if t < 0:
@@ -211,6 +213,7 @@ class FlowConfig:
             raise DomainError(f"unknown scheme {brief(self.scheme)}")
         if check_integer(self.output_stride, "output_stride") < 1:
             raise DomainError("output_stride must be >= 1")
+        check_model(self.model)
         check_order(self.r, self.model.n)
         if (self.boundary_values is not None
                 and not isinstance(self.model, (Revolution, EllipsoidRev))):
@@ -250,9 +253,9 @@ class _Kind(NamedTuple):
 def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
     """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution."""
     n = geom.n
-    rate = -comb(n, r)
-    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 > n
-    trace = (n - r + 1) * comb(n, r - 1)
+    rate = -binomial(n, r)    # -0.0 on a cylinder's round factor of rank n < r
+    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 >= n
+    trace = binomial(n, r - 1, n - r + 1)
     two_pi = 2.0 * np.pi
 
     def stage(radius):
@@ -336,7 +339,7 @@ def _sphere_diagnostics(t, sphere, dt, config, initial_geometry):
     n, r, radius = sphere.n, config.r, sphere.radius
     phi = _residual_phi(config, t)
     try:
-        residual = abs(phi ** r * comb(n, r) / radius ** r - radius / phi)
+        residual = abs(phi ** r * binomial(n, r) / radius ** r - radius / phi)
     except (OverflowError, ZeroDivisionError) as exc:
         raise float_range_error("R", radius, r) from exc
     defect = math.nan

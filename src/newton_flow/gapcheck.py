@@ -14,7 +14,9 @@ revolution profile gives one row per node.
 
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states
-which branch of the taxonomy the sampled data matches.
+which branch of the taxonomy the sampled data matches.  ``SHRINKER_TOL``
+is read here only, and ``classify`` is the package's one raise of
+NotSelfShrinkerError (``operators.verify_shrinker_pde`` calls it).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Hyperplane, HypersurfaceModel, sample_fields
+from .catalog import Hyperplane, HypersurfaceModel, check_model, sample_fields
 from .errors import DomainError, NotSelfShrinkerError, NumericalError, as_floats, check_order
 from .symfun import (
     Definiteness,
@@ -117,7 +119,9 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
 
     Values within GAP_TOL of a threshold count as on it; a sampled
     residual above SHRINKER_TOL classifies the model as NotShrinker.
+    Anything but a catalog model raises DomainError.
     """
+    check_model(model)
     check_order(r, model.n)
     curvatures, support = sample_fields(model, resolution)
     notes = (("open hypersurface: normal fixed to +e_{n+1}",)

@@ -17,6 +17,8 @@ Identity checks report max-norm residuals over interior nodes only (two
 nodes trimmed per open boundary, where the stencils are lower order); a
 residual at rounding level (EXACT_TOL) counts as exact in a refinement
 study.  No discrete maximum principle is claimed for semidefinite weights.
+``verify_shrinker_pde`` takes its shrinker verdict and modified norm from
+``gapcheck``'s report of a closed-form row, and forms only sigma_r.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ from .catalog import (
     Revolution,
     RevolutionGeometry,
     Sphere,
+    check_model,
     cylinder_profile,
     exact_curvatures,
-    exact_support,
     revolution_geometry,
     sphere_band_profile,
 )
-from .errors import DomainError, NotSelfShrinkerError, as_floats, check_integer, check_order
-from .gapcheck import SHRINKER_TOL
-from .symfun import elem_sym_all, elem_sym_excluding_rows
+from .errors import DomainError, as_floats, check_integer, check_order
+from .gapcheck import classify, evaluate
+from .symfun import elem_sym
 
 ORDER_BAND = (1.5, 2.5)   # observed orders a passing refinement study shows
 FINEST_TOL = 1e-3         # largest residual it may leave at the finest grid
@@ -221,20 +223,19 @@ def verify_shrinker_pde(model, r: int) -> ShrinkerPdeReport:
 
     On the catalog models sigma_r is constant, so the drifted terms and
     gradient terms vanish and both identities reduce to multiples of
-    (||sqrt(P_{r-1})A||^2 - r) * sigma_r.  Raises NotSelfShrinkerError
-    when |sigma_r + <X,N>| exceeds SHRINKER_TOL.
+    (||sqrt(P_{r-1})A||^2 - r) * sigma_r.  The verdict and the norm are
+    those of ``gapcheck.evaluate`` on the model's closed-form row: its
+    ``classify`` raises NotSelfShrinkerError when |sigma_r + <X,N>|
+    exceeds SHRINKER_TOL, and a row that leaves the float range raises
+    its NumericalError.  A model with no constant row raises DomainError.
     """
+    check_model(model)
     check_order(r, model.n)
     k = exact_curvatures(model)
-    support = exact_support(model)
-    sig = elem_sym_all(k)
-    if abs(sig[r] + support) > SHRINKER_TOL:
-        raise NotSelfShrinkerError(
-            f"model violates sigma_r = -<X,N> by {abs(sig[r] + support):.3e}"
-        )
-    excluded = elem_sym_excluding_rows(k[None], r - 1)[0]     # sigma_{r-1}(k | j)
-    norm_sq = float(sum((excluded * k ** 2).tolist()))
-    sigma_r = float(sig[r])
+    report = evaluate(model, r)
+    classify(report)
+    norm_sq = report.sup_modified_norm_sq
+    sigma_r = elem_sym(k, r)
     return ShrinkerPdeReport(
         residual_linear=abs((norm_sq - r) * sigma_r),
         residual_squared=abs(sigma_r ** 2 * (r - norm_sq)),

@@ -65,6 +65,44 @@ class TestSigmaPCylinder:
                             sigma_p_cylinder(m, r, p), rel=1e-12, abs=1e-300)
 
 
+class TestBinomialsPastTheFloatRange:
+    """C(n, r) is formed as an exact integer and rounded once; past the float
+    range it is the float-range NumericalError, naming C(n,r)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: shrinker_radius(1100, 550),
+        lambda: sigma_p_cylinder(1100, 550, 3),
+        lambda: sigma_p_cylinder(1100, 1, 550),
+    ], ids=["shrinker_radius", "sigma_p_cylinder.r", "sigma_p_cylinder.p"])
+    def test_names_the_binomial(self, call):
+        with pytest.raises(NumericalError,
+                           match=r"^C\(n,r\) of n=1100, r=550 leaves the float range$"):
+            call()
+
+    def test_bits_are_the_integer_arithmetic(self):
+        for m in (1, 2, 6, 40, 215, 1000):
+            for r in sorted({1, 2, m // 2, m - 1, m} & set(range(1, m + 1))):
+                assert shrinker_radius(m, r).hex() == (
+                    math.comb(m, r) ** (1.0 / (r + 1))).hex()
+                for p in (0, 1, r, m):
+                    assert sigma_p_cylinder(m, r, p).hex() == (
+                        math.comb(m, p) * math.comb(m, r) ** (-p / (r + 1))).hex()
+
+
+class TestCheckModel:
+    @pytest.mark.parametrize("model", [
+        Hyperplane(n=2), Sphere(n=2, radius=1.0), Cylinder(n=3, m=1, radius=1.0),
+        Revolution(profile=cylinder_profile(1.0, 2.0, 9)), EllipsoidRev(a=1.0, b=2.0)])
+    def test_catalog_models_pass(self, model):
+        catalog.check_model(model)
+
+    @pytest.mark.parametrize("value, name", [(None, "NoneType"), (2, "int"),
+                                             (cylinder_profile(1.0, 2.0, 9), "ProfileCurve")])
+    def test_anything_else_is_refused(self, value, name):
+        with pytest.raises(DomainError, match=f"^{name} is not a catalog model$"):
+            catalog.check_model(value)
+
+
 class TestPointQueries:
     """Sample rows of the models: one closed-form row, or one row per node."""
 

@@ -99,6 +99,16 @@ class TestClosedForms:
             with pytest.raises(DomainError, match="must be a real number"):
                 site(value)
 
+    @pytest.mark.parametrize("call", [
+        lambda: extinction_time(1100, 550, 1.0),
+        lambda: sphere_radius_exact(1100, 550, 1.0, 0.1),
+        lambda: run(FlowConfig(r=550, model=Sphere(n=1100, radius=1.0), t_end=0.1)),
+    ], ids=["extinction_time", "sphere_radius_exact", "run"])
+    def test_a_binomial_past_the_float_range_is_named(self, call):
+        # R = 1 is harmless: C(1100, 550) ~ 1e329 is what leaves the float range
+        with pytest.raises(NumericalError, match=r"C\(n,r\) of n=1100, r=550 leaves"):
+            call()
+
     def test_extinction_values(self):
         assert extinction_time(1, 1, 1.0) == pytest.approx(0.5)
         assert extinction_time(2, 2, 1.0) == pytest.approx(1.0 / 3.0)
@@ -779,6 +789,10 @@ class TestFlowConfigContract:
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}
         with pytest.raises(DomainError, match=field):
             FlowConfig(**kwargs)
+
+    def test_rejects_a_non_model(self):
+        with pytest.raises(DomainError, match="^NoneType is not a catalog model$"):
+            FlowConfig(r=1, model=None, t_end=1.0)
 
     def test_numpy_bool_rescaled_passes(self):
         config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,

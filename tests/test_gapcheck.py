@@ -43,6 +43,10 @@ class TestEvaluate:
         assert rep.classification.kind == "Hyperplane"
         assert any("normal" in note for note in rep.notes)
 
+    def test_rejects_a_non_model(self):
+        with pytest.raises(DomainError, match="^NoneType is not a catalog model$"):
+            evaluate(None, 1)
+
     def test_oversize_sphere_not_shrinker(self):
         for n, r in ((2, 1), (3, 2), (4, 3)):
             model = Sphere(n=n, radius=2.0 * shrinker_radius(n, r))

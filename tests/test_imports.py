@@ -12,7 +12,9 @@ So is the one conversion of a caller's array: ``asarray`` and a cast to
 float appear in the package only inside ``errors.as_floats``.  And so is
 the one door from a model to its curvature record: no module but
 ``catalog`` calls ``profile_curve``, and ``_graph_builder`` is called
-only in ``catalog`` and by the flow's radial-graph kind.
+only in ``catalog`` and by the flow's radial-graph kind.  And so is the
+one shrinker verdict: no module but ``gapcheck`` names ``SHRINKER_TOL``
+or raises ``NotSelfShrinkerError``.
 """
 
 import ast
@@ -171,6 +173,45 @@ def test_one_door_from_a_model_to_its_record():
         found += door_calls(module.stem, module.read_text(encoding="utf-8"))
     assert [call for call in found if call[0] != "catalog"] == [
         ("flow", "_graph_kind", "_graph_builder")]
+
+
+def shrinker_verdicts(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, what) for every name or attribute
+    ``SHRINKER_TOL`` and every raise of ``NotSelfShrinkerError``, in source order."""
+    found = []
+    for node, function in nodes_in_functions(source):
+        if (isinstance(node, ast.Name) and node.id == "SHRINKER_TOL"
+                or isinstance(node, ast.Attribute) and node.attr == "SHRINKER_TOL"
+                or isinstance(node, ast.alias) and node.name == "SHRINKER_TOL"):
+            found.append((stem, function, "SHRINKER_TOL"))
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "NotSelfShrinkerError":
+                found.append((stem, function, "raise NotSelfShrinkerError"))
+    return found
+
+
+def test_the_check_sees_a_planted_verdict():
+    # a copy of operators with a second shrinker test planted in it
+    source = (PACKAGE / "operators.py").read_text(encoding="utf-8")
+    planted = source + ("\n\nfrom .gapcheck import SHRINKER_TOL\n"
+                        "def planted(residual):\n"
+                        "    if residual > SHRINKER_TOL:\n"
+                        "        raise errors.NotSelfShrinkerError(f'{residual}')\n")
+    found = shrinker_verdicts("operators", planted)
+    assert found[len(shrinker_verdicts("operators", source)):] == [
+        ("operators", None, "SHRINKER_TOL"), ("operators", "planted", "SHRINKER_TOL"),
+        ("operators", "planted", "raise NotSelfShrinkerError")]
+
+
+def test_one_shrinker_verdict():
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += shrinker_verdicts(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("gapcheck", None, "SHRINKER_TOL"),
+                     ("gapcheck", "_taxonomy", "SHRINKER_TOL"),
+                     ("gapcheck", "classify", "raise NotSelfShrinkerError")]
 
 
 def test_the_check_sees_an_unused_import():

@@ -13,7 +13,8 @@ from newton_flow.catalog import (
     shrinker_radius,
     sphere_band_profile,
 )
-from newton_flow.errors import DomainError, NotSelfShrinkerError
+from newton_flow.errors import DomainError, NotSelfShrinkerError, NumericalError
+from newton_flow.gapcheck import evaluate
 from newton_flow.operators import (
     drifted_apply,
     lr_apply,
@@ -403,13 +404,55 @@ class TestShrinkerPde:
         with pytest.raises(NotSelfShrinkerError):
             verify_shrinker_pde(Sphere(n=2, radius=5.0), 1)
 
+    def test_rejects_a_non_model(self):
+        with pytest.raises(DomainError, match="^NoneType is not a catalog model$"):
+            verify_shrinker_pde(None, 1)
+
+    def test_a_model_with_no_constant_row_is_refused(self):
+        with pytest.raises(DomainError, match="EllipsoidRev has no constant curvature data"):
+            verify_shrinker_pde(EllipsoidRev(a=1.0, b=2.0), 1)
+
     def test_row_kernel_norm_is_bit_equal_to_the_excluding_route(self):
-        # oracle: one elem_sym_excluding call per curvature, summed in index order
+        # oracle: one elem_sym_excluding call per curvature, each term grouped
+        # (e_j k_j) k_j as the gap reduction forms it, summed in index order
         for model, r in self_shrinkers(6):
             k = exact_curvatures(model)
-            norm_sq = float(sum(elem_sym_excluding(k, j, r - 1) * k[j] ** 2
+            norm_sq = float(sum(elem_sym_excluding(k, j, r - 1) * k[j] * k[j]
                                 for j in range(model.n)))
             sigma_r = float(elem_sym_all(k)[r])
             rep = verify_shrinker_pde(model, r)
             assert rep.residual_linear.hex() == abs((norm_sq - r) * sigma_r).hex()
             assert rep.residual_squared.hex() == abs(sigma_r ** 2 * (r - norm_sq)).hex()
+
+
+class TestOneShrinkerVerdict:
+    """verify_shrinker_pde raises exactly where gap's report reads NotShrinker."""
+
+    @staticmethod
+    def _models(scale):
+        for n in range(1, 5):
+            for r in range(1, n + 1):
+                yield Sphere(n=n, radius=shrinker_radius(n, r) * scale), r
+                for m in range(r, n):
+                    yield Cylinder(n=n, m=m, radius=shrinker_radius(m, r) * scale), r
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 3e-9, 1e-8, 1e-7])
+    def test_verify_and_gap_give_one_verdict(self, eps):
+        verdicts = set()
+        for model, r in self._models(1.0 + eps):
+            not_shrinker = evaluate(model, r).classification.kind == "NotShrinker"
+            verdicts.add(not_shrinker)
+            if not_shrinker:
+                with pytest.raises(NotSelfShrinkerError):
+                    verify_shrinker_pde(model, r)
+            else:
+                verify_shrinker_pde(model, r)
+        if eps in (0.0, 1e-7):     # every model on one side of the window
+            assert verdicts == {eps > 0}
+
+    def test_a_row_past_the_float_range_is_the_gap_error(self):
+        model = Sphere(n=2, radius=1e-200)
+        with pytest.raises(NumericalError, match=r"\|A\|\^3 of \|A\|=1e\+200 leaves"):
+            evaluate(model, 2)
+        with pytest.raises(NumericalError, match=r"\|A\|\^3 of \|A\|=1e\+200 leaves"):
+            verify_shrinker_pde(model, 2)
