@@ -184,12 +184,13 @@ def check_model(model):
 def binomial(n: int, r: int, factor: int = 1) -> float:
     """factor C(n, r) as a float: the exact integer product, rounded once (the
     bits Python's int-float arithmetic gives it).  A product past the float
-    range raises the float-range NumericalError, which names C(n,r)."""
+    range raises the float-range NumericalError, which names the product,
+    e.g. "551*C(1100,550) leaves the float range"."""
     try:
         return float(factor * comb(n, r))
     except OverflowError as exc:
-        times = "" if factor == 1 else f"{factor} "
-        raise NumericalError(f"{times}C(n,r) of n={brief(n)}, r={brief(r)} "
+        times = "" if factor == 1 else f"{brief(factor)}*"
+        raise NumericalError(f"{times}C({brief(n)},{brief(r)}) "
                              f"leaves the float range") from exc
 
 

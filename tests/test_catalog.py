@@ -67,7 +67,7 @@ class TestSigmaPCylinder:
 
 class TestBinomialsPastTheFloatRange:
     """C(n, r) is formed as an exact integer and rounded once; past the float
-    range it is the float-range NumericalError, naming C(n,r)."""
+    range it is the float-range NumericalError, naming the binomial it formed."""
 
     @pytest.mark.parametrize("call", [
         lambda: shrinker_radius(1100, 550),
@@ -76,7 +76,7 @@ class TestBinomialsPastTheFloatRange:
     ], ids=["shrinker_radius", "sigma_p_cylinder.r", "sigma_p_cylinder.p"])
     def test_names_the_binomial(self, call):
         with pytest.raises(NumericalError,
-                           match=r"^C\(n,r\) of n=1100, r=550 leaves the float range$"):
+                           match=r"^C\(1100,550\) leaves the float range$"):
             call()
 
     def test_bits_are_the_integer_arithmetic(self):

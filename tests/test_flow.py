@@ -99,14 +99,15 @@ class TestClosedForms:
             with pytest.raises(DomainError, match="must be a real number"):
                 site(value)
 
-    @pytest.mark.parametrize("call", [
-        lambda: extinction_time(1100, 550, 1.0),
-        lambda: sphere_radius_exact(1100, 550, 1.0, 0.1),
-        lambda: run(FlowConfig(r=550, model=Sphere(n=1100, radius=1.0), t_end=0.1)),
+    @pytest.mark.parametrize("call, product", [
+        (lambda: extinction_time(1100, 550, 1.0), r"551\*C\(1100,550\)"),
+        (lambda: sphere_radius_exact(1100, 550, 1.0, 0.1), r"551\*C\(1100,550\)"),
+        (lambda: run(FlowConfig(r=550, model=Sphere(n=1100, radius=1.0), t_end=0.1)),
+         r"C\(1100,550\)"),
     ], ids=["extinction_time", "sphere_radius_exact", "run"])
-    def test_a_binomial_past_the_float_range_is_named(self, call):
+    def test_a_binomial_past_the_float_range_is_named(self, call, product):
         # R = 1 is harmless: C(1100, 550) ~ 1e329 is what leaves the float range
-        with pytest.raises(NumericalError, match=r"C\(n,r\) of n=1100, r=550 leaves"):
+        with pytest.raises(NumericalError, match=f"^{product} leaves the float range$"):
             call()
 
     def test_extinction_values(self):
