@@ -17,6 +17,8 @@ samples cannot certify completeness or properness, so a report states
 which branch of the taxonomy the sampled data matches.  ``SHRINKER_TOL``
 is read here only, and ``classify`` is the package's one raise of
 NotSelfShrinkerError (``operators.verify_shrinker_pde`` calls it).
+What is zero (P_{r-1}'s class, the zero count, weak convexity) is
+``symfun``'s one window; ``GAP_TOL`` only compares norm and HK with thresholds.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .symfun import (
     DefinitenessClass,
     _check_degree,
     _classify,
+    _zero_cut,
     elem_sym_all_rows,
     elem_sym_excluding_rows,
 )
 
-GAP_TOL = 1e-6          # strict-vs-boundary discrimination on the norm scale
+GAP_TOL = 1e-6          # strict-vs-boundary discrimination of the norm and HK
 SHRINKER_TOL = 1e-8     # residual threshold for "is a shrinker"
 
 
@@ -167,8 +170,7 @@ def _report(K: np.ndarray, support: np.ndarray, r: int, notes: tuple) -> GapRepo
     sup_a = float((K * K).sum(axis=1).max())
     sup_sig_rm1 = float(sig[:, r - 1].max())
     sup_res = float(residual.max())
-    psd = _classify(min_eig_p, float(eig_p.max()),
-                    GAP_TOL * max(1.0, float(np.abs(eig_p).max())))
+    psd = _classify(min_eig_p, float(eig_p.max()))
     reported = [sup_norm_sq, min_eig_p, sup_a, sup_sig_rm1, sup_res,
                 psd.max_eigenvalue]
     if gauss is not None:
@@ -176,11 +178,8 @@ def _report(K: np.ndarray, support: np.ndarray, r: int, notes: tuple) -> GapRepo
     if not np.isfinite(reported).all():
         raise NumericalError("a gap report value leaves the float range")
 
-    zero_mult: int | None = None
-    kscale = max(1.0, float(np.abs(K).max()))
-    zeros_per_sample = (np.abs(K) <= GAP_TOL * kscale).sum(axis=1)
-    if zeros_per_sample.min() == zeros_per_sample.max():
-        zero_mult = int(zeros_per_sample[0])
+    zeros = (np.abs(K) <= _zero_cut(float(K.min()), float(K.max()))).sum(axis=1)
+    zero_mult = int(zeros[0]) if zeros.min() == zeros.max() else None
 
     flags = GapFlags(
         thm1_strict=sup_norm_sq < r - GAP_TOL,
@@ -246,7 +245,7 @@ def _gauss_report(K: np.ndarray, sig: np.ndarray, eig_p: np.ndarray,
     return GaussReport(
         n=n,
         sup_hk=float(hk.max()),
-        weakly_convex=bool(K.min() >= -GAP_TOL),
+        weakly_convex=_classify(float(K.min()), float(K.max())).is_psd,
         hk_at_most_n=bool(hk.max() <= n + GAP_TOL),
         identity_residual=identity_residual,
     )

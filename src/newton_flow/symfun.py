@@ -18,10 +18,10 @@ entry deleted (through a read-only column index, built once per n): no
 sigma_p(A_j) comes from a subtraction.  P_r is built in the eigenframe
 (k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's table, with
 Horner's form of the polynomial, poly_r = sigma_r I - poly_{r-1} A, as
-the cross-check.  ``definiteness`` eigensolves a symmetric M and counts
-an eigenvalue within ZERO_TOL * max(1, ||M||) of zero as zero; the PSD
-gate of ``cauchy_schwarz_bound`` reads P_{r-1}'s eigenvalues off the
-deletion table instead, with the same window.  Every entry point converts
+the cross-check.  ``_classify`` is the package's one zero window: lambda
+is zero when |lambda| <= ZERO_TOL max(1, max|lambda|) over the spectrum it
+classifies, eigh's in ``definiteness`` and ``sqrt_psd``, the deletion
+table's in the PSD gate of ``cauchy_schwarz_bound``.  Every entry point converts
 its curvatures, operator or rows once through ``errors.as_floats``, which
 refuses ragged, string, complex or object input with DomainError; the
 row kernels also refuse rows that are not 1-D or 2-D.
@@ -64,9 +64,8 @@ from .errors import (
 
 # Tolerances (double precision with degree-based scaling).
 SYM_TOL = 1e-10        # relative asymmetry allowed in a shape operator
-CLAMP_TOL = 1e-12      # eigenvalue clamping window in sqrt_psd
 IDENTITY_TOL = 1e-10   # residual tolerance for the trace identities
-ZERO_TOL = 1e-10       # relative zero window of definiteness
+ZERO_TOL = 1e-10       # the one relative zero window (_zero_cut)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_2 = math.log(2.0)
 
@@ -320,15 +319,12 @@ def _order_family(S, r: int) -> _Operator:
 def sqrt_psd(M) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-CLAMP_TOL*||M||, 0) are clamped to zero; anything
-    below that window raises NotPSDError.
+    Negative eigenvalues in the zero window of ``definiteness`` are clamped
+    to zero; an M that ``definiteness`` does not call PSD raises NotPSDError.
     """
-    op = _lookup(M)[1]
-    w, V = np.linalg.eigh(op.A)
-    if w[0] < -CLAMP_TOL * op.norm:
-        raise NotPSDError(
-            f"matrix has eigenvalue {w[0]:.3e} below the PSD clamping window"
-        )
+    w, V = np.linalg.eigh(_lookup(M)[1].A)
+    if not _classify(float(w[0]), float(w[-1])).is_psd:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below the PSD zero window")
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.T
 
@@ -412,16 +408,22 @@ class Definiteness:
 def definiteness(M) -> Definiteness:
     """Classify a symmetric matrix by its extreme eigenvalues.
 
-    An eigenvalue within +/- ZERO_TOL*max(1, ||M||) of zero counts as
-    zero (semidefinite), never as strictly signed.
+    An eigenvalue within +/- ZERO_TOL*max(1, max|lambda|) of zero counts
+    as zero (semidefinite), never as strictly signed.  The eigenvalues are
+    eigh's, as in ``sqrt_psd``, so that the two agree on every M.
     """
-    op = _lookup(M)[1]
-    w = np.linalg.eigvalsh(op.A)
-    return _classify(float(w[0]), float(w[-1]), ZERO_TOL * max(1.0, op.norm))
+    w = np.linalg.eigh(_lookup(M)[1].A)[0]
+    return _classify(float(w[0]), float(w[-1]))
 
 
-def _classify(lo: float, hi: float, cut: float) -> Definiteness:
-    """Class of the eigenvalue range [lo, hi]; |lambda| <= cut counts as zero."""
+def _zero_cut(lo: float, hi: float) -> float:
+    """The zero window of values in [lo, hi]: |x| <= ZERO_TOL max(1, max|x|)."""
+    return ZERO_TOL * max(1.0, -lo, hi)
+
+
+def _classify(lo: float, hi: float) -> Definiteness:
+    """Class of the eigenvalue range [lo, hi], cut by its own ``_zero_cut``."""
+    cut = _zero_cut(lo, hi)
     if lo > cut:
         kind = DefinitenessClass.POSITIVE_DEFINITE
     elif hi < -cut:
@@ -441,8 +443,7 @@ def _p_spectrum(S, r: int) -> tuple:
     deletion table, cut as in ``definiteness``.  No eigensolve on a slot hit."""
     op = _order_family(S, r)
     w = np.sort(op.table[:, r - 1])
-    cut = ZERO_TOL * max(1.0, _norm(op.fam.P[r - 1]))
-    return op, _classify(float(w[0]), float(w[-1]), cut), w
+    return op, _classify(float(w[0]), float(w[-1])), w
 
 
 def cauchy_schwarz_bound(S, r: int) -> tuple:

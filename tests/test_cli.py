@@ -818,7 +818,7 @@ class TestExitContract:
         data = json.loads(out)
         assert data["pEigenvalues"] == [1e-4, 1e4, 1e8]
         assert data["modifiedNormSq"] == 1000000010001
-        # 1e-4 lies inside definiteness' zero window 1e-10 * ||P_2|| = 1e-2
+        # 1e-4 lies inside the zero window 1e-10 * max|lambda| = 1e-2
         assert data["psdClass"] == "PositiveSemidefinite"
 
     def test_algebra_norm_is_the_cross_checked_trace(self, capsys):

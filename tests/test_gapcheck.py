@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -11,9 +12,9 @@ from newton_flow.catalog import (
     self_shrinkers,
     shrinker_radius,
 )
-from newton_flow.errors import DomainError, NotSelfShrinkerError, NumericalError
+from newton_flow.errors import DomainError, NotPSDError, NotSelfShrinkerError, NumericalError
 from newton_flow.gapcheck import classify, evaluate, evaluate_from_samples
-from newton_flow import gapcheck, symfun
+from newton_flow import cli, gapcheck, symfun
 from newton_flow.catalog import sample_fields
 from newton_flow.symfun import DefinitenessClass
 from conftest import (
@@ -83,14 +84,85 @@ class TestEvaluate:
         assert rep.min_eig_p == 1e-4
         assert rep.psd_class.max_eigenvalue == 1e8
 
-    @pytest.mark.parametrize("k", [(1e8, 1e-4, 1.0), (1e3, 1e-4, 1.0)])
-    def test_one_definiteness_answer(self, k):
-        # min eig 1e-4 is above GAP_TOL but inside the window relative to
-        # max eig: the flag reads the report's one class
+    @pytest.mark.parametrize("k, kind", [
+        ((1e8, 1e-4, 1.0), DefinitenessClass.POSITIVE_SEMIDEFINITE),
+        ((1e3, 1e-4, 1.0), DefinitenessClass.POSITIVE_DEFINITE),
+    ], ids=["k0", "k1"])
+    def test_one_definiteness_answer(self, k, kind):
+        # min eig 1e-4 is zero against max eig 1e8 (window 1e-2), not against
+        # 1e3 (window 1e-7): the flag reads the report's one class
         K = np.array([k])
         rep = evaluate_from_samples(K, -symfun.elem_sym_all_rows(K)[:, 3], 3)
-        assert rep.psd_class.kind is DefinitenessClass.POSITIVE_SEMIDEFINITE
-        assert rep.flags.thm1_psd_definite is False
+        assert rep.psd_class.kind is kind
+        assert rep.flags.thm1_psd_definite is (kind is DefinitenessClass.POSITIVE_DEFINITE)
+
+
+EPSILONS = [1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5]
+
+
+def psd_verdict(fn, *args) -> bool:
+    """True when fn(*args) returns, False when it raises NotPSDError."""
+    try:
+        fn(*args)
+    except NotPSDError:
+        return False
+    return True
+
+
+class TestOneZeroWindow:
+    """Every "is this eigenvalue zero" decision reads symfun's one window,
+    ZERO_TOL max(1, max|lambda|): the ladders cross it at every scale."""
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_algebra_and_gap_give_one_psd_class(self, capsys, sign, eps):
+        row = [sign * eps, 1.0]
+        assert cli.main(["algebra", f"--k={row[0]!r},1", "--r", "2"]) == 0
+        algebra = json.loads(capsys.readouterr().out)["psdClass"]
+        gap = evaluate_from_samples([row], [0.0], 2).psd_class.kind.value
+        oracle = symfun.definiteness(symfun.newton_family(np.diag(row)).P[1]).kind.value
+        assert algebra == gap == oracle
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6])
+    def test_sqrt_psd_roots_what_definiteness_calls_psd(self, s, eps):
+        M = np.diag([s, -eps * s])
+        assert psd_verdict(symfun.sqrt_psd, M) == symfun.definiteness(M).is_psd
+
+    def test_sqrt_psd_and_definiteness_agree_at_the_cut(self):
+        # rotated operators whose least eigenvalue is within rounding of the
+        # cut: eigvalsh and eigh would round it to opposite sides of it
+        rng = np.random.default_rng(7)
+        for trial in range(1000):
+            n = trial % 5 + 2
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            w = rng.uniform(0.5, 2.0, n)
+            w[0] = -symfun._zero_cut(-1.0, w.max()) * (1.0 + rng.uniform(-1e-5, 1e-5))
+            M = (q * w) @ q.T
+            M = 0.5 * (M + M.T)
+            assert psd_verdict(symfun.sqrt_psd, M) == symfun.definiteness(M).is_psd, trial
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6])
+    def test_the_bound_gates_on_what_definiteness_calls_psd(self, s, eps):
+        M = np.diag([s, -eps * s])
+        psd = symfun.definiteness(symfun.newton_family(M).P[1]).is_psd
+        assert psd_verdict(symfun.cauchy_schwarz_bound, M, 2) == psd
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6])
+    def test_weak_convexity_reads_the_one_window(self, s, eps):
+        row = [s, -eps * s]
+        gauss = evaluate_from_samples([row], [0.0], 2).gauss
+        assert gauss.weakly_convex == symfun.definiteness(np.diag(row)).is_psd
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("s", [1e-3, 1.0, 1e6])
+    def test_zero_count_reads_the_one_window(self, s, eps):
+        row = [s, eps * s]
+        kind = symfun.definiteness(np.diag(row)).kind
+        rep = evaluate_from_samples([row], [0.0], 2)
+        assert rep.zero_multiplicity == (kind is DefinitenessClass.POSITIVE_SEMIDEFINITE)
 
 
 class TestClassify:

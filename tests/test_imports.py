@@ -14,7 +14,10 @@ the one door from a model to its curvature record: no module but
 ``catalog`` calls ``profile_curve``, and ``_graph_builder`` is called
 only in ``catalog`` and by the flow's radial-graph kind.  And so is the
 one shrinker verdict: no module but ``gapcheck`` names ``SHRINKER_TOL``
-or raises ``NotSelfShrinkerError``.
+or raises ``NotSelfShrinkerError``.  And so is the one zero window: only
+``symfun`` names ``ZERO_TOL``, no module names ``CLAMP_TOL``, and
+``GAP_TOL`` is read only in the threshold flags ``thm1_strict``,
+``thm1_boundary`` and ``hk_at_most_n``.
 """
 
 import ast
@@ -34,6 +37,7 @@ PRIVATE_IMPORTS = {
     ("flow", "catalog", "_graph_builder"),
     ("gapcheck", "symfun", "_check_degree"),
     ("gapcheck", "symfun", "_classify"),
+    ("gapcheck", "symfun", "_zero_cut"),
     ("operators", "fd", "_stencil"),
 }
 
@@ -212,6 +216,51 @@ def test_one_shrinker_verdict():
     assert found == [("gapcheck", None, "SHRINKER_TOL"),
                      ("gapcheck", "_taxonomy", "SHRINKER_TOL"),
                      ("gapcheck", "classify", "raise NotSelfShrinkerError")]
+
+
+WINDOWS = ("ZERO_TOL", "CLAMP_TOL", "GAP_TOL")
+
+
+def window_reads(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, enclosing keyword argument or None,
+    name) for every name, attribute or import of a name in WINDOWS, in
+    source order."""
+    found, keyword_of = [], {}
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.keyword):
+            keyword_of.update((id(child), node.arg) for child in ast.walk(node.value))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in WINDOWS:
+            found.append((stem, function, keyword_of.get(id(node)), name))
+    return found
+
+
+def test_the_check_sees_a_planted_window():
+    # a copy of gapcheck with a second zero cut and a clamp planted in it
+    source = (PACKAGE / "gapcheck.py").read_text(encoding="utf-8")
+    planted = source + ("\n\nfrom .symfun import ZERO_TOL\n"
+                        "def planted(K, w):\n"
+                        "    zeros = np.abs(K) <= GAP_TOL * symfun.ZERO_TOL\n"
+                        "    return GaussReport(weakly_convex=w >= -CLAMP_TOL, n=zeros)\n")
+    found = window_reads("gapcheck", planted)
+    assert found[len(window_reads("gapcheck", source)):] == [
+        ("gapcheck", None, None, "ZERO_TOL"), ("gapcheck", "planted", None, "GAP_TOL"),
+        ("gapcheck", "planted", None, "ZERO_TOL"),
+        ("gapcheck", "planted", "weakly_convex", "CLAMP_TOL")]
+
+
+def test_one_zero_window():
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += window_reads(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("gapcheck", None, None, "GAP_TOL"),
+                     ("gapcheck", "_report", "thm1_strict", "GAP_TOL"),
+                     ("gapcheck", "_report", "thm1_boundary", "GAP_TOL"),
+                     ("gapcheck", "_gauss_report", "hk_at_most_n", "GAP_TOL"),
+                     ("symfun", None, None, "ZERO_TOL"),
+                     ("symfun", "_zero_cut", None, "ZERO_TOL")]
 
 
 def test_the_check_sees_an_unused_import():

@@ -7,13 +7,12 @@ the test then moves into the regular suite and the ROADMAP line goes.
 """
 
 import importlib.util
-import json
 import math
 from pathlib import Path
 
 import pytest
 
-from newton_flow import cli, gapcheck
+from newton_flow import gapcheck
 from newton_flow.catalog import Sphere
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -28,17 +27,6 @@ def known_defect(reason: str):
 def test_a_sphere_off_its_shrinker_radius_is_no_shrinker():
     report = gapcheck.evaluate(Sphere(n=2, radius=math.sqrt(2) * (1 + 3e-9)), 1)
     assert str(report.classification) == "NotShrinker"
-
-
-@known_defect("`algebra` and `gap` decide `psdClass` by different zero windows, so they "
-              "disagree on the same P_{r−1}: `algebra --k=1e-8,1 --r 2` prints "
-              "`PositiveDefinite`, and `evaluate_from_samples([[1e-8, 1.0]], [0.0], 2)` "
-              "reads `PositiveSemidefinite`. See item 21.")
-def test_algebra_and_gap_give_one_psd_class(capsys):
-    assert cli.main(["algebra", "--k=1e-8,1", "--r", "2"]) == 0
-    algebra = json.loads(capsys.readouterr().out)["psdClass"]
-    gap = gapcheck.evaluate_from_samples([[1e-8, 1.0]], [0.0], 2).psd_class.kind.value
-    assert algebra == gap
 
 
 @known_defect("`perfbench` traces eleven dead targets and none of the per-step closures: "
