@@ -35,16 +35,23 @@ NumericalError.  The guard returns the smallest radius it computed.
 ``step`` is a thin public call into the same stepper.
 
 ``run`` builds the kind and the stepper once and carries t, the values,
-their speed and bound and the step count as locals; a state object is
-made only for a diagnostics row past t = 0 and for the final
-``FlowState`` (and by ``step``), with read-only arrays.  It estimates
+their speed and bound and the step count as locals.  The kind's diagnose
+makes a diagnostics row from values, with the run's constants (C(n,r),
+the rescaling's r+1 and 1/(r+1), the initial radius or profile and its
+homothety window) bound once; a radial graph's row reads the parts its
+stage kept.  A state object is made only for the final ``FlowState``
+(and by ``step``), with read-only arrays.  It estimates
 T / (cfl_safety * bound) steps from the first stage, T being t_end or,
 if sooner, the closed-form extinction time of a round law, and refuses a
 run above ``MAX_STEPS`` steps (DomainError); one that passes
 ``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
 deterministic for a fixed configuration.  The homothety monitor uses the
 canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
-data; no uniqueness of that normalization is claimed.
+data; no uniqueness of that normalization is claimed.  With it on, the
+shrinker residual is measured on the rescaled surface X/phi (curvatures
+scale by phi, support by 1/phi): the residual of a homothetically
+shrinking solution then stays small, while its plain residual grows like
+phi^-(r+1).
 """
 
 from __future__ import annotations
@@ -243,17 +250,25 @@ class _Kind(NamedTuple):
     radius: Callable      # values -> smallest radius, for the guard
     name: str             # what a NaN made non-finite
     reason: str           # ExtinctionError reason of a non-positive radius
-    diagnose: Callable    # (t, geometry, dt, config, initial geometry) -> diagnostics row
+    diagnose: Callable    # (t, values, dt) -> diagnostics row, against the run's start
     extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
 
 
 # ---------------------------------------------------------------------------
 # the round law (spheres, and the round factor of cylinders)
 
-def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
-    """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution."""
-    n = geom.n
-    rate = -binomial(n, r)    # -0.0 on a cylinder's round factor of rank n < r
+def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -> _Kind:
+    """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution.
+
+    The row of a radius R at t reads the shrinker residual |phi^r C(n,r) /
+    R^r - R / phi| and, with rescaled monitoring on, the homothety defect
+    |R - phi R0|, phi = homothety_factor(r, t) and R0 = geom's radius (the
+    residual reads phi = 1 where phi is clamped at 0, or when monitoring is
+    off).
+    """
+    n, radius0 = geom.n, geom.radius
+    c_nr = binomial(n, r)
+    rate = -c_nr              # -0.0 on a cylinder's round factor of rank n < r
     # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 >= n
     trace = binomial(n, r - 1, n - r + 1)
     two_pi = 2.0 * np.pi
@@ -266,16 +281,31 @@ def _round_kind(geom: Sphere, r: int, resolution: int) -> _Kind:
         h = two_pi * radius / resolution
         return speed, h * h / (1.0 + trace_p)
 
+    def diagnose(t, radius, dt):
+        phi, defect = 1.0, math.nan
+        if rescaled:
+            phi_t = homothety_factor(r, t)
+            defect = abs(radius - phi_t * radius0)
+            if phi_t > 0:
+                phi = phi_t
+        try:
+            residual = abs(phi ** r * c_nr / radius ** r - radius / phi)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise float_range_error("R", radius, r) from exc
+        return Diagnostics(t, residual, defect, radius, dt)
+
     return _Kind(stage, attrgetter("radius"), lambda radius: Sphere(n, radius), float,
-                 "radius", "extinct", _sphere_diagnostics,
+                 "radius", "extinct", diagnose,
                  lambda g, r: extinction_time(g.n, r, g.radius))
 
 
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
-    """The radial graph's speed and bound, read off each profile's parts.
+def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None,
+                rescaled: bool = False) -> _Kind:
+    """The radial graph's speed, bound and diagnostics row, read off each
+    profile's parts.
 
     With the run's ``_graph_builder`` parts q = f''/w^3 and p = 1/(f w),
     the speed -o sigma_r(oriented curvatures) w is (q - p) w at r = 1 and
@@ -285,6 +315,13 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
     parts of the last profile staged are kept, first the initial
     record's.  resolution is the profile's own.  The guard's smallest
     radius is np.minimum.reduce, ndarray.min without its method wrapper.
+
+    A row reads the record's sigma_r (k_mer + k_par = o (p - q), k_mer
+    k_par = -q p) and support <X, N> = o (z f' - f) / w from the parts.  Its
+    residual is sup |phi^r sigma_r + <X, N> / phi| as on the round law; its
+    homothety defect is sup |f - phi f0(z / phi)| over the nodes whose z /
+    phi lies in the initial grid [min z, max z], and sup |f| once phi is
+    clamped at 0.
     """
     graph.p_eigenvalues(r)     # refuses r outside {1, 2}
     try:
@@ -312,60 +349,31 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None) -> _Kind:
         return qpw if negate else -qpw, h_sq / (1.0 + float(np.maximum.reduce(
             np.abs(q) + np.abs(p))))
 
+    z, f0, o = graph.z, graph.f, float(graph.orientation)
+    z_lo, z_hi = z.min(), z.max()      # the homothety window, on the initial grid
+
+    def diagnose(t, f, dt):
+        fp, w, q, p = parts(f)
+        phi, defect = 1.0, math.nan
+        if rescaled:
+            phi_t = homothety_factor(r, t)
+            if phi_t > 0:
+                phi, z_back = phi_t, z / phi_t
+                inside = (z_lo <= z_back) & (z_back <= z_hi)
+                if inside.any():
+                    ref = phi_t * np.interp(z_back[inside], z, f0)
+                    defect = float(np.abs(f[inside] - ref).max())
+            else:
+                defect = float(np.abs(f).max())
+        # sigma_r of the oriented curvatures k_mer = -o q and k_par = o p
+        sigma = (p - q if negate else q - p) if r == 1 else -(q * p)
+        support = o * (z * fp - f) / w
+        residual = float(np.abs(phi ** r * sigma + support / phi).max())
+        return Diagnostics(t, residual, defect, float(f.min()), dt)
+
     return _Kind(stage, attrgetter("f"), lambda f: build.record(f, parts(f)),
-                 np.minimum.reduce, "profile", "pinch", _revolution_diagnostics,
+                 np.minimum.reduce, "profile", "pinch", diagnose,
                  lambda g, r: math.inf)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def _residual_phi(config, t: float) -> float:
-    """Rescaling applied to the shrinker residual.
-
-    With rescaled monitoring on, the residual is measured on the
-    rescaled surface X/phi(t) (curvatures scale by phi, support by
-    1/phi): the residual of a homothetically shrinking solution then
-    stays small, while the plain residual of the same solution grows
-    like phi^-(r+1).
-    """
-    if not config.rescaled:
-        return 1.0
-    phi = homothety_factor(config.r, t)
-    return phi if phi > 0 else 1.0
-
-
-def _sphere_diagnostics(t, sphere, dt, config, initial_geometry):
-    n, r, radius = sphere.n, config.r, sphere.radius
-    phi = _residual_phi(config, t)
-    try:
-        residual = abs(phi ** r * binomial(n, r) / radius ** r - radius / phi)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise float_range_error("R", radius, r) from exc
-    defect = math.nan
-    if config.rescaled:
-        defect = abs(radius - homothety_factor(r, t) * initial_geometry.radius)
-    return Diagnostics(t=t, max_shrinker_residual=residual,
-                       homothety_defect=defect, min_radius=radius, dt=dt)
-
-
-def _revolution_diagnostics(t, geo, dt, config, initial_geometry):
-    """Diagnostics row of a radial graph, read off its record."""
-    f0, z0 = initial_geometry.f, initial_geometry.z
-    phi = _residual_phi(config, t)
-    sigma = geo.sigma(config.r)
-    residual = float(np.abs(phi ** config.r * sigma + geo.support / phi).max())
-    defect = math.nan
-    if config.rescaled:
-        phi_h = homothety_factor(config.r, t)
-        if phi_h > 0:
-            inside = np.abs(geo.z / phi_h) <= z0.max()
-            ref = phi_h * np.interp(geo.z[inside] / phi_h, z0, f0)
-            defect = float(np.abs(geo.f[inside] - ref).max()) if inside.any() else math.nan
-        else:
-            defect = float(np.abs(geo.f).max())
-    return Diagnostics(t=t, max_shrinker_residual=residual,
-                       homothety_defect=defect, min_radius=geo.min_radius, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +472,8 @@ def run(config: FlowConfig) -> RunResult:
         return RunResult(diagnostics=[diag0, replace(diag0, t=config.t_end)],
                          status="stationary", state=FlowState(config.t_end, geom, 1))
 
-    kind = _KINDS[type(geom)](geom, config.r, config.resolution)
-    advance, stage, rebuild, diagnose = (_stepper(kind, config), kind.stage, kind.rebuild,
-                                         kind.diagnose)
+    kind = _KINDS[type(geom)](geom, config.r, config.resolution, config.rescaled)
+    advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
     x = kind.values(geom)
     speed, bound = stage(x)
     try:    # the budget counts steps up to t_end or a closed-form extinction
@@ -479,7 +486,7 @@ def run(config: FlowConfig) -> RunResult:
         raise DomainError(f"about {horizon / cfl / bound:.3g} "
                           f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
     # steps make new values, so the initial geometry stays as it was
-    diagnostics = [diagnose(0.0, geom, 0.0, config, geom)]
+    diagnostics = [diagnose(0.0, x, 0.0)]
     t, count = 0.0, 0
     t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
     floor = EXTINCTION_FRACTION * geom.min_radius
@@ -505,11 +512,11 @@ def run(config: FlowConfig) -> RunResult:
         speed, bound = stage(x)
         if radius < floor:
             status = "extinct"
-            diagnostics.append(diagnose(t, rebuild(x), dt, config, geom))
+            diagnostics.append(diagnose(t, x, dt))
             break
         if count % stride == 0:
-            diagnostics.append(diagnose(t, rebuild(x), dt, config, geom))
+            diagnostics.append(diagnose(t, x, dt))
     if diagnostics[-1].t < t:
-        diagnostics.append(diagnose(t, rebuild(x), last_dt, config, geom))
+        diagnostics.append(diagnose(t, x, last_dt))
     return RunResult(diagnostics=diagnostics, status=status,
-                     state=FlowState(t, rebuild(x), count))
+                     state=FlowState(t, kind.rebuild(x), count))

@@ -336,14 +336,14 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A, _, k, fam, table = _order_family(S, r)
+    A, norm_a, k, fam, table = _order_family(S, r)
     n = A.shape[0]
     val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
     val_sum = float((table[:, r - 1] * k ** 2).sum())
     sig_rp1 = fam.sigmas[r + 1] if r + 1 <= n else 0.0
     val_sigma = float(fam.sigmas[1] * fam.sigmas[r] - (r + 1) * sig_rp1)
 
-    tol = IDENTITY_TOL * (1.0 + np.linalg.norm(A)) ** (r + 1)
+    tol = IDENTITY_TOL * (1.0 + norm_a) ** (r + 1)
     # written so that a NaN route fails (max() would drop a NaN in second place)
     if not (abs(val_trace - val_sum) <= tol and abs(val_trace - val_sigma) <= tol):
         raise NumericalError("modified norm routes disagree beyond tolerance")
@@ -366,14 +366,15 @@ class TraceIdentityResiduals:
 def trace_identities(S, r: int) -> TraceIdentityResiduals:
     """Residuals of tr P_{r-1}, tr(P_{r-1}A), tr(P_{r-1}A^2) identities.
 
-    Each residual is normalized by (1 + ||S||)^(r+1).
+    Each residual is normalized by (1 + ||S||)^(r+1), ||S|| being the
+    Frobenius norm that the degree check read.
     """
-    A, _, _, fam, _ = _order_family(S, r)
+    A, norm_a, _, fam, _ = _order_family(S, r)
     n = A.shape[0]
     P = fam.P[r - 1]
     sig = fam.sigmas
     sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
-    scale = (1.0 + float(np.linalg.norm(A))) ** (r + 1)
+    scale = (1.0 + norm_a) ** (r + 1)
     return TraceIdentityResiduals(
         trace_p=abs(np.trace(P) - (n - r + 1) * sig[r - 1]) / scale,
         trace_pa=abs(np.trace(P @ A) - r * sig[r]) / scale,

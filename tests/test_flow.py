@@ -16,6 +16,7 @@ from newton_flow.catalog import (
     _graph_builder,
     cylinder_profile,
     revolution_geometry,
+    self_shrinkers,
     shrinker_radius,
     sphere_band_profile,
 )
@@ -529,6 +530,42 @@ def _phi(r, t):
     return phi if phi > 0 else 1.0
 
 
+def _round_row(t, sphere, dt, config, radius0):
+    """A round law's row, read off its Sphere: the oracle of the run's rows."""
+    n, r, radius = sphere.n, config.r, sphere.radius
+    phi = _phi(r, t) if config.rescaled else 1.0
+    residual = abs(phi ** r * float(math.comb(n, r)) / radius ** r - radius / phi)
+    defect = math.nan
+    if config.rescaled:
+        defect = abs(radius - homothety_factor(r, t) * radius0)
+    return (t, residual, defect, radius, dt)
+
+
+def _graph_row(t, geo, dt, config, initial):
+    """A radial graph's row, read off its record; the homothety window keeps
+    the nodes whose z / phi lies in the initial grid."""
+    r, z0, f0 = config.r, initial.z, initial.f
+    phi = _phi(r, t) if config.rescaled else 1.0
+    residual = float(np.abs(phi ** r * geo.sigma(r) + geo.support / phi).max())
+    defect = math.nan
+    if config.rescaled:
+        phi_h = homothety_factor(r, t)
+        if phi_h > 0:
+            z_back = geo.z / phi_h
+            inside = (z0.min() <= z_back) & (z_back <= z0.max())
+            if inside.any():
+                ref = phi_h * np.interp(z_back[inside], z0, f0)
+                defect = float(np.abs(geo.f[inside] - ref).max())
+        else:
+            defect = float(np.abs(geo.f).max())
+    return (t, residual, defect, geo.min_radius, dt)
+
+
+def _bits(rows):
+    """The rows' float64 bytes: bit equality, a NaN matching a NaN."""
+    return np.array(rows, dtype=np.float64).tobytes()
+
+
 class TestExplicitScheme:
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
     @pytest.mark.parametrize("model, n, r", [
@@ -561,10 +598,7 @@ class TestExplicitScheme:
             return new if new > 0 else None
 
         def diagnose(radius, t, dt):
-            phi = _phi(r, t)
-            residual = abs(phi ** r * math.comb(n, r) / radius ** r - radius / phi)
-            defect = abs(radius - homothety_factor(r, t) * radius0)
-            return (t, residual, defect, radius, dt)
+            return _round_row(t, Sphere(n, radius), dt, config, radius0)
 
         radius, steps, diags, status = _reference_loop(
             radius0, t_end, 0.25, stride, bound, step, diagnose, lambda x: x)
@@ -582,6 +616,90 @@ class TestExplicitScheme:
         state = FlowState(t=0.0, geometry=Sphere(n=2, radius=1.0))
         with pytest.raises(ExtinctionError):
             step(state, replace(config, resolution=1), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics rows against the formulas read off a state object
+
+# (model, r, t_end): every law of the catalog but the hyperplanes; a circle
+# whose rows pass phi's clamp at t = 1/2; a cylinder with r > m, whose round
+# factor does not move
+ROUND_LAWS = [(model, r, 0.9 / (r + 1)) for model, r in self_shrinkers(6)
+              if not isinstance(model, Hyperplane)] + [
+    (Sphere(n=1, radius=2.0), 1, 0.7), (Cylinder(n=5, m=2, radius=1.5), 3, 0.3)]
+
+
+class TestDiagnosticsRows:
+    @pytest.mark.parametrize("rescaled", [True, False])
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    def test_round_rows_match_the_sphere_formula(self, scheme, rescaled):
+        clamped = 0
+        for model, r, t_end in ROUND_LAWS:
+            config = FlowConfig(r=r, model=model, t_end=t_end, resolution=32,
+                                scheme=scheme, rescaled=rescaled, output_stride=7)
+            result = run(config)
+            n = model.n if isinstance(model, Sphere) else model.m
+            want = [_round_row(d.t, Sphere(n, d.min_radius), d.dt, config, model.radius)
+                    for d in result.diagnostics]
+            assert _bits(_as_tuples(result.diagnostics)) == _bits(want), (model, r)
+            steps = result.state.step_count
+            assert result.status == "completed" and steps > 7, (model, r)
+            assert len(want) == 1 + steps // 7 + (steps % 7 > 0)
+            assert result.state.geometry.radius == want[-1][3]
+            clamped += sum(homothety_factor(r, d.t) == 0.0 for d in result.diagnostics)
+        assert clamped > 0
+
+    @pytest.mark.parametrize("rescaled", [True, False])
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("model, r, pinned, t_end", [
+        (Revolution(profile=sphere_band_profile(2.0, 0.6, 32)), 1, True, 0.15),
+        (Revolution(profile=sphere_band_profile(2.0, 0.6, 32)), 2, False, 0.1),
+        (EllipsoidRev(a=1.0, b=2.0), 2, False, 0.1),
+        # sigma_2 = 0 on a tube, which does not move; its rows pass phi's clamp
+        (Revolution(profile=cylinder_profile(1.0, 0.5, 16)), 2, False, 0.4),
+    ])
+    def test_graph_rows_match_the_record_formula(self, model, r, pinned, t_end, scheme,
+                                                 rescaled):
+        # the records of a loop of public steps, which ends where run ends
+        config = FlowConfig(r=r, model=model, t_end=t_end, resolution=33,
+                            scheme=scheme, rescaled=rescaled, output_stride=7,
+                            boundary_values=sphere_band_pin(2.0, r, 0.6) if pinned else None)
+        result = run(config)
+        start = flow._initial_state(config)
+        kind = flow._graph_kind(start, r)
+        state, want = FlowState(0.0, start), [_graph_row(0.0, start, 0.0, config, start)]
+        dt = 0.0
+        while state.t < config.t_end * (1.0 - 1e-14):
+            _, bound = kind.stage(state.geometry.f)
+            dt = min(config.cfl_safety * bound, config.t_end - state.t)
+            state = step(state, config, dt)
+            if state.step_count % 7 == 0:
+                want.append(_graph_row(state.t, state.geometry, dt, config, start))
+        if want[-1][0] < state.t:
+            want.append(_graph_row(state.t, state.geometry, dt, config, start))
+        assert result.status == "completed" and state.step_count > 3 * 7
+        assert state.step_count == result.state.step_count
+        assert _bits(_as_tuples(result.diagnostics)) == _bits(want)
+
+    def test_homothety_window_on_an_asymmetric_grid(self):
+        # the shrinker sphere sqrt(2 - z^2) on z in [-0.3, 1], its ends on
+        # the law: where z / phi falls below the grid, an interpolation clamps
+        # to the end value, so those nodes are outside the window
+        z = np.linspace(-0.3, 1.0, 129)
+        radius0 = shrinker_radius(2, 1)
+
+        def pin(t):
+            radius = sphere_radius_exact(2, 1, radius0, t)
+            return math.sqrt(radius ** 2 - 0.09), math.sqrt(radius ** 2 - 1.0)
+        model = Revolution(profile=ProfileCurve(z=z, f=np.sqrt(2.0 - z * z)))
+        config = FlowConfig(r=1, model=model, t_end=0.1, rescaled=True,
+                            boundary_values=pin, output_stride=10 ** 9)
+        result = run(config)
+        geo, start = result.state.geometry, flow._initial_state(config)
+        assert result.status == "completed"
+        assert result.final.homothety_defect < 1e-4
+        assert _bits(_as_tuples(result.diagnostics[-1:])) == _bits(
+            [_graph_row(result.final.t, geo, result.final.dt, config, start)])
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +731,9 @@ class TestRoundFactor:
                 assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
 
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
-    def test_one_sphere_per_row_and_the_result(self, monkeypatch, scheme):
-        # the loop steps a float radius; the row at t = 0 reads the model
+    def test_one_sphere_per_run_for_the_result(self, monkeypatch, scheme):
+        # the loop steps a float radius and its rows read that float; the
+        # run starts from the model itself, so only its result is made
         made = [0]
         check = Sphere.__post_init__
 
@@ -627,7 +746,8 @@ class TestRoundFactor:
         result = run(config)
         rows_past_start = len(result.diagnostics) - 1
         assert result.state.step_count > 3 * 7 and rows_past_start > 3
-        assert made == [rows_past_start + 1]
+        assert made == [1]
+        assert result.state.geometry.radius == result.final.min_radius
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_cylinder_bound_has_no_coefficient_above_m(self, r):

@@ -285,6 +285,43 @@ class TestTraceIdentities:
             for r in range(1, n + 1):
                 assert trace_identities(a, r).worst <= 1e-10
 
+    def test_scale_is_the_degree_checks_norm(self):
+        # (1 + _norm(A))^(r+1), the Frobenius norm of the operator's slot;
+        # np.linalg.norm rounds it differently on about a fifth of operators
+        gen = np.random.default_rng(34)
+        moved = 0
+        for _ in range(100):
+            n = int(gen.integers(2, 7))
+            b = gen.standard_normal((n, n))
+            a = b + b.T
+            fam = newton_family(a)
+            sig = fam.sigmas
+            for r in range(1, n + 1):
+                P = fam.P[r - 1]
+                sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
+                gaps = (abs(np.trace(P) - (n - r + 1) * sig[r - 1]),
+                        abs(np.trace(P @ a) - r * sig[r]),
+                        abs(np.trace(P @ a @ a) - (sig[1] * sig[r] - (r + 1) * sig_rp1)))
+                scale = (1.0 + symfun._norm(a)) ** (r + 1)
+                expect = tuple(gap / scale for gap in gaps)
+                res = trace_identities(a, r)
+                assert (res.trace_p, res.trace_pa, res.trace_pa2) == expect
+                other = (1.0 + float(np.linalg.norm(a))) ** (r + 1)
+                moved += tuple(gap / other for gap in gaps) != expect
+        assert moved > 0     # the operators tell the two norms apart
+
+    def test_no_norm_pass_of_their_own(self, monkeypatch):
+        # both read the norm that _order_family hands them
+        a = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fresh norm pass")
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        for r in (1, 2, 3):
+            assert modified_sff_norm_sq(a, r) == pytest.approx(
+                float(np.trace(newton_family(a).P[r - 1] @ a @ a)))
+            assert trace_identities(a, r).worst <= 1e-14
+
     def test_sigmas_match_brute_force(self, rng):
         for _ in range(20):
             n = rng.randint(1, 7)
