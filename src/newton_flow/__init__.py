@@ -22,7 +22,6 @@ from .catalog import (
     sigma_p_cylinder,
 )
 from .errors import (
-    CflViolationError,
     ConfigError,
     DomainError,
     ExtinctionError,

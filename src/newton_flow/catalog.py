@@ -3,9 +3,11 @@
 Exact variants (hyperplane, round sphere, spherical cylinder) carry
 closed-form curvatures and support values (``exact_curvatures``,
 ``exact_support``), with binomials C(n, r) rounded once from exact
-integers (``binomial``).  ``check_model`` refuses a non-model at the
-entries that take one.  Surfaces of revolution are discretized as radial
-graphs rho = f(z) over a uniform axial grid, with curvatures from
+integers (``binomial``); a shrinker's radius and sigma_p whose binomial
+leaves the float range are formed from the logarithms of the integers.
+``check_model`` refuses a non-model at the entries that take one.
+Surfaces of revolution are discretized as radial graphs rho = f(z)
+over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
 whose n = 2 closed forms the flow and the operators read.
 ``revolution_geometry(model, resolution)`` is the one door from a model
@@ -31,7 +33,7 @@ support = -R).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, inf, isfinite
+from math import comb, exp, inf, isfinite, log
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -70,10 +72,6 @@ class Sphere:
             raise DomainError("dimension n must be >= 1")
         if not 0 < check_real(self.radius, "radius") < inf:
             raise DomainError("radius must be positive and finite")
-
-    @property
-    def min_radius(self) -> float:
-        return self.radius
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def shrinker_radius(m: int, r: int) -> float:
         raise DomainError(
             f"no shrinking radius for r={brief(r)} > m={brief(m)}: sigma_r vanishes there"
         )
-    return binomial(m, r) ** (1.0 / (r + 1))
+    return _binomial_product(m, 0, r, 1.0 / (r + 1))
 
 
 def sigma_p_cylinder(m: int, r: int, p: int) -> float:
@@ -213,7 +211,20 @@ def sigma_p_cylinder(m: int, r: int, p: int) -> float:
         raise DomainError("p must be nonnegative")
     if p > m:
         return 0.0
-    return binomial(m, p) * binomial(m, r) ** (-p / (r + 1))
+    return _binomial_product(m, p, r, -p / (r + 1))
+
+
+def _binomial_product(m: int, p: int, r: int, power: float) -> float:
+    """C(m,p) C(m,r)^power: the float binomials' product where both are in
+    range, else exp of the logarithms of the exact integers.  A result past
+    the float maximum raises the first out-of-range binomial's NumericalError."""
+    try:
+        return binomial(m, p) * binomial(m, r) ** power
+    except NumericalError as exc:
+        try:
+            return exp(log(comb(m, p)) + power * log(comb(m, r)))
+        except OverflowError:
+            raise exc
 
 
 def exact_curvatures(model) -> np.ndarray:
@@ -255,10 +266,6 @@ class RevolutionGeometry(NamedTuple):
     w: np.ndarray         # sqrt(1 + f'^2), arclength factor
     k_mer: np.ndarray     # oriented meridional principal curvature
     k_par: np.ndarray     # oriented parallel principal curvature
-
-    @property
-    def min_radius(self) -> float:
-        return float(self.f.min())
 
     @property
     def support(self) -> np.ndarray:

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import catalog, flow, gapcheck, operators
 from .errors import (
-    CflViolationError,
     ConfigError,
     DomainError,
     ExtinctionError,
@@ -572,7 +571,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CflViolationError, ExtinctionError) as exc:
+    except ExtinctionError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except DomainError as exc:

@@ -27,10 +27,6 @@ class NumericalError(NewtonFlowError):
     """An internal cross-check failed beyond its tolerance."""
 
 
-class CflViolationError(NewtonFlowError):
-    """Requested time step exceeds the explicit stability bound."""
-
-
 class ExtinctionError(NewtonFlowError):
     """Flow reached extinction (or pinched) at the recorded time."""
 

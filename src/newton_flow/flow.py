@@ -7,44 +7,47 @@ surfaces of revolution (n = 2), whose radial graph f(z, t) moves by
 df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
 ``RevolutionGeometry`` record.
 
-A run makes its kind once from the initial geometry (a ``Sphere``, or
-the record of ``catalog.revolution_geometry(model, resolution)``), r and
-the resolution (``_round_kind``, ``_graph_kind``).  The kind binds what
-no step changes (C(n,r), the trace constant (n-r+1) C(n,r-1), 2 pi, the
-grid, the orientation and h^2).  A run steps only the values that move,
-a round law's float radius or a radial graph's profile array f.  The
-kind's stage takes values and gives their speed and step bound dt <= h^2
-/ (1 + sup tr|P_{r-1}|), the rk2 midpoint's too; its rebuild makes the
-state object from values the guard has passed.  The radial graph's stage
-reads the curvature parts of the run's one ``catalog._graph_builder``
-(one derivative pass) and keeps the last ones, so the record of values
-just staged costs no pass of its own; the round law's is closed-form (h
-= 2 pi R / resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound
-from the law's own time scale, T_ext(R) / (4 resolution), leaves Euler
+``_kind`` decides a run's kind once, from its model: a hyperplane has
+none (sigma_r = 0, it does not move), a sphere or a cylinder's round
+factor the round law (``_round_kind``), and a surface of revolution the
+radial graph of ``catalog.revolution_geometry(model, resolution)``
+(``_graph_kind``).  The kind binds what no step changes (C(n,r), the
+trace constant (n-r+1) C(n,r-1), 2 pi, the grid, the orientation and
+h^2) and holds the start values and the closed-form extinction time (inf
+where there is none).  A run steps only the values that move, a round
+law's float radius or a radial graph's profile array f.  The kind's
+stage takes values and gives their speed and step bound dt <= h^2 / (1 +
+sup tr|P_{r-1}|), the rk2 midpoint's too; its rebuild makes the state
+object from values the guard has passed.  The radial graph's stage reads
+the curvature parts of the run's one ``catalog._graph_builder`` (one
+derivative pass) and keeps the last ones, so the record of values just
+staged costs no pass of its own; the round law's is closed-form (h = 2
+pi R / resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from
+the law's own time scale, T_ext(R) / (4 resolution), leaves Euler
 outside a 1e-3 radius-law error on 21 of the 55 catalog laws at
-resolution 128).  The kind is the only source of speed and step bound,
-for ``run`` and ``step`` alike.
+resolution 128).
 
-``_stepper`` makes the run's one explicit step of the values: forward
-Euler or the rk2 midpoint rule, with the Dirichlet data of
-``FlowConfig.boundary_values`` imposed on the midpoint and on the
-result.  It refuses dt above the bound (CflViolationError) and runs one
-guard on the midpoint and on the result: a non-positive radius is
-extinction (reason "pinch" on radial graphs) and a NaN is a
-NumericalError.  The guard returns the smallest radius it computed.
-``step`` is a thin public call into the same stepper.
+``run`` is the one driver.  It takes dt = min(cfl_safety * bound, t_end
+- t), and ``FlowConfig`` keeps cfl_safety in (0, 1], so no step exceeds
+its bound.  ``_stepper`` makes the run's one explicit step of the
+values: forward Euler or the rk2 midpoint rule, with the Dirichlet data
+of ``FlowConfig.boundary_values`` imposed on the midpoint and on the
+result.  It runs one guard on the midpoint and on the result: a
+non-positive radius is extinction (reason "pinch" on radial graphs) and
+a NaN is a NumericalError.  The guard returns the smallest radius it
+computed, which ends the run once it falls below EXTINCTION_FRACTION of
+the start's.
 
 ``run`` builds the kind and the stepper once and carries t, the values,
 their speed and bound and the step count as locals.  The kind's diagnose
 makes a diagnostics row from values, with the run's constants (C(n,r),
 the rescaling's r+1 and 1/(r+1), the initial radius or profile and its
 homothety window) bound once; a radial graph's row reads the parts its
-stage kept.  A state object is made only for the final ``FlowState``
-(and by ``step``), with read-only arrays.  It estimates
-T / (cfl_safety * bound) steps from the first stage, T being t_end or,
-if sooner, the closed-form extinction time of a round law, and refuses a
-run above ``MAX_STEPS`` steps (DomainError); one that passes
-``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
+stage kept.  A state object is made only for the final ``FlowState``,
+with read-only arrays.  It estimates T / (cfl_safety * bound) steps from
+the first stage, T being t_end or, if sooner, the kind's extinction
+time, and refuses a run above ``MAX_STEPS`` steps (DomainError); one
+that passes ``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
 deterministic for a fixed configuration.  The homothety monitor uses the
 canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
 data; no uniqueness of that normalization is claimed.  With it on, the
@@ -59,7 +62,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,7 +81,6 @@ from .catalog import (
     revolution_geometry,
 )
 from .errors import (
-    CflViolationError,
     DomainError,
     ExtinctionError,
     NumericalError,
@@ -245,13 +246,13 @@ class _Kind(NamedTuple):
     """One kind of flow state, bound to one run's r, resolution and grid."""
 
     stage: Callable       # values -> (their speed, their step bound), the rk2 midpoint's too
-    values: Callable      # geometry -> the values that move
+    start: object         # the values that move, at t = 0
     rebuild: Callable     # values -> the geometry holding them, once the guard passed them
-    radius: Callable      # values -> smallest radius, for the guard
+    radius: Callable      # values -> smallest radius, for the guard and the extinction floor
     name: str             # what a NaN made non-finite
     reason: str           # ExtinctionError reason of a non-positive radius
     diagnose: Callable    # (t, values, dt) -> diagnostics row, against the run's start
-    extinction: Callable  # (geometry, r) -> closed-form extinction time, or inf
+    extinction: float     # closed-form extinction time, or inf
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +265,16 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
     R^r - R / phi| and, with rescaled monitoring on, the homothety defect
     |R - phi R0|, phi = homothety_factor(r, t) and R0 = geom's radius (the
     residual reads phi = 1 where phi is clamped at 0, or when monitoring is
-    off).
+    off).  The extinction time is inf where r > n (the radius does not move)
+    or R0^(r+1) leaves the float range.
     """
     n, radius0 = geom.n, geom.radius
     c_nr = binomial(n, r)
     rate = -c_nr              # -0.0 on a cylinder's round factor of rank n < r
+    try:
+        t_ext = extinction_time(n, r, radius0)
+    except (DomainError, NumericalError):
+        t_ext = math.inf
     # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 >= n
     trace = binomial(n, r - 1, n - r + 1)
     two_pi = 2.0 * np.pi
@@ -294,16 +300,14 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
             raise float_range_error("R", radius, r) from exc
         return Diagnostics(t, residual, defect, radius, dt)
 
-    return _Kind(stage, attrgetter("radius"), lambda radius: Sphere(n, radius), float,
-                 "radius", "extinct", diagnose,
-                 lambda g, r: extinction_time(g.n, r, g.radius))
+    return _Kind(stage, radius0, lambda radius: Sphere(n, radius), float,
+                 "radius", "extinct", diagnose, t_ext)
 
 
 # ---------------------------------------------------------------------------
 # surfaces of revolution (n = 2)
 
-def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None,
-                rescaled: bool = False) -> _Kind:
+def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _Kind:
     """The radial graph's speed, bound and diagnostics row, read off each
     profile's parts.
 
@@ -313,8 +317,8 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None,
     has tr|P_0| = 2 and tr|P_1| = |q| + |p|: the record's closed forms,
     to the bit (but the sign of a zero speed, which no step sees).  The
     parts of the last profile staged are kept, first the initial
-    record's.  resolution is the profile's own.  The guard's smallest
-    radius is np.minimum.reduce, ndarray.min without its method wrapper.
+    record's.  The guard's smallest radius is np.minimum.reduce,
+    ndarray.min without its method wrapper.
 
     A row reads the record's sigma_r (k_mer + k_par = o (p - q), k_mer
     k_par = -q p) and support <X, N> = o (z f' - f) / w from the parts.  Its
@@ -371,42 +375,38 @@ def _graph_kind(graph: RevolutionGeometry, r: int, resolution=None,
         residual = float(np.abs(phi ** r * sigma + support / phi).max())
         return Diagnostics(t, residual, defect, float(f.min()), dt)
 
-    return _Kind(stage, attrgetter("f"), lambda f: build.record(f, parts(f)),
-                 np.minimum.reduce, "profile", "pinch", diagnose,
-                 lambda g, r: math.inf)
+    return _Kind(stage, graph.f, lambda f: build.record(f, parts(f)),
+                 np.minimum.reduce, "profile", "pinch", diagnose, math.inf)
 
 
 # ---------------------------------------------------------------------------
 # the driver
 
-def _initial_state(config: FlowConfig):
-    """The geometry a run starts from, at t = 0."""
-    model = config.model
-    if isinstance(model, (Hyperplane, Sphere)):
-        return model
+def _kind(config: FlowConfig):
+    """The kind of a run's state at t = 0, from its model; None for a
+    hyperplane, which does not move."""
+    model, r, resolution = config.model, config.r, config.resolution
+    if isinstance(model, Hyperplane):
+        return None
     if isinstance(model, Cylinder):
         # spherical factor shrinks by the same scalar law; flat part inert
-        return Sphere(n=model.m, radius=model.radius)
-    if isinstance(model, (Revolution, EllipsoidRev)):
-        # the run's one float-range check; steps make new values
-        return revolution_geometry(model, config.resolution)
-    raise DomainError(f"cannot evolve {type(model).__name__}")
-
-
-# kind of a flow state -> its kind at one run's (r, resolution)
-_KINDS = {Sphere: _round_kind, RevolutionGeometry: _graph_kind}
+        model = Sphere(n=model.m, radius=model.radius)
+    if isinstance(model, Sphere):
+        return _round_kind(model, r, resolution, config.rescaled)
+    # a Revolution or an EllipsoidRev; the run's one float-range check
+    return _graph_kind(revolution_geometry(model, resolution), r, config.rescaled)
 
 
 def _stepper(kind: _Kind, config: FlowConfig):
     """The one explicit step of a run, with the run's fixed parts bound once.
 
-    Returns advance(x, speed, bound, t, dt) -> (new values, their smallest
-    radius), where x are the values that move and speed and bound their
-    stage.  Forward Euler takes x + speed * dt; rk2 is the midpoint rule,
-    whose midpoint speed is the kind's stage.  The Dirichlet data of
-    config.boundary_values are imposed on the midpoint and on the result,
-    and the guard runs on both: a non-positive radius is an
-    ExtinctionError, a NaN a NumericalError.  Each step makes new values.
+    Returns advance(x, speed, t, dt) -> (new values, their smallest radius),
+    where x are the values that move and speed their stage's.  Forward
+    Euler takes x + speed * dt; rk2 is the midpoint rule, whose midpoint
+    speed is the kind's stage.  The Dirichlet data of config.boundary_values
+    are imposed on the midpoint and on the result, and the guard runs on
+    both: a non-positive radius is an ExtinctionError, a NaN a
+    NumericalError.  Each step makes new values.
     """
     stage, radius_of, name, reason = kind.stage, kind.radius, kind.name, kind.reason
     rk2 = config.scheme == "rk2"
@@ -420,9 +420,7 @@ def _stepper(kind: _Kind, config: FlowConfig):
             raise NumericalError(f"non-finite {name} at t={t:.6g}")   # a NaN
         return radius
 
-    def advance(x, speed, bound, t, dt):
-        if dt > bound * (1.0 + 1e-9):
-            raise CflViolationError(f"dt={dt:.3e} above the step bound {bound:.3e}")
+    def advance(x, speed, t, dt):
         t_new = t + dt
         if rk2:
             half = x + speed * (0.5 * dt)
@@ -439,22 +437,6 @@ def _stepper(kind: _Kind, config: FlowConfig):
     return advance
 
 
-def step(state: FlowState, config: FlowConfig, dt: float) -> FlowState:
-    """Advance any flow state one explicit step of config's scheme.
-
-    Unpinned radial graphs move their end nodes by the extrapolating
-    stencils.  This is the step of ``run``: one call of the stepper.
-    """
-    geo = state.geometry
-    make_kind = _KINDS.get(type(geo))
-    if make_kind is None:
-        raise DomainError(f"cannot step {type(geo).__name__}")
-    kind = make_kind(geo, config.r, config.resolution)
-    x = kind.values(geo)
-    x, _ = _stepper(kind, config)(x, *kind.stage(x), state.t, dt)
-    return FlowState(state.t + dt, kind.rebuild(x), state.step_count + 1)
-
-
 def run(config: FlowConfig) -> RunResult:
     """Adaptive explicit time loop until t_end or extinction.
 
@@ -463,33 +445,30 @@ def run(config: FlowConfig) -> RunResult:
     Raises DomainError when the first stage's bound puts the run above
     MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
     """
-    geom = _initial_state(config)
-    if isinstance(geom, Hyperplane):
+    kind = _kind(config)
+    if kind is None:
         # sigma_r = 0: stationary; report start and end
         diag0 = Diagnostics(t=0.0, max_shrinker_residual=0.0,
                             homothety_defect=0.0 if config.rescaled else math.nan,
                             min_radius=0.0, dt=config.t_end)
         return RunResult(diagnostics=[diag0, replace(diag0, t=config.t_end)],
-                         status="stationary", state=FlowState(config.t_end, geom, 1))
+                         status="stationary", state=FlowState(config.t_end, config.model, 1))
 
-    kind = _KINDS[type(geom)](geom, config.r, config.resolution, config.rescaled)
     advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
-    x = kind.values(geom)
+    x = kind.start
     speed, bound = stage(x)
-    try:    # the budget counts steps up to t_end or a closed-form extinction
-        horizon = min(config.t_end, kind.extinction(geom, config.r))
-    except (DomainError, NumericalError):   # r > n: stationary; R^(r+1) overflows
-        horizon = config.t_end
+    # the budget counts steps up to t_end or a closed-form extinction
+    horizon = min(config.t_end, kind.extinction)
     max_steps, cfl, t_end = MAX_STEPS, config.cfl_safety, config.t_end
     # a bound of 0 is an underflow, which the loop reports
     if horizon > max_steps * cfl * bound > 0.0:
         raise DomainError(f"about {horizon / cfl / bound:.3g} "
                           f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
-    # steps make new values, so the initial geometry stays as it was
+    # steps make new values, so the start values stay as they were
     diagnostics = [diagnose(0.0, x, 0.0)]
     t, count = 0.0, 0
     t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
-    floor = EXTINCTION_FRACTION * geom.min_radius
+    floor = EXTINCTION_FRACTION * kind.radius(kind.start)
     status = "completed"
     last_dt = 0.0
     while t < t_stop:
@@ -501,7 +480,7 @@ def run(config: FlowConfig) -> RunResult:
         if not t + dt > t:    # an underflowed bound would never end
             raise NumericalError(f"time step {dt:.3e} does not advance t={t:.6g}")
         try:
-            x, radius = advance(x, speed, bound, t, dt)
+            x, radius = advance(x, speed, t, dt)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"

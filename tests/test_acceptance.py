@@ -19,7 +19,6 @@ from newton_flow.catalog import (
     Revolution,
     Sphere,
     cylinder_profile,
-    revolution_geometry,
     self_shrinkers,
     shrinker_radius,
     sigma_p_cylinder,
@@ -28,11 +27,9 @@ from newton_flow.catalog import (
 from newton_flow.cli import main as cli_main
 from newton_flow.flow import (
     FlowConfig,
-    FlowState,
     homothety_factor,
     run,
     sphere_band_pin,
-    step,
 )
 from newton_flow.symfun import (
     elem_sym,
@@ -222,14 +219,11 @@ def test_criterion_6_flow_laws():
                            float(np.abs(r_sq - (4.0 - 4.0 * t_end)).max()))
     assert worst_sphere <= 1e-3
 
-    # discrete cylinder under the Gauss flow speed: stationary per step
+    # discrete cylinder under the Gauss flow speed: stationary
     prof = cylinder_profile(1.0, 2.0, 256)
-    config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
-    state = FlowState(t=0.0, geometry=revolution_geometry(Revolution(profile=prof)))
-    for _ in range(50):
-        before = state.geometry.f.copy()
-        state = step(state, config, 1e-5)
-        assert np.abs(state.geometry.f - before).max() <= 1e-10
+    result = run(FlowConfig(r=2, model=Revolution(profile=prof), t_end=2e-3))
+    assert result.status == "completed" and result.state.step_count >= 50
+    assert np.abs(result.state.geometry.f - 1.0).max() <= 1e-10
 
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -65,19 +66,45 @@ class TestSigmaPCylinder:
                             sigma_p_cylinder(m, r, p), rel=1e-12, abs=1e-300)
 
 
-class TestBinomialsPastTheFloatRange:
-    """C(n, r) is formed as an exact integer and rounded once; past the float
-    range it is the float-range NumericalError, naming the binomial it formed."""
+def _decimal_oracle(m, r, p, digits=50):
+    """C(m,p) C(m,r)^(-p/(r+1)) and C(m,r)^(1/(r+1)) to 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        log_r = decimal.Decimal(math.comb(m, r)).ln() / (r + 1)
+        return (decimal.Decimal(math.comb(m, p)) * (-p * log_r).exp(), log_r.exp())
 
-    @pytest.mark.parametrize("call", [
-        lambda: shrinker_radius(1100, 550),
-        lambda: sigma_p_cylinder(1100, 550, 3),
-        lambda: sigma_p_cylinder(1100, 1, 550),
-    ], ids=["shrinker_radius", "sigma_p_cylinder.r", "sigma_p_cylinder.p"])
-    def test_names_the_binomial(self, call):
-        with pytest.raises(NumericalError,
-                           match=r"^C\(1100,550\) leaves the float range$"):
+
+class TestBinomialsPastTheFloatRange:
+    """C(n, r) is formed as an exact integer and rounded once; where it leaves
+    the float range, a shrinker's radius and sigma_p are formed from the
+    logarithms of the integers, and a result past the float maximum is the
+    float-range NumericalError, naming the binomial it formed."""
+
+    @pytest.mark.parametrize("call, product", [
+        (lambda: shrinker_radius(10 ** 700, 1), r"C\(100000\.\.\. \(701 digits\),1\)"),
+        (lambda: sigma_p_cylinder(1100, 1099, 550), r"C\(1100,550\)"),   # ~3e327
+    ], ids=["shrinker_radius", "sigma_p_cylinder"])
+    def test_names_the_binomial(self, call, product):
+        with pytest.raises(NumericalError, match=f"^{product} leaves the float range$"):
             call()
+
+    def test_roots_of_a_binomial_past_the_float_range(self):
+        # C(1100, 550) ~ 1e329
+        sigma, radius = _decimal_oracle(1100, 550, 3)
+        assert shrinker_radius(1100, 550) == pytest.approx(float(radius), rel=1e-14, abs=0)
+        assert sigma_p_cylinder(1100, 550, 3) == pytest.approx(float(sigma), rel=1e-14, abs=0)
+        assert 3.96 < shrinker_radius(1100, 550) < 3.97
+        assert 3.5e6 < sigma_p_cylinder(1100, 550, 3) < 3.6e6
+
+    def test_catalog_shrinkers_keep_their_bits(self):
+        for model, r in self_shrinkers(6):
+            if isinstance(model, Hyperplane):
+                continue
+            m = model.m if isinstance(model, Cylinder) else model.n
+            assert model.radius.hex() == (math.comb(m, r) ** (1.0 / (r + 1))).hex()
+            for p in range(m + 1):
+                assert sigma_p_cylinder(m, r, p).hex() == (
+                    math.comb(m, p) * math.comb(m, r) ** (-p / (r + 1))).hex()
 
     def test_bits_are_the_integer_arithmetic(self):
         for m in (1, 2, 6, 40, 215, 1000):

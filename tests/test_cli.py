@@ -426,6 +426,7 @@ class TestFlow:
         ({"t_end": 0.01}, ("--resolution=-16",), 3),
         ({}, ("--t-end", "inf"), 3),
         ({"t_end": 10 ** 400}, (), 3),     # read as inf, as the literal 1e400 is
+        ({"t_end": 0.01, "cfl_safety": 1.5}, (), 3),
     ])
     def test_flow_input_contract(self, capsys, tmp_path, flow_spec, argv, expect):
         cfg = scene_file(tmp_path, {

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,20 +20,17 @@ from newton_flow.catalog import (
     sphere_band_profile,
 )
 from newton_flow.errors import (
-    CflViolationError,
     DomainError,
     ExtinctionError,
     NumericalError,
 )
 from newton_flow.flow import (
     FlowConfig,
-    FlowState,
     extinction_time,
     homothety_factor,
     run,
     sphere_band_pin,
     sphere_radius_exact,
-    step,
 )
 from newton_flow.symfun import newton_family
 
@@ -158,12 +154,12 @@ class TestRevolutionStepping:
 
     def test_cylinder_r2_stationary_per_step(self):
         prof = cylinder_profile(1.0, 2.0, 64)
-        geo = revolution_geometry(Revolution(profile=prof))
-        state = FlowState(t=0.0, geometry=geo)
-        config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=1.0)
-        for _ in range(25):
-            state = step(state, config, 1e-5)
-            assert np.abs(state.geometry.f - 1.0).max() <= 1e-10
+        config = FlowConfig(r=2, model=Revolution(profile=prof), t_end=0.02,
+                            output_stride=1)
+        result = run(config)
+        assert result.status == "completed" and result.state.step_count >= 25
+        assert np.abs(result.state.geometry.f - 1.0).max() <= 1e-10
+        assert all(abs(d.min_radius - 1.0) <= 1e-10 for d in result.diagnostics)
 
     def test_dt_order_one_on_cylinder(self):
         errs = []
@@ -341,15 +337,9 @@ def _band_config(r, scheme, pinned, output_stride=10 ** 9):
                       output_stride=output_stride)
 
 
-def _band_step_config(r, m=32):
-    return FlowConfig(r=r, model=Revolution(profile=sphere_band_profile(2.0, 0.6, m)),
-                      t_end=1.0)
-
-
-def _band_state(m=32, f=None, orientation=1):
+def _band_record(m, orientation):
     prof = sphere_band_profile(2.0, 0.6, m)
-    build = _graph_builder(prof.z, prof.h, prof.boundary, orientation)
-    return FlowState(t=0.0, geometry=build(prof.f if f is None else f))
+    return _graph_builder(prof.z, prof.h, prof.boundary, orientation)(prof.f)
 
 
 def _arrays(geo):
@@ -380,7 +370,7 @@ class TestRevolutionStage:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_stage_matches_reference_formulas(self, r):
-        geo = _band_state(m=48, orientation=-1).geometry
+        geo = _band_record(48, -1)
         got_speed, got_bound = flow._graph_kind(geo, r).stage(geo.f)
         speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
         assert got_speed.tobytes() == speed.tobytes()
@@ -402,78 +392,53 @@ class TestRevolutionStage:
     def test_records_own_their_memory(self, monkeypatch, scheme):
         # what a step writes: the stencil's padded buffer (by its ghost fill)
         # and the values the guard reads (the pinned midpoint and result);
-        # the initial record sees the run's steps, the final one a step past
-        # the run
+        # the initial record sees the run's steps and keeps its bytes.  The
+        # first radius read is the extinction floor's, of the start values
         padded, guarded, records = [], [], []
-        fill, start, make = fd._fill_ghosts, flow._initial_state, flow._graph_kind
+        fill, start, make = fd._fill_ghosts, flow.revolution_geometry, flow._graph_kind
         monkeypatch.setattr(fd, "_fill_ghosts",
                             lambda p, mode: padded.append(p) or fill(p, mode))
-        monkeypatch.setattr(flow, "_initial_state",
-                            lambda config: records.append(start(config)) or records[0])
-        monkeypatch.setitem(flow._KINDS, RevolutionGeometry, lambda *args: make(*args)._replace(
+        monkeypatch.setattr(flow, "revolution_geometry",
+                            lambda *args: records.append(start(*args)) or records[0])
+        monkeypatch.setattr(flow, "_graph_kind", lambda *args: make(*args)._replace(
             radius=lambda x: guarded.append(x) or np.minimum.reduce(x)))
         config = _band_config(2, scheme, pinned=True, output_stride=10)
         result = run(config)
-        records.append(result.state.geometry)
-        kept = [[a.tobytes() for a in _arrays(geo)] for geo in records]
-
-        def assert_owned(geo):
-            for array in _arrays(geo):
-                assert not any(np.shares_memory(array, b) for b in padded + guarded)
-
+        initial, = records
+        floor_read, *guarded = guarded
+        assert floor_read is initial.f
         assert len(guarded) >= result.state.step_count > 0
-        assert_owned(records[0])
-        guarded.clear()
-        step(result.state, config, 1e-6)
-        assert guarded
-        assert_owned(records[1])
-        assert [[a.tobytes() for a in _arrays(geo)] for geo in records] == kept
-
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_cfl_violation_with_own_bound(self, r):
-        state = _band_state(m=129)
-        config = _band_step_config(r, m=129)
-        geo = state.geometry
-        _, bound = flow._graph_kind(geo, r).stage(geo.f)
-        with pytest.raises(CflViolationError):
-            step(state, config, 10.0 * bound)
-
-    def test_nan_profile_step_raises(self):
-        f = _band_state().geometry.f.copy()
-        f[7] = np.nan
-        state = _band_state(f=f)
-        for r in (1, 2):
-            with pytest.raises(NumericalError):
-                step(state, _band_step_config(r), 1e-6)
+        for array in _arrays(initial):
+            assert not any(np.shares_memory(array, b) for b in padded + guarded)
+        assert [a.tobytes() for a in _arrays(initial)] == [
+            a.tobytes() for a in _arrays(start(config.model))]
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_nan_profile_run_raises(self, monkeypatch, r):
         # a ProfileCurve refuses NaN samples, so the NaN goes into run's state
-        initial_state = flow._initial_state
+        record = flow.revolution_geometry
 
-        def with_nan(config):
-            geo = initial_state(config)
+        def with_nan(*args):
+            geo = record(*args)
             f = geo.f.copy()
             f[7] = np.nan
             return geo._replace(f=f)
 
-        monkeypatch.setattr(flow, "_initial_state", with_nan)
+        monkeypatch.setattr(flow, "revolution_geometry", with_nan)
         model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
         with pytest.raises(NumericalError):
             run(FlowConfig(r=r, model=model, t_end=0.01))
 
 
 def _records_of(z, f):
-    """The records a caller gets from a profile on z and f: revolution_geometry's,
-    a run's result and a step's (and an ellipsoid's, with no caller arrays)."""
+    """The records a caller gets from a profile on z and f: revolution_geometry's
+    and a run's result (and an ellipsoid's, with no caller arrays)."""
     model = Revolution(profile=ProfileCurve(z=z, f=f))
-    config = FlowConfig(r=2, model=model, t_end=1e-4)
-    result = run(config)
+    result = run(FlowConfig(r=2, model=model, t_end=1e-4))
     assert result.status == "completed" and result.state.step_count > 0
     return {"revolution_geometry": revolution_geometry(model),
             "ellipsoid": revolution_geometry(EllipsoidRev(a=1.0, b=2.0), 16),
-            "run": result.state.geometry,
-            "step": step(result.state, config, 1e-6).geometry}
+            "run": result.state.geometry}
 
 
 class TestReadOnlyRecords:
@@ -558,7 +523,7 @@ def _graph_row(t, geo, dt, config, initial):
                 defect = float(np.abs(geo.f[inside] - ref).max())
         else:
             defect = float(np.abs(geo.f).max())
-    return (t, residual, defect, geo.min_radius, dt)
+    return (t, residual, defect, float(geo.f.min()), dt)
 
 
 def _bits(rows):
@@ -611,11 +576,16 @@ class TestExplicitScheme:
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.3), t_end=1.0,
                             resolution=16, scheme="rk2")
         assert run(config).status == "extinct"
-        # a midpoint at radius 0 ends the step: 1 + 0.5 * 1 * (-2 / 1) = 0;
-        # at resolution 1 the bound is 4 pi^2 / 3, so dt = 1 is allowed
-        state = FlowState(t=0.0, geometry=Sphere(n=2, radius=1.0))
-        with pytest.raises(ExtinctionError):
-            step(state, replace(config, resolution=1), 1.0)
+
+    def test_rk2_midpoint_at_radius_zero_ends_the_run(self):
+        # at resolution 1 the bound is 4 pi^2 / 3, so the first dt is t_end = 1,
+        # and its midpoint 1 + 0.5 * 1 * (-2 / 1) is exactly 0
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=1.0,
+                            resolution=1, scheme="rk2", cfl_safety=0.5)
+        result = run(config)
+        assert (result.status, result.state.step_count) == ("extinct", 0)
+        assert result.state.geometry == Sphere(n=2, radius=1.0)
+        assert [d.t for d in result.diagnostics] == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,25 +630,27 @@ class TestDiagnosticsRows:
     ])
     def test_graph_rows_match_the_record_formula(self, model, r, pinned, t_end, scheme,
                                                  rescaled):
-        # the records of a loop of public steps, which ends where run ends
+        # the records of a loop of the run's own step, which ends where run ends
         config = FlowConfig(r=r, model=model, t_end=t_end, resolution=33,
                             scheme=scheme, rescaled=rescaled, output_stride=7,
                             boundary_values=sphere_band_pin(2.0, r, 0.6) if pinned else None)
         result = run(config)
-        start = flow._initial_state(config)
-        kind = flow._graph_kind(start, r)
-        state, want = FlowState(0.0, start), [_graph_row(0.0, start, 0.0, config, start)]
-        dt = 0.0
-        while state.t < config.t_end * (1.0 - 1e-14):
-            _, bound = kind.stage(state.geometry.f)
-            dt = min(config.cfl_safety * bound, config.t_end - state.t)
-            state = step(state, config, dt)
-            if state.step_count % 7 == 0:
-                want.append(_graph_row(state.t, state.geometry, dt, config, start))
-        if want[-1][0] < state.t:
-            want.append(_graph_row(state.t, state.geometry, dt, config, start))
-        assert result.status == "completed" and state.step_count > 3 * 7
-        assert state.step_count == result.state.step_count
+        start = revolution_geometry(model, 33)
+        kind = flow._kind(config)
+        advance = flow._stepper(kind, config)
+        f, t, count, dt = kind.start, 0.0, 0, 0.0
+        want = [_graph_row(0.0, start, 0.0, config, start)]
+        while t < config.t_end * (1.0 - 1e-14):
+            speed, bound = kind.stage(f)
+            dt = min(config.cfl_safety * bound, config.t_end - t)
+            f, _ = advance(f, speed, t, dt)
+            t, count = t + dt, count + 1
+            if count % 7 == 0:
+                want.append(_graph_row(t, kind.rebuild(f), dt, config, start))
+        if want[-1][0] < t:
+            want.append(_graph_row(t, kind.rebuild(f), dt, config, start))
+        assert result.status == "completed" and count > 3 * 7
+        assert count == result.state.step_count
         assert _bits(_as_tuples(result.diagnostics)) == _bits(want)
 
     def test_homothety_window_on_an_asymmetric_grid(self):
@@ -695,7 +667,7 @@ class TestDiagnosticsRows:
         config = FlowConfig(r=1, model=model, t_end=0.1, rescaled=True,
                             boundary_values=pin, output_stride=10 ** 9)
         result = run(config)
-        geo, start = result.state.geometry, flow._initial_state(config)
+        geo, start = result.state.geometry, revolution_geometry(model)
         assert result.status == "completed"
         assert result.final.homothety_defect < 1e-4
         assert _bits(_as_tuples(result.diagnostics[-1:])) == _bits(
@@ -707,16 +679,16 @@ class TestDiagnosticsRows:
 
 class TestRoundFactor:
     def test_state_is_the_catalog_sphere(self):
-        for n, r in ((3, 2), (1, 1)):     # n = 1: the circle
-            sphere = Sphere(n=n, radius=1.5)
-            config = FlowConfig(r=r, model=sphere, t_end=0.01, resolution=32)
-            assert flow._initial_state(config) is sphere
+        for model, r, n in ((Sphere(n=3, radius=1.5), 2, 3),
+                            (Sphere(n=1, radius=1.5), 1, 1),           # the circle
+                            (Cylinder(n=5, m=3, radius=1.5), 1, 3)):   # its round factor
+            config = FlowConfig(r=r, model=model, t_end=0.01, resolution=32)
+            kind = flow._kind(config)
+            assert kind.start == 1.5
+            assert kind.stage(1.25) == flow._round_kind(Sphere(n, 1.5), r, 32).stage(1.25)
             result = run(config)
             assert isinstance(result.state.geometry, Sphere)
             assert result.state.geometry.n == n
-        cylinder = FlowConfig(r=1, model=Cylinder(n=5, m=3, radius=1.5),
-                              t_end=0.01, resolution=32)
-        assert flow._initial_state(cylinder) == Sphere(n=3, radius=1.5)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_bound_matches_newton_family_trace(self, n):
@@ -753,9 +725,9 @@ class TestRoundFactor:
     def test_cylinder_bound_has_no_coefficient_above_m(self, r):
         config = FlowConfig(r=r, model=Cylinder(n=5, m=2, radius=1.5),
                             t_end=0.01, resolution=32)
-        sphere = flow._initial_state(config)
+        kind = flow._kind(config)
         h = 2.0 * np.pi * 1.5 / 32
-        assert flow._round_kind(sphere, r, 32).stage(sphere.radius)[1] == h * h
+        assert kind.stage(kind.start)[1] == h * h
 
 
 # ---------------------------------------------------------------------------
@@ -791,59 +763,8 @@ def _count_stages(monkeypatch):
             calls[0] += 1
             return kind.stage(f)
         return kind._replace(stage=stage)
-    monkeypatch.setitem(flow._KINDS, RevolutionGeometry, counted_kind)
+    monkeypatch.setattr(flow, "_graph_kind", counted_kind)
     return calls
-
-
-class TestStep:
-    def test_round_law_checks_its_bound(self):
-        config = FlowConfig(r=2, model=Sphere(n=3, radius=1.0), t_end=1.0,
-                            resolution=16)
-        sphere = config.model
-        _, bound = flow._round_kind(sphere, 2, 16).stage(sphere.radius)
-        state = FlowState(t=0.0, geometry=sphere)
-        assert step(state, config, bound).geometry.radius < 1.0
-        with pytest.raises(CflViolationError):
-            step(state, config, 1.01 * bound)
-        with pytest.raises(CflViolationError):
-            step(state, config, 10.0)
-
-    def test_refuses_a_geometry_with_no_flow(self):
-        config = FlowConfig(r=1, model=Hyperplane(n=2), t_end=1.0)
-        with pytest.raises(DomainError, match="cannot step Hyperplane"):
-            step(FlowState(0.0, Hyperplane(n=2)), config, 0.1)
-
-    def test_boundary_values_need_a_revolution_model(self):
-        with pytest.raises(DomainError, match="boundary_values"):
-            FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
-                       boundary_values=sphere_band_pin(2.0, 1, 0.6))
-
-
-class TestOneStepPath:
-    """The public step is run's step: a loop of step calls ends where run ends."""
-
-    @pytest.mark.parametrize("config, make_kind", [
-        (FlowConfig(r=2, model=Sphere(n=3, radius=shrinker_radius(3, 2)), t_end=0.1,
-                    resolution=64), flow._round_kind),
-        (_band_config(2, "rk2", pinned=True), flow._graph_kind),
-    ])
-    def test_step_by_step_matches_run(self, config, make_kind):
-        result = run(config)
-        geo = flow._initial_state(config)
-        kind = make_kind(geo, config.r, config.resolution)
-        state = FlowState(t=0.0, geometry=geo)
-        while state.t < config.t_end * (1.0 - 1e-14):
-            _, bound = kind.stage(kind.values(state.geometry))
-            dt = min(config.cfl_safety * bound, config.t_end - state.t)
-            state = step(state, config, dt)
-        assert result.status == "completed"
-        assert (state.t, state.step_count) == (result.state.t, result.state.step_count)
-        got, want = state.geometry, result.state.geometry
-        if isinstance(want, Sphere):
-            assert got == want
-        else:
-            for name in ("f", "fp", "w", "k_mer", "k_par"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestStepBudget:
@@ -910,6 +831,22 @@ class TestFlowConfigContract:
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}
         with pytest.raises(DomainError, match=field):
             FlowConfig(**kwargs)
+
+    # the range of cfl_safety is the one guarantee that no step of a run
+    # exceeds its bound
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.0 + 1e-9, math.nan, math.inf])
+    def test_cfl_safety_outside_the_unit_interval_is_refused(self, value):
+        with pytest.raises(DomainError, match=r"^cfl_safety must lie in \(0, 1\]$"):
+            FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1, cfl_safety=value)
+
+    def test_cfl_safety_one_passes(self):
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1, cfl_safety=1.0)
+        assert run(config).status == "completed"
+
+    def test_boundary_values_need_a_revolution_model(self):
+        with pytest.raises(DomainError, match="boundary_values"):
+            FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
+                       boundary_values=sphere_band_pin(2.0, 1, 0.6))
 
     def test_rejects_a_non_model(self):
         with pytest.raises(DomainError, match="^NoneType is not a catalog model$"):

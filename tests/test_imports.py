@@ -17,7 +17,9 @@ one shrinker verdict: no module but ``gapcheck`` names ``SHRINKER_TOL``
 or raises ``NotSelfShrinkerError``.  And so is the one zero window: only
 ``symfun`` names ``ZERO_TOL``, no module names ``CLAMP_TOL``, and
 ``GAP_TOL`` is read only in the threshold flags ``thm1_strict``,
-``thm1_boundary`` and ``hk_at_most_n``.
+``thm1_boundary`` and ``hk_at_most_n``.  And so is the one flow driver:
+``flow`` defines no ``step``, ``run`` is the only caller of
+``_stepper``, and no module names ``CflViolationError``.
 """
 
 import ast
@@ -261,6 +263,52 @@ def test_one_zero_window():
                      ("gapcheck", "_gauss_report", "hk_at_most_n", "GAP_TOL"),
                      ("symfun", None, None, "ZERO_TOL"),
                      ("symfun", "_zero_cut", None, "ZERO_TOL")]
+
+
+def driver_names(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, what) for every definition of or
+    assignment to ``step``, every call of ``_stepper`` and every name,
+    attribute, import or class ``CflViolationError``, in source order."""
+    found = []
+    for node, function in nodes_in_functions(source):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name == "step"
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id == "step"):
+            found.append((stem, function, "def step"))
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None)) == "_stepper":
+                found.append((stem, function, "call _stepper"))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.ClassDef)) else None)
+        if name == "CflViolationError":
+            found.append((stem, function, "CflViolationError"))
+    return found
+
+
+def test_the_check_sees_a_planted_driver():
+    # a copy of flow with a second driver, its bound check and its error planted in it
+    source = (PACKAGE / "flow.py").read_text(encoding="utf-8")
+    planted = source + ("\n\nfrom .errors import CflViolationError\n"
+                        "def step(state, config, dt):\n"
+                        "    kind = _kind(config)\n"
+                        "    if dt > kind.stage(kind.start)[1]:\n"
+                        "        raise errors.CflViolationError(dt)\n"
+                        "    return _stepper(kind, config)(kind.start, 0.0, 0.0, dt)\n")
+    found = driver_names("flow", planted)
+    assert found[len(driver_names("flow", source)):] == [
+        ("flow", None, "CflViolationError"), ("flow", "step", "def step"),
+        ("flow", "step", "CflViolationError"), ("flow", "step", "call _stepper")]
+
+
+def test_one_flow_driver():
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += driver_names(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("flow", "run", "call _stepper")]
 
 
 def test_the_check_sees_an_unused_import():
