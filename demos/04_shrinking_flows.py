@@ -24,7 +24,7 @@ from newton_flow.flow import homothety_factor, sphere_band_pin
 
 print("=== a unit circle under curve shortening (the round law, resolution 256) ===")
 config = FlowConfig(r=1, model=Sphere(n=1, radius=1.0), t_end=0.25,
-                    resolution=256, output_stride=1500)
+                    resolution=256, output_stride=200)
 result = run(config)
 print("      t      min radius    exact      law error")
 for d in result.diagnostics:
@@ -50,7 +50,7 @@ print(f"  radius at t=0.5: numeric {numeric:.8f}, exact {exact:.8f} "
 print()
 print("=== the shrinking sphere moves by pure homothety ===")
 config = FlowConfig(r=1, model=Sphere(n=2, radius=shrinker_radius(2, 1)),
-                    t_end=0.4, rescaled=True, resolution=128, output_stride=800)
+                    t_end=0.4, rescaled=True, resolution=128, output_stride=300)
 result = run(config)
 print("      t        phi(t)     homothety defect")
 for d in result.diagnostics:

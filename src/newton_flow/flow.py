@@ -11,27 +11,38 @@ df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
 none (sigma_r = 0, it does not move), a sphere or a cylinder's round
 factor the round law (``_round_kind``), and a surface of revolution the
 radial graph of ``catalog.revolution_geometry(model, resolution)``
-(``_graph_kind``).  The kind binds what no step changes (C(n,r), the
-trace constant (n-r+1) C(n,r-1), 2 pi, the grid, the orientation and
-h^2) and holds the start values and the closed-form extinction time (inf
-where there is none).  A run steps only the values that move, a round
-law's float radius or a radial graph's profile array f.  The kind's
-stage takes values and gives their speed and step bound dt <= h^2 / (1 +
-sup tr|P_{r-1}|), the rk2 midpoint's too; its rebuild makes the state
-object from values the guard has passed.  The radial graph's stage reads
-the curvature parts of the run's one ``catalog._graph_builder`` (one
-derivative pass) and keeps the last ones, so the record of values just
-staged costs no pass of its own; the round law's is closed-form (h = 2
-pi R / resolution, tr P_{r-1} = (n-r+1) C(n,r-1) / R^(r-1); a bound from
-the law's own time scale, T_ext(R) / (4 resolution), leaves Euler
-outside a 1e-3 radius-law error on 21 of the 55 catalog laws at
-resolution 128).
+(``_graph_kind``).  The kind binds what no step changes (C(n,r) and the
+divisor (r+1) C(n,r) resolution of a round law; the grid, the
+orientation and h^2 of a radial graph) and holds the start values, the
+closed-form extinction time (inf where there is none) and the scheme of
+its step (None for the config's).  A run steps only the values that
+move, a round law's float radius or a radial graph's profile array f.
+The kind's stage takes values and gives their speed and step bound, the
+rk2 midpoint's too; its rebuild makes the state object from values the
+guard has passed.
+
+A radial graph's bound is the explicit stability bound dt <= h^2 / (1 +
+sup tr|P_{r-1}|).  Its stage reads the curvature parts of the run's one
+``catalog._graph_builder`` (one derivative pass) and keeps the last
+ones, so the record of values just staged costs no pass of its own.
+
+A round law has no grid: its bound is its own time scale, T_ext(R) /
+resolution, with T_ext(R) = R^(r+1) / ((r+1) C(n,r)) the time left to
+extinction from radius R (``extinction_time``).  It is always stepped by
+the midpoint rule, whatever ``FlowConfig.scheme`` says.  On R' = -R /
+tau, tau = R^(r+1) / C(n,r), the rule's local error is R r (5r+1) / 24
+(dt / tau)^3, so at dt = cfl_safety T_ext(R) / resolution each step errs
+by a fixed fraction of R, and the law error falls 4x per doubling of
+resolution.  resolution / cfl_safety is the number of steps per e-fold
+of the time left: a run to t_end takes ln(T / (T - t_end)) / -ln(1 -
+cfl_safety / resolution) steps, T = T_ext(R0), whatever (n, r) is.
 
 ``run`` is the one driver.  It takes dt = min(cfl_safety * bound, t_end
 - t), and ``FlowConfig`` keeps cfl_safety in (0, 1], so no step exceeds
 its bound.  ``_stepper`` makes the run's one explicit step of the
-values: forward Euler or the rk2 midpoint rule, with the Dirichlet data
-of ``FlowConfig.boundary_values`` imposed on the midpoint and on the
+values, by the kind's scheme or else the config's: forward Euler or the
+rk2 midpoint rule, with the Dirichlet data of
+``FlowConfig.boundary_values`` imposed on the midpoint and on the
 result.  It runs one guard on the midpoint and on the result: a
 non-positive radius is extinction (reason "pinch" on radial graphs) and
 a NaN is a NumericalError.  The guard returns the smallest radius it
@@ -61,7 +72,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,8 +194,7 @@ class FlowState:
     step_count: int = 0
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     t: float
     max_shrinker_residual: float
     homothety_defect: float     # nan when rescaled monitoring is off
@@ -200,7 +210,7 @@ class FlowConfig:
     resolution: int = 128
     cfl_safety: float = 0.25
     rescaled: bool = False
-    scheme: str = "euler"        # "euler" | "rk2"
+    scheme: str = "euler"        # "euler" | "rk2"; no effect on a round law
     output_stride: int = 10
     boundary_values: object = None   # callable t -> (f_left, f_right) for bands
 
@@ -253,20 +263,21 @@ class _Kind(NamedTuple):
     reason: str           # ExtinctionError reason of a non-positive radius
     diagnose: Callable    # (t, values, dt) -> diagnostics row, against the run's start
     extinction: float     # closed-form extinction time, or inf
+    scheme: object        # the scheme of the kind's step, or None for the config's
 
 
 # ---------------------------------------------------------------------------
 # the round law (spheres, and the round factor of cylinders)
 
 def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -> _Kind:
-    """R' = -C(n,r)/R^r and the bound h^2 / (1 + tr P_{r-1}), h = 2 pi R / resolution.
+    """R' = -C(n,r)/R^r by the midpoint rule, bound T_ext(R) / resolution.
 
-    The row of a radius R at t reads the shrinker residual |phi^r C(n,r) /
-    R^r - R / phi| and, with rescaled monitoring on, the homothety defect
-    |R - phi R0|, phi = homothety_factor(r, t) and R0 = geom's radius (the
-    residual reads phi = 1 where phi is clamped at 0, or when monitoring is
-    off).  The extinction time is inf where r > n (the radius does not move)
-    or R0^(r+1) leaves the float range.
+    T_ext(R) and the extinction time T_ext(R0) are inf where r > n (the
+    radius does not move) or R^(r+1) leaves the float range.  The row of
+    a radius R at t reads the shrinker residual |phi^r C(n,r) / R^r - R /
+    phi| and, with rescaled monitoring on, the homothety defect |R - phi
+    R0|, phi = homothety_factor(r, t) and R0 = geom's radius (the residual
+    reads phi = 1 where phi is clamped at 0, or when monitoring is off).
     """
     n, radius0 = geom.n, geom.radius
     c_nr = binomial(n, r)
@@ -275,17 +286,15 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
         t_ext = extinction_time(n, r, radius0)
     except (DomainError, NumericalError):
         t_ext = math.inf
-    # tr P_{r-1} = (n-r+1) sigma_{r-1}, sigma_p = C(n,p)/R^p; 0 once r-1 >= n
-    trace = binomial(n, r - 1, n - r + 1)
-    two_pi = 2.0 * np.pi
+    divisor = binomial(n, r, r + 1) * resolution    # extinction_time's, times resolution
 
     def stage(radius):
         try:
-            speed, trace_p = rate / radius ** r, trace / radius ** (r - 1)
+            power = radius ** r
+            speed = rate / power
         except (OverflowError, ZeroDivisionError) as exc:
             raise float_range_error("R", radius, r) from exc
-        h = two_pi * radius / resolution
-        return speed, h * h / (1.0 + trace_p)
+        return speed, radius * power / divisor if divisor else math.inf
 
     def diagnose(t, radius, dt):
         phi, defect = 1.0, math.nan
@@ -301,7 +310,7 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
         return Diagnostics(t, residual, defect, radius, dt)
 
     return _Kind(stage, radius0, lambda radius: Sphere(n, radius), float,
-                 "radius", "extinct", diagnose, t_ext)
+                 "radius", "extinct", diagnose, t_ext, "rk2")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,7 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
         return Diagnostics(t, residual, defect, float(f.min()), dt)
 
     return _Kind(stage, graph.f, lambda f: build.record(f, parts(f)),
-                 np.minimum.reduce, "profile", "pinch", diagnose, math.inf)
+                 np.minimum.reduce, "profile", "pinch", diagnose, math.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +412,14 @@ def _stepper(kind: _Kind, config: FlowConfig):
     Returns advance(x, speed, t, dt) -> (new values, their smallest radius),
     where x are the values that move and speed their stage's.  Forward
     Euler takes x + speed * dt; rk2 is the midpoint rule, whose midpoint
-    speed is the kind's stage.  The Dirichlet data of config.boundary_values
+    speed is the kind's stage.  The kind's scheme, if it names one, takes
+    the place of config.scheme.  The Dirichlet data of config.boundary_values
     are imposed on the midpoint and on the result, and the guard runs on
     both: a non-positive radius is an ExtinctionError, a NaN a
     NumericalError.  Each step makes new values.
     """
     stage, radius_of, name, reason = kind.stage, kind.radius, kind.name, kind.reason
-    rk2 = config.scheme == "rk2"
+    rk2 = (kind.scheme or config.scheme) == "rk2"
     pin = config.boundary_values
 
     def guard(x, t):
@@ -444,6 +454,10 @@ def run(config: FlowConfig) -> RunResult:
     the final accepted state.  Deterministic for a fixed configuration.
     Raises DomainError when the first stage's bound puts the run above
     MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
+    A round law's bound shrinks with the time left, so that estimate
+    undercounts it by the log factor: ln(T / (T - t_end)) T / t_end, T
+    its extinction time, and (r+1) ln(1 / EXTINCTION_FRACTION) for a run
+    to the extinction floor.
     """
     kind = _kind(config)
     if kind is None:
@@ -451,7 +465,7 @@ def run(config: FlowConfig) -> RunResult:
         diag0 = Diagnostics(t=0.0, max_shrinker_residual=0.0,
                             homothety_defect=0.0 if config.rescaled else math.nan,
                             min_radius=0.0, dt=config.t_end)
-        return RunResult(diagnostics=[diag0, replace(diag0, t=config.t_end)],
+        return RunResult(diagnostics=[diag0, diag0._replace(t=config.t_end)],
                          status="stationary", state=FlowState(config.t_end, config.model, 1))
 
     advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose

@@ -1,10 +1,10 @@
 """The public API is a deliberate list: a change to it must change this file.
 
 Two tables pin it: the names in ``newton_flow.__all__``, and the settings
-of each public function or dataclass (parameter names and defaults, or
-init fields and defaults), so that adding or removing a setting is as
-visible as adding or removing a name.  Enum and exception types are not
-pinned by signature.
+of each public function, dataclass or named tuple (parameter names and
+defaults, or fields and defaults), so that adding or removing a setting
+is as visible as adding or removing a name.  Enum and exception types
+are not pinned by signature.
 """
 
 import dataclasses
@@ -72,12 +72,20 @@ PUBLIC_SETTINGS = {
 }
 
 
+def is_named_tuple(obj) -> bool:
+    return isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+
+
 def settings(obj) -> str:
     """Parameter names and defaults of a function, or init fields and
-    defaults of a dataclass, as 'name' or 'name=default' joined by commas."""
+    defaults of a dataclass or named tuple, as 'name' or 'name=default'
+    joined by commas."""
     if dataclasses.is_dataclass(obj):
         params = [(f.name, f.default) for f in dataclasses.fields(obj) if f.init]
         missing = dataclasses.MISSING
+    elif is_named_tuple(obj):
+        missing = dataclasses.MISSING
+        params = [(name, obj._field_defaults.get(name, missing)) for name in obj._fields]
     else:
         params = [(p.name, p.default) for p in inspect.signature(obj).parameters.values()]
         missing = inspect.Parameter.empty
@@ -93,6 +101,6 @@ def test_public_settings_are_pinned():
     found = {}
     for name in newton_flow.__all__:
         obj = getattr(newton_flow, name)
-        if dataclasses.is_dataclass(obj) or inspect.isfunction(obj):
+        if dataclasses.is_dataclass(obj) or is_named_tuple(obj) or inspect.isfunction(obj):
             found[name] = settings(obj)
     assert found == PUBLIC_SETTINGS

@@ -440,8 +440,10 @@ class TestFlow:
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_budget_stops_at_the_closed_form_extinction(self, capsys, tmp_path, r):
-        # up to t_end = 1e4 the first bound gives 1.25e7 (r = 1) or 2.08e7
-        # (r = 2) steps, but the sphere dies out at t = 0.0625 or 0.0417
+        # up to t_end = 1e4 the first bound gives 2.05e7 (r = 1) or 3.07e7
+        # (r = 2) steps, but the sphere dies out at t = 0.0625 or 0.0417: each
+        # step takes 0.25 / 32 of the time left, and the run stops once R^(r+1)
+        # is EXTINCTION_FRACTION^(r+1) of its start's (1,762 or 2,643 steps)
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere", "n": 2, "radius": 0.5},
             "r": r, "resolution": 32, "flow": {"t_end": 1e4}})
@@ -452,7 +454,8 @@ class TestFlow:
         assert summary["status"] == "extinct"
         t_ext = flow.extinction_time(2, r, 0.5)
         assert summary["tFinal"] == pytest.approx(t_ext, rel=1e-2)
-        assert summary["stepCount"] < 2000
+        steps = (r + 1) * math.log(1.0 / flow.EXTINCTION_FRACTION) / -math.log1p(-0.25 / 32)
+        assert summary["stepCount"] == math.ceil(steps)
 
     def test_nan_profile_is_numerical_failure(self, capsys, tmp_path):
         z = [0.1 * i for i in range(9)]

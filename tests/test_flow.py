@@ -32,6 +32,7 @@ from newton_flow.flow import (
     sphere_band_pin,
     sphere_radius_exact,
 )
+from newton_flow.operators import ORDER_BAND
 from newton_flow.symfun import newton_family
 
 from conftest import reference_deriv1, reference_deriv2
@@ -268,14 +269,15 @@ class TestRun:
         for da, db in zip(a.diagnostics, b.diagnostics):
             assert da == db
 
-    def test_rk2_beats_euler_on_sphere(self):
+    def test_rk2_beats_euler_on_a_tube(self):
+        # a tube's profile has no error in space, so what is left is the step's
         errs = {}
         for scheme in ("euler", "rk2"):
-            config = FlowConfig(r=1, model=Sphere(n=2, radius=2.0), t_end=0.5,
-                                resolution=64, scheme=scheme)
+            prof = cylinder_profile(1.0, 2.0, 64)
+            config = FlowConfig(r=1, model=Revolution(profile=prof), t_end=0.2,
+                                scheme=scheme)
             result = run(config)
-            errs[scheme] = abs(result.state.geometry.radius
-                               - sphere_radius_exact(2, 1, 2.0, 0.5))
+            errs[scheme] = np.abs(result.state.geometry.f - math.sqrt(0.6)).max()
         assert errs["rk2"] <= errs["euler"] / 10.0
 
 
@@ -469,8 +471,6 @@ def _reference_loop(x, t_end, safety, stride, bound, step, diagnose, min_radius)
     while t < t_end * (1.0 - 1e-14):
         dt = min(safety * bound(x), t_end - t)
         x = step(x, t, dt)
-        if x is None:
-            return None, steps, diags, "extinct"
         t += dt
         steps += 1
         last_dt = dt
@@ -532,35 +532,27 @@ def _bits(rows):
 
 
 class TestExplicitScheme:
-    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
     @pytest.mark.parametrize("model, n, r", [
         (Sphere(n=3, radius=shrinker_radius(3, 2)), 3, 2),
         (Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 2, 1),
         (Sphere(n=1, radius=shrinker_radius(1, 1)), 1, 1),    # the circle
     ])
-    def test_scalar_law_matches_reference_loop(self, model, n, r, scheme):
+    def test_scalar_law_matches_reference_loop(self, model, n, r):
+        # the midpoint rule at the bound T_ext(R) / resolution, whatever the scheme
         resolution, t_end, stride = 64, 0.3 / (r + 1), 7
         config = FlowConfig(r=r, model=model, t_end=t_end, rescaled=True,
-                            resolution=resolution, scheme=scheme,
-                            output_stride=stride)
+                            resolution=resolution, output_stride=stride)
         result = run(config)
         radius0 = model.radius
 
         def bound(radius):
-            trace_p = (n - r + 1) * math.comb(n, r - 1) / radius ** (r - 1)
-            h = 2.0 * np.pi * radius / resolution
-            return h * h / (1.0 + trace_p)
+            return radius * radius ** r / ((r + 1) * math.comb(n, r) * resolution)
 
         def rate(radius):
             return -math.comb(n, r) / radius ** r
 
         def step(radius, t, dt):
-            if scheme == "euler":
-                new = radius + dt * rate(radius)
-            else:
-                half = radius + 0.5 * dt * rate(radius)
-                new = radius + dt * rate(half) if half > 0 else 0.0
-            return new if new > 0 else None
+            return radius + dt * rate(radius + 0.5 * dt * rate(radius))
 
         def diagnose(radius, t, dt):
             return _round_row(t, Sphere(n, radius), dt, config, radius0)
@@ -577,14 +569,16 @@ class TestExplicitScheme:
                             resolution=16, scheme="rk2")
         assert run(config).status == "extinct"
 
-    def test_rk2_midpoint_at_radius_zero_ends_the_run(self):
-        # at resolution 1 the bound is 4 pi^2 / 3, so the first dt is t_end = 1,
-        # and its midpoint 1 + 0.5 * 1 * (-2 / 1) is exactly 0
-        config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=1.0,
-                            resolution=1, scheme="rk2", cfl_safety=0.5)
+    def test_rk2_midpoint_below_radius_zero_ends_the_run(self):
+        # a thin tube, f = 0.01 and h = 1/15: the first dt is h^2 / 3, and its
+        # midpoint f - dt / (2 f) is below 0; the speed there, -1/f, is
+        # positive, so a step from that midpoint would not end the run
+        prof = cylinder_profile(0.01, 0.5, 16)
+        config = FlowConfig(r=1, model=Revolution(profile=prof), t_end=1.0,
+                            scheme="rk2", cfl_safety=1.0)
         result = run(config)
         assert (result.status, result.state.step_count) == ("extinct", 0)
-        assert result.state.geometry == Sphere(n=2, radius=1.0)
+        assert result.state.geometry.f.tobytes() == prof.f.tobytes()
         assert [d.t for d in result.diagnostics] == [0.0]
 
 
@@ -594,26 +588,32 @@ class TestExplicitScheme:
 # (model, r, t_end): every law of the catalog but the hyperplanes; a circle
 # whose rows pass phi's clamp at t = 1/2; a cylinder with r > m, whose round
 # factor does not move
-ROUND_LAWS = [(model, r, 0.9 / (r + 1)) for model, r in self_shrinkers(6)
-              if not isinstance(model, Hyperplane)] + [
+CATALOG_LAWS = [(model, r) for model, r in self_shrinkers(6)
+                if not isinstance(model, Hyperplane)]
+ROUND_LAWS = [(model, r, 0.9 / (r + 1)) for model, r in CATALOG_LAWS] + [
     (Sphere(n=1, radius=2.0), 1, 0.7), (Cylinder(n=5, m=2, radius=1.5), 3, 0.3)]
+
+
+def _round_rank(model):
+    """The rank of a model's round factor: a sphere's n, a cylinder's m."""
+    return model.m if isinstance(model, Cylinder) else model.n
 
 
 class TestDiagnosticsRows:
     @pytest.mark.parametrize("rescaled", [True, False])
-    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
-    def test_round_rows_match_the_sphere_formula(self, scheme, rescaled):
+    def test_round_rows_match_the_sphere_formula(self, rescaled):
         clamped = 0
         for model, r, t_end in ROUND_LAWS:
             config = FlowConfig(r=r, model=model, t_end=t_end, resolution=32,
-                                scheme=scheme, rescaled=rescaled, output_stride=7)
+                                rescaled=rescaled, output_stride=7)
             result = run(config)
-            n = model.n if isinstance(model, Sphere) else model.m
+            n = _round_rank(model)
             want = [_round_row(d.t, Sphere(n, d.min_radius), d.dt, config, model.radius)
                     for d in result.diagnostics]
             assert _bits(_as_tuples(result.diagnostics)) == _bits(want), (model, r)
             steps = result.state.step_count
-            assert result.status == "completed" and steps > 7, (model, r)
+            assert result.status == "completed", (model, r)
+            assert steps == 1 if r > n else steps > 7, (model, r)
             assert len(want) == 1 + steps // 7 + (steps % 7 > 0)
             assert result.state.geometry.radius == want[-1][3]
             clamped += sum(homothety_factor(r, d.t) == 0.0 for d in result.diagnostics)
@@ -675,7 +675,7 @@ class TestDiagnosticsRows:
 
 
 # ---------------------------------------------------------------------------
-# the round factor and its closed-form step bound
+# the round factor and its step bound, the law's own time scale
 
 class TestRoundFactor:
     def test_state_is_the_catalog_sphere(self):
@@ -690,17 +690,20 @@ class TestRoundFactor:
             assert isinstance(result.state.geometry, Sphere)
             assert result.state.geometry.n == n
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_bound_matches_newton_family_trace(self, n):
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bound_matches_newton_family_sigma(self, n):
+        # T_ext(R) / resolution = R / ((r+1) sigma_r resolution), sigma_r of
+        # the round sphere's shape operator I / R
         resolution = 64
         for r in range(1, n + 1):
             for radius in (0.3, 1.0, shrinker_radius(n, r), 2.5):
-                trace_p = float(np.trace(newton_family(np.eye(n) / radius).P[r - 1]))
-                h = 2.0 * np.pi * radius / resolution
-                expect = h * h / (1.0 + trace_p)
+                sigma_r = float(newton_family(np.eye(n) / radius).sigmas[r])
+                expect = radius / ((r + 1) * sigma_r * resolution)
                 sphere = Sphere(n=n, radius=radius)
                 _, got = flow._round_kind(sphere, r, resolution).stage(radius)
                 assert got == pytest.approx(expect, rel=1e-13, abs=0), (n, r, radius)
+                assert got == pytest.approx(extinction_time(n, r, radius) / resolution,
+                                            rel=1e-15, abs=0), (n, r, radius)
 
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
     def test_one_sphere_per_run_for_the_result(self, monkeypatch, scheme):
@@ -722,12 +725,55 @@ class TestRoundFactor:
         assert result.state.geometry.radius == result.final.min_radius
 
     @pytest.mark.parametrize("r", [3, 4, 5])
-    def test_cylinder_bound_has_no_coefficient_above_m(self, r):
+    def test_cylinder_factor_above_m_has_no_bound(self, r):
+        # sigma_r of the round factor of rank 2 vanishes: nothing moves
         config = FlowConfig(r=r, model=Cylinder(n=5, m=2, radius=1.5),
                             t_end=0.01, resolution=32)
         kind = flow._kind(config)
-        h = 2.0 * np.pi * 1.5 / 32
-        assert kind.stage(kind.start)[1] == h * h
+        speed, bound = kind.stage(kind.start)
+        assert (speed, math.copysign(1.0, speed), bound) == (0.0, -1.0, math.inf)
+
+
+def _law_errors(model, r, resolution):
+    """(run, sup over its rows of |R - sphere_radius_exact|) of a round law
+    run to 0.9 of its extinction time, a row per step."""
+    m = _round_rank(model)
+    t_end = 0.9 * extinction_time(m, r, model.radius)
+    result = run(FlowConfig(r=r, model=model, t_end=t_end, resolution=resolution,
+                            output_stride=1))
+    assert result.status == "completed"
+    return result, max(abs(d.min_radius - sphere_radius_exact(m, r, model.radius, d.t))
+                       for d in result.diagnostics)
+
+
+class TestRoundLawStep:
+    @pytest.mark.parametrize("model, r", [
+        (Sphere(n=1, radius=1.0), 1),                     # the circle
+        (Sphere(n=3, radius=shrinker_radius(3, 2)), 2),
+        (Cylinder(n=4, m=2, radius=0.7), 2),
+        (Sphere(n=6, radius=shrinker_radius(6, 6)), 6),
+    ])
+    def test_second_order_in_resolution(self, model, r):
+        errs = [_law_errors(model, r, resolution)[1] for resolution in (32, 64, 128, 256)]
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in orders), orders
+
+    def test_every_catalog_law_at_resolution_128(self):
+        # within 1e-5 of the law, in ln(10) / -ln(1 - cfl_safety / resolution)
+        # steps (1,178) whatever (n, r) is
+        steps = math.log(10.0) / -math.log1p(-0.25 / 128)
+        for model, r in CATALOG_LAWS:
+            result, err = _law_errors(model, r, 128)
+            assert err <= 1e-5, (model, r, err)
+            assert abs(result.state.step_count - steps) <= 1.0, (model, r)
+
+    def test_the_scheme_does_not_move_a_round_law(self):
+        for model, r, t_end in ROUND_LAWS:
+            rows = [_as_tuples(run(FlowConfig(r=r, model=model, t_end=t_end, resolution=32,
+                                              rescaled=True, scheme=scheme,
+                                              output_stride=7)).diagnostics)
+                    for scheme in ("euler", "rk2")]
+            assert _bits(rows[0]) == _bits(rows[1]), (model, r)
 
 
 # ---------------------------------------------------------------------------
@@ -785,37 +831,39 @@ class TestStepBudget:
         assert passes == [2, 1] and stages == [1]
 
     def test_loop_stops_past_the_budget(self, monkeypatch):
-        # the bound shrinks with R^2: about 75 steps estimated, 250 taken
+        # the bound shrinks with the time left, T_ext(R) = R^2 / 4: about 123
+        # steps estimated to t_end = 0.96 T_ext(R0), 412 taken
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
                             resolution=32)
-        assert run(config).state.step_count > 200
+        assert run(config).state.step_count > 400
         _, bound = flow._round_kind(config.model, 1, 32).stage(config.model.radius)
-        assert config.t_end / (config.cfl_safety * bound) < 100
-        monkeypatch.setattr(flow, "MAX_STEPS", 100)
-        with pytest.raises(NumericalError, match="MAX_STEPS=100"):
+        assert config.t_end / (config.cfl_safety * bound) < 125
+        monkeypatch.setattr(flow, "MAX_STEPS", 200)
+        with pytest.raises(NumericalError, match="MAX_STEPS=200"):
             run(config)
 
     # spheres: tests/test_cli.py::TestFlow::test_budget_stops_at_the_closed_form_extinction
     @pytest.mark.parametrize("model, r, resolution", [
-        (Cylinder(n=4, m=2, radius=0.5), 2, 32),   # 2.08e7 steps up to t_end
-        (Sphere(n=1, radius=1.0), 1, 96),          # the circle: 1.87e7
+        (Cylinder(n=4, m=2, radius=0.5), 2, 32),   # 3.07e7 steps up to t_end
+        (Sphere(n=1, radius=1.0), 1, 256),         # the circle: 2.05e7
     ])
     def test_round_runs_are_estimated_up_to_extinction(self, model, r, resolution):
         result = run(FlowConfig(r=r, model=model, t_end=1e4, resolution=resolution))
         assert result.status == "extinct"
-        m = model.m if isinstance(model, Cylinder) else model.n
-        t_ext = extinction_time(m, r, model.radius)
+        t_ext = extinction_time(_round_rank(model), r, model.radius)
         assert result.state.t == pytest.approx(t_ext, rel=1e-2)
 
     @pytest.mark.parametrize("model, r", [
         (Cylinder(n=5, m=2, radius=1.2), 3),   # r > m: stationary, no extinction time
         (Sphere(n=2, radius=1e150), 2),        # R^(r+1) overflows
     ])
-    def test_estimate_keeps_t_end_without_a_closed_form_extinction(self, model, r):
-        assert run(FlowConfig(r=r, model=model, t_end=0.01, resolution=32)).status \
-            in ("completed", "stationary")
-        with pytest.raises(DomainError, match=r"steps to t=1e\+305, above MAX_STEPS"):
-            run(FlowConfig(r=r, model=model, t_end=1e305, resolution=32))
+    def test_a_law_without_a_closed_form_extinction_takes_one_step(self, model, r):
+        # its bound T_ext(R) / resolution is inf, so one step reaches t_end
+        for t_end in (0.01, 1e305):
+            result = run(FlowConfig(r=r, model=model, t_end=t_end, resolution=32))
+            assert (result.status, result.state.step_count) == ("completed", 1)
+            assert [d.t for d in result.diagnostics] == [0.0, t_end]
+            assert result.state.geometry.radius == model.radius
 
 
 class TestFlowConfigContract:
