@@ -6,7 +6,8 @@ The two structural identities
                          - <grad sigma_r, X>
     (1/2) L_(r-1) |X|^2 = (n-r+1) sigma_(r-1) + r sigma_r <X,N>
 
-hold on any hypersurface.  On an ellipsoid band (not a shrinker) the
+hold on any hypersurface.  On an ellipsoid band (not a shrinker), a
+``Revolution`` over ``ellipsoid_band_profile`` at each resolution, the
 discrete residuals shrink at second order under grid refinement, and the
 product rule and drift decomposition behave the same way.
 """
@@ -14,7 +15,7 @@ product rule and drift decomposition behave the same way.
 import numpy as np
 
 from newton_flow import (
-    EllipsoidRev,
+    Revolution,
     drifted_apply,
     lr_apply,
     verify_position_identity,
@@ -22,10 +23,14 @@ from newton_flow import (
     verify_shrinker_pde,
     verify_support_identity,
 )
-from newton_flow.catalog import revolution_geometry, self_shrinkers
+from newton_flow.catalog import ellipsoid_band_profile, revolution_geometry, self_shrinkers
 from newton_flow.operators import position_gradient_term
 
-ellipsoid = EllipsoidRev(a=1.0, b=2.0)
+def ellipsoid(m):
+    """The band |z| <= 0.75 b of the ellipsoid a = 1, b = 2, on m nodes."""
+    return Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, m))
+
+
 resolutions = [64, 128, 256]
 
 print("=== identity refinement on the ellipsoid band (a=1, b=2) ===")
@@ -40,13 +45,13 @@ for r in (1, 2):
 print()
 print("=== product rule L(fg) = f Lg + g Lf + 2 <P grad f, grad g> ===")
 for m in resolutions:
-    geo = revolution_geometry(ellipsoid, m)
+    geo = revolution_geometry(ellipsoid(m))
     f, g = np.sin(geo.z), np.cos(0.5 * geo.z) + 0.25 * geo.z
     print(f"  M={m:4d}: residual {verify_product_rule(geo, f, g, 1):.3e}")
 
 print()
 print("=== the drift term splits off exactly ===")
-geo = revolution_geometry(ellipsoid, 129)
+geo = revolution_geometry(ellipsoid(129))
 field = geo.f ** 2 + geo.z ** 2
 gap = np.abs(drifted_apply(geo, field, 1)
              + position_gradient_term(geo, field)

@@ -12,7 +12,6 @@ The package is organized by capability:
 
 from .catalog import (
     Cylinder,
-    EllipsoidRev,
     Hyperplane,
     ProfileCurve,
     Revolution,

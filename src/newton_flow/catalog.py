@@ -9,12 +9,14 @@ leaves the float range are formed from the logarithms of the integers.
 Surfaces of revolution are discretized as radial graphs rho = f(z)
 over a uniform axial grid, with curvatures from
 second-order difference stencils into one ``RevolutionGeometry`` record,
-whose n = 2 closed forms the flow and the operators read.
-``revolution_geometry(model, resolution)`` is the one door from a model
-to its record (``flow``, ``operators`` and ``sample_fields`` convert no
-model themselves): it discretizes an ``EllipsoidRev`` at the resolution
-and makes one checked build.  Profiles hold read-only copies of z and
-f, and records read-only arrays.  The private ``_graph_builder`` binds
+whose n = 2 closed forms the flow and the operators read.  A
+``Revolution`` over a ``ProfileCurve`` is the one model with a profile,
+whose grid its constructor chooses (``sphere_band_profile``,
+``cylinder_profile``, ``ellipsoid_band_profile``).
+``revolution_geometry(model)`` is the one door from a model to its record
+(``flow``, ``operators`` and ``sample_fields`` read no profile
+themselves): it makes one checked build.  Profiles hold read-only copies
+of z and f, and records read-only arrays.  The private ``_graph_builder`` binds
 one grid (z, h, boundary mode, orientation) and its ``fd._stencil``
 once, and checks no values; it gives each profile's unoriented curvature
 parts from one derivative pass (a flow run's stage reads them at every
@@ -140,34 +142,7 @@ class Revolution:
             raise DomainError("orientation must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class EllipsoidRev:
-    """Band of an ellipsoid of revolution (equatorial radius a, polar b).
-
-    The profile f(z) = a*sqrt(1 - (z/b)^2) is restricted to |z| <= band*b
-    so the polar coordinate singularity stays outside the grid.
-    """
-
-    a: float
-    b: float
-    band: float = 0.75
-    n: int = field(default=2, init=False)
-
-    def __post_init__(self):
-        a, b = check_real(self.a, "semi-axis a"), check_real(self.b, "semi-axis b")
-        if not (0 < a < inf and 0 < b < inf):
-            raise DomainError("semi-axes must be positive and finite")
-        if not 0 < check_real(self.band, "band fraction") < 1:
-            raise DomainError("band fraction must lie in (0, 1)")
-
-    def profile_curve(self, resolution: int) -> ProfileCurve:
-        check_samples(resolution, 5, "resolution")
-        z = np.linspace(-self.band * self.b, self.band * self.b, resolution)
-        f = self.a * np.sqrt(1.0 - (z / self.b) ** 2)
-        return ProfileCurve(z=z, f=f, boundary="neumann")
-
-
-HypersurfaceModel = Union[Hyperplane, Sphere, Cylinder, Revolution, EllipsoidRev]
+HypersurfaceModel = Union[Hyperplane, Sphere, Cylinder, Revolution]
 
 
 def check_model(model):
@@ -344,21 +319,17 @@ def _graph_builder(z: np.ndarray, h: float, boundary: str, orientation: int) -> 
     return _GraphBuilder(parts, record)
 
 
-def revolution_geometry(model, resolution=None) -> RevolutionGeometry:
-    """The record of a surface of revolution: the one door from a model to it.
+def revolution_geometry(model) -> RevolutionGeometry:
+    """The record of a ``Revolution``: the one door from a model to it.
 
-    A ``Revolution`` has its own grid and ignores the resolution; an
-    ``EllipsoidRev`` is discretized by ``profile_curve(resolution)`` and
-    needs one.  One build of a fresh ``_graph_builder`` shares the
-    profile's checked, read-only z and f.  A record that leaves the
+    One build of a fresh ``_graph_builder`` on the profile's own grid
+    shares its checked, read-only z and f.  A record that leaves the
     float range (radii near the float maximum overflow the ghosts, steep
     slopes overflow w^3) raises NumericalError with no numpy warning.
     The check is made once per profile, here, and not in the stages of a
     flow run.  The ghosts overflow without a numpy flag, so a non-finite
     f' at an end is caught here.
     """
-    if isinstance(model, EllipsoidRev):    # a missing resolution is a DomainError
-        model = Revolution(profile=model.profile_curve(resolution))
     if not isinstance(model, Revolution):
         raise DomainError(f"cannot discretize {type(model).__name__} as a revolution")
     p = model.profile
@@ -387,6 +358,22 @@ def sphere_band_profile(radius: float, half_width: float, samples: int) -> Profi
         raise float_range_error("R", radius, 2) from exc
     z = np.linspace(-half_width, half_width, samples)
     return ProfileCurve(z=z, f=np.sqrt(radius_sq - z ** 2))
+
+
+def ellipsoid_band_profile(a: float, b: float, band: float, samples: int) -> ProfileCurve:
+    """Profile f(z) = a sqrt(1 - (z/b)^2), |z| <= band*b, of an ellipsoid of
+    revolution (equatorial semi-axis a, polar b): the band keeps the polar
+    coordinate singularity off the grid.  a, b and band are checked before
+    the sample count, which an ellipsoid scene's resolution sets, and which
+    is refused by that name outside 5..MAX_SAMPLES."""
+    a, b = check_real(a, "semi-axis a"), check_real(b, "semi-axis b")
+    if not (0 < a < inf and 0 < b < inf):
+        raise DomainError("semi-axes must be positive and finite")
+    if not 0 < check_real(band, "band fraction") < 1:
+        raise DomainError("band fraction must lie in (0, 1)")
+    check_samples(samples, 5, "resolution")
+    z = np.linspace(-band * b, band * b, samples)
+    return ProfileCurve(z=z, f=a * np.sqrt(1.0 - (z / b) ** 2))
 
 
 def cylinder_profile(radius: float, half_width: float, samples: int) -> ProfileCurve:
@@ -426,8 +413,8 @@ def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
     ``check_dimension``.  A revolution profile gives one row per node.
     """
     check_samples(resolution, 8, "resolution")
-    if isinstance(model, (Revolution, EllipsoidRev)):
-        g = revolution_geometry(model, resolution)
+    if isinstance(model, Revolution):
+        g = revolution_geometry(model)
         curvatures, support = np.stack([g.k_mer, g.k_par], axis=1), g.support
         if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")

@@ -11,10 +11,9 @@ before the model is built; each answer is one library call, rendered.
 of its own radius and half-width, and is refused on any other kind.
 
 Exit codes: 0 success, 2 parse/config error, 3 domain error, 4 numerical
-failure (unexpected extinction, stability violation, or a reported value
-that leaves the float range), 5 verification failure.  Output is
-deterministic: JSON keys are sorted and numbers are rendered with 17
-significant digits.
+failure (unexpected extinction, or a value that leaves the float range),
+5 verification failure.  Output is deterministic: JSON keys are sorted
+and numbers are rendered with 17 significant digits.
 
 ``main(argv)`` may be called repeatedly in one process: it builds its
 argparse parser on the first call and reuses it, and it reads
@@ -200,15 +199,15 @@ def _revolution(z, f, boundary, orientation):
 _BAND = {"radius": (_real, _REQUIRED), "half_width": (_real, _REQUIRED),
          "samples": (_integer, 128)}
 
-# model kind -> (builder, {key: (converter, default)}), keys in reading order
+# model kind -> (builder, {key: (converter, default)}), keys in reading order;
+# an ellipsoid has no builder here: load_scene builds it at the scene's resolution
 _MODELS = {
     "hyperplane": (catalog.Hyperplane, {"n": (_integer, _REQUIRED)}),
     "sphere": (catalog.Sphere, {"n": (_integer, _REQUIRED), "radius": (_real, _REQUIRED)}),
     "cylinder": (catalog.Cylinder, {"n": (_integer, _REQUIRED), "m": (_integer, _REQUIRED),
                                     "radius": (_real, _REQUIRED)}),
-    "ellipsoid_rev": (catalog.EllipsoidRev, {
-        "a": (_real, _REQUIRED), "b": (_real, _REQUIRED),
-        "band": (_real, catalog.EllipsoidRev.band)}),
+    "ellipsoid_rev": (None, {"a": (_real, _REQUIRED), "b": (_real, _REQUIRED),
+                             "band": (_real, 0.75)}),
     "sphere_band": (lambda **band: catalog.Revolution(
         profile=catalog.sphere_band_profile(**band)), _BAND),
     "cylinder_band": (lambda **band: catalog.Revolution(
@@ -231,9 +230,9 @@ _FLOW_KEYS = {*_FLOW_FIELDS, "pinned_boundary"}
 
 
 def parse_model(spec) -> tuple:
-    """(kind, converted fields, model) of a scene's model object.  Every
-    field is converted, so an ill-typed one is a ConfigError, before the
-    model is built and checks its domain."""
+    """(kind, converted fields, model) of a scene's model object, the model
+    None for an ellipsoid.  Every field is converted, so an ill-typed one is
+    a ConfigError, before the model is built and checks its domain."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("model must be an object with a 'kind' key")
     kind = spec["kind"]
@@ -244,13 +243,15 @@ def parse_model(spec) -> tuple:
     build, table = _MODELS[kind]
     _reject_unknown(body, table, where)
     fields = _fields(body, table, where)
-    return kind, fields, build(**fields)
+    return kind, fields, build(**fields) if build else None
 
 
 def load_scene(path: str, r: int | None = None, resolution: int | None = None) -> dict:
     """The scene of a JSON file; r and resolution, when given, replace the
-    scene's own (which are still checked).  "band" holds a sphere_band
-    scene's (radius, half_width), and is None for every other kind."""
+    scene's own (which are still checked).  An ellipsoid_rev scene's model
+    is the Revolution over its ``ellipsoid_band_profile`` at that
+    resolution.  "band" holds a sphere_band scene's (radius, half_width),
+    and is None for every other kind."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -275,6 +276,9 @@ def load_scene(path: str, r: int | None = None, resolution: int | None = None) -
     for key, value in (("r", r), ("resolution", resolution)):
         if value is not None:
             scene[key] = value
+    if kind == "ellipsoid_rev":
+        scene["model"] = catalog.Revolution(profile=catalog.ellipsoid_band_profile(
+            samples=scene["resolution"], **fields))
     for key, allowed in (("flow", _FLOW_KEYS), ("output", _OUTPUT_KEYS)):
         if not isinstance(scene[key], dict):
             raise ConfigError(f"{key!r} must be an object")
@@ -417,7 +421,9 @@ def _product_rule_residual(geometry, r: int) -> float:
 
 
 def _verify_rows(resolutions):
-    ellipsoid = catalog.EllipsoidRev(a=1.0, b=2.0)
+    def ellipsoid(m):
+        return catalog.Revolution(profile=catalog.ellipsoid_band_profile(1.0, 2.0, 0.75, m))
+
     reports = []
     for r in (1, 2):
         reports.append(("support-identity", operators.verify_support_identity(

@@ -9,14 +9,14 @@ df/dt = -sigma_r * sqrt(1 + f_z^2) and whose state is the catalog
 
 ``_kind`` decides a run's kind once, from its model: a hyperplane has
 none (sigma_r = 0, it does not move), a sphere or a cylinder's round
-factor the round law (``_round_kind``), and a surface of revolution the
-radial graph of ``catalog.revolution_geometry(model, resolution)``
-(``_graph_kind``).  The kind binds what no step changes (C(n,r) and the
-divisor (r+1) C(n,r) resolution of a round law; the grid, the
-orientation and h^2 of a radial graph) and holds the start values, the
-closed-form extinction time (inf where there is none) and the scheme of
-its step (None for the config's).  A run steps only the values that
-move, a round law's float radius or a radial graph's profile array f.
+factor the round law (``_round_kind``), and a ``Revolution`` the
+radial graph of ``catalog.revolution_geometry(model)`` (``_graph_kind``).
+The kind binds what no step changes (C(n,r) and the divisor (r+1) C(n,r)
+resolution of a round law; the grid, the orientation and h^2 of a radial
+graph) and holds the start values, its estimate of a run's step count
+and the scheme of its step (None for the config's).  A run steps only
+the values that move, a round law's float radius or a radial graph's
+profile array f.
 The kind's stage takes values and gives their speed and step bound, the
 rk2 midpoint's too; its rebuild makes the state object from values the
 guard has passed.
@@ -55,10 +55,12 @@ makes a diagnostics row from values, with the run's constants (C(n,r),
 the rescaling's r+1 and 1/(r+1), the initial radius or profile and its
 homothety window) bound once; a radial graph's row reads the parts its
 stage kept.  A state object is made only for the final ``FlowState``,
-with read-only arrays.  It estimates T / (cfl_safety * bound) steps from
-the first stage, T being t_end or, if sooner, the kind's extinction
-time, and refuses a run above ``MAX_STEPS`` steps (DomainError); one
-that passes ``MAX_STEPS`` anyway stops with a NumericalError.  Runs are
+with read-only arrays.  It refuses a run whose kind estimates more than
+``MAX_STEPS`` steps (DomainError) before the first step: a radial graph
+estimates t_end / (cfl_safety * bound) from its first stage, and a round
+law counts its steps in closed form, to t_end or to the extinction
+floor, whichever comes first.  A run that passes ``MAX_STEPS`` anyway (a
+radial graph whose bound shrinks) stops with a NumericalError.  Runs are
 deterministic for a fixed configuration.  The homothety monitor uses the
 canonical rescaling phi(t) = (1 - (r+1) t)^(1/(r+1)) of catalog initial
 data; no uniqueness of that normalization is claimed.  With it on, the
@@ -80,7 +82,6 @@ import numpy as np
 from .catalog import (
     MAX_SAMPLES,
     Cylinder,
-    EllipsoidRev,
     Hyperplane,
     HypersurfaceModel,
     Revolution,
@@ -234,7 +235,7 @@ class FlowConfig:
         check_model(self.model)
         check_order(self.r, self.model.n)
         if (self.boundary_values is not None
-                and not isinstance(self.model, (Revolution, EllipsoidRev))):
+                and not isinstance(self.model, Revolution)):
             raise DomainError("boundary_values needs a revolution model")
 
 
@@ -262,18 +263,27 @@ class _Kind(NamedTuple):
     name: str             # what a NaN made non-finite
     reason: str           # ExtinctionError reason of a non-positive radius
     diagnose: Callable    # (t, values, dt) -> diagnostics row, against the run's start
-    extinction: float     # closed-form extinction time, or inf
+    steps: Callable       # (t_end, cfl_safety, first bound) -> estimated step count
     scheme: object        # the scheme of the kind's step, or None for the config's
 
 
 # ---------------------------------------------------------------------------
 # the round law (spheres, and the round factor of cylinders)
 
+def _folds(fraction: float) -> float:
+    """-ln(1 - fraction), the e-folds of the time left that a fraction of it
+    takes; inf from 1 on."""
+    return -math.log1p(-fraction) if fraction < 1.0 else math.inf
+
+
 def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -> _Kind:
     """R' = -C(n,r)/R^r by the midpoint rule, bound T_ext(R) / resolution.
 
-    T_ext(R) and the extinction time T_ext(R0) are inf where r > n (the
-    radius does not move) or R^(r+1) leaves the float range.  The row of
+    T_ext(R) and the extinction time T = T_ext(R0) are inf where r > n (the
+    radius does not move) or R^(r+1) leaves the float range.  A step takes
+    cfl_safety / resolution of the time left, so the steps to t_end, or to
+    the extinction floor where T_ext(R) = EXTINCTION_FRACTION^(r+1) T, are
+    counted in closed form, from logarithms.  The row of
     a radius R at t reads the shrinker residual |phi^r C(n,r) / R^r - R /
     phi| and, with rescaled monitoring on, the homothety defect |R - phi
     R0|, phi = homothety_factor(r, t) and R0 = geom's radius (the residual
@@ -287,6 +297,7 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
     except (DomainError, NumericalError):
         t_ext = math.inf
     divisor = binomial(n, r, r + 1) * resolution    # extinction_time's, times resolution
+    floor_folds = (r + 1) * math.log(1.0 / EXTINCTION_FRACTION)
 
     def stage(radius):
         try:
@@ -309,8 +320,13 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
             raise float_range_error("R", radius, r) from exc
         return Diagnostics(t, residual, defect, radius, dt)
 
+    def steps(t_end, cfl, bound):
+        # an underflowed T of 0 counts to the floor: the loop reports its bound
+        run_folds = _folds(t_end / t_ext) if t_ext > 0 else math.inf
+        return min(run_folds, floor_folds) / _folds(cfl / resolution)
+
     return _Kind(stage, radius0, lambda radius: Sphere(n, radius), float,
-                 "radius", "extinct", diagnose, t_ext, "rk2")
+                 "radius", "extinct", diagnose, steps, "rk2")
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +400,12 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
         residual = float(np.abs(phi ** r * sigma + support / phi).max())
         return Diagnostics(t, residual, defect, float(f.min()), dt)
 
+    def steps(t_end, cfl, bound):
+        # a bound of 0 is an underflow, which the loop reports
+        return t_end / (cfl * bound) if cfl * bound > 0.0 else 0.0
+
     return _Kind(stage, graph.f, lambda f: build.record(f, parts(f)),
-                 np.minimum.reduce, "profile", "pinch", diagnose, math.inf, None)
+                 np.minimum.reduce, "profile", "pinch", diagnose, steps, None)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +422,8 @@ def _kind(config: FlowConfig):
         model = Sphere(n=model.m, radius=model.radius)
     if isinstance(model, Sphere):
         return _round_kind(model, r, resolution, config.rescaled)
-    # a Revolution or an EllipsoidRev; the run's one float-range check
-    return _graph_kind(revolution_geometry(model, resolution), r, config.rescaled)
+    # a Revolution; the run's one float-range check
+    return _graph_kind(revolution_geometry(model), r, config.rescaled)
 
 
 def _stepper(kind: _Kind, config: FlowConfig):
@@ -452,12 +472,8 @@ def run(config: FlowConfig) -> RunResult:
 
     Diagnostics are emitted at t = 0, every output_stride steps, and at
     the final accepted state.  Deterministic for a fixed configuration.
-    Raises DomainError when the first stage's bound puts the run above
+    Raises DomainError when the kind's estimate puts the run above
     MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
-    A round law's bound shrinks with the time left, so that estimate
-    undercounts it by the log factor: ln(T / (T - t_end)) T / t_end, T
-    its extinction time, and (r+1) ln(1 / EXTINCTION_FRACTION) for a run
-    to the extinction floor.
     """
     kind = _kind(config)
     if kind is None:
@@ -471,13 +487,11 @@ def run(config: FlowConfig) -> RunResult:
     advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
     x = kind.start
     speed, bound = stage(x)
-    # the budget counts steps up to t_end or a closed-form extinction
-    horizon = min(config.t_end, kind.extinction)
     max_steps, cfl, t_end = MAX_STEPS, config.cfl_safety, config.t_end
-    # a bound of 0 is an underflow, which the loop reports
-    if horizon > max_steps * cfl * bound > 0.0:
-        raise DomainError(f"about {horizon / cfl / bound:.3g} "
-                          f"steps to t={horizon:.6g}, above MAX_STEPS={max_steps}")
+    steps = kind.steps(t_end, cfl, bound)
+    if steps > max_steps:
+        raise DomainError(f"about {steps:.3g} steps to t={t_end:.6g}, "
+                          f"above MAX_STEPS={max_steps}")
     # steps make new values, so the start values stay as they were
     diagnostics = [diagnose(0.0, x, 0.0)]
     t, count = 0.0, 0

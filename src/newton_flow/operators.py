@@ -13,10 +13,13 @@ flow state) and an array of values on its grid, and returns an array;
 lambda_mer and the identities' sigma_p are read off the record, F_z is
 the first output of an ``fd._stencil`` of the record's grid, and L F is
 one ``fd.flux_divergence``.  The drifted variant subtracts <X, grad F>.
-Identity checks report max-norm residuals over interior nodes only (two
-nodes trimmed per open boundary, where the stencils are lower order); a
-residual at rounding level (EXACT_TOL) counts as exact in a refinement
-study.  No discrete maximum principle is claimed for semidefinite weights.
+A refinement study takes model_at, a function from resolution to
+``Revolution`` (a caller that studies a sphere or a cylinder builds its
+band or its tube by a catalog profile constructor).  Identity checks
+report max-norm residuals over interior nodes only (two nodes trimmed
+per open boundary, where the stencils are lower order); a residual at
+rounding level (EXACT_TOL) counts as exact in a refinement study.  No
+discrete maximum principle is claimed for semidefinite weights.
 ``verify_shrinker_pde`` takes its shrinker verdict and modified norm from
 ``gapcheck``'s report of a closed-form row, and forms only sigma_r.
 """
@@ -29,18 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd
-from .catalog import (
-    Cylinder,
-    HypersurfaceModel,
-    Revolution,
-    RevolutionGeometry,
-    Sphere,
-    check_model,
-    cylinder_profile,
-    exact_curvatures,
-    revolution_geometry,
-    sphere_band_profile,
-)
+from .catalog import RevolutionGeometry, check_model, exact_curvatures, revolution_geometry
 from .errors import DomainError, as_floats, check_integer, check_order
 from .gapcheck import classify, evaluate
 from .symfun import elem_sym
@@ -117,22 +109,6 @@ class ConvergenceReport:
                 and all(ORDER_BAND[0] <= p <= ORDER_BAND[1] for p in self.observed_orders))
 
 
-def _as_revolution(model: HypersurfaceModel, resolution: int) -> HypersurfaceModel:
-    """A sphere as a band, a cylinder as a tube, at the given node count;
-    any other model as it is, for ``revolution_geometry``."""
-    if isinstance(model, Sphere):
-        if model.n != 2:
-            raise DomainError("revolution operators need n = 2")
-        return Revolution(profile=sphere_band_profile(
-            model.radius, 0.3 * model.radius, resolution))
-    if isinstance(model, Cylinder):
-        if model.n != 2:
-            raise DomainError("revolution operators need n = 2")
-        return Revolution(profile=cylinder_profile(
-            model.radius, 2.0 * model.radius, resolution))
-    return model
-
-
 def _support_identity_residual(g: RevolutionGeometry, r: int) -> float:
     support = g.support
     lhs = lr_apply(g, support, r)
@@ -148,14 +124,15 @@ def _position_identity_residual(g: RevolutionGeometry, r: int) -> float:
     return float(np.abs(lhs - rhs)[g.interior()].max())
 
 
-def refinement_report(residual_fn, model, r, resolutions) -> ConvergenceReport:
+def refinement_report(residual_fn, model_at, r, resolutions) -> ConvergenceReport:
     """Refinement study of residual_fn(geometry, r) over the resolutions.
 
-    geometry is the curvature record of the model at each resolution.
-    Observed orders compare consecutive resolutions, whose grid spacings
-    must differ (a DomainError otherwise: a fixed Revolution has one
-    spacing at every resolution).  A pair holding an exact residual (at
-    most EXACT_TOL, rounding) gives no order.
+    geometry is the curvature record of model_at(m), the ``Revolution`` at
+    resolution m.  Observed orders compare consecutive resolutions, whose
+    grid spacings must differ (a DomainError otherwise: a model_at that
+    returns one fixed Revolution has one spacing at every resolution).  A
+    pair holding an exact residual (at most EXACT_TOL, rounding) gives no
+    order.
     """
     resolutions = [check_integer(m, "resolution") for m in resolutions]
     if not resolutions:
@@ -163,7 +140,7 @@ def refinement_report(residual_fn, model, r, resolutions) -> ConvergenceReport:
     residuals = []
     spacings = []
     for m in resolutions:
-        g = revolution_geometry(_as_revolution(model, m), m)
+        g = revolution_geometry(model_at(m))
         if spacings and g.h == spacings[-1]:
             raise DomainError(f"resolutions {resolutions} repeat the grid spacing "
                               f"h={g.h:.6g}: no order can be observed")
@@ -179,21 +156,22 @@ def refinement_report(residual_fn, model, r, resolutions) -> ConvergenceReport:
     )
 
 
-def verify_support_identity(model, r: int, resolutions) -> ConvergenceReport:
-    """Refinement study of the support-function identity.
+def verify_support_identity(model_at, r: int, resolutions) -> ConvergenceReport:
+    """Refinement study of the support-function identity on model_at(m),
+    a function from resolution to ``Revolution``.
 
     Checks L_{r-1}<X,N> = -r sigma_r
                           - (sigma_1 sigma_r - (r+1) sigma_{r+1}) <X,N>
                           - <grad sigma_r, X>
     which holds on any hypersurface, shrinker or not.
     """
-    return refinement_report(_support_identity_residual, model, r, resolutions)
+    return refinement_report(_support_identity_residual, model_at, r, resolutions)
 
 
-def verify_position_identity(model, r: int, resolutions) -> ConvergenceReport:
+def verify_position_identity(model_at, r: int, resolutions) -> ConvergenceReport:
     """Refinement study of (1/2) L_{r-1} ||X||^2 = (n-r+1) sigma_{r-1}
-    + r sigma_r <X,N>."""
-    return refinement_report(_position_identity_residual, model, r, resolutions)
+    + r sigma_r <X,N> on model_at(m), as ``verify_support_identity``."""
+    return refinement_report(_position_identity_residual, model_at, r, resolutions)
 
 
 def verify_product_rule(geometry: RevolutionGeometry, a, b, r: int) -> float:

@@ -14,11 +14,11 @@ import pytest
 from newton_flow import catalog, operators
 from newton_flow.catalog import (
     Cylinder,
-    EllipsoidRev,
     Hyperplane,
     Revolution,
     Sphere,
     cylinder_profile,
+    ellipsoid_band_profile,
     self_shrinkers,
     shrinker_radius,
     sigma_p_cylinder,
@@ -162,7 +162,9 @@ def test_criterion_3_algebra_property_suite():
 
 def test_criterion_4_operator_identity_convergence():
     t0 = time.time()
-    ellipsoid = EllipsoidRev(a=1.0, b=2.0)
+    def ellipsoid(m):
+        return Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, m))
+
     resolutions = [64, 128, 256]
     details = []
     for r in (1, 2):

@@ -14,7 +14,7 @@ import newton_flow
 
 PUBLIC_NAMES = [
     "ConfigError", "Cylinder", "Definiteness", "DefinitenessClass",
-    "Diagnostics", "DomainError", "EllipsoidRev", "ExtinctionError",
+    "Diagnostics", "DomainError", "ExtinctionError",
     "FlowConfig", "FlowState", "GapReport", "Hyperplane", "NewtonFamily",
     "NewtonFlowError", "NotPSDError", "NotSelfShrinkerError",
     "NumericalError", "ProfileCurve", "Revolution", "RunResult", "Sphere",
@@ -32,7 +32,6 @@ PUBLIC_SETTINGS = {
     "Cylinder": "n, m, radius",
     "Definiteness": "kind, min_eigenvalue, max_eigenvalue",
     "Diagnostics": "t, max_shrinker_residual, homothety_defect, min_radius, dt",
-    "EllipsoidRev": "a, b, band=0.75",
     "FlowConfig": "r, model, t_end, resolution=128, cfl_safety=0.25, rescaled=False, "
                   "scheme='euler', output_stride=10, boundary_values=None",
     "FlowState": "t, geometry, step_count=0",
@@ -65,10 +64,10 @@ PUBLIC_SETTINGS = {
     "sqrt_psd": "M",
     "surface_gradient": "geometry, values",
     "trace_identities": "S, r",
-    "verify_position_identity": "model, r, resolutions",
+    "verify_position_identity": "model_at, r, resolutions",
     "verify_product_rule": "geometry, a, b, r",
     "verify_shrinker_pde": "model, r",
-    "verify_support_identity": "model, r, resolutions",
+    "verify_support_identity": "model_at, r, resolutions",
 }
 
 

@@ -8,12 +8,12 @@ import pytest
 from newton_flow import catalog
 from newton_flow.catalog import (
     Cylinder,
-    EllipsoidRev,
     Hyperplane,
     ProfileCurve,
     Revolution,
     Sphere,
     cylinder_profile,
+    ellipsoid_band_profile,
     exact_curvatures,
     exact_support,
     revolution_geometry,
@@ -119,7 +119,8 @@ class TestBinomialsPastTheFloatRange:
 class TestCheckModel:
     @pytest.mark.parametrize("model", [
         Hyperplane(n=2), Sphere(n=2, radius=1.0), Cylinder(n=3, m=1, radius=1.0),
-        Revolution(profile=cylinder_profile(1.0, 2.0, 9)), EllipsoidRev(a=1.0, b=2.0)])
+        Revolution(profile=cylinder_profile(1.0, 2.0, 9)),
+        Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, 9))])
     def test_catalog_models_pass(self, model):
         catalog.check_model(model)
 
@@ -210,11 +211,11 @@ class TestSampling:
     def test_ellipsoid_gauss_curvature_oracle(self):
         errs = []
         for m in (64, 128):
-            model = EllipsoidRev(a=1.0, b=2.0)
+            model = Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, m))
             curvatures = sample_fields(model, m)[0]
             product = curvatures[:, 0] * curvatures[:, 1]
             cut = slice(2, -2)
-            expect = ellipsoid_gauss_curvature(1.0, 2.0, model.profile_curve(m).z)
+            expect = ellipsoid_gauss_curvature(1.0, 2.0, model.profile.z)
             errs.append(np.abs(product - expect)[cut].max())
         assert errs[1] <= errs[0] / 3.0    # second-order stencils
         assert errs[1] <= 1e-3
@@ -228,9 +229,9 @@ class TestSampling:
             assert (curvatures[0] == exact_curvatures(model)).all()
             assert support[0] == exact_support(model)
         # one row per profile node
-        model = EllipsoidRev(a=1.0, b=2.0)
+        model = Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, 8))
         curvatures, support = sample_fields(model, 8)
-        g = revolution_geometry(model, 8)
+        g = revolution_geometry(model)
         assert curvatures.shape == (8, 2) and support.shape == (8,)
         assert (curvatures == np.stack([g.k_mer, g.k_par], axis=1)).all()
         assert (support == g.support).all()
@@ -271,7 +272,7 @@ class TestProfileValidation:
     @pytest.mark.parametrize("build", [
         lambda size: sphere_band_profile(2.0, 0.6, size),
         lambda size: cylinder_profile(1.0, 1.0, size),
-        lambda size: EllipsoidRev(a=1.0, b=2.0).profile_curve(size),
+        lambda size: ellipsoid_band_profile(1.0, 2.0, 0.75, size),
     ])
     def test_catalog_grids_pass_at_any_size(self, build):
         # np.linspace spacings stray by up to about 2 eps max|z|, which is
@@ -333,15 +334,15 @@ class TestProfileValidation:
     @pytest.mark.parametrize("build", [
         lambda: Sphere(n=2, radius=math.inf),
         lambda: Cylinder(n=3, m=2, radius=math.inf),
-        lambda: EllipsoidRev(a=math.inf, b=1.0),
-        lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(-5),
+        lambda: ellipsoid_band_profile(math.inf, 1.0, 0.75, 16),
+        lambda: ellipsoid_band_profile(1.0, 2.0, 0.75, -5),
         lambda: sphere_band_profile(math.inf, 0.5, 16),
         lambda: cylinder_profile(1.0, math.inf, 16),
         # sizes, dimensions and ranks are integers: no truncation, no raw TypeError
         lambda: Sphere(n=2.5, radius=1.0),
         lambda: Cylinder(n=3, m=2.0, radius=1.0),
         lambda: Hyperplane(n=True),
-        lambda: EllipsoidRev(a=1.0, b=2.0).profile_curve(8.7),
+        lambda: ellipsoid_band_profile(1.0, 2.0, 0.75, 8.7),
         lambda: sphere_band_profile(2.0, 0.5, 16.5),
         lambda: cylinder_profile(1.0, 2.0, 16.5),
         lambda: sample_fields(Sphere(n=2, radius=1.0), 8.5),
@@ -356,7 +357,7 @@ class TestProfileValidation:
     def test_numpy_integer_sizes_pass(self):
         two, three, eight = np.int64(2), np.int64(3), np.int64(8)
         assert Cylinder(n=three, m=two, radius=1.0).m == 2
-        assert EllipsoidRev(a=1.0, b=2.0).profile_curve(eight).z.size == 8
+        assert ellipsoid_band_profile(1.0, 2.0, 0.75, eight).z.size == 8
         assert shrinker_radius(two, np.int64(1)) == shrinker_radius(2, 1)
         assert sample_fields(Sphere(n=two, radius=1.0), eight)[0].shape == (1, 2)
 
@@ -437,31 +438,39 @@ class TestPerGridBuilder:
 
 
 class TestOneDoor:
-    """revolution_geometry(model, resolution) is the one door from a model to its record."""
+    """revolution_geometry(model) is the one door from a model to its record,
+    and a Revolution is the one model with a profile."""
 
     @pytest.mark.parametrize("m", [5, 8, 129])
-    def test_an_ellipsoid_record_is_its_profiles(self, m):
-        model = EllipsoidRev(a=1.0, b=2.0)
-        got = revolution_geometry(model, m)
-        want = revolution_geometry(Revolution(profile=model.profile_curve(m)))
-        assert got[2:5] == want[2:5]
-        for name in ("z", "f", "fp", "w", "k_mer", "k_par"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    def test_the_ellipsoid_profile_is_the_band_formula(self, m):
+        # a = 1, b = 2, band 0.75: the linspace grid and a sqrt(1 - (z/b)^2), bit for bit
+        prof = ellipsoid_band_profile(1.0, 2.0, 0.75, m)
+        z = np.linspace(-0.75 * 2.0, 0.75 * 2.0, m)
+        assert prof.boundary == "neumann"
+        assert prof.z.tobytes() == z.tobytes()
+        assert prof.f.tobytes() == (1.0 * np.sqrt(1.0 - (z / 2.0) ** 2)).tobytes()
 
-    def test_a_revolution_keeps_its_own_grid(self):
+    @pytest.mark.parametrize("args, message", [
+        ((-1.0, 2.0, 0.75, 3), "semi-axes must be positive and finite"),
+        ((1.0, math.nan, 0.75, 3), "semi-axes must be positive and finite"),
+        ((1.0, 2.0, 1.0, 3), "band fraction must lie in"),
+        ((1.0, 2.0, 0.75, 3), "resolution must lie in 5.."),
+        ((True, 2.0, 0.75, 8), "semi-axis a must be a real number"),
+        ((1.0, 2.0, "0.5", 8), "band fraction must be a real number"),
+    ])
+    def test_the_ellipsoid_checks_its_shape_before_its_samples(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            ellipsoid_band_profile(*args)
+
+    def test_the_record_shares_the_profiles_grid(self):
         rev = Revolution(profile=sphere_band_profile(2.0, 0.6, 17))
-        got, want = revolution_geometry(rev, 64), revolution_geometry(rev)
-        assert got.z.size == 17
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[5:], want[5:]))
-
-    def test_an_ellipsoid_needs_a_resolution(self):
-        with pytest.raises(DomainError, match="resolution must be an integer, got None"):
-            revolution_geometry(EllipsoidRev(a=1.0, b=2.0))
+        g = revolution_geometry(rev)
+        assert g.z is rev.profile.z and g.f is rev.profile.f and g.h == rev.profile.h
 
     @pytest.mark.parametrize("model", [Sphere(n=2, radius=1.0), Hyperplane(n=2)])
     def test_a_model_with_no_profile_is_refused(self, model):
         with pytest.raises(DomainError, match="cannot discretize"):
-            revolution_geometry(model, 16)
+            revolution_geometry(model)
 
 
 class TestRevolutionRecord:
@@ -513,7 +522,3 @@ class TestRevolutionRecord:
         for p in (3, np.int64(7)):
             assert g.sigma(p).tobytes() == np.zeros(9).tobytes()
         assert np.array_equal(g.sigma(np.uint8(2)), g.sigma(2))
-
-    def test_ellipsoid_has_no_resolution_field(self):
-        with pytest.raises(TypeError):
-            EllipsoidRev(a=1.0, b=2.0, resolution=129)

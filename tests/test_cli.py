@@ -657,19 +657,25 @@ class TestExitContract:
         assert code == 4
         assert "leaves the float range" in err
 
-    def test_run_above_step_budget_is_a_domain_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("scene, steps", [
         # a stationary Gauss-speed tube of radius 1e-170: dt ~ 1e-173, so
         # t_end = 0.01 would take about 9e170 steps
-        cfg = scene_file(tmp_path, {
-            "model": {"kind": "cylinder_band", "radius": 1e-170,
-                      "half_width": 0.5, "samples": 16},
-            "r": 2, "flow": {"t_end": 0.01}})
+        ({"model": {"kind": "cylinder_band", "radius": 1e-170,
+                    "half_width": 0.5, "samples": 16},
+          "r": 2, "flow": {"t_end": 0.01}}, "9e+170"),
+        # the unit sphere's round law counted in closed form: 5.5e7 steps to
+        # the extinction floor, 0.25 / 10^6 of the time left per step
+        ({"model": {"kind": "sphere", "n": 2, "radius": 1.0},
+          "r": 1, "resolution": 10 ** 6, "flow": {"t_end": 1e4}}, "5.53e+07"),
+    ])
+    def test_run_above_step_budget_is_a_domain_error(self, capsys, tmp_path, scene, steps):
+        cfg = scene_file(tmp_path, scene)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "flow", "--config", cfg)
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert err.startswith("domain error: about 9e+170 steps")
+        assert err.startswith(f"domain error: about {steps} steps")
         assert "MAX_STEPS" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -781,8 +787,8 @@ class TestExitContract:
         calls = []
         original = catalog.revolution_geometry
 
-        def counted(model, resolution=None):
-            geo = original(model, resolution)
+        def counted(model):
+            geo = original(model)
             calls.append(geo.z.size)
             return geo
 

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from newton_flow import fd, flow
 from newton_flow.catalog import (
     Cylinder,
-    EllipsoidRev,
     Hyperplane,
     ProfileCurve,
     Revolution,
@@ -14,6 +14,7 @@ from newton_flow.catalog import (
     RevolutionGeometry,
     _graph_builder,
     cylinder_profile,
+    ellipsoid_band_profile,
     revolution_geometry,
     self_shrinkers,
     shrinker_radius,
@@ -69,9 +70,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("site", [
         lambda v: Sphere(n=2, radius=v),
         lambda v: Cylinder(n=3, m=1, radius=v),
-        lambda v: EllipsoidRev(a=v, b=2.0),
-        lambda v: EllipsoidRev(a=2.0, b=v),
-        lambda v: EllipsoidRev(a=2.0, b=2.0, band=v),
+        lambda v: ellipsoid_band_profile(v, 2.0, 0.75, 16),
+        lambda v: ellipsoid_band_profile(2.0, v, 0.75, 16),
+        lambda v: ellipsoid_band_profile(2.0, 2.0, v, 16),
         lambda v: sphere_band_profile(v, 0.25, 16),
         lambda v: sphere_band_profile(2.0, v, 16),
         lambda v: cylinder_profile(v, 2.0, 16),
@@ -84,8 +85,9 @@ class TestClosedForms:
         lambda v: FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=v),
         lambda v: FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1,
                              cfl_safety=v),
-    ], ids=["Sphere.radius", "Cylinder.radius", "EllipsoidRev.a", "EllipsoidRev.b",
-            "EllipsoidRev.band", "sphere_band_profile.radius",
+    ], ids=["Sphere.radius", "Cylinder.radius", "ellipsoid_band_profile.a",
+            "ellipsoid_band_profile.b", "ellipsoid_band_profile.band",
+            "sphere_band_profile.radius",
             "sphere_band_profile.half_width", "cylinder_profile.radius",
             "cylinder_profile.half_width", "extinction_time.radius0",
             "sphere_radius_exact.radius0", "sphere_radius_exact.t",
@@ -439,7 +441,8 @@ def _records_of(z, f):
     result = run(FlowConfig(r=2, model=model, t_end=1e-4))
     assert result.status == "completed" and result.state.step_count > 0
     return {"revolution_geometry": revolution_geometry(model),
-            "ellipsoid": revolution_geometry(EllipsoidRev(a=1.0, b=2.0), 16),
+            "ellipsoid": revolution_geometry(
+                Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, 16))),
             "run": result.state.geometry}
 
 
@@ -624,7 +627,7 @@ class TestDiagnosticsRows:
     @pytest.mark.parametrize("model, r, pinned, t_end", [
         (Revolution(profile=sphere_band_profile(2.0, 0.6, 32)), 1, True, 0.15),
         (Revolution(profile=sphere_band_profile(2.0, 0.6, 32)), 2, False, 0.1),
-        (EllipsoidRev(a=1.0, b=2.0), 2, False, 0.1),
+        (Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, 33)), 2, False, 0.1),
         # sigma_2 = 0 on a tube, which does not move; its rows pass phi's clamp
         (Revolution(profile=cylinder_profile(1.0, 0.5, 16)), 2, False, 0.4),
     ])
@@ -635,7 +638,7 @@ class TestDiagnosticsRows:
                             scheme=scheme, rescaled=rescaled, output_stride=7,
                             boundary_values=sphere_band_pin(2.0, r, 0.6) if pinned else None)
         result = run(config)
-        start = revolution_geometry(model, 33)
+        start = revolution_geometry(model)
         kind = flow._kind(config)
         advance = flow._stepper(kind, config)
         f, t, count, dt = kind.start, 0.0, 0, 0.0
@@ -831,21 +834,43 @@ class TestStepBudget:
         assert passes == [2, 1] and stages == [1]
 
     def test_loop_stops_past_the_budget(self, monkeypatch):
-        # the bound shrinks with the time left, T_ext(R) = R^2 / 4: about 123
-        # steps estimated to t_end = 0.96 T_ext(R0), 412 taken
+        # a round law counts its steps in closed form: 410.4 to t_end = 0.96
+        # T_ext(R0), T_ext(R) = R^2 / 4, where the first bound gives 123; 411 taken
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
                             resolution=32)
-        assert run(config).state.step_count > 400
-        _, bound = flow._round_kind(config.model, 1, 32).stage(config.model.radius)
-        assert config.t_end / (config.cfl_safety * bound) < 125
-        monkeypatch.setattr(flow, "MAX_STEPS", 200)
-        with pytest.raises(NumericalError, match="MAX_STEPS=200"):
+        # a radial graph's bound h^2 / (1 + sup tr|P_1|) shrinks as the pinned
+        # band shrinks: 675 steps estimated from the first bound, 769 taken
+        band = FlowConfig(r=2, model=Revolution(profile=sphere_band_profile(1.0, 0.5, 16)),
+                          t_end=0.25, boundary_values=sphere_band_pin(1.0, 2, 0.5))
+        assert [run(c).state.step_count for c in (config, band)] == [411, 769]
+        monkeypatch.setattr(flow, "MAX_STEPS", 410)
+        with pytest.raises(DomainError, match="about 410 steps.*MAX_STEPS=410"):
             run(config)
+        monkeypatch.setattr(flow, "MAX_STEPS", 700)
+        with pytest.raises(NumericalError, match="run passed MAX_STEPS=700"):
+            run(band)
+
+    def test_a_round_law_past_the_budget_is_refused_before_its_first_step(
+            self, monkeypatch):
+        # 5.5e7 steps to the extinction floor, where the first bound gave 4e6
+        make, stages = flow._round_kind, []
+
+        def counted(*args):
+            kind = make(*args)
+            return kind._replace(stage=lambda x: stages.append(x) or kind.stage(x))
+        monkeypatch.setattr(flow, "_round_kind", counted)
+        config = FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=1e4,
+                            resolution=10 ** 6)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"^about 5\.53e\+07 steps .*MAX_STEPS"):
+            run(config)
+        assert time.perf_counter() - start < 1.0
+        assert stages == [1.0]      # the first stage only
 
     # spheres: tests/test_cli.py::TestFlow::test_budget_stops_at_the_closed_form_extinction
     @pytest.mark.parametrize("model, r, resolution", [
-        (Cylinder(n=4, m=2, radius=0.5), 2, 32),   # 3.07e7 steps up to t_end
-        (Sphere(n=1, radius=1.0), 1, 256),         # the circle: 2.05e7
+        (Cylinder(n=4, m=2, radius=0.5), 2, 32),   # 2,643 steps to the floor
+        (Sphere(n=1, radius=1.0), 1, 256),         # the circle: 14,144
     ])
     def test_round_runs_are_estimated_up_to_extinction(self, model, r, resolution):
         result = run(FlowConfig(r=r, model=model, t_end=1e4, resolution=resolution))

@@ -10,9 +10,12 @@ The private names one package module takes from a sibling are pinned:
 a new coupling of that kind shows up as an edit of ``PRIVATE_IMPORTS``.
 So is the one conversion of a caller's array: ``asarray`` and a cast to
 float appear in the package only inside ``errors.as_floats``.  And so is
-the one door from a model to its curvature record: no module but
-``catalog`` calls ``profile_curve``, and ``_graph_builder`` is called
-only in ``catalog`` and by the flow's radial-graph kind.  And so is the
+the one door from a model to its curvature record: a model's ``.profile``
+is read only in ``catalog.revolution_geometry``, ``_graph_builder`` is
+called only there and by the flow's radial-graph kind, and no module,
+demo or test names the deferred ellipsoid model ``EllipsoidRev``, its
+``profile_curve`` or the operators' conversion ``_as_revolution``.  And
+so is the
 one shrinker verdict: no module but ``gapcheck`` names ``SHRINKER_TOL``
 or raises ``NotSelfShrinkerError``.  And so is the one zero window: only
 ``symfun`` names ``ZERO_TOL``, no module names ``CLAMP_TOL``, and
@@ -146,39 +149,59 @@ def test_one_gate_converts_a_callers_array():
                      ("errors", "as_floats", "astype(float)")]
 
 
-DOORS = ("profile_curve", "_graph_builder")
+RETIRED = ("EllipsoidRev", "_as_revolution", "profile_curve")
 
 
-def door_calls(stem: str, source: str) -> list:
-    """(stem, enclosing function or None, name) for every call of a name in
-    DOORS, bare or as an attribute, in source order."""
+def door_uses(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, what) for every read of an
+    attribute ``profile``, every call of ``_graph_builder``, bare or as an
+    attribute, and every name, attribute, import or definition in RETIRED,
+    in source order."""
     found = []
     for node, function in nodes_in_functions(source):
+        if (isinstance(node, ast.Attribute) and node.attr == "profile"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((stem, function, "read .profile"))
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in DOORS:
-                found.append((stem, function, name))
+            if (func.attr if isinstance(func, ast.Attribute)
+                    else getattr(func, "id", None)) == "_graph_builder":
+                found.append((stem, function, "call _graph_builder"))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef))
+                else None)
+        if name in RETIRED:
+            found.append((stem, function, name))
     return found
 
 
 def test_the_check_sees_a_planted_door():
-    source = ("from .catalog import _graph_builder\n"
-              "def discretize(model, m):\n    return model.profile_curve(m)\n"
-              "class C:\n    def f(self, z):\n"
-              "        return catalog._graph_builder(z, 0.1, 'neumann', 1)\n"
-              "profile_curve = None\nb = _graph_builder(z, 0.1, 'periodic', -1)\n")
-    assert door_calls("m", source) == [
-        ("m", "discretize", "profile_curve"), ("m", "f", "_graph_builder"),
-        ("m", None, "_graph_builder")]
+    source = ("from .catalog import EllipsoidRev, _graph_builder\n"
+              "def _as_revolution(model, m):\n    return model.profile_curve(m)\n"
+              "class C:\n    def f(self, model):\n        p = model.profile\n"
+              "        return catalog._graph_builder(p.z, p.h, 'neumann', 1)\n"
+              "x.profile = None\nb = _graph_builder(z, 0.1, 'periodic', -1)\n")
+    assert door_uses("m", source) == [
+        ("m", None, "EllipsoidRev"), ("m", "_as_revolution", "_as_revolution"),
+        ("m", "_as_revolution", "profile_curve"), ("m", "f", "read .profile"),
+        ("m", "f", "call _graph_builder"), ("m", None, "call _graph_builder")]
 
 
 def test_one_door_from_a_model_to_its_record():
     found = []
     for module in sorted(PACKAGE.glob("*.py")):
-        found += door_calls(module.stem, module.read_text(encoding="utf-8"))
-    assert [call for call in found if call[0] != "catalog"] == [
-        ("flow", "_graph_kind", "_graph_builder")]
+        found += door_uses(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("catalog", "revolution_geometry", "read .profile"),
+                     ("catalog", "revolution_geometry", "call _graph_builder"),
+                     ("flow", "_graph_kind", "call _graph_builder")]
+
+
+def test_no_demo_or_test_names_a_retired_door():
+    found = []
+    for script in SCRIPTS:
+        found += door_uses(script.stem, script.read_text(encoding="utf-8"))
+    assert [use for use in found if use[2] in RETIRED] == []
 
 
 def shrinker_verdicts(stem: str, source: str) -> list:

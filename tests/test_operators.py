@@ -4,11 +4,11 @@ import pytest
 from newton_flow import fd, flow, operators
 from newton_flow.catalog import (
     Cylinder,
-    EllipsoidRev,
     ProfileCurve,
     Revolution,
     Sphere,
     cylinder_profile,
+    ellipsoid_band_profile,
     revolution_geometry,
     shrinker_radius,
     sphere_band_profile,
@@ -40,7 +40,7 @@ def cylinder_rev(radius=1.0, half_width=2.0, samples=129) -> Revolution:
 
 
 def ellipsoid_rev(samples=129) -> Revolution:
-    return Revolution(profile=EllipsoidRev(a=1.0, b=2.0).profile_curve(samples))
+    return Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, samples))
 
 
 class TestGradient:
@@ -148,12 +148,12 @@ class TestDrifted:
 
 class TestSupportIdentity:
     def test_cylinder_constant_case(self):
-        rep = verify_support_identity(cylinder_rev(radius=1.3), 1, [65])
+        rep = verify_support_identity(lambda m: cylinder_rev(1.3, 2.0, m), 1, [65])
         assert rep.residuals[0] <= 1e-8
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_ellipsoid_refinement(self, r):
-        rep = verify_support_identity(EllipsoidRev(a=1.0, b=2.0), r, [64, 128])
+        rep = verify_support_identity(ellipsoid_rev, r, [64, 128])
         assert all(1.5 <= p <= 2.5 for p in rep.observed_orders)
         assert rep.residuals[-1] <= 2e-3
 
@@ -163,7 +163,7 @@ class TestPositionIdentity:
         # 2 sigma_0 + sigma_1 <X,N> = 2 - (2/R) R = 0 on a sphere
         radius = 1.5
         rev = Revolution(profile=sphere_band_profile(radius, 0.5, 129))
-        rep = verify_position_identity(rev, 1, [129])
+        rep = verify_position_identity(lambda m: rev, 1, [129])
         geo = revolution_geometry(rev)
         lhs = 0.5 * lr_apply(geo, geo.f ** 2 + geo.z ** 2, 1)
         assert np.abs(lhs[geo.interior()]).max() <= 1e-4
@@ -176,12 +176,12 @@ class TestPositionIdentity:
         geo = revolution_geometry(rev)
         lhs = 0.5 * lr_apply(geo, geo.f ** 2 + geo.z ** 2, 1)
         np.testing.assert_allclose(lhs, 1.0, atol=1e-10)
-        rep = verify_position_identity(rev, 1, [65])
+        rep = verify_position_identity(lambda m: cylinder_rev(radius, 2.0, m), 1, [65])
         assert rep.residuals[0] <= 1e-10
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_ellipsoid_refinement(self, r):
-        rep = verify_position_identity(EllipsoidRev(a=1.0, b=2.0), r, [64, 128])
+        rep = verify_position_identity(ellipsoid_rev, r, [64, 128])
         assert all(1.5 <= p <= 2.5 for p in rep.observed_orders)
         assert rep.residuals[-1] <= 5e-3
 
@@ -302,7 +302,7 @@ class TestSingleSourceRecord:
         messages = set()
         for call in (lambda: flow._graph_kind(state, 3),
                      lambda: lr_apply(state, p.z.copy(), 3),
-                     lambda: verify_support_identity(rev, 3, [33])):
+                     lambda: verify_support_identity(lambda m: rev, 3, [33])):
             with pytest.raises(DomainError) as info:
                 call()
             messages.add(str(info.value))
@@ -315,7 +315,7 @@ class TestSingleSourceRecord:
         with pytest.raises(DomainError, match="order r must be an integer"):
             lr_apply(geo, geo.z, r)
         with pytest.raises(DomainError, match="order r must be an integer"):
-            verify_support_identity(rev, r, [33])
+            verify_support_identity(lambda m: rev, r, [33])
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_a_flow_state_is_the_same_record(self, r):
@@ -335,21 +335,25 @@ class TestExactIdentities:
     """A residual at rounding level is exact: it gives no order and passes."""
 
     def test_tube_identities_pass_with_no_order(self):
-        rep = verify_position_identity(Cylinder(n=2, m=1, radius=1.0), 1, [9, 10])
+        # the unit tube, half-width 2, at each resolution
+        def tube(m):
+            return cylinder_rev(1.0, 2.0, m)
+
+        rep = verify_position_identity(tube, 1, [9, 10])
         assert rep.residuals[0] == 0.0 < rep.residuals[1] <= operators.EXACT_TOL
         assert rep.observed_orders == () and rep.passes()
-        rep = verify_support_identity(Cylinder(2, 1, 1.0), 1, [17, 33, 65])
+        rep = verify_support_identity(tube, 1, [17, 33, 65])
         assert rep.residuals == (0.0, 0.0, 0.0)
         assert rep.observed_orders == () and rep.passes()
 
     def test_only_pairs_above_rounding_give_orders(self):
         made = {17: 4e-3, 33: 1e-3, 65: 1e-16}
         rep = operators.refinement_report(
-            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], ellipsoid_rev,
             1, [17, 33])
         assert len(rep.observed_orders) == 1 and rep.passes()
         rep = operators.refinement_report(
-            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], ellipsoid_rev,
             1, [17, 33, 65])
         assert len(rep.observed_orders) == 1 and rep.passes()
 
@@ -361,7 +365,7 @@ class TestExactIdentities:
     ])
     def test_a_residual_with_no_order_at_the_finest_grid_fails(self, made):
         rep = operators.refinement_report(
-            lambda g, r: made[g.z.size], EllipsoidRev(a=1.0, b=2.0),
+            lambda g, r: made[g.z.size], ellipsoid_rev,
             1, sorted(made))
         assert rep.residuals[-1] <= operators.FINEST_TOL
         assert not rep.passes()
@@ -370,18 +374,18 @@ class TestExactIdentities:
 class TestRefinementSpacing:
     def test_fixed_revolution_at_two_resolutions_is_refused(self):
         with pytest.raises(DomainError, match="repeat the grid spacing"):
-            verify_position_identity(ellipsoid_rev(65), 1, [64, 128])
+            verify_position_identity(lambda m: ellipsoid_rev(65), 1, [64, 128])
 
     def test_repeated_resolution_is_refused(self):
         with pytest.raises(DomainError, match="repeat the grid spacing"):
-            verify_position_identity(EllipsoidRev(a=1.0, b=2.0), 2, [64, 64])
+            verify_position_identity(ellipsoid_rev, 2, [64, 64])
 
     def test_resolutions_are_integers_not_truncated(self):
         with pytest.raises(DomainError, match="resolution must be an integer, got 64.5"):
-            verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, [64.5, 128])
+            verify_support_identity(ellipsoid_rev, 1, [64.5, 128])
         with pytest.raises(DomainError, match="at least one resolution"):
-            verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, [])
-        rep = verify_support_identity(EllipsoidRev(a=1.0, b=2.0), 1, np.array([17, 33]))
+            verify_support_identity(ellipsoid_rev, 1, [])
+        rep = verify_support_identity(ellipsoid_rev, 1, np.array([17, 33]))
         assert rep.resolutions == (17, 33) and {type(m) for m in rep.resolutions} == {int}
 
 
@@ -409,8 +413,8 @@ class TestShrinkerPde:
             verify_shrinker_pde(None, 1)
 
     def test_a_model_with_no_constant_row_is_refused(self):
-        with pytest.raises(DomainError, match="EllipsoidRev has no constant curvature data"):
-            verify_shrinker_pde(EllipsoidRev(a=1.0, b=2.0), 1)
+        with pytest.raises(DomainError, match="Revolution has no constant curvature data"):
+            verify_shrinker_pde(ellipsoid_rev(), 1)
 
     def test_row_kernel_norm_is_bit_equal_to_the_excluding_route(self):
         # oracle: one elem_sym_excluding call per curvature, each term grouped
