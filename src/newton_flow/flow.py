@@ -21,9 +21,16 @@ The kind's stage takes values and gives their speed and step bound, the
 rk2 midpoint's too; its rebuild makes the state object from values the
 guard has passed.
 
-A radial graph's bound is the explicit stability bound dt <= h^2 / (1 +
-sup tr|P_{r-1}|).  Its stage reads the curvature parts of the run's one
-``catalog._graph_builder`` (one derivative pass) and keeps the last
+A radial graph's bound is the explicit limit of its speed's principal
+part, dt <= h^2 / (2 sup_j |lambda_mer,j|), lambda_mer the meridional
+eigenvalue of P_{r-1}: 1 at r = 1 and k_par = o p at r = 2.  Only
+lambda_mer multiplies f'', with the coefficient a_j = lambda_mer,j /
+w_j^2, and w >= 1 gives |a_j| <= |lambda_mer,j|; so at cfl_safety <= 1
+the principal part of an Euler step makes each new f_j a convex
+combination of f_{j-1}, f_j and f_{j+1} where a_j >= 0 (a discrete
+maximum principle), and the rk2 midpoint rule has the same limit on the
+negative real axis.  Its stage reads the curvature parts of the run's
+one ``catalog._graph_builder`` (one derivative pass) and keeps the last
 ones, so the record of values just staged costs no pass of its own.
 
 A round law has no grid: its bound is its own time scale, T_ext(R) /
@@ -106,7 +113,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 EXTINCTION_FRACTION = 1e-3   # stop when min radius falls below this * initial
-MAX_STEPS = 10 ** 7   # step budget of one run; the longest test run takes 433,500
+MAX_STEPS = 10 ** 7   # step budget of one run; the longest test run takes 289,000
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +345,17 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
 
     With the run's ``_graph_builder`` parts q = f''/w^3 and p = 1/(f w),
     the speed -o sigma_r(oriented curvatures) w is (q - p) w at r = 1 and
-    o q p w at r = 2, and the bound h^2 / (1 + sup_j tr|P_{r-1}(A_j)|)
-    has tr|P_0| = 2 and tr|P_1| = |q| + |p|: the record's closed forms,
-    to the bit (but the sign of a zero speed, which no step sees).  The
-    parts of the last profile staged are kept, first the initial
-    record's.  The guard's smallest radius is np.minimum.reduce,
-    ndarray.min without its method wrapper.
+    o q p w at r = 2: the record's closed forms, to the bit (but the sign
+    of a zero speed, which no step sees).  Its f'' coefficient is
+    lambda_mer / w^2, lambda_mer = 1 at r = 1 and o p at r = 2, so the
+    bound h^2 / (2 sup_j |lambda_mer,j|) is h^2 / 2 at r = 1 and h^2 / (2
+    max p) at r = 2 (p > 0 on a positive profile; inf where max p is 0),
+    under which an Euler step's principal part is a convex combination of
+    neighbouring values.  At r = 2 with o = -1 the coefficient is
+    negative, backward-parabolic under any bound.  The parts of the last
+    profile staged are kept, first the initial record's.  The guard's
+    smallest radius is np.minimum.reduce, ndarray.min without its method
+    wrapper.
 
     A row reads the record's sigma_r (k_mer + k_par = o (p - q), k_mer
     k_par = -q p) and support <X, N> = o (z f' - f) / w from the parts.  Its
@@ -359,7 +371,7 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
         raise float_range_error("h", graph.h, 2) from exc
     build = _graph_builder(graph.z, graph.h, graph.boundary, graph.orientation)
     negate = graph.orientation > 0    # o = +-1 only chooses the sign
-    bound_1 = h_sq / (1.0 + 2.0)      # tr P_0 = 2
+    half_h_sq = 0.5 * h_sq            # the bound at r = 1, where lambda_mer = 1
     # k_mer = -o q and k_par = o p, so the record's parts are exact sign flips
     last_f, last_parts = graph.f, (graph.fp, graph.w, -graph.k_mer if negate else graph.k_mer,
                                    graph.k_par if negate else -graph.k_par)
@@ -373,10 +385,9 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
     def stage(f):
         _, w, q, p = parts(f)
         if r == 1:
-            return (q - p) * w, bound_1
-        qpw = q * p * w
-        return qpw if negate else -qpw, h_sq / (1.0 + float(np.maximum.reduce(
-            np.abs(q) + np.abs(p))))
+            return (q - p) * w, half_h_sq
+        qpw, p_max = q * p * w, float(np.maximum.reduce(p))
+        return qpw if negate else -qpw, half_h_sq / p_max if p_max != 0.0 else math.inf
 
     z, f0, o = graph.z, graph.f, float(graph.orientation)
     z_lo, z_hi = z.min(), z.max()      # the homothety window, on the initial grid

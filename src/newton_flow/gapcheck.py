@@ -10,7 +10,8 @@ The sample set holds one row per distinct sample (``sample_fields``).  A
 sphere, cylinder or hyperplane has the same curvatures and support at
 every point, so it is reported from its one closed-form row at any
 resolution; its dimension n is bounded by ``check_dimension``.  A
-revolution profile gives one row per node.
+revolution profile gives one row per node of its own grid, whatever the
+resolution.
 
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states

@@ -246,6 +246,18 @@ class TestSampling:
         with pytest.raises(DomainError, match="resolution must lie in 8"):
             sample_fields(model, 7)
 
+    def test_a_revolution_samples_its_own_grid_at_any_resolution(self):
+        # the profile's nodes set the rows; the resolution only has to lie in
+        # 1..MAX_SAMPLES, as a flow's does
+        model = Revolution(profile=sphere_band_profile(2.0, 0.6, 33))
+        rows = sample_fields(model, 64)
+        for resolution in (1, 3, 7, catalog.MAX_SAMPLES):
+            got = sample_fields(model, resolution)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in rows]
+        for resolution in (0, -3, catalog.MAX_SAMPLES + 1):
+            with pytest.raises(DomainError, match="resolution must lie in 1.."):
+                sample_fields(model, resolution)
+
     def test_closed_form_dimension_bound(self):
         n = catalog.MAX_DIMENSION
         assert (n + 1) * n * n <= catalog.MAX_SAMPLES < (n + 2) * (n + 1) ** 2

@@ -658,11 +658,12 @@ class TestExitContract:
         assert "leaves the float range" in err
 
     @pytest.mark.parametrize("scene, steps", [
-        # a stationary Gauss-speed tube of radius 1e-170: dt ~ 1e-173, so
-        # t_end = 0.01 would take about 9e170 steps
+        # a stationary Gauss-speed tube of radius 1e-170: dt = 0.25 h^2 / (2 p)
+        # ~ 5.6e-174 with h = 1/15 and p = 1e170, so t_end = 0.01 would take
+        # about 1.8e171 steps
         ({"model": {"kind": "cylinder_band", "radius": 1e-170,
                     "half_width": 0.5, "samples": 16},
-          "r": 2, "flow": {"t_end": 0.01}}, "9e+170"),
+          "r": 2, "flow": {"t_end": 0.01}}, "1.8e+171"),
         # the unit sphere's round law counted in closed form: 5.5e7 steps to
         # the extinction floor, 0.25 / 10^6 of the time left per step
         ({"model": {"kind": "sphere", "n": 2, "radius": 1.0},
@@ -897,6 +898,25 @@ class TestExitContract:
             assert json.loads(out)["r"] == 1
 
     @pytest.mark.parametrize("model", [
+        {"kind": "sphere_band", "radius": 2.0, "half_width": 0.6, "samples": 33},
+        {"kind": "cylinder_band", "radius": 1.0, "half_width": 1.0, "samples": 33},
+        {"kind": "revolution", "z": [0, 1, 2, 3, 4], "f": [1, 1, 1, 1, 1]},
+    ])
+    def test_a_profile_is_reported_at_any_resolution(self, capsys, tmp_path, model):
+        # the profile's own nodes are the samples, as in flow: resolution 3
+        # reports what resolution 32 does
+        reports = {}
+        for resolution in (3, 32):
+            cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
+            for command in ("gap", "residual"):
+                code, out, err = run_cli(capsys, command, "--config", cfg)
+                assert code == 0, (command, resolution, err)
+                report = json.loads(out)
+                report.pop("resolution", None)
+                reports.setdefault(command, []).append(report)
+        assert all(low == high for low, high in reports.values())
+
+    @pytest.mark.parametrize("model", [
         {"kind": "hyperplane"},
         {"kind": "sphere", "radius": 1.0},
         {"kind": "cylinder", "m": 2, "radius": 1.0},
@@ -1044,7 +1064,7 @@ class TestLogLevelPerCall:
     BAND = {"model": {"kind": "sphere_band", "radius": 1.0, "half_width": 0.6,
                       "samples": 24},
             "r": 1, "flow": {"t_end": 0.5, "pinned_boundary": True}}
-    STOPPED = "INFO newton_flow.flow: flow stopped: flow band pinch at t=0.160151\n"
+    STOPPED = "INFO newton_flow.flow: flow stopped: flow band pinch at t=0.160265\n"
 
     @pytest.mark.parametrize("levels", [("warn", "info"), ("info", "warn")])
     def test_each_call_reads_newton_flow_log(self, capsys, tmp_path, monkeypatch, levels):

@@ -287,14 +287,13 @@ class TestRun:
 # the shared revolution stage against the separate-pass formulas
 
 def _reference_bound(f, h, boundary, r):
-    """CFL bound from its own derivative pass, as the integrator once had it."""
+    """Step bound h^2 / (2 sup |lambda_mer|) from its own derivative pass:
+    lambda_mer = 1 at r = 1 and k_par = 1/(f w) at r = 2 (orientation +1)."""
     if r == 1:
-        return h ** 2 / (1.0 + 2.0)
+        return h ** 2 / 2.0
     fp = reference_deriv1(f, h, boundary)
-    fpp = reference_deriv2(f, h, boundary)
     w = np.sqrt(1.0 + fp * fp)
-    coeff = float((np.abs(fpp) / w ** 3 + 1.0 / (f * w)).max())
-    return h ** 2 / (1.0 + coeff)
+    return h ** 2 / (2.0 * float((1.0 / (f * w)).max()))
 
 
 def _reference_speed(f, h, boundary, orientation, r):
@@ -432,6 +431,67 @@ class TestRevolutionStage:
         model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
         with pytest.raises(NumericalError):
             run(FlowConfig(r=r, model=model, t_end=0.01))
+
+
+# ---------------------------------------------------------------------------
+# the radial graph's step bound: the limit of the speed's principal part
+
+class TestGraphStepBound:
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("cfl_safety", [1.0, 0.9])
+    def test_a_thin_tube_stays_stable(self, scheme, cfl_safety):
+        # a periodic Gauss-speed tube of radius 0.3 is stationary, and its
+        # p = 1/0.3 lies well above 1 + |q|: its seeded ripple must not grow
+        # at the largest step the bound allows
+        z = np.linspace(-1.0, 1.0, 65)
+        f0 = 0.3 + 1e-6 * np.random.default_rng(1).random(z.size)
+        model = Revolution(profile=ProfileCurve(z=z, f=f0, boundary="periodic"))
+        result = run(FlowConfig(r=2, model=model, t_end=0.02, cfl_safety=cfl_safety,
+                                scheme=scheme))
+        assert result.status == "completed" and result.state.step_count > 100
+        assert np.ptp(result.state.geometry.f) <= np.ptp(f0)
+
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("profile, pinned", [
+        (sphere_band_profile(2.0, 0.6, 32), True),
+        (sphere_band_profile(1.0, 0.8, 24), False),
+        (ellipsoid_band_profile(1.0, 2.0, 0.75, 33), False),
+        (cylinder_profile(0.3, 1.0, 33), False),
+        (cylinder_profile(2.0, 0.5, 17), False),
+    ])
+    def test_bound_keeps_the_principal_part_convex(self, monkeypatch, profile, pinned, r,
+                                                   scheme):
+        # 2 dt max_j |lambda_mer,j| / w_j^2 <= h^2 at cfl_safety 1, from the
+        # record's own eigenvalues of P_{r-1}, at every stage of a run
+        staged, make = [], flow._graph_kind
+
+        def recorded(*args):
+            kind = make(*args)
+
+            def stage(f):
+                speed, bound = kind.stage(f)
+                staged.append((f, bound))
+                return speed, bound
+            return kind._replace(stage=stage)
+        monkeypatch.setattr(flow, "_graph_kind", recorded)
+        pin = sphere_band_pin(2.0, r, 0.6) if pinned else None
+        run(FlowConfig(r=r, model=Revolution(profile=profile), t_end=0.03,
+                       cfl_safety=1.0, scheme=scheme, boundary_values=pin))
+        build = _graph_builder(profile.z, profile.h, profile.boundary, 1)
+        assert len(staged) > 5
+        for f, bound in staged:
+            geo = build(f)
+            coefficient = np.abs(geo.p_eigenvalues(r)[0]) / geo.w ** 2
+            assert 2.0 * bound * float(coefficient.max()) <= geo.h ** 2 * (1.0 + 1e-14)
+
+    def test_a_zero_parallel_curvature_has_no_bound(self):
+        # the record refuses a profile whose f w leaves the float range, so a
+        # max p of 0 is planted in the record the first stage reads
+        geo = revolution_geometry(Revolution(profile=cylinder_profile(1.0, 0.5, 16)))
+        zero = np.zeros_like(geo.f)
+        speed, bound = flow._graph_kind(geo._replace(k_par=zero), 2).stage(geo.f)
+        assert bound == math.inf and not speed.any()
 
 
 def _records_of(z, f):
@@ -838,16 +898,16 @@ class TestStepBudget:
         # T_ext(R0), T_ext(R) = R^2 / 4, where the first bound gives 123; 411 taken
         config = FlowConfig(r=1, model=Sphere(n=2, radius=0.5), t_end=0.06,
                             resolution=32)
-        # a radial graph's bound h^2 / (1 + sup tr|P_1|) shrinks as the pinned
-        # band shrinks: 675 steps estimated from the first bound, 769 taken
+        # a radial graph's bound h^2 / (2 max p) shrinks as the pinned band
+        # shrinks: 450 steps estimated from the first bound, 543 taken
         band = FlowConfig(r=2, model=Revolution(profile=sphere_band_profile(1.0, 0.5, 16)),
                           t_end=0.25, boundary_values=sphere_band_pin(1.0, 2, 0.5))
-        assert [run(c).state.step_count for c in (config, band)] == [411, 769]
+        assert [run(c).state.step_count for c in (config, band)] == [411, 543]
         monkeypatch.setattr(flow, "MAX_STEPS", 410)
         with pytest.raises(DomainError, match="about 410 steps.*MAX_STEPS=410"):
             run(config)
-        monkeypatch.setattr(flow, "MAX_STEPS", 700)
-        with pytest.raises(NumericalError, match="run passed MAX_STEPS=700"):
+        monkeypatch.setattr(flow, "MAX_STEPS", 500)
+        with pytest.raises(NumericalError, match="run passed MAX_STEPS=500"):
             run(band)
 
     def test_a_round_law_past_the_budget_is_refused_before_its_first_step(
