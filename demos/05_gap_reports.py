@@ -31,14 +31,14 @@ models = [
     ("cylinder with r > m", Cylinder(n=3, m=1, radius=1.0), 2),
 ]
 for name, model, r in models:
-    rep = evaluate(model, r, resolution=12)
+    rep = evaluate(model, r)
     print(f"  {name:<22} sup|sqrt(P)A|^2 = {rep.sup_modified_norm_sq:8.5f}  "
           f"min eig P = {rep.min_eig_p:8.5f}  residual = {rep.sup_residual:.2e}  "
           f"-> {rep.classification}")
 
 print()
 print("=== classify() raises on non-shrinkers ===")
-rep = evaluate(Cylinder(n=3, m=1, radius=1.0), 2, resolution=12)
+rep = evaluate(Cylinder(n=3, m=1, radius=1.0), 2)
 try:
     classify(rep)
 except Exception as exc:
@@ -50,19 +50,19 @@ n, r = 4, 2
 print("  radius   sup|sqrt(P)A|^2   (boundary value is r = 2 at the shrinking radius)")
 for scale in (0.8, 1.0, 1.5, 2.0):
     radius = scale * shrinker_radius(n, r)
-    rep = evaluate(Sphere(n=n, radius=radius), r, resolution=8)
+    rep = evaluate(Sphere(n=n, radius=radius), r)
     print(f"  {radius:6.3f}   {rep.sup_modified_norm_sq:12.6f}")
 
 print()
 print("=== Gauss flow fragment: HK vs n on unit spheres ===")
 for n in range(2, 6):
-    g = evaluate(Sphere(n=n, radius=1.0), n, resolution=8).gauss
+    g = evaluate(Sphere(n=n, radius=1.0), n).gauss
     print(f"  S^{n}(1): sup HK = {g.sup_hk:.1f}, weakly convex: {g.weakly_convex}, "
           f"K-identity residual {g.identity_residual:.1e}")
 
 print()
 print("=== is the weight P_(r-1) positive semidefinite? its eigenvalues answer ===")
-rep = evaluate(Sphere(n=3, radius=1.0), 2, resolution=8)
+rep = evaluate(Sphere(n=3, radius=1.0), 2)
 print(f"  sphere, r=2: {rep.psd_class.kind.value}, min eig P = {rep.min_eig_p:g}")
 rep = evaluate_from_samples(np.array([[1.0, -1.0]] * 4), np.zeros(4), 2)
 print(f"  saddle rows, r=2: {rep.psd_class.kind.value}, min eig P = {rep.min_eig_p:g}")

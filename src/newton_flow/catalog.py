@@ -405,23 +405,19 @@ def check_dimension(n: int):
                           f"{MAX_SAMPLES}: n must be at most {MAX_DIMENSION}")
 
 
-def sample_fields(model: HypersurfaceModel, resolution: int) -> tuple:
+def sample_fields(model: HypersurfaceModel) -> tuple:
     """Curvature rows (S, n) and support values (S,) of the distinct samples.
 
     A position-independent model has one distinct sample: its closed-form
-    row, whatever the resolution in 8..MAX_SAMPLES, once its dimension
-    passes ``check_dimension``.  A revolution profile gives one row per
-    node: its own grid sets the samples, so its resolution only has to
-    lie in 1..MAX_SAMPLES, as a flow's does.
+    row, once its dimension passes ``check_dimension``.  A revolution
+    profile gives one row per node of its own grid.
     """
     if isinstance(model, Revolution):
-        check_samples(resolution, 1, "resolution")
         g = revolution_geometry(model)
         curvatures, support = np.stack([g.k_mer, g.k_par], axis=1), g.support
         if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")
         return curvatures, support
-    check_samples(resolution, 8, "resolution")
     return exact_curvatures(model)[None], np.array([exact_support(model)])
 
 

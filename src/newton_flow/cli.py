@@ -356,8 +356,10 @@ def cmd_algebra(args) -> int:
 def cmd_gap(args) -> int:
     """gap writes the scene's gap report; residual, its supResidual alone."""
     scene = load_scene(args.config, args.r, args.resolution)
-    r, resolution = scene["r"], scene["resolution"]
-    report = gapcheck.evaluate(scene["model"], r, resolution)
+    model, r, resolution = scene["model"], scene["r"], scene["resolution"]
+    check_order(r, model.n)     # the order is refused before the resolution
+    catalog.check_samples(resolution, 1, "resolution")
+    report = gapcheck.evaluate(model, r)
     if args.command == "residual":
         emit_json({"r": r, "resolution": resolution, "supResidual": report.sup_residual},
                   args.out)

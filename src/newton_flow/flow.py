@@ -87,7 +87,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .catalog import (
-    MAX_SAMPLES,
     Cylinder,
     Hyperplane,
     HypersurfaceModel,
@@ -97,6 +96,7 @@ from .catalog import (
     _graph_builder,
     binomial,
     check_model,
+    check_samples,
     revolution_geometry,
 )
 from .errors import (
@@ -231,8 +231,7 @@ class FlowConfig:
             raise DomainError(f"rescaled must be true or false, got {brief(self.rescaled)}")
         if not 0 < self.t_end < math.inf:
             raise DomainError("t_end must be positive and finite")
-        if not 1 <= check_integer(self.resolution, "resolution") <= MAX_SAMPLES:
-            raise DomainError(f"resolution must lie in 1..{MAX_SAMPLES}")
+        check_samples(self.resolution, 1, "resolution")
         if not 0 < self.cfl_safety <= 1:
             raise DomainError("cfl_safety must lie in (0, 1]")
         if self.scheme not in ("euler", "rk2"):

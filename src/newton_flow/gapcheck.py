@@ -6,12 +6,12 @@ tr(P_{r-1} A^2), the smallest eigenvalue of P_{r-1}, sup ||A||^2,
 sup sigma_{r-1}, the worst shrinker residual |sigma_r + <X,N>| and, for
 r = n, the Gauss-flow fragment (GaussReport) of the same samples.
 
-The sample set holds one row per distinct sample (``sample_fields``).  A
-sphere, cylinder or hyperplane has the same curvatures and support at
-every point, so it is reported from its one closed-form row at any
-resolution; its dimension n is bounded by ``check_dimension``.  A
-revolution profile gives one row per node of its own grid, whatever the
-resolution.
+The sample set holds one row per distinct sample (``sample_fields``), so
+a report reads a model and no resolution.  A sphere, cylinder or
+hyperplane has the same curvatures and support at every point, so it is
+reported from its one closed-form row; its dimension n is bounded by
+``check_dimension``.  A revolution profile gives one row per node of its
+own grid.
 
 Classification semantics are deliberately "consistent with": finite
 samples cannot certify completeness or properness, so a report states
@@ -118,7 +118,7 @@ def _taxonomy(flags: GapFlags, sup_residual: float, n: int,
     return Classification(kind="Inconclusive")
 
 
-def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapReport:
+def evaluate(model: HypersurfaceModel, r: int) -> GapReport:
     """Sampled suprema/infima and hypothesis flags for a model at order r.
 
     Values within GAP_TOL of a threshold count as on it; a sampled
@@ -127,7 +127,7 @@ def evaluate(model: HypersurfaceModel, r: int, resolution: int = 16) -> GapRepor
     """
     check_model(model)
     check_order(r, model.n)
-    curvatures, support = sample_fields(model, resolution)
+    curvatures, support = sample_fields(model)
     notes = (("open hypersurface: normal fixed to +e_{n+1}",)
              if isinstance(model, Hyperplane) else ())
     return _report(curvatures, support, r, notes)

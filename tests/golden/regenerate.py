@@ -1,9 +1,11 @@
 """Regenerate the golden-output corpus from the current code.
 
-Run it from the repository root after a deliberate output change, then
-read ``git diff tests/golden`` and name the records that moved:
+Run it from the repository root after a deliberate output change:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+It prints one line per record or demo whose bytes changed ("moved <id>")
+or that is new ("new <id>"), and "no record moved" when none did.
 
 The scene list, ``tests/golden/scenes.json``, is the corpus's input and is
 not rewritten.
@@ -18,4 +20,4 @@ sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 from golden_corpus import regenerate  # noqa: E402
 
 if __name__ == "__main__":
-    regenerate()
+    print("\n".join(regenerate()) or "no record moved")

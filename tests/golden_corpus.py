@@ -7,7 +7,7 @@ holds each record's exit code, stdout and stderr as text, and
 ``tests/golden/demos/<stem>.txt`` each demo's stdout.  The bytes are those
 of the platform named in each file's header; after a deliberate output
 change, or on another platform, regenerate them with
-``python tests/golden/regenerate.py`` and name the records that moved.
+``python tests/golden/regenerate.py``, which prints the records that moved.
 
 A block is::
 
@@ -129,15 +129,34 @@ def run_demo(demo: Path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-def regenerate():
-    """Rewrite every expected file from the current code."""
+def what_moved(old: dict, new: dict) -> list:
+    """One line per key of new whose text is not old's: "moved <key>", or
+    "new <key>" for a key that old lacks; in new's order."""
+    return [f"{'moved' if key in old else 'new'} {key}"
+            for key, text in new.items() if old.get(key) != text]
+
+
+def regenerate() -> list:
+    """Rewrite every expected file from the current code, and return the
+    ``what_moved`` lines of the records and demos (keyed demos/<stem>) against
+    the files it rewrote."""
+    old, new = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for subcommand, records in by_subcommand(load_records()).items():
-            text = platform_line() + "".join(
-                render_block(record, *run_record(record, workdir)) for record in records)
-            expected_path(subcommand).write_text(text, encoding="utf-8")
+            path = expected_path(subcommand)
+            if path.exists():
+                old.update(parse_blocks(path.read_text(encoding="utf-8")))
+            blocks = {record["id"]: render_block(record, *run_record(record, workdir))
+                      for record in records}
+            new.update(blocks)
+            path.write_text(platform_line() + "".join(blocks.values()), encoding="utf-8")
     for demo in DEMOS:
         proc = run_demo(demo)
         if proc.returncode != 0 or proc.stderr:
             raise RuntimeError(f"{demo.name} failed: {proc.stderr}")
-        demo_path(demo).write_text(proc.stdout, encoding="utf-8")
+        key, path = f"demos/{demo.stem}", demo_path(demo)
+        if path.exists():
+            old[key] = path.read_text(encoding="utf-8")
+        new[key] = proc.stdout
+        path.write_text(proc.stdout, encoding="utf-8")
+    return what_moved(old, new)

@@ -51,7 +51,7 @@ PUBLIC_SETTINGS = {
     "elem_sym": "k, r",
     "elem_sym_all": "k",
     "elem_sym_excluding": "k, i, r",
-    "evaluate": "model, r, resolution=16",
+    "evaluate": "model, r",
     "extinction_time": "n, r, radius0",
     "lr_apply": "geometry, values, r",
     "modified_sff_norm_sq": "S, r",

@@ -135,25 +135,25 @@ class TestPointQueries:
     """Sample rows of the models: one closed-form row, or one row per node."""
 
     def test_sphere(self):
-        curvatures, support = sample_fields(Sphere(n=3, radius=2.0), 8)
+        curvatures, support = sample_fields(Sphere(n=3, radius=2.0))
         np.testing.assert_allclose(curvatures[0], 0.5)
         assert support[0] == -2.0
 
     def test_cylinder_multiplicities(self):
         radius = math.sqrt(2.0)
-        curvatures, support = sample_fields(Cylinder(n=3, m=2, radius=radius), 8)
+        curvatures, support = sample_fields(Cylinder(n=3, m=2, radius=radius))
         np.testing.assert_allclose(curvatures[0], [1.0 / radius, 1.0 / radius, 0.0])
         assert support[0] == pytest.approx(-radius)
 
     def test_hyperplane(self):
-        curvatures, support = sample_fields(Hyperplane(n=2), 8)
+        curvatures, support = sample_fields(Hyperplane(n=2))
         np.testing.assert_allclose(curvatures[0], 0.0)
         assert support[0] == 0.0
 
     def test_discrete_cylinder(self):
         radius = 1.5
         rev = Revolution(profile=cylinder_profile(radius, 2.0, 64))
-        curvatures, support = sample_fields(rev, 64)
+        curvatures, support = sample_fields(rev)
         np.testing.assert_allclose(curvatures[10], [0.0, 1.0 / radius], atol=1e-10)
         assert support[10] == pytest.approx(-radius, abs=1e-10)
 
@@ -178,17 +178,17 @@ class TestPointQueries:
 class TestShrinkerResidual:
     def test_catalog_shrinkers_vanish(self):
         for model, r in self_shrinkers(6):
-            curvatures, support = sample_fields(model, 8)
+            curvatures, support = sample_fields(model)
             sup = max(abs(elem_sym(k, r) + h) for k, h in zip(curvatures, support))
             assert sup <= 1e-10, (model, r)
 
     def test_wrong_order_cylinder(self):
         # sigma_2 vanishes on a rank-1 cylinder, but the support does not
-        curvatures, support = sample_fields(Cylinder(n=3, m=1, radius=1.0), 8)
+        curvatures, support = sample_fields(Cylinder(n=3, m=1, radius=1.0))
         assert elem_sym(curvatures[0], 2) + support[0] == pytest.approx(-1.0)
 
     def test_hyperplane(self):
-        curvatures, support = sample_fields(Hyperplane(n=3), 8)
+        curvatures, support = sample_fields(Hyperplane(n=3))
         assert elem_sym(curvatures[0], 2) + support[0] == 0.0
 
     def test_discrete_band_residual_second_order(self):
@@ -204,15 +204,11 @@ class TestShrinkerResidual:
 
 
 class TestSampling:
-    def test_resolution_floor(self):
-        with pytest.raises(DomainError):
-            sample_fields(Sphere(n=2, radius=1.0), 4)
-
     def test_ellipsoid_gauss_curvature_oracle(self):
         errs = []
         for m in (64, 128):
             model = Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, m))
-            curvatures = sample_fields(model, m)[0]
+            curvatures = sample_fields(model)[0]
             product = curvatures[:, 0] * curvatures[:, 1]
             cut = slice(2, -2)
             expect = ellipsoid_gauss_curvature(1.0, 2.0, model.profile.z)
@@ -224,39 +220,17 @@ class TestSampling:
         # one closed-form row
         for model in (Hyperplane(n=3), Sphere(n=4, radius=0.7),
                       Cylinder(n=5, m=2, radius=1.3)):
-            curvatures, support = sample_fields(model, 8)
+            curvatures, support = sample_fields(model)
             assert curvatures.shape == (1, model.n) and support.shape == (1,)
             assert (curvatures[0] == exact_curvatures(model)).all()
             assert support[0] == exact_support(model)
         # one row per profile node
         model = Revolution(profile=ellipsoid_band_profile(1.0, 2.0, 0.75, 8))
-        curvatures, support = sample_fields(model, 8)
+        curvatures, support = sample_fields(model)
         g = revolution_geometry(model)
         assert curvatures.shape == (8, 2) and support.shape == (8,)
         assert (curvatures == np.stack([g.k_mer, g.k_par], axis=1)).all()
         assert (support == g.support).all()
-
-    @pytest.mark.parametrize("model", [
-        Sphere(n=6, radius=1.0),
-        Hyperplane(n=3),
-        Cylinder(n=6, m=2, radius=1.0),
-        Cylinder(n=6, m=1, radius=1.0),
-    ])
-    def test_fields_keep_the_grid_budget(self, model):
-        with pytest.raises(DomainError, match="resolution must lie in 8"):
-            sample_fields(model, 7)
-
-    def test_a_revolution_samples_its_own_grid_at_any_resolution(self):
-        # the profile's nodes set the rows; the resolution only has to lie in
-        # 1..MAX_SAMPLES, as a flow's does
-        model = Revolution(profile=sphere_band_profile(2.0, 0.6, 33))
-        rows = sample_fields(model, 64)
-        for resolution in (1, 3, 7, catalog.MAX_SAMPLES):
-            got = sample_fields(model, resolution)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in rows]
-        for resolution in (0, -3, catalog.MAX_SAMPLES + 1):
-            with pytest.raises(DomainError, match="resolution must lie in 1.."):
-                sample_fields(model, resolution)
 
     def test_closed_form_dimension_bound(self):
         n = catalog.MAX_DIMENSION
@@ -270,7 +244,7 @@ class TestSampling:
 
     def test_inward_convention_on_closed_models(self):
         for model in (Sphere(n=3, radius=0.7), Cylinder(n=4, m=2, radius=1.3)):
-            curvatures, support = sample_fields(model, 8)
+            curvatures, support = sample_fields(model)
             assert support.max() < 0.0
             assert curvatures.min() >= 0.0
 
@@ -357,7 +331,7 @@ class TestProfileValidation:
         lambda: ellipsoid_band_profile(1.0, 2.0, 0.75, 8.7),
         lambda: sphere_band_profile(2.0, 0.5, 16.5),
         lambda: cylinder_profile(1.0, 2.0, 16.5),
-        lambda: sample_fields(Sphere(n=2, radius=1.0), 8.5),
+        lambda: catalog.check_samples(8.5, 1, "resolution"),
         lambda: self_shrinkers(2.5),
         lambda: shrinker_radius(2.5, 1),
         lambda: sigma_p_cylinder(3, 2, 1.0),
@@ -371,7 +345,7 @@ class TestProfileValidation:
         assert Cylinder(n=three, m=two, radius=1.0).m == 2
         assert ellipsoid_band_profile(1.0, 2.0, 0.75, eight).z.size == 8
         assert shrinker_radius(two, np.int64(1)) == shrinker_radius(2, 1)
-        assert sample_fields(Sphere(n=two, radius=1.0), eight)[0].shape == (1, 2)
+        assert sample_fields(Sphere(n=two, radius=1.0))[0].shape == (1, 2)
 
     def test_orientation_is_an_integer(self):
         prof = cylinder_profile(1.0, 2.0, 16)

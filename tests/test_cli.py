@@ -534,10 +534,9 @@ def _criterion_8_taxonomy(n_max):
         yield catalog.Sphere(n=n, radius=1.0), n
 
 
-def _tiled_fields(model, resolution):
-    """The closed-form row repeated once per point of a resolution^2 grid."""
-    curvatures, support = catalog.sample_fields(model, resolution)
-    count = resolution ** 2
+def _tiled_fields(model, count):
+    """The closed-form row repeated count times: a grid of identical rows."""
+    curvatures, support = catalog.sample_fields(model)
     return np.repeat(curvatures, count, axis=0), np.repeat(support, count)
 
 
@@ -547,9 +546,9 @@ class TestTiledOracle:
 
     def test_gap_report_matches_the_tiled_grid(self):
         for model, r in _oracle_taxonomy(4):
-            curvatures, support = _tiled_fields(model, 8)
+            curvatures, support = _tiled_fields(model, 64)
             assert support.size > 1
-            want, got = (gapcheck.evaluate(model, r, 8).to_json_dict(),
+            want, got = (gapcheck.evaluate(model, r).to_json_dict(),
                          gapcheck.evaluate_from_samples(curvatures, support, r).to_json_dict())
             assert got["notes"] == []
             got["notes"] = want["notes"]     # evaluate alone adds the hyperplane note
@@ -560,7 +559,7 @@ class TestTiledOracle:
             cfg = scene_file(tmp_path, {"model": _model_spec(model), "r": r,
                                         "resolution": 8})
             code, out, _ = run_cli(capsys, "residual", "--config", cfg)
-            curvatures, support = _tiled_fields(model, 8)
+            curvatures, support = _tiled_fields(model, 64)
             sigma_r = symfun.elem_sym_all_rows(curvatures)[:, r]
             sup = float(np.abs(sigma_r + support).max())
             assert code == 0
@@ -573,9 +572,9 @@ class TestGapGaussFragment:
         calls = []
         original = catalog.sample_fields
 
-        def counted(model, resolution):
-            calls.append(resolution)
-            return original(model, resolution)
+        def counted(model):
+            calls.append(model)
+            return original(model)
 
         for module in (catalog, gapcheck):
             monkeypatch.setattr(module, "sample_fields", counted)
@@ -584,19 +583,18 @@ class TestGapGaussFragment:
             "r": 3, "resolution": 8})
         code, out, _ = run_cli(capsys, "gap", "--config", cfg)
         assert code == 0
-        assert calls == [8]
+        assert calls == [catalog.Sphere(n=3, radius=1.0)]
         assert json.loads(out)["gauss"]["n"] == 3
 
     def test_gauss_block_matches_evaluate(self, capsys, tmp_path):
-        resolution = 8
         models = list(_gauss_taxonomy(4))
         assert len(models) == 15
         for i, model in enumerate(models):
             cfg = scene_file(tmp_path, {"model": _model_spec(model), "r": model.n,
-                                        "resolution": resolution}, f"s{i}.json")
+                                        "resolution": 8}, f"s{i}.json")
             code, out, _ = run_cli(capsys, "gap", "--config", cfg)
             assert code == 0
-            expect = gapcheck.evaluate(model, model.n, resolution).gauss.to_json_dict()
+            expect = gapcheck.evaluate(model, model.n).gauss.to_json_dict()
             assert json.loads(out)["gauss"] == json.loads(render_json(expect)), model
 
     def test_no_gauss_block_below_r_equals_n(self, capsys, tmp_path):
@@ -898,23 +896,31 @@ class TestExitContract:
             assert json.loads(out)["r"] == 1
 
     @pytest.mark.parametrize("model", [
+        {"kind": "sphere", "n": 2, "radius": math.sqrt(2.0)},
+        {"kind": "cylinder", "n": 3, "m": 2, "radius": math.sqrt(2.0)},
+        {"kind": "hyperplane", "n": 3},
         {"kind": "sphere_band", "radius": 2.0, "half_width": 0.6, "samples": 33},
         {"kind": "cylinder_band", "radius": 1.0, "half_width": 1.0, "samples": 33},
         {"kind": "revolution", "z": [0, 1, 2, 3, 4], "f": [1, 1, 1, 1, 1]},
     ])
-    def test_a_profile_is_reported_at_any_resolution(self, capsys, tmp_path, model):
-        # the profile's own nodes are the samples, as in flow: resolution 3
-        # reports what resolution 32 does
-        reports = {}
-        for resolution in (3, 32):
+    def test_a_model_is_reported_at_any_resolution(self, capsys, tmp_path, model):
+        # the sample set is the closed-form row or the profile's own nodes:
+        # resolution 1..7 writes the bytes of 32, and residual differs only in
+        # the echoed resolution
+        def run(command, resolution):
             cfg = scene_file(tmp_path, {"model": model, "r": 1, "resolution": resolution})
+            return run_cli(capsys, command, "--config", cfg)
+
+        gap, residual = run("gap", 32), run("residual", 32)
+        assert gap[0] == residual[0] == 0
+        for resolution in (1, 3, 7):
+            assert run("gap", resolution) == gap
+            echoed = dict(json.loads(residual[1]), resolution=resolution)
+            assert run("residual", resolution) == (0, render_json(echoed) + "\n", "")
+        for resolution in (0, -3, catalog.MAX_SAMPLES + 1):
             for command in ("gap", "residual"):
-                code, out, err = run_cli(capsys, command, "--config", cfg)
-                assert code == 0, (command, resolution, err)
-                report = json.loads(out)
-                report.pop("resolution", None)
-                reports.setdefault(command, []).append(report)
-        assert all(low == high for low, high in reports.values())
+                assert run(command, resolution) == (3, "", (
+                    f"domain error: resolution must lie in 1..10000000, got {resolution}\n"))
 
     @pytest.mark.parametrize("model", [
         {"kind": "hyperplane"},
@@ -996,15 +1002,17 @@ class TestExitContract:
                        "1..999999... (4000 digits)\n")
 
     def test_residual_checks_r_before_sampling(self, capsys, tmp_path, monkeypatch):
-        def unreachable(model, resolution):
+        def unreachable(model):
             raise AssertionError("sampled before the order check")
 
-        monkeypatch.setattr(catalog, "sample_fields", unreachable)
+        for module in (catalog, gapcheck):
+            monkeypatch.setattr(module, "sample_fields", unreachable)
+        # the order is refused before the resolution, too
         cfg = scene_file(tmp_path, {
-            "model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3})
-        code, _, err = run_cli(capsys, "residual", "--config", cfg)
-        assert code == 3
-        assert "r=3 out of range 1..2" in err
+            "model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 3, "resolution": 0})
+        for command in ("gap", "residual"):
+            assert run_cli(capsys, command, "--config", cfg) == (
+                3, "", "domain error: r=3 out of range 1..2\n")
 
 
 class TestOneParserPerProcess:

@@ -6,6 +6,7 @@ import pytest
 
 from newton_flow import fd, flow
 from newton_flow.catalog import (
+    MAX_SAMPLES,
     Cylinder,
     Hyperplane,
     ProfileCurve,
@@ -964,6 +965,12 @@ class TestFlowConfigContract:
         kwargs = {"r": 1, "model": Sphere(n=2, radius=1.0), "t_end": 0.1, field: value}
         with pytest.raises(DomainError, match=field):
             FlowConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [0, -16, MAX_SAMPLES + 1])
+    def test_a_refused_resolution_is_named(self, value):
+        with pytest.raises(DomainError, match=(
+                f"^resolution must lie in 1..{MAX_SAMPLES}, got {value}$")):
+            FlowConfig(r=1, model=Sphere(n=2, radius=1.0), t_end=0.1, resolution=value)
 
     # the range of cfl_safety is the one guarantee that no step of a run
     # exceeds its bound

@@ -31,14 +31,14 @@ class TestEvaluate:
         for n in range(1, 6):
             for r in range(1, n + 1):
                 model = Sphere(n=n, radius=shrinker_radius(n, r))
-                rep = evaluate(model, r, resolution=8)
+                rep = evaluate(model, r)
                 assert rep.flags.thm1_boundary, (n, r)
                 assert not rep.flags.thm1_strict
                 assert rep.min_eig_p > 0
                 assert rep.classification.kind == "Sphere"
 
     def test_hyperplane_strict(self):
-        rep = evaluate(Hyperplane(n=3), 2, resolution=8)
+        rep = evaluate(Hyperplane(n=3), 2)
         assert rep.sup_modified_norm_sq == 0.0
         assert rep.flags.thm1_strict
         assert rep.classification.kind == "Hyperplane"
@@ -51,7 +51,7 @@ class TestEvaluate:
     def test_oversize_sphere_not_shrinker(self):
         for n, r in ((2, 1), (3, 2), (4, 3)):
             model = Sphere(n=n, radius=2.0 * shrinker_radius(n, r))
-            rep = evaluate(model, r, resolution=8)
+            rep = evaluate(model, r)
             expect = r * 2.0 ** (-(r + 1))
             assert rep.sup_modified_norm_sq == pytest.approx(expect, rel=1e-9)
             assert rep.flags.thm1_strict
@@ -62,7 +62,7 @@ class TestEvaluate:
         n, r = 4, 2
         values = []
         for radius in (1.0, 1.5, 2.0, 3.0):
-            rep = evaluate(Sphere(n=n, radius=radius), r, resolution=8)
+            rep = evaluate(Sphere(n=n, radius=radius), r)
             expect = r * math.comb(n, r) * radius ** (-(r + 1))
             assert rep.sup_modified_norm_sq == pytest.approx(expect, abs=1e-9)
             values.append(rep.sup_modified_norm_sq)
@@ -70,8 +70,7 @@ class TestEvaluate:
 
     def test_cylinder_axial_constancy_note(self):
         # a cylinder is reported from one closed-form row: no sampler to note
-        rep = evaluate(Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 1,
-                       resolution=8)
+        rep = evaluate(Cylinder(n=3, m=2, radius=shrinker_radius(2, 1)), 1)
         assert not any("axial" in note for note in rep.notes)
 
     def test_r_out_of_range(self):
@@ -168,7 +167,7 @@ class TestOneZeroWindow:
 class TestClassify:
     def test_catalog_taxonomy(self):
         for model, r in self_shrinkers(5):
-            rep = evaluate(model, r, resolution=8)
+            rep = evaluate(model, r)
             result = classify(rep)
             if isinstance(model, Hyperplane):
                 assert result.kind == "Hyperplane"
@@ -179,11 +178,11 @@ class TestClassify:
 
     def test_example_cylinder(self):
         model = Cylinder(n=3, m=2, radius=shrinker_radius(2, 2))
-        result = classify(evaluate(model, 2, resolution=8))
+        result = classify(evaluate(model, 2))
         assert str(result) == "Cylinder(m=2)"
 
     def test_not_shrinker_raises(self):
-        rep = evaluate(Cylinder(n=3, m=1, radius=1.0), 2, resolution=8)
+        rep = evaluate(Cylinder(n=3, m=1, radius=1.0), 2)
         with pytest.raises(NotSelfShrinkerError):
             classify(rep)
 
@@ -193,7 +192,7 @@ class TestClassify:
         for model, r in self_shrinkers(4):
             if isinstance(model, Hyperplane):
                 continue
-            rep = evaluate(model, r, resolution=8)
+            rep = evaluate(model, r)
             assert rep.psd_class.kind is DefinitenessClass.POSITIVE_DEFINITE
 
     def test_rotation_invariance(self, rng):
@@ -201,7 +200,7 @@ class TestClassify:
         # operator in a rotated frame (ascending, so reordered) give the
         # same report up to rounding
         model = Cylinder(n=3, m=2, radius=shrinker_radius(2, 2))
-        K, support = sample_fields(model, 8)
+        K, support = sample_fields(model)
         q = random_orthogonal(rng, 3)
         rotated = np.stack([np.linalg.eigvalsh((q * k) @ q.T) for k in K])
         assert not np.array_equal(rotated, K)
@@ -240,14 +239,14 @@ class TestOneSigmaTable:
         monkeypatch.setattr(gapcheck, "elem_sym_all_rows", counted)
         monkeypatch.setattr(symfun, "elem_sym_all_rows", counted)
         # one table of the rows, one of the rows with each column deleted
-        report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3, resolution=8)
+        report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3)
         assert report.gauss is not None and calls[0] == 2
-        evaluate(Sphere(n=2, radius=1.0), 2, resolution=8)
+        evaluate(Sphere(n=2, radius=1.0), 2)
         assert calls[0] == 4
 
 
 def gauss(model):
-    return evaluate(model, model.n, resolution=8).gauss
+    return evaluate(model, model.n).gauss
 
 
 class TestGaussCheck:
@@ -276,7 +275,7 @@ class TestGaussCheck:
         rep = gauss(Sphere(n=2, radius=2.0))
         assert rep.sup_hk == pytest.approx(0.25)
         assert rep.hk_at_most_n
-        report = evaluate(Sphere(n=2, radius=2.0), 2, resolution=8)
+        report = evaluate(Sphere(n=2, radius=2.0), 2)
         assert report.classification.kind == "NotShrinker"
 
 
@@ -284,7 +283,7 @@ class TestSampleRows:
     """evaluate_from_samples: the checked entry for sample rows."""
 
     def test_sphere_rows_are_definite(self):
-        K, support = sample_fields(Sphere(n=3, radius=1.2), 8)
+        K, support = sample_fields(Sphere(n=3, radius=1.2))
         for r in (1, 2, 3):
             rep = evaluate_from_samples(K, support, r)
             assert rep.psd_class.kind is DefinitenessClass.POSITIVE_DEFINITE
@@ -311,9 +310,9 @@ class TestSampleRows:
     def test_rows_carry_no_notes(self):
         # the hyperplane note is evaluate's, from its model; rows have none
         assert evaluate_from_samples([[1.0, 1.0]], [-2.0], 2).notes == ()
-        K, support = sample_fields(Hyperplane(n=3), 8)
+        K, support = sample_fields(Hyperplane(n=3))
         assert evaluate_from_samples(K, support, 1).notes == ()
-        assert evaluate(Hyperplane(n=3), 1, 8).notes != ()
+        assert evaluate(Hyperplane(n=3), 1).notes != ()
 
     @pytest.mark.parametrize("rows, support, r", [
         (np.zeros((0, 2)), np.zeros(0), 1),
@@ -348,7 +347,7 @@ class TestSampleRows:
         assert_refused_as_non_numeric(evaluate_from_samples, np.ones((2, 2)), support, 1)
 
     def test_out_of_range_curvatures_refused(self):
-        K, support = sample_fields(Sphere(n=2, radius=1e-200), 8)
+        K, support = sample_fields(Sphere(n=2, radius=1e-200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="float range"):

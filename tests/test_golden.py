@@ -17,6 +17,7 @@ from golden_corpus import (
     parse_blocks,
     render_block,
     run_record,
+    what_moved,
 )
 
 GROUPS = by_subcommand(load_records())
@@ -44,3 +45,14 @@ def test_outputs_match_the_corpus(subcommand, tmp_path):
     assert not moved, (
         f"{len(moved)} of {len(records)} records moved (corpus {header}; a platform "
         "change may need tests/golden/regenerate.py):\n" + "\n".join(moved[:3]))
+
+
+def test_what_moved_names_the_changed_and_the_new_records():
+    def corpus(*blocks):
+        return parse_blocks("@@ platform any\n" + "".join(
+            f"@@ record {id_}\n@@ exit {code}\n" for id_, code in blocks))
+
+    old = corpus(("gap/a", 0), ("gap/b", 3), ("gap/c", 0))
+    assert what_moved(old, old) == []
+    new = corpus(("gap/a", 0), ("gap/b", 0), ("gap/d", 3), ("gap/c", 0))
+    assert what_moved(old, new) == ["moved gap/b", "new gap/d"]
