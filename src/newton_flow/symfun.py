@@ -29,17 +29,21 @@ row kernels also refuse rows that are not 1-D or 2-D.
 One operator is usually asked about at every order r in turn, so the
 module keeps the last operator it built a family for: one slot keyed by
 the shape and float64 bytes of the caller's array, holding the
-validated, exactly-symmetric operator A, its norm and its family, all
-read-only.  Validation and build are deterministic functions of those
-bytes, and the slot is stored only after both have passed.  A hit skips
-the validation (finiteness, symmetry, the symmetrized copy, the norm)
-and the build (``eigh``, the deletion table, the P_r and their
-cross-check).  Every per-call check still runs: the order r, the degree
-checks (from the stored norm), the three modified-norm routes, the trace
-identities and the PSD gate.  ``definiteness`` and ``sqrt_psd`` read the
-stored A on a hit and still eigensolve; a miss there validates afresh and
-leaves the slot alone.  ``newton_family`` hands out writable copies, so
-no caller can alter the slot.
+validated, exactly-symmetric operator A, its norm, its eigenframe (k, Q)
+as ``eigh`` gave it, its family and the traces of each order asked so
+far, all read-only.  Validation and build are deterministic functions of
+those bytes, and the slot is stored only after both have passed.  A hit
+skips the validation (finiteness, symmetry, the symmetrized copy, the
+norm) and the build (``eigh``, the deletion table, the P_r and their
+cross-check).  An order's traces tr P_{r-1}, tr(P_{r-1} A) and
+tr(P_{r-1} A^2) are formed at its first call, after its degree check,
+and the three order entry points share them.  Every per-call check still
+runs: the order r, the degree checks (from the stored norm), the three
+modified-norm routes, the trace identities and the PSD gate.  On a hit
+``definiteness`` and ``sqrt_psd`` read the stored eigenframe, the bits
+their own ``eigh`` of the stored A would give; a miss there validates and
+eigensolves afresh and leaves the slot alone.  ``newton_family`` hands
+out writable copies, so no caller can alter the slot.
 """
 
 from __future__ import annotations
@@ -231,17 +235,22 @@ def newton_family(S) -> NewtonFamily:
 
 
 class _Operator(NamedTuple):
-    """A validated operator and, once built, its family."""
+    """A validated operator and, once built, its eigenframe, its family and
+    the traces of the orders asked so far."""
 
     A: np.ndarray                   # the exactly-symmetric part of the input
     norm: float                     # _norm(A), which the degree checks read
-    k: np.ndarray | None = None     # eigenvalues of A
+    k: np.ndarray | None = None     # eigenvalues of A, ascending, as eigh gave them
+    Q: np.ndarray | None = None     # eigh's eigenvectors of A, column j for k[j]
     fam: NewtonFamily | None = None
     table: np.ndarray | None = None     # deletion table [j, p] = sigma_p(A_j)
+    # traces[r]: (tr P_{r-1}, tr(P_{r-1} A), tr(P_{r-1} A^2)), None until order r is asked
+    traces: tuple = ()
 
 
-# (key, _Operator with its family, all read-only) of the last operator built,
-# keyed by the shape and float64 bytes of the caller's array; or None
+# (key, _Operator with its eigenframe, family and traces, all read-only) of the
+# last operator built, keyed by the shape and float64 bytes of the caller's
+# array; or None
 _last_family = None
 
 
@@ -260,21 +269,21 @@ def _lookup(S) -> tuple:
 
 def _family(key, op: _Operator) -> _Operator:
     """op with its family.  A miss's family is built, made read-only with A
-    and stored in the slot under key; the result is shared and must not
-    be written."""
+    and its eigenframe and stored in the slot under key; the result is
+    shared and must not be written."""
     global _last_family
     if op.fam is not None:
         return op
-    k, fam, table = _build_family(op.A)
-    for array in (op.A, k, fam.sigmas, *fam.P, table):
+    (k, Q), fam, table = _build_family(op.A)
+    for array in (op.A, k, Q, fam.sigmas, *fam.P, table):
         array.setflags(write=False)
-    op = op._replace(k=k, fam=fam, table=table)
+    op = op._replace(k=k, Q=Q, fam=fam, table=table, traces=(None,) * len(fam.P))
     _last_family = (key, op)
     return op
 
 
 def _build_family(A: np.ndarray) -> tuple:
-    """Eigenvalues, NewtonFamily and deletion table [j, p] = sigma_p(A_j)
+    """eigh's (k, Q), NewtonFamily and deletion table [j, p] = sigma_p(A_j)
     of A, cross-checked, built afresh."""
     n = A.shape[0]
     norm_a = _norm(A)
@@ -284,7 +293,7 @@ def _build_family(A: np.ndarray) -> tuple:
     table = _excluding_table(k[None], n - 1)
     P = (np.eye(n), *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
     _cross_check(A, norm_a, sig, P)
-    return k, NewtonFamily(sigmas=sig, P=P), table
+    return (k, Q), NewtonFamily(sigmas=sig, P=P), table
 
 
 def _cross_check(A: np.ndarray, norm_a: float, sigmas: np.ndarray, P: tuple):
@@ -306,14 +315,32 @@ def _cross_check(A: np.ndarray, norm_a: float, sigmas: np.ndarray, P: tuple):
 
 
 def _order_family(S, r: int) -> _Operator:
-    """S with its family, once 1 <= r <= n holds and the degree-(r+1)
-    quantities stay in the float range; both are checked on every call,
-    before any build."""
+    """S with its family and order r's traces, once 1 <= r <= n holds and
+    the degree-(r+1) quantities stay in the float range; both are checked
+    on every call, before any build or trace.  The traces are formed at the
+    operator's first order-r call and stored in the slot beside its family."""
+    global _last_family
     key, op = _lookup(S)
     n = op.A.shape[0]
     check_order(r, n)
     _check_degree(op.norm, r + 1, n)   # the order-r identities reach degree r+1
-    return _family(key, op)
+    op = _family(key, op)
+    if op.traces[r] is None:
+        traces = _order_traces(op.A, op.fam.P[r - 1])
+        op = op._replace(traces=op.traces[:r] + (traces,) + op.traces[r + 1:])
+        _last_family = (key, op)
+    return op
+
+
+def _order_traces(A: np.ndarray, P: np.ndarray) -> tuple:
+    """(tr P, tr(P A), tr(P A^2)), from two matrix products."""
+    PA = P @ A
+    return P.trace(), PA.trace(), (PA @ A).trace()
+
+
+def _eigenframe(op: _Operator) -> tuple:
+    """eigh's (k, Q) of op.A: the stored eigenframe on a slot hit, else solved."""
+    return (op.k, op.Q) if op.k is not None else np.linalg.eigh(op.A)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -321,8 +348,9 @@ def sqrt_psd(M) -> np.ndarray:
 
     Negative eigenvalues in the zero window of ``definiteness`` are clamped
     to zero; an M that ``definiteness`` does not call PSD raises NotPSDError.
+    On a slot hit the eigenframe is the family's, with no eigensolve.
     """
-    w, V = np.linalg.eigh(_lookup(M)[1].A)
+    w, V = _eigenframe(_lookup(M)[1])
     if not _classify(float(w[0]), float(w[-1])).is_psd:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below the PSD zero window")
     w = np.clip(w, 0.0, None)
@@ -336,14 +364,15 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    A, norm_a, k, fam, table = _order_family(S, r)
-    n = A.shape[0]
-    val_trace = float(np.trace(fam.P[r - 1] @ A @ A))
-    val_sum = float((table[:, r - 1] * k ** 2).sum())
-    sig_rp1 = fam.sigmas[r + 1] if r + 1 <= n else 0.0
-    val_sigma = float(fam.sigmas[1] * fam.sigmas[r] - (r + 1) * sig_rp1)
+    op = _order_family(S, r)
+    n = op.A.shape[0]
+    sig = op.fam.sigmas
+    val_trace = float(op.traces[r][2])
+    val_sum = float((op.table[:, r - 1] * op.k ** 2).sum())
+    sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
+    val_sigma = float(sig[1] * sig[r] - (r + 1) * sig_rp1)
 
-    tol = IDENTITY_TOL * (1.0 + norm_a) ** (r + 1)
+    tol = IDENTITY_TOL * (1.0 + op.norm) ** (r + 1)
     # written so that a NaN route fails (max() would drop a NaN in second place)
     if not (abs(val_trace - val_sum) <= tol and abs(val_trace - val_sigma) <= tol):
         raise NumericalError("modified norm routes disagree beyond tolerance")
@@ -369,18 +398,16 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
     Each residual is normalized by (1 + ||S||)^(r+1), ||S|| being the
     Frobenius norm that the degree check read.
     """
-    A, norm_a, _, fam, _ = _order_family(S, r)
-    n = A.shape[0]
-    P = fam.P[r - 1]
-    sig = fam.sigmas
+    op = _order_family(S, r)
+    n = op.A.shape[0]
+    tr_p, tr_pa, tr_pa2 = op.traces[r]
+    sig = op.fam.sigmas
     sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
-    scale = (1.0 + norm_a) ** (r + 1)
+    scale = (1.0 + op.norm) ** (r + 1)
     return TraceIdentityResiduals(
-        trace_p=abs(np.trace(P) - (n - r + 1) * sig[r - 1]) / scale,
-        trace_pa=abs(np.trace(P @ A) - r * sig[r]) / scale,
-        trace_pa2=abs(
-            np.trace(P @ A @ A) - (sig[1] * sig[r] - (r + 1) * sig_rp1)
-        ) / scale,
+        trace_p=abs(tr_p - (n - r + 1) * sig[r - 1]) / scale,
+        trace_pa=abs(tr_pa - r * sig[r]) / scale,
+        trace_pa2=abs(tr_pa2 - (sig[1] * sig[r] - (r + 1) * sig_rp1)) / scale,
     )
 
 
@@ -411,9 +438,10 @@ def definiteness(M) -> Definiteness:
 
     An eigenvalue within +/- ZERO_TOL*max(1, max|lambda|) of zero counts
     as zero (semidefinite), never as strictly signed.  The eigenvalues are
-    eigh's, as in ``sqrt_psd``, so that the two agree on every M.
+    eigh's, as in ``sqrt_psd``, so that the two agree on every M; on a slot
+    hit they are the family's, with no eigensolve.
     """
-    w = np.linalg.eigh(_lookup(M)[1].A)[0]
+    w = _eigenframe(_lookup(M)[1])[0]
     return _classify(float(w[0]), float(w[-1]))
 
 
@@ -439,9 +467,10 @@ def _classify(lo: float, hi: float) -> Definiteness:
 
 
 def _p_spectrum(S, r: int) -> tuple:
-    """S with its family (``_order_family``), and the Definiteness of P_{r-1}
-    with the ascending eigenvalues it was read from: column r-1 of the
-    deletion table, cut as in ``definiteness``.  No eigensolve on a slot hit."""
+    """S with its family and traces (``_order_family``), and the Definiteness
+    of P_{r-1} with the ascending eigenvalues it was read from: column r-1
+    of the deletion table, cut as in ``definiteness``.  No eigensolve on a
+    slot hit."""
     op = _order_family(S, r)
     w = np.sort(op.table[:, r - 1])
     return op, _classify(float(w[0]), float(w[-1])), w
@@ -454,13 +483,13 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     an indefinite or negative P_{r-1} raises NotPSDError.  The gate reads
     P_{r-1}'s eigenvalues off the family's deletion table (``_p_spectrum``).
     """
-    (A, norm_a, _, fam, _), d, _ = _p_spectrum(S, r)
-    _check_degree(norm_a, 2 * r, A.shape[0])   # both sides are degree 2r in A
-    P = fam.P[r - 1]
+    op, d, _ = _p_spectrum(S, r)
+    _check_degree(op.norm, 2 * r, op.A.shape[0])   # both sides are degree 2r in A
     if not d.is_psd:
         raise NotPSDError(
             f"P_{r - 1} is {d.kind.value}; bound asserted only under PSD"
         )
-    lhs = float((r * fam.sigmas[r]) ** 2)
-    rhs = float(np.trace(P) * np.trace(P @ A @ A))
+    tr_p, _, tr_pa2 = op.traces[r]
+    lhs = float((r * op.fam.sigmas[r]) ** 2)
+    rhs = float(tr_p * tr_pa2)
     return lhs, rhs

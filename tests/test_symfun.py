@@ -599,6 +599,34 @@ class TestOverflowGuards:
             with pytest.raises(DomainError):
                 symfun._as_shape_operator(a + 1.1 * limit * skew)
 
+    def test_an_order_forms_its_traces_only_past_its_degree_check(self):
+        # |A| = 1.35e150: order 1 reaches |A|^2 ~ 1.8e300, within the float
+        # range; order 2's P_1 A^2 would overflow, and its degree check
+        # refuses before any of its traces is formed
+        q = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        a = (q * [1e150, -0.9e150]) @ q.T
+        order_entry_points = [trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound]
+        for first in range(3):
+            symfun._last_family = None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for fn in order_entry_points[first:] + order_entry_points[:first]:
+                    got = fn(a, 1)
+                    if fn is trace_identities:
+                        assert [x.hex() for x in (got.trace_p, got.trace_pa, got.trace_pa2)] == [
+                            "0x0.0p+0", "0x1.1c282fc194621p-552", "0x1.7ae03facc5d82p-53"]
+                    elif fn is modified_sff_norm_sq:
+                        assert got.hex() == "0x1.59f31a9296033p+997"
+                    else:
+                        assert [x.hex() for x in got] == [
+                            "0x1.e94c85c298c6ep+989", "0x1.59f31a9296033p+998"]
+                for fn in order_entry_points:
+                    with pytest.raises(NumericalError) as info:
+                        fn(a, 2)
+                    assert str(info.value) == (
+                        "|A|^3 of |A|=1.34536e+150 leaves the float range")
+            assert symfun._last_family[1].traces[2] is None
+
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
         # order 0 of the deletion table feeds route (b) at r = 1 and no P_r
         kernel = symfun._excluding_table
@@ -656,13 +684,13 @@ def _names(entry_points) -> list:
 class TestFamilySlot:
     @staticmethod
     def counted(monkeypatch, name: str) -> list:
-        """Record the shape of every call of symfun's one-argument ``name``."""
+        """Record the shape of the first argument of every call of symfun's ``name``."""
         calls = []
         original = getattr(symfun, name)
 
-        def counted(A):
+        def counted(A, *args):
             calls.append(np.shape(A))
-            return original(A)
+            return original(A, *args)
 
         monkeypatch.setattr(symfun, name, counted)
         return calls
@@ -681,27 +709,97 @@ class TestFamilySlot:
     def test_one_eigensolve_for_the_family_of_a_job(self, rng, monkeypatch):
         validations = self.counted(monkeypatch, "_as_shape_operator")
         builds = self.counted(monkeypatch, "_build_family")
+        traces = self.counted(monkeypatch, "_order_traces")
         solves = count_eigensolves(monkeypatch)
         for n in range(1, 7):
             a = random_symmetric(rng, n, positive=True)
             validations.clear()
             builds.clear()
+            traces.clear()
             solves.clear()
             # the calls of the algebra benchmark's job on one operator
             fam = newton_family(a)
             assert definiteness(a).is_psd
             sqrt_psd(a)
+            assert traces == []     # the family, definiteness and root form none
             for r in range(1, n + 1):
                 trace_identities(a, r)
                 modified_sff_norm_sq(a, r)
                 definiteness(fam.P[r - 1])
                 cauchy_schwarz_bound(a, r)
+                # order r's traces: formed once, shared by its three entry points
+                assert traces == [(n, n)] * r
             assert builds == [(n, n)]
             # a once, then each P_{r-1}: a miss that leaves the slot alone
             assert validations == [(n, n)] * (1 + n)
-            # the family's one, definiteness(a), sqrt_psd(a), and definiteness
-            # of each P_{r-1}; cauchy_schwarz_bound reads the family's table
-            assert len(solves) == 3 + n
+            # the family's one and definiteness of each P_{r-1}: definiteness(a)
+            # and sqrt_psd(a) read the family's eigenframe, cauchy_schwarz_bound
+            # its deletion table
+            assert len(solves) == 1 + n
+
+    def test_hits_give_the_bytes_of_a_fresh_eigensolve_and_trace(self, rng, monkeypatch):
+        # the oracle: a fresh eigh of the slot's A, and np.trace of the
+        # products of the slot's P_{r-1} and A, evaluated here
+        builds = self.counted(monkeypatch, "_build_family")
+        order_entry_points = [trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound]
+        kinds = set()
+        for trial in range(1200):
+            n = trial % 8 + 1
+            k = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            kind = (trial // 8) % 3
+            if kind == 0:                   # positive definite
+                k = np.abs(k)
+            elif kind == 2:                 # zero curvatures: exact zero eigenvalues when q = I
+                k[rng.rand(n) < 0.5] = 0.0
+            q = random_orthogonal(rng, n) if trial % 2 else np.eye(n)
+            a = (q * k) @ q.T
+            a = 0.5 * (a + a.T)
+            builds.clear()
+            newton_family(a)
+            _, op = symfun._last_family
+            A = op.A
+            w, V = np.linalg.eigh(A)
+            want = symfun._classify(float(w[0]), float(w[-1]))
+            kinds.add(want.kind)
+            assert repr(definiteness(a)) == repr(want), trial
+            if want.is_psd:
+                root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+                assert sqrt_psd(a).tobytes() == root.tobytes(), trial
+            else:
+                with pytest.raises(NotPSDError):
+                    sqrt_psd(a)
+            sig = op.fam.sigmas
+            for r in range(1, n + 1):
+                P = op.fam.P[r - 1]
+                tr_p, tr_pa, tr_pa2 = np.trace(P), np.trace(P @ A), np.trace(P @ A @ A)
+                sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
+                scale = (1.0 + op.norm) ** (r + 1)
+                residuals = [abs(tr_p - (n - r + 1) * sig[r - 1]) / scale,
+                             abs(tr_pa - r * sig[r]) / scale,
+                             abs(tr_pa2 - (sig[1] * sig[r] - (r + 1) * sig_rp1)) / scale]
+                p_eigenvalues = np.sort(op.table[:, r - 1])     # the PSD gate's
+                gate = symfun._classify(float(p_eigenvalues[0]), float(p_eigenvalues[-1]))
+                # each entry point in turn forms the order's traces
+                first = (trial + r) % 3
+                for fn in order_entry_points[first:] + order_entry_points[:first]:
+                    if fn is trace_identities:
+                        t = trace_identities(a, r)
+                        got = [t.trace_p, t.trace_pa, t.trace_pa2]
+                        assert np.array(got).tobytes() == np.array(residuals).tobytes()
+                    elif fn is modified_sff_norm_sq:
+                        got = np.float64(modified_sff_norm_sq(a, r))
+                        assert got.tobytes() == np.float64(tr_pa2).tobytes(), (trial, r)
+                    elif not gate.is_psd:
+                        with pytest.raises(NotPSDError):
+                            cauchy_schwarz_bound(a, r)
+                    else:
+                        lhs, rhs = cauchy_schwarz_bound(a, r)
+                        assert np.float64(lhs).tobytes() == np.float64(
+                            (r * sig[r]) ** 2).tobytes(), (trial, r)
+                        assert np.float64(rhs).tobytes() == np.float64(
+                            tr_p * tr_pa2).tobytes(), (trial, r)
+            assert builds == [(n, n)], trial        # every call after the build hit
+        assert len(kinds) >= 4
 
     def test_a_mutated_result_leaves_the_next_call_unchanged(self, rng):
         a = random_symmetric(rng, 4)
@@ -718,7 +816,7 @@ class TestFamilySlot:
         newton_family(a)
         key, op = symfun._last_family
         assert key == (a.shape, a.tobytes())
-        for array in (op.A, op.k, op.fam.sigmas, *op.fam.P, op.table):
+        for array in (op.A, op.k, op.Q, op.fam.sigmas, *op.fam.P, op.table):
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
