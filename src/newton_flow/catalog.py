@@ -414,7 +414,9 @@ def sample_fields(model: HypersurfaceModel) -> tuple:
     """
     if isinstance(model, Revolution):
         g = revolution_geometry(model)
-        curvatures, support = np.stack([g.k_mer, g.k_par], axis=1), g.support
+        curvatures = np.stack([g.k_mer, g.k_par], axis=1)
+        with np.errstate(over="ignore"):    # z f' past the float range: refused below
+            support = g.support
         if not (np.isfinite(curvatures).all() and np.isfinite(support).all()):
             raise NumericalError("non-finite curvature data on the revolution profile")
         return curvatures, support

@@ -39,7 +39,6 @@ from . import catalog, flow, gapcheck, operators
 from .errors import (
     ConfigError,
     DomainError,
-    ExtinctionError,
     NewtonFlowError,
     brief,
     check_order,
@@ -334,12 +333,12 @@ def cmd_algebra(args) -> int:
     check_order(r, n)
     A = np.diag(k)
     residuals = trace_identities(A, r)   # builds the one family of this call
-    op, psd, p_eigenvalues = _p_spectrum(A, r)   # ascending, off the family's table
+    op, _, psd, p_eigenvalues = _p_spectrum(A, r)   # ascending, off the family's table
     out = {
         "n": n,
         "r": r,
         "curvatures": list(k),
-        "sigmas": list(op.fam.sigmas),
+        "sigmas": list(op.family[1].sigmas),
         "pEigenvalues": list(p_eigenvalues),
         "modifiedNormSq": modified_sff_norm_sq(A, r),
         "psdClass": psd.kind.value,
@@ -579,9 +578,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ExtinctionError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

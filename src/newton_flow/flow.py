@@ -320,10 +320,8 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
             defect = abs(radius - phi_t * radius0)
             if phi_t > 0:
                 phi = phi_t
-        try:
-            residual = abs(phi ** r * c_nr / radius ** r - radius / phi)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise float_range_error("R", radius, r) from exc
+        # stage has formed radius ** r for this radius, and refused its overflow and zero
+        residual = abs(phi ** r * c_nr / radius ** r - radius / phi)
         return Diagnostics(t, residual, defect, radius, dt)
 
     def steps(t_end, cfl, bound):

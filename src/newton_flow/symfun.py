@@ -26,24 +26,23 @@ its curvatures, operator or rows once through ``errors.as_floats``, which
 refuses ragged, string, complex or object input with DomainError; the
 row kernels also refuse rows that are not 1-D or 2-D.
 
-One operator is usually asked about at every order r in turn, so the
-module keeps the last operator it built a family for: one slot keyed by
-the shape and float64 bytes of the caller's array, holding the
-validated, exactly-symmetric operator A, its norm, its eigenframe (k, Q)
-as ``eigh`` gave it, its family and the traces of each order asked so
-far, all read-only.  Validation and build are deterministic functions of
-those bytes, and the slot is stored only after both have passed.  A hit
-skips the validation (finiteness, symmetry, the symmetrized copy, the
-norm) and the build (``eigh``, the deletion table, the P_r and their
-cross-check).  An order's traces tr P_{r-1}, tr(P_{r-1} A) and
-tr(P_{r-1} A^2) are formed at its first call, after its degree check,
-and the three order entry points share them.  Every per-call check still
-runs: the order r, the degree checks (from the stored norm), the three
-modified-norm routes, the trace identities and the PSD gate.  On a hit
-``definiteness`` and ``sqrt_psd`` read the stored eigenframe, the bits
-their own ``eigh`` of the stored A would give; a miss there validates and
-eigensolves afresh and leaves the slot alone.  ``newton_family`` hands
-out writable copies, so no caller can alter the slot.
+One operator is usually asked about at every order r in turn, so every
+entry point that takes an operator reads it as an ``_Operator``, from a
+``functools.lru_cache`` of the last two asked about, keyed by the shape
+and float64 bytes of the caller's array.  An ``_Operator`` holds the
+validated, exactly-symmetric A and its norm, and forms each further part
+when it is first read: eigh's eigenframe (k, Q), which ``definiteness``
+and ``sqrt_psd`` read; the family with its deletion table, after the
+degree check of P_n and before any eigensolve; and each order's traces
+tr P_{r-1}, tr(P_{r-1} A) and tr(P_{r-1} A^2), which the three order
+entry points share.  Every part is a deterministic function of the
+bytes and is kept read-only, so a hit gives the bits of a fresh build.
+An input that validation refuses is not cached, and a part whose build
+raises is not kept, so it raises again.  Every per-call check still
+runs: the order r and its degree check (before the order's traces are
+formed), the three modified-norm routes, the trace identities and the
+PSD gate.  ``newton_family`` hands out writable copies, so no caller
+can alter the cache.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -225,75 +223,72 @@ def newton_family(S) -> NewtonFamily:
     Q diag(sigma_r(A_j)) Q^T in the eigenframe (k, Q), with P_0 = I and
     P_n = 0.  The independent polynomial form, evaluated by Horner's rule
     poly_r = sigma_r I - poly_{r-1} A, is a built-in cross-check at every
-    r, and poly_n must vanish (Cayley-Hamilton).  When S has the bytes of
-    the last operator built, the validation and the build are skipped and
-    the family comes from the slot.  The arrays returned are the caller's
-    own.
+    r, and poly_n must vanish (Cayley-Hamilton).  The arrays returned are
+    the caller's own.
     """
-    fam = _family(*_lookup(S)).fam
+    fam = _operator(S).family[1]
     return NewtonFamily(sigmas=fam.sigmas.copy(), P=tuple(p.copy() for p in fam.P))
 
 
-class _Operator(NamedTuple):
-    """A validated operator and, once built, its eigenframe, its family and
-    the traces of the orders asked so far."""
-
-    A: np.ndarray                   # the exactly-symmetric part of the input
-    norm: float                     # _norm(A), which the degree checks read
-    k: np.ndarray | None = None     # eigenvalues of A, ascending, as eigh gave them
-    Q: np.ndarray | None = None     # eigh's eigenvectors of A, column j for k[j]
-    fam: NewtonFamily | None = None
-    table: np.ndarray | None = None     # deletion table [j, p] = sigma_p(A_j)
-    # traces[r]: (tr P_{r-1}, tr(P_{r-1} A), tr(P_{r-1} A^2)), None until order r is asked
-    traces: tuple = ()
-
-
-# (key, _Operator with its eigenframe, family and traces, all read-only) of the
-# last operator built, keyed by the shape and float64 bytes of the caller's
-# array; or None
-_last_family = None
-
-
-def _lookup(S) -> tuple:
-    """(key, _Operator) of the caller's operator S: the slot's entry on a
-    hit; on a miss S validated afresh, without a family, and the slot is
-    left alone."""
-    X = as_floats(S, "shape operator")
-    key = (X.shape, X.tobytes())
-    slot = _last_family
-    if slot is not None and slot[0] == key:
-        return slot
-    A = _as_shape_operator(X)
-    return key, _Operator(A, _norm(A))
-
-
-def _family(key, op: _Operator) -> _Operator:
-    """op with its family.  A miss's family is built, made read-only with A
-    and its eigenframe and stored in the slot under key; the result is
-    shared and must not be written."""
-    global _last_family
-    if op.fam is not None:
-        return op
-    (k, Q), fam, table = _build_family(op.A)
-    for array in (op.A, k, Q, fam.sigmas, *fam.P, table):
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
         array.setflags(write=False)
-    op = op._replace(k=k, Q=Q, fam=fam, table=table, traces=(None,) * len(fam.P))
-    _last_family = (key, op)
-    return op
+    return arrays
 
 
-def _build_family(A: np.ndarray) -> tuple:
-    """eigh's (k, Q), NewtonFamily and deletion table [j, p] = sigma_p(A_j)
-    of A, cross-checked, built afresh."""
-    n = A.shape[0]
-    norm_a = _norm(A)
-    _check_degree(norm_a, n, n)
-    k, Q = np.linalg.eigh(A)
-    sig = elem_sym_all_rows(k[None])[0]
-    table = _excluding_table(k[None], n - 1)
-    P = (np.eye(n), *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
-    _cross_check(A, norm_a, sig, P)
-    return (k, Q), NewtonFamily(sigmas=sig, P=P), table
+class _Operator:
+    """A validated operator A, exactly symmetric, and its norm; every other
+    part is formed when first read and then kept, read-only."""
+
+    def __init__(self, A: np.ndarray):
+        A.setflags(write=False)
+        self.A, self.norm = A, _norm(A)     # the degree checks read the norm
+        self._traces = {}
+
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """eigh's (k, Q) of A: k ascending, column j of Q for k[j]."""
+        return _read_only(*np.linalg.eigh(self.A))
+
+    @functools.cached_property
+    def family(self) -> tuple:
+        """(deletion table [j, p] = sigma_p(A_j), NewtonFamily), cross-checked;
+        the degree check comes before the eigensolve."""
+        n = self.A.shape[0]
+        _check_degree(self.norm, n, n)
+        k, Q = self.frame
+        sig = elem_sym_all_rows(k[None])[0]
+        table = _excluding_table(k[None], n - 1)
+        P = (np.eye(n), *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
+        _cross_check(self.A, self.norm, sig, P)
+        table, sig, *P = _read_only(table, sig, *P)
+        return table, NewtonFamily(sigmas=sig, P=tuple(P))
+
+    def traces(self, r: int) -> tuple:
+        """(tr P_{r-1}, tr(P_{r-1} A), tr(P_{r-1} A^2)), once 1 <= r <= n holds
+        and the degree-(r+1) quantities stay in the float range: both are
+        checked on every call, and the traces formed at the first that passes."""
+        n = self.A.shape[0]
+        check_order(r, n)
+        _check_degree(self.norm, r + 1, n)   # the order-r identities reach degree r+1
+        if r not in self._traces:
+            P = self.family[1].P[r - 1]
+            PA = P @ self.A
+            self._traces[r] = (P.trace(), PA.trace(), (PA @ self.A).trace())
+        return self._traces[r]
+
+
+def _operator(S) -> _Operator:
+    """The _Operator of the caller's S, keyed by its shape and float64 bytes."""
+    X = as_floats(S, "shape operator")
+    return _operator_of(X.shape, X.tobytes())
+
+
+# two operators: the algebra job asks about each P_{r-1} between its calls on A;
+# a refused input raises, and lru_cache stores no call that raised
+@functools.lru_cache(maxsize=2)
+def _operator_of(shape: tuple, data: bytes) -> _Operator:
+    return _Operator(_as_shape_operator(np.frombuffer(data).reshape(shape)))
 
 
 def _cross_check(A: np.ndarray, norm_a: float, sigmas: np.ndarray, P: tuple):
@@ -314,43 +309,13 @@ def _cross_check(A: np.ndarray, norm_a: float, sigmas: np.ndarray, P: tuple):
         raise NumericalError("polynomial P_n deviates from zero beyond tolerance")
 
 
-def _order_family(S, r: int) -> _Operator:
-    """S with its family and order r's traces, once 1 <= r <= n holds and
-    the degree-(r+1) quantities stay in the float range; both are checked
-    on every call, before any build or trace.  The traces are formed at the
-    operator's first order-r call and stored in the slot beside its family."""
-    global _last_family
-    key, op = _lookup(S)
-    n = op.A.shape[0]
-    check_order(r, n)
-    _check_degree(op.norm, r + 1, n)   # the order-r identities reach degree r+1
-    op = _family(key, op)
-    if op.traces[r] is None:
-        traces = _order_traces(op.A, op.fam.P[r - 1])
-        op = op._replace(traces=op.traces[:r] + (traces,) + op.traces[r + 1:])
-        _last_family = (key, op)
-    return op
-
-
-def _order_traces(A: np.ndarray, P: np.ndarray) -> tuple:
-    """(tr P, tr(P A), tr(P A^2)), from two matrix products."""
-    PA = P @ A
-    return P.trace(), PA.trace(), (PA @ A).trace()
-
-
-def _eigenframe(op: _Operator) -> tuple:
-    """eigh's (k, Q) of op.A: the stored eigenframe on a slot hit, else solved."""
-    return (op.k, op.Q) if op.k is not None else np.linalg.eigh(op.A)
-
-
 def sqrt_psd(M) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Negative eigenvalues in the zero window of ``definiteness`` are clamped
     to zero; an M that ``definiteness`` does not call PSD raises NotPSDError.
-    On a slot hit the eigenframe is the family's, with no eigensolve.
     """
-    w, V = _eigenframe(_lookup(M)[1])
+    w, V = _operator(M).frame
     if not _classify(float(w[0]), float(w[-1])).is_psd:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below the PSD zero window")
     w = np.clip(w, 0.0, None)
@@ -364,11 +329,12 @@ def modified_sff_norm_sq(S, r: int) -> float:
     (a) the trace itself, (b) sum_j sigma_{r-1}(A_j) k_j^2, and
     (c) sigma_1 sigma_r - (r+1) sigma_{r+1}.
     """
-    op = _order_family(S, r)
+    op = _operator(S)
+    val_trace = float(op.traces(r)[2])
     n = op.A.shape[0]
-    sig = op.fam.sigmas
-    val_trace = float(op.traces[r][2])
-    val_sum = float((op.table[:, r - 1] * op.k ** 2).sum())
+    table, fam = op.family
+    sig = fam.sigmas
+    val_sum = float((table[:, r - 1] * op.frame[0] ** 2).sum())
     sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
     val_sigma = float(sig[1] * sig[r] - (r + 1) * sig_rp1)
 
@@ -398,10 +364,10 @@ def trace_identities(S, r: int) -> TraceIdentityResiduals:
     Each residual is normalized by (1 + ||S||)^(r+1), ||S|| being the
     Frobenius norm that the degree check read.
     """
-    op = _order_family(S, r)
+    op = _operator(S)
+    tr_p, tr_pa, tr_pa2 = op.traces(r)
     n = op.A.shape[0]
-    tr_p, tr_pa, tr_pa2 = op.traces[r]
-    sig = op.fam.sigmas
+    sig = op.family[1].sigmas
     sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
     scale = (1.0 + op.norm) ** (r + 1)
     return TraceIdentityResiduals(
@@ -438,10 +404,9 @@ def definiteness(M) -> Definiteness:
 
     An eigenvalue within +/- ZERO_TOL*max(1, max|lambda|) of zero counts
     as zero (semidefinite), never as strictly signed.  The eigenvalues are
-    eigh's, as in ``sqrt_psd``, so that the two agree on every M; on a slot
-    hit they are the family's, with no eigensolve.
+    eigh's, as in ``sqrt_psd``, so that the two agree on every M.
     """
-    w = _eigenframe(_lookup(M)[1])[0]
+    w = _operator(M).frame[0]
     return _classify(float(w[0]), float(w[-1]))
 
 
@@ -467,13 +432,13 @@ def _classify(lo: float, hi: float) -> Definiteness:
 
 
 def _p_spectrum(S, r: int) -> tuple:
-    """S with its family and traces (``_order_family``), and the Definiteness
-    of P_{r-1} with the ascending eigenvalues it was read from: column r-1
-    of the deletion table, cut as in ``definiteness``.  No eigensolve on a
-    slot hit."""
-    op = _order_family(S, r)
-    w = np.sort(op.table[:, r - 1])
-    return op, _classify(float(w[0]), float(w[-1])), w
+    """S's _Operator, order r's traces, and the Definiteness of P_{r-1} with
+    the ascending eigenvalues it was read from: column r-1 of the deletion
+    table, cut as in ``definiteness``."""
+    op = _operator(S)
+    traces = op.traces(r)
+    w = np.sort(op.family[0][:, r - 1])
+    return op, traces, _classify(float(w[0]), float(w[-1])), w
 
 
 def cauchy_schwarz_bound(S, r: int) -> tuple:
@@ -483,13 +448,12 @@ def cauchy_schwarz_bound(S, r: int) -> tuple:
     an indefinite or negative P_{r-1} raises NotPSDError.  The gate reads
     P_{r-1}'s eigenvalues off the family's deletion table (``_p_spectrum``).
     """
-    op, d, _ = _p_spectrum(S, r)
+    op, (tr_p, _, tr_pa2), d, _ = _p_spectrum(S, r)
     _check_degree(op.norm, 2 * r, op.A.shape[0])   # both sides are degree 2r in A
     if not d.is_psd:
         raise NotPSDError(
             f"P_{r - 1} is {d.kind.value}; bound asserted only under PSD"
         )
-    tr_p, _, tr_pa2 = op.traces[r]
-    lhs = float((r * op.fam.sigmas[r]) ** 2)
+    lhs = float((r * op.family[1].sigmas[r]) ** 2)
     rhs = float(tr_p * tr_pa2)
     return lhs, rhs

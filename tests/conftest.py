@@ -150,7 +150,7 @@ def rng() -> np.random.RandomState:
 
 
 @pytest.fixture(autouse=True)
-def empty_family_slot():
-    """Start every test with symfun's one-operator family slot empty, so a
-    count of family builds or eigensolves does not depend on test order."""
-    symfun._last_family = None
+def empty_operator_cache():
+    """Start every test with symfun's operator cache empty, so a count of
+    family builds or eigensolves does not depend on test order."""
+    symfun._operator_of.cache_clear()

@@ -55,6 +55,14 @@ class TestSigmaPCylinder:
         assert sigma_p_cylinder(3, 2, 0) == 1.0
         assert sigma_p_cylinder(3, 2, 5) == 0.0
 
+    @pytest.mark.parametrize("m, r, p, message", [
+        (2, 3, 1, r"^cylinder closed form needs 1 <= r <= m, got r=3$"),
+        (3, 2, -1, "^p must be nonnegative$"),
+    ])
+    def test_refuses_an_order_past_the_rank_and_a_negative_p(self, m, r, p, message):
+        with pytest.raises(DomainError, match=message):
+            sigma_p_cylinder(m, r, p)
+
     def test_agrees_with_elem_sym(self):
         for n in range(1, 9):
             for m in range(1, n + 1):
@@ -242,6 +250,10 @@ class TestSampling:
                                                   r"exceeds 10000000: n must be at most 215$"):
                 exact_curvatures(model)
 
+    def test_a_revolution_has_no_constant_support(self):
+        with pytest.raises(DomainError, match="^Revolution has no constant support value$"):
+            exact_support(Revolution(profile=cylinder_profile(1.0, 2.0, 9)))
+
     def test_inward_convention_on_closed_models(self):
         for model in (Sphere(n=3, radius=0.7), Cylinder(n=4, m=2, radius=1.3)):
             curvatures, support = sample_fields(model)
@@ -328,6 +340,7 @@ class TestProfileValidation:
         lambda: Sphere(n=2.5, radius=1.0),
         lambda: Cylinder(n=3, m=2.0, radius=1.0),
         lambda: Hyperplane(n=True),
+        lambda: Hyperplane(n=0),
         lambda: ellipsoid_band_profile(1.0, 2.0, 0.75, 8.7),
         lambda: sphere_band_profile(2.0, 0.5, 16.5),
         lambda: cylinder_profile(1.0, 2.0, 16.5),

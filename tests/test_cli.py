@@ -9,7 +9,7 @@ import pytest
 
 from newton_flow import catalog, cli, flow, gapcheck, operators, symfun
 from newton_flow.cli import main, render_json
-from newton_flow.errors import brief
+from newton_flow.errors import ExtinctionError, brief
 from newton_flow.symfun import newton_family
 from conftest import count_eigensolves
 
@@ -36,6 +36,15 @@ class TestRenderJson:
 
     def test_nan_renders_null(self):
         assert json.loads(render_json({"x": float("nan")}))["x"] is None
+
+    def test_infinities_render_as_strings_and_an_empty_object_as_braces(self):
+        text = render_json({"a": math.inf, "b": -np.inf, "c": {}})
+        assert json.loads(text) == {"a": "Infinity", "b": "-Infinity", "c": {}}
+        assert render_json({}) == "{}"
+
+    def test_an_object_it_cannot_render_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^cannot render object$"):
+            render_json({"x": [object()]})
 
 
 class TestAlgebra:
@@ -65,6 +74,11 @@ class TestAlgebra:
         assert code == 2
         assert "error" in err
 
+    def test_curvatures_without_an_order_are_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "algebra", "--k", "1,2")
+        assert (code, out) == (2, "")
+        assert err == "config error: algebra needs --k and --r (or --preset)\n"
+
     def test_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, "algebra", "--k", "1,2", "--r", "5")
         assert code == 3
@@ -90,6 +104,8 @@ class TestAlgebra:
         # a repeated key is refused, not read as its last value
         ("cyl:n=3,m=2,r=1,r=2", 2),
         ("cyl:n=3,m=2,m=1,r=1", 2),
+        ("cyl", 2),                     # no ':'
+        ("cyl:n=3,m=2,p=1", 2),         # the wrong keys
     ])
     def test_bad_preset_exit_code(self, capsys, preset, expect):
         code, out, err = run_cli(capsys, "algebra", "--preset", preset)
@@ -208,6 +224,11 @@ MALFORMED_SCENES = [
     ({"model": {"kind": "sphere", "n": 2, "radius": 10 ** 400}, "r": 1}, 3),
     ({"model": {"kind": "revolution", "z": [0, 1, 2, 3, 4],
                 "f": [1, 1, 10 ** 400, 1, 1]}, "r": 1}, 3),
+    # the scene's own shape: an object, with a 'model' object and a 'flow' object
+    ([{"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1}], 2),
+    ({"r": 1}, 2),
+    ({"model": 3, "r": 1}, 2),
+    ({"model": {"kind": "sphere", "n": 2, "radius": 1.0}, "r": 1, "flow": 3}, 2),
 ]
 
 
@@ -234,6 +255,26 @@ def test_scene_that_json_cannot_load_is_a_config_error(capsys, tmp_path, raw):
     assert out == ""
     assert err.startswith("config error: malformed JSON in ")
     assert "Traceback" not in err
+
+
+def test_a_missing_config_file_is_a_config_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "gap", "--config", str(tmp_path / "absent.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot read config: ")
+
+
+@pytest.mark.parametrize("command", ["gap", "residual"])
+def test_a_support_past_the_float_range_exits_4_with_no_numpy_warning(
+        capsys, tmp_path, command):
+    # the curvature record is finite; z f' ~ 1e300 * 1e10 is not
+    cfg = scene_file(tmp_path, {
+        "model": {"kind": "revolution", "z": [1e300 + j * 1e286 for j in range(5)],
+                  "f": [(j + 1) * 1e295 for j in range(5)]}, "r": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert (code, out) == (4, "")
+    assert err == "error: non-finite curvature data on the revolution profile\n"
 
 
 def _nan_profile_scene(tmp_path):
@@ -304,6 +345,17 @@ class TestResidual:
 
 
 class TestFlow:
+    def test_an_extinction_that_escapes_a_handler_exits_4(self, capsys, tmp_path, monkeypatch):
+        # flow.run catches its own; one that escaped would still be a numerical failure
+        def extinct(config):
+            raise ExtinctionError(0.25)
+
+        monkeypatch.setattr(flow, "run", extinct)
+        cfg = scene_file(tmp_path, {"model": {"kind": "sphere", "n": 2, "radius": 1.0},
+                                    "r": 1, "flow": {"t_end": 0.5}})
+        code, out, err = run_cli(capsys, "flow", "--config", cfg)
+        assert (code, out, err) == (4, "", "error: flow extinct at t=0.25\n")
+
     def test_circle_law_csv(self, capsys, tmp_path):
         cfg = scene_file(tmp_path, {
             "model": {"kind": "sphere", "n": 1, "radius": 1.0},
@@ -427,6 +479,7 @@ class TestFlow:
         ({}, ("--t-end", "inf"), 3),
         ({"t_end": 10 ** 400}, (), 3),     # read as inf, as the literal 1e400 is
         ({"t_end": 0.01, "cfl_safety": 1.5}, (), 3),
+        ({}, (), 2),        # no t_end in the scene or on the command line
     ])
     def test_flow_input_contract(self, capsys, tmp_path, flow_spec, argv, expect):
         cfg = scene_file(tmp_path, {
@@ -800,13 +853,13 @@ class TestExitContract:
 
     def test_algebra_builds_one_newton_family(self, capsys, monkeypatch):
         calls = []
-        original = symfun._build_family
+        original = symfun._cross_check      # one per family built
 
-        def counted(a):
+        def counted(a, *args):
             calls.append(a.shape)
-            return original(a)
+            return original(a, *args)
 
-        monkeypatch.setattr(symfun, "_build_family", counted)
+        monkeypatch.setattr(symfun, "_cross_check", counted)
         solves = count_eigensolves(monkeypatch)
         code, out, _ = run_cli(capsys, "algebra", "--k", "1,2,3", "--r", "2")
         assert code == 0

@@ -13,6 +13,14 @@ from conftest import (
 )
 
 
+class TestTrimSlice:
+    @pytest.mark.parametrize("boundary", fd.BOUNDARY_MODES)
+    def test_only_an_open_grid_drops_its_end_nodes(self, boundary):
+        kept = np.arange(9)[fd.trim_slice(boundary)]
+        width = 0 if boundary == "periodic" else fd.TRIM_WIDTH
+        assert kept.tolist() == list(range(width, 9 - width))
+
+
 class TestPerGridStencil:
     @pytest.mark.parametrize("boundary", fd.BOUNDARY_MODES)
     def test_bitwise_equal_to_per_mode_stencils(self, rng, boundary):

@@ -63,6 +63,15 @@ class TestClosedForms:
         with pytest.raises(DomainError, match="dimension n"):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: extinction_time(2, 1, 0.0), "^radius must be positive$"),
+        (lambda: sphere_radius_exact(2, 1, 1.0, -0.1), "^time must be nonnegative$"),
+        (lambda: sphere_band_pin(2.0, 1, 0.5)(-0.1), "^time must be nonnegative$"),
+    ], ids=["extinction_time.radius0", "sphere_radius_exact.t", "sphere_band_pin.t"])
+    def test_a_radius_of_zero_and_a_time_before_zero_are_refused(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
     @pytest.mark.parametrize("half_width", [math.nan, -0.6, 0.0, 2.0, 3.0])
     def test_band_pin_checks_its_half_width(self, half_width):
         with pytest.raises(DomainError, match="half_width"):
@@ -957,6 +966,7 @@ class TestFlowConfigContract:
         ("t_end", math.inf), ("t_end", math.nan), ("t_end", 0.0),
         ("resolution", 0), ("resolution", -16),
         ("resolution", 8.5), ("resolution", True), ("output_stride", 2.5),
+        ("output_stride", 0),
         ("t_end", True), ("cfl_safety", True), ("cfl_safety", np.True_),
         ("t_end", "1"), ("cfl_safety", "0.5"),
         ("rescaled", "no"), ("rescaled", 1), ("rescaled", None),

@@ -215,7 +215,7 @@ class TestClassify:
 
 class TestOneSigmaTable:
     def test_excluding_rows_from_a_held_table(self):
-        # the all-orders table the family slot holds has the kernel's bits
+        # the all-orders table an operator's family holds has the kernel's bits
         # in every column, and each column is the deleted rows' recurrence
         gen = np.random.default_rng(5)
         for n in range(1, 8):

@@ -22,7 +22,10 @@ or raises ``NotSelfShrinkerError``.  And so is the one zero window: only
 ``GAP_TOL`` is read only in the threshold flags ``thm1_strict``,
 ``thm1_boundary`` and ``hk_at_most_n``.  And so is the one flow driver:
 ``flow`` defines no ``step``, ``run`` is the only caller of
-``_stepper``, and no module names ``CflViolationError``.
+``_stepper``, and no module names ``CflViolationError``.  And so is the
+one eigenframe: ``symfun`` keeps no module slot and no ``global``, its one
+eigensolve is ``_Operator.frame``, and ``definiteness`` and ``sqrt_psd``
+read that frame.
 """
 
 import ast
@@ -332,6 +335,51 @@ def test_one_flow_driver():
     for module in sorted(PACKAGE.glob("*.py")):
         found += driver_names(module.stem, module.read_text(encoding="utf-8"))
     assert found == [("flow", "run", "call _stepper")]
+
+
+SLOT_NAMES = ("_last_family", "_lookup", "_family", "_order_family", "_eigenframe",
+              "_order_traces")
+
+
+def eigenframe_uses(stem: str, source: str) -> list:
+    """(stem, enclosing function or None, what) for every ``global`` statement,
+    every eigensolve (``eigh`` or ``eigvalsh``), every read of an attribute
+    ``frame``, and every name, attribute or definition in SLOT_NAMES, in
+    source order."""
+    found = []
+    for node, function in nodes_in_functions(source):
+        if isinstance(node, ast.Global):
+            found.append((stem, function, "global"))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+        if name in ("eigh", "eigvalsh") or name in SLOT_NAMES:
+            found.append((stem, function, name))
+        if (isinstance(node, ast.Attribute) and node.attr == "frame"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((stem, function, "read .frame"))
+    return found
+
+
+def test_the_check_sees_a_planted_slot():
+    source = ("_last_family = None\n"
+              "def _lookup(S):\n    global _last_family\n    return np.linalg.eigvalsh(S)\n"
+              "def definiteness(M):\n    return _operator(M).frame[0]\n")
+    assert eigenframe_uses("m", source) == [
+        ("m", None, "_last_family"), ("m", "_lookup", "_lookup"), ("m", "_lookup", "global"),
+        ("m", "_lookup", "eigvalsh"), ("m", "definiteness", "read .frame")]
+
+
+def test_one_eigenframe_path():
+    # symfun keeps its operators in one stdlib cache, with no module slot; the
+    # one eigensolve is _Operator.frame, which definiteness and sqrt_psd read
+    found = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        found += eigenframe_uses(module.stem, module.read_text(encoding="utf-8"))
+    assert found == [("symfun", "frame", "eigh"), ("symfun", "family", "read .frame"),
+                     ("symfun", "sqrt_psd", "read .frame"),
+                     ("symfun", "modified_sff_norm_sq", "read .frame"),
+                     ("symfun", "definiteness", "read .frame")]
 
 
 def test_the_check_sees_an_unused_import():

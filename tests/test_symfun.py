@@ -286,7 +286,7 @@ class TestTraceIdentities:
                 assert trace_identities(a, r).worst <= 1e-10
 
     def test_scale_is_the_degree_checks_norm(self):
-        # (1 + _norm(A))^(r+1), the Frobenius norm of the operator's slot;
+        # (1 + _norm(A))^(r+1), the Frobenius norm of the validated operator;
         # np.linalg.norm rounds it differently on about a fifth of operators
         gen = np.random.default_rng(34)
         moved = 0
@@ -311,7 +311,7 @@ class TestTraceIdentities:
         assert moved > 0     # the operators tell the two norms apart
 
     def test_no_norm_pass_of_their_own(self, monkeypatch):
-        # both read the norm that _order_family hands them
+        # both read the norm that the operator's validation stored
         a = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 3.0]])
 
         def refuse(*args, **kwargs):
@@ -472,23 +472,23 @@ class TestOneRecurrence:
                         brute_sigma(K[s], r), rel=1e-12, abs=1e-12)
 
     def test_order_checked_before_the_family(self, monkeypatch):
-        def unreachable(key, op):
+        def unreachable(op):
             raise AssertionError("family built for an out-of-range order")
 
-        monkeypatch.setattr(symfun, "_family", unreachable)
+        monkeypatch.setattr(symfun._Operator, "family", property(unreachable))
         for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
             with pytest.raises(DomainError, match=r"r=4 out of range 1\.\.3"):
                 fn(np.eye(3), 4)
-        # on a slot hit too, the order is checked on every call
+        # with the family built too, the order is checked on every call
         monkeypatch.undo()
         newton_family(np.eye(3))
-        slot = symfun._last_family
+        op = symfun._operator(np.eye(3))
         for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
             with pytest.raises(DomainError, match=r"r=4 out of range 1\.\.3"):
                 fn(np.eye(3), 4)
             with pytest.raises(DomainError, match="must be an integer"):
                 fn(np.eye(3), 1.5)
-        assert symfun._last_family is slot
+        assert symfun._operator(np.eye(3)) is op and op._traces == {}
 
     def test_operator_validated_once(self, monkeypatch):
         calls = []
@@ -500,9 +500,9 @@ class TestOneRecurrence:
 
         monkeypatch.setattr(symfun, "_as_shape_operator", counted)
         S = np.diag([1.0, 2.0, 3.0])
-        # a miss validates once; later calls on the same bytes hit the slot
+        # a miss validates once; later calls on the same bytes hit the cache
         for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
-            symfun._last_family = None
+            symfun._operator_of.cache_clear()
             calls.clear()
             for r in (1, 2, 3, 2):
                 fn(S, r)
@@ -553,7 +553,8 @@ class TestOverflowGuards:
             for fn in (trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound):
                 with pytest.raises(NumericalError, match="leaves the float range"):
                     fn(s, 1)
-        assert solves == [] and symfun._last_family is None
+        # the cached operator holds A and its norm, and no part of a failed build
+        assert solves == [] and set(vars(symfun._operator(s))) == {"A", "norm", "_traces"}
 
     def test_the_float_range_error_names_the_factor_that_overflows(self):
         # n 2^n alone leaves the float range from n = 1015 on: the error names n
@@ -607,7 +608,7 @@ class TestOverflowGuards:
         a = (q * [1e150, -0.9e150]) @ q.T
         order_entry_points = [trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound]
         for first in range(3):
-            symfun._last_family = None
+            symfun._operator_of.cache_clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for fn in order_entry_points[first:] + order_entry_points[:first]:
@@ -625,7 +626,7 @@ class TestOverflowGuards:
                         fn(a, 2)
                     assert str(info.value) == (
                         "|A|^3 of |A|=1.34536e+150 leaves the float range")
-            assert symfun._last_family[1].traces[2] is None
+            assert list(symfun._operator(a)._traces) == [1]
 
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
         # order 0 of the deletion table feeds route (b) at r = 1 and no P_r
@@ -644,11 +645,11 @@ class TestOverflowGuards:
 def _operator_outputs(a, fresh: bool = False) -> list:
     """The bytes of every result on a, in the order the algebra workload
     asks for them: the family, definiteness and root, then each r in turn.
-    fresh empties the slot before every call, so each validates and builds
+    fresh empties the cache before every call, so each validates and builds
     afresh."""
     def call(fn, *args):
         if fresh:
-            symfun._last_family = None
+            symfun._operator_of.cache_clear()
         return fn(*args)
 
     fam = call(newton_family, a)
@@ -681,7 +682,7 @@ def _names(entry_points) -> list:
     return [fn.__name__ for fn, _ in entry_points]
 
 
-class TestFamilySlot:
+class TestOperatorCache:
     @staticmethod
     def counted(monkeypatch, name: str) -> list:
         """Record the shape of the first argument of every call of symfun's ``name``."""
@@ -696,11 +697,11 @@ class TestFamilySlot:
         return calls
 
     def test_hits_are_bit_equal_to_fresh_builds(self, rng, monkeypatch):
-        builds = self.counted(monkeypatch, "_build_family")
+        builds = self.counted(monkeypatch, "_cross_check")
         for trial in range(1000):
             n = trial % 8 + 1
             a = random_symmetric(rng, n, positive=(trial // 8) % 2 == 0)
-            symfun._last_family = None
+            symfun._operator_of.cache_clear()
             builds.clear()
             memo = _operator_outputs(a)
             assert builds == [(n, n)]       # one build, then every call hits
@@ -708,39 +709,41 @@ class TestFamilySlot:
 
     def test_one_eigensolve_for_the_family_of_a_job(self, rng, monkeypatch):
         validations = self.counted(monkeypatch, "_as_shape_operator")
-        builds = self.counted(monkeypatch, "_build_family")
-        traces = self.counted(monkeypatch, "_order_traces")
+        builds = self.counted(monkeypatch, "_cross_check")
         solves = count_eigensolves(monkeypatch)
         for n in range(1, 7):
             a = random_symmetric(rng, n, positive=True)
             validations.clear()
             builds.clear()
-            traces.clear()
             solves.clear()
             # the calls of the algebra benchmark's job on one operator
             fam = newton_family(a)
+            op = symfun._operator(a)
             assert definiteness(a).is_psd
             sqrt_psd(a)
-            assert traces == []     # the family, definiteness and root form none
+            assert op._traces == {}     # the family, definiteness and root form none
+            formed = {}
             for r in range(1, n + 1):
                 trace_identities(a, r)
+                formed[r] = op._traces[r]
                 modified_sff_norm_sq(a, r)
                 definiteness(fam.P[r - 1])
                 cauchy_schwarz_bound(a, r)
                 # order r's traces: formed once, shared by its three entry points
-                assert traces == [(n, n)] * r
+                assert symfun._operator(a) is op
+                assert all(op._traces[q] is formed[q] for q in formed)
+                assert list(op._traces) == list(formed)
             assert builds == [(n, n)]
-            # a once, then each P_{r-1}: a miss that leaves the slot alone
+            # a once, then each P_{r-1}, which does not evict a
             assert validations == [(n, n)] * (1 + n)
-            # the family's one and definiteness of each P_{r-1}: definiteness(a)
-            # and sqrt_psd(a) read the family's eigenframe, cauchy_schwarz_bound
-            # its deletion table
+            # a's one eigenframe and one for each P_{r-1}: definiteness(a) and
+            # sqrt_psd(a) read a's, cauchy_schwarz_bound its deletion table
             assert len(solves) == 1 + n
 
     def test_hits_give_the_bytes_of_a_fresh_eigensolve_and_trace(self, rng, monkeypatch):
-        # the oracle: a fresh eigh of the slot's A, and np.trace of the
-        # products of the slot's P_{r-1} and A, evaluated here
-        builds = self.counted(monkeypatch, "_build_family")
+        # the oracle: a fresh eigh of the cached A, and np.trace of the
+        # products of the cached P_{r-1} and A, evaluated here
+        builds = self.counted(monkeypatch, "_cross_check")
         order_entry_points = [trace_identities, modified_sff_norm_sq, cauchy_schwarz_bound]
         kinds = set()
         for trial in range(1200):
@@ -756,8 +759,9 @@ class TestFamilySlot:
             a = 0.5 * (a + a.T)
             builds.clear()
             newton_family(a)
-            _, op = symfun._last_family
+            op = symfun._operator(a)
             A = op.A
+            table, fam = op.family
             w, V = np.linalg.eigh(A)
             want = symfun._classify(float(w[0]), float(w[-1]))
             kinds.add(want.kind)
@@ -768,16 +772,16 @@ class TestFamilySlot:
             else:
                 with pytest.raises(NotPSDError):
                     sqrt_psd(a)
-            sig = op.fam.sigmas
+            sig = fam.sigmas
             for r in range(1, n + 1):
-                P = op.fam.P[r - 1]
+                P = fam.P[r - 1]
                 tr_p, tr_pa, tr_pa2 = np.trace(P), np.trace(P @ A), np.trace(P @ A @ A)
                 sig_rp1 = sig[r + 1] if r + 1 <= n else 0.0
                 scale = (1.0 + op.norm) ** (r + 1)
                 residuals = [abs(tr_p - (n - r + 1) * sig[r - 1]) / scale,
                              abs(tr_pa - r * sig[r]) / scale,
                              abs(tr_pa2 - (sig[1] * sig[r] - (r + 1) * sig_rp1)) / scale]
-                p_eigenvalues = np.sort(op.table[:, r - 1])     # the PSD gate's
+                p_eigenvalues = np.sort(table[:, r - 1])     # the PSD gate's
                 gate = symfun._classify(float(p_eigenvalues[0]), float(p_eigenvalues[-1]))
                 # each entry point in turn forms the order's traces
                 first = (trial + r) % 3
@@ -811,36 +815,40 @@ class TestFamilySlot:
             p[:] = 7.0
         assert _operator_outputs(a) == expect
 
-    def test_the_slot_is_read_only(self, rng):
+    def test_the_cache_is_read_only(self, rng):
         a = random_symmetric(rng, 3)
         newton_family(a)
-        key, op = symfun._last_family
-        assert key == (a.shape, a.tobytes())
-        for array in (op.A, op.k, op.Q, op.fam.sigmas, *op.fam.P, op.table):
+        op = symfun._operator(a)
+        assert symfun._operator_of(a.shape, a.tobytes()) is op
+        table, fam = op.family
+        for array in (op.A, *op.frame, fam.sigmas, *fam.P, table):
             with pytest.raises(ValueError):
                 array[...] = 0.0
 
     def test_a_failed_build_is_not_cached(self, monkeypatch):
-        builds = self.counted(monkeypatch, "_build_family")
-        good = np.diag([1.0, 2.0])
+        builds = self.counted(monkeypatch, "_cross_check")
+        solves = count_eigensolves(monkeypatch)
+        good, bad = np.diag([1.0, 2.0]), np.diag([1e160, 1.0])
         newton_family(good)
-        slot = symfun._last_family
-        for _ in range(2):
+        for _ in range(2):      # nothing of the failed family is kept: it raises again
             with pytest.raises(NumericalError):
-                newton_family(np.diag([1e160, 1.0]))
+                newton_family(bad)
             with pytest.raises(NumericalError):
-                modified_sff_norm_sq(np.diag([1e160, 1.0]), 1)
-        assert symfun._last_family is slot
-        # the order entry point's degree check refuses before its build
-        assert builds == [(2, 2)] * 3
+                modified_sff_norm_sq(bad, 1)
+        # the family's degree check refuses before its eigensolve
+        assert set(vars(symfun._operator(bad))) == {"A", "norm", "_traces"}
         newton_family(good)
-        assert len(builds) == 3
+        assert builds == [(2, 2)] and solves == [(2, 2)]
 
     @pytest.mark.parametrize("fn, args", OPERATOR_ENTRY_POINTS,
                              ids=_names(OPERATOR_ENTRY_POINTS))
-    def test_no_refused_input_enters_the_slot(self, fn, args):
-        newton_family(np.diag([1.0, 2.0]))
-        slot = symfun._last_family
+    def test_no_refused_input_enters_the_cache(self, fn, args):
+        held = [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])]
+        ops = [symfun._operator(a) for a in held]
+
+        def still_held():       # an input that entered would have evicted one
+            return all(symfun._operator(a) is op for a, op in zip(held, ops))
+
         refused = [
             [[1.0, math.nan], [math.nan, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
             [[1.0, 0.5], [0.0, 1.0]], np.ones((2, 3)), np.zeros((0, 0)), [1.0, 2.0],
@@ -849,26 +857,34 @@ class TestFamilySlot:
         for bad in refused:
             with pytest.raises(DomainError):
                 fn(bad, *args)
-            assert symfun._last_family is slot, bad
-        if args:        # out-of-range order and float-range degree on a miss
+            assert still_held(), bad
+        if args:
+            # an out-of-range order or degree refuses a valid operator: it is
+            # cached, with no family and no traces of the refused order
             for bad, r, error in ((np.eye(3), 4, DomainError),
                                   (np.diag([1e160, 1.0]), 1, NumericalError)):
                 with pytest.raises(error):
                     fn(bad, r)
-                assert symfun._last_family is slot
+                assert set(vars(symfun._operator(bad))) == {"A", "norm", "_traces"}
+                assert symfun._operator(bad)._traces == {}
 
-    def test_definiteness_and_root_never_store(self, rng):
-        a, b = random_symmetric(rng, 3), random_symmetric(rng, 3, positive=True)
-        newton_family(a)
-        slot = symfun._last_family
-        definiteness(b)
-        sqrt_psd(b)
-        assert symfun._last_family is slot
-        # on a hit they read the stored operator, with the same bits as a miss
-        hit = (repr(definiteness(b)), sqrt_psd(b).tobytes())
-        newton_family(b)
-        assert symfun._last_family is not slot
-        assert (repr(definiteness(b)), sqrt_psd(b).tobytes()) == hit
+    def test_a_p_query_between_two_calls_on_a_does_not_evict_a(self, rng, monkeypatch):
+        builds = self.counted(monkeypatch, "_cross_check")
+        a = random_symmetric(rng, 3, positive=True)
+        fam = newton_family(a)
+        op = symfun._operator(a)
+        for r in (1, 2, 3):
+            trace_identities(a, r)
+            hit = (repr(definiteness(fam.P[r - 1])), sqrt_psd(fam.P[r - 1]).tobytes())
+            cauchy_schwarz_bound(a, r)
+            assert symfun._operator(a) is op
+            # the P query's own hit has the bits of a fresh solve
+            assert (repr(definiteness(fam.P[r - 1])), sqrt_psd(fam.P[r - 1]).tobytes()) == hit
+        assert builds == [(3, 3)]
+        # a third operator evicts the one asked about least recently
+        assert symfun._operator_of.cache_info().maxsize == 2
+        definiteness(fam.P[1])
+        assert symfun._operator(a) is not op
 
     @pytest.mark.parametrize("i, j, value, message", [
         (1, 1, math.nan, "non-finite"), (0, 2, math.inf, "non-finite"),
@@ -885,24 +901,24 @@ class TestFamilySlot:
                 fn(a, *args)
 
     def test_equal_float64_bytes_hit_whatever_the_container(self, monkeypatch):
-        builds = self.counted(monkeypatch, "_build_family")
+        builds = self.counted(monkeypatch, "_cross_check")
         a = np.diag([1.0, 2.0, 3.0])
         for s in (a, a.tolist(), np.asfortranarray(a), a.astype(int), a.astype(np.float32)):
             newton_family(s)
             trace_identities(s, 2)
         assert builds == [(3, 3)]
 
-    def test_operators_one_ulp_apart_miss_the_slot(self, rng, monkeypatch):
-        builds = self.counted(monkeypatch, "_build_family")
+    def test_operators_one_ulp_apart_miss_the_cache(self, rng, monkeypatch):
+        builds = self.counted(monkeypatch, "_cross_check")
         a = random_symmetric(rng, 3)
         b = a.copy()
         b[0, 0] = np.nextafter(a[0, 0], np.inf)
         for s in (a, b, a):
             got = newton_family(s)
-            fresh = symfun._build_family(symfun._as_shape_operator(s))[1]
+            fresh = symfun._Operator(symfun._as_shape_operator(s)).family[1]
             assert got.sigmas.tobytes() == fresh.sigmas.tobytes()
             assert all(p.tobytes() == q.tobytes() for p, q in zip(got.P, fresh.P))
-        assert len(builds) == 3 + 3     # three misses, three reference builds
+        assert len(builds) == 2 + 3     # a and b miss, a hits; three reference builds
 
 
 def power_sum_check(A, norm_a, sigmas, P):
@@ -935,7 +951,7 @@ class TestHornerCrossCheck:
         """sigmas and P of a validated A, built without the cross-check."""
         with monkeypatch.context() as m:
             m.setattr(symfun, "_cross_check", lambda *args: None)
-            fam = symfun._build_family(A)[1]
+            fam = symfun._Operator(A).family[1]
         return fam.sigmas, fam.P
 
     def test_a_perturbed_p_r_is_refused(self, rng, monkeypatch):
@@ -952,6 +968,20 @@ class TestHornerCrossCheck:
                             f"eigenframe/polynomial disagreement for P_{r}$")):
                         check(A, norm_a, sig, bad)
 
+    def test_a_sigma_n_between_the_two_tolerances_fails_cayley_hamilton(self, rng, monkeypatch):
+        # sigma_n off by d moves poly_n by d I, of norm d sqrt(n): past the
+        # Cayley-Hamilton tolerance, within P_n's (n times larger) for n >= 2
+        for n in range(2, 7):
+            q = random_orthogonal(rng, n)
+            A = symfun._as_shape_operator((q * rng.uniform(0.9, 1.1, n)) @ q.T)
+            norm_a = symfun._norm(A)
+            sig, P = self.unchecked_family(A, monkeypatch)
+            bad = sig.copy()
+            bad[n] += symfun.IDENTITY_TOL * (1.0 + norm_a) ** n
+            for check in (symfun._cross_check, power_sum_check):
+                with pytest.raises(NumericalError, match="polynomial P_n deviates from zero"):
+                    check(A, norm_a, bad, P)
+
     def test_a_perturbed_build_stores_nothing(self, monkeypatch):
         kernel = symfun._excluding_table
 
@@ -961,9 +991,13 @@ class TestHornerCrossCheck:
             return table
 
         monkeypatch.setattr(symfun, "_excluding_table", perturbed)
-        with pytest.raises(NumericalError, match="disagreement for P_1"):
-            newton_family(np.diag([1.0, 1.1, 0.9]))
-        assert symfun._last_family is None
+        a = np.diag([1.0, 1.1, 0.9])
+        for _ in range(2):      # the failed family is not kept, so it raises again
+            with pytest.raises(NumericalError, match="disagreement for P_1"):
+                newton_family(a)
+        assert "family" not in vars(symfun._operator(a))
+        monkeypatch.undo()
+        assert newton_family(a).sigmas[3] == pytest.approx(0.99)
 
     def test_same_verdict_as_the_power_sum(self, rng, monkeypatch):
         # curvatures of either sign spread over 10^-8..10^8; every other
@@ -1031,6 +1065,14 @@ class TestInputRefusals:
             elem_sym_excluding([1.0, 2.0], r, 1)
         with pytest.raises(DomainError, match="must be an integer"):
             elem_sym_excluding_rows(np.eye(2), r)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: elem_sym(np.ones((2, 2)), 1), "^curvature vector must be 1-D$"),
+        (lambda: elem_sym_excluding_rows(np.ones((2, 3)), -1), "^order r must be nonnegative$"),
+    ], ids=["elem_sym.two-d", "elem_sym_excluding_rows.negative-r"])
+    def test_a_matrix_of_curvatures_and_a_negative_order_are_refused(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     @pytest.mark.parametrize("rows", [np.float64(1.0), np.ones((2, 2, 2)), [[[1.0]]]],
                              ids=["zero-d", "three-d", "nested-list"])
