@@ -44,21 +44,23 @@ resolution.  resolution / cfl_safety is the number of steps per e-fold
 of the time left: a run to t_end takes ln(T / (T - t_end)) / -ln(1 -
 cfl_safety / resolution) steps, T = T_ext(R0), whatever (n, r) is.
 
-``run`` is the one driver.  It takes dt = min(cfl_safety * bound, t_end
-- t), and ``FlowConfig`` keeps cfl_safety in (0, 1], so no step exceeds
-its bound.  ``_stepper`` makes the run's one explicit step of the
-values, by the kind's scheme or else the config's: forward Euler or the
-rk2 midpoint rule, with the Dirichlet data of
-``FlowConfig.boundary_values`` imposed on the midpoint and on the
-result.  It runs one guard on the midpoint and on the result: a
-non-positive radius is extinction (reason "pinch" on radial graphs) and
-a NaN is a NumericalError.  The guard returns the smallest radius it
-computed, which ends the run once it falls below EXTINCTION_FRACTION of
-the start's.
+``run`` is the one driver, and it takes each step itself.  It takes dt =
+min(cfl_safety * bound, t_end - t), and ``FlowConfig`` keeps cfl_safety
+in (0, 1], so no step exceeds its bound.  The step is forward Euler or
+the rk2 midpoint rule, by the kind's scheme or else the config's, with
+the Dirichlet data of ``FlowConfig.boundary_values`` imposed on the
+midpoint and on the result.  One guard reads the kind's smallest radius
+of the midpoint and of the result: a non-positive radius is extinction
+(reason "pinch" on radial graphs) and a NaN a NumericalError, raised by
+``_refuse``, which only a refused radius calls.  The result's radius
+ends the run once it falls below EXTINCTION_FRACTION of the start's.  A
+round law's midpoint is R (1 - cfl_safety / (2 (r+1) resolution)) at
+the full bound and larger at a shorter step, so at least 3/4 R, and its
+guard never refuses; it stays, so that one guard serves both kinds.
 
-``run`` builds the kind and the stepper once and carries t, the values,
-their speed and bound and the step count as locals.  The kind's diagnose
-makes a diagnostics row from values, with the run's constants (C(n,r),
+``run`` builds the kind once and carries t, the values, their speed and
+bound and the step count as locals.  The kind's diagnose makes a
+diagnostics row from values, with the run's constants (C(n,r),
 the rescaling's r+1 and 1/(r+1), the initial radius or profile and its
 homothety window) bound once; a radial graph's row reads the parts its
 stage kept.  A state object is made only for the final ``FlowState``,
@@ -434,54 +436,24 @@ def _kind(config: FlowConfig):
     return _graph_kind(revolution_geometry(model), r, config.rescaled)
 
 
-def _stepper(kind: _Kind, config: FlowConfig):
-    """The one explicit step of a run, with the run's fixed parts bound once.
-
-    Returns advance(x, speed, t, dt) -> (new values, their smallest radius),
-    where x are the values that move and speed their stage's.  Forward
-    Euler takes x + speed * dt; rk2 is the midpoint rule, whose midpoint
-    speed is the kind's stage.  The kind's scheme, if it names one, takes
-    the place of config.scheme.  The Dirichlet data of config.boundary_values
-    are imposed on the midpoint and on the result, and the guard runs on
-    both: a non-positive radius is an ExtinctionError, a NaN a
-    NumericalError.  Each step makes new values.
-    """
-    stage, radius_of, name, reason = kind.stage, kind.radius, kind.name, kind.reason
-    rk2 = (kind.scheme or config.scheme) == "rk2"
-    pin = config.boundary_values
-
-    def guard(x, t):
-        radius = radius_of(x)
-        if not radius > 0.0:
-            if radius <= 0.0:
-                raise ExtinctionError(t, reason=reason)
-            raise NumericalError(f"non-finite {name} at t={t:.6g}")   # a NaN
-        return radius
-
-    def advance(x, speed, t, dt):
-        t_new = t + dt
-        if rk2:
-            half = x + speed * (0.5 * dt)
-            if pin is not None:
-                half[0], half[-1] = pin(t + 0.5 * dt)
-            guard(half, t_new)
-            x = x + stage(half)[0] * dt
-        else:
-            x = x + speed * dt
-        if pin is not None:
-            x[0], x[-1] = pin(t_new)
-        return x, guard(x, t_new)
-
-    return advance
+def _refuse(kind: _Kind, radius, t: float):
+    """Raise for a radius the step's guard refused: a non-positive one is
+    an ExtinctionError with the kind's reason, a NaN a NumericalError."""
+    if radius <= 0.0:
+        raise ExtinctionError(t, reason=kind.reason)
+    raise NumericalError(f"non-finite {kind.name} at t={t:.6g}")
 
 
 def run(config: FlowConfig) -> RunResult:
     """Adaptive explicit time loop until t_end or extinction.
 
-    Diagnostics are emitted at t = 0, every output_stride steps, and at
-    the final accepted state.  Deterministic for a fixed configuration.
-    Raises DomainError when the kind's estimate puts the run above
-    MAX_STEPS steps, and NumericalError if it passes MAX_STEPS anyway.
+    Each step is written out in the loop, so a step that the guard passes
+    calls only the kind's stage (once for Euler, twice for rk2), its
+    radius and the pin.  Diagnostics are emitted at t = 0, every
+    output_stride steps, and at the final accepted state.  Deterministic
+    for a fixed configuration.  Raises DomainError when the kind's
+    estimate puts the run above MAX_STEPS steps, and NumericalError if it
+    passes MAX_STEPS anyway.
     """
     kind = _kind(config)
     if kind is None:
@@ -492,7 +464,8 @@ def run(config: FlowConfig) -> RunResult:
         return RunResult(diagnostics=[diag0, diag0._replace(t=config.t_end)],
                          status="stationary", state=FlowState(config.t_end, config.model, 1))
 
-    advance, stage, diagnose = _stepper(kind, config), kind.stage, kind.diagnose
+    stage, diagnose, radius_of = kind.stage, kind.diagnose, kind.radius
+    rk2, pin = (kind.scheme or config.scheme) == "rk2", config.boundary_values
     x = kind.start
     speed, bound = stage(x)
     max_steps, cfl, t_end = MAX_STEPS, config.cfl_safety, config.t_end
@@ -504,7 +477,7 @@ def run(config: FlowConfig) -> RunResult:
     diagnostics = [diagnose(0.0, x, 0.0)]
     t, count = 0.0, 0
     t_stop, stride = t_end * (1.0 - 1e-14), config.output_stride
-    floor = EXTINCTION_FRACTION * kind.radius(kind.start)
+    floor = EXTINCTION_FRACTION * radius_of(x)
     status = "completed"
     last_dt = 0.0
     while t < t_stop:
@@ -513,15 +486,30 @@ def run(config: FlowConfig) -> RunResult:
         dt = cfl * bound
         if t_end - t < dt:
             dt = t_end - t
-        if not t + dt > t:    # an underflowed bound would never end
+        t_new = t + dt
+        if not t_new > t:    # an underflowed bound would never end
             raise NumericalError(f"time step {dt:.3e} does not advance t={t:.6g}")
         try:
-            x, radius = advance(x, speed, t, dt)
+            if rk2:
+                half = x + speed * (0.5 * dt)
+                if pin is not None:
+                    half[0], half[-1] = pin(t + 0.5 * dt)
+                radius = radius_of(half)
+                if not radius > 0.0:
+                    _refuse(kind, radius, t_new)
+                x = x + stage(half)[0] * dt
+            else:
+                x = x + speed * dt
+            if pin is not None:
+                x[0], x[-1] = pin(t_new)
+            radius = radius_of(x)
+            if not radius > 0.0:
+                _refuse(kind, radius, t_new)
         except ExtinctionError as exc:
             logger.info("flow stopped: %s", exc)
             status = "extinct"
             break
-        t += dt
+        t = t_new
         count += 1
         last_dt = dt
         speed, bound = stage(x)

@@ -317,24 +317,28 @@ def _reference_speed(f, h, boundary, orientation, r):
     return -o * sigma * w
 
 
-def _reference_run(f, z, r, scheme, pin, t_end, safety=0.25):
-    """run()'s time loop with a bound pass, a check pass and a speed pass."""
-    h, boundary, t, steps = float(z[1] - z[0]), "neumann", 0.0, 0
-
+def _reference_step(f, t, dt, h, boundary, orientation, r, scheme, pin):
+    """One forward-Euler or midpoint step from its own speed passes, with
+    the pin imposed on the midpoint and on the result."""
     def pinned(values, at):
         if pin is not None:
             values[0], values[-1] = pin(at)
         return values
 
+    speed = _reference_speed(f, h, boundary, orientation, r)
+    if scheme == "rk2":
+        mid = pinned(f + 0.5 * dt * speed, t + 0.5 * dt)
+        speed = _reference_speed(mid, h, boundary, orientation, r)
+    return pinned(f + dt * speed, t + dt)
+
+
+def _reference_run(f, z, r, scheme, pin, t_end, safety=0.25):
+    """run()'s time loop with a bound pass, a check pass and a speed pass."""
+    h, boundary, t, steps = float(z[1] - z[0]), "neumann", 0.0, 0
     while t < t_end * (1.0 - 1e-14):
         dt = min(safety * _reference_bound(f, h, boundary, r), t_end - t)
         assert dt <= _reference_bound(f, h, boundary, r) * (1.0 + 1e-9)
-        if scheme == "euler":
-            f = pinned(f + dt * _reference_speed(f, h, boundary, 1, r), t + dt)
-        else:
-            mid = pinned(f + 0.5 * dt * _reference_speed(f, h, boundary, 1, r),
-                         t + 0.5 * dt)
-            f = pinned(f + dt * _reference_speed(mid, h, boundary, 1, r), t + dt)
+        f = _reference_step(f, t, dt, h, boundary, 1, r, scheme, pin)
         t += dt
         steps += 1
     return f, steps
@@ -426,8 +430,9 @@ class TestRevolutionStage:
         assert [a.tobytes() for a in _arrays(initial)] == [
             a.tobytes() for a in _arrays(start(config.model))]
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
     @pytest.mark.parametrize("r", [1, 2])
-    def test_nan_profile_run_raises(self, monkeypatch, r):
+    def test_nan_profile_run_raises(self, monkeypatch, r, scheme):
         # a ProfileCurve refuses NaN samples, so the NaN goes into run's state
         record = flow.revolution_geometry
 
@@ -439,8 +444,8 @@ class TestRevolutionStage:
 
         monkeypatch.setattr(flow, "revolution_geometry", with_nan)
         model = Revolution(profile=sphere_band_profile(2.0, 0.6, 32))
-        with pytest.raises(NumericalError):
-            run(FlowConfig(r=r, model=model, t_end=0.01))
+        with pytest.raises(NumericalError, match="non-finite profile"):
+            run(FlowConfig(r=r, model=model, t_end=0.01, scheme=scheme))
 
 
 # ---------------------------------------------------------------------------
@@ -703,27 +708,30 @@ class TestDiagnosticsRows:
     ])
     def test_graph_rows_match_the_record_formula(self, model, r, pinned, t_end, scheme,
                                                  rescaled):
-        # the records of a loop of the run's own step, which ends where run ends
+        # the records of a loop written out here, with its own stencils, bound,
+        # Euler and midpoint steps and pin (_reference_step), which ends where
+        # run ends
         config = FlowConfig(r=r, model=model, t_end=t_end, resolution=33,
                             scheme=scheme, rescaled=rescaled, output_stride=7,
                             boundary_values=sphere_band_pin(2.0, r, 0.6) if pinned else None)
         result = run(config)
         start = revolution_geometry(model)
-        kind = flow._kind(config)
-        advance = flow._stepper(kind, config)
-        f, t, count, dt = kind.start, 0.0, 0, 0.0
-        want = [_graph_row(0.0, start, 0.0, config, start)]
-        while t < config.t_end * (1.0 - 1e-14):
-            speed, bound = kind.stage(f)
-            dt = min(config.cfl_safety * bound, config.t_end - t)
-            f, _ = advance(f, speed, t, dt)
-            t, count = t + dt, count + 1
-            if count % 7 == 0:
-                want.append(_graph_row(t, kind.rebuild(f), dt, config, start))
-        if want[-1][0] < t:
-            want.append(_graph_row(t, kind.rebuild(f), dt, config, start))
-        assert result.status == "completed" and count > 3 * 7
-        assert count == result.state.step_count
+        h, boundary, o = start.h, start.boundary, start.orientation
+        build = _graph_builder(start.z, h, boundary, o)
+
+        def step(f, t, dt):
+            return _reference_step(f, t, dt, h, boundary, o, r, scheme,
+                                   config.boundary_values)
+
+        def diagnose(f, t, dt):
+            return _graph_row(t, build(f), dt, config, start)
+
+        f, steps, want, status = _reference_loop(
+            start.f, t_end, config.cfl_safety, 7,
+            lambda f: _reference_bound(f, h, boundary, r), step, diagnose, np.min)
+        assert result.status == status == "completed" and steps > 3 * 7
+        assert steps == result.state.step_count
+        assert result.state.geometry.f.tobytes() == f.tobytes()
         assert _bits(_as_tuples(result.diagnostics)) == _bits(want)
 
     def test_homothety_window_on_an_asymmetric_grid(self):
@@ -839,6 +847,33 @@ class TestRoundLawStep:
             result, err = _law_errors(model, r, 128)
             assert err <= 1e-5, (model, r, err)
             assert abs(result.state.step_count - steps) <= 1.0, (model, r)
+
+    def test_the_midpoint_keeps_three_quarters_of_the_radius(self, monkeypatch):
+        # at dt = cfl_safety T_ext(R) / resolution the midpoint is R (1 -
+        # cfl_safety / (2 (r+1) resolution)): at least 3/4 R at the largest
+        # step a config allows, cfl_safety = 1 and resolution = 1, so the
+        # guard never refuses a round law's midpoint
+        staged, make = [], flow._round_kind
+
+        def recorded(*args):
+            kind = make(*args)
+
+            def stage(radius):
+                staged.append(radius)
+                return kind.stage(radius)
+            return kind._replace(stage=stage)
+        monkeypatch.setattr(flow, "_round_kind", recorded)
+        for model, r in CATALOG_LAWS:
+            staged.clear()
+            t_end = extinction_time(_round_rank(model), r, model.radius)
+            result = run(FlowConfig(r=r, model=model, t_end=t_end, resolution=1,
+                                    cfl_safety=1.0))
+            # stage reads the start, then each step's midpoint and result
+            starts, mids = staged[0::2], staged[1::2]
+            assert len(mids) == result.state.step_count > 0, (model, r)
+            for radius, mid in zip(starts, mids):
+                assert mid == pytest.approx(radius * (1.0 - 0.5 / (r + 1)), rel=1e-12)
+                assert mid >= 0.75 * radius, (model, r)
 
     def test_the_scheme_does_not_move_a_round_law(self):
         for model, r, t_end in ROUND_LAWS:
