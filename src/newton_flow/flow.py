@@ -17,9 +17,10 @@ graph) and holds the start values, its estimate of a run's step count
 and the scheme of its step (None for the config's).  A run steps only
 the values that move, a round law's float radius or a radial graph's
 profile array f.
-The kind's stage takes values and gives their speed and step bound, the
-rk2 midpoint's too; its rebuild makes the state object from values the
-guard has passed.
+The kind's stage takes values and gives their speed and step bound; its
+speed gives the speed alone, with the bits of the stage's and the same
+refusals, for the rk2 midpoint, whose bound nothing reads; its rebuild
+makes the state object from values the guard has passed.
 
 A radial graph's bound is the explicit limit of its speed's principal
 part, dt <= h^2 / (2 sup_j |lambda_mer,j|), lambda_mer the meridional
@@ -59,8 +60,9 @@ the full bound and larger at a shorter step, so at least 3/4 R, and its
 guard never refuses; it stays, so that one guard serves both kinds.
 
 ``run`` builds the kind once and carries t, the values, their speed and
-bound and the step count as locals.  The kind's diagnose makes a
-diagnostics row from values, with the run's constants (C(n,r),
+bound and the step count as locals; a hyperplane's run is stationary, a
+row at t = 0 and at t_end and a step count of 0.  The kind's diagnose
+makes a diagnostics row from values, with the run's constants (C(n,r),
 the rescaling's r+1 and 1/(r+1), the initial radius or profile and its
 homothety window) bound once; a radial graph's row reads the parts its
 stage kept.  A state object is made only for the final ``FlowState``,
@@ -264,7 +266,8 @@ class RunResult:
 class _Kind(NamedTuple):
     """One kind of flow state, bound to one run's r, resolution and grid."""
 
-    stage: Callable       # values -> (their speed, their step bound), the rk2 midpoint's too
+    stage: Callable       # values -> (their speed, their step bound)
+    speed: Callable       # values -> their speed alone, the rk2 midpoint's
     start: object         # the values that move, at t = 0
     rebuild: Callable     # values -> the geometry holding them, once the guard passed them
     radius: Callable      # values -> smallest radius, for the guard and the extinction floor
@@ -315,6 +318,12 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
             raise float_range_error("R", radius, r) from exc
         return speed, radius * power / divisor if divisor else math.inf
 
+    def speed(radius):
+        try:
+            return rate / radius ** r
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise float_range_error("R", radius, r) from exc
+
     def diagnose(t, radius, dt):
         phi, defect = 1.0, math.nan
         if rescaled:
@@ -331,7 +340,7 @@ def _round_kind(geom: Sphere, r: int, resolution: int, rescaled: bool = False) -
         run_folds = _folds(t_end / t_ext) if t_ext > 0 else math.inf
         return min(run_folds, floor_folds) / _folds(cfl / resolution)
 
-    return _Kind(stage, radius0, lambda radius: Sphere(n, radius), float,
+    return _Kind(stage, speed, radius0, lambda radius: Sphere(n, radius), float,
                  "radius", "extinct", diagnose, steps, "rk2")
 
 
@@ -351,10 +360,11 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
     max p) at r = 2 (p > 0 on a positive profile; inf where max p is 0),
     under which an Euler step's principal part is a convex combination of
     neighbouring values.  At r = 2 with o = -1 the coefficient is
-    negative, backward-parabolic under any bound.  The parts of the last
-    profile staged are kept, first the initial record's.  The guard's
-    smallest radius is np.minimum.reduce, ndarray.min without its method
-    wrapper.
+    negative, backward-parabolic under any bound.  The speed is the
+    stage's without the bound, so the rk2 midpoint forms no max p.  The
+    parts of the last profile staged are kept, first the initial record's.
+    The guard's smallest radius is np.minimum.reduce, ndarray.min without
+    its method wrapper.
 
     A row reads the record's sigma_r (k_mer + k_par = o (p - q), k_mer
     k_par = -q p) and support <X, N> = o (z f' - f) / w from the parts.  Its
@@ -381,12 +391,18 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
             last_f, last_parts = f, build.parts(f)
         return last_parts
 
-    def stage(f):
+    def speed(f):
         _, w, q, p = parts(f)
         if r == 1:
-            return (q - p) * w, half_h_sq
-        qpw, p_max = q * p * w, float(np.maximum.reduce(p))
-        return qpw if negate else -qpw, half_h_sq / p_max if p_max != 0.0 else math.inf
+            return (q - p) * w
+        qpw = q * p * w
+        return qpw if negate else -qpw
+
+    def stage(f):
+        if r == 1:
+            return speed(f), half_h_sq
+        p_max = float(np.maximum.reduce(parts(f)[3]))
+        return speed(f), half_h_sq / p_max if p_max != 0.0 else math.inf
 
     z, f0, o = graph.z, graph.f, float(graph.orientation)
     z_lo, z_hi = z.min(), z.max()      # the homothety window, on the initial grid
@@ -414,7 +430,7 @@ def _graph_kind(graph: RevolutionGeometry, r: int, rescaled: bool = False) -> _K
         # a bound of 0 is an underflow, which the loop reports
         return t_end / (cfl * bound) if cfl * bound > 0.0 else 0.0
 
-    return _Kind(stage, graph.f, lambda f: build.record(f, parts(f)),
+    return _Kind(stage, speed, graph.f, lambda f: build.record(f, parts(f)),
                  np.minimum.reduce, "profile", "pinch", diagnose, steps, None)
 
 
@@ -448,8 +464,8 @@ def run(config: FlowConfig) -> RunResult:
     """Adaptive explicit time loop until t_end or extinction.
 
     Each step is written out in the loop, so a step that the guard passes
-    calls only the kind's stage (once for Euler, twice for rk2), its
-    radius and the pin.  Diagnostics are emitted at t = 0, every
+    calls only the kind's stage (and, for rk2, its speed at the midpoint),
+    its radius and the pin.  Diagnostics are emitted at t = 0, every
     output_stride steps, and at the final accepted state.  Deterministic
     for a fixed configuration.  Raises DomainError when the kind's
     estimate puts the run above MAX_STEPS steps, and NumericalError if it
@@ -462,9 +478,9 @@ def run(config: FlowConfig) -> RunResult:
                             homothety_defect=0.0 if config.rescaled else math.nan,
                             min_radius=0.0, dt=config.t_end)
         return RunResult(diagnostics=[diag0, diag0._replace(t=config.t_end)],
-                         status="stationary", state=FlowState(config.t_end, config.model, 1))
+                         status="stationary", state=FlowState(config.t_end, config.model, 0))
 
-    stage, diagnose, radius_of = kind.stage, kind.diagnose, kind.radius
+    stage, speed_of, diagnose, radius_of = kind.stage, kind.speed, kind.diagnose, kind.radius
     rk2, pin = (kind.scheme or config.scheme) == "rk2", config.boundary_values
     x = kind.start
     speed, bound = stage(x)
@@ -497,7 +513,7 @@ def run(config: FlowConfig) -> RunResult:
                 radius = radius_of(half)
                 if not radius > 0.0:
                     _refuse(kind, radius, t_new)
-                x = x + stage(half)[0] * dt
+                x = x + speed_of(half) * dt
             else:
                 x = x + speed * dt
             if pin is not None:

@@ -35,9 +35,8 @@ from .symfun import (
     DefinitenessClass,
     _check_degree,
     _classify,
+    _sigma_tables,
     _zero_cut,
-    elem_sym_all_rows,
-    elem_sym_excluding_rows,
 )
 
 GAP_TOL = 1e-6          # strict-vs-boundary discrimination of the norm and HK
@@ -159,8 +158,8 @@ def _report(K: np.ndarray, support: np.ndarray, r: int, notes: tuple) -> GapRepo
     the float-range NumericalError before any row is reduced."""
     n = K.shape[1]
     _check_degree(float(np.abs(K).max()), r + 1, n)
-    sig = elem_sym_all_rows(K, r)                    # (S, r+1): the orders read
-    eig_p = elem_sym_excluding_rows(K, r - 1)        # eigenvalues of P_{r-1}
+    sig, table = _sigma_tables(K, r)                 # (S, r+1): the orders read
+    eig_p = table[:, r - 1].reshape(K.shape)         # eigenvalues of P_{r-1}
     # for r = n, eig_p is sigma_{n-1}(A_j): the Gauss fragment's input
     gauss = _gauss_report(K, sig, eig_p, n) if r == n else None
     norm_sq = (eig_p * K * K).sum(axis=1)

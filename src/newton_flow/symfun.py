@@ -11,14 +11,18 @@ sigma_r = 0 for r > n.  All functions operate on plain numpy arrays
 and are pure as observed: the same input bytes give the same result
 bytes, and every result is the caller's own.
 
-The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence;
-``elem_sym`` and ``elem_sym_all`` read its one-row case, and the
-deletion kernel ``elem_sym_excluding_rows`` runs it on each row with one
-entry deleted (through a read-only column index, built once per n): no
-sigma_p(A_j) comes from a subtraction.  P_r is built in the eigenframe
-(k, Q) of A as Q diag(sigma_r(A_j)) Q^T from the kernel's table, with
-Horner's form of the polynomial, poly_r = sigma_r I - poly_{r-1} A, as
-the cross-check.  ``_classify`` is the package's one zero window: lambda
+The row kernel ``elem_sym_all_rows`` holds the one sigma recurrence, run
+order by order on an (n+1, S) working array whose transpose it returns;
+``elem_sym`` and ``elem_sym_all`` read its one-row case.  ``_sigma_tables``
+runs it once on the rows stacked over each row with one entry deleted
+(through a read-only column index, built once per n) and padded with a
+trailing 0.0, which moves no bit of a finite table: one pass gives an
+operator's sigmas and deletion table, and a gap report's sigmas and the
+eigenvalues of P_{r-1}.  The deletion kernel ``elem_sym_excluding_rows``
+runs it on the deleted rows alone, unpadded.  No sigma_p(A_j) comes
+from a subtraction.  P_r is built in the eigenframe (k, Q) of A as
+Q diag(sigma_r(A_j)) Q^T from the kernel's table, with Horner's form of
+the polynomial, poly_r = sigma_r I - poly_{r-1} A, as the cross-check.  ``_classify`` is the package's one zero window: lambda
 is zero when |lambda| <= ZERO_TOL max(1, max|lambda|) over the spectrum it
 classifies, eigh's in ``definiteness`` and ``sqrt_psd``, the deletion
 table's in the PSD gate of ``cauchy_schwarz_bound``.  Every entry point converts
@@ -101,15 +105,18 @@ def _as_shape_operator(S) -> np.ndarray:
     A = as_floats(S, "shape operator")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
         raise DomainError("shape operator must be a square matrix")
-    if not np.isfinite(A).all():
-        raise DomainError("shape operator has non-finite entries")
+    # a NaN entry makes the norm NaN and an inf entry inf; a finite A whose
+    # norm overflows passes and is measured in units of max|A| below
     scale = _norm(A)
+    if not math.isfinite(scale) and not np.isfinite(A).all():
+        raise DomainError("shape operator has non-finite entries")
     if scale < 8e307:     # half the largest float: no A_ij - A_ji overflows
-        asymmetry = np.abs(A - A.T).max()
+        D = A - A.T
     else:                 # measure both in units of max|A|
         unit = np.abs(A).max()
         scale = _norm(A / unit)
-        asymmetry = np.abs(A / unit - A.T / unit).max()
+        D = A / unit - A.T / unit
+    asymmetry = np.maximum.reduce(np.abs(D, out=D), axis=None)
     if asymmetry > SYM_TOL * max(1.0, scale):
         raise DomainError("shape operator is not symmetric within tolerance")
     # work with the exactly-symmetric part so eigh sees a clean input;
@@ -159,20 +166,24 @@ def elem_sym_all_rows(K: np.ndarray, top: int | None = None) -> np.ndarray:
     The prefix recurrence e_p^(j) = e_p^(j-1) + k_j * e_{p-1}^(j-1).  An
     entry depends only on lower orders, so a smaller top (a nonnegative
     integer) gives the same bits for the orders it keeps and never forms
-    the higher ones.
+    the higher ones.  The (S, top + 1) result is the transpose of the
+    kernel's own (top + 1, S) array: Fortran-ordered, the caller's, and
+    with the bytes (``tobytes()``) of a C-ordered one.
     """
     K = _as_rows(K)
     S, n = K.shape
     if top is not None and check_integer(top, "top") < 0:
         raise DomainError("top must be nonnegative")
     top = n if top is None else min(top, n)
-    e = np.zeros((S, top + 1))
-    e[:, 0] = 1.0
+    # order p of every row is one contiguous row of e: few, long slices
+    e = np.zeros((top + 1, S))
+    e[0] = 1.0
+    cols = K.T
     for j in range(top):
-        e[:, 1:j + 2] += K[:, j:j + 1] * e[:, 0:j + 1]
+        e[1:j + 2] += cols[j] * e[0:j + 1]
     for j in range(top, n):     # later curvatures feed orders 1..top only
-        e[:, 1:] += K[:, j:j + 1] * e[:, :-1]
-    return e
+        e[1:] += cols[j] * e[:-1]
+    return e.T
 
 
 def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
@@ -187,15 +198,29 @@ def elem_sym_excluding_rows(K: np.ndarray, r: int) -> np.ndarray:
     S, n = K.shape
     if r > n - 1:
         return np.zeros((S, n))
-    return _excluding_table(K, r)[:, r].reshape(S, n)
+    # unpadded: rows whose lower orders overflow keep their inf
+    deleted = K[:, _excluding_columns(n)].reshape(S * n, n - 1)
+    return elem_sym_all_rows(deleted, r)[:, r].reshape(S, n)
 
 
-def _excluding_table(K: np.ndarray, top: int) -> np.ndarray:
-    """Row s * n + j: sigma_0..sigma_top of row s of K without column j, by
-    ``elem_sym_all_rows`` on the rows np.delete would give (no subtraction).
-    For one row and top = n - 1 it is the (n, n) table [j, p] = sigma_p(A_j)."""
+def _sigma_tables(K: np.ndarray, top: int) -> tuple:
+    """(sigma_0..sigma_top of each row of K, the table whose row s * n + j is
+    sigma_0..sigma_top of row s without column j), from one ``elem_sym_all_rows``
+    pass over the rows stacked over the rows np.delete would give, each
+    padded with a trailing 0.0 (no subtraction).
+
+    The pad moves no bit where every sigma_p, p < top, is finite, as the
+    callers' degree checks make it: an entry starts at +0.0 and a
+    round-to-nearest sum is -0.0 only when both addends are, so no entry is
+    ever -0.0, and adding the pad's +-0.0 products to it gives it back.  A
+    deleted row's order n is +0.0; for one row and top = n, the table's
+    first n columns are the (n, n) table [j, p] = sigma_p(A_j)."""
     S, n = K.shape
-    return elem_sym_all_rows(K[:, _excluding_columns(n)].reshape(S * n, n - 1), top)
+    rows = np.zeros((S * (n + 1), n))
+    rows[:S] = K
+    rows[S:, :-1] = K[:, _excluding_columns(n)].reshape(S * n, n - 1)
+    e = elem_sym_all_rows(rows, top)
+    return e[:S], e[S:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -257,8 +282,8 @@ class _Operator:
         n = self.A.shape[0]
         _check_degree(self.norm, n, n)
         k, Q = self.frame
-        sig = elem_sym_all_rows(k[None])[0]
-        table = _excluding_table(k[None], n - 1)
+        sig, table = _sigma_tables(k[None], n)
+        sig, table = sig[0], table[:, :n]
         P = (np.eye(n), *((Q * table[:, 1:].T[:, None, :]) @ Q.T), np.zeros((n, n)))
         _cross_check(self.A, self.norm, sig, P)
         table, sig, *P = _read_only(table, sig, *P)

@@ -1,10 +1,11 @@
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from newton_flow import fd, flow
+from newton_flow import cli, fd, flow
 from newton_flow.catalog import (
     MAX_SAMPLES,
     Cylinder,
@@ -252,6 +253,21 @@ class TestRun:
             assert diag.homothety_defect == 0.0
             assert diag.min_radius == 0.0
 
+    def test_a_stationary_run_takes_no_step(self, capsys, tmp_path):
+        # a hyperplane does not move: its rows are the start and t_end, and
+        # the run and the CLI's JSON count no step
+        result = run(FlowConfig(r=1, model=Hyperplane(n=2), t_end=0.5))
+        assert (result.status, result.state.t, result.state.step_count) == (
+            "stationary", 0.5, 0)
+        assert [d.t for d in result.diagnostics] == [0.0, 0.5]
+        cfg = tmp_path / "plane.json"
+        cfg.write_text(json.dumps({"model": {"kind": "hyperplane", "n": 2}, "r": 1,
+                                   "flow": {"t_end": 0.5}}))
+        assert cli.main(["flow", "--config", str(cfg),
+                         "--out", str(tmp_path / "diag.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["status"], summary["stepCount"]) == ("stationary", 0)
+
     def test_cylinder_scalar_law(self):
         config = FlowConfig(r=1, model=Cylinder(n=3, m=2, radius=1.0),
                             t_end=0.1, resolution=64)
@@ -392,6 +408,19 @@ class TestRevolutionStage:
         speed = _reference_speed(geo.f, geo.h, geo.boundary, -1, r)
         assert got_speed.tobytes() == speed.tobytes()
         assert got_bound == _reference_bound(geo.f, geo.h, geo.boundary, r)
+
+    @pytest.mark.parametrize("boundary", fd.BOUNDARY_MODES)
+    @pytest.mark.parametrize("orientation", [1, -1])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_speed_has_the_bits_of_the_stage_speed(self, r, orientation, boundary):
+        # each from a kind of its own, so neither reads the other's parts
+        prof = sphere_band_profile(2.0, 0.6, 32)
+        geo = _graph_builder(prof.z, prof.h, boundary, orientation)(prof.f)
+        for f in (geo.f, geo.f * 0.9 + 0.05 * np.cos(geo.z)):
+            speed = flow._graph_kind(geo, r).speed(f)
+            assert speed.tobytes() == flow._graph_kind(geo, r).stage(f)[0].tobytes()
+            assert speed.tobytes() == _reference_speed(f, geo.h, boundary, orientation,
+                                                       r).tobytes()
 
     @pytest.mark.parametrize("scheme, passes", [("euler", 1), ("rk2", 2)])
     def test_one_derivative_pass_per_stage(self, monkeypatch, scheme, passes):
@@ -805,6 +834,25 @@ class TestRoundFactor:
         assert made == [1]
         assert result.state.geometry.radius == result.final.min_radius
 
+    def test_speed_has_the_bits_of_the_stage_speed(self):
+        laws = CATALOG_LAWS + [(Cylinder(n=5, m=2, radius=1.5), r) for r in (3, 4, 5)]
+        for model, r in laws:
+            kind = flow._kind(FlowConfig(r=r, model=model, t_end=0.01, resolution=32))
+            for radius in (kind.start, 0.75 * kind.start, 1e-3, 2.5, 1e40):
+                speed = kind.speed(radius)
+                assert speed.hex() == kind.stage(radius)[0].hex(), (model, r, radius)
+
+    @pytest.mark.parametrize("radius", [1e-200, 0.0, 1e200])
+    def test_speed_refuses_as_the_stage_does(self, radius):
+        # R^r underflows to 0 or overflows: the same float-range error
+        kind = flow._round_kind(Sphere(2, 1.0), 2, 32)
+        with pytest.raises(NumericalError) as by_stage:
+            kind.stage(radius)
+        with pytest.raises(NumericalError) as by_speed:
+            kind.speed(radius)
+        assert str(by_speed.value) == str(by_stage.value)
+        assert type(by_speed.value.__cause__) is type(by_stage.value.__cause__)
+
     @pytest.mark.parametrize("r", [3, 4, 5])
     def test_cylinder_factor_above_m_has_no_bound(self, r):
         # sigma_r of the round factor of rank 2 vanishes: nothing moves
@@ -853,24 +901,28 @@ class TestRoundLawStep:
         # cfl_safety / (2 (r+1) resolution)): at least 3/4 R at the largest
         # step a config allows, cfl_safety = 1 and resolution = 1, so the
         # guard never refuses a round law's midpoint
-        staged, make = [], flow._round_kind
+        starts, mids, make = [], [], flow._round_kind
 
         def recorded(*args):
             kind = make(*args)
 
             def stage(radius):
-                staged.append(radius)
+                starts.append(radius)
                 return kind.stage(radius)
-            return kind._replace(stage=stage)
+
+            def speed(radius):
+                mids.append(radius)
+                return kind.speed(radius)
+            return kind._replace(stage=stage, speed=speed)
         monkeypatch.setattr(flow, "_round_kind", recorded)
         for model, r in CATALOG_LAWS:
-            staged.clear()
+            starts.clear()
+            mids.clear()
             t_end = extinction_time(_round_rank(model), r, model.radius)
             result = run(FlowConfig(r=r, model=model, t_end=t_end, resolution=1,
                                     cfl_safety=1.0))
-            # stage reads the start, then each step's midpoint and result
-            starts, mids = staged[0::2], staged[1::2]
-            assert len(mids) == result.state.step_count > 0, (model, r)
+            # stage reads the start and each step's result, speed each midpoint
+            assert len(mids) == result.state.step_count == len(starts) - 1 > 0, (model, r)
             for radius, mid in zip(starts, mids):
                 assert mid == pytest.approx(radius * (1.0 - 0.5 / (r + 1)), rel=1e-12)
                 assert mid >= 0.75 * radius, (model, r)

@@ -14,7 +14,7 @@ from newton_flow.catalog import (
 )
 from newton_flow.errors import DomainError, NotPSDError, NotSelfShrinkerError, NumericalError
 from newton_flow.gapcheck import classify, evaluate, evaluate_from_samples
-from newton_flow import cli, gapcheck, symfun
+from newton_flow import cli, symfun
 from newton_flow.catalog import sample_fields
 from newton_flow.symfun import DefinitenessClass
 from conftest import (
@@ -220,7 +220,7 @@ class TestOneSigmaTable:
         gen = np.random.default_rng(5)
         for n in range(1, 8):
             K = gen.standard_normal((40, n)) * 10.0 ** gen.uniform(-2, 2)
-            held = symfun._excluding_table(K, n - 1).reshape(40, n, n)
+            held = symfun._sigma_tables(K, n - 1)[1].reshape(40, n, n)
             for r in range(0, n):
                 got = symfun.elem_sym_excluding_rows(K, r)
                 assert got.tobytes() == np.ascontiguousarray(held[:, :, r]).tobytes()
@@ -231,18 +231,17 @@ class TestOneSigmaTable:
 
     def test_one_table_per_report(self, monkeypatch):
         calls = [0]
-        inner = gapcheck.elem_sym_all_rows
+        inner = symfun.elem_sym_all_rows
 
         def counted(K, *top):
             calls[0] += 1
             return inner(K, *top)
-        monkeypatch.setattr(gapcheck, "elem_sym_all_rows", counted)
         monkeypatch.setattr(symfun, "elem_sym_all_rows", counted)
-        # one table of the rows, one of the rows with each column deleted
+        # one table of the rows stacked over the rows with each column deleted
         report = evaluate(Sphere(n=3, radius=shrinker_radius(3, 3)), 3)
-        assert report.gauss is not None and calls[0] == 2
+        assert report.gauss is not None and calls[0] == 1
         evaluate(Sphere(n=2, radius=1.0), 2)
-        assert calls[0] == 4
+        assert calls[0] == 2
 
 
 def gauss(model):

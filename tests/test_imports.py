@@ -45,6 +45,7 @@ PRIVATE_IMPORTS = {
     ("flow", "catalog", "_graph_builder"),
     ("gapcheck", "symfun", "_check_degree"),
     ("gapcheck", "symfun", "_classify"),
+    ("gapcheck", "symfun", "_sigma_tables"),
     ("gapcheck", "symfun", "_zero_cut"),
     ("operators", "fd", "_stencil"),
 }

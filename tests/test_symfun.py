@@ -138,7 +138,7 @@ class TestElemSymExcluding:
             assert keep is symfun._excluding_columns(n) and not keep.flags.writeable
             K = rng.standard_normal((3, n))
             rows = np.array([np.delete(row, j) for row in K for j in range(n)])
-            assert (symfun._excluding_table(K, n - 1).tobytes()
+            assert (symfun._sigma_tables(K, n - 1)[1].tobytes()
                     == elem_sym_all_rows(rows.reshape(3 * n, n - 1), n - 1).tobytes())
 
     def test_rows_all(self, rng):
@@ -513,6 +513,43 @@ class TestOneRecurrence:
         modified_sff_norm_sq(np.diag([1.0, 2.0, 3.0]), 2)
         assert solves == [(3, 3)]
 
+    def test_the_rows_result_is_the_callers_own_transposed_table(self, rng):
+        # the kernel works on an (n+1, S) array and hands out its transpose:
+        # Fortran-ordered, writable, with the bits of the one-row results
+        K = rng.standard_normal((7, 4))
+        out = elem_sym_all_rows(K)
+        assert out.shape == (7, 5) and out.flags.f_contiguous and out.flags.writeable
+        assert not np.shares_memory(out, K)
+        assert out.tobytes() == np.array([elem_sym_all(row) for row in K]).tobytes()
+
+    def test_one_pass_tables_have_the_bits_of_two_kernel_calls(self, rng):
+        # the rows stacked over their deleted rows, each padded with a 0.0:
+        # the bits of one call on the rows and one on the np.delete rows, at
+        # every top; the deleted rows' order n, past their length, is +0.0
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+        for trial in range(1200):
+            n, S = trial % 8 + 1, rng.randint(1, 5)
+            K = rng.standard_normal((S, n)) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 4:       # zeros of either sign and repeated values
+                mask = rng.rand(S, n) < 0.6
+                K[mask] = rng.choice(pool, mask.sum())
+            deleted = np.array([np.delete(row, j) for row in K for j in range(n)])
+            deleted = deleted.reshape(S * n, n - 1)
+            for top in range(n + 1):
+                sig, table = symfun._sigma_tables(K, top)
+                assert sig.tobytes() == elem_sym_all_rows(K, top).tobytes()
+                old = elem_sym_all_rows(deleted, top)
+                kept = old.shape[1]
+                assert table[:, :kept].tobytes() == old.tobytes(), (trial, top)
+                past = np.zeros((S * n, top + 1 - kept))
+                assert table[:, kept:].tobytes() == past.tobytes()
+
+    def test_the_deletion_kernel_keeps_an_overflowed_order(self):
+        # unpadded: a pad's 0.0 times an order that overflowed would be NaN
+        with np.errstate(over="ignore"):
+            got = elem_sym_excluding_rows([[1e308, 1e308, 2.0]], 2)
+        assert got.tolist() == [[math.inf, math.inf, math.inf]]
+
     def test_truncated_sigma_table_keeps_the_bits(self, rng):
         K = rng.standard_normal((50, 6)) * 10.0
         full = elem_sym_all_rows(K)
@@ -578,6 +615,32 @@ class TestOverflowGuards:
                 fn(np.eye(1014), 1)
             assert str(info.value) == f"|A|^2 of |A|={norm} leaves the float range"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_entry_is_refused_after_its_norm(self, bad):
+        # the norm is formed first, NaN or inf with the entry, and only then
+        # are the entries scanned; a NaN beside an inf gives an inf norm
+        for a in (np.diag([1.0, bad]), [[1.0, bad], [bad, 1.0]],
+                  [[1.0, bad], [5.0, 1.0]], [[math.inf, math.nan], [math.nan, bad]]):
+            assert not math.isfinite(symfun._norm(np.asarray(a)))
+            with pytest.raises(DomainError, match="shape operator has non-finite entries"):
+                symfun._as_shape_operator(a)
+            with pytest.raises(DomainError, match="square matrix"):
+                symfun._as_shape_operator(np.asarray(a)[:1])
+
+    def test_a_finite_operator_whose_norm_overflows_is_measured_in_units(self):
+        # every entry finite, the Frobenius norm inf: the check runs in units of max|A|
+        a = np.array([[1.5e308, 1e308], [1e308, -1.5e308]])
+        assert symfun._norm(a) == math.inf
+        assert symfun._as_shape_operator(a).tobytes() == (0.5 * a + 0.5 * a.T).tobytes()
+        skew = a.copy()
+        skew[1, 0] = -1e308
+        with pytest.raises(DomainError, match="not symmetric"):
+            symfun._as_shape_operator(skew)
+        near = a.copy()
+        near[1, 0] *= 1.0 + 1e-14          # 1e-14 max|A| apart: within the tolerance
+        assert symfun._as_shape_operator(near).tobytes() == (
+            0.5 * near + 0.5 * near.T).tobytes()
+
     @pytest.mark.parametrize("big", [1e100, 1e160, 1e200, 1e308])
     def test_huge_antisymmetric_part_is_rejected(self, big):
         # the Frobenius norm overflows above ~1.3e154, and with it the tolerance
@@ -630,14 +693,14 @@ class TestOverflowGuards:
 
     def test_a_nan_route_fails_the_modified_norm_check(self, monkeypatch):
         # order 0 of the deletion table feeds route (b) at r = 1 and no P_r
-        kernel = symfun._excluding_table
+        kernel = symfun._sigma_tables
 
         def nan_order_0(K, top):
-            table = kernel(K, top)
+            sig, table = kernel(K, top)
             table[:, 0] = math.nan
-            return table
+            return sig, table
 
-        monkeypatch.setattr(symfun, "_excluding_table", nan_order_0)
+        monkeypatch.setattr(symfun, "_sigma_tables", nan_order_0)
         with pytest.raises(NumericalError, match="modified norm routes disagree"):
             modified_sff_norm_sq(np.diag([1.0, 2.0]), 1)
 
@@ -983,14 +1046,14 @@ class TestHornerCrossCheck:
                     check(A, norm_a, bad, P)
 
     def test_a_perturbed_build_stores_nothing(self, monkeypatch):
-        kernel = symfun._excluding_table
+        kernel = symfun._sigma_tables
 
         def perturbed(K, top):
-            table = kernel(K, top)
+            sig, table = kernel(K, top)
             table[:, 1] *= 1.0 + 1e-6
-            return table
+            return sig, table
 
-        monkeypatch.setattr(symfun, "_excluding_table", perturbed)
+        monkeypatch.setattr(symfun, "_sigma_tables", perturbed)
         a = np.diag([1.0, 1.1, 0.9])
         for _ in range(2):      # the failed family is not kept, so it raises again
             with pytest.raises(NumericalError, match="disagreement for P_1"):
